@@ -21,7 +21,7 @@ from .core import (
     sample_permutation,
     spawn_rng,
 )
-from .datasets import Dataset, load_csv, load_partition, save_partition, split_dataset
+from .datasets import Dataset, load_csv, load_partition, split_dataset
 from .explain import (
     CounterfactualResult,
     ExplainConfig,

@@ -175,11 +175,6 @@ def load_partition(source: str | Path | dict) -> OwnerPartition:
     return OwnerPartition(parsed)
 
 
-def save_partition(partition: OwnerPartition, path: str | Path) -> None:
-    payload = {"owners": {o: sorted(partition.entries(o)) for o in partition.owner_ids()}}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def validate_partition(partition: OwnerPartition, dataset: Dataset, *, axis: str = "rows") -> None:
     """Check that every entry id addresses a dataset row (or feature column)."""
     limit = len(dataset) if axis == "rows" else dataset.n_features

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,75 +117,119 @@ class CounterfactualResult:
         return len(self.delta)
 
     def to_dict(self, *, include_timing: bool = False) -> dict:
-        out = {
-            "engine": self.engine,
-            "a": self.a,
-            "b": self.b,
-            "status": self.status,
-            "delta": [int(e) for e in self.delta],
-            "size": self.size,
-            "success": self.success,
-            "initial_diff": self.initial_diff,
-            "initial_half_width": self.initial_half_width,
-            "final_diff": self.final_diff,
-            "final_half_width": self.final_half_width,
-            "samples_used": self.samples_used,
-            "subsets_tested": self.subsets_tested,
-            "timed_out": self.timed_out,
-            "budget_exhausted": self.budget_exhausted,
-            "steps": [
-                {
-                    "entry": int(s.entry),
-                    "power_mean": s.power_mean,
-                    "power_half_width": s.power_half_width,
-                    "bandit_samples": s.bandit_samples,
-                    "bandit_converged": s.bandit_converged,
-                    "check_verdict": s.check_verdict,
-                    "check_mean": s.check_mean,
-                    "check_half_width": s.check_half_width,
-                    "check_samples": s.check_samples,
-                }
-                for s in self.steps
-            ],
-        }
-        if include_timing:
-            out["wall_time"] = self.wall_time
+        out = asdict(self)
+        out["delta"] = [int(e) for e in self.delta]
+        out["size"] = self.size
+        out["steps"] = [dict(step, entry=int(step["entry"])) for step in out["steps"]]
+        if not include_timing:
+            del out["wall_time"]
         return out
 
 
-def _validate_pair(partition: OwnerPartition, a: OwnerId, b: OwnerId) -> None:
-    if a == b:
-        raise SameOwner(f"explanation needs two distinct owners, got {a!r} twice")
-    partition.entries(a)
-    partition.entries(b)
-
-
-def _mc_precheck(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    rng: np.random.Generator,
-    cfg: ExplainConfig,
-    initial: FlipResult | None,
-) -> FlipResult:
-    if initial is not None:
-        return initial
-    # A width stop of cfg.width_stop is exactly the adaptive
-    # eps = width_stop * max(1, |mean|) rule here: with the interval still
-    # straddling zero the half-width exceeds |mean|, so the adaptive branch
-    # with |mean| > 1 can never fire first.
-    return is_flipped(
-        partition,
-        oracle,
-        a,
-        b,
-        rng,
-        delta=cfg.delta,
-        budget=cfg.check_budget,
-        batch=cfg.batch,
-        width_stop=cfg.width_stop,
+def _subsets(entries: list[EntryId]):
+    """Non-empty subsets in ascending size, lexicographic within a size."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(entries, size) for size in range(1, len(entries) + 1)
     )
+
+
+class _Request:
+    """One explanation request: its pair, rng, config, clock and sample counters.
+
+    Every flip check of an engine goes through `check`, and every result is
+    built by `done`, so the counters and the deadline live in one place.
+    """
+
+    def __init__(
+        self,
+        engine: str,
+        partition: OwnerPartition,
+        oracle: UtilityOracle,
+        a: OwnerId,
+        b: OwnerId,
+        rng: np.random.Generator | None,
+        config: ExplainConfig | None,
+    ) -> None:
+        if a == b:
+            raise SameOwner(f"explanation needs two distinct owners, got {a!r} twice")
+        partition.entries(a)
+        partition.entries(b)
+        self.engine, self.partition, self.oracle = engine, partition, oracle
+        self.a, self.b, self.rng = a, b, rng
+        self.cfg = config or ExplainConfig()
+        self.start = time.monotonic()
+        self.samples = 0
+        self.exhausted = False
+        self.initial_diff = self.initial_half_width = 0.0
+
+    def expired(self) -> bool:
+        return time.monotonic() - self.start > self.cfg.timeout
+
+    def moved(self, delta: Iterable[EntryId]) -> OwnerPartition:
+        """The request's partition after a gives `delta` to b."""
+        return apply_transfer(self.partition, Transfer(self.a, self.b, frozenset(delta)))
+
+    def check(self, partition: OwnerPartition, budget: int) -> FlipResult:
+        """Sequential flip check of the pair on `partition`, counted."""
+        cfg = self.cfg
+        res = is_flipped(
+            partition, self.oracle, self.a, self.b, self.rng,
+            delta=cfg.delta, budget=budget, batch=cfg.batch, width_stop=cfg.width_stop,
+        )
+        self.samples += res.estimate.count
+        self.exhausted |= res.budget_exhausted
+        return res
+
+    def precheck(self, initial: FlipResult | None) -> str | None:
+        """Check that a is above b; return the failed-precondition status, if any.
+
+        A supplied `initial` check is reused without counting its samples.
+        A width stop of cfg.width_stop is exactly the adaptive
+        eps = width_stop * max(1, |mean|) rule here: with the interval still
+        straddling zero the half-width exceeds |mean|, so the adaptive branch
+        with |mean| > 1 can never fire first.
+        """
+        if initial is None:
+            pre = self.check(self.partition, self.cfg.check_budget)
+        else:
+            pre = initial
+            self.exhausted |= pre.budget_exhausted
+        self.initial_diff = pre.estimate.mean
+        self.initial_half_width = pre.estimate.half_width if pre.estimate.count >= 2 else 0.0
+        return {"flipped": STATUS_NOT_MET, "undecided": STATUS_UNDECIDED}.get(pre.verdict)
+
+    def done(
+        self,
+        status: str,
+        delta: Iterable[EntryId] = (),
+        success: bool = False,
+        final: Estimate | float | None = None,
+        tested: int = 0,
+        steps: Iterable[TransferStep] = (),
+    ) -> CounterfactualResult:
+        """The result; a float `final` is an exact differential (half-width 0)."""
+        if isinstance(final, Estimate):
+            final_diff, final_half_width = final.mean, final.half_width
+        else:
+            final_diff, final_half_width = final, None if final is None else 0.0
+        return CounterfactualResult(
+            engine=self.engine,
+            a=self.a,
+            b=self.b,
+            status=status,
+            delta=tuple(sorted(delta)),
+            success=success,
+            initial_diff=self.initial_diff,
+            initial_half_width=self.initial_half_width,
+            final_diff=final_diff,
+            final_half_width=final_half_width,
+            samples_used=self.samples,
+            subsets_tested=tested,
+            steps=tuple(steps),
+            timed_out=status == STATUS_TIMEOUT,
+            budget_exhausted=self.exhausted,
+            wall_time=time.monotonic() - self.start,
+        )
 
 
 def explain_bruteforce(
@@ -202,52 +247,32 @@ def explain_bruteforce(
     break deterministically toward the smallest entry ids. `initial` is
     ignored: this engine decides the precondition exactly.
     """
-    cfg = config or ExplainConfig()
-    _validate_pair(partition, a, b)
+    req = _Request("bf", partition, oracle, a, b, None, config)
+    cfg = req.cfg
     del initial
     ents = sorted(partition.entries(a))
     if len(ents) > cfg.bf_entry_limit:
         raise TooLarge(
             f"brute force over {len(ents)} entries exceeds the limit {cfg.bf_entry_limit}"
         )
-    start = time.monotonic()
-    d0 = diff_shapley_exact(partition, oracle, a, b, owner_limit=cfg.owner_limit)
 
-    def done(status, delta, success, final, tested, timed_out=False):
-        return CounterfactualResult(
-            engine="bf",
-            a=a,
-            b=b,
-            status=status,
-            delta=tuple(sorted(delta)),
-            success=success,
-            initial_diff=d0,
-            initial_half_width=0.0,
-            final_diff=final,
-            final_half_width=None if final is None else 0.0,
-            samples_used=0,
-            subsets_tested=tested,
-            timed_out=timed_out,
-            wall_time=time.monotonic() - start,
-        )
+    def diff(delta) -> float:
+        return diff_shapley_exact(req.moved(delta), oracle, a, b, owner_limit=cfg.owner_limit)
 
-    if d0 <= 0.0:
-        return done(STATUS_NOT_MET, (), False, None, 0)
+    req.initial_diff = diff(())
+    if req.initial_diff <= 0.0:
+        return req.done(STATUS_NOT_MET)
     tested = 0
-    for size in range(1, len(ents) + 1):
-        for combo in itertools.combinations(ents, size):
-            if time.monotonic() - start > cfg.timeout:
-                return done(STATUS_TIMEOUT, (), False, None, tested, timed_out=True)
-            moved = apply_transfer(partition, Transfer(a, b, frozenset(combo)))
-            d = diff_shapley_exact(moved, oracle, a, b, owner_limit=cfg.owner_limit)
-            tested += 1
-            if d < 0.0:
-                return done(STATUS_OK, combo, True, d, tested)
+    for combo in _subsets(ents):
+        if req.expired():
+            return req.done(STATUS_TIMEOUT, tested=tested)
+        d = diff(combo)
+        tested += 1
+        if d < 0.0:
+            return req.done(STATUS_OK, combo, True, d, tested)
     # Even the full transfer does not flip; hand back everything as the
     # best-effort answer.
-    moved = apply_transfer(partition, Transfer(a, b, frozenset(ents)))
-    d = diff_shapley_exact(moved, oracle, a, b, owner_limit=cfg.owner_limit)
-    return done(STATUS_OK, ents, False, d, tested)
+    return req.done(STATUS_OK, ents, False, diff(ents), tested)
 
 
 def explain_mc(
@@ -264,76 +289,27 @@ def explain_mc(
 
     Each candidate subset gets a fresh sequential check with check_budget
     permutations; undecided checks count as not flipped. The first flipped
-    subset is re-verified with verify_budget permutations before reporting
-    success.
+    subset (or, failing that, all of a's entries) is re-verified with
+    verify_budget permutations before reporting success.
     """
-    cfg = config or ExplainConfig()
-    _validate_pair(partition, a, b)
+    req = _Request("mc", partition, oracle, a, b, rng, config)
+    cfg = req.cfg
     ents = sorted(partition.entries(a))
-    start = time.monotonic()
-    samples = 0
-    exhausted = False
-
-    pre = _mc_precheck(partition, oracle, a, b, rng, cfg, initial)
-    if initial is None:
-        samples += pre.estimate.count
-    exhausted |= pre.budget_exhausted
-
-    def done(status, delta, success, final: Estimate | None, tested, timed_out=False):
-        return CounterfactualResult(
-            engine="mc",
-            a=a,
-            b=b,
-            status=status,
-            delta=tuple(sorted(delta)),
-            success=success,
-            initial_diff=pre.estimate.mean,
-            initial_half_width=pre.estimate.half_width if pre.estimate.count >= 2 else 0.0,
-            final_diff=None if final is None else final.mean,
-            final_half_width=None if final is None else final.half_width,
-            samples_used=samples,
-            subsets_tested=tested,
-            timed_out=timed_out,
-            budget_exhausted=exhausted,
-            wall_time=time.monotonic() - start,
-        )
-
-    if pre.verdict == "flipped":
-        return done(STATUS_NOT_MET, (), False, None, 0)
-    if pre.verdict == "undecided":
-        return done(STATUS_UNDECIDED, (), False, None, 0)
-
-    def verify(delta_set) -> FlipResult:
-        nonlocal samples
-        moved = apply_transfer(partition, Transfer(a, b, frozenset(delta_set)))
-        res = is_flipped(
-            moved, oracle, a, b, rng,
-            delta=cfg.delta, budget=cfg.verify(), batch=cfg.batch, width_stop=cfg.width_stop,
-        )
-        samples += res.estimate.count
-        return res
-
+    status = req.precheck(initial)
+    if status is not None:
+        return req.done(status)
     tested = 0
-    for size in range(1, len(ents) + 1):
-        for combo in itertools.combinations(ents, size):
-            if time.monotonic() - start > cfg.timeout:
-                return done(STATUS_TIMEOUT, (), False, None, tested, timed_out=True)
-            moved = apply_transfer(partition, Transfer(a, b, frozenset(combo)))
-            check = is_flipped(
-                moved, oracle, a, b, rng,
-                delta=cfg.delta, budget=cfg.check_budget, batch=cfg.batch,
-                width_stop=cfg.width_stop,
-            )
-            samples += check.estimate.count
-            exhausted |= check.budget_exhausted
-            tested += 1
-            if check.verdict == "flipped":
-                final = verify(combo)
-                exhausted |= final.budget_exhausted
-                return done(STATUS_OK, combo, final.verdict == "flipped", final.estimate, tested)
-    final = verify(ents)
-    exhausted |= final.budget_exhausted
-    return done(STATUS_OK, ents, final.verdict == "flipped", final.estimate, tested)
+    for combo in _subsets(ents):
+        if req.expired():
+            return req.done(STATUS_TIMEOUT, tested=tested)
+        check = req.check(req.moved(combo), cfg.check_budget)
+        tested += 1
+        if check.verdict == "flipped":
+            break
+    else:
+        combo = ents
+    final = req.check(req.moved(combo), cfg.verify())
+    return req.done(STATUS_OK, combo, final.verdict == "flipped", final.estimate, tested)
 
 
 def explain_svexp(
@@ -352,52 +328,18 @@ def explain_svexp(
     left), transfers the winner, and re-checks the pair. Stops on a flip, on
     timeout, or when a has nothing left to give.
     """
-    cfg = config or ExplainConfig()
-    _validate_pair(partition, a, b)
-    start = time.monotonic()
-    samples = 0
-    exhausted = False
-
-    pre = _mc_precheck(partition, oracle, a, b, rng, cfg, initial)
-    if initial is None:
-        samples += pre.estimate.count
-    exhausted |= pre.budget_exhausted
+    req = _Request("svexp", partition, oracle, a, b, rng, config)
+    cfg = req.cfg
+    status = req.precheck(initial)
+    if status is not None:
+        return req.done(status)
 
     steps: list[TransferStep] = []
     transferred: list[EntryId] = []
-
-    def done(status, success, final: Estimate | None, timed_out=False):
-        return CounterfactualResult(
-            engine="svexp",
-            a=a,
-            b=b,
-            status=status,
-            delta=tuple(sorted(transferred)),
-            success=success,
-            initial_diff=pre.estimate.mean,
-            initial_half_width=pre.estimate.half_width if pre.estimate.count >= 2 else 0.0,
-            final_diff=None if final is None else final.mean,
-            final_half_width=None if final is None else final.half_width,
-            samples_used=samples,
-            subsets_tested=len(steps),
-            steps=tuple(steps),
-            timed_out=timed_out,
-            budget_exhausted=exhausted,
-            wall_time=time.monotonic() - start,
-        )
-
-    if pre.verdict == "flipped":
-        return done(STATUS_NOT_MET, False, None)
-    if pre.verdict == "undecided":
-        return done(STATUS_UNDECIDED, False, None)
-
     current = partition
-    while True:
-        remaining = sorted(current.entries(a))
-        if not remaining:
-            break
-        if time.monotonic() - start > cfg.timeout:
-            return done(STATUS_TIMEOUT, False, None, timed_out=True)
+    while remaining := sorted(current.entries(a)):
+        if req.expired():
+            return req.done(STATUS_TIMEOUT, transferred, tested=len(steps), steps=steps)
 
         if len(remaining) == 1:
             # Power of a lone entry is undefined; the pick is forced anyway.
@@ -415,21 +357,14 @@ def explain_svexp(
                 arm_budget=cfg.arm_budget,
                 total_budget=cfg.bandit_budget,
                 posterior_draws=cfg.posterior_draws,
-                common=current.entries(b),
             )
-            samples += pick.samples
-            exhausted |= pick.budget_exhausted
+            req.samples += pick.samples
+            req.exhausted |= pick.budget_exhausted
             entry = pick.entry
 
         current = apply_transfer(current, Transfer(a, b, frozenset({entry})))
         transferred.append(entry)
-        check = is_flipped(
-            current, oracle, a, b, rng,
-            delta=cfg.delta, budget=cfg.check_budget, batch=cfg.batch,
-            width_stop=cfg.width_stop,
-        )
-        samples += check.estimate.count
-        exhausted |= check.budget_exhausted
+        check = req.check(current, cfg.check_budget)
         if pick is None:
             power_mean, power_hw, bandit_n, bandit_ok = 0.0, 0.0, 0, True
         else:
@@ -451,22 +386,12 @@ def explain_svexp(
             )
         )
         if check.verdict == "flipped":
-            final = is_flipped(
-                current, oracle, a, b, rng,
-                delta=cfg.delta, budget=cfg.verify(), batch=cfg.batch,
-                width_stop=cfg.width_stop,
-            )
-            samples += final.estimate.count
-            exhausted |= final.budget_exhausted
-            return done(STATUS_OK, final.verdict == "flipped", final.estimate)
+            break
 
-    final = is_flipped(
-        current, oracle, a, b, rng,
-        delta=cfg.delta, budget=cfg.verify(), batch=cfg.batch, width_stop=cfg.width_stop,
+    final = req.check(current, cfg.verify())
+    return req.done(
+        STATUS_OK, transferred, final.verdict == "flipped", final.estimate, len(steps), steps
     )
-    samples += final.estimate.count
-    exhausted |= final.budget_exhausted
-    return done(STATUS_OK, final.verdict == "flipped", final.estimate)
 
 
 ENGINES = {

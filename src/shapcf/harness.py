@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .core import (
 )
 from .datasets import Dataset, load_csv, split_dataset
 from .explain import ENGINES, CounterfactualResult, ExplainConfig, explain
-from .metrics import jaccard, size_stats, success_rate
+from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import FlipResult, is_flipped
 from .utility import DATA_BACKED_KINDS, AdditiveUtility, SetCoverUtility, make_oracle, normalize_kind, unwrap_config
 
@@ -36,6 +35,8 @@ _STREAM_SPLIT = 0
 _STREAM_PARTITION = 1
 _STREAM_PAIR = 2
 _STREAM_ENGINE = 3
+
+PAIR_MODES = ("random", "designated", "grid")
 
 
 def _draw_rows(pool: Sequence[int], size: int, rng: np.random.Generator) -> frozenset[int]:
@@ -178,18 +179,33 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "ExperimentConfig":
         if isinstance(source, (str, Path)):
-            with Path(source).open() as fh:
-                source = json.load(fh)
+            try:
+                with Path(source).open() as fh:
+                    source = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise MalformedInput(f"experiment config is not valid JSON: {exc}") from None
         if not isinstance(source, dict):
             raise MalformedInput("experiment config must be a JSON object")
-        try:
-            utility = dict(source["utility"])
-            engines = tuple(source["engines"])
-            allocation = dict(source["allocation"])
-            trials = int(source["trials"])
-            seed = int(source["seed"])
-        except KeyError as exc:
-            raise MalformedInput(f"experiment config needs {exc.args[0]!r}") from None
+
+        def get(key: str, cast, *default):
+            if key not in source and not default:
+                raise MalformedInput(f"experiment config needs {key!r}")
+            value = source.get(key, *default)
+            try:
+                return cast(value)
+            except (TypeError, ValueError):
+                raise MalformedInput(f"experiment config has a bad {key!r}: {value!r}") from None
+
+        utility = get("utility", dict)
+        engines = get("engines", tuple)
+        allocation = get("allocation", dict)
+        trials = get("trials", int)
+        seed = get("seed", int)
+        pair = get("pair", dict, {})
+        if pair.get("mode") not in (None, *PAIR_MODES):
+            raise MalformedInput(
+                f"unknown pair mode {pair['mode']!r}; expected one of {list(PAIR_MODES)}"
+            )
         unknown = [e for e in engines if e not in ENGINES]
         if unknown:
             raise MalformedInput(f"unknown engines {unknown}; expected {sorted(ENGINES)}")
@@ -197,27 +213,22 @@ class ExperimentConfig:
             raise MalformedInput("experiment config needs at least one engine")
         if trials < 0:
             raise MalformedInput(f"trials must be >= 0, got {trials}")
-        n_owners = int(source.get("n_owners", 2))
         return cls(
             utility=utility,
             engines=engines,
-            n_owners=n_owners,
+            n_owners=get("n_owners", int, 2),
             allocation=allocation,
             trials=trials,
             seed=seed,
             data=source.get("data"),
             test_data=source.get("test_data"),
-            test_ratio=float(source.get("test_ratio", 0.2)),
-            pair=dict(source.get("pair", {})),
-            sampling=dict(source.get("sampling", {})),
+            test_ratio=get("test_ratio", float, 0.2),
+            pair=pair,
+            sampling=get("sampling", dict, {}),
         )
 
     def explain_config(self) -> ExplainConfig:
-        keys = {
-            "delta", "epsilon", "check_budget", "verify_budget", "batch", "width_stop",
-            "seed_batch", "bandit_batch", "arm_budget", "bandit_budget", "posterior_draws",
-            "timeout", "owner_limit", "bf_entry_limit",
-        }
+        keys = {f.name for f in fields(ExplainConfig)}
         picked = {k: v for k, v in self.sampling.items() if k in keys}
         unknown = set(self.sampling) - keys - {"pair_budget", "pair_redraws"}
         if unknown:
@@ -367,40 +378,28 @@ def _select_pair(
     checks up to pair_redraws, after which the last pair is kept (engines then
     report the undecided precondition).
     """
+
+    def check(a: str, b: str) -> FlipResult:
+        return is_flipped(
+            partition, oracle, a, b, rng,
+            delta=ecfg.delta, budget=cfg.pair_budget, batch=ecfg.batch,
+            width_stop=ecfg.width_stop,
+        )
+
     mode = cfg.pair.get("mode")
     if mode is None:
-        if "a" in cell_params or cfg.allocation.get("kind") == "zipfian":
-            mode = "designated"
-        else:
-            mode = "random"
-    if mode == "grid" or (mode == "designated" and ("a" in cell_params or "a" in cfg.pair)):
+        designated = "a" in cell_params or cfg.allocation.get("kind") == "zipfian"
+        mode = "designated" if designated else "random"
+    if mode != "random":
+        # Grid cells name both owners; otherwise the pair config (or "A"/"B").
         a = str(cell_params.get("a", cfg.pair.get("a", "A")))
         b = str(cell_params.get("b", cfg.pair.get("b", "B")))
-        chk = is_flipped(
-            partition, oracle, a, b, rng,
-            delta=ecfg.delta, budget=cfg.pair_budget, batch=ecfg.batch,
-            width_stop=ecfg.width_stop,
-        )
-        return a, b, chk
-    if mode == "designated":
-        a, b = str(cfg.pair.get("a", "A")), str(cfg.pair.get("b", "B"))
-        chk = is_flipped(
-            partition, oracle, a, b, rng,
-            delta=ecfg.delta, budget=cfg.pair_budget, batch=ecfg.batch,
-            width_stop=ecfg.width_stop,
-        )
-        return a, b, chk
+        return a, b, check(a, b)
     ids = partition.owner_ids()
-    a = b = ids[0]
-    chk: FlipResult | None = None
     for _ in range(max(1, cfg.pair_redraws)):
         i, j = rng.choice(len(ids), size=2, replace=False)
         a, b = ids[int(i)], ids[int(j)]
-        chk = is_flipped(
-            partition, oracle, a, b, rng,
-            delta=ecfg.delta, budget=cfg.pair_budget, batch=ecfg.batch,
-            width_stop=ecfg.width_stop,
-        )
+        chk = check(a, b)
         if chk.verdict == "not_flipped":
             return a, b, chk
         if chk.verdict == "flipped":
@@ -462,28 +461,14 @@ def run_experiment(
     """Run all cells and trials; deterministic given cfg.seed.
 
     `datasets` injects preloaded (train, test) sets, bypassing file loading.
-    SHAPCF_THREADS > 1 runs grid cells on a thread pool; record order and all
-    deterministic outputs are unaffected.
     """
     train, test = datasets if datasets is not None else _load_data(cfg)
     oracle = make_oracle(cfg.utility, train, test)
     ecfg = cfg.explain_config()
     cells = _cells(cfg, train, oracle)
-
-    threads = int(os.environ.get("SHAPCF_THREADS", "1") or "1")
-    if threads > 1 and len(cells) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(
-                    lambda ic: _run_cell(cfg, ecfg, train, oracle, ic[0], ic[1]),
-                    enumerate(cells),
-                )
-            )
-    else:
-        chunks = [_run_cell(cfg, ecfg, train, oracle, i, c) for i, c in enumerate(cells)]
-    records = [r for chunk in chunks for r in chunk]
+    records = [
+        rec for i, cell in enumerate(cells) for rec in _run_cell(cfg, ecfg, train, oracle, i, cell)
+    ]
 
     grids, axes = _build_grids(cfg, records, cells)
     summary = summarize(cfg, records, grids, axes)
@@ -561,8 +546,8 @@ def summarize(
                 if r2 is None:
                     continue
                 if r1.status == "ok" and r1.success and r2.status == "ok" and r2.success:
-                    pairs.append(jaccard(r1.delta_entries, r2.delta_entries))
-            agreement[f"{e1}|{e2}"] = float(np.mean(pairs)) if pairs else None
+                    pairs.append((r1.delta_entries, r2.delta_entries))
+            agreement[f"{e1}|{e2}"] = mean_jaccard(pairs)
     return {
         "engines": engines,
         "agreement": agreement,

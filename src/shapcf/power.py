@@ -134,7 +134,6 @@ class ArmState:
 
     entry: EntryId
     estimate: Estimate
-    is_common: bool = False
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ def thompson_top1(
     arm_budget: int = 20_000,
     total_budget: int | None = None,
     posterior_draws: int = 256,
-    common: frozenset[EntryId] = frozenset(),
 ) -> Top1Result:
     """Race the entries and return the one with the highest estimated value.
 
@@ -176,10 +174,7 @@ def thompson_top1(
     """
     if not entries:
         raise ValueError("thompson_top1 needs at least one candidate entry")
-    arms = [
-        ArmState(entry=e, estimate=Estimate(delta=delta), is_common=e in common)
-        for e in sorted(entries)
-    ]
+    arms = [ArmState(entry=e, estimate=Estimate(delta=delta)) for e in sorted(entries)]
     total = 0
 
     def feed(arm: ArmState, k: int) -> None:

@@ -168,8 +168,8 @@ def _entry_power_games():
 def test_04_sampled_entry_power_unbiased_in_both_branches(capsys):
     bad = 0
     n_common = n_diff = 0
-    for gi, (part, oracle, is_common) in enumerate(_entry_power_games()):
-        if is_common:
+    for gi, (part, oracle, shared) in enumerate(_entry_power_games()):
+        if shared:
             n_common += 1
         else:
             n_diff += 1

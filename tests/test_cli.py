@@ -221,7 +221,19 @@ class TestExperimentCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_bad_config_is_a_clean_error(self, runner, tmp_path):
-        config = write_json(tmp_path / "bad.json", {"engines": ["bf"]})
-        res = runner.invoke(main, ["experiment", "--config", config, "--out", str(tmp_path / "o")])
-        assert res.exit_code == 1
-        assert "Error" in res.stderr
+        with open(self.make_config(tmp_path)) as fh:
+            good = json.load(fh)
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(json.dumps(good)[:40])
+        configs = [
+            write_json(tmp_path / "bad.json", {"engines": ["bf"]}),
+            write_json(tmp_path / "kde.json", {**good, "utility": "kde"}),
+            write_json(tmp_path / "trials.json", {**good, "trials": "x"}),
+            write_json(tmp_path / "engines.json", {**good, "engines": 5}),
+            str(truncated),
+        ]
+        for config in configs:
+            res = runner.invoke(main, ["experiment", "--config", config, "--out", str(tmp_path / "o")])
+            assert res.exit_code == 1, (config, res.output)
+            assert "Error" in res.stderr
+            assert res.exception is None or isinstance(res.exception, SystemExit)

@@ -209,6 +209,26 @@ class TestBruteforce:
         assert "wall_time" in res.to_dict(include_timing=True)
         again = explain_bruteforce(p, oracle, "A", "B").to_dict()
         assert again == d
+        # The exact output fields of a result and of one greedy step.
+        p, oracle = two_step_game()
+        res = explain_svexp(p, oracle, "A", "B", spawn_rng(5, 0))
+        assert res.status == STATUS_OK and len(res.steps) == 2
+        d = res.to_dict()
+        assert set(d) == {
+            "engine", "a", "b", "status", "delta", "size", "success",
+            "initial_diff", "initial_half_width", "final_diff", "final_half_width",
+            "samples_used", "subsets_tested", "timed_out", "budget_exhausted", "steps",
+        }
+        assert set(res.to_dict(include_timing=True)) == set(d) | {"wall_time"}
+        assert set(explain_bruteforce(p, oracle, "A", "B").to_dict()) == set(d)
+        assert set(d["steps"][0]) == {
+            "entry", "power_mean", "power_half_width", "bandit_samples", "bandit_converged",
+            "check_verdict", "check_mean", "check_half_width", "check_samples",
+        }
+        assert isinstance(d["steps"], list)
+        assert d["steps"][0]["entry"] == res.steps[0].entry
+        assert all(isinstance(s["entry"], int) for s in d["steps"])
+        assert d == explain_svexp(p, oracle, "A", "B", spawn_rng(5, 0)).to_dict()
 
 
 class TestMonteCarlo:

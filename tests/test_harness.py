@@ -186,6 +186,14 @@ class TestExperimentConfig:
             ExperimentConfig.from_json(base_config(trials=-1))
         with pytest.raises(MalformedInput):
             ExperimentConfig.from_json([1, 2, 3])
+        for bad in (
+            {"pair": {"mode": "desginated", "a": "O0", "b": "O1"}},
+            {"utility": "kde"},
+            {"trials": "x"},
+            {"engines": 5},
+        ):
+            with pytest.raises(MalformedInput):
+                ExperimentConfig.from_json(base_config(**bad))
 
     def test_sampling_whitelist(self):
         cfg = ExperimentConfig.from_json(
@@ -317,14 +325,35 @@ class TestGridRuns:
         assert [r[0] for r in rows[1:]] == ["k0", "k1", "k2"]
         assert len(paths) == 5
 
-    def test_thread_pool_does_not_change_outputs(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "serial", tmp_path / "threads"
-        monkeypatch.setenv("SHAPCF_THREADS", "1")
-        write_outputs(run_experiment(zipf_grid_config()), out1)
-        monkeypatch.setenv("SHAPCF_THREADS", "4")
-        write_outputs(run_experiment(zipf_grid_config()), out2)
-        for name in ("trials.csv", "summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    def test_grid_pair_mode_on_natural_allocation(self, booking_dataset):
+        # Three months, each with one heavy row (its first), later months
+        # heavier: the heavier month of a pair flips by giving up that row.
+        sizes = MONTH_SIZES[:3]
+        subset = booking_dataset.take(range(sum(sizes)))
+        weights = {str(i): 0.01 for i in range(len(subset))}
+        weights.update({"0": 1.0, str(sizes[0]): 2.0, str(sizes[0] + sizes[1]): 4.0})
+        cfg = ExperimentConfig.from_json(
+            {
+                "utility": {"kind": "additive", "weights": weights},
+                "engines": ["mc"],
+                "allocation": {"kind": "natural"},
+                "pair": {"mode": "grid"},
+                "trials": 1,
+                "seed": 41,
+                "sampling": {"check_budget": 300, "pair_budget": 300},
+            }
+        )
+        result = run_experiment(cfg, datasets=(subset, subset.take(range(5))))
+        months = ["01", "02", "03"]
+        cells = [f"{a}->{b}" for a in months for b in months if a != b]
+        assert [rec.cell for rec in result.records] == cells
+        for rec in result.records:
+            assert rec.cell == f"{rec.a}->{rec.b}"
+            if rec.a > rec.b:
+                assert rec.status == "ok" and rec.success and rec.size == 1
+            else:
+                assert rec.status == "precondition_not_met"
+        assert result.grid_axes == (months, months)
 
 
 class TestDataBackedRuns:

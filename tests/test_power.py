@@ -284,12 +284,6 @@ class TestThompsonTop1:
         with pytest.raises(ValueError):
             thompson_top1([], constant_sampler({}), spawn_rng(12))
 
-    def test_common_flag_carried_onto_arms(self):
-        sampler = constant_sampler({1: 0.2, 5: 1.0})
-        res = thompson_top1([1, 5], sampler, spawn_rng(13), common=frozenset({5}))
-        flags = {arm.entry: arm.is_common for arm in res.arms}
-        assert flags == {1: False, 5: True}
-
     def test_race_recovers_exact_argmax_power(self):
         # Disjoint additive game: entry 0 carries the largest weight in A, so
         # it has the highest power against any rival owner.
