@@ -4,9 +4,9 @@ from .core import (
     DeltaNotOwned,
     EntryId,
     MalformedInput,
+    NonFiniteScore,
     OwnerId,
     OwnerPartition,
-    PermutationSample,
     SameOwner,
     ShapcfError,
     SingletonOwner,
@@ -17,8 +17,6 @@ from .core import (
     UnknownColumn,
     UnknownOwner,
     apply_transfer,
-    prefix_before_pair,
-    sample_permutation,
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, load_partition, split_dataset
@@ -55,20 +53,16 @@ from .power import (
     make_power_sampler,
     power_exact,
     power_mc,
-    power_sample,
     thompson_top1,
 )
 from .shapley import (
     Estimate,
     FlipResult,
-    diff_sample_term,
     diff_shapley_exact,
-    diff_shapley_exact_by_permutations,
     diff_shapley_mc,
     is_flipped,
     shapley_exact,
     shapley_exact_all,
-    shapley_exact_by_permutations,
     shapley_mc,
 )
 from .utility import (

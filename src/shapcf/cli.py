@@ -8,7 +8,7 @@ from pathlib import Path
 
 import click
 
-from .core import ShapcfError, spawn_rng
+from .core import MalformedInput, ShapcfError, spawn_rng
 from .datasets import Dataset, load_csv, load_partition, split_dataset, validate_partition
 from .explain import ENGINES, ExplainConfig, explain as run_engine
 from .harness import _STREAM_SPLIT, ExperimentConfig, run_experiment, write_outputs
@@ -28,7 +28,10 @@ def _load_utility_inputs(
     seed: int,
 ) -> tuple[dict, Dataset | None, Dataset | None]:
     with open(utility_path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"utility file is not valid JSON: {exc}") from None
     inner = unwrap_config(cfg)
     kind = normalize_kind(inner["kind"])
     if kind not in DATA_BACKED_KINDS:

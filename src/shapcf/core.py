@@ -1,4 +1,4 @@
-"""Domain model: owners, partitions, transfers, owner permutations, RNG streams.
+"""Domain model: owners, partitions, transfers, the permutation kernel, RNG streams.
 
 Entry ids are opaque non-negative ints. An owner partition maps owner ids to
 entry sets; owner entry sets may overlap (owners can hold copies of the same
@@ -8,7 +8,7 @@ mutation happens only by building new values (see apply_transfer).
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +43,10 @@ class SingletonOwner(ShapcfError):
 
 class DeltaNotOwned(ShapcfError):
     """A transfer names entries outside the source owner's set."""
+
+
+class NonFiniteScore(ShapcfError):
+    """A utility scored a composed set as NaN or infinite."""
 
 
 class TooManyOwners(ShapcfError):
@@ -142,44 +146,67 @@ def apply_transfer(partition: OwnerPartition, transfer: Transfer) -> OwnerPartit
     return OwnerPartition(owners)
 
 
-@dataclass(frozen=True)
-class PermutationSample:
-    """One uniformly drawn ordering of all owner ids (empty owners included)."""
-
-    order: tuple[OwnerId, ...]
-
-    def prefix_before(self, targets: Collection[OwnerId]) -> frozenset[OwnerId]:
-        """Owners strictly before every target: the run-up to the first of them.
-
-        The prefix excludes the targets, so with an owner pair it has at most
-        n - 2 members.
-        """
-        wanted = set(targets)
-        missing = wanted - set(self.order)
-        if missing:
-            raise UnknownOwner(f"owners {sorted(missing)} absent from permutation")
-        prefix: list[OwnerId] = []
-        for owner in self.order:
-            if owner in wanted:
-                break
-            prefix.append(owner)
-        return frozenset(prefix)
+# Rows drawn per kernel call at most; bounds memory for large budgets without
+# changing the draws (successive calls continue the same stream).
+DRAW_CHUNK = 4096
 
 
-def prefix_before_pair(
-    perm: PermutationSample, a: OwnerId, b: OwnerId
-) -> frozenset[OwnerId]:
-    """Owners preceding both a and b in perm (a and b excluded)."""
-    return perm.prefix_before((a, b))
+def draw_orders(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k uniform orderings of owner indices 0..n-1, one per row.
+
+    Row i is bit for bit the ordering the i-th of k successive
+    rng.permutation(n) calls would draw, and rng ends in the same state.
+    """
+    return rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
 
 
-def sample_permutation(
-    partition: OwnerPartition, rng: np.random.Generator
-) -> PermutationSample:
-    """Draw a uniform random ordering of the partition's owners."""
-    owners = partition.owner_ids()
-    idx = rng.permutation(len(owners))
-    return PermutationSample(tuple(owners[i] for i in idx))
+def prefix_terms(
+    partition: OwnerPartition,
+    orders: np.ndarray,
+    targets: Sequence[OwnerId],
+    term: Callable[[list[OwnerId]], float],
+    memo: dict[bytes, float],
+) -> np.ndarray:
+    """term(P) for each ordering, where P are the owners placed before every target.
+
+    orders holds indices into partition.owner_ids(), one ordering per row.
+    Rows are grouped by P, packed as an owner bitmask of any width, so term
+    runs once per distinct prefix; memo (prefix key to term) carries those
+    values across calls. term receives P as owner ids in sorted order. The
+    result is in row order.
+    """
+    ids = partition.owner_ids()
+    pos = orders.argsort(axis=1)  # pos[r, o]: place of owner o in row r
+    cut = pos[:, [ids.index(t) for t in targets]].min(axis=1)
+    before = pos < cut[:, None]
+    packed = np.packbits(before, axis=1)
+    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    values = []
+    for key, row in zip(keys.tolist(), before[first].tolist()):
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = term([o for o, inside in zip(ids, row) if inside])
+        values.append(value)
+    return np.array(values, dtype=np.float64)[inverse]
+
+
+def sample_terms(
+    partition: OwnerPartition,
+    targets: Sequence[OwnerId],
+    term: Callable[[list[OwnerId]], float],
+    memo: dict[bytes, float],
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw k owner orderings and return their prefix terms in draw order."""
+    chunks = [
+        prefix_terms(
+            partition, draw_orders(partition.n, min(DRAW_CHUNK, k - done), rng), targets, term, memo
+        )
+        for done in range(0, k, DRAW_CHUNK)
+    ]
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:

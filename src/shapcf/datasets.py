@@ -158,7 +158,10 @@ def load_partition(source: str | Path | dict) -> OwnerPartition:
     """
     if isinstance(source, (str, Path)):
         with Path(source).open() as fh:
-            source = json.load(fh)
+            try:
+                source = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise MalformedInput(f"partition file is not valid JSON: {exc}") from None
     if not isinstance(source, dict) or "owners" not in source:
         raise MalformedInput('partition JSON must be an object with an "owners" key')
     owners = source["owners"]

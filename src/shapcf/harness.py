@@ -213,6 +213,15 @@ class ExperimentConfig:
             raise MalformedInput("experiment config needs at least one engine")
         if trials < 0:
             raise MalformedInput(f"trials must be >= 0, got {trials}")
+        size_range = allocation.get("size_range")
+        if size_range is not None and not (
+            isinstance(size_range, (list, tuple))
+            and len(size_range) == 2
+            and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in size_range)
+        ):
+            raise MalformedInput(
+                f"allocation size_range must be two integers [lo, hi], got {size_range!r}"
+            )
         return cls(
             utility=utility,
             engines=engines,

@@ -26,15 +26,13 @@ from .core import (
     EntryId,
     OwnerId,
     OwnerPartition,
-    PermutationSample,
     SameOwner,
     SingletonOwner,
     Transfer,
     apply_transfer,
-    prefix_before_pair,
-    sample_permutation,
+    sample_terms,
 )
-from .shapley import EXACT_OWNER_LIMIT, Estimate, diff_shapley_exact
+from .shapley import EXACT_OWNER_LIMIT, Estimate, diff_shapley_exact, differential_term
 from .utility import UtilityOracle
 
 Sampler = Callable[[EntryId, int, np.random.Generator], Sequence[float]]
@@ -54,15 +52,10 @@ def _check_power_args(
     return ents_a, ents_b
 
 
-def power_sample(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    x: EntryId,
-    perm: PermutationSample,
-) -> float:
-    """Unbiased single-permutation term for the power of entry x.
+def _power_term(
+    partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId, x: EntryId
+) -> Callable[[list[OwnerId]], float]:
+    """Single-permutation term for the power of entry x, as a function of the prefix.
 
     With P the owners preceding both a and b, the term compares b holding x
     against a stripped of x:
@@ -70,13 +63,8 @@ def power_sample(
     When x is already in B the first composed set is just P + B.
     """
     ents_a, ents_b = _check_power_args(partition, a, b, x)
-    n = partition.n
-    p = prefix_before_pair(perm, a, b)
-    base = partition.composed(p)
-    coef = n / (2.0 * (n - len(p) - 1))
-    gained = base | ents_b if x in ents_b else base | ents_b | {x}
-    stripped = base | (ents_a - {x})
-    return coef * (oracle.value(gained) - oracle.value(stripped))
+    gain = ents_b if x in ents_b else ents_b | {x}
+    return differential_term(partition, oracle, gain, ents_a - {x})
 
 
 def power_mc(
@@ -91,11 +79,9 @@ def power_mc(
     budget: int = 1000,
 ) -> Estimate:
     """Monte Carlo power estimate from `budget` permutation draws."""
-    _check_power_args(partition, a, b, x)
+    term = _power_term(partition, oracle, a, b, x)
     est = Estimate(delta=delta)
-    for _ in range(int(budget)):
-        perm = sample_permutation(partition, rng)
-        est.update(power_sample(partition, oracle, a, b, x, perm))
+    est.update_many(sample_terms(partition, (a, b), term, {}, int(budget), rng))
     return est
 
 
@@ -117,13 +103,17 @@ def power_exact(
 def make_power_sampler(
     partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId
 ) -> Sampler:
-    """Bandit-arm sampler drawing fresh permutations per request."""
+    """Bandit-arm sampler drawing fresh permutations per request.
 
-    def sampler(entry: EntryId, k: int, rng: np.random.Generator) -> list[float]:
-        return [
-            power_sample(partition, oracle, a, b, entry, sample_permutation(partition, rng))
-            for _ in range(int(k))
-        ]
+    Each entry's terms are memoised by prefix for the sampler's life (one
+    race), since a term depends only on the entry and the prefix.
+    """
+    memos: dict[EntryId, dict[bytes, float]] = {}
+
+    def sampler(entry: EntryId, k: int, rng: np.random.Generator) -> np.ndarray:
+        term = _power_term(partition, oracle, a, b, entry)
+        memo = memos.setdefault(entry, {})
+        return sample_terms(partition, (a, b), term, memo, int(k), rng)
 
     return sampler
 

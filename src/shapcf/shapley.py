@@ -6,36 +6,38 @@ into a single sum over coalitions that contain neither owner, which halves the
 work and is what flip checks actually need: a's value is below b's exactly
 when the differential is negative.
 
-Exact routines enumerate coalitions (or permutations, kept as an independent
-cross-check) and are guarded by owner-count limits; the Monte Carlo routines
-draw owner permutations and are unbiased for any utility. Sums in the exact
-routines use math.fsum, so owners with identical entry sets get bitwise-equal
-values regardless of enumeration order.
+Exact routines enumerate coalitions and are guarded by owner-count limits.
+The Monte Carlo routines draw owner permutations in batches through the core
+kernel, which computes each distinct prefix's term once per call (or per flip
+check); they are unbiased for any utility. Sums in the exact routines use
+math.fsum, so owners with identical entry sets get bitwise-equal values
+regardless of enumeration order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
 
 from .core import (
+    DRAW_CHUNK,
     OwnerId,
     OwnerPartition,
-    PermutationSample,
     SameOwner,
     TooManyOwners,
-    prefix_before_pair,
-    sample_permutation,
+    draw_orders,
+    prefix_terms,
+    sample_terms,
 )
 from .utility import UtilityOracle
 
 EXACT_OWNER_LIMIT = 12
-PERMUTATION_FORM_LIMIT = 8
 
 
 @lru_cache(maxsize=64)
@@ -62,14 +64,25 @@ class Estimate:
     m2: float = 0.0
 
     def update(self, x: float) -> None:
+        if not math.isfinite(x):
+            raise ValueError(f"estimate term must be finite, got {x}")
         self.count += 1
         d = x - self.mean
         self.mean += d / self.count
         self.m2 += d * (x - self.mean)
 
     def update_many(self, xs) -> None:
-        for x in xs:
-            self.update(float(x))
+        """update() for each term in order; the same bits, one finiteness check."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if not np.isfinite(xs).all():
+            raise ValueError("estimate terms must be finite")
+        count, mean, m2 = self.count, self.mean, self.m2
+        for x in xs.tolist():
+            count += 1
+            d = x - mean
+            mean += d / count
+            m2 += d * (x - mean)
+        self.count, self.mean, self.m2 = count, mean, m2
 
     def merge(self, other: "Estimate") -> "Estimate":
         if other.count == 0:
@@ -137,30 +150,6 @@ def shapley_exact_all(
     }
 
 
-def shapley_exact_by_permutations(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    owner: OwnerId,
-    *,
-    owner_limit: int = PERMUTATION_FORM_LIMIT,
-) -> float:
-    """Exact Shapley value as the average marginal over all n! orderings.
-
-    Independent of shapley_exact (different enumeration and weighting); meant
-    as a cross-check at small n.
-    """
-    n = partition.n
-    if n > owner_limit:
-        raise TooManyOwners(f"permutation form over {n} owners exceeds the limit {owner_limit}")
-    partition.entries(owner)
-    terms = []
-    for perm in itertools.permutations(partition.owner_ids()):
-        prefix = perm[: perm.index(owner)]
-        base = partition.composed(prefix)
-        terms.append(oracle.value(base | partition.entries(owner)) - oracle.value(base))
-    return math.fsum(terms) / math.factorial(n)
-
-
 def diff_shapley_exact(
     partition: OwnerPartition,
     oracle: UtilityOracle,
@@ -191,52 +180,27 @@ def diff_shapley_exact(
     return math.fsum(terms)
 
 
-def diff_shapley_exact_by_permutations(
+def differential_term(
     partition: OwnerPartition,
     oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    *,
-    owner_limit: int = PERMUTATION_FORM_LIMIT,
-) -> float:
-    """Differential as a sum over all orderings; cross-check for small n."""
-    n = partition.n
-    if n > owner_limit:
-        raise TooManyOwners(f"permutation form over {n} owners exceeds the limit {owner_limit}")
-    if a == b:
-        return 0.0
-    ents_a = partition.entries(a)
-    ents_b = partition.entries(b)
-    terms = []
-    for perm in itertools.permutations(partition.owner_ids()):
-        p = prefix_before_pair(PermutationSample(perm), a, b)
-        base = partition.composed(p)
-        terms.append(
-            (oracle.value(base | ents_a) - oracle.value(base | ents_b)) / (n - len(p) - 1)
-        )
-    return math.fsum(terms) / (2.0 * math.factorial(n - 1))
+    ents_a: frozenset[int],
+    ents_b: frozenset[int],
+) -> Callable[[list[OwnerId]], float]:
+    """Single-permutation differential term, as a function of the prefix.
 
-
-def diff_sample_term(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    perm: PermutationSample,
-) -> float:
-    """Unbiased single-permutation term for the differential.
-
-    With P the owners preceding both a and b, the term is
-    (n/2) * [U(P + a) - U(P + b)] / (n - |P| - 1); averaging over uniform
-    orderings recovers the exact differential.
+    With P the owners preceding both members of the pair, whose entry sets
+    are ents_a and ents_b, the term is
+    (n/2) * [U(P + ents_a) - U(P + ents_b)] / (n - |P| - 1); averaging over
+    uniform orderings recovers the exact differential.
     """
     n = partition.n
-    p = prefix_before_pair(perm, a, b)
-    base = partition.composed(p)
-    coef = n / (2.0 * (n - len(p) - 1))
-    return coef * (
-        oracle.value(base | partition.entries(a)) - oracle.value(base | partition.entries(b))
-    )
+
+    def term(prefix: list[OwnerId]) -> float:
+        base = partition.composed(prefix)
+        coef = n / (2.0 * (n - len(prefix) - 1))
+        return coef * (oracle.value(base | ents_a) - oracle.value(base | ents_b))
+
+    return term
 
 
 def diff_shapley_mc(
@@ -254,16 +218,28 @@ def diff_shapley_mc(
     With a == b every term is identically zero, so the estimate is returned
     directly without touching the oracle.
     """
-    partition.entries(a)
-    partition.entries(b)
+    ents_a = partition.entries(a)
+    ents_b = partition.entries(b)
     est = Estimate(delta=delta)
     if a == b:
         est.count = int(budget)
         return est
-    for _ in range(int(budget)):
-        perm = sample_permutation(partition, rng)
-        est.update(diff_sample_term(partition, oracle, a, b, perm))
+    term = differential_term(partition, oracle, ents_a, ents_b)
+    est.update_many(sample_terms(partition, (a, b), term, {}, int(budget), rng))
     return est
+
+
+def _marginal_term(
+    partition: OwnerPartition, oracle: UtilityOracle, owner: OwnerId
+) -> Callable[[list[OwnerId]], float]:
+    """Marginal contribution of owner to the owners placed before it."""
+    ents = partition.entries(owner)
+
+    def term(prefix: list[OwnerId]) -> float:
+        base = partition.composed(prefix)
+        return oracle.value(base | ents) - oracle.value(base)
+
+    return term
 
 
 def shapley_mc(
@@ -276,19 +252,18 @@ def shapley_mc(
 ) -> dict[OwnerId, Estimate]:
     """Per-owner Shapley estimates from shared permutation draws.
 
-    Each permutation is walked once, crediting every owner its marginal
-    contribution, so one draw advances all owners together.
+    Every draw credits each owner its marginal contribution to the owners
+    before it, so one draw advances all owners together.
     """
-    ests = {o: Estimate(delta=delta) for o in partition.owner_ids()}
-    for _ in range(int(budget)):
-        perm = sample_permutation(partition, rng)
-        composed: frozenset[int] = frozenset()
-        prev = oracle.value(composed)
-        for owner in perm.order:
-            composed = composed | partition.entries(owner)
-            cur = oracle.value(composed)
-            ests[owner].update(cur - prev)
-            prev = cur
+    ids = partition.owner_ids()
+    ests = {o: Estimate(delta=delta) for o in ids}
+    terms = {o: _marginal_term(partition, oracle, o) for o in ids}
+    memos: dict[OwnerId, dict[bytes, float]] = {o: {} for o in ids}
+    budget = int(budget)
+    for done in range(0, budget, DRAW_CHUNK):
+        orders = draw_orders(len(ids), min(DRAW_CHUNK, budget - done), rng)
+        for o in ids:
+            ests[o].update_many(prefix_terms(partition, orders, (o,), terms[o], memos[o]))
     return ests
 
 
@@ -336,13 +311,13 @@ def is_flipped(
     """
     if a == b:
         raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
+    term = differential_term(partition, oracle, partition.entries(a), partition.entries(b))
+    memo: dict[bytes, float] = {}
     est = Estimate(delta=delta)
     budget = int(budget)
     while est.count < budget:
         n_draw = min(int(batch), budget - est.count)
-        for _ in range(n_draw):
-            perm = sample_permutation(partition, rng)
-            est.update(diff_sample_term(partition, oracle, a, b, perm))
+        est.update_many(sample_terms(partition, (a, b), term, memo, n_draw, rng))
         lo, hi = est.ci()
         if hi < 0.0:
             return FlipResult("flipped", est)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import MalformedInput
+from .core import MalformedInput, NonFiniteScore
 from .datasets import Dataset
 
 log = logging.getLogger(__name__)
@@ -32,7 +32,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class UtilityOracle:
-    """Base: empty-set zero, non-negativity clamp, memoization, call counters."""
+    """Base: empty-set zero, non-negativity clamp, memoization, call counters.
+
+    A NaN or infinite score raises NonFiniteScore instead of being clamped or
+    passed on to the estimators.
+    """
 
     kind = "base"
 
@@ -51,7 +55,10 @@ class UtilityOracle:
             if hit is not None:
                 return hit
         self.evals += 1
-        val = max(0.0, float(self._score(ids)))
+        score = float(self._score(ids))
+        if not math.isfinite(score):
+            raise NonFiniteScore(f"{self.kind} utility scored {len(ids)} entries as {score}")
+        val = max(0.0, score)
         if self._cache is not None:
             self._cache[ids] = val
         return val

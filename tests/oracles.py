@@ -3,13 +3,36 @@
 Everything here is written straight from definitions (permutation averages,
 literal formulas, sorted-merge transport) with no reuse of package internals,
 so agreement between the two routes is meaningful evidence.
+
+The second half is the per-draw permutation path: one rng.permutation call,
+one prefix walk and one term per draw, through the public partition and
+oracle API only. The package's batched kernel must reproduce it bit for bit
+(tests/test_kernel.py), and the permutation forms of the exact values
+cross-check the package's coalition enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
+from shapcf.core import (
+    DeltaNotOwned,
+    EntryId,
+    OwnerId,
+    OwnerPartition,
+    SameOwner,
+    SingletonOwner,
+    TooManyOwners,
+    UnknownOwner,
+)
+from shapcf.utility import UtilityOracle
+
+PERMUTATION_FORM_LIMIT = 8
 
 
 def shapley_by_definition(
@@ -114,3 +137,128 @@ def normal_ci_half_width(values: Sequence[float], delta: float) -> float:
     var = sum((x - mean) ** 2 for x in values) / n
     z = statistics.NormalDist().inv_cdf((1.0 + delta) / 2.0)
     return z * math.sqrt(var) / math.sqrt(n)
+
+
+@dataclass(frozen=True)
+class PermutationSample:
+    """One uniformly drawn ordering of all owner ids (empty owners included)."""
+
+    order: tuple[OwnerId, ...]
+
+    def prefix_before(self, targets: Collection[OwnerId]) -> frozenset[OwnerId]:
+        """Owners strictly before every target: the run-up to the first of them."""
+        wanted = set(targets)
+        missing = wanted - set(self.order)
+        if missing:
+            raise UnknownOwner(f"owners {sorted(missing)} absent from permutation")
+        prefix: list[OwnerId] = []
+        for owner in self.order:
+            if owner in wanted:
+                break
+            prefix.append(owner)
+        return frozenset(prefix)
+
+
+def prefix_before_pair(
+    perm: PermutationSample, a: OwnerId, b: OwnerId
+) -> frozenset[OwnerId]:
+    """Owners preceding both a and b in perm (a and b excluded)."""
+    return perm.prefix_before((a, b))
+
+
+def sample_permutation(
+    partition: OwnerPartition, rng: np.random.Generator
+) -> PermutationSample:
+    """Draw a uniform random ordering of the partition's owners."""
+    owners = partition.owner_ids()
+    idx = rng.permutation(len(owners))
+    return PermutationSample(tuple(owners[i] for i in idx))
+
+
+def diff_sample_term(
+    partition: OwnerPartition,
+    oracle: UtilityOracle,
+    a: OwnerId,
+    b: OwnerId,
+    perm: PermutationSample,
+) -> float:
+    """(n/2) * [U(P + a) - U(P + b)] / (n - |P| - 1), P the owners before a and b."""
+    n = partition.n
+    p = prefix_before_pair(perm, a, b)
+    base = partition.composed(p)
+    coef = n / (2.0 * (n - len(p) - 1))
+    return coef * (
+        oracle.value(base | partition.entries(a)) - oracle.value(base | partition.entries(b))
+    )
+
+
+def power_sample(
+    partition: OwnerPartition,
+    oracle: UtilityOracle,
+    a: OwnerId,
+    b: OwnerId,
+    x: EntryId,
+    perm: PermutationSample,
+) -> float:
+    """(n/2) * [U(P + (B+x)) - U(P + (A-x))] / (n - |P| - 1), P as above."""
+    if a == b:
+        raise SameOwner(f"power needs two distinct owners, got {a!r} twice")
+    ents_a = partition.entries(a)
+    ents_b = partition.entries(b)
+    if x not in ents_a:
+        raise DeltaNotOwned(f"entry {x} is not held by owner {a!r}")
+    if len(ents_a) < 2:
+        raise SingletonOwner(f"owner {a!r} holds only entry {x}")
+    n = partition.n
+    p = prefix_before_pair(perm, a, b)
+    base = partition.composed(p)
+    coef = n / (2.0 * (n - len(p) - 1))
+    gained = base | ents_b if x in ents_b else base | ents_b | {x}
+    stripped = base | (ents_a - {x})
+    return coef * (oracle.value(gained) - oracle.value(stripped))
+
+
+def shapley_exact_by_permutations(
+    partition: OwnerPartition,
+    oracle: UtilityOracle,
+    owner: OwnerId,
+    *,
+    owner_limit: int = PERMUTATION_FORM_LIMIT,
+) -> float:
+    """Exact Shapley value as the average marginal over all n! orderings."""
+    n = partition.n
+    if n > owner_limit:
+        raise TooManyOwners(f"permutation form over {n} owners exceeds the limit {owner_limit}")
+    partition.entries(owner)
+    terms = []
+    for perm in itertools.permutations(partition.owner_ids()):
+        prefix = perm[: perm.index(owner)]
+        base = partition.composed(prefix)
+        terms.append(oracle.value(base | partition.entries(owner)) - oracle.value(base))
+    return math.fsum(terms) / math.factorial(n)
+
+
+def diff_shapley_exact_by_permutations(
+    partition: OwnerPartition,
+    oracle: UtilityOracle,
+    a: OwnerId,
+    b: OwnerId,
+    *,
+    owner_limit: int = PERMUTATION_FORM_LIMIT,
+) -> float:
+    """Differential as a sum over all orderings."""
+    n = partition.n
+    if n > owner_limit:
+        raise TooManyOwners(f"permutation form over {n} owners exceeds the limit {owner_limit}")
+    if a == b:
+        return 0.0
+    ents_a = partition.entries(a)
+    ents_b = partition.entries(b)
+    terms = []
+    for perm in itertools.permutations(partition.owner_ids()):
+        p = prefix_before_pair(PermutationSample(perm), a, b)
+        base = partition.composed(p)
+        terms.append(
+            (oracle.value(base | ents_a) - oracle.value(base | ents_b)) / (n - len(p) - 1)
+        )
+    return math.fsum(terms) / (2.0 * math.factorial(n - 1))

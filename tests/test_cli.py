@@ -124,6 +124,22 @@ class TestShapleyCommand:
         assert "Error" in res.stderr
 
 
+    def test_truncated_json_is_a_clean_error(self, runner, additive_files, tmp_path):
+        utility, partition = additive_files
+        cut_utility = tmp_path / "cut_utility.json"
+        cut_utility.write_text(open(utility).read()[:25])
+        cut_partition = tmp_path / "cut_partition.json"
+        cut_partition.write_text(open(partition).read()[:20])
+        for args in (
+            ["--partition", partition, "--utility", str(cut_utility)],
+            ["--partition", str(cut_partition), "--utility", utility],
+        ):
+            res = runner.invoke(main, ["shapley", *args])
+            assert res.exit_code == 1, res.output
+            assert "Error" in res.stderr and "not valid JSON" in res.stderr
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 class TestExplainCommand:
     def test_bruteforce_writes_result(self, runner, additive_files, tmp_path):
         utility, partition = additive_files
@@ -230,6 +246,10 @@ class TestExperimentCommand:
             write_json(tmp_path / "kde.json", {**good, "utility": "kde"}),
             write_json(tmp_path / "trials.json", {**good, "trials": "x"}),
             write_json(tmp_path / "engines.json", {**good, "engines": 5}),
+            write_json(
+                tmp_path / "size_range.json",
+                {**good, "allocation": {"kind": "uniform", "size_range": "ab"}},
+            ),
             str(truncated),
         ]
         for config in configs:

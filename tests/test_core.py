@@ -12,15 +12,14 @@ from shapcf.core import (
     DeltaNotOwned,
     MalformedInput,
     OwnerPartition,
-    PermutationSample,
     SameOwner,
     Transfer,
     UnknownOwner,
     apply_transfer,
-    prefix_before_pair,
-    sample_permutation,
     spawn_rng,
 )
+
+from oracles import PermutationSample, prefix_before_pair, sample_permutation
 
 
 def part(**owners) -> OwnerPartition:

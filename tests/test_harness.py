@@ -191,6 +191,10 @@ class TestExperimentConfig:
             {"utility": "kde"},
             {"trials": "x"},
             {"engines": 5},
+            {"allocation": {"kind": "uniform", "size_range": "ab"}},
+            {"allocation": {"kind": "uniform", "size_range": [1]}},
+            {"allocation": {"kind": "uniform", "size_range": [1, "6"]}},
+            {"allocation": {"kind": "uniform", "size_range": [1.5, 6]}},
         ):
             with pytest.raises(MalformedInput):
                 ExperimentConfig.from_json(base_config(**bad))

@@ -14,20 +14,19 @@ from shapcf.core import (
     SingletonOwner,
     Transfer,
     apply_transfer,
-    sample_permutation,
     spawn_rng,
 )
 from shapcf.power import (
     make_power_sampler,
     power_exact,
     power_mc,
-    power_sample,
     thompson_top1,
 )
-from shapcf.shapley import Estimate, diff_sample_term, diff_shapley_exact, shapley_exact_all
+from shapcf.shapley import Estimate, diff_shapley_exact, shapley_exact_all
 from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility
 
 from conftest import random_games
+from oracles import diff_sample_term, power_sample, sample_permutation
 
 
 def part(**owners) -> OwnerPartition:

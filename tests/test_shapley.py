@@ -11,19 +11,22 @@ from shapcf.core import OwnerPartition, SameOwner, TooManyOwners, spawn_rng
 from shapcf.shapley import (
     Estimate,
     diff_shapley_exact,
-    diff_shapley_exact_by_permutations,
     diff_shapley_mc,
     is_flipped,
     shapley_exact,
     shapley_exact_all,
-    shapley_exact_by_permutations,
     shapley_mc,
     z_quantile,
 )
 from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility
 
 from conftest import random_games
-from oracles import normal_ci_half_width, shapley_by_definition
+from oracles import (
+    diff_shapley_exact_by_permutations,
+    normal_ci_half_width,
+    shapley_by_definition,
+    shapley_exact_by_permutations,
+)
 
 
 def part(**owners) -> OwnerPartition:
@@ -81,6 +84,27 @@ class TestEstimate:
         est.update_many([1.0, 2.0, 3.0])
         lo, hi = est.ci()
         assert lo < est.mean < hi
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_terms_rejected(self, bad):
+        est = Estimate()
+        est.update_many([1.0, 2.0])
+        with pytest.raises(ValueError):
+            est.update(bad)
+        with pytest.raises(ValueError):
+            est.update_many([3.0, bad, 4.0])
+        with pytest.raises(ValueError):
+            est.update_many(np.array([bad]))
+        assert (est.mean, est.count, est.m2) == (1.5, 2, 0.5)
+
+    def test_update_many_matches_update_bitwise(self):
+        xs = np.random.default_rng(3).normal(1.0, 5.0, 257)
+        one, many = Estimate(), Estimate()
+        for x in xs:
+            one.update(float(x))
+        many.update_many(xs[:100])
+        many.update_many(xs[100:].tolist())
+        assert (many.mean, many.count, many.m2) == (one.mean, one.count, one.m2)
 
     def test_z_quantile(self):
         assert z_quantile(0.95) == pytest.approx(1.959963984540054, abs=1e-12)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shapcf.core import MalformedInput, spawn_rng
+from shapcf.core import MalformedInput, NonFiniteScore, spawn_rng
 from shapcf.datasets import Dataset
 from shapcf.utility import (
     AdditiveUtility,
@@ -19,6 +19,7 @@ from shapcf.utility import (
     LogRegUtility,
     SetCoverGame,
     SetCoverUtility,
+    UtilityOracle,
     audit_monotonicity,
     make_oracle,
     normalize_kind,
@@ -67,6 +68,32 @@ class TestAdditive:
         big = frozenset(data.draw(st.frozensets(st.sampled_from(ids), min_size=1)))
         small = frozenset(data.draw(st.frozensets(st.sampled_from(sorted(big)))))
         assert o.value(small) <= o.value(big)
+
+
+class FixedScore(UtilityOracle):
+    kind = "fixed"
+
+    def __init__(self, score: float):
+        super().__init__()
+        self.score = score
+
+    def _score(self, ids: frozenset[int]) -> float:
+        return self.score
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_rejected_on_evaluation(self, score):
+        oracle = FixedScore(score)
+        with pytest.raises(NonFiniteScore):
+            oracle.value(frozenset({1}))
+        with pytest.raises(NonFiniteScore):
+            oracle.value(frozenset({1}))
+        assert oracle.value(frozenset()) == 0.0
+
+    def test_finite_scores_still_clamped(self):
+        assert FixedScore(-2.5).value(frozenset({1})) == 0.0
+        assert FixedScore(2.5).value(frozenset({1})) == 2.5
 
 
 class TestSetCover:
