@@ -8,7 +8,7 @@ mutation happens only by building new values (see apply_transfer).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +46,7 @@ class DeltaNotOwned(ShapcfError):
 
 
 class NonFiniteScore(ShapcfError):
-    """A utility scored a composed set as NaN or infinite."""
+    """A utility scored a composed set as NaN or +inf."""
 
 
 class TooManyOwners(ShapcfError):
@@ -191,6 +191,12 @@ def prefix_terms(
     return np.array(values, dtype=np.float64)[inverse]
 
 
+def draw_chunks(n: int, k: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """draw_orders(n, k, rng) in blocks of at most DRAW_CHUNK rows."""
+    for done in range(0, k, DRAW_CHUNK):
+        yield draw_orders(n, min(DRAW_CHUNK, k - done), rng)
+
+
 def sample_terms(
     partition: OwnerPartition,
     targets: Sequence[OwnerId],
@@ -201,10 +207,8 @@ def sample_terms(
 ) -> np.ndarray:
     """Draw k owner orderings and return their prefix terms in draw order."""
     chunks = [
-        prefix_terms(
-            partition, draw_orders(partition.n, min(DRAW_CHUNK, k - done), rng), targets, term, memo
-        )
-        for done in range(0, k, DRAW_CHUNK)
+        prefix_terms(partition, orders, targets, term, memo)
+        for orders in draw_chunks(partition.n, k, rng)
     ]
     return np.concatenate(chunks) if chunks else np.empty(0)
 

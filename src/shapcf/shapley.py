@@ -9,9 +9,10 @@ when the differential is negative.
 Exact routines enumerate coalitions and are guarded by owner-count limits.
 The Monte Carlo routines draw owner permutations in batches through the core
 kernel, which computes each distinct prefix's term once per call (or per flip
-check); they are unbiased for any utility. Sums in the exact routines use
-math.fsum, so owners with identical entry sets get bitwise-equal values
-regardless of enumeration order.
+check); shapley_mc walks the same batched draws and computes each distinct
+coalition's value once per call. They are unbiased for any utility. Sums in
+the exact routines use math.fsum, so owners with identical entry sets get
+bitwise-equal values regardless of enumeration order.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import (
-    DRAW_CHUNK,
     OwnerId,
     OwnerPartition,
     SameOwner,
     TooManyOwners,
-    draw_orders,
-    prefix_terms,
+    draw_chunks,
     sample_terms,
 )
 from .utility import UtilityOracle
@@ -229,19 +228,6 @@ def diff_shapley_mc(
     return est
 
 
-def _marginal_term(
-    partition: OwnerPartition, oracle: UtilityOracle, owner: OwnerId
-) -> Callable[[list[OwnerId]], float]:
-    """Marginal contribution of owner to the owners placed before it."""
-    ents = partition.entries(owner)
-
-    def term(prefix: list[OwnerId]) -> float:
-        base = partition.composed(prefix)
-        return oracle.value(base | ents) - oracle.value(base)
-
-    return term
-
-
 def shapley_mc(
     partition: OwnerPartition,
     oracle: UtilityOracle,
@@ -252,19 +238,36 @@ def shapley_mc(
 ) -> dict[OwnerId, Estimate]:
     """Per-owner Shapley estimates from shared permutation draws.
 
-    Every draw credits each owner its marginal contribution to the owners
-    before it, so one draw advances all owners together.
+    Each ordering is walked once, crediting every owner its marginal
+    contribution to the owners before it, so one draw advances all owners
+    together. Coalition values are memoised by owner bitmask for the call: a
+    coalition seen before costs one dict lookup, a new one one set union (the
+    running union is rebuilt only after a run of memo hits) and one oracle call.
     """
     ids = partition.owner_ids()
-    ests = {o: Estimate(delta=delta) for o in ids}
-    terms = {o: _marginal_term(partition, oracle, o) for o in ids}
-    memos: dict[OwnerId, dict[bytes, float]] = {o: {} for o in ids}
-    budget = int(budget)
-    for done in range(0, budget, DRAW_CHUNK):
-        orders = draw_orders(len(ids), min(DRAW_CHUNK, budget - done), rng)
-        for o in ids:
-            ests[o].update_many(prefix_terms(partition, orders, (o,), terms[o], memos[o]))
-    return ests
+    ents = [partition.entries(o) for o in ids]
+    bits = [1 << i for i in range(len(ids))]
+    ests = [Estimate(delta=delta) for _ in ids]
+    values: dict[int, float] = {}
+    for orders in draw_chunks(len(ids), int(budget), rng):
+        terms: list[list[float]] = [[] for _ in ids]
+        for row in orders.tolist():
+            mask, prev, composed = 0, 0.0, frozenset()
+            for j, o in enumerate(row):
+                mask |= bits[o]
+                cur = values.get(mask)
+                if cur is None:
+                    if composed is None:
+                        composed = frozenset().union(*(ents[p] for p in row[:j]))
+                    composed = composed | ents[o]
+                    cur = values[mask] = oracle.value(composed)
+                else:
+                    composed = None
+                terms[o].append(cur - prev)
+                prev = cur
+        for est, xs in zip(ests, terms):
+            est.update_many(xs)
+    return dict(zip(ids, ests))
 
 
 @dataclass(frozen=True)

