@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import (
     EntryId,
+    MalformedInput,
     OwnerId,
     OwnerPartition,
     SameOwner,
@@ -65,6 +66,28 @@ class ExplainConfig:
     timeout: float = 7200.0
     owner_limit: int = 12
     bf_entry_limit: int = 20
+
+    def __post_init__(self) -> None:
+        def fails(check) -> bool:
+            try:
+                return not check()
+            except TypeError:  # not a number
+                return True
+
+        bad = [
+            f"{name}={getattr(self, name)!r}"
+            for name, check in (
+                ("delta", lambda: 0.0 < self.delta < 1.0),
+                ("batch", lambda: self.batch >= 1),
+                ("posterior_draws", lambda: self.posterior_draws >= 1),
+            )
+            if fails(check)
+        ]
+        if bad:
+            raise MalformedInput(
+                f"bad sampling values {', '.join(bad)}: "
+                "need 0 < delta < 1, batch >= 1 and posterior_draws >= 1"
+            )
 
     def verify(self) -> int:
         return self.verify_budget if self.verify_budget is not None else 2 * self.check_budget

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 from .core import MalformedInput, OwnerId, OwnerPartition
 from .datasets import Dataset
@@ -57,6 +56,10 @@ def success_rate(outcomes: Iterable[tuple[str, bool, bool]]) -> float | None:
 
 def wasserstein_1d(u: Sequence[float], v: Sequence[float]) -> float:
     """First Wasserstein distance between two empirical 1-D samples."""
+    # Imported here: nothing else in the package needs scipy, so `import shapcf`
+    # does not load it.
+    from scipy.stats import wasserstein_distance
+
     return float(wasserstein_distance(u, v))
 
 

@@ -314,6 +314,8 @@ def is_flipped(
     """
     if a == b:
         raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
+    if batch < 1:
+        raise ValueError(f"flip check batch must be >= 1, got {batch}")
     term = differential_term(partition, oracle, partition.entries(a), partition.entries(b))
     memo: dict[bytes, float] = {}
     est = Estimate(delta=delta)

@@ -21,7 +21,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import MalformedInput, NonFiniteScore
 from .datasets import Dataset
@@ -159,6 +158,97 @@ def _check_axis(axis: str) -> str:
     return axis
 
 
+def _numpy_layout(test: np.ndarray, train: np.ndarray) -> tuple[bool, str]:
+    """How numpy lays out test[:, None, :] - train[None, :, :] in memory.
+
+    Returns whether the feature axis is innermost and the memory order ("C"
+    or "F") of the test and train axes. numpy's iterator is asked directly: it
+    allocates the array but computes nothing.
+    """
+    out = np.nditer(
+        [test[:, None, :], train[None, :, :], None],
+        flags=["zerosize_ok"],
+        op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+    ).operands[2]
+    s_test, s_train, s_feat = (abs(s) if n > 1 else None for s, n in zip(out.strides, out.shape))
+    feature_inner = s_feat is None or all(s is None or s_feat < s for s in (s_test, s_train))
+    order = "F" if s_test is not None and s_train is not None and s_test < s_train else "C"
+    return feature_inner, order
+
+
+def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_j ((test_ij - train_kj) / h_j)^2 for every (test i, train k) pair.
+
+    Built from one 2-D array per dimension, added in the order numpy's sum
+    over the last axis of the (n_test, n_train, d) array uses and laid out
+    as that sum's result is, so it is bitwise `(z * z).sum(axis=2)` (and
+    reduces bitwise like it) without the slow short-axis reduction. The order
+    follows the layout numpy picks for the 3-D array: with the feature axis
+    innermost (C-ordered inputs) numpy sums pairwise (a running sum below 8
+    terms, 8 accumulators up to 128, halves above); otherwise (a column
+    subset of a C-ordered array is F-ordered) it keeps one running sum.
+    """
+    feature_inner, order = _numpy_layout(test, train)
+
+    def part(j: int) -> np.ndarray:
+        z = np.subtract(test[:, j, None], train[None, :, j], order=order)
+        z /= h[j]
+        z *= z
+        return z
+
+    def running(lo: int, hi: int) -> np.ndarray:
+        acc = part(lo)
+        for j in range(lo + 1, hi):
+            acc += part(j)
+        return acc
+
+    def pairwise(lo: int, hi: int) -> np.ndarray:
+        n = hi - lo
+        if n < 8:
+            return running(lo, hi)
+        if n <= 128:
+            r = [part(lo + j) for j in range(8)]
+            stop = hi - n % 8
+            for i in range(lo + 8, stop, 8):
+                for j in range(8):
+                    r[j] += part(i + j)
+            acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for j in range(stop, hi):
+                acc += part(j)
+            return acc
+        half = n // 2
+        half -= half % 8
+        return pairwise(lo, lo + half) + pairwise(lo + half, hi)
+
+    d = test.shape[1]
+    return pairwise(0, d) if feature_inner else running(0, d)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) with scipy.special.logsumexp's arithmetic.
+
+    Same steps as scipy 1.17: shift by the row max with the tied maxima
+    (count m) taken out of the sum, log1p(s / m) + log(m) + max, and the
+    direct formula on rows whose max is not finite. `a` is overwritten.
+    """
+    a_max = a.max(axis=1)
+    bad = ~np.isfinite(a_max)
+    direct = a[bad]
+    top = a == a_max[:, None]
+    m = np.count_nonzero(top, axis=1).astype(a.dtype)
+    np.copyto(a, -np.inf, where=top)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a -= a_max[:, None]
+        np.exp(a, out=a)
+        s = a.sum(axis=1)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    if len(direct):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[bad] = np.log(np.exp(direct).sum(axis=1))
+    return out
+
+
 def _kde_log_density(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
     """Log density of each test point under a product-Gaussian KDE of train.
 
@@ -168,10 +258,18 @@ def _kde_log_density(train: np.ndarray, test: np.ndarray, floor: float) -> np.nd
     n, d = train.shape
     std = train.std(axis=0)
     h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
-    # (n_test, n_train, d) scaled squared distances
-    z = (test[:, None, :] - train[None, :, :]) / h
-    log_kernel = -0.5 * (z * z).sum(axis=2) - np.log(h).sum() - 0.5 * d * _LOG_2PI
-    return logsumexp(log_kernel, axis=1) - math.log(n)
+    try:
+        with np.errstate(all="raise"):
+            sq = _scaled_sq_dist(test, train, h)
+    except FloatingPointError:
+        # One 3-D operation per step, so numpy reports each floating-point
+        # error once under the caller's error state, not once per dimension.
+        z = (test[:, None, :] - train[None, :, :]) / h
+        sq = (z * z).sum(axis=2)
+    sq *= -0.5
+    sq -= np.log(h).sum()
+    sq -= 0.5 * d * _LOG_2PI
+    return _logsumexp_rows(sq) - math.log(n)
 
 
 class KdeUtility(UtilityOracle):
@@ -208,6 +306,7 @@ class KdeUtility(UtilityOracle):
         self.reference = reference
         self.axis = _check_axis(axis)
         self.eta = float(eta) if eta is not None else len(test) * self.error_cap
+        self._pool_cache: np.ndarray | None = None
 
     def _pool_ids(self) -> frozenset[int]:
         if self.axis == "rows":
@@ -227,16 +326,13 @@ class KdeUtility(UtilityOracle):
         if self.reference == "nll":
             err = np.clip(-logp, -self.error_cap, self.error_cap)
         else:
-            ref = self._log_density(self._pool_ids()) if self.axis == "features" else self._pool_logp()
-            err = np.minimum(np.abs(logp - ref), self.error_cap)
+            err = np.minimum(np.abs(logp - self._pool_logp()), self.error_cap)
         return self.eta - float(err.sum())
 
     def _pool_logp(self) -> np.ndarray:
-        cached = getattr(self, "_pool_cache", None)
-        if cached is None:
-            cached = self._log_density(self._pool_ids())
-            self._pool_cache = cached
-        return cached
+        if self._pool_cache is None:
+            self._pool_cache = self._log_density(self._pool_ids())
+        return self._pool_cache
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,6 +9,11 @@ one prefix walk and one term per draw, through the public partition and
 oracle API only. The package's batched kernel must reproduce it bit for bit
 (tests/test_kernel.py), and the permutation forms of the exact values
 cross-check the package's coalition enumeration.
+
+The last part keeps the straightforward numpy/scipy forms of two hot
+numeric paths, the KDE log density and the Thompson race, which the
+package's faster forms must match bit for bit (tests/test_utility.py,
+tests/test_power.py).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from shapcf.core import (
     DeltaNotOwned,
@@ -30,6 +36,8 @@ from shapcf.core import (
     TooManyOwners,
     UnknownOwner,
 )
+from shapcf.power import ArmState, Sampler, Top1Result
+from shapcf.shapley import Estimate
 from shapcf.utility import UtilityOracle
 
 PERMUTATION_FORM_LIMIT = 8
@@ -262,3 +270,66 @@ def diff_shapley_exact_by_permutations(
             (oracle.value(base | ents_a) - oracle.value(base | ents_b)) / (n - len(p) - 1)
         )
     return math.fsum(terms) / (2.0 * math.factorial(n - 1))
+
+
+def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
+    """Product-Gaussian KDE log density: one (n_test, n_train, d) array and scipy's logsumexp."""
+    n, d = train.shape
+    std = train.std(axis=0)
+    h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
+    z = (test[:, None, :] - train[None, :, :]) / h
+    log_kernel = -0.5 * (z * z).sum(axis=2) - np.log(h).sum() - 0.5 * d * math.log(2.0 * math.pi)
+    return logsumexp(log_kernel, axis=1) - math.log(n)
+
+
+def thompson_top1_reference(
+    entries: Sequence[EntryId],
+    sampler: Sampler,
+    rng: np.random.Generator,
+    *,
+    delta: float = 0.95,
+    epsilon: float = 0.01,
+    seed_batch: int = 8,
+    batch: int = 32,
+    arm_budget: int = 20_000,
+    total_budget: int | None = None,
+    posterior_draws: int = 256,
+) -> Top1Result:
+    """The Thompson top-1 race with its posterior drawn by rng.normal(means, scales, size)."""
+    arms = [ArmState(entry=e, estimate=Estimate(delta=delta)) for e in sorted(entries)]
+    total = 0
+
+    def feed(arm: ArmState, k: int) -> None:
+        nonlocal total
+        arm.estimate.update_many(sampler(arm.entry, k, rng))
+        total += k
+
+    for arm in arms:
+        feed(arm, int(seed_batch))
+    while True:
+        best = max(arms, key=lambda s: s.estimate.mean)
+        if best.estimate.half_width <= epsilon:
+            return Top1Result(best.entry, tuple(arms), total, True, False)
+        if total_budget is not None and total >= total_budget:
+            return Top1Result(best.entry, tuple(arms), total, False, True)
+        open_arms = [s for s in arms if s.estimate.count < arm_budget]
+        if not open_arms:
+            return Top1Result(best.entry, tuple(arms), total, False, True)
+        means = np.array([s.estimate.mean for s in arms])
+        scales = np.array(
+            [math.sqrt(s.estimate.variance / s.estimate.count) if s.estimate.count else 1.0 for s in arms]
+        )
+        draws = rng.normal(means, scales, size=(int(posterior_draws), len(arms)))
+        best_idx = arms.index(best)
+        p_win = float((draws.argmax(axis=1) == best_idx).mean())
+        if rng.random() < p_win:
+            chosen = best
+        else:
+            rest = [s for s in arms if s is not best]
+            chosen = rest[int(rng.integers(len(rest)))] if rest else best
+        if chosen.estimate.count >= arm_budget:
+            chosen = open_arms[int(rng.integers(len(open_arms)))]
+        room = arm_budget - chosen.estimate.count
+        if total_budget is not None:
+            room = min(room, total_budget - total)
+        feed(chosen, max(1, min(int(batch), room)))

@@ -251,6 +251,11 @@ class TestExperimentCommand:
                 {**good, "allocation": {"kind": "uniform", "size_range": "ab"}},
             ),
             str(truncated),
+            write_json(tmp_path / "batch.json", {**good, "sampling": {**good["sampling"], "batch": 0}}),
+            write_json(tmp_path / "delta.json", {**good, "sampling": {**good["sampling"], "delta": 1.5}}),
+            write_json(
+                tmp_path / "draws.json", {**good, "sampling": {**good["sampling"], "posterior_draws": 0}}
+            ),
         ]
         for config in configs:
             res = runner.invoke(main, ["experiment", "--config", config, "--out", str(tmp_path / "o")])

@@ -198,6 +198,15 @@ class TestExperimentConfig:
         ):
             with pytest.raises(MalformedInput):
                 ExperimentConfig.from_json(base_config(**bad))
+        for sampling in (
+            {"batch": 0},
+            {"delta": 1.5},
+            {"delta": 0.0},
+            {"posterior_draws": 0},
+            {"delta": "high"},
+        ):
+            with pytest.raises(MalformedInput):
+                ExperimentConfig.from_json(base_config(sampling=sampling)).explain_config()
 
     def test_sampling_whitelist(self):
         cfg = ExperimentConfig.from_json(

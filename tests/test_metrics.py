@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shapcf
 from shapcf.core import MalformedInput, OwnerPartition
 from shapcf.datasets import Dataset
 from shapcf.metrics import (
@@ -170,3 +176,12 @@ class TestOwnerDistance:
         p = OwnerPartition({"A": frozenset({0, 1}), "B": frozenset()})
         with pytest.raises(MalformedInput):
             owner_distance(data, p, "A", "B")
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # Only wasserstein_1d needs scipy; it imports it on first call.
+    src = str(Path(shapcf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, shapcf, shapcf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

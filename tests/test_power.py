@@ -26,7 +26,7 @@ from shapcf.shapley import Estimate, diff_shapley_exact, shapley_exact_all
 from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility
 
 from conftest import random_games
-from oracles import diff_sample_term, power_sample, sample_permutation
+from oracles import diff_sample_term, power_sample, sample_permutation, thompson_top1_reference
 
 
 def part(**owners) -> OwnerPartition:
@@ -282,6 +282,23 @@ class TestThompsonTop1:
         res = thompson_top1([4], gaussian_sampler({4: 0.7}, 0.1), spawn_rng(11), epsilon=0.05)
         assert res.entry == 4
         assert res.converged
+
+    def test_matches_reference_race_bit_for_bit(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 16))
+            table = {int(e): float(v) for e, v in zip(rng.permutation(40)[:k], rng.normal(size=k))}
+            sigma = float(rng.uniform(0.01, 2.0))
+            kw = dict(
+                epsilon=float(rng.uniform(0.005, 0.1)),
+                arm_budget=int(rng.integers(50, 2000)),
+                posterior_draws=int(rng.integers(1, 300)),
+            )
+            got_rng, want_rng = spawn_rng(seed, 3), spawn_rng(seed, 3)
+            got = thompson_top1(list(table), gaussian_sampler(table, sigma), got_rng, **kw)
+            want = thompson_top1_reference(list(table), gaussian_sampler(table, sigma), want_rng, **kw)
+            assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -285,6 +285,14 @@ class TestIsFlipped:
         with pytest.raises(SameOwner):
             is_flipped(p, o, "A", "A", spawn_rng(9))
 
+    def test_batch_below_one_rejected(self):
+        # A zero batch never draws, so the sampling loop would not end.
+        p = part(A={1}, B={2})
+        o = AdditiveUtility({1: 1.0, 2: 2.0})
+        for batch in (0, -3):
+            with pytest.raises(ValueError):
+                is_flipped(p, o, "A", "B", spawn_rng(9), batch=batch)
+
     def test_width_stop_converges_early(self):
         # Symmetric game: the differential is exactly zero but single terms
         # vary, so only the width rule can end the check before the budget.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from shapcf.utility import (
     SetCoverGame,
     SetCoverUtility,
     UtilityOracle,
+    _kde_log_density,
     audit_monotonicity,
     make_oracle,
     normalize_kind,
 )
 
 from conftest import make_blobs
-from oracles import setcover_value
+from oracles import kde_log_density_reference, setcover_value
 
 
 def line_dataset(n: int = 12) -> Dataset:
@@ -226,6 +228,96 @@ class TestKde:
         train, test = pool
         with pytest.raises(MalformedInput):
             KdeUtility(train, test, reference="nothing")
+
+
+def with_warnings(fn, *args):
+    """fn(*args) and every warning it raised, as (category, message) pairs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def kde_case(d: int, seed: int, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
+    """Train rows with a constant column and two duplicated rows; the last two
+    test rows are those duplicates, so their log-kernel rows tie at the max.
+
+    order "F" gives the arrays the layout of a column subset of a C-ordered
+    table (what the features axis passes), "C" that of a row subset.
+    """
+    rng = np.random.default_rng(seed)
+    train = rng.normal(size=(40, d)) * rng.uniform(0.01, 100.0, size=d)
+    train[:, d // 2] = 1.5
+    train = np.vstack([train, train[:2]])
+    test = np.vstack([rng.normal(size=(12, d)) * 3.0, train[:2]])
+    if order == "F":
+        train, test = (np.hstack([x, x[:, :1]])[:, np.arange(d)] for x in (train, test))
+    return train, test
+
+
+class TestKdeKernelBits:
+    """_kde_log_density is the 3-D array + scipy logsumexp form, bit for bit."""
+
+    @pytest.mark.parametrize("d", [*range(1, 41), 127, 128, 129, 130, 200, 300])
+    def test_matches_reference(self, d):
+        for order in ("C", "F"):
+            train, test = kde_case(d, d, order)
+            # A zero floor leaves the constant column a zero bandwidth (NaN/inf).
+            for floor in (1e-3, 0.0):
+                got, got_warnings = with_warnings(_kde_log_density, train, test, floor)
+                want, want_warnings = with_warnings(kde_log_density_reference, train, test, floor)
+                assert got.tobytes() == want.tobytes()
+                assert got_warnings == want_warnings
+
+    def test_matches_reference_on_mixed_and_strided_layouts(self):
+        rng = np.random.default_rng(11)
+        layouts = {
+            "C": lambda x: x,
+            "F": np.asfortranarray,
+            "strided": lambda x: np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)[::2, ::2],
+            "reversed": lambda x: np.ascontiguousarray(x[:, ::-1])[:, ::-1],
+        }
+        for d in (2, 7, 9, 130):
+            train, test = rng.normal(size=(30, d)), rng.normal(size=(9, d))
+            for lay_train in layouts.values():
+                for lay_test in layouts.values():
+                    got = _kde_log_density(lay_train(train), lay_test(test), 1e-3)
+                    want = kde_log_density_reference(lay_train(train), lay_test(test), 1e-3)
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_far_point_is_minus_inf_with_the_same_warnings(self, d):
+        train, test = kde_case(d, 100 + d)
+        test[0] = 1e200
+        got, got_warnings = with_warnings(_kde_log_density, train, test, 1e-3)
+        want, want_warnings = with_warnings(kde_log_density_reference, train, test, 1e-3)
+        assert got[0] == want[0] == -math.inf
+        assert np.isfinite(got[1:]).all()
+        assert got.tobytes() == want.tobytes()
+        assert want_warnings and got_warnings == want_warnings
+
+    def test_feature_axis_computes_pool_density_once(self, housing_dataset, monkeypatch):
+        o = KdeUtility(housing_dataset, housing_dataset, axis="features")
+        seen = []
+        real = KdeUtility._log_density
+
+        def spy(self, ids):
+            seen.append(ids)
+            return real(self, ids)
+
+        monkeypatch.setattr(KdeUtility, "_log_density", spy)
+        feats = housing_dataset.features
+        d = housing_dataset.n_features
+        # Column subsets, as the features axis takes them (F-ordered copies).
+        pool = feats[:, np.arange(d)]
+        pool_logp = kde_log_density_reference(pool, pool, o.floor)
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            cols = np.sort(rng.choice(d, size=int(rng.integers(1, d)), replace=False))
+            logp = kde_log_density_reference(feats[:, cols], feats[:, cols], o.floor)
+            err = np.minimum(np.abs(logp - pool_logp), o.error_cap)
+            assert o.value(cols.tolist()) == max(0.0, o.eta - float(err.sum()))
+        assert seen.count(frozenset(range(d))) == 1
 
 
 class TestLogReg:
