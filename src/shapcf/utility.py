@@ -158,70 +158,54 @@ def _check_axis(axis: str) -> str:
     return axis
 
 
-def _numpy_layout(test: np.ndarray, train: np.ndarray) -> tuple[bool, str]:
-    """How numpy lays out test[:, None, :] - train[None, :, :] in memory.
+def _sum_order(test: np.ndarray, train: np.ndarray) -> str:
+    """Memory order ("C" or "F") numpy gives test[:, None, :] - train[None, :, :].
 
-    Returns whether the feature axis is innermost and the memory order ("C"
-    or "F") of the test and train axes. numpy's iterator is asked directly: it
-    allocates the array but computes nothing.
+    The order is that of the test and train axes; a sum over the feature
+    axis keeps it. numpy's iterator is asked directly: it allocates the array
+    but computes nothing.
     """
     out = np.nditer(
         [test[:, None, :], train[None, :, :], None],
         flags=["zerosize_ok"],
         op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
     ).operands[2]
-    s_test, s_train, s_feat = (abs(s) if n > 1 else None for s, n in zip(out.strides, out.shape))
-    feature_inner = s_feat is None or all(s is None or s_feat < s for s in (s_test, s_train))
-    order = "F" if s_test is not None and s_train is not None and s_test < s_train else "C"
-    return feature_inner, order
+    s_test, s_train = (abs(s) if n > 1 else None for s, n in zip(out.strides[:2], out.shape[:2]))
+    return "F" if s_test is not None and s_train is not None and s_test < s_train else "C"
 
 
 def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.ndarray:
     """sum_j ((test_ij - train_kj) / h_j)^2 for every (test i, train k) pair.
 
-    Built from one 2-D array per dimension, added in the order numpy's sum
-    over the last axis of the (n_test, n_train, d) array uses and laid out
-    as that sum's result is, so it is bitwise `(z * z).sum(axis=2)` (and
-    reduces bitwise like it) without the slow short-axis reduction. The order
-    follows the layout numpy picks for the 3-D array: with the feature axis
-    innermost (C-ordered inputs) numpy sums pairwise (a running sum below 8
-    terms, 8 accumulators up to 128, halves above); otherwise (a column
-    subset of a C-ordered array is F-ordered) it keeps one running sum.
+    Bitwise `(z * z).sum(axis=2)` of the (n_test, n_train, d) array z, laid
+    out as that sum is. Below 8 features numpy adds the short last axis as
+    one running sum in every layout, so the sum is built from one 2-D array
+    per feature, which skips the slow short-axis reduction. From 8 features
+    numpy sums pairwise with 8 accumulators, and the 3-D form is used. The
+    3-D form also takes any input that raises a floating-point error, so
+    numpy reports each error once under the caller's error state, not once
+    per feature.
     """
-    feature_inner, order = _numpy_layout(test, train)
-
-    def part(j: int) -> np.ndarray:
-        z = np.subtract(test[:, j, None], train[None, :, j], order=order)
-        z /= h[j]
-        z *= z
-        return z
-
-    def running(lo: int, hi: int) -> np.ndarray:
-        acc = part(lo)
-        for j in range(lo + 1, hi):
-            acc += part(j)
-        return acc
-
-    def pairwise(lo: int, hi: int) -> np.ndarray:
-        n = hi - lo
-        if n < 8:
-            return running(lo, hi)
-        if n <= 128:
-            r = [part(lo + j) for j in range(8)]
-            stop = hi - n % 8
-            for i in range(lo + 8, stop, 8):
-                for j in range(8):
-                    r[j] += part(i + j)
-            acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            for j in range(stop, hi):
-                acc += part(j)
-            return acc
-        half = n // 2
-        half -= half % 8
-        return pairwise(lo, lo + half) + pairwise(lo + half, hi)
-
     d = test.shape[1]
-    return pairwise(0, d) if feature_inner else running(0, d)
+    if d < 8:
+        order = _sum_order(test, train)
+
+        def part(j: int) -> np.ndarray:
+            z = np.subtract(test[:, j, None], train[None, :, j], order=order)
+            z /= h[j]
+            z *= z
+            return z
+
+        try:
+            with np.errstate(all="raise"):
+                acc = part(0)
+                for j in range(1, d):
+                    acc += part(j)
+                return acc
+        except FloatingPointError:
+            pass
+    z = (test[:, None, :] - train[None, :, :]) / h
+    return (z * z).sum(axis=2)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -258,14 +242,7 @@ def _kde_log_density(train: np.ndarray, test: np.ndarray, floor: float) -> np.nd
     n, d = train.shape
     std = train.std(axis=0)
     h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
-    try:
-        with np.errstate(all="raise"):
-            sq = _scaled_sq_dist(test, train, h)
-    except FloatingPointError:
-        # One 3-D operation per step, so numpy reports each floating-point
-        # error once under the caller's error state, not once per dimension.
-        z = (test[:, None, :] - train[None, :, :]) / h
-        sq = (z * z).sum(axis=2)
+    sq = _scaled_sq_dist(test, train, h)
     sq *= -0.5
     sq -= np.log(h).sum()
     sq -= 0.5 * d * _LOG_2PI
