@@ -8,6 +8,8 @@ mutation happens only by building new values (see apply_transfer).
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -59,6 +61,16 @@ class TooLarge(ShapcfError):
 
 class SizeOverflow(ShapcfError):
     """A generator was asked for owner sizes exceeding the available entries."""
+
+
+def is_integer(value: object) -> bool:
+    """An int or numpy integer, not a bool: what a count or budget must be."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """A real number other than NaN (infinities allowed), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
 
 
 @dataclass(frozen=True)
@@ -164,16 +176,17 @@ def prefix_terms(
     partition: OwnerPartition,
     orders: np.ndarray,
     targets: Sequence[OwnerId],
-    term: Callable[[list[OwnerId]], float],
+    term: Callable[[list[list[OwnerId]]], Sequence[float]],
     memo: dict[bytes, float],
 ) -> np.ndarray:
     """term(P) for each ordering, where P are the owners placed before every target.
 
     orders holds indices into partition.owner_ids(), one ordering per row.
-    Rows are grouped by P, packed as an owner bitmask of any width, so term
-    runs once per distinct prefix; memo (prefix key to term) carries those
-    values across calls. term receives P as owner ids in sorted order. The
-    result is in row order.
+    Rows are grouped by P, packed as an owner bitmask of any width, so each
+    distinct prefix is scored once; memo (prefix key to term) carries those
+    values across calls. term is called once, with every distinct prefix not
+    yet in memo, each as owner ids in sorted order, and returns their terms
+    in that order. The result is in row order.
     """
     ids = partition.owner_ids()
     pos = orders.argsort(axis=1)  # pos[r, o]: place of owner o in row r
@@ -181,13 +194,15 @@ def prefix_terms(
     before = pos < cut[:, None]
     packed = np.packbits(before, axis=1)
     codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    values = []
-    for key, row in zip(keys.tolist(), before[first].tolist()):
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = term([o for o, inside in zip(ids, row) if inside])
-        values.append(value)
+    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    keys = unique.tolist()
+    values = [memo.get(key) for key in keys]
+    todo = [i for i, value in enumerate(values) if value is None]
+    if todo:
+        rows = before[first[todo]].tolist()
+        prefixes = [[o for o, inside in zip(ids, row) if inside] for row in rows]
+        for i, value in zip(todo, term(prefixes)):
+            values[i] = memo[keys[i]] = value
     return np.array(values, dtype=np.float64)[inverse]
 
 
@@ -200,7 +215,7 @@ def draw_chunks(n: int, k: int, rng: np.random.Generator) -> Iterator[np.ndarray
 def sample_terms(
     partition: OwnerPartition,
     targets: Sequence[OwnerId],
-    term: Callable[[list[OwnerId]], float],
+    term: Callable[[list[list[OwnerId]]], Sequence[float]],
     memo: dict[bytes, float],
     k: int,
     rng: np.random.Generator,

@@ -22,9 +22,10 @@ soft outcomes (statuses cover those); malformed requests raise.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .core import (
     TooLarge,
     Transfer,
     apply_transfer,
+    is_integer,
+    is_number,
 )
 from .power import Top1Result, make_power_sampler, thompson_top1
 from .shapley import Estimate, FlipResult, diff_shapley_exact, is_flipped
@@ -48,16 +51,33 @@ STATUS_UNDECIDED = "precondition_undecided"
 STATUS_TIMEOUT = "timeout"
 
 
+# ExplainConfig fields and the values they accept; every other field is a
+# count (a budget, a batch size or a limit) and takes an integer >= 1.
+_COUNT_RULE = ("an integer >= 1", lambda v: is_integer(v) and v >= 1)
+_SAMPLING_RULES = {
+    "delta": ("0 < delta < 1", lambda v: is_number(v) and 0.0 < v < 1.0),
+    "epsilon": ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf),
+    "width_stop": ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf),
+    "timeout": ("a number of seconds >= 0", lambda v: is_number(v) and v >= 0.0),
+    "owner_limit": ("an integer >= 2", lambda v: is_integer(v) and v >= 2),
+}
+
+
 @dataclass(frozen=True)
 class ExplainConfig:
-    """Knobs shared by the engines; defaults suit desk-scale runs."""
+    """Knobs shared by the engines; defaults suit desk-scale runs.
+
+    verify_budget, width_stop and bandit_budget may be None (twice
+    check_budget, no width stop, no total cap); a value out of range raises
+    MalformedInput.
+    """
 
     delta: float = 0.95
     epsilon: float = 0.01
     check_budget: int = 20_000
     verify_budget: int | None = None
     batch: int = 64
-    width_stop: float = 0.01
+    width_stop: float | None = 0.01
     seed_batch: int = 8
     bandit_batch: int = 32
     arm_budget: int = 20_000
@@ -68,26 +88,16 @@ class ExplainConfig:
     bf_entry_limit: int = 20
 
     def __post_init__(self) -> None:
-        def fails(check) -> bool:
-            try:
-                return not check()
-            except TypeError:  # not a number
-                return True
-
-        bad = [
-            f"{name}={getattr(self, name)!r}"
-            for name, check in (
-                ("delta", lambda: 0.0 < self.delta < 1.0),
-                ("batch", lambda: self.batch >= 1),
-                ("posterior_draws", lambda: self.posterior_draws >= 1),
-            )
-            if fails(check)
-        ]
+        bad = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name in ("verify_budget", "width_stop", "bandit_budget"):
+                continue
+            need, ok = _SAMPLING_RULES.get(f.name, _COUNT_RULE)
+            if not ok(value):
+                bad.append(f"{f.name}={value!r} (need {need})")
         if bad:
-            raise MalformedInput(
-                f"bad sampling values {', '.join(bad)}: "
-                "need 0 < delta < 1, batch >= 1 and posterior_draws >= 1"
-            )
+            raise MalformedInput(f"bad sampling values {', '.join(bad)}")
 
     def verify(self) -> int:
         return self.verify_budget if self.verify_budget is not None else 2 * self.check_budget

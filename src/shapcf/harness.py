@@ -22,6 +22,7 @@ from .core import (
     MalformedInput,
     OwnerPartition,
     SizeOverflow,
+    is_integer,
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, split_dataset
@@ -217,7 +218,7 @@ class ExperimentConfig:
         if size_range is not None and not (
             isinstance(size_range, (list, tuple))
             and len(size_range) == 2
-            and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in size_range)
+            and all(is_integer(v) for v in size_range)
         ):
             raise MalformedInput(
                 f"allocation size_range must be two integers [lo, hi], got {size_range!r}"
@@ -242,11 +243,17 @@ class ExperimentConfig:
         unknown = set(self.sampling) - keys - {"pair_budget", "pair_redraws"}
         if unknown:
             raise MalformedInput(f"unknown sampling keys {sorted(unknown)}")
+        for key in ("pair_budget", "pair_redraws"):
+            value = self.sampling.get(key, 1)
+            if not (is_integer(value) and value >= 1):
+                raise MalformedInput(f"bad sampling value {key}={value!r} (need an integer >= 1)")
         return ExplainConfig(**picked)
 
     @property
     def pair_budget(self) -> int:
-        return int(self.sampling.get("pair_budget", self.explain_config().check_budget))
+        if "pair_budget" in self.sampling:
+            return int(self.sampling["pair_budget"])
+        return self.explain_config().check_budget
 
     @property
     def pair_redraws(self) -> int:
@@ -405,7 +412,7 @@ def _select_pair(
         b = str(cell_params.get("b", cfg.pair.get("b", "B")))
         return a, b, check(a, b)
     ids = partition.owner_ids()
-    for _ in range(max(1, cfg.pair_redraws)):
+    for _ in range(cfg.pair_redraws):
         i, j = rng.choice(len(ids), size=2, replace=False)
         a, b = ids[int(i)], ids[int(j)]
         chk = check(a, b)

@@ -6,7 +6,8 @@ into a single sum over coalitions that contain neither owner, which halves the
 work and is what flip checks actually need: a's value is below b's exactly
 when the differential is negative.
 
-Exact routines enumerate coalitions and are guarded by owner-count limits.
+Exact routines enumerate coalitions, score them in one batched oracle call,
+and are guarded by owner-count limits.
 The Monte Carlo routines draw owner permutations in batches through the core
 kernel, which computes each distinct prefix's term once per call (or per flip
 check); shapley_mc walks the same batched draws and computes each distinct
@@ -125,16 +126,17 @@ def shapley_exact(
     n = partition.n
     if n > owner_limit:
         raise TooManyOwners(f"exact Shapley over {n} owners exceeds the limit {owner_limit}")
-    partition.entries(owner)
+    ents = partition.entries(owner)
     others = [o for o in partition.owner_ids() if o != owner]
     weights = _coalition_weights(n)
-    terms = []
+    sets, coefs = [], []
     for r in range(len(others) + 1):
         for combo in itertools.combinations(others, r):
             base = partition.composed(combo)
-            with_owner = base | partition.entries(owner)
-            terms.append((oracle.value(with_owner) - oracle.value(base)) * weights[r])
-    return math.fsum(terms)
+            sets += (base | ents, base)
+            coefs.append(weights[r])
+    vals = oracle.values(sets)
+    return math.fsum((va - vb) * w for va, vb, w in zip(vals[::2], vals[1::2], coefs))
 
 
 def shapley_exact_all(
@@ -170,13 +172,15 @@ def diff_shapley_exact(
     if a == b:
         return 0.0
     others = [o for o in partition.owner_ids() if o not in (a, b)]
-    terms = []
+    sets, coefs = [], []
     for r in range(len(others) + 1):
         w = 1.0 / ((r + 1) * math.comb(n - 1, r + 1))
         for combo in itertools.combinations(others, r):
             base = partition.composed(combo)
-            terms.append((oracle.value(base | ents_a) - oracle.value(base | ents_b)) * w)
-    return math.fsum(terms)
+            sets += (base | ents_a, base | ents_b)
+            coefs.append(w)
+    vals = oracle.values(sets)
+    return math.fsum((va - vb) * w for va, vb, w in zip(vals[::2], vals[1::2], coefs))
 
 
 def differential_term(
@@ -184,20 +188,27 @@ def differential_term(
     oracle: UtilityOracle,
     ents_a: frozenset[int],
     ents_b: frozenset[int],
-) -> Callable[[list[OwnerId]], float]:
-    """Single-permutation differential term, as a function of the prefix.
+) -> Callable[[list[list[OwnerId]]], list[float]]:
+    """Single-permutation differential terms, as a function of a list of prefixes.
 
     With P the owners preceding both members of the pair, whose entry sets
     are ents_a and ents_b, the term is
     (n/2) * [U(P + ents_a) - U(P + ents_b)] / (n - |P| - 1); averaging over
-    uniform orderings recovers the exact differential.
+    uniform orderings recovers the exact differential. The composed sets of
+    all the prefixes go to the oracle in one values() call.
     """
     n = partition.n
 
-    def term(prefix: list[OwnerId]) -> float:
-        base = partition.composed(prefix)
-        coef = n / (2.0 * (n - len(prefix) - 1))
-        return coef * (oracle.value(base | ents_a) - oracle.value(base | ents_b))
+    def term(prefixes: list[list[OwnerId]]) -> list[float]:
+        sets = []
+        for prefix in prefixes:
+            base = partition.composed(prefix)
+            sets += (base | ents_a, base | ents_b)
+        vals = oracle.values(sets)
+        return [
+            n / (2.0 * (n - len(prefix) - 1)) * (va - vb)
+            for prefix, va, vb in zip(prefixes, vals[::2], vals[1::2])
+        ]
 
     return term
 

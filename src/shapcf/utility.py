@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MalformedInput, NonFiniteScore
+from .core import MalformedInput, NonFiniteScore, is_integer, is_number
 from .datasets import Dataset
 
 log = logging.getLogger(__name__)
@@ -36,6 +36,10 @@ class UtilityOracle:
     A NaN or +inf score raises NonFiniteScore instead of being clamped or
     passed on to the estimators; -inf (say, eta minus an overflowed error) is
     below every score and clamps to 0 like any negative one.
+
+    Subclasses implement _score for one composed set, or _score_many for a
+    batch of them when scoring several at once is cheaper; values() hands
+    all of a call's cache misses to one _score_many call.
     """
 
     kind = "base"
@@ -46,25 +50,48 @@ class UtilityOracle:
         self.evals = 0
 
     def value(self, composed: Iterable[int]) -> float:
-        ids = composed if isinstance(composed, frozenset) else frozenset(int(e) for e in composed)
-        self.calls += 1
-        if not ids:
-            return 0.0
-        if self._cache is not None:
-            hit = self._cache.get(ids)
-            if hit is not None:
-                return hit
-        self.evals += 1
-        score = float(self._score(ids))
-        if math.isnan(score) or score == math.inf:
-            raise NonFiniteScore(f"{self.kind} utility scored {len(ids)} entries as {score}")
-        val = max(0.0, score)
-        if self._cache is not None:
-            self._cache[ids] = val
-        return val
+        return self.values((composed,))[0]
+
+    def values(self, sets: Iterable[Iterable[int]]) -> list[float]:
+        """value() of each set, in order; the call's cache misses are scored together.
+
+        The counters move as one value() call per set would move them: calls
+        by one per set, evals by one per distinct miss (with cache=False, per
+        non-empty set). A set that occurs twice is scored once either way.
+        """
+        cache = self._cache
+        known = cache if cache is not None else {}
+        out: list[float | None] = []
+        missing: dict[frozenset[int], int] = {}  # each missed set's first position
+        repeats: list[tuple[int, int]] = []  # later positions of a missed set
+        for i, ids in enumerate(sets):
+            if not isinstance(ids, frozenset):
+                ids = frozenset(int(e) for e in ids)
+            hit = known.get(ids) if ids else 0.0
+            if hit is None:
+                first = missing.setdefault(ids, i)
+                if first != i:
+                    repeats.append((i, first))
+            out.append(hit)
+        self.calls += len(out)
+        if missing:
+            self.evals += len(missing) if cache is not None else len(missing) + len(repeats)
+            for (ids, i), score in zip(missing.items(), self._score_many(list(missing))):
+                score = float(score)
+                if math.isnan(score) or score == math.inf:
+                    raise NonFiniteScore(f"{self.kind} utility scored {len(ids)} entries as {score}")
+                out[i] = max(0.0, score)
+                if cache is not None:
+                    cache[ids] = out[i]
+            for i, first in repeats:
+                out[i] = out[first]
+        return out
 
     def _score(self, ids: frozenset[int]) -> float:
         raise NotImplementedError
+
+    def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
+        return [self._score(ids) for ids in ids_list]
 
 
 class AdditiveUtility(UtilityOracle):
@@ -319,6 +346,14 @@ def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (x - mu) / sd, mu, sd
 
 
+def _with_bias(x: np.ndarray, width: int) -> np.ndarray:
+    """x with a column of ones after its features, zero-padded to `width` columns."""
+    out = np.zeros((len(x), width))
+    out[:, : x.shape[1]] = x
+    out[:, x.shape[1]] = 1.0
+    return out
+
+
 class LogRegUtility(UtilityOracle):
     """eta minus test log-loss of a logistic model fitted on the composed set.
 
@@ -326,6 +361,10 @@ class LogRegUtility(UtilityOracle):
     standardized inputs, which keeps scores deterministic. Single-class
     composed sets fall back to a Laplace-smoothed constant predictor rather
     than failing.
+
+    All the sets of one values() call are fitted together as one padded
+    gradient descent (see _fit), and a single set is a batch of one, so a
+    set's score is the same bits alone or in any batch.
     """
 
     kind = "logistic-regression"
@@ -345,6 +384,18 @@ class LogRegUtility(UtilityOracle):
         super().__init__(cache=cache)
         if train.labels is None or test.labels is None:
             raise MalformedInput("logistic-regression utility needs a label column")
+        bad = [
+            f"{name}={value!r} (need {need})"
+            for name, value, ok, need in (
+                ("eta", eta, is_number(eta) and math.isfinite(eta), "a finite number"),
+                ("iters", iters, is_integer(iters) and iters >= 0, "an integer >= 0"),
+                ("lr", lr, is_number(lr) and 0.0 < lr < math.inf, "a finite number > 0"),
+                ("l2", l2, is_number(l2) and 0.0 <= l2 < math.inf, "a finite number >= 0"),
+            )
+            if not ok
+        ]
+        if bad:
+            raise MalformedInput(f"bad logistic-regression parameters {', '.join(bad)}")
         self.train = train
         self.test = test
         self.eta = float(eta)
@@ -356,8 +407,9 @@ class LogRegUtility(UtilityOracle):
         if len(classes) > 2:
             raise MalformedInput(f"labels must be binary, found {len(classes)} classes")
         self._hi = classes[-1]
+        self._yt = (test.labels == self._hi).astype(np.float64)
 
-    def _xy(self, ids: frozenset[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _xy(self, ids: frozenset[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.axis == "rows":
             idx = np.array(sorted(ids), dtype=np.intp)
             x = self.train.features[idx]
@@ -367,27 +419,79 @@ class LogRegUtility(UtilityOracle):
             x = _restrict(self.train, ids, "features")
             y = (self.train.labels == self._hi).astype(np.float64)
             xt = _restrict(self.test, ids, "features")
-        yt = (self.test.labels == self._hi).astype(np.float64)
-        return x, y, xt, yt
+        return x, y, xt
 
     def _score(self, ids: frozenset[int]) -> float:
-        x, y, xt, yt = self._xy(ids)
+        return self._score_many([ids])[0]
+
+    def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
+        # Every set gets the same width, features + bias, padded with zero
+        # columns on the features axis: a sum's order depends on its length
+        # from 8 terms up.
+        width = self.train.n_features + 1
+        scores = [0.0] * len(ids_list)
+        at, fits, tests = [], [], []
+        for i, ids in enumerate(ids_list):
+            x, y, xt = self._xy(ids)
+            if len(np.unique(y)) < 2:
+                p = (y.sum() + 1.0) / (len(y) + 2.0)
+                scores[i] = self._log_loss_score(np.full(len(self._yt), p))
+            else:
+                xs, mu, sd = _standardize(x)
+                at.append(i)
+                fits.append((_with_bias(xs, width), y, x.shape[1]))
+                tests.append(_with_bias((xt - mu) / sd, width))
+        if fits:
+            for i, xts, w in zip(at, tests, self._fit(fits)):
+                pt = 1.0 / (1.0 + np.exp(-(xts * w).sum(axis=1)))
+                scores[i] = self._log_loss_score(pt)
+        return scores
+
+    def _fit(self, fits: list[tuple[np.ndarray, np.ndarray, int]]) -> np.ndarray:
+        """Weights, one row per set, of the gradient descents of all the sets at once.
+
+        Each set comes as (x with bias column and padding, labels, feature
+        count). Per set this is p = sigmoid(x w), grad = x^T (p - y) / m,
+        grad[features] += l2 * w, w -= lr * grad, as a loop over one set
+        would compute it, but with no BLAS, whose kernels and so rounding
+        depend on the shapes. Rows sit on the outer axis of an (M, B, width)
+        array: x w is a sum over the last axis, whose order depends only on
+        the width, and x^T r a running sum over the rows axis. A set with
+        fewer than M rows is padded with zero rows labelled 0.5, whose
+        p - y is exactly 0, so they add exact zeros after the set's own rows.
+        """
+        m = max(len(y) for _, y, _ in fits)
+        x = np.zeros((m, len(fits), fits[0][0].shape[1]))
+        y = np.full((m, len(fits)), 0.5)
+        n = np.empty((len(fits), 1))
+        l2 = np.zeros((len(fits), x.shape[2]))
+        for j, (xj, yj, d) in enumerate(fits):
+            x[: len(yj), j] = xj
+            y[: len(yj), j] = yj
+            n[j] = len(yj)
+            l2[j, :d] = self.l2
+        w = np.zeros(l2.shape)
+        xw = np.empty_like(x)
+        for _ in range(self.iters):
+            np.multiply(x, w, out=xw)
+            r = xw.sum(axis=2)
+            np.negative(r, out=r)
+            np.exp(r, out=r)
+            r += 1.0
+            np.divide(1.0, r, out=r)
+            r -= y
+            np.multiply(x, r[:, :, None], out=xw)
+            grad = xw.sum(axis=0)
+            grad /= n
+            grad += l2 * w
+            grad *= self.lr
+            w -= grad
+        return w
+
+    def _log_loss_score(self, pt: np.ndarray) -> float:
         eps = 1e-12
-        if len(np.unique(y)) < 2:
-            p = (y.sum() + 1.0) / (len(y) + 2.0)
-            pt = np.full(len(yt), p)
-        else:
-            xs, mu, sd = _standardize(x)
-            xs = np.hstack([xs, np.ones((len(xs), 1))])
-            w = np.zeros(xs.shape[1])
-            for _ in range(self.iters):
-                p = 1.0 / (1.0 + np.exp(-xs @ w))
-                grad = xs.T @ (p - y) / len(y)
-                grad[:-1] += self.l2 * w[:-1]
-                w -= self.lr * grad
-            xts = np.hstack([(xt - mu) / sd, np.ones((len(xt), 1))])
-            pt = 1.0 / (1.0 + np.exp(-xts @ w))
         pt = np.clip(pt, eps, 1.0 - eps)
+        yt = self._yt
         loss = float(-(yt * np.log(pt) + (1.0 - yt) * np.log(1.0 - pt)).mean())
         return self.eta - loss
 

@@ -10,10 +10,11 @@ oracle API only. The package's batched kernel must reproduce it bit for bit
 (tests/test_kernel.py), and the permutation forms of the exact values
 cross-check the package's coalition enumeration.
 
-The last part keeps the straightforward numpy/scipy forms of two hot
-numeric paths, the KDE log density and the Thompson race, which the
+The last part keeps the straightforward numpy/scipy forms of three hot
+numeric paths: the KDE log density and the Thompson race, which the
 package's faster forms must match bit for bit (tests/test_utility.py,
-tests/test_power.py).
+tests/test_power.py), and the one-set logistic fit, which the package's
+batched fit must match to 1e-12 (its products are summed in another order).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from shapcf.core import (
 )
 from shapcf.power import ArmState, Sampler, Top1Result
 from shapcf.shapley import Estimate
-from shapcf.utility import UtilityOracle
+from shapcf.utility import LogRegUtility, UtilityOracle
 
 PERMUTATION_FORM_LIMIT = 8
 
@@ -280,6 +281,36 @@ def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float)
     z = (test[:, None, :] - train[None, :, :]) / h
     log_kernel = -0.5 * (z * z).sum(axis=2) - np.log(h).sum() - 0.5 * d * math.log(2.0 * math.pi)
     return logsumexp(log_kernel, axis=1) - math.log(n)
+
+
+def logreg_score_reference(oracle: LogRegUtility, ids: frozenset[int]) -> float:
+    """The logistic utility's score of one set, fitted alone with BLAS products (unclamped)."""
+    train, test = oracle.train, oracle.test
+    hi = np.unique(np.concatenate([train.labels, test.labels]))[-1]
+    idx = np.array(sorted(ids), dtype=np.intp)
+    if oracle.axis == "rows":
+        x, y, xt = train.features[idx], train.labels[idx] == hi, test.features
+    else:
+        x, y, xt = train.features[:, idx], train.labels == hi, test.features[:, idx]
+    y = y.astype(np.float64)
+    yt = (test.labels == hi).astype(np.float64)
+    if len(np.unique(y)) < 2:
+        pt = np.full(len(yt), (y.sum() + 1.0) / (len(y) + 2.0))
+    else:
+        mu = x.mean(axis=0)
+        sd = x.std(axis=0)
+        sd = np.where(sd < 1e-12, 1.0, sd)
+        xs = np.hstack([(x - mu) / sd, np.ones((len(x), 1))])
+        w = np.zeros(xs.shape[1])
+        for _ in range(oracle.iters):
+            p = 1.0 / (1.0 + np.exp(-xs @ w))
+            grad = xs.T @ (p - y) / len(y)
+            grad[:-1] += oracle.l2 * w[:-1]
+            w -= oracle.lr * grad
+        xts = np.hstack([(xt - mu) / sd, np.ones((len(xt), 1))])
+        pt = 1.0 / (1.0 + np.exp(-xts @ w))
+    pt = np.clip(pt, 1e-12, 1.0 - 1e-12)
+    return oracle.eta - float(-(yt * np.log(pt) + (1.0 - yt) * np.log(1.0 - pt)).mean())
 
 
 def thompson_top1_reference(

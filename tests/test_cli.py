@@ -256,6 +256,17 @@ class TestExperimentCommand:
             write_json(
                 tmp_path / "draws.json", {**good, "sampling": {**good["sampling"], "posterior_draws": 0}}
             ),
+        ] + [
+            write_json(tmp_path / f"{key}.json", {**good, "sampling": {**good["sampling"], key: value}})
+            for key, value in (
+                ("timeout", "x"),
+                ("epsilon", "x"),
+                ("check_budget", -1),
+                ("verify_budget", 0),
+                ("arm_budget", 0),
+                ("bandit_budget", 0),
+                ("pair_budget", 0),
+            )
         ]
         for config in configs:
             res = runner.invoke(main, ["experiment", "--config", config, "--out", str(tmp_path / "o")])

@@ -1,9 +1,11 @@
 """Pinned outputs: fixed configs must keep producing the checked-in bytes.
 
 tests/data/golden holds the inputs and the deterministic outputs of one small
-svexp experiment, one small mc experiment and one `shapcf shapley --mc` run.
-A sampling rewrite that changes any draw, term or estimate shows up here as a
-byte difference, which the same-code rerun tests cannot see.
+svexp experiment, one small mc experiment, one small bf experiment on a
+logistic-regression utility and one `shapcf shapley --mc` run. A sampling
+rewrite that changes any draw, term or estimate, or a change to the batched
+logistic fit that changes a score's bits, shows up here as a byte
+difference, which the same-code rerun tests cannot see.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from shapcf.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-@pytest.mark.parametrize("name", ["svexp", "mc"])
-def test_experiment_outputs_match_golden(name, tmp_path):
+@pytest.mark.parametrize("name", ["svexp", "mc", "logreg"])
+def test_experiment_outputs_match_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)  # the logreg config names its data file relative to it
     out = tmp_path / name
     res = CliRunner().invoke(
         main, ["experiment", "--config", str(GOLDEN / f"{name}_config.json"), "--out", str(out)]

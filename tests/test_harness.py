@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ class TestExperimentConfig:
             {"delta": 0.0},
             {"posterior_draws": 0},
             {"delta": "high"},
+            {"timeout": "x"},
+            {"timeout": -1.0},
+            {"epsilon": "x"},
+            {"epsilon": -0.1},
+            {"width_stop": math.nan},
+            {"seed_batch": 0},
+            {"bandit_batch": 2.5},
+            {"owner_limit": 1},
+            {"bf_entry_limit": "20"},
+            {"check_budget": -1},
+            {"check_budget": True},
+            {"verify_budget": 0},
+            {"arm_budget": 0},
+            {"bandit_budget": 0},
+            {"pair_budget": 0},
+            {"pair_budget": "800"},
+            {"pair_budget": None},
+            {"pair_redraws": "x"},
+            {"pair_redraws": 0},
         ):
             with pytest.raises(MalformedInput):
                 ExperimentConfig.from_json(base_config(sampling=sampling)).explain_config()

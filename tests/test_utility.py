@@ -28,7 +28,7 @@ from shapcf.utility import (
 )
 
 from conftest import make_blobs
-from oracles import kde_log_density_reference, setcover_value
+from oracles import kde_log_density_reference, logreg_score_reference, setcover_value
 
 
 def line_dataset(n: int = 12) -> Dataset:
@@ -97,6 +97,30 @@ class TestNonFiniteScores:
         assert FixedScore(-math.inf).value(frozenset({1})) == 0.0
         assert FixedScore(-2.5).value(frozenset({1})) == 0.0
         assert FixedScore(2.5).value(frozenset({1})) == 2.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejected_inside_a_batch(self, bad):
+        class BadAtThree(UtilityOracle):
+            def _score(self, ids: frozenset[int]) -> float:
+                return bad if 3 in ids else float(len(ids))
+
+        oracle = BadAtThree()
+        with pytest.raises(NonFiniteScore):
+            oracle.values([{1}, {2, 3}, {2}])
+        assert oracle.values([{1}, {2}, set()]) == [1.0, 1.0, 0.0]
+
+
+class TestBatchedValues:
+    def test_counts_and_values_as_the_per_set_loop(self):
+        weights = {1: 1.0, 2: 2.0, 3: 4.0, 4: 8.0}
+        sets = [{1}, {2, 3}, set(), {1}, frozenset({3, 2}), [4, 4], {1, 2, 3, 4}]
+        for cache in (True, False):
+            loop = AdditiveUtility(weights, cache=cache)
+            batch = AdditiveUtility(weights, cache=cache)
+            for _ in range(2):
+                assert batch.values(sets) == [loop.value(s) for s in sets]
+                assert (batch.calls, batch.evals) == (loop.calls, loop.evals)
+        assert batch.values([]) == []
 
 
 class TestSetCover:
@@ -358,6 +382,80 @@ class TestLogReg:
         b = LogRegUtility(ds, ds)
         ids = frozenset(range(0, 40, 2))
         assert a.value(ids) == b.value(ids)
+
+
+def logreg_sets(train: Dataset, axis: str, rng: np.random.Generator) -> list[frozenset[int]]:
+    """Random sets of 1 to 16 ids; on rows also single-row and single-class sets."""
+    pool = len(train) if axis == "rows" else train.n_features
+    sets = [
+        frozenset(rng.choice(pool, size=int(rng.integers(1, min(pool, 16) + 1)), replace=False).tolist())
+        for _ in range(30)
+    ]
+    if axis == "rows":
+        zeros = [i for i in range(pool) if train.labels[i] == 0.0]
+        sets += [frozenset(zeros[:1]), frozenset(zeros[:6]), frozenset({int(rng.integers(pool))})]
+    return sets
+
+
+class TestLogRegBatch:
+    # 9 features put the fit's width above 8, where numpy sums in another order.
+    CASES = [("rows", 2), ("rows", 4), ("rows", 9), ("features", 4), ("features", 9)]
+
+    @pytest.mark.parametrize("axis, n_features", CASES)
+    def test_same_bits_alone_and_in_any_batch(self, axis, n_features):
+        train = make_blobs(40, n_features=n_features, seed=10 + n_features, sep=1.0)
+        test = make_blobs(30, n_features=n_features, seed=20 + n_features, sep=1.0)
+        rng = np.random.default_rng(n_features)
+        sets = logreg_sets(train, axis, rng)
+        # eta = 0 leaves the unclamped score at minus the log-loss, every bit
+        # of it; with eta = 20 the last bits of the loss round away.
+        bare = LogRegUtility(train, test, axis=axis, eta=0.0)
+        alone = {s: bare._score_many([s])[0] for s in sets}
+        public = {s: LogRegUtility(train, test, axis=axis, cache=False).value(s) for s in sets}
+        for cache in (False, True, False, True):
+            batch = [sets[i] for i in rng.permutation(len(sets))[: int(rng.integers(2, len(sets) + 1))]]
+            batch += batch[:3]
+            assert bare._score_many(batch) == [alone[s] for s in batch]
+            oracle = LogRegUtility(train, test, axis=axis, cache=cache)
+            assert oracle.values(batch) == [public[s] for s in batch]
+
+    @pytest.mark.parametrize("axis, n_features", CASES)
+    def test_matches_the_one_set_blas_fit(self, axis, n_features):
+        train = make_blobs(40, n_features=n_features, seed=30 + n_features, sep=1.0)
+        test = make_blobs(30, n_features=n_features, seed=40 + n_features, sep=1.0)
+        oracle = LogRegUtility(train, test, axis=axis)
+        sets = logreg_sets(train, axis, np.random.default_rng(50 + n_features))
+        for s, got in zip(sets, oracle.values(sets)):
+            assert got == pytest.approx(logreg_score_reference(oracle, s), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"iters": -5},
+            {"iters": "x"},
+            {"iters": 2.5},
+            {"iters": True},
+            {"lr": 0.0},
+            {"lr": -0.5},
+            {"lr": "x"},
+            {"lr": math.inf},
+            {"l2": -1.0},
+            {"l2": math.nan},
+            {"eta": math.nan},
+            {"eta": "x"},
+        ],
+    )
+    def test_bad_parameters_rejected(self, params):
+        ds = make_blobs(20, seed=5)
+        with pytest.raises(MalformedInput):
+            LogRegUtility(ds, ds, **params)
+        with pytest.raises(MalformedInput):
+            make_oracle({"kind": "logreg", **params}, ds, ds)
+
+    def test_zero_iterations_is_the_half_predictor(self):
+        ds = make_blobs(20, seed=6)
+        oracle = LogRegUtility(ds, ds, iters=0, l2=0.0)
+        assert oracle.value(range(10)) == pytest.approx(20.0 - math.log(2.0), rel=1e-15)
 
 
 class TestLinReg:
