@@ -73,6 +73,18 @@ def is_number(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
 
 
+# A rule for a configured value: what the value must be, and the test.
+Rule = tuple[str, Callable[[object], bool]]
+COUNT_RULE: Rule = ("an integer >= 1", lambda v: is_integer(v) and v >= 1)
+
+
+def check_values(what: str, checks: Iterable[tuple[str, object, Rule]]) -> None:
+    """Raise MalformedInput naming every (name, value, rule) whose value fails its rule."""
+    bad = [f"{name}={value!r} (need {need})" for name, value, (need, ok) in checks if not ok(value)]
+    if bad:
+        raise MalformedInput(f"bad {what} {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class OwnerPartition:
     """Assignment of entries to named owners.

@@ -30,14 +30,17 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .core import (
+    COUNT_RULE,
     EntryId,
     MalformedInput,
     OwnerId,
     OwnerPartition,
+    Rule,
     SameOwner,
     TooLarge,
     Transfer,
     apply_transfer,
+    check_values,
     is_integer,
     is_number,
 )
@@ -53,8 +56,7 @@ STATUS_TIMEOUT = "timeout"
 
 # ExplainConfig fields and the values they accept; every other field is a
 # count (a budget, a batch size or a limit) and takes an integer >= 1.
-_COUNT_RULE = ("an integer >= 1", lambda v: is_integer(v) and v >= 1)
-_SAMPLING_RULES = {
+_SAMPLING_RULES: dict[str, Rule] = {
     "delta": ("0 < delta < 1", lambda v: is_number(v) and 0.0 < v < 1.0),
     "epsilon": ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf),
     "width_stop": ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf),
@@ -88,16 +90,15 @@ class ExplainConfig:
     bf_entry_limit: int = 20
 
     def __post_init__(self) -> None:
-        bad = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.name in ("verify_budget", "width_stop", "bandit_budget"):
-                continue
-            need, ok = _SAMPLING_RULES.get(f.name, _COUNT_RULE)
-            if not ok(value):
-                bad.append(f"{f.name}={value!r} (need {need})")
-        if bad:
-            raise MalformedInput(f"bad sampling values {', '.join(bad)}")
+        check_values(
+            "sampling values",
+            (
+                (f.name, getattr(self, f.name), _SAMPLING_RULES.get(f.name, COUNT_RULE))
+                for f in fields(self)
+                if getattr(self, f.name) is not None
+                or f.name not in ("verify_budget", "width_stop", "bandit_budget")
+            ),
+        )
 
     def verify(self) -> int:
         return self.verify_budget if self.verify_budget is not None else 2 * self.check_budget

@@ -19,9 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    COUNT_RULE,
     MalformedInput,
     OwnerPartition,
     SizeOverflow,
+    check_values,
     is_integer,
     spawn_rng,
 )
@@ -240,13 +242,14 @@ class ExperimentConfig:
     def explain_config(self) -> ExplainConfig:
         keys = {f.name for f in fields(ExplainConfig)}
         picked = {k: v for k, v in self.sampling.items() if k in keys}
-        unknown = set(self.sampling) - keys - {"pair_budget", "pair_redraws"}
+        counts = ("pair_budget", "pair_redraws")  # the harness's own sampling keys
+        unknown = set(self.sampling) - keys - set(counts)
         if unknown:
             raise MalformedInput(f"unknown sampling keys {sorted(unknown)}")
-        for key in ("pair_budget", "pair_redraws"):
-            value = self.sampling.get(key, 1)
-            if not (is_integer(value) and value >= 1):
-                raise MalformedInput(f"bad sampling value {key}={value!r} (need an integer >= 1)")
+        check_values(
+            "sampling values",
+            ((key, self.sampling[key], COUNT_RULE) for key in counts if key in self.sampling),
+        )
         return ExplainConfig(**picked)
 
     @property

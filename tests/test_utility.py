@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shapcf import utility
 from shapcf.core import MalformedInput, NonFiniteScore, spawn_rng
 from shapcf.datasets import Dataset
 from shapcf.utility import (
@@ -398,7 +399,7 @@ def logreg_sets(train: Dataset, axis: str, rng: np.random.Generator) -> list[fro
 
 
 class TestLogRegBatch:
-    # 9 features put the fit's width above 8, where numpy sums in another order.
+    # 9 features put the fit's width above 8, past numpy's short running sums.
     CASES = [("rows", 2), ("rows", 4), ("rows", 9), ("features", 4), ("features", 9)]
 
     @pytest.mark.parametrize("axis, n_features", CASES)
@@ -418,6 +419,30 @@ class TestLogRegBatch:
             assert bare._score_many(batch) == [alone[s] for s in batch]
             oracle = LogRegUtility(train, test, axis=axis, cache=cache)
             assert oracle.values(batch) == [public[s] for s in batch]
+
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    def test_fit_groups_under_the_cap_leave_every_bit(self, axis, monkeypatch):
+        train = make_blobs(40, n_features=9, seed=60, sep=1.0)
+        test = make_blobs(30, n_features=9, seed=61, sep=1.0)
+        sets = logreg_sets(train, axis, np.random.default_rng(62))
+        bare = LogRegUtility(train, test, axis=axis, eta=0.0)
+        fit = LogRegUtility._fit
+        groups = []
+
+        def spy(self, fits):
+            groups.append((len(fits), max(len(y) for _, y in fits), max(xs.shape[1] for xs, _ in fits)))
+            return fit(self, fits)
+
+        monkeypatch.setattr(LogRegUtility, "_fit", spy)
+        whole = bare._score_many(sets)
+        assert len(groups) == 1 and groups[0][0] > 20
+        for cap in (1, 150, 600):
+            groups.clear()
+            monkeypatch.setattr(utility, "_FIT_ELEMENTS", cap)
+            assert bare._score_many(sets) == whole
+            assert len(groups) > 1
+            # (columns, rows, sets) under the cap, or one set alone
+            assert all(b == 1 or b * m * (d + 1) <= cap for b, m, d in groups)
 
     @pytest.mark.parametrize("axis, n_features", CASES)
     def test_matches_the_one_set_blas_fit(self, axis, n_features):
