@@ -40,15 +40,8 @@ from .harness import (
     run_experiment,
     write_outputs,
 )
-from .metrics import (
-    coefficient_of_variation,
-    jaccard,
-    owner_distance,
-    success_rate,
-    wasserstein_1d,
-)
+from .metrics import coefficient_of_variation, jaccard, success_rate
 from .power import (
-    ArmState,
     Top1Result,
     make_power_sampler,
     power_exact,

@@ -28,7 +28,7 @@ from .core import (
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, split_dataset
-from .explain import ENGINES, CounterfactualResult, ExplainConfig, explain
+from .explain import ENGINES, CounterfactualResult, ExplainConfig, explain, flip_check
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import FlipResult, is_flipped
 from .utility import DATA_BACKED_KINDS, AdditiveUtility, SetCoverUtility, make_oracle, normalize_kind, unwrap_config
@@ -399,10 +399,10 @@ def _select_pair(
     """
 
     def check(a: str, b: str) -> FlipResult:
-        return is_flipped(
-            partition, oracle, a, b, rng,
-            delta=ecfg.delta, budget=cfg.pair_budget, batch=ecfg.batch,
-            width_stop=ecfg.width_stop,
+        # The sampled check is the harness's own import of is_flipped, so that
+        # a tracer can tell pair checks from the engines' checks.
+        return flip_check(
+            partition, oracle, a, b, rng, ecfg, cfg.pair_budget, sampled=is_flipped
         )
 
     mode = cfg.pair.get("mode")

@@ -1,13 +1,10 @@
-"""Comparison metrics for explanation runs and owner datasets."""
+"""Comparison metrics for explanation runs."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-
-from .core import MalformedInput, OwnerId, OwnerPartition
-from .datasets import Dataset
 
 
 def jaccard(x: Iterable[int], y: Iterable[int]) -> float:
@@ -52,44 +49,6 @@ def success_rate(outcomes: Iterable[tuple[str, bool, bool]]) -> float | None:
     if not done:
         return None
     return sum(done) / len(done)
-
-
-def wasserstein_1d(u: Sequence[float], v: Sequence[float]) -> float:
-    """First Wasserstein distance between two empirical 1-D samples."""
-    # Imported here: nothing else in the package needs scipy, so `import shapcf`
-    # does not load it.
-    from scipy.stats import wasserstein_distance
-
-    return float(wasserstein_distance(u, v))
-
-
-def owner_distance(
-    dataset: Dataset,
-    partition: OwnerPartition,
-    a: OwnerId,
-    b: OwnerId,
-) -> float:
-    """Mean per-feature Wasserstein distance between two owners' rows.
-
-    Features are z-scored over the full dataset first so no single scale
-    dominates; degenerate (constant) features are skipped.
-    """
-    rows_a = sorted(partition.entries(a))
-    rows_b = sorted(partition.entries(b))
-    if not rows_a or not rows_b:
-        raise MalformedInput("owner_distance needs two non-empty owners")
-    feats = dataset.features
-    mu = feats.mean(axis=0)
-    sd = feats.std(axis=0)
-    dists = []
-    for j in range(feats.shape[1]):
-        if sd[j] < 1e-12:
-            continue
-        col = (feats[:, j] - mu[j]) / sd[j]
-        dists.append(wasserstein_1d(col[rows_a].tolist(), col[rows_b].tolist()))
-    if not dists:
-        raise MalformedInput("owner_distance: all features are constant")
-    return float(np.mean(dists))
 
 
 def mean_jaccard(pairs: Sequence[tuple[Iterable[int], Iterable[int]]]) -> float | None:

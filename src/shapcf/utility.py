@@ -482,7 +482,10 @@ class LogRegUtility(UtilityOracle):
                     xv[:d] = ((xt - mu) / sd).T
                     xv[d] = 1.0
                     xv *= v[: d + 1, None]
-                    scores[i] = self._log_loss_score(1.0 / (1.0 + np.exp(_tree_sum(xv))))
+                    z = _tree_sum(xv)
+                    with np.errstate(over="ignore"):  # exp -> inf gives p = 0, its limit
+                        e = np.exp(z)
+                    scores[i] = self._log_loss_score(1.0 / (1.0 + e))
         return scores
 
     def _fit(self, fits: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -522,20 +525,24 @@ class LogRegUtility(UtilityOracle):
         v = np.zeros(keep.shape)
         r = np.empty_like(y)
         z, grad, v_cols, r_rows = by_col[0], by_row[0], v[:, None], r[:, None]
-        for _ in range(self.iters):
-            np.multiply(x, v_cols, out=by_col)
-            for into, add in col_steps:
-                into += add
-            np.exp(z, out=r)
-            r += 1.0
-            np.divide(1.0, r, out=r)
-            r -= y
-            np.multiply(x_rows, r_rows, out=by_row)
-            for into, add in row_steps:
-                into += add
-            grad *= step
-            v *= keep
-            v += grad
+        # exp(x v) may overflow to inf, and then p = 1 / (1 + inf) = 0 is the
+        # limit itself. Overflow is ignored for the whole loop rather than per
+        # step; nothing else in it overflows short of weights near 1e308.
+        with np.errstate(over="ignore"):
+            for _ in range(self.iters):
+                np.multiply(x, v_cols, out=by_col)
+                for into, add in col_steps:
+                    into += add
+                np.exp(z, out=r)
+                r += 1.0
+                np.divide(1.0, r, out=r)
+                r -= y
+                np.multiply(x_rows, r_rows, out=by_row)
+                for into, add in row_steps:
+                    into += add
+                grad *= step
+                v *= keep
+                v += grad
         return v
 
     def _log_loss_score(self, pt: np.ndarray) -> float:

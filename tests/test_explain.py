@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
+from shapcf import harness
 from shapcf.core import (
     OwnerPartition,
     SameOwner,
@@ -17,6 +19,7 @@ from shapcf.core import (
     spawn_rng,
 )
 from shapcf.explain import (
+    EXACT_PREFIXES,
     STATUS_NOT_MET,
     STATUS_OK,
     STATUS_TIMEOUT,
@@ -27,15 +30,32 @@ from shapcf.explain import (
     explain_bruteforce,
     explain_mc,
     explain_svexp,
+    flip_check,
 )
+from shapcf.power import power_exact
 from shapcf.shapley import Estimate, FlipResult, diff_shapley_exact, shapley_exact_all
 from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility
 
 from conftest import random_games
 
+# The module; `shapcf.explain` as an attribute is the dispatch function.
+explain_module = importlib.import_module("shapcf.explain")
+
 
 def part(**owners) -> OwnerPartition:
     return OwnerPartition({k: frozenset(v) for k, v in owners.items()})
+
+
+def padded(p: OwnerPartition, n: int = 11) -> OwnerPartition:
+    """`p` plus empty owners up to n owners, past the exact checks' threshold.
+
+    Empty owners are null players: every Shapley value and differential
+    stays the same, but the engines sample their flip checks and races.
+    """
+    owners = dict(p.owners)
+    owners.update({f"Z{i}": frozenset() for i in range(n - p.n)})
+    assert 2 ** (n - 2) > EXACT_PREFIXES
+    return OwnerPartition(owners)
 
 
 def heavy_game():
@@ -235,7 +255,7 @@ class TestMonteCarlo:
     def test_agrees_with_bruteforce_on_clear_margin(self):
         # Third owner so the sampled terms actually vary with the prefix.
         oracle = AdditiveUtility({0: 5.0, 1: 1.0, 2: 1.0, 3: 2.0, 4: 0.5})
-        p = part(A=[0, 1, 2], B=[3], C=[4])
+        p = padded(part(A=[0, 1, 2], B=[3], C=[4]))
         bf = explain_bruteforce(p, oracle, "A", "B")
         res = explain_mc(p, oracle, "A", "B", spawn_rng(1, 0))
         assert res.engine == "mc"
@@ -270,6 +290,7 @@ class TestMonteCarlo:
 
     def test_precondition_undecided_by_exhaustion(self):
         p, oracle = tie_game()
+        p = padded(p)
         cfg = ExplainConfig(width_stop=0.0, check_budget=192)
         res = explain_mc(p, oracle, "A", "B", spawn_rng(5, 0), config=cfg)
         assert res.status == STATUS_UNDECIDED
@@ -309,6 +330,7 @@ class TestMonteCarlo:
 class TestGreedyBandit:
     def test_moves_dominant_entry_first(self):
         p, oracle = heavy_game()
+        p = padded(p)
         res = explain_svexp(p, oracle, "A", "B", spawn_rng(10, 0))
         assert res.engine == "svexp"
         assert res.status == STATUS_OK and res.success
@@ -413,3 +435,112 @@ class TestDispatcher:
         res = explain("svexp", p, oracle, "A", "B", spawn_rng(18, 0), initial=FlipResult("flipped", est))
         assert res.status == STATUS_NOT_MET
         assert res.samples_used == 0
+
+
+class TestExactRoute:
+    """Flip checks and races below EXACT_PREFIXES: exact, and no draws."""
+
+    MAX_OWNERS = 2 + EXACT_PREFIXES.bit_length() - 1  # largest n with 2^(n-2) <= EXACT_PREFIXES
+
+    def test_mc_matches_bruteforce_up_to_the_threshold(self):
+        seen = set()
+        for i, (p, oracle) in enumerate(random_games(seed=41, count=40, n_hi=self.MAX_OWNERS)):
+            a, b = p.owner_ids()[:2]
+            bf = explain_bruteforce(p, oracle, a, b)
+            mc = explain_mc(p, oracle, a, b, spawn_rng(41, i))
+            seen.add(p.n)
+            assert mc.initial_diff == bf.initial_diff
+            assert mc.initial_half_width == 0.0 and mc.samples_used == 0
+            if bf.initial_diff <= 0.0:
+                tied = bf.initial_diff == 0.0
+                assert mc.status == (STATUS_UNDECIDED if tied else STATUS_NOT_MET)
+                assert not mc.budget_exhausted
+                continue
+            assert (mc.status, mc.delta, mc.success) == (bf.status, bf.delta, bf.success)
+            assert mc.final_diff == bf.final_diff and mc.final_half_width == 0.0
+            assert mc.subsets_tested == bf.subsets_tested
+        assert min(seen) == 2 and max(seen) == self.MAX_OWNERS
+
+    def test_svexp_first_pick_is_the_exact_power_argmax(self):
+        picked = 0
+        for i, (p, oracle) in enumerate(random_games(seed=43, count=40, n_hi=self.MAX_OWNERS)):
+            a, b = p.owner_ids()[:2]
+            ents = sorted(p.entries(a))
+            if len(ents) < 2 or diff_shapley_exact(p, oracle, a, b) <= 0.0:
+                continue
+            powers = [power_exact(p, oracle, a, b, x) for x in ents]
+            best = max(powers)
+            res = explain_svexp(p, oracle, a, b, spawn_rng(43, i))
+            step = res.steps[0]
+            assert step.entry == ents[powers.index(best)]
+            assert step.power_mean == best
+            assert (step.power_half_width, step.bandit_samples, step.bandit_converged) == (0.0, 0, True)
+            picked += 1
+        assert picked >= 10
+
+    def test_power_ties_go_to_the_smallest_entry(self):
+        oracle = AdditiveUtility({5: 2.0, 3: 2.0, 8: 2.0, 1: 1.0})
+        p = part(A=[8, 3, 5], B=[1], C=[])
+        res = explain_svexp(p, oracle, "A", "B", spawn_rng(44, 0))
+        assert [s.entry for s in res.steps] == [3, 5]
+
+    def test_exact_checks_draw_nothing_and_report_no_width(self):
+        p, oracle = two_step_game()
+        for engine in (explain_mc, explain_svexp):
+            rng = spawn_rng(45, 0)
+            state = rng.bit_generator.state
+            res = engine(p, oracle, "A", "B", rng)
+            assert rng.bit_generator.state == state
+            assert res.status == STATUS_OK and res.success
+            assert res.samples_used == 0 and not res.budget_exhausted
+            assert res.initial_half_width == 0.0 and res.final_half_width == 0.0
+            for step in res.steps:
+                assert step.power_half_width == 0.0 and step.check_half_width == 0.0
+                assert step.bandit_samples == 0 and step.check_samples == 0
+
+    def test_flip_check_verdicts(self):
+        cfg = ExplainConfig()
+        p, oracle = heavy_game()
+        tie_p, tie_oracle = tie_game()
+        for (pp, o, a, b), verdict in [
+            ((p, oracle, "A", "B"), "not_flipped"),
+            ((p, oracle, "B", "A"), "flipped"),
+            ((tie_p, tie_oracle, "A", "B"), "undecided"),
+        ]:
+            res = flip_check(pp, o, a, b, None, cfg, 10)
+            assert res.verdict == verdict and not res.budget_exhausted
+            assert res.estimate.count == 0
+            assert res.estimate.mean == diff_shapley_exact(pp, o, a, b)
+        with pytest.raises(SameOwner):
+            flip_check(p, oracle, "A", "A", None, cfg, 10)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_samplers_run_only_above_the_threshold(self, sampled, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(f"{module.__name__}.{name}")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in [(explain_module, "is_flipped"), (explain_module, "thompson_top1"),
+                             (harness, "is_flipped")]:
+            spy(module, name)
+        p, oracle = heavy_game()
+        if sampled:
+            p = padded(p)
+        explain_mc(p, oracle, "A", "B", spawn_rng(46, 0))
+        explain_svexp(p, oracle, "A", "B", spawn_rng(46, 1))
+        cfg = harness.ExperimentConfig.from_json({
+            "utility": {"kind": "additive", "weights": {str(e): 1.0 for e in range(4)}},
+            "engines": ["mc"], "n_owners": p.n, "allocation": {"kind": "uniform"},
+            "trials": 1, "seed": 46, "pair": {"mode": "designated"},
+        })
+        a, b, _ = harness._select_pair(p, oracle, spawn_rng(46, 2), cfg, cfg.explain_config(), {})
+        assert (a, b) == ("A", "B")
+        expected = {"shapcf.explain.is_flipped", "shapcf.explain.thompson_top1", "shapcf.harness.is_flipped"}
+        assert set(calls) == (expected if sampled else set())

@@ -1,28 +1,28 @@
-"""Agreement and distance metrics used by the experiment harness."""
+"""Agreement metrics used by the experiment harness, and the owner distance."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import wasserstein_distance
 
 import shapcf
-from shapcf.core import MalformedInput, OwnerPartition
+from shapcf.core import MalformedInput, OwnerId, OwnerPartition
 from shapcf.datasets import Dataset
 from shapcf.metrics import (
     coefficient_of_variation,
     jaccard,
     mean_jaccard,
-    owner_distance,
     size_stats,
     success_rate,
-    wasserstein_1d,
 )
 
 from oracles import merge_wasserstein
@@ -106,6 +106,46 @@ class TestSuccessRate:
         assert success_rate([("ok", True, False)] * 4) == 1.0
 
 
+# The distance between two owners' data. Nothing in the package, its CLI or
+# its harness reports it, so it lives here, with its tests, and scipy is a
+# test-only dependency.
+
+
+def wasserstein_1d(u: Sequence[float], v: Sequence[float]) -> float:
+    """First Wasserstein distance between two empirical 1-D samples."""
+    return float(wasserstein_distance(u, v))
+
+
+def owner_distance(
+    dataset: Dataset,
+    partition: OwnerPartition,
+    a: OwnerId,
+    b: OwnerId,
+) -> float:
+    """Mean per-feature Wasserstein distance between two owners' rows.
+
+    Features are z-scored over the full dataset first so no single scale
+    dominates; degenerate (constant) features are skipped.
+    """
+    rows_a = sorted(partition.entries(a))
+    rows_b = sorted(partition.entries(b))
+    if not rows_a or not rows_b:
+        raise MalformedInput("owner_distance needs two non-empty owners")
+    feats = dataset.features
+    mu = feats.mean(axis=0)
+    sd = feats.std(axis=0)
+    dists = []
+    for j in range(feats.shape[1]):
+        if sd[j] < 1e-12:
+            continue
+        col = (feats[:, j] - mu[j]) / sd[j]
+        dists.append(wasserstein_1d(col[rows_a].tolist(), col[rows_b].tolist()))
+    if not dists:
+        raise MalformedInput("owner_distance: all features are constant")
+    return float(np.mean(dists))
+
+
+
 class TestWasserstein:
     def test_identical_samples_zero(self):
         xs = [1.0, 2.0, 5.0]
@@ -179,7 +219,7 @@ class TestOwnerDistance:
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
-    # Only wasserstein_1d needs scipy; it imports it on first call.
+    # scipy is a test-only dependency.
     src = str(Path(shapcf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, shapcf, shapcf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

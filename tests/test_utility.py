@@ -477,6 +477,27 @@ class TestLogRegBatch:
         with pytest.raises(MalformedInput):
             make_oracle({"kind": "logreg", **params}, ds, ds)
 
+    @pytest.mark.parametrize("where", ["fit", "prediction"])
+    def test_exp_overflow_warns_nothing(self, where):
+        # exp(x v) overflows in the descent with a huge step, and in the
+        # prediction on a far test point; 1 / (1 + inf) = 0 is the limit, so
+        # neither is worth a warning.
+        train = make_blobs(40, seed=7)
+        test = make_blobs(30, seed=8)
+        lr = 0.5
+        if where == "fit":
+            lr = 1e4
+        else:
+            test.features[:2] = [[1e6], [-1e6]]  # one of them lands on the overflowing side
+        oracle = LogRegUtility(train, test, lr=lr, cache=False)
+        sets = [frozenset(range(40)), frozenset(range(0, 40, 3))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = oracle.values(sets)
+            assert scores == [oracle.value(s) for s in sets]
+        assert all(math.isfinite(v) for v in scores)
+        assert np.geterr()["over"] == "warn"
+
     def test_zero_iterations_is_the_half_predictor(self):
         ds = make_blobs(20, seed=6)
         oracle = LogRegUtility(ds, ds, iters=0, l2=0.0)
