@@ -68,9 +68,11 @@ def main() -> None:
 @click.option("--utility", "utility_path", type=click.Path(exists=True), required=True)
 @click.option("--exact", "mode", flag_value="exact", default=True, help="Exact enumeration (default).")
 @click.option("--mc", "mode", flag_value="mc", help="Monte Carlo permutation sampling.")
-@click.option("--delta", type=float, default=0.95, show_default=True)
-@click.option("--budget", type=int, default=100_000, show_default=True, help="Permutations for --mc.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--delta", type=click.FloatRange(0, 1, min_open=True, max_open=True), default=0.95,
+              show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=100_000, show_default=True,
+              help="Permutations for --mc.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here instead of stdout.")
 def shapley(data, test_data, test_ratio, partition_path, utility_path, mode, delta, budget, seed, out):
     """Value every owner in a partition."""
@@ -113,11 +115,13 @@ def shapley(data, test_data, test_ratio, partition_path, utility_path, mode, del
 @click.option("--utility", "utility_path", type=click.Path(exists=True), required=True)
 @click.option("--a", "owner_a", required=True, help="Owner currently ranked higher.")
 @click.option("--b", "owner_b", required=True, help="Owner to lift above --a.")
-@click.option("--delta", type=float, default=0.95, show_default=True)
-@click.option("--epsilon", type=float, default=0.01, show_default=True)
-@click.option("--budget", type=int, default=20_000, show_default=True, help="Permutations per flip check.")
-@click.option("--timeout", type=float, default=7200.0, show_default=True, help="Wall-clock limit, seconds.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--delta", type=float, default=ExplainConfig.delta, show_default=True)
+@click.option("--epsilon", type=float, default=ExplainConfig.epsilon, show_default=True)
+@click.option("--budget", type=int, default=ExplainConfig.check_budget, show_default=True,
+              help="Permutations per flip check.")
+@click.option("--timeout", type=float, default=ExplainConfig.timeout, show_default=True,
+              help="Wall-clock limit, seconds.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def explain_cmd(engine, data, test_data, test_ratio, partition_path, utility_path,
                 owner_a, owner_b, delta, epsilon, budget, timeout, seed, out):

@@ -48,7 +48,6 @@ from .core import (
     Transfer,
     apply_transfer,
     check_values,
-    is_integer,
     is_number,
 )
 from .power import ArmState, Top1Result, make_power_sampler, thompson_top1
@@ -68,13 +67,12 @@ EXACT_PREFIXES = 2**7
 
 
 # ExplainConfig fields and the values they accept; every other field is a
-# count (a budget, a batch size or a limit) and takes an integer >= 1.
+# count (a budget or a limit) and takes an integer >= 1.
 _SAMPLING_RULES: dict[str, Rule] = {
     "delta": ("0 < delta < 1", lambda v: is_number(v) and 0.0 < v < 1.0),
     "epsilon": ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf),
     "width_stop": ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf),
     "timeout": ("a number of seconds >= 0", lambda v: is_number(v) and v >= 0.0),
-    "owner_limit": ("an integer >= 2", lambda v: is_integer(v) and v >= 2),
 }
 
 
@@ -91,15 +89,10 @@ class ExplainConfig:
     epsilon: float = 0.01
     check_budget: int = 20_000
     verify_budget: int | None = None
-    batch: int = 64
     width_stop: float | None = 0.01
-    seed_batch: int = 8
-    bandit_batch: int = 32
     arm_budget: int = 20_000
     bandit_budget: int | None = None
-    posterior_draws: int = 256
     timeout: float = 7200.0
-    owner_limit: int = 12
     bf_entry_limit: int = 20
 
     def __post_init__(self) -> None:
@@ -196,7 +189,7 @@ def flip_check(
     "undecided" on a tie, never budget_exhausted. Such a check draws nothing
     from rng, and its estimate has mean d and no samples. Otherwise
     `sampled` (is_flipped when None) runs the sequential check with up to
-    `budget` permutations and config's delta, batch and width_stop.
+    `budget` permutations and config's delta and width_stop.
     """
     if a == b:
         raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
@@ -206,7 +199,7 @@ def flip_check(
         return FlipResult(verdict, Estimate(config.delta, d))
     return (sampled or is_flipped)(
         partition, oracle, a, b, rng,
-        delta=config.delta, budget=budget, batch=config.batch, width_stop=config.width_stop,
+        delta=config.delta, budget=budget, width_stop=config.width_stop,
     )
 
 
@@ -288,11 +281,8 @@ class _Request:
             self.rng,
             delta=cfg.delta,
             epsilon=cfg.epsilon,
-            seed_batch=cfg.seed_batch,
-            batch=cfg.bandit_batch,
             arm_budget=cfg.arm_budget,
             total_budget=cfg.bandit_budget,
-            posterior_draws=cfg.posterior_draws,
         )
         self.samples += pick.samples
         self.exhausted |= pick.budget_exhausted
@@ -375,7 +365,7 @@ def explain_bruteforce(
         )
 
     def diff(delta) -> float:
-        return diff_shapley_exact(req.moved(delta), oracle, a, b, owner_limit=cfg.owner_limit)
+        return diff_shapley_exact(req.moved(delta), oracle, a, b)
 
     req.initial_diff = diff(())
     if req.initial_diff <= 0.0:

@@ -22,6 +22,7 @@ from .core import (
     COUNT_RULE,
     MalformedInput,
     OwnerPartition,
+    Rule,
     SizeOverflow,
     check_values,
     is_integer,
@@ -40,6 +41,25 @@ _STREAM_PAIR = 2
 _STREAM_ENGINE = 3
 
 PAIR_MODES = ("random", "designated", "grid")
+
+# Random pairs drawn at most while their checks stay undecided.
+_PAIR_REDRAWS = 10
+
+_AT_LEAST_0: Rule = ("an integer >= 0", lambda v: is_integer(v) and v >= 0)
+_AT_LEAST_2: Rule = ("an integer >= 2", lambda v: is_integer(v) and v >= 2)
+_INTEGER: Rule = ("an integer", is_integer)
+# Allocation keys and the values they accept; the generators check the ranges.
+_ALLOCATION_RULES: dict[str, Rule] = {
+    "a": _INTEGER,
+    "k1": _INTEGER,
+    "k2": _INTEGER,
+    "k_max": _INTEGER,
+    "size_range": (
+        "two integers [lo, hi]",
+        lambda v: v is None
+        or isinstance(v, (list, tuple)) and len(v) == 2 and all(is_integer(x) for x in v),
+    ),
+}
 
 
 def _draw_rows(pool: Sequence[int], size: int, rng: np.random.Generator) -> frozenset[int]:
@@ -190,10 +210,12 @@ class ExperimentConfig:
         if not isinstance(source, dict):
             raise MalformedInput("experiment config must be a JSON object")
 
-        def get(key: str, cast, *default):
+        def get(key: str, cast=None, *default):
             if key not in source and not default:
                 raise MalformedInput(f"experiment config needs {key!r}")
             value = source.get(key, *default)
+            if cast is None:
+                return value
             try:
                 return cast(value)
             except (TypeError, ValueError):
@@ -202,8 +224,9 @@ class ExperimentConfig:
         utility = get("utility", dict)
         engines = get("engines", tuple)
         allocation = get("allocation", dict)
-        trials = get("trials", int)
-        seed = get("seed", int)
+        trials = get("trials")
+        seed = get("seed")
+        n_owners = source.get("n_owners", 2)
         pair = get("pair", dict, {})
         if pair.get("mode") not in (None, *PAIR_MODES):
             raise MalformedInput(
@@ -214,21 +237,23 @@ class ExperimentConfig:
             raise MalformedInput(f"unknown engines {unknown}; expected {sorted(ENGINES)}")
         if not engines:
             raise MalformedInput("experiment config needs at least one engine")
-        if trials < 0:
-            raise MalformedInput(f"trials must be >= 0, got {trials}")
-        size_range = allocation.get("size_range")
-        if size_range is not None and not (
-            isinstance(size_range, (list, tuple))
-            and len(size_range) == 2
-            and all(is_integer(v) for v in size_range)
-        ):
-            raise MalformedInput(
-                f"allocation size_range must be two integers [lo, hi], got {size_range!r}"
-            )
+        check_values(
+            "experiment values",
+            [
+                ("trials", trials, _AT_LEAST_0),
+                ("seed", seed, _AT_LEAST_0),
+                ("n_owners", n_owners, _AT_LEAST_2),
+                *(
+                    (f"allocation {key}", value, _ALLOCATION_RULES[key])
+                    for key, value in allocation.items()
+                    if key in _ALLOCATION_RULES
+                ),
+            ],
+        )
         return cls(
             utility=utility,
             engines=engines,
-            n_owners=get("n_owners", int, 2),
+            n_owners=n_owners,
             allocation=allocation,
             trials=trials,
             seed=seed,
@@ -242,7 +267,7 @@ class ExperimentConfig:
     def explain_config(self) -> ExplainConfig:
         keys = {f.name for f in fields(ExplainConfig)}
         picked = {k: v for k, v in self.sampling.items() if k in keys}
-        counts = ("pair_budget", "pair_redraws")  # the harness's own sampling keys
+        counts = ("pair_budget",)  # the harness's own sampling key
         unknown = set(self.sampling) - keys - set(counts)
         if unknown:
             raise MalformedInput(f"unknown sampling keys {sorted(unknown)}")
@@ -257,10 +282,6 @@ class ExperimentConfig:
         if "pair_budget" in self.sampling:
             return int(self.sampling["pair_budget"])
         return self.explain_config().check_budget
-
-    @property
-    def pair_redraws(self) -> int:
-        return int(self.sampling.get("pair_redraws", 10))
 
 
 @dataclass(frozen=True)
@@ -336,10 +357,10 @@ def _make_partition(
         return _uniform_from_pool(_synthetic_pool(oracle), cfg.n_owners, rng, size_range=size_range)
     if kind == "zipfian":
         params = dict(
-            a=int(alloc.get("a", 3)),
-            k1=int(cell_params.get("k1", alloc.get("k1", 0))),
-            k2=int(cell_params.get("k2", alloc.get("k2", 0))),
-            k_max=int(alloc.get("k_max", 4)),
+            a=alloc.get("a", 3),
+            k1=cell_params.get("k1", alloc.get("k1", 0)),
+            k2=cell_params.get("k2", alloc.get("k2", 0)),
+            k_max=alloc.get("k_max", 4),
         )
         if train is not None:
             return gen_zipfian(train, cfg.n_owners, rng, **params)
@@ -363,7 +384,7 @@ def _cells(cfg: ExperimentConfig, train: Dataset | None, oracle) -> list[tuple[s
     alloc = cfg.allocation
     mode = cfg.pair.get("mode")
     if alloc.get("kind") == "zipfian" and alloc.get("grid"):
-        k_max = int(alloc.get("k_max", 4))
+        k_max = alloc.get("k_max", 4)
         return [
             (f"k{k1}-k{k2}", {"k1": k1, "k2": k2})
             for k1 in range(k_max + 1)
@@ -394,7 +415,7 @@ def _select_pair(
     """Choose an ordered pair with a above b, sharing one flip check.
 
     Designated pairs are checked once; random pairs are re-drawn on undecided
-    checks up to pair_redraws, after which the last pair is kept (engines then
+    checks up to _PAIR_REDRAWS times, after which the last pair is kept (engines then
     report the undecided precondition).
     """
 
@@ -415,7 +436,7 @@ def _select_pair(
         b = str(cell_params.get("b", cfg.pair.get("b", "B")))
         return a, b, check(a, b)
     ids = partition.owner_ids()
-    for _ in range(cfg.pair_redraws):
+    for _ in range(_PAIR_REDRAWS):
         i, j = rng.choice(len(ids), size=2, replace=False)
         a, b = ids[int(i)], ids[int(j)]
         chk = check(a, b)
@@ -501,7 +522,7 @@ def _build_grids(
         return {}, None
     zipf_grid = cfg.allocation.get("kind") == "zipfian" and cfg.allocation.get("grid")
     if zipf_grid:
-        k_max = int(cfg.allocation.get("k_max", 4))
+        k_max = cfg.allocation.get("k_max", 4)
         rows = [f"k{k}" for k in range(k_max + 1)]
         cols = list(rows)
     else:
@@ -589,11 +610,7 @@ def summarize(
     }
 
 
-_CSV_FIELDS = [
-    "cell", "trial", "engine", "a", "b", "status", "size", "success", "timed_out",
-    "budget_exhausted", "samples_used", "subsets_tested", "initial_diff",
-    "initial_half_width", "delta_entries",
-]
+_CSV_FIELDS = [f.name for f in fields(TrialRecord) if f.name != "runtime_s"]
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
@@ -608,10 +625,9 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         w.writerow(_CSV_FIELDS)
         for r in result.records:
             w.writerow([
-                r.cell, r.trial, r.engine, r.a, r.b, r.status, r.size,
-                r.success, r.timed_out, r.budget_exhausted, r.samples_used,
-                r.subsets_tested, repr(r.initial_diff), repr(r.initial_half_width),
-                ";".join(str(e) for e in r.delta_entries),
+                ";".join(str(e) for e in r.delta_entries) if name == "delta_entries"
+                else getattr(r, name)
+                for name in _CSV_FIELDS
             ])
     written.append(trials_path)
 

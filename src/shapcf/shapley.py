@@ -294,10 +294,6 @@ class FlipResult:
     estimate: Estimate
     budget_exhausted: bool = False
 
-    @property
-    def decided(self) -> bool:
-        return self.verdict != "undecided"
-
     def swapped(self) -> "FlipResult":
         """The same evidence read for the pair in the opposite order."""
         est = Estimate(self.estimate.delta, -self.estimate.mean, self.estimate.count, self.estimate.m2)

@@ -650,7 +650,16 @@ def make_oracle(
         weights = inner.get("weights")
         if not isinstance(weights, dict):
             raise MalformedInput('additive utility needs a "weights" object')
-        return AdditiveUtility({int(k): float(v) for k, v in weights.items()}, cache=cache)
+        entry_id = (
+            "a non-negative integer",
+            lambda k: is_integer(k) and k >= 0 or isinstance(k, str) and k.isdecimal(),
+        )
+        check_values(
+            "additive weights",
+            [("entry id", k, entry_id) for k in weights]
+            + [(f"weights[{k!r}]", v, ("a number", is_number)) for k, v in weights.items()],
+        )
+        return AdditiveUtility({int(k): v for k, v in weights.items()}, cache=cache)
     if kind == "set-cover":
         try:
             game = SetCoverGame(

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from shapcf.cli import main
+from shapcf.explain import ExplainConfig
 
 
 @pytest.fixture()
@@ -139,6 +140,20 @@ class TestShapleyCommand:
             assert "Error" in res.stderr and "not valid JSON" in res.stderr
             assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    def test_bad_options_are_clean_errors(self, runner, additive_files):
+        utility, partition = additive_files
+        for args in (
+            ["--mc", "--seed", "-1"],
+            ["--mc", "--delta", "1.5"],
+            ["--mc", "--delta", "0"],
+            ["--mc", "--budget", "0"],
+            ["--mc", "--budget", "-5"],
+        ):
+            res = runner.invoke(main, ["shapley", "--partition", partition, "--utility", utility, *args])
+            assert res.exit_code != 0, (args, res.output)
+            assert "Error" in res.stderr
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+
 
 class TestExplainCommand:
     def test_bruteforce_writes_result(self, runner, additive_files, tmp_path):
@@ -180,6 +195,24 @@ class TestExplainCommand:
         )
         assert res.exit_code == 1
         assert "distinct" in res.stderr
+
+    def test_negative_seed_is_a_clean_error(self, runner, additive_files):
+        utility, partition = additive_files
+        res = runner.invoke(
+            main,
+            ["explain", "--engine", "mc", "--partition", partition, "--utility", utility,
+             "--a", "A", "--b", "B", "--seed", "-1"],
+        )
+        assert res.exit_code != 0, res.output
+        assert "Error" in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    def test_defaults_are_explain_config_defaults(self):
+        defaults = {param.name: param.default for param in main.commands["explain"].params}
+        assert defaults["delta"] == ExplainConfig.delta
+        assert defaults["epsilon"] == ExplainConfig.epsilon
+        assert defaults["budget"] == ExplainConfig.check_budget
+        assert defaults["timeout"] == ExplainConfig.timeout
 
     def test_unknown_engine_rejected(self, runner, additive_files):
         utility, partition = additive_files
@@ -251,11 +284,7 @@ class TestExperimentCommand:
                 {**good, "allocation": {"kind": "uniform", "size_range": "ab"}},
             ),
             str(truncated),
-            write_json(tmp_path / "batch.json", {**good, "sampling": {**good["sampling"], "batch": 0}}),
             write_json(tmp_path / "delta.json", {**good, "sampling": {**good["sampling"], "delta": 1.5}}),
-            write_json(
-                tmp_path / "draws.json", {**good, "sampling": {**good["sampling"], "posterior_draws": 0}}
-            ),
         ] + [
             write_json(tmp_path / f"{key}.json", {**good, "sampling": {**good["sampling"], key: value}})
             for key, value in (
@@ -266,6 +295,30 @@ class TestExperimentCommand:
                 ("arm_budget", 0),
                 ("bandit_budget", 0),
                 ("pair_budget", 0),
+                # Fixed in the library: an error even at the fixed value.
+                ("batch", 64),
+                ("seed_batch", 8),
+                ("bandit_batch", 32),
+                ("posterior_draws", 256),
+                ("owner_limit", 12),
+                ("pair_redraws", 10),
+            )
+        ] + [
+            write_json(tmp_path / f"bad{i}.json", {**good, **bad})
+            for i, bad in enumerate(
+                [
+                    {"n_owners": 5.7},
+                    {"trials": 2.5},
+                    {"trials": True},
+                    {"seed": 1.5},
+                    {"seed": -1},
+                    {"utility": {"kind": "additive", "weights": {"0": "x"}}},
+                    {"utility": {"kind": "additive", "weights": {"a": 1}}},
+                ]
+                + [
+                    {"allocation": {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 2, key: "x"}}
+                    for key in ("a", "k1", "k2", "k_max")
+                ]
             )
         ]
         for config in configs:

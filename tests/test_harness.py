@@ -5,12 +5,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shapcf.core import MalformedInput, SizeOverflow, spawn_rng
 from shapcf.datasets import split_dataset
+from shapcf.explain import ExplainConfig
 from shapcf.harness import (
     ExperimentConfig,
     gen_natural,
@@ -199,20 +203,28 @@ class TestExperimentConfig:
         ):
             with pytest.raises(MalformedInput):
                 ExperimentConfig.from_json(base_config(**bad))
+        zipfian = {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 2}
+        for bad in (
+            {"n_owners": 5.7},
+            {"trials": 2.5},
+            {"trials": True},
+            {"seed": 1.5},
+            {"seed": -1},
+            *({"allocation": {**zipfian, key: "x"}} for key in ("a", "k1", "k2", "k_max")),
+            {"utility": {"kind": "additive", "weights": {"0": "x"}}},
+            {"utility": {"kind": "additive", "weights": {"a": 1}}},
+        ):
+            with pytest.raises(MalformedInput):
+                run_experiment(ExperimentConfig.from_json(base_config(**bad)))
         for sampling in (
-            {"batch": 0},
             {"delta": 1.5},
             {"delta": 0.0},
-            {"posterior_draws": 0},
             {"delta": "high"},
             {"timeout": "x"},
             {"timeout": -1.0},
             {"epsilon": "x"},
             {"epsilon": -0.1},
             {"width_stop": math.nan},
-            {"seed_batch": 0},
-            {"bandit_batch": 2.5},
-            {"owner_limit": 1},
             {"bf_entry_limit": "20"},
             {"check_budget": -1},
             {"check_budget": True},
@@ -222,8 +234,6 @@ class TestExperimentConfig:
             {"pair_budget": 0},
             {"pair_budget": "800"},
             {"pair_budget": None},
-            {"pair_redraws": "x"},
-            {"pair_redraws": 0},
         ):
             with pytest.raises(MalformedInput):
                 ExperimentConfig.from_json(base_config(sampling=sampling)).explain_config()
@@ -237,12 +247,29 @@ class TestExperimentConfig:
         assert ecfg.width_stop == 0.1
         assert ecfg.epsilon == 0.01
         assert cfg.pair_budget == 100
-        assert cfg.pair_redraws == 10
+        assert ecfg == ExplainConfig(check_budget=500, width_stop=0.1)
 
     def test_unknown_sampling_key_rejected(self):
-        cfg = ExperimentConfig.from_json(base_config(sampling={"wobble": 3}))
-        with pytest.raises(MalformedInput):
-            cfg.explain_config()
+        # Batch sizes, posterior draws and limits are fixed in the library: naming
+        # one is an error even at its fixed value.
+        for key, value in (
+            ("wobble", 3),
+            ("batch", 64),
+            ("seed_batch", 8),
+            ("bandit_batch", 32),
+            ("posterior_draws", 256),
+            ("owner_limit", 12),
+            ("pair_redraws", 10),
+        ):
+            cfg = ExperimentConfig.from_json(base_config(sampling={key: value}))
+            with pytest.raises(MalformedInput, match=rf"unknown sampling keys \['{key}'\]"):
+                cfg.explain_config()
+
+    def test_readme_lists_the_sampling_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        bullet = re.search(r"^- `sampling` (.*?)\n(?!  )", readme, re.M | re.S).group(1)
+        named = set(re.findall(r"`(\w+)`", bullet)) - {"MalformedInput", "null"}
+        assert named == {f.name for f in fields(ExplainConfig)} | {"pair_budget"}
 
     def test_pair_budget_defaults_to_check_budget(self):
         cfg = ExperimentConfig.from_json(base_config(sampling={"check_budget": 777}))
