@@ -157,6 +157,8 @@ def apply_transfer(partition: OwnerPartition, transfer: Transfer) -> OwnerPartit
 
     Entries leave the source and join the target; other owners are untouched,
     so the union of all owner sets is preserved. The source may end up empty.
+    The new partition starts with every cached coalition union that holds
+    neither the source nor the target, since those unions do not change.
     """
     src = partition.entries(transfer.source)
     missing = transfer.delta - src
@@ -167,7 +169,12 @@ def apply_transfer(partition: OwnerPartition, transfer: Transfer) -> OwnerPartit
     owners = dict(partition.owners)
     owners[transfer.source] = src - transfer.delta
     owners[transfer.target] = partition.entries(transfer.target) | transfer.delta
-    return OwnerPartition(owners)
+    moved = OwnerPartition(owners)
+    touched = (transfer.source, transfer.target)
+    moved._composed.update(
+        (key, union) for key, union in partition._composed.items() if key.isdisjoint(touched)
+    )
+    return moved
 
 
 # Rows drawn per kernel call at most; bounds memory for large budgets without

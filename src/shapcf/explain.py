@@ -51,7 +51,7 @@ from .core import (
     is_number,
 )
 from .power import ArmState, Top1Result, make_power_sampler, thompson_top1
-from .shapley import Estimate, FlipResult, diff_shapley_exact, is_flipped
+from .shapley import Estimate, FlipResult, diff_shapley_exact, differential_sets, fold_gaps, is_flipped
 from .utility import UtilityOracle
 
 STATUS_OK = "ok"
@@ -263,18 +263,25 @@ class _Request:
 
         With few prefixes every entry's power is exact (the differential of b
         over a once the entry moves, as power_exact) and the argmax wins,
-        ties going to the smallest entry id; no samples are drawn. Otherwise
-        the entries run a Thompson race.
+        ties going to the smallest entry id; no samples are drawn. All the
+        entries' coalition sets go to the oracle in one values() call.
+        Otherwise the entries run a Thompson race.
         """
         cfg, a, b = self.cfg, self.a, self.b
         if _is_small(partition):
-            def power(e: EntryId) -> float:
-                moved = apply_transfer(partition, Transfer(a, b, frozenset({e})))
-                return diff_shapley_exact(moved, self.oracle, b, a)
-
-            arms = tuple(ArmState(e, Estimate(cfg.delta, power(e))) for e in sorted(entries))
+            ents = sorted(entries)
+            parts = [
+                differential_sets(apply_transfer(partition, Transfer(a, b, frozenset({e}))), b, a)
+                for e in ents
+            ]
+            vals = self.oracle.values([s for sets, _ in parts for s in sets])
+            arms, at = [], 0
+            for e, (sets, weights) in zip(ents, parts):
+                power = fold_gaps(vals[at : at + len(sets)], weights)
+                arms.append(ArmState(e, Estimate(cfg.delta, power)))
+                at += len(sets)
             best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
-            return Top1Result(best.entry, arms, 0, True, False)
+            return Top1Result(best.entry, tuple(arms), 0, True, False)
         pick = thompson_top1(
             entries,
             make_power_sampler(partition, self.oracle, a, b),

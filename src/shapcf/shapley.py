@@ -115,6 +115,11 @@ def _coalition_weights(n: int) -> list[float]:
     return [1.0 / (n * math.comb(n - 1, s)) for s in range(n)]
 
 
+def fold_gaps(values: list[float], weights: list[float]) -> float:
+    """fsum of (values[2i] - values[2i+1]) * weights[i]: an exact routine's weighted gaps."""
+    return math.fsum((va - vb) * w for va, vb, w in zip(values[::2], values[1::2], weights))
+
+
 def shapley_exact(
     partition: OwnerPartition,
     oracle: UtilityOracle,
@@ -135,8 +140,7 @@ def shapley_exact(
             base = partition.composed(combo)
             sets += (base | ents, base)
             coefs.append(weights[r])
-    vals = oracle.values(sets)
-    return math.fsum((va - vb) * w for va, vb, w in zip(vals[::2], vals[1::2], coefs))
+    return fold_gaps(oracle.values(sets), coefs)
 
 
 def shapley_exact_all(
@@ -149,6 +153,29 @@ def shapley_exact_all(
         o: shapley_exact(partition, oracle, o, owner_limit=owner_limit)
         for o in partition.owner_ids()
     }
+
+
+def differential_sets(
+    partition: OwnerPartition, a: OwnerId, b: OwnerId
+) -> tuple[list[frozenset[int]], list[float]]:
+    """The composed sets and weights of the exact differential of a over b (a != b).
+
+    For each coalition S of the other n-2 owners, the sets S + a and S + b
+    in that order and the weight 1 / ((|S|+1) * C(n-1, |S|+1)); fold_gaps of
+    their values is the differential.
+    """
+    n = partition.n
+    ents_a = partition.entries(a)
+    ents_b = partition.entries(b)
+    others = [o for o in partition.owner_ids() if o not in (a, b)]
+    sets, weights = [], []
+    for r in range(len(others) + 1):
+        w = 1.0 / ((r + 1) * math.comb(n - 1, r + 1))
+        for combo in itertools.combinations(others, r):
+            base = partition.composed(combo)
+            sets += (base | ents_a, base | ents_b)
+            weights.append(w)
+    return sets, weights
 
 
 def diff_shapley_exact(
@@ -167,20 +194,12 @@ def diff_shapley_exact(
     n = partition.n
     if n > owner_limit:
         raise TooManyOwners(f"exact differential over {n} owners exceeds the limit {owner_limit}")
-    ents_a = partition.entries(a)
-    ents_b = partition.entries(b)
+    partition.entries(a)  # an unknown owner raises even when a == b
+    partition.entries(b)
     if a == b:
         return 0.0
-    others = [o for o in partition.owner_ids() if o not in (a, b)]
-    sets, coefs = [], []
-    for r in range(len(others) + 1):
-        w = 1.0 / ((r + 1) * math.comb(n - 1, r + 1))
-        for combo in itertools.combinations(others, r):
-            base = partition.composed(combo)
-            sets += (base | ents_a, base | ents_b)
-            coefs.append(w)
-    vals = oracle.values(sets)
-    return math.fsum((va - vb) * w for va, vb, w in zip(vals[::2], vals[1::2], coefs))
+    sets, weights = differential_sets(partition, a, b)
+    return fold_gaps(oracle.values(sets), weights)
 
 
 def differential_term(

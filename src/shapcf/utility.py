@@ -167,22 +167,37 @@ class SetCoverUtility(UtilityOracle):
         return self.game.m - len(ids) + self.game.encode(ids)
 
 
-def _restrict(dataset: Dataset, ids: frozenset[int], axis: str) -> np.ndarray:
-    """Rows or columns named by ids, in ascending id order for determinism."""
-    idx = np.array(sorted(ids), dtype=np.intp)
+def _restrict(dataset: Dataset, ids_list: list[frozenset[int]], axis: str) -> np.ndarray:
+    """The rows or columns named by each of several equal-size sets, stacked.
+
+    A (sets, rows, columns) array; each set's ids are taken in ascending
+    order for determinism. Every slice has the layout that indexing with
+    that set alone gives: C order for a row subset, F order for a column
+    subset of a C-ordered table.
+    """
+    idx = np.array([sorted(ids) for ids in ids_list], dtype=np.intp)
+    limit = len(dataset) if axis == "rows" else dataset.n_features
+    if idx.size and (idx.min() < 0 or idx.max() >= limit):
+        raise MalformedInput(f"{'row' if axis == 'rows' else 'feature'} ids out of range [0, {limit})")
     if axis == "rows":
-        if len(ids) and (idx[0] < 0 or idx[-1] >= len(dataset)):
-            raise MalformedInput(f"row ids out of range [0, {len(dataset)})")
         return dataset.features[idx]
-    if len(ids) and (idx[0] < 0 or idx[-1] >= dataset.n_features):
-        raise MalformedInput(f"feature ids out of range [0, {dataset.n_features})")
-    return dataset.features[:, idx]
+    return np.moveaxis(dataset.features[:, idx], 0, 1)
 
 
 def _check_axis(axis: str) -> str:
     if axis not in ("rows", "features"):
         raise MalformedInput(f'axis must be "rows" or "features", got {axis!r}')
     return axis
+
+
+# Most float64 values one stack of sets holds: (columns x rows x sets) in a
+# logistic fit, (test points x train points x sets) in a KDE evaluation. A
+# values() call's sets are scored in stacks under it, and a larger set
+# alone. The logistic fit keeps three arrays of this size, 512 KB each, which
+# stay in cache: larger groups measured slower on sets of a thousand rows
+# and more. On KDE inputs uncapped stacks raised peak memory by 8 %, and a
+# 2^14 cap was slower.
+_STACK_ELEMENTS = 1 << 16
 
 
 def _sum_order(test: np.ndarray, train: np.ndarray) -> str:
@@ -202,24 +217,29 @@ def _sum_order(test: np.ndarray, train: np.ndarray) -> str:
 
 
 def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sum_j ((test_ij - train_kj) / h_j)^2 for every (test i, train k) pair.
+    """sum_j ((test_ij - train_kj) / h_j)^2 for every (test i, train k) pair of each set.
 
-    Bitwise `(z * z).sum(axis=2)` of the (n_test, n_train, d) array z, laid
-    out as that sum is. Below 8 features numpy adds the short last axis as
-    one running sum in every layout, so the sum is built from one 2-D array
-    per feature, which skips the slow short-axis reduction. From 8 features
+    test is (sets or 1, n_test, d), train (sets, n_train, d) and h
+    (sets, d). Each set's (n_test, n_train) slice is bitwise
+    `(z * z).sum(axis=2)` of its own (n_test, n_train, d) array z, laid out
+    as that sum is. Below 8 features numpy adds the short last axis as one
+    running sum in every layout, so the sum is built from one 2-D array per
+    feature, which skips the slow short-axis reduction. From 8 features
     numpy sums pairwise with 8 accumulators, and the 3-D form is used. The
     3-D form also takes any input that raises a floating-point error, so
     numpy reports each error once under the caller's error state, not once
     per feature.
     """
-    d = test.shape[1]
+    d = test.shape[2]
     if d < 8:
-        order = _sum_order(test, train)
+        g, n_test, n = len(train), test.shape[1], train.shape[1]
+        # The slices' order, with the sets outermost.
+        c_order = _sum_order(test[0], train[0]) == "C"
 
         def part(j: int) -> np.ndarray:
-            z = np.subtract(test[:, j, None], train[None, :, j], order=order)
-            z /= h[j]
+            z = np.empty((g, n_test, n)) if c_order else np.empty((g, n, n_test)).transpose(0, 2, 1)
+            np.subtract(test[:, :, j, None], train[:, None, :, j], out=z)
+            z /= h[:, j, None, None]
             z *= z
             return z
 
@@ -231,27 +251,27 @@ def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.nd
                 return acc
         except FloatingPointError:
             pass
-    z = (test[:, None, :] - train[None, :, :]) / h
-    return (z * z).sum(axis=2)
+    z = (test[:, :, None, :] - train[:, None, :, :]) / h[:, None, None, :]
+    return (z * z).sum(axis=3)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) with scipy.special.logsumexp's arithmetic.
+    """log(sum(exp(a), axis=-1)) with scipy.special.logsumexp's arithmetic.
 
     Same steps as scipy 1.17: shift by the row max with the tied maxima
     (count m) taken out of the sum, log1p(s / m) + log(m) + max, and the
     direct formula on rows whose max is not finite. `a` is overwritten.
     """
-    a_max = a.max(axis=1)
+    a_max = a.max(axis=-1)
     bad = ~np.isfinite(a_max)
     direct = a[bad]
-    top = a == a_max[:, None]
-    m = np.count_nonzero(top, axis=1).astype(a.dtype)
+    top = a == a_max[..., None]
+    m = np.count_nonzero(top, axis=-1).astype(a.dtype)
     np.copyto(a, -np.inf, where=top)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a -= a_max[:, None]
+        a -= a_max[..., None]
         np.exp(a, out=a)
-        s = a.sum(axis=1)
+        s = a.sum(axis=-1)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
     if len(direct):
@@ -261,17 +281,21 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _kde_log_density(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
-    """Log density of each test point under a product-Gaussian KDE of train.
+    """Log density of each test point under a product-Gaussian KDE of each set's train points.
 
-    Per-dimension Scott bandwidths h_j = std_j * n^(-1/(d+4)), floored so that
-    degenerate dimensions stay usable. Computed in log space throughout.
+    train is a (sets, n, d) stack and test a (sets or 1, n_test, d) one;
+    the result is (sets, n_test). Per-dimension Scott bandwidths
+    h_j = std_j * n^(-1/(d+4)), floored so that degenerate dimensions stay
+    usable. Computed in log space throughout. Every reduction runs within
+    one set, in the order it takes for that set alone, so a set's row has
+    the same bits in any stack.
     """
-    n, d = train.shape
-    std = train.std(axis=0)
+    n, d = train.shape[1:]
+    std = train.std(axis=1)
     h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
     sq = _scaled_sq_dist(test, train, h)
     sq *= -0.5
-    sq -= np.log(h).sum()
+    sq -= np.log(h).sum(axis=1)[:, None, None]
     sq -= 0.5 * d * _LOG_2PI
     return _logsumexp_rows(sq) - math.log(n)
 
@@ -284,6 +308,10 @@ class KdeUtility(UtilityOracle):
     pool's log density at that point, in "nll" mode the clipped negative log
     density itself. Utility is eta minus the total error; the default
     eta = n_test * error_cap keeps it non-negative by construction.
+
+    The sets of one values() call are scored as stacks of equal-size sets,
+    each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
+    set alone; a set's score is the same bits alone or in any batch.
     """
 
     kind = "kde"
@@ -317,25 +345,40 @@ class KdeUtility(UtilityOracle):
             return frozenset(range(len(self.train)))
         return frozenset(range(self.train.n_features))
 
-    def _log_density(self, ids: frozenset[int]) -> np.ndarray:
-        x = _restrict(self.train, ids, self.axis)
+    def _log_density(self, ids_list: list[frozenset[int]]) -> np.ndarray:
+        """The (sets, n_test) log densities of equal-size sets."""
+        x = _restrict(self.train, ids_list, self.axis)
         if self.axis == "rows":
-            t = self.test.features
+            t = self.test.features[None]
         else:
-            t = _restrict(self.test, ids, self.axis)
+            t = _restrict(self.test, ids_list, self.axis)
         return _kde_log_density(x, t, self.floor)
 
     def _score(self, ids: frozenset[int]) -> float:
-        logp = self._log_density(ids)
-        if self.reference == "nll":
-            err = np.clip(-logp, -self.error_cap, self.error_cap)
-        else:
-            err = np.minimum(np.abs(logp - self._pool_logp()), self.error_cap)
-        return self.eta - float(err.sum())
+        return self._score_many([ids])[0]
+
+    def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
+        by_size: dict[int, list[int]] = {}
+        for i, ids in enumerate(ids_list):
+            by_size.setdefault(len(ids), []).append(i)
+        scores = [0.0] * len(ids_list)
+        for size, members in by_size.items():
+            n = size if self.axis == "rows" else len(self.train)
+            step = max(1, _STACK_ELEMENTS // (len(self.test) * n))
+            for at in range(0, len(members), step):
+                group = members[at : at + step]
+                logp = self._log_density([ids_list[i] for i in group])
+                if self.reference == "nll":
+                    err = np.clip(-logp, -self.error_cap, self.error_cap)
+                else:
+                    err = np.minimum(np.abs(logp - self._pool_logp()), self.error_cap)
+                for i, total in zip(group, err.sum(axis=1).tolist()):
+                    scores[i] = self.eta - total
+        return scores
 
     def _pool_logp(self) -> np.ndarray:
         if self._pool_cache is None:
-            self._pool_cache = self._log_density(self._pool_ids())
+            self._pool_cache = self._log_density([self._pool_ids()])[0]
         return self._pool_cache
 
 
@@ -344,13 +387,6 @@ def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sd = x.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
     return (x - mu) / sd, mu, sd
-
-
-# Most float64 values (columns x rows x sets) one stacked logistic fit holds;
-# a values() call's sets are fitted in groups under it, and a larger set
-# alone. The fit keeps three arrays of this size, 512 KB each, which stay in
-# cache: larger groups measured slower on sets of a thousand rows and more.
-_FIT_ELEMENTS = 1 << 16
 
 
 def _tree_steps(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -387,7 +423,7 @@ class LogRegUtility(UtilityOracle):
     than failing.
 
     The sets of one values() call are fitted together as padded gradient
-    descents (see _fit), in groups of at most _FIT_ELEMENTS values, and a
+    descents (see _fit), in groups of at most _STACK_ELEMENTS values, and a
     single set is a batch of one, so a set's score is the same bits alone or
     in any batch.
     """
@@ -438,9 +474,9 @@ class LogRegUtility(UtilityOracle):
             y = (self.train.labels[idx] == self._hi).astype(np.float64)
             xt = self.test.features
         else:
-            x = _restrict(self.train, ids, "features")
+            x = _restrict(self.train, [ids], "features")[0]
             y = (self.train.labels == self._hi).astype(np.float64)
-            xt = _restrict(self.test, ids, "features")
+            xt = _restrict(self.test, [ids], "features")[0]
         return x, y, xt
 
     def _size(self, ids: frozenset[int]) -> tuple[int, int]:
@@ -454,14 +490,14 @@ class LogRegUtility(UtilityOracle):
 
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
         # Largest sets first, so a group's sets are of like sizes and each
-        # group's padded arrays stay under _FIT_ELEMENTS.
+        # group's padded arrays stay under _STACK_ELEMENTS.
         sizes = [self._size(ids) for ids in ids_list]
         order = sorted(range(len(ids_list)), key=sizes.__getitem__, reverse=True)
         scores = [0.0] * len(ids_list)
         at = 0
         while at < len(order):
             rows, width = sizes[order[at]]
-            group = order[at : at + max(1, _FIT_ELEMENTS // (rows * width))]
+            group = order[at : at + max(1, _STACK_ELEMENTS // (rows * width))]
             at += len(group)
             fits, tests = [], []
             for i in group:
@@ -591,9 +627,9 @@ class LinRegUtility(UtilityOracle):
             y = self.train.labels[idx]
             xt = self.test.features
         else:
-            x = _restrict(self.train, ids, "features")
+            x = _restrict(self.train, [ids], "features")[0]
             y = self.train.labels
-            xt = _restrict(self.test, ids, "features")
+            xt = _restrict(self.test, [ids], "features")[0]
         xb = np.hstack([x, np.ones((len(x), 1))])
         w, *_ = np.linalg.lstsq(xb, y, rcond=None)
         pred = np.hstack([xt, np.ones((len(xt), 1))]) @ w
@@ -662,12 +698,18 @@ def make_oracle(
         return AdditiveUtility({int(k): v for k, v in weights.items()}, cache=cache)
     if kind == "set-cover":
         try:
-            game = SetCoverGame(
-                universe=frozenset(inner["universe"]),
-                subsets=tuple(frozenset(s) for s in inner["subsets"]),
-            )
+            universe, subsets = inner["universe"], inner["subsets"]
         except KeyError as exc:
             raise MalformedInput(f"set-cover utility needs {exc.args[0]!r}") from None
+        seq = (list, tuple)
+        ints = ("a list of integers", lambda v: isinstance(v, seq) and all(map(is_integer, v)))
+        items = subsets if isinstance(subsets, seq) else ()
+        check_values(
+            "set-cover utility",
+            [("universe", universe, ints), ("subsets", subsets, ("a list", lambda v: isinstance(v, seq)))]
+            + [(f"subsets[{i}]", s, ints) for i, s in enumerate(items)],
+        )
+        game = SetCoverGame(frozenset(universe), tuple(frozenset(s) for s in subsets))
         return SetCoverUtility(game, cache=cache)
     if train is None or test is None:
         raise MalformedInput(f"utility kind {kind!r} needs train and test datasets")

@@ -155,6 +155,16 @@ class TestShapleyCommand:
             assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+    def test_bad_set_cover_utility_is_a_clean_error(self, runner, additive_files, tmp_path):
+        _, partition = additive_files
+        for i, bad in enumerate([{"universe": [1, 2], "subsets": [["a"], [2]]}, {"universe": "x"}]):
+            utility = write_json(tmp_path / f"cover{i}.json", {"kind": "set-cover", "subsets": [[1], [2]], **bad})
+            res = runner.invoke(main, ["shapley", "--partition", partition, "--utility", utility])
+            assert res.exit_code == 1, res.output
+            assert "Error" in res.stderr and "set-cover" in res.stderr
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 class TestExplainCommand:
     def test_bruteforce_writes_result(self, runner, additive_files, tmp_path):
         utility, partition = additive_files
@@ -314,6 +324,8 @@ class TestExperimentCommand:
                     {"seed": -1},
                     {"utility": {"kind": "additive", "weights": {"0": "x"}}},
                     {"utility": {"kind": "additive", "weights": {"a": 1}}},
+                    {"utility": {"kind": "set-cover", "universe": [1, 2], "subsets": [["a"], [2]]}},
+                    {"utility": {"kind": "set-cover", "universe": "x", "subsets": [[1], [2]]}},
                 ]
                 + [
                     {"allocation": {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 2, key: "x"}}

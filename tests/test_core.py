@@ -88,6 +88,20 @@ class TestTransfer:
         with pytest.raises(SameOwner):
             Transfer("A", "A", frozenset({1}))
 
+    def test_untouched_unions_carry_over(self):
+        p = part(A={1, 2}, B={3}, C={4, 5}, D={5, 6})
+        coalitions = [("C",), ("C", "D"), ("A",), ("A", "C"), ("B", "D"), ("A", "B", "C")]
+        before = {c: p.composed(c) for c in coalitions}
+        q = apply_transfer(p, Transfer("A", "B", frozenset({1})))
+        for c in coalitions:
+            if {"A", "B"}.isdisjoint(c):
+                assert q.composed(c) is before[c]
+            else:
+                assert q.composed(c) == frozenset().union(*(q.entries(o) for o in c))
+        assert q.composed(("A", "C")) == frozenset({2, 4, 5})
+        assert q.composed(("B", "D")) == frozenset({1, 3, 5, 6})
+        assert p.composed(("A", "C")) == frozenset({1, 2, 4, 5})
+
     @given(partitions(), st.data())
     def test_union_preserved(self, p, data):
         ids = p.owner_ids()

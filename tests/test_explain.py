@@ -34,9 +34,9 @@ from shapcf.explain import (
 )
 from shapcf.power import power_exact
 from shapcf.shapley import Estimate, FlipResult, diff_shapley_exact, shapley_exact_all
-from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility
+from shapcf.utility import AdditiveUtility, KdeUtility, LogRegUtility, SetCoverGame, SetCoverUtility
 
-from conftest import random_games
+from conftest import make_blobs, random_games
 
 # The module; `shapcf.explain` as an attribute is the dispatch function.
 explain_module = importlib.import_module("shapcf.explain")
@@ -477,6 +477,41 @@ class TestExactRoute:
             assert (step.power_half_width, step.bandit_samples, step.bandit_converged) == (0.0, 0, True)
             picked += 1
         assert picked >= 10
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("kind", ["kde", "logistic-regression"])
+    def test_race_scores_every_arm_in_one_values_call(self, kind, cache, monkeypatch):
+        train = make_blobs(60, n_features=3, seed=47, sep=1.0)
+        test = make_blobs(20, n_features=3, seed=48, sep=1.0)
+
+        def build():
+            if kind == "kde":
+                return KdeUtility(train, test, cache=cache)
+            return LogRegUtility(train, test, iters=20, cache=cache)
+
+        rng = np.random.default_rng(47)
+        rows = rng.permutation(60).tolist()
+        sizes = [5, 3, 4, 2, 6, 3, 4]  # 7 owners: 32 prefixes per arm
+        owners, at = {}, 0
+        for name, size in zip("ABCDEFG", sizes):
+            owners[name] = rows[at : at + size] + rows[:1]  # every owner shares row rows[0]
+            at += size
+        p = OwnerPartition(owners)
+        ents = sorted(p.entries("A"))
+        oracle, reference = build(), build()
+        calls = []
+        values = oracle.values
+        monkeypatch.setattr(oracle, "values", lambda sets: calls.append(len(sets)) or values(sets))
+        pick = explain_module._Request("svexp", p, oracle, "A", "B", None, None).race(p, ents)
+        powers = [
+            diff_shapley_exact(apply_transfer(p, Transfer("A", "B", frozenset({e}))), reference, "B", "A")
+            for e in ents
+        ]
+        assert calls == [len(ents) * 2 * 2 ** 5]
+        assert [arm.entry for arm in pick.arms] == ents
+        assert [arm.estimate.mean for arm in pick.arms] == powers
+        assert pick.entry == ents[powers.index(max(powers))]
+        assert (oracle.calls, oracle.evals) == (reference.calls, reference.evals)
 
     def test_power_ties_go_to_the_smallest_entry(self):
         oracle = AdditiveUtility({5: 2.0, 3: 2.0, 8: 2.0, 1: 1.0})

@@ -280,6 +280,11 @@ def kde_case(d: int, seed: int, order: str = "C") -> tuple[np.ndarray, np.ndarra
     return train, test
 
 
+def kde_one(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
+    """_kde_log_density of a single set: a stack of one."""
+    return _kde_log_density(train[None], test[None], floor)[0]
+
+
 class TestKdeKernelBits:
     """_kde_log_density is the 3-D array + scipy logsumexp form, bit for bit."""
 
@@ -289,7 +294,7 @@ class TestKdeKernelBits:
             train, test = kde_case(d, d, order)
             # A zero floor leaves the constant column a zero bandwidth (NaN/inf).
             for floor in (1e-3, 0.0):
-                got, got_warnings = with_warnings(_kde_log_density, train, test, floor)
+                got, got_warnings = with_warnings(kde_one, train, test, floor)
                 want, want_warnings = with_warnings(kde_log_density_reference, train, test, floor)
                 assert got.tobytes() == want.tobytes()
                 assert got_warnings == want_warnings
@@ -306,7 +311,7 @@ class TestKdeKernelBits:
             train, test = rng.normal(size=(30, d)), rng.normal(size=(9, d))
             for lay_train in layouts.values():
                 for lay_test in layouts.values():
-                    got = _kde_log_density(lay_train(train), lay_test(test), 1e-3)
+                    got = kde_one(lay_train(train), lay_test(test), 1e-3)
                     want = kde_log_density_reference(lay_train(train), lay_test(test), 1e-3)
                     assert got.tobytes() == want.tobytes()
 
@@ -314,7 +319,7 @@ class TestKdeKernelBits:
     def test_far_point_is_minus_inf_with_the_same_warnings(self, d):
         train, test = kde_case(d, 100 + d)
         test[0] = 1e200
-        got, got_warnings = with_warnings(_kde_log_density, train, test, 1e-3)
+        got, got_warnings = with_warnings(kde_one, train, test, 1e-3)
         want, want_warnings = with_warnings(kde_log_density_reference, train, test, 1e-3)
         assert got[0] == want[0] == -math.inf
         assert np.isfinite(got[1:]).all()
@@ -326,9 +331,9 @@ class TestKdeKernelBits:
         seen = []
         real = KdeUtility._log_density
 
-        def spy(self, ids):
-            seen.append(ids)
-            return real(self, ids)
+        def spy(self, ids_list):
+            seen.extend(ids_list)
+            return real(self, ids_list)
 
         monkeypatch.setattr(KdeUtility, "_log_density", spy)
         feats = housing_dataset.features
@@ -343,6 +348,93 @@ class TestKdeKernelBits:
             err = np.minimum(np.abs(logp - pool_logp), o.error_cap)
             assert o.value(cols.tolist()) == max(0.0, o.eta - float(err.sum()))
         assert seen.count(frozenset(range(d))) == 1
+
+
+def kde_tables(d: int, seed: int, axis: str) -> tuple[Dataset, Dataset]:
+    """Train and test tables with one column that a zero bandwidth floor leaves at 0.
+
+    On rows, column 0 is 1.5 on train rows 0-7, so a set inside those rows
+    (or any single row) has a zero bandwidth there; on features, column 0 is
+    1.5 throughout, so every set holding it has. Such a set's 2-D kernel
+    raises a floating-point error and it takes the 3-D form.
+    """
+    rng = np.random.default_rng(seed)
+    train = rng.normal(size=(40, d)) * rng.uniform(0.5, 5.0, size=d)
+    train[: 8 if axis == "rows" else None, 0] = 1.5
+    test = rng.normal(size=(15, d)) * 3.0
+    names = tuple(f"x{j}" for j in range(d))
+    return Dataset(features=train, feature_names=names), Dataset(features=test, feature_names=names)
+
+
+def kde_sets(train: Dataset, axis: str, rng: np.random.Generator) -> list[frozenset[int]]:
+    """Random sets of 1 to 16 ids; on rows also sets of 3 inside rows 0-7."""
+    pool = len(train) if axis == "rows" else train.n_features
+    sets = [
+        frozenset(rng.choice(pool, size=int(rng.integers(1, min(pool, 16) + 1)), replace=False).tolist())
+        for _ in range(40)
+    ]
+    if axis == "rows":
+        sets += [frozenset(rng.choice(8, size=3, replace=False).tolist()) for _ in range(4)]
+    return sets
+
+
+def bits(scores: list[float]) -> bytes:
+    return np.array(scores, dtype=np.float64).tobytes()
+
+
+class TestKdeBatch:
+    # 9 features take the 3-D kernel, 3 the 2-D one.
+    CASES = [(axis, d, ref) for axis in ("rows", "features") for d in (3, 9) for ref in ("pool", "nll")]
+
+    @pytest.mark.parametrize("floor", [1e-3, 0.0])
+    @pytest.mark.parametrize("axis, d, reference", CASES)
+    def test_same_bits_alone_and_in_any_batch(self, axis, d, reference, floor):
+        train, test = kde_tables(d, 70 + d, axis)
+        rng = np.random.default_rng(d)
+        sets = kde_sets(train, axis, rng)
+        # eta = 0 leaves the unclamped score at minus the error sum, every bit of it.
+        bare = KdeUtility(train, test, axis=axis, reference=reference, bandwidth_floor=floor, eta=0.0)
+        with np.errstate(all="ignore"):
+            alone = {s: bare._score_many([s])[0] for s in sets}
+            for _ in range(4):
+                batch = [sets[i] for i in rng.permutation(len(sets))[: int(rng.integers(2, len(sets) + 1))]]
+                batch += batch[:3]
+                assert bits(bare._score_many(batch)) == bits([alone[s] for s in batch])
+            assert bits(bare._score_many(sets)) == bits([alone[s] for s in sets])
+        if floor == 0.0:
+            # The batches mixed sets whose 2-D kernel raises with sets whose does not.
+            raising = 0
+            for s in sets:
+                with np.errstate(divide="raise", invalid="raise"):
+                    try:
+                        bare._score_many([s])
+                    except FloatingPointError:
+                        raising += 1
+            assert 0 < raising < len(sets)
+
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    def test_stacks_under_the_cap_leave_every_bit(self, axis, monkeypatch):
+        train, test = kde_tables(9, 80, axis)
+        sets = kde_sets(train, axis, np.random.default_rng(81))
+        bare = KdeUtility(train, test, axis=axis, eta=0.0)
+        kernel = utility._kde_log_density
+        stacks = []
+
+        def spy(x, t, floor):
+            stacks.append(x.shape[:2])  # (sets, train points)
+            return kernel(x, t, floor)
+
+        monkeypatch.setattr(utility, "_kde_log_density", spy)
+        whole = bare._score_many(sets)
+        # One stack per set size, and one for the pool's density.
+        assert len(stacks) == len({len(s) for s in sets}) + 1
+        for cap in (1, 1200):
+            stacks.clear()
+            monkeypatch.setattr(utility, "_STACK_ELEMENTS", cap)
+            assert bits(bare._score_many(sets)) == bits(whole)
+            # (sets, test points, train points) under the cap, or one set alone
+            assert all(g == 1 or g * len(test) * n <= cap for g, n in stacks)
+            assert len(stacks) == len(sets) if cap == 1 else any(g > 1 for g, _ in stacks)
 
 
 class TestLogReg:
@@ -438,7 +530,7 @@ class TestLogRegBatch:
         assert len(groups) == 1 and groups[0][0] > 20
         for cap in (1, 150, 600):
             groups.clear()
-            monkeypatch.setattr(utility, "_FIT_ELEMENTS", cap)
+            monkeypatch.setattr(utility, "_STACK_ELEMENTS", cap)
             assert bare._score_many(sets) == whole
             assert len(groups) > 1
             # (columns, rows, sets) under the cap, or one set alone
@@ -548,6 +640,23 @@ class TestFactoryAndCache:
     def test_set_cover_config(self):
         o = make_oracle({"kind": "set-cover", "universe": [1, 2], "subsets": [[1], [2]]})
         assert o.value({1, 2}) == 2 - 2 + (2 + 4) / 8
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"universe": [1, 2], "subsets": [["a"], [2]]},
+            {"universe": "x", "subsets": [[1], [2]]},
+            {"universe": [1, 2.5], "subsets": [[1]]},
+            {"universe": [1, True], "subsets": [[1]]},
+            {"universe": 3, "subsets": [[1]]},
+            {"universe": [1, 2], "subsets": 5},
+            {"universe": [1, 2], "subsets": [1, 2]},
+            {"universe": [1, 2]},
+        ],
+    )
+    def test_bad_set_cover_config(self, bad):
+        with pytest.raises(MalformedInput):
+            make_oracle({"kind": "set-cover", **bad})
 
     def test_data_backed_needs_datasets(self):
         with pytest.raises(MalformedInput):
