@@ -66,7 +66,6 @@ from .utility import (
     SetCoverGame,
     SetCoverUtility,
     UtilityOracle,
-    audit_monotonicity,
     make_oracle,
 )
 

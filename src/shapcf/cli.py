@@ -82,7 +82,8 @@ def shapley(data, test_data, test_ratio, partition_path, utility_path, mode, del
         if train is not None:
             axis = unwrap_config(cfg).get("axis", "rows")
             validate_partition(partition, train, axis=axis)
-        oracle = make_oracle(cfg, train, test)
+        # shapley_mc memoises its coalitions itself; only the exact route reuses the oracle's memo.
+        oracle = make_oracle(cfg, train, test, cache=mode == "exact")
         if mode == "exact":
             values = shapley_exact_all(partition, oracle)
             payload = {

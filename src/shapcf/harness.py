@@ -456,12 +456,23 @@ def _run_cell(
     oracle,
     cell_idx: int,
     cell: tuple[str, dict],
-) -> list[TrialRecord]:
+    served: OwnerPartition | None,
+) -> tuple[list[TrialRecord], OwnerPartition | None]:
+    """The cell's trials, and the partition the oracle's memo now serves.
+
+    The memo is emptied whenever a trial's partition differs from `served`,
+    the partition it was filled for: drawn allocations share almost no
+    coalitions across trials, while natural and vertical ones rebuild the
+    same partition in every trial and cell and keep their memo.
+    """
     label, params = cell
     records: list[TrialRecord] = []
     for trial in range(cfg.trials):
         rng_part = spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial)
         partition = _make_partition(cfg, train, oracle, rng_part, params)
+        if partition != served:
+            oracle.clear_cache()
+            served = partition
         rng_pair = spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial)
         a, b, chk = _select_pair(partition, oracle, rng_pair, cfg, ecfg, params)
         for eng_idx, engine in enumerate(cfg.engines):
@@ -490,7 +501,7 @@ def _run_cell(
                     runtime_s=time.monotonic() - t0,
                 )
             )
-    return records
+    return records, served
 
 
 def run_experiment(
@@ -506,9 +517,11 @@ def run_experiment(
     oracle = make_oracle(cfg.utility, train, test)
     ecfg = cfg.explain_config()
     cells = _cells(cfg, train, oracle)
-    records = [
-        rec for i, cell in enumerate(cells) for rec in _run_cell(cfg, ecfg, train, oracle, i, cell)
-    ]
+    records: list[TrialRecord] = []
+    served = None
+    for i, cell in enumerate(cells):
+        cell_records, served = _run_cell(cfg, ecfg, train, oracle, i, cell, served)
+        records += cell_records
 
     grids, axes = _build_grids(cfg, records, cells)
     summary = summarize(cfg, records, grids, axes)

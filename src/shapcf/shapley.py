@@ -273,6 +273,10 @@ def shapley_mc(
     together. Coalition values are memoised by owner bitmask for the call: a
     coalition seen before costs one dict lookup, a new one one set union (the
     running union is rebuilt only after a run of memo hits) and one oracle call.
+    The oracle's own memo would hold a second copy of every value under a
+    frozenset key, hit only where two coalitions compose the same entries,
+    so build the oracle with cache=False for this call (as `shapcf shapley
+    --mc` does).
     """
     ids = partition.owner_ids()
     ents = [partition.entries(o) for o in ids]

@@ -15,7 +15,6 @@ positions (all training rows used).
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ import numpy as np
 
 from .core import MalformedInput, NonFiniteScore, check_values, is_integer, is_number
 from .datasets import Dataset
-
-log = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -86,6 +83,15 @@ class UtilityOracle:
             for i, first in repeats:
                 out[i] = out[first]
         return out
+
+    def clear_cache(self) -> None:
+        """Empty the coalition memo.
+
+        The counters and any state built once per oracle (such as the KDE
+        pool density) stay; only the memoised coalition values go.
+        """
+        if self._cache is not None:
+            self._cache.clear()
 
     def _score(self, ids: frozenset[int]) -> float:
         raise NotImplementedError
@@ -738,36 +744,3 @@ def make_oracle(
         )
     return LinRegUtility(train, test, eta=inner.get("eta"), axis=axis, cache=cache)
 
-
-def audit_monotonicity(
-    oracle: UtilityOracle,
-    universe: Iterable[int],
-    *,
-    n_pairs: int = 100,
-    rng: np.random.Generator,
-    tol: float = 1e-9,
-) -> list[tuple[frozenset[int], frozenset[int], float]]:
-    """Empirical monotonicity check on random nested pairs D1 subset of D2.
-
-    Returns (D1, D2, gap) for every pair with U(D1) > U(D2) + tol; gaps are
-    also logged. Data-backed utilities are only approximately monotone, so
-    callers choose the tolerance that matters for them.
-    """
-    ids = sorted(int(e) for e in universe)
-    if len(ids) < 2:
-        raise MalformedInput("monotonicity audit needs at least 2 entries")
-    violations: list[tuple[frozenset[int], frozenset[int], float]] = []
-    for _ in range(n_pairs):
-        hi = int(rng.integers(1, len(ids) + 1))
-        d2 = rng.choice(len(ids), size=hi, replace=False)
-        lo = int(rng.integers(0, hi))
-        d1 = rng.choice(d2, size=lo, replace=False) if lo else np.empty(0, dtype=np.intp)
-        big = frozenset(ids[i] for i in d2)
-        small = frozenset(ids[i] for i in d1)
-        gap = oracle.value(small) - oracle.value(big)
-        if gap > tol:
-            log.warning(
-                "monotonicity violation: |D1|=%d |D2|=%d gap=%.6g", len(small), len(big), gap
-            )
-            violations.append((small, big, gap))
-    return violations

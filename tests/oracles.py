@@ -15,13 +15,15 @@ numeric paths: the KDE log density and the Thompson race, which the
 package's faster forms must match bit for bit (tests/test_utility.py,
 tests/test_power.py), and the one-set logistic fit, which the package's
 batched fit must match to 1e-12 (its products are summed in another order).
+It ends with an empirical monotonicity audit of any oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
-from collections.abc import Callable, Collection, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ from scipy.special import logsumexp
 from shapcf.core import (
     DeltaNotOwned,
     EntryId,
+    MalformedInput,
     OwnerId,
     OwnerPartition,
     SameOwner,
@@ -40,6 +43,8 @@ from shapcf.core import (
 from shapcf.power import ArmState, Sampler, Top1Result
 from shapcf.shapley import Estimate
 from shapcf.utility import LogRegUtility, UtilityOracle
+
+log = logging.getLogger(__name__)
 
 PERMUTATION_FORM_LIMIT = 8
 
@@ -364,3 +369,37 @@ def thompson_top1_reference(
         if total_budget is not None:
             room = min(room, total_budget - total)
         feed(chosen, max(1, min(int(batch), room)))
+
+
+def audit_monotonicity(
+    oracle: UtilityOracle,
+    universe: Iterable[int],
+    *,
+    n_pairs: int = 100,
+    rng: np.random.Generator,
+    tol: float = 1e-9,
+) -> list[tuple[frozenset[int], frozenset[int], float]]:
+    """Empirical monotonicity check on random nested pairs D1 subset of D2.
+
+    Returns (D1, D2, gap) for every pair with U(D1) > U(D2) + tol; gaps are
+    also logged. Data-backed utilities are only approximately monotone, so
+    callers choose the tolerance that matters for them.
+    """
+    ids = sorted(int(e) for e in universe)
+    if len(ids) < 2:
+        raise MalformedInput("monotonicity audit needs at least 2 entries")
+    violations: list[tuple[frozenset[int], frozenset[int], float]] = []
+    for _ in range(n_pairs):
+        hi = int(rng.integers(1, len(ids) + 1))
+        d2 = rng.choice(len(ids), size=hi, replace=False)
+        lo = int(rng.integers(0, hi))
+        d1 = rng.choice(d2, size=lo, replace=False) if lo else np.empty(0, dtype=np.intp)
+        big = frozenset(ids[i] for i in d2)
+        small = frozenset(ids[i] for i in d1)
+        gap = oracle.value(small) - oracle.value(big)
+        if gap > tol:
+            log.warning(
+                "monotonicity violation: |D1|=%d |D2|=%d gap=%.6g", len(small), len(big), gap
+            )
+            violations.append((small, big, gap))
+    return violations

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from shapcf import cli
 from shapcf.cli import main
 from shapcf.explain import ExplainConfig
 
@@ -72,6 +73,35 @@ class TestShapleyCommand:
         # Two owners: permutation terms are constant, so the estimate is exact.
         assert val["mean"] == pytest.approx(7.0, abs=1e-9)
         assert val["half_width"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_mc_output_does_not_depend_on_the_oracle_memo(self, runner, tmp_path, monkeypatch):
+        # Overlapping owners (C holds A's rows, D is empty) make some coalitions
+        # compose the same rows, the only case the oracle's memo could hit.
+        data = write_csv(tmp_path / "train.csv", n_rows=30, seed=1)
+        test = write_csv(tmp_path / "test.csv", n_rows=8, seed=2)
+        utility = write_json(tmp_path / "utility.json", {"kind": "kde"})
+        partition = write_json(
+            tmp_path / "partition.json",
+            {"owners": {"A": list(range(0, 8)), "B": list(range(8, 30)), "C": list(range(0, 8)), "D": []}},
+        )
+        args = ["shapley", "--data", data, "--test-data", test, "--partition", partition,
+                "--utility", utility, "--mc", "--budget", "300", "--seed", "4"]
+        real = cli.make_oracle
+        flags = []
+
+        def spy(*a, cache=True, **k):
+            flags.append(cache)
+            return real(*a, cache=cache if forced is None else forced, **k)
+
+        monkeypatch.setattr(cli, "make_oracle", spy)
+        outputs = []
+        for forced in (None, True, False):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+            outputs.append(res.stdout)
+        assert flags == [False, False, False]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["values"]["A"]["count"] == 300
 
     def test_out_file(self, runner, additive_files, tmp_path):
         utility, partition = additive_files

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shapcf import harness
 from shapcf.core import MalformedInput, SizeOverflow, spawn_rng
 from shapcf.datasets import split_dataset
 from shapcf.explain import ExplainConfig
@@ -24,6 +25,7 @@ from shapcf.harness import (
     run_experiment,
     write_outputs,
 )
+from shapcf.utility import UtilityOracle
 
 from conftest import BOSTON_FEATURES, MONTH_SIZES, make_blobs
 
@@ -414,6 +416,89 @@ class TestGridRuns:
             else:
                 assert rec.status == "precondition_not_met"
         assert result.grid_axes == (months, months)
+
+
+def run_watching_memo(cfg, monkeypatch, datasets=None, clear=True):
+    """run_experiment's oracle, the memo size at each clear_cache call, and
+    each explanation's partition; clear=False leaves the memo as it is."""
+    oracles, cleared, partitions = [], [], []
+    real_make, real_clear, real_explain = harness.make_oracle, UtilityOracle.clear_cache, harness.explain
+
+    def make_oracle(*args, **kwargs):
+        oracles.append(real_make(*args, **kwargs))
+        return oracles[-1]
+
+    def clear_cache(self):
+        cleared.append(len(self._cache))
+        if clear:
+            real_clear(self)
+
+    def explain(engine, partition, *args, **kwargs):
+        partitions.append(partition)
+        return real_explain(engine, partition, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "make_oracle", make_oracle)
+        m.setattr(UtilityOracle, "clear_cache", clear_cache)
+        m.setattr(harness, "explain", explain)
+        run_experiment(cfg, datasets=datasets)
+    return oracles[0], cleared, partitions
+
+
+class TestOracleMemoLifetime:
+    @pytest.mark.parametrize(
+        "allocation",
+        [
+            {"kind": "uniform", "size_range": [2, 4]},
+            {"kind": "zipfian", "a": 2, "k1": 2, "k2": 1, "k_max": 3},
+        ],
+    )
+    def test_drawn_partitions_empty_the_memo_every_trial(self, allocation, monkeypatch):
+        weights = {str(i): 1.0 + i % 7 for i in range(40)}
+        cfg = ExperimentConfig.from_json(
+            base_config(
+                utility={"kind": "additive", "weights": weights},
+                engines=["mc"],
+                n_owners=4,
+                allocation=allocation,
+                trials=4,
+            )
+        )
+        oracle, cleared, partitions = run_watching_memo(cfg, monkeypatch)
+        assert len(partitions) == 4
+        # Once per trial; only the first trial finds the memo empty.
+        assert len(cleared) == 4
+        assert cleared[0] == 0 and all(cleared[1:])
+        # What is left are coalitions of the last trial's partition (and of
+        # its transfers, which keep its entries), none of an earlier one.
+        last = partitions[-1].universe()
+        assert oracle._cache and all(key <= last for key in oracle._cache)
+        assert not all(p.universe() <= last for p in partitions[:-1])
+
+    def test_a_natural_grid_keeps_its_memo(self, booking_dataset, monkeypatch):
+        sizes = MONTH_SIZES[:3]
+        subset = booking_dataset.take(range(sum(sizes)))
+        weights = {str(i): 0.01 for i in range(len(subset))}
+        weights.update({"0": 1.0, str(sizes[0]): 2.0, str(sizes[0] + sizes[1]): 4.0})
+        cfg = ExperimentConfig.from_json(
+            {
+                "utility": {"kind": "additive", "weights": weights},
+                "engines": ["mc"],
+                "allocation": {"kind": "natural"},
+                "pair": {"mode": "grid"},
+                "trials": 2,
+                "seed": 41,
+                "sampling": {"check_budget": 300, "pair_budget": 300},
+            }
+        )
+        datasets = (subset, subset.take(range(5)))
+        oracle, cleared, partitions = run_watching_memo(cfg, monkeypatch, datasets)
+        assert len(partitions) == 6 * 2
+        # Every trial of every cell rebuilds the same partition: the memo is
+        # emptied only before the first trial, when it holds nothing.
+        assert cleared == [0]
+        kept, _, _ = run_watching_memo(cfg, monkeypatch, datasets, clear=False)
+        assert oracle.evals == kept.evals
 
 
 class TestDataBackedRuns:

@@ -23,13 +23,12 @@ from shapcf.utility import (
     SetCoverUtility,
     UtilityOracle,
     _kde_log_density,
-    audit_monotonicity,
     make_oracle,
     normalize_kind,
 )
 
 from conftest import make_blobs
-from oracles import kde_log_density_reference, logreg_score_reference, setcover_value
+from oracles import audit_monotonicity, kde_log_density_reference, logreg_score_reference, setcover_value
 
 
 def line_dataset(n: int = 12) -> Dataset:
@@ -222,7 +221,7 @@ class TestKde:
     def test_monotone_within_tolerance(self, pool, caplog):
         train, test = pool
         o = KdeUtility(train, test)
-        with caplog.at_level(logging.WARNING, logger="shapcf.utility"):
+        with caplog.at_level(logging.WARNING, logger="oracles"):
             strict = audit_monotonicity(o, range(len(train)), n_pairs=100, rng=spawn_rng(1234), tol=0.0)
             loose = audit_monotonicity(
                 o, range(len(train)), n_pairs=100, rng=spawn_rng(1234), tol=0.05 * o.eta
@@ -668,6 +667,34 @@ class TestFactoryAndCache:
             o.value({1, 2})
         assert o.evals == 1
         assert o.calls == 5
+
+    def test_clear_cache_keeps_counters_and_pool_density(self, pool, monkeypatch):
+        train, test = pool
+        o = KdeUtility(train, test)
+        seen = []
+        real = KdeUtility._log_density
+
+        def spy(self, ids_list):
+            seen.extend(ids_list)
+            return real(self, ids_list)
+
+        monkeypatch.setattr(KdeUtility, "_log_density", spy)
+        sets = [frozenset(range(5)), frozenset(range(3, 12))]
+        first = o.values(sets)
+        assert (o.calls, o.evals) == (2, 2)
+        o.clear_cache()
+        assert (o.calls, o.evals) == (2, 2)
+        # Both sets are scored again, against the pool density computed once.
+        assert o.values(sets) == first
+        assert (o.calls, o.evals) == (4, 4)
+        assert seen.count(frozenset(range(len(train)))) == 1
+        assert seen.count(sets[0]) == 2
+
+    def test_clear_cache_without_a_memo(self):
+        o = AdditiveUtility({1: 1.0}, cache=False)
+        o.value({1})
+        o.clear_cache()
+        assert (o.calls, o.evals, o.value({1})) == (1, 1, 1.0)
 
     def test_kde_feature_axis_runs(self, housing_dataset):
         o = KdeUtility(housing_dataset, housing_dataset, axis="features")
