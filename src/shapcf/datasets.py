@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MalformedInput, OwnerPartition, UnknownColumn
+from .core import MalformedInput, OwnerPartition, UnknownColumn, is_integer
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,9 @@ def load_partition(source: str | Path | dict) -> OwnerPartition:
     for owner, entries in owners.items():
         if not isinstance(entries, list):
             raise MalformedInput(f"owner {owner!r}: entries must be a list")
-        try:
-            parsed[str(owner)] = frozenset(int(e) for e in entries)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"owner {owner!r}: entry ids must be integers") from None
+        if not all(map(is_integer, entries)):
+            raise MalformedInput(f"owner {owner!r}: entry ids must be integers")
+        parsed[str(owner)] = frozenset(entries)
     return OwnerPartition(parsed)
 
 

@@ -14,16 +14,17 @@ Three engines trade optimality for speed:
   gap, then re-checks the pair. Scales to owner sizes where enumeration is
   hopeless, possibly overshooting the minimal size.
 
-All engines verify their answer with a fresh flip check before reporting
-success, report partial progress on wall-clock timeout, and never raise for
-soft outcomes (statuses cover those); malformed requests raise.
+All engines verify their answer before reporting success (a fresh sampled
+check, or the last exact one), report partial progress on wall-clock timeout,
+and never raise for soft outcomes (statuses cover those); malformed requests raise.
 
 A pair's differential and an entry's power depend on an ordering only
 through the prefix of owners placed before both members of the pair, and n
 owners leave 2^(n-2) such prefixes. While that is at most EXACT_PREFIXES,
 flip checks (flip_check, shared with the harness's pair selection) and
 svexp's race enumerate the prefixes instead of sampling orderings: exact
-answers that draw nothing from the rng and cost less than the draws.
+answers that draw nothing from the rng and cost less than the draws. A
+request scores each shift on one coalition plan (shapley.coalition_plan).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .core import (
     is_number,
 )
 from .power import ArmState, Top1Result, make_power_sampler, thompson_top1
-from .shapley import Estimate, FlipResult, diff_shapley_exact, differential_sets, fold_gaps, is_flipped
+from .shapley import Estimate, FlipResult, coalition_plan, diff_shapley_exact, differentials, is_flipped
 from .utility import UtilityOracle
 
 STATUS_OK = "ok"
@@ -194,13 +195,17 @@ def flip_check(
     if a == b:
         raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
     if _is_small(partition):
-        d = diff_shapley_exact(partition, oracle, a, b)
-        verdict = "flipped" if d < 0.0 else "not_flipped" if d > 0.0 else "undecided"
-        return FlipResult(verdict, Estimate(config.delta, d))
+        return _exact_check(diff_shapley_exact(partition, oracle, a, b), config.delta)
     return (sampled or is_flipped)(
         partition, oracle, a, b, rng,
         delta=config.delta, budget=budget, width_stop=config.width_stop,
     )
+
+
+def _exact_check(d: float, delta: float) -> FlipResult:
+    """flip_check's verdict on an exact differential d."""
+    verdict = "flipped" if d < 0.0 else "not_flipped" if d > 0.0 else "undecided"
+    return FlipResult(verdict, Estimate(delta, d))
 
 
 def _width(est: Estimate) -> float:
@@ -220,6 +225,8 @@ class _Request:
 
     Every flip check of an engine goes through `check`, and every result is
     built by `done`, so the counters and the deadline live in one place.
+    On the exact route (bf always, mc and svexp with few prefixes) they score
+    a's and b's moved sets on the pair's one coalition plan: no moved partition.
     """
 
     def __init__(
@@ -243,43 +250,50 @@ class _Request:
         self.samples = 0
         self.exhausted = False
         self.initial_diff = self.initial_half_width = 0.0
+        exact = engine == "bf" or _is_small(partition)
+        self.plan = coalition_plan(partition, a, b) if exact else None
+        self.last: FlipResult | None = None  # the latest check, or the precheck
 
     def expired(self) -> bool:
         return time.monotonic() - self.start > self.cfg.timeout
 
-    def moved(self, delta: Iterable[EntryId]) -> OwnerPartition:
-        """The request's partition after a gives `delta` to b."""
-        return apply_transfer(self.partition, Transfer(self.a, self.b, frozenset(delta)))
+    def shifted(self, on: OwnerPartition, delta: Iterable[EntryId] = ()) -> float:
+        """Exact differential of a over b once a gives `delta` to b on `on`."""
+        moved = frozenset(delta)
+        pair = (on.entries(self.a) - moved, on.entries(self.b) | moved)
+        return differentials(self.oracle, self.plan, [pair])[0]
 
-    def check(self, partition: OwnerPartition, budget: int) -> FlipResult:
-        """Flip check of the pair on `partition`, counted."""
-        res = flip_check(partition, self.oracle, self.a, self.b, self.rng, self.cfg, budget)
+    def check(self, on: OwnerPartition, budget: int, delta: Iterable[EntryId] = ()) -> FlipResult:
+        """Flip check of the pair once a gives `delta` to b on `on`, counted."""
+        if self.plan is not None:
+            res = _exact_check(self.shifted(on, delta), self.cfg.delta)
+        else:
+            if delta:
+                on = apply_transfer(on, Transfer(self.a, self.b, frozenset(delta)))
+            res = flip_check(on, self.oracle, self.a, self.b, self.rng, self.cfg, budget)
         self.samples += res.estimate.count
         self.exhausted |= res.budget_exhausted
+        self.last = res
         return res
+
+    def verify(self, on: OwnerPartition, delta: Iterable[EntryId] = ()) -> FlipResult:
+        """The answer's final check; an exact one is the latest check, of the same transfer."""
+        return self.last if self.plan is not None else self.check(on, self.cfg.verify(), delta)
 
     def race(self, partition: OwnerPartition, entries: list[EntryId]) -> Top1Result:
         """The entry of a with the highest power on `partition`, counted.
 
-        With few prefixes every entry's power is exact (the differential of b
-        over a once the entry moves, as power_exact) and the argmax wins,
+        On the exact route every entry's power is exact (the differential of
+        b over a once the entry moves, as power_exact) and the argmax wins,
         ties going to the smallest entry id; no samples are drawn. All the
-        entries' coalition sets go to the oracle in one values() call.
-        Otherwise the entries run a Thompson race.
+        entries' sets go to the oracle in one values() call. Otherwise the
+        entries run a Thompson race.
         """
         cfg, a, b = self.cfg, self.a, self.b
-        if _is_small(partition):
-            ents = sorted(entries)
-            parts = [
-                differential_sets(apply_transfer(partition, Transfer(a, b, frozenset({e}))), b, a)
-                for e in ents
-            ]
-            vals = self.oracle.values([s for sets, _ in parts for s in sets])
-            arms, at = [], 0
-            for e, (sets, weights) in zip(ents, parts):
-                power = fold_gaps(vals[at : at + len(sets)], weights)
-                arms.append(ArmState(e, Estimate(cfg.delta, power)))
-                at += len(sets)
+        if self.plan is not None:
+            ents, ents_a, ents_b = sorted(entries), partition.entries(a), partition.entries(b)
+            powers = differentials(self.oracle, self.plan, [(ents_b | {e}, ents_a - {e}) for e in ents])
+            arms = [ArmState(e, Estimate(cfg.delta, power)) for e, power in zip(ents, powers)]
             best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
             return Top1Result(best.entry, tuple(arms), 0, True, False)
         pick = thompson_top1(
@@ -307,7 +321,7 @@ class _Request:
         if initial is None:
             pre = self.check(self.partition, self.cfg.check_budget)
         else:
-            pre = initial
+            pre = self.last = initial
             self.exhausted |= pre.budget_exhausted
         self.initial_diff = pre.estimate.mean
         self.initial_half_width = pre.estimate.half_width if pre.estimate.count >= 2 else 0.0
@@ -371,23 +385,20 @@ def explain_bruteforce(
             f"brute force over {len(ents)} entries exceeds the limit {cfg.bf_entry_limit}"
         )
 
-    def diff(delta) -> float:
-        return diff_shapley_exact(req.moved(delta), oracle, a, b)
-
-    req.initial_diff = diff(())
-    if req.initial_diff <= 0.0:
+    d = req.initial_diff = req.shifted(partition)
+    if d <= 0.0:
         return req.done(STATUS_NOT_MET)
     tested = 0
     for combo in _subsets(ents):
         if req.expired():
             return req.done(STATUS_TIMEOUT, tested=tested)
-        d = diff(combo)
+        d = req.shifted(partition, combo)
         tested += 1
         if d < 0.0:
             return req.done(STATUS_OK, combo, True, d, tested)
-    # Even the full transfer does not flip; hand back everything as the
-    # best-effort answer.
-    return req.done(STATUS_OK, ents, False, diff(ents), tested)
+    # Even the full transfer (the last subset) does not flip; hand back
+    # everything as the best-effort answer.
+    return req.done(STATUS_OK, ents, False, d, tested)
 
 
 def explain_mc(
@@ -405,7 +416,7 @@ def explain_mc(
     Each candidate subset gets a fresh sequential check with check_budget
     permutations; undecided checks count as not flipped. The first flipped
     subset (or, failing that, all of a's entries) is re-verified with
-    verify_budget permutations before reporting success.
+    verify_budget permutations; an exact check stands as its own verification.
     """
     req = _Request("mc", partition, oracle, a, b, rng, config)
     cfg = req.cfg
@@ -417,13 +428,13 @@ def explain_mc(
     for combo in _subsets(ents):
         if req.expired():
             return req.done(STATUS_TIMEOUT, tested=tested)
-        check = req.check(req.moved(combo), cfg.check_budget)
+        check = req.check(partition, cfg.check_budget, combo)
         tested += 1
         if check.verdict == "flipped":
             break
     else:
         combo = ents
-    final = req.check(req.moved(combo), cfg.verify())
+    final = req.verify(partition, combo)
     return req.done(STATUS_OK, combo, final.verdict == "flipped", final.estimate, tested)
 
 
@@ -490,7 +501,7 @@ def explain_svexp(
         if check.verdict == "flipped":
             break
 
-    final = req.check(current, cfg.verify())
+    final = req.verify(current)
     return req.done(
         STATUS_OK, transferred, final.verdict == "flipped", final.estimate, len(steps), steps
     )

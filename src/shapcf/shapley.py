@@ -155,27 +155,42 @@ def shapley_exact_all(
     }
 
 
-def differential_sets(
-    partition: OwnerPartition, a: OwnerId, b: OwnerId
+def coalition_plan(
+    partition: OwnerPartition, a: OwnerId, b: OwnerId, *, owner_limit: int = EXACT_OWNER_LIMIT
 ) -> tuple[list[frozenset[int]], list[float]]:
-    """The composed sets and weights of the exact differential of a over b (a != b).
+    """The coalition unions and weights of the exact differential of a over b.
 
-    For each coalition S of the other n-2 owners, the sets S + a and S + b
-    in that order and the weight 1 / ((|S|+1) * C(n-1, |S|+1)); fold_gaps of
-    their values is the differential.
+    For each coalition S of the other n-2 owners (by size, then combinations
+    order), S's entry union and weight 1 / ((|S|+1) * C(n-1, |S|+1)). A
+    transfer between a and b changes none of them: one plan serves them all.
     """
     n = partition.n
-    ents_a = partition.entries(a)
-    ents_b = partition.entries(b)
+    if n > owner_limit:
+        raise TooManyOwners(f"exact differential over {n} owners exceeds the limit {owner_limit}")
     others = [o for o in partition.owner_ids() if o not in (a, b)]
-    sets, weights = [], []
-    for r in range(len(others) + 1):
+    bases, weights = [], []
+    for r in range(n - 1):  # len(others) + 1 unless a == b
         w = 1.0 / ((r + 1) * math.comb(n - 1, r + 1))
         for combo in itertools.combinations(others, r):
-            base = partition.composed(combo)
-            sets += (base | ents_a, base | ents_b)
+            bases.append(partition.composed(combo))
             weights.append(w)
-    return sets, weights
+    return bases, weights
+
+
+def differentials(
+    oracle: UtilityOracle,
+    plan: tuple[list[frozenset[int]], list[float]],
+    pairs: list[tuple[frozenset[int], frozenset[int]]],
+) -> list[float]:
+    """The exact differential of x over y on a coalition plan, for each entry-set pair (x, y).
+
+    Each is fold_gaps of the values of base + x and base + y for each base,
+    in that order; every pair's sets go to the oracle in one values() call.
+    """
+    bases, weights = plan
+    vals = oracle.values([s for x, y in pairs for base in bases for s in (base | x, base | y)])
+    k = 2 * len(bases)
+    return [fold_gaps(vals[i : i + k], weights) for i in range(0, len(vals), k)]
 
 
 def diff_shapley_exact(
@@ -191,15 +206,9 @@ def diff_shapley_exact(
     Sums [U(S + a) - U(S + b)] / ((|S|+1) * C(n-1, |S|+1)) over coalitions S
     drawn from the other n-2 owners. Equals shapley_exact(a) - shapley_exact(b).
     """
-    n = partition.n
-    if n > owner_limit:
-        raise TooManyOwners(f"exact differential over {n} owners exceeds the limit {owner_limit}")
-    partition.entries(a)  # an unknown owner raises even when a == b
-    partition.entries(b)
-    if a == b:
-        return 0.0
-    sets, weights = differential_sets(partition, a, b)
-    return fold_gaps(oracle.values(sets), weights)
+    ents = (partition.entries(a), partition.entries(b))  # an unknown owner raises even when a == b
+    plan = coalition_plan(partition, a, b, owner_limit=owner_limit)
+    return differentials(oracle, plan, [ents])[0] if a != b else 0.0
 
 
 def differential_term(

@@ -112,9 +112,10 @@ class AdditiveUtility(UtilityOracle):
         if bad:
             raise MalformedInput(f"additive weights must be finite and >= 0, bad entries {bad[:8]}")
 
-    def _score(self, ids: frozenset[int]) -> float:
-        try:
-            return math.fsum(self.weights[e] for e in ids)
+    def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
+        weight = self.weights.__getitem__
+        try:  # fsum is correctly rounded, so the order of the entries is immaterial
+            return [math.fsum(map(weight, ids)) for ids in ids_list]
         except KeyError as exc:
             raise MalformedInput(f"no weight for entry {exc.args[0]}") from None
 

@@ -170,6 +170,15 @@ class TestShapleyCommand:
             assert "Error" in res.stderr and "not valid JSON" in res.stderr
             assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_non_integer_entry_ids_are_clean_errors(self, runner, additive_files, tmp_path, bad):
+        utility, _ = additive_files
+        partition = write_json(tmp_path / "partition.json", {"owners": {"A": [0, bad], "B": [2]}})
+        res = runner.invoke(main, ["shapley", "--partition", partition, "--utility", utility])
+        assert res.exit_code == 1, res.output
+        assert "Error" in res.stderr and "entry ids must be integers" in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_bad_options_are_clean_errors(self, runner, additive_files):
         utility, partition = additive_files
         for args in (

@@ -13,6 +13,7 @@ from shapcf.core import (
     OwnerPartition,
     SameOwner,
     TooLarge,
+    TooManyOwners,
     Transfer,
     UnknownOwner,
     apply_transfer,
@@ -33,10 +34,19 @@ from shapcf.explain import (
     flip_check,
 )
 from shapcf.power import power_exact
-from shapcf.shapley import Estimate, FlipResult, diff_shapley_exact, shapley_exact_all
+from shapcf.shapley import (
+    EXACT_OWNER_LIMIT,
+    Estimate,
+    FlipResult,
+    coalition_plan,
+    diff_shapley_exact,
+    differentials,
+    shapley_exact_all,
+)
 from shapcf.utility import AdditiveUtility, KdeUtility, LogRegUtility, SetCoverGame, SetCoverUtility
 
 from conftest import make_blobs, random_games
+from oracles import shapley_by_definition
 
 # The module; `shapcf.explain` as an attribute is the dispatch function.
 explain_module = importlib.import_module("shapcf.explain")
@@ -579,3 +589,132 @@ class TestExactRoute:
         assert (a, b) == ("A", "B")
         expected = {"shapcf.explain.is_flipped", "shapcf.explain.thompson_top1", "shapcf.harness.is_flipped"}
         assert set(calls) == (expected if sampled else set())
+
+
+
+class TestCoalitionPlan:
+    """The exact route scores every shift on one coalition plan per request."""
+
+    MAX_OWNERS = TestExactRoute.MAX_OWNERS
+
+    @staticmethod
+    def games():
+        """40 games of 2-9 owners, with a above b where the game allows it."""
+        games = random_games(seed=61, count=40, n_hi=TestCoalitionPlan.MAX_OWNERS, pool=6)
+        for i, (p, oracle) in enumerate(games):
+            a, b = p.owner_ids()[:2]
+            if diff_shapley_exact(p, oracle, a, b) < 0.0:
+                a, b = b, a
+            yield i, p, oracle, a, b
+
+    def test_shifts_and_powers_have_the_bits_of_moved_partitions(self, monkeypatch):
+        shifts, races = [], []
+        request = explain_module._Request
+        shifted, race = request.shifted, request.race
+
+        def spy_shifted(req, on, delta=()):
+            d = shifted(req, on, delta)
+            shifts.append((req, on, frozenset(delta), d))
+            return d
+
+        def spy_race(req, partition, entries):
+            pick = race(req, partition, entries)
+            races.append((req, partition, pick))
+            return pick
+
+        monkeypatch.setattr(request, "shifted", spy_shifted)
+        monkeypatch.setattr(request, "race", spy_race)
+        sizes, shared, empty = set(), 0, 0
+        for i, p, oracle, a, b in self.games():
+            sizes.add(p.n)
+            shared += bool(p.entries(a) & p.entries(b))
+            empty += any(not p.entries(o) for o in p.owner_ids())
+            explain_bruteforce(p, oracle, a, b)
+            explain_mc(p, oracle, a, b, spawn_rng(61, i))
+            explain_svexp(p, oracle, a, b, spawn_rng(62, i))
+        assert sizes == set(range(2, self.MAX_OWNERS + 1)) and shared >= 5 and empty >= 5
+        for req, on, delta, d in shifts:
+            moved = apply_transfer(on, Transfer(req.a, req.b, delta))
+            assert d == diff_shapley_exact(moved, req.oracle, req.a, req.b)
+        powers = [
+            (arm.estimate.mean, power_exact(partition, req.oracle, req.a, req.b, arm.entry))
+            for req, partition, pick in races
+            for arm in pick.arms
+        ]
+        assert all(got == want for got, want in powers)
+        assert len(shifts) > 300 and len(powers) > 100
+
+    def test_no_moved_partition_per_subset_or_arm(self, monkeypatch):
+        counts = {"apply_transfer": 0, "diff_shapley_exact": 0}
+        for name in counts:
+            original = getattr(explain_module, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(explain_module, name, wrapper)
+        rounds = 0
+        for i, p, oracle, a, b in self.games():
+            explain_bruteforce(p, oracle, a, b)
+            explain_mc(p, oracle, a, b, spawn_rng(63, i))
+            assert counts["apply_transfer"] == 0
+            res = explain_svexp(p, oracle, a, b, spawn_rng(64, i))
+            assert counts["apply_transfer"] == len(res.steps)  # one per round, none per arm
+            counts["apply_transfer"] = 0
+            rounds += len(res.steps)
+        assert rounds > 20
+        assert counts["diff_shapley_exact"] == 0  # that name now serves pair selection only
+
+    def test_exact_verification_reuses_the_last_check(self):
+        checked, failed = 0, 0
+        for i, p, oracle, a, b in [*self.games(), (40, *stubborn_pair())]:
+            for engine in ("bf", "mc", "svexp"):
+                oracle.clear_cache()
+                calls = oracle.calls
+                res = explain(engine, p, oracle, a, b, spawn_rng(65, i))
+                if res.status != STATUS_OK:
+                    continue
+                if engine != "svexp":
+                    # the precheck and one differential per subset: no recomputation
+                    assert oracle.calls - calls == (1 + res.subsets_tested) * 2 ** (p.n - 1)
+                evals = oracle.evals
+                moved = apply_transfer(p, Transfer(a, b, frozenset(res.delta)))
+                assert res.final_diff == diff_shapley_exact(moved, oracle, a, b)
+                assert oracle.evals == evals  # the final check's sets were all scored already
+                assert res.success == (res.final_diff < 0.0) and res.final_half_width == 0.0
+                checked += 1
+                failed += not res.success
+        assert checked > 60 and failed >= 3
+
+    def test_verification_reuse_leaves_evals_unchanged(self):
+        def rescored(engine, p, oracle, a, b, rng):
+            res = explain(engine, p, oracle, a, b, rng)
+            if res.status == STATUS_OK:  # what a recomputed verification would add
+                diff_shapley_exact(apply_transfer(p, Transfer(a, b, frozenset(res.delta))), oracle, a, b)
+            return res
+
+        for i, p, oracle, a, b in self.games():
+            for engine in ("bf", "mc", "svexp"):
+                oracle.clear_cache()
+                evals = oracle.evals
+                explain(engine, p, oracle, a, b, spawn_rng(67, i))
+                reused = oracle.evals - evals
+                oracle.clear_cache()
+                evals = oracle.evals
+                rescored(engine, p, oracle, a, b, spawn_rng(67, i))
+                assert oracle.evals - evals == reused
+
+    def test_plan_differentials_match_the_definition(self):
+        for p, oracle in random_games(seed=66, count=12, n_hi=5):
+            values = shapley_by_definition(p.owners, oracle.value)
+            for a, b in itertools.permutations(p.owner_ids(), 2):
+                got = differentials(oracle, coalition_plan(p, a, b), [(p.entries(a), p.entries(b))])
+                assert got[0] == pytest.approx(values[a] - values[b], abs=1e-9)
+
+    def test_bruteforce_owner_limit_is_unchanged(self):
+        p = OwnerPartition({f"O{i}": frozenset({i}) for i in range(EXACT_OWNER_LIMIT + 1)})
+        oracle = AdditiveUtility({i: 1.0 for i in range(EXACT_OWNER_LIMIT + 1)})
+        limit = f"exact differential over {EXACT_OWNER_LIMIT + 1} owners exceeds the limit {EXACT_OWNER_LIMIT}"
+        with pytest.raises(TooManyOwners, match=limit):
+            explain_bruteforce(p, oracle, "O0", "O1")

@@ -14,7 +14,7 @@ import pytest
 
 from shapcf import harness
 from shapcf.core import MalformedInput, SizeOverflow, spawn_rng
-from shapcf.datasets import split_dataset
+from shapcf.datasets import load_partition, split_dataset
 from shapcf.explain import ExplainConfig
 from shapcf.harness import (
     ExperimentConfig,
@@ -582,3 +582,17 @@ class TestRunErrors:
         cfg = ExperimentConfig.from_json(base_config(pair={"mode": "grid"}))
         with pytest.raises(MalformedInput):
             run_experiment(cfg)
+
+
+class TestLoadPartition:
+    def test_integer_ids_are_read(self, tmp_path):
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps({"owners": {"A": [0, 1], "B": [2], "C": []}}))
+        for source in (path, str(path), json.loads(path.read_text())):
+            assert load_partition(source).owners == {"A": {0, 1}, "B": {2}, "C": frozenset()}
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None, [1]])
+    def test_non_integer_ids_are_rejected(self, bad):
+        with pytest.raises(MalformedInput, match="owner 'A': entry ids must be integers"):
+            load_partition({"owners": {"A": [0, bad], "B": [2]}})
+

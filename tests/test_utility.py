@@ -60,8 +60,19 @@ class TestAdditive:
             AdditiveUtility({1: -0.5})
 
     def test_unknown_entry(self):
-        with pytest.raises(MalformedInput):
+        with pytest.raises(MalformedInput, match="no weight for entry 2"):
             AdditiveUtility({1: 1.0}).value({2})
+        with pytest.raises(MalformedInput, match="no weight for entry 3"):
+            AdditiveUtility({1: 1.0}).values([{1}, {1, 3}])
+
+    def test_batch_has_the_bits_of_a_sum_in_any_order(self):
+        rng = np.random.default_rng(5)
+        weights = {i: float(w) for i, w in enumerate(rng.uniform(0.0, 1e3, 40) ** rng.uniform(-3, 3, 40))}
+        sets = [frozenset(int(e) for e in rng.choice(40, size=int(k), replace=False)) for k in rng.integers(0, 40, 50)]
+        oracle = AdditiveUtility(weights, cache=False)
+        for ids, got in zip(sets, oracle.values(sets)):
+            order = sorted(ids, key=lambda e: rng.random())
+            assert got == math.fsum(weights[e] for e in order) == math.fsum(weights[e] for e in sorted(ids))
 
     @given(st.dictionaries(st.integers(0, 10), st.floats(0.0, 10.0), min_size=2), st.data())
     def test_exactly_monotone(self, weights, data):
