@@ -78,6 +78,17 @@ Rule = tuple[str, Callable[[object], bool]]
 COUNT_RULE: Rule = ("an integer >= 1", lambda v: is_integer(v) and v >= 1)
 
 
+def entry_ids(owner: OwnerId, ids: Iterable[object]) -> frozenset[EntryId]:
+    """`ids` as a frozenset of int entry ids; any other id raises MalformedInput."""
+    ids = list(ids)
+    if set(map(type, ids)) <= {int}:  # the common case, without a check per id
+        return frozenset(ids)
+    bad = [e for e in ids if not is_integer(e)]
+    if bad:
+        raise MalformedInput(f"owner {owner!r}: entry ids must be integers, got {bad[:8]!r}")
+    return frozenset(map(int, ids))
+
+
 def check_values(what: str, checks: Iterable[tuple[str, object, Rule]]) -> None:
     """Raise MalformedInput naming every (name, value, rule) whose value fails its rule."""
     bad = [f"{name}={value!r} (need {need})" for name, value, (need, ok) in checks if not ok(value)]
@@ -104,7 +115,7 @@ class OwnerPartition:
     )
 
     def __post_init__(self) -> None:
-        normalized = {str(o): frozenset(int(e) for e in ents) for o, ents in self.owners.items()}
+        normalized = {str(o): entry_ids(o, ents) for o, ents in self.owners.items()}
         if len(normalized) < 2:
             raise MalformedInput(f"a partition needs at least 2 owners, got {len(normalized)}")
         object.__setattr__(self, "owners", normalized)
@@ -133,7 +144,7 @@ class OwnerPartition:
             unknown = key - self.owners.keys()
             if unknown:
                 raise UnknownOwner(f"unknown owners {sorted(unknown)}")
-            cached = frozenset().union(*(self.owners[o] for o in key)) if key else frozenset()
+            cached = frozenset().union(*(self.owners[o] for o in key))
             self._composed[key] = cached
         return cached
 
@@ -147,7 +158,7 @@ class Transfer:
     delta: frozenset[EntryId]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", frozenset(int(e) for e in self.delta))
+        object.__setattr__(self, "delta", entry_ids(self.source, self.delta))
         if self.source == self.target:
             raise SameOwner(f"transfer source and target are both {self.source!r}")
 
@@ -157,8 +168,7 @@ def apply_transfer(partition: OwnerPartition, transfer: Transfer) -> OwnerPartit
 
     Entries leave the source and join the target; other owners are untouched,
     so the union of all owner sets is preserved. The source may end up empty.
-    The new partition starts with every cached coalition union that holds
-    neither the source nor the target, since those unions do not change.
+    The new partition caches its coalition unions afresh.
     """
     src = partition.entries(transfer.source)
     missing = transfer.delta - src
@@ -169,12 +179,7 @@ def apply_transfer(partition: OwnerPartition, transfer: Transfer) -> OwnerPartit
     owners = dict(partition.owners)
     owners[transfer.source] = src - transfer.delta
     owners[transfer.target] = partition.entries(transfer.target) | transfer.delta
-    moved = OwnerPartition(owners)
-    touched = (transfer.source, transfer.target)
-    moved._composed.update(
-        (key, union) for key, union in partition._composed.items() if key.isdisjoint(touched)
-    )
-    return moved
+    return OwnerPartition(owners)
 
 
 # Rows drawn per kernel call at most; bounds memory for large budgets without

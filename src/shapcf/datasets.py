@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MalformedInput, OwnerPartition, UnknownColumn, is_integer
+from .core import MalformedInput, OwnerPartition, UnknownColumn
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,15 @@ def load_csv(
     kept as strings. Every remaining column must parse as a finite float.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInput(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"{path}: cannot read the file ({exc})") from None
+    if header is None:
+        raise MalformedInput(f"{path}: empty file")
     for name in (label, group):
         if name is not None and name not in header:
             raise UnknownColumn(f"{path}: no column named {name!r}")
@@ -167,14 +169,10 @@ def load_partition(source: str | Path | dict) -> OwnerPartition:
     owners = source["owners"]
     if not isinstance(owners, dict):
         raise MalformedInput('"owners" must map owner ids to entry lists')
-    parsed: dict[str, frozenset[int]] = {}
     for owner, entries in owners.items():
         if not isinstance(entries, list):
             raise MalformedInput(f"owner {owner!r}: entries must be a list")
-        if not all(map(is_integer, entries)):
-            raise MalformedInput(f"owner {owner!r}: entry ids must be integers")
-        parsed[str(owner)] = frozenset(entries)
-    return OwnerPartition(parsed)
+    return OwnerPartition(owners)
 
 
 def validate_partition(partition: OwnerPartition, dataset: Dataset, *, axis: str = "rows") -> None:

@@ -223,10 +223,12 @@ def _subsets(entries: list[EntryId]):
 class _Request:
     """One explanation request: its pair, rng, config, clock and sample counters.
 
-    Every flip check of an engine goes through `check`, and every result is
-    built by `done`, so the counters and the deadline live in one place.
-    On the exact route (bf always, mc and svexp with few prefixes) they score
-    a's and b's moved sets on the pair's one coalition plan: no moved partition.
+    Engines judge shifts: `moved` is the set of a's entries that a gives b.
+    Every flip check goes through `check`, and every result is built by
+    `done`, so the counters and the deadline live in one place. On the exact
+    route (bf always, mc and svexp with few prefixes) a shift is scored as
+    (A - moved, B | moved) on the pair's one coalition plan: no partition is
+    built. The sampled route builds the moved partition and keeps the last.
     """
 
     def __init__(
@@ -241,8 +243,7 @@ class _Request:
     ) -> None:
         if a == b:
             raise SameOwner(f"explanation needs two distinct owners, got {a!r} twice")
-        partition.entries(a)
-        partition.entries(b)
+        self.ents_a, self.ents_b = partition.entries(a), partition.entries(b)
         self.engine, self.partition, self.oracle = engine, partition, oracle
         self.a, self.b, self.rng = a, b, rng
         self.cfg = config or ExplainConfig()
@@ -250,55 +251,56 @@ class _Request:
         self.samples = 0
         self.exhausted = False
         self.initial_diff = self.initial_half_width = 0.0
-        exact = engine == "bf" or _is_small(partition)
-        self.plan = coalition_plan(partition, a, b) if exact else None
+        self.plan = coalition_plan(partition, a, b) if engine == "bf" or _is_small(partition) else None
         self.last: FlipResult | None = None  # the latest check, or the precheck
+        self._shift: tuple[frozenset[EntryId], OwnerPartition] = (frozenset(), partition)
 
     def expired(self) -> bool:
         return time.monotonic() - self.start > self.cfg.timeout
 
-    def shifted(self, on: OwnerPartition, delta: Iterable[EntryId] = ()) -> float:
-        """Exact differential of a over b once a gives `delta` to b on `on`."""
-        moved = frozenset(delta)
-        pair = (on.entries(self.a) - moved, on.entries(self.b) | moved)
-        return differentials(self.oracle, self.plan, [pair])[0]
+    def _moved(self, moved: frozenset[EntryId]) -> OwnerPartition:
+        """The partition once a gives `moved` to b; the last one built is kept."""
+        if moved != self._shift[0]:
+            self._shift = (moved, apply_transfer(self.partition, Transfer(self.a, self.b, moved)))
+        return self._shift[1]
 
-    def check(self, on: OwnerPartition, budget: int, delta: Iterable[EntryId] = ()) -> FlipResult:
-        """Flip check of the pair once a gives `delta` to b on `on`, counted."""
+    def check(self, budget: int, moved: Iterable[EntryId] = ()) -> FlipResult:
+        """Flip check of the pair once a gives `moved` to b, counted."""
+        moved = frozenset(moved)
         if self.plan is not None:
-            res = _exact_check(self.shifted(on, delta), self.cfg.delta)
+            pair = (self.ents_a - moved, self.ents_b | moved)
+            res = _exact_check(differentials(self.oracle, self.plan, [pair])[0], self.cfg.delta)
         else:
-            if delta:
-                on = apply_transfer(on, Transfer(self.a, self.b, frozenset(delta)))
-            res = flip_check(on, self.oracle, self.a, self.b, self.rng, self.cfg, budget)
+            res = flip_check(self._moved(moved), self.oracle, self.a, self.b, self.rng, self.cfg, budget)
         self.samples += res.estimate.count
         self.exhausted |= res.budget_exhausted
         self.last = res
         return res
 
-    def verify(self, on: OwnerPartition, delta: Iterable[EntryId] = ()) -> FlipResult:
-        """The answer's final check; an exact one is the latest check, of the same transfer."""
-        return self.last if self.plan is not None else self.check(on, self.cfg.verify(), delta)
+    def verify(self, moved: Iterable[EntryId] = ()) -> FlipResult:
+        """The answer's final check; an exact one is the latest check, of the same shift."""
+        return self.last if self.plan is not None else self.check(self.cfg.verify(), moved)
 
-    def race(self, partition: OwnerPartition, entries: list[EntryId]) -> Top1Result:
-        """The entry of a with the highest power on `partition`, counted.
+    def race(self, moved: Iterable[EntryId]) -> Top1Result:
+        """The entry of a with the highest power once a gives `moved` to b, counted.
 
-        On the exact route every entry's power is exact (the differential of
-        b over a once the entry moves, as power_exact) and the argmax wins,
-        ties going to the smallest entry id; no samples are drawn. All the
-        entries' sets go to the oracle in one values() call. Otherwise the
-        entries run a Thompson race.
+        The arms are a's remaining entries. On the exact route every entry's
+        power is exact (the differential of b over a once the entry moves
+        too, as power_exact) and the argmax wins, ties going to the smallest
+        entry id; no samples are drawn. All the entries' sets go to the
+        oracle in one values() call. Otherwise the entries run a Thompson race.
         """
-        cfg, a, b = self.cfg, self.a, self.b
+        cfg, moved = self.cfg, frozenset(moved)
+        left, got = self.ents_a - moved, self.ents_b | moved
+        ents = sorted(left)
         if self.plan is not None:
-            ents, ents_a, ents_b = sorted(entries), partition.entries(a), partition.entries(b)
-            powers = differentials(self.oracle, self.plan, [(ents_b | {e}, ents_a - {e}) for e in ents])
+            powers = differentials(self.oracle, self.plan, [(got | {e}, left - {e}) for e in ents])
             arms = [ArmState(e, Estimate(cfg.delta, power)) for e, power in zip(ents, powers)]
             best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
             return Top1Result(best.entry, tuple(arms), 0, True, False)
         pick = thompson_top1(
-            entries,
-            make_power_sampler(partition, self.oracle, a, b),
+            ents,
+            make_power_sampler(self._moved(moved), self.oracle, self.a, self.b),
             self.rng,
             delta=cfg.delta,
             epsilon=cfg.epsilon,
@@ -319,7 +321,7 @@ class _Request:
         with |mean| > 1 can never fire first.
         """
         if initial is None:
-            pre = self.check(self.partition, self.cfg.check_budget)
+            pre = self.check(self.cfg.check_budget)
         else:
             pre = self.last = initial
             self.exhausted |= pre.budget_exhausted
@@ -330,28 +332,24 @@ class _Request:
     def done(
         self,
         status: str,
-        delta: Iterable[EntryId] = (),
+        moved: Iterable[EntryId] = (),
         success: bool = False,
-        final: Estimate | float | None = None,
+        final: Estimate | None = None,
         tested: int = 0,
         steps: Iterable[TransferStep] = (),
     ) -> CounterfactualResult:
-        """The result; a float `final` is an exact differential (half-width 0)."""
-        if isinstance(final, Estimate):
-            final_diff, final_half_width = final.mean, _width(final)
-        else:
-            final_diff, final_half_width = final, None if final is None else 0.0
+        """The result; `final` is the answer's final check, if one ran."""
         return CounterfactualResult(
             engine=self.engine,
             a=self.a,
             b=self.b,
             status=status,
-            delta=tuple(sorted(delta)),
+            delta=tuple(sorted(moved)),
             success=success,
             initial_diff=self.initial_diff,
             initial_half_width=self.initial_half_width,
-            final_diff=final_diff,
-            final_half_width=final_half_width,
+            final_diff=None if final is None else final.mean,
+            final_half_width=None if final is None else _width(final),
             samples_used=self.samples,
             subsets_tested=tested,
             steps=tuple(steps),
@@ -359,6 +357,21 @@ class _Request:
             budget_exhausted=self.exhausted,
             wall_time=time.monotonic() - self.start,
         )
+
+
+def _first_flip(req: _Request, ents: list[EntryId]) -> CounterfactualResult:
+    """The first subset of `ents` whose shift flips the pair (else all of them), verified."""
+    tested = 0
+    for combo in _subsets(ents):
+        if req.expired():
+            return req.done(STATUS_TIMEOUT, tested=tested)
+        tested += 1
+        if req.check(req.cfg.check_budget, combo).verdict == "flipped":
+            break
+    else:
+        combo = ents
+    final = req.verify(combo)
+    return req.done(STATUS_OK, combo, final.verdict == "flipped", final.estimate, tested)
 
 
 def explain_bruteforce(
@@ -374,31 +387,19 @@ def explain_bruteforce(
 
     Subsets of equal size are tried in lexicographic entry order, so ties
     break deterministically toward the smallest entry ids. `initial` is
-    ignored: this engine decides the precondition exactly.
+    ignored: this engine decides the precondition exactly, and an exact
+    tie counts as not met.
     """
     req = _Request("bf", partition, oracle, a, b, None, config)
-    cfg = req.cfg
     del initial
-    ents = sorted(partition.entries(a))
-    if len(ents) > cfg.bf_entry_limit:
+    ents = sorted(req.ents_a)
+    if len(ents) > req.cfg.bf_entry_limit:
         raise TooLarge(
-            f"brute force over {len(ents)} entries exceeds the limit {cfg.bf_entry_limit}"
+            f"brute force over {len(ents)} entries exceeds the limit {req.cfg.bf_entry_limit}"
         )
-
-    d = req.initial_diff = req.shifted(partition)
-    if d <= 0.0:
+    if req.precheck(None) is not None:
         return req.done(STATUS_NOT_MET)
-    tested = 0
-    for combo in _subsets(ents):
-        if req.expired():
-            return req.done(STATUS_TIMEOUT, tested=tested)
-        d = req.shifted(partition, combo)
-        tested += 1
-        if d < 0.0:
-            return req.done(STATUS_OK, combo, True, d, tested)
-    # Even the full transfer (the last subset) does not flip; hand back
-    # everything as the best-effort answer.
-    return req.done(STATUS_OK, ents, False, d, tested)
+    return _first_flip(req, ents)
 
 
 def explain_mc(
@@ -419,23 +420,10 @@ def explain_mc(
     verify_budget permutations; an exact check stands as its own verification.
     """
     req = _Request("mc", partition, oracle, a, b, rng, config)
-    cfg = req.cfg
-    ents = sorted(partition.entries(a))
     status = req.precheck(initial)
     if status is not None:
         return req.done(status)
-    tested = 0
-    for combo in _subsets(ents):
-        if req.expired():
-            return req.done(STATUS_TIMEOUT, tested=tested)
-        check = req.check(partition, cfg.check_budget, combo)
-        tested += 1
-        if check.verdict == "flipped":
-            break
-    else:
-        combo = ents
-    final = req.verify(partition, combo)
-    return req.done(STATUS_OK, combo, final.verdict == "flipped", final.estimate, tested)
+    return _first_flip(req, sorted(req.ents_a))
 
 
 def explain_svexp(
@@ -455,35 +443,26 @@ def explain_svexp(
     timeout, or when a has nothing left to give.
     """
     req = _Request("svexp", partition, oracle, a, b, rng, config)
-    cfg = req.cfg
     status = req.precheck(initial)
     if status is not None:
         return req.done(status)
 
     steps: list[TransferStep] = []
-    transferred: list[EntryId] = []
-    current = partition
-    while remaining := sorted(current.entries(a)):
+    moved: list[EntryId] = []
+    while remaining := sorted(req.ents_a.difference(moved)):
         if req.expired():
-            return req.done(STATUS_TIMEOUT, transferred, tested=len(steps), steps=steps)
+            return req.done(STATUS_TIMEOUT, moved, tested=len(steps), steps=steps)
 
-        if len(remaining) == 1:
-            # Power of a lone entry is undefined; the pick is forced anyway.
-            pick: Top1Result | None = None
-            entry = remaining[0]
-        else:
-            pick = req.race(current, remaining)
-            entry = pick.entry
-
-        current = apply_transfer(current, Transfer(a, b, frozenset({entry})))
-        transferred.append(entry)
-        check = req.check(current, cfg.check_budget)
+        # Power of a lone entry is undefined; the pick is forced anyway.
+        pick = req.race(moved) if len(remaining) > 1 else None
+        entry = remaining[0] if pick is None else pick.entry
+        moved.append(entry)
+        check = req.check(req.cfg.check_budget, moved)
         if pick is None:
             power_mean, power_hw, bandit_n, bandit_ok = 0.0, 0.0, 0, True
         else:
             arm = next(s for s in pick.arms if s.entry == entry)
-            power_mean = arm.estimate.mean
-            power_hw = _width(arm.estimate)
+            power_mean, power_hw = arm.estimate.mean, _width(arm.estimate)
             bandit_n, bandit_ok = pick.samples, pick.converged
         steps.append(
             TransferStep(
@@ -501,10 +480,8 @@ def explain_svexp(
         if check.verdict == "flipped":
             break
 
-    final = req.verify(current)
-    return req.done(
-        STATUS_OK, transferred, final.verdict == "flipped", final.estimate, len(steps), steps
-    )
+    final = req.verify(moved)
+    return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, len(steps), steps)
 
 
 ENGINES = {

@@ -232,6 +232,10 @@ class ExperimentConfig:
             raise MalformedInput(
                 f"unknown pair mode {pair['mode']!r}; expected one of {list(PAIR_MODES)}"
             )
+        for key in ("data", "test_data"):
+            path = source.get(key)
+            if path is not None and not isinstance(path, str):
+                raise MalformedInput(f"experiment config has a bad {key!r}: {path!r} (need a path)")
         unknown = [e for e in engines if e not in ENGINES]
         if unknown:
             raise MalformedInput(f"unknown engines {unknown}; expected {sorted(ENGINES)}")

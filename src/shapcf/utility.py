@@ -361,9 +361,6 @@ class KdeUtility(UtilityOracle):
             t = _restrict(self.test, ids_list, self.axis)
         return _kde_log_density(x, t, self.floor)
 
-    def _score(self, ids: frozenset[int]) -> float:
-        return self._score_many([ids])[0]
-
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
         by_size: dict[int, list[int]] = {}
         for i, ids in enumerate(ids_list):
@@ -491,9 +488,6 @@ class LogRegUtility(UtilityOracle):
         if self.axis == "rows":
             return len(ids), self.train.n_features + 1
         return len(self.train), len(ids) + 1
-
-    def _score(self, ids: frozenset[int]) -> float:
-        return self._score_many([ids])[0]
 
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
         # Largest sets first, so a group's sets are of like sizes and each

@@ -179,6 +179,16 @@ class TestShapleyCommand:
         assert "Error" in res.stderr and "entry ids must be integers" in res.stderr
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    def test_unreadable_data_is_a_clean_error(self, runner, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("x,y\n1.0,caf\xe9\n".encode("latin-1"))
+        utility = write_json(tmp_path / "utility.json", {"kind": "kde"})
+        partition = write_json(tmp_path / "partition.json", {"owners": {"A": [0], "B": [1]}})
+        res = runner.invoke(main, ["shapley", "--data", str(data), "--partition", partition, "--utility", utility])
+        assert res.exit_code == 1, res.output
+        assert res.stderr.startswith("Error: ") and str(data) in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_bad_options_are_clean_errors(self, runner, additive_files):
         utility, partition = additive_files
         for args in (
@@ -323,6 +333,9 @@ class TestExperimentCommand:
             good = json.load(fh)
         truncated = tmp_path / "truncated.json"
         truncated.write_text(json.dumps(good)[:40])
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("x,y\n1.0,caf\xe9\n".encode("latin-1"))
+        kde = {"utility": {"kind": "kde"}, "data": write_csv(tmp_path / "train.csv")}
         configs = [
             write_json(tmp_path / "bad.json", {"engines": ["bf"]}),
             write_json(tmp_path / "kde.json", {**good, "utility": "kde"}),
@@ -365,6 +378,11 @@ class TestExperimentCommand:
                     {"utility": {"kind": "additive", "weights": {"a": 1}}},
                     {"utility": {"kind": "set-cover", "universe": [1, 2], "subsets": [["a"], [2]]}},
                     {"utility": {"kind": "set-cover", "universe": "x", "subsets": [[1], [2]]}},
+                ]
+                + [
+                    {**kde, key: path}
+                    for key in ("data", "test_data")
+                    for path in (5, ["x.csv"], str(tmp_path / "nope.csv"), str(tmp_path), str(latin1))
                 ]
                 + [
                     {"allocation": {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 2, key: "x"}}

@@ -59,6 +59,16 @@ class TestPartition:
         p = part(B={1}, A={2}, C={3})
         assert p.owner_ids() == ("A", "B", "C")
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1", None])
+    def test_rejects_non_integer_entry_ids(self, bad):
+        with pytest.raises(MalformedInput, match="owner 'A': entry ids must be integers"):
+            OwnerPartition({"A": [bad, 2], "B": [3]})
+
+    def test_accepts_numpy_integers(self):
+        p = OwnerPartition({"A": np.array([1, 2], dtype=np.int64), "B": [np.uint8(3)]})
+        assert p.entries("A") == frozenset({1, 2}) and p.entries("B") == frozenset({3})
+        assert all(type(e) is int for e in p.universe())
+
 
 class TestTransfer:
     def test_moves_named_entries(self):
@@ -88,6 +98,15 @@ class TestTransfer:
         with pytest.raises(SameOwner):
             Transfer("A", "A", frozenset({1}))
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+    def test_rejects_non_integer_entry_ids(self, bad):
+        with pytest.raises(MalformedInput, match="entry ids must be integers"):
+            Transfer("A", "B", {bad})
+
+    def test_accepts_numpy_integers(self):
+        t = Transfer("A", "B", {np.int32(2), 3})
+        assert t.delta == frozenset({2, 3}) and all(type(e) is int for e in t.delta)
+
     def test_untouched_unions_carry_over(self):
         p = part(A={1, 2}, B={3}, C={4, 5}, D={5, 6})
         coalitions = [("C",), ("C", "D"), ("A",), ("A", "C"), ("B", "D"), ("A", "B", "C")]
@@ -95,7 +114,7 @@ class TestTransfer:
         q = apply_transfer(p, Transfer("A", "B", frozenset({1})))
         for c in coalitions:
             if {"A", "B"}.isdisjoint(c):
-                assert q.composed(c) is before[c]
+                assert q.composed(c) == before[c]
             else:
                 assert q.composed(c) == frozenset().union(*(q.entries(o) for o in c))
         assert q.composed(("A", "C")) == frozenset({2, 4, 5})

@@ -512,7 +512,7 @@ class TestExactRoute:
         calls = []
         values = oracle.values
         monkeypatch.setattr(oracle, "values", lambda sets: calls.append(len(sets)) or values(sets))
-        pick = explain_module._Request("svexp", p, oracle, "A", "B", None, None).race(p, ents)
+        pick = explain_module._Request("svexp", p, oracle, "A", "B", None, None).race(())
         powers = [
             diff_shapley_exact(apply_transfer(p, Transfer("A", "B", frozenset({e}))), reference, "B", "A")
             for e in ents
@@ -610,19 +610,19 @@ class TestCoalitionPlan:
     def test_shifts_and_powers_have_the_bits_of_moved_partitions(self, monkeypatch):
         shifts, races = [], []
         request = explain_module._Request
-        shifted, race = request.shifted, request.race
+        check, race = request.check, request.race
 
-        def spy_shifted(req, on, delta=()):
-            d = shifted(req, on, delta)
-            shifts.append((req, on, frozenset(delta), d))
-            return d
+        def spy_check(req, budget, moved=()):
+            res = check(req, budget, moved)
+            shifts.append((req, frozenset(moved), res.estimate.mean))
+            return res
 
-        def spy_race(req, partition, entries):
-            pick = race(req, partition, entries)
-            races.append((req, partition, pick))
+        def spy_race(req, moved):
+            pick = race(req, moved)
+            races.append((req, frozenset(moved), pick))
             return pick
 
-        monkeypatch.setattr(request, "shifted", spy_shifted)
+        monkeypatch.setattr(request, "check", spy_check)
         monkeypatch.setattr(request, "race", spy_race)
         sizes, shared, empty = set(), 0, 0
         for i, p, oracle, a, b in self.games():
@@ -633,20 +633,23 @@ class TestCoalitionPlan:
             explain_mc(p, oracle, a, b, spawn_rng(61, i))
             explain_svexp(p, oracle, a, b, spawn_rng(62, i))
         assert sizes == set(range(2, self.MAX_OWNERS + 1)) and shared >= 5 and empty >= 5
-        for req, on, delta, d in shifts:
-            moved = apply_transfer(on, Transfer(req.a, req.b, delta))
-            assert d == diff_shapley_exact(moved, req.oracle, req.a, req.b)
+        def shifted(req, moved):
+            return apply_transfer(req.partition, Transfer(req.a, req.b, moved))
+
+        for req, moved, d in shifts:
+            assert d == diff_shapley_exact(shifted(req, moved), req.oracle, req.a, req.b)
         powers = [
-            (arm.estimate.mean, power_exact(partition, req.oracle, req.a, req.b, arm.entry))
-            for req, partition, pick in races
+            (arm.estimate.mean, power_exact(shifted(req, moved), req.oracle, req.a, req.b, arm.entry))
+            for req, moved, pick in races
             for arm in pick.arms
         ]
         assert all(got == want for got, want in powers)
         assert len(shifts) > 300 and len(powers) > 100
 
-    def test_no_moved_partition_per_subset_or_arm(self, monkeypatch):
-        counts = {"apply_transfer": 0, "diff_shapley_exact": 0}
-        for name in counts:
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
             original = getattr(explain_module, name)
 
             def wrapper(*args, _name=name, _original=original, **kwargs):
@@ -654,17 +657,36 @@ class TestCoalitionPlan:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(explain_module, name, wrapper)
+        return counts
+
+    def test_no_moved_partition_per_subset_or_arm(self, monkeypatch):
+        counts = self.count_calls(monkeypatch, "apply_transfer", "diff_shapley_exact")
         rounds = 0
         for i, p, oracle, a, b in self.games():
             explain_bruteforce(p, oracle, a, b)
             explain_mc(p, oracle, a, b, spawn_rng(63, i))
-            assert counts["apply_transfer"] == 0
             res = explain_svexp(p, oracle, a, b, spawn_rng(64, i))
-            assert counts["apply_transfer"] == len(res.steps)  # one per round, none per arm
-            counts["apply_transfer"] = 0
             rounds += len(res.steps)
         assert rounds > 20
+        assert counts["apply_transfer"] == 0  # every shift is scored on the plan
         assert counts["diff_shapley_exact"] == 0  # that name now serves pair selection only
+
+    def test_sampled_route_builds_one_partition_per_shift(self, monkeypatch):
+        counts = self.count_calls(monkeypatch, "apply_transfer")
+        rounds = tested = 0
+        for i, (p, oracle) in enumerate([heavy_game(), two_step_game(), *integer_gap_games(count=4)]):
+            p = padded(p)
+            res = explain_svexp(p, oracle, "A", "B", spawn_rng(68, i))
+            assert res.status == STATUS_OK and res.steps
+            assert counts["apply_transfer"] == len(res.steps)  # one per round, none per race or verification
+            rounds += len(res.steps)
+            counts["apply_transfer"] = 0
+            res = explain_mc(p, oracle, "A", "B", spawn_rng(69, i))
+            assert res.status == STATUS_OK and res.subsets_tested
+            assert counts["apply_transfer"] == res.subsets_tested  # one per subset, none to verify
+            tested += res.subsets_tested
+            counts["apply_transfer"] = 0
+        assert rounds > 6 and tested > 6
 
     def test_exact_verification_reuses_the_last_check(self):
         checked, failed = 0, 0

@@ -578,6 +578,26 @@ class TestRunErrors:
         with pytest.raises(MalformedInput):
             run_experiment(cfg, datasets=(train, test))
 
+    @pytest.mark.parametrize("key", ["data", "test_data"])
+    @pytest.mark.parametrize("path", [5, 1.5, True, ["x.csv"], {"path": "x.csv"}])
+    def test_non_string_data_paths_are_rejected(self, key, path):
+        with pytest.raises(MalformedInput, match=f"bad '{key}'"):
+            ExperimentConfig.from_json(base_config(**{key: path}))
+
+    def test_null_data_paths_mean_none(self):
+        cfg = ExperimentConfig.from_json(base_config(data=None, test_data=None))
+        assert (cfg.data, cfg.test_data) == (None, None)
+
+    @pytest.mark.parametrize("name", ["nope.csv", ".", "latin1.csv"])
+    def test_unreadable_data_files_are_rejected(self, tmp_path, name):
+        (tmp_path / "latin1.csv").write_bytes("x,y\n1.0,caf\xe9\n".encode("latin-1"))
+        path = tmp_path / name
+        cfg = ExperimentConfig.from_json(base_config(utility={"kind": "kde"}, data=str(path)))
+        with pytest.raises(MalformedInput, match=re.escape(f"{path}: cannot read the file")):
+            run_experiment(cfg)
+        with pytest.raises(MalformedInput, match=re.escape(f"{path}: cannot read the file")):
+            harness.load_csv(path)
+
     def test_grid_pair_mode_needs_group_allocation(self):
         cfg = ExperimentConfig.from_json(base_config(pair={"mode": "grid"}))
         with pytest.raises(MalformedInput):
