@@ -8,10 +8,10 @@ from pathlib import Path
 
 import click
 
-from .core import MalformedInput, ShapcfError, spawn_rng
-from .datasets import Dataset, load_csv, load_partition, split_dataset, validate_partition
+from .core import ShapcfError, spawn_rng
+from .datasets import Dataset, load_partition, read_json, validate_partition
 from .explain import ENGINES, ExplainConfig, explain as run_engine
-from .harness import _STREAM_SPLIT, ExperimentConfig, run_experiment, write_outputs
+from .harness import ExperimentConfig, load_split, run_experiment, write_outputs
 from .shapley import shapley_exact_all, shapley_mc
 from .utility import DATA_BACKED_KINDS, make_oracle, normalize_kind, unwrap_config
 
@@ -27,23 +27,14 @@ def _load_utility_inputs(
     test_ratio: float,
     seed: int,
 ) -> tuple[dict, Dataset | None, Dataset | None]:
-    with open(utility_path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"utility file is not valid JSON: {exc}") from None
+    cfg = read_json(utility_path, "utility file")
     inner = unwrap_config(cfg)
     kind = normalize_kind(inner["kind"])
     if kind not in DATA_BACKED_KINDS:
         return cfg, None, None
     if data is None:
         raise click.UsageError(f"utility kind {kind!r} needs --data")
-    label = inner.get("label")
-    full = load_csv(data, label=label)
-    if test_data is not None:
-        return cfg, full, load_csv(test_data, label=label)
-    train, test = split_dataset(full, test_ratio, spawn_rng(seed, _STREAM_SPLIT))
-    return cfg, train, test
+    return (cfg, *load_split(data, test_data, test_ratio, seed, label=inner.get("label")))
 
 
 def _emit(payload: dict, out: str | None) -> None:

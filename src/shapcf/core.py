@@ -81,10 +81,12 @@ COUNT_RULE: Rule = ("an integer >= 1", lambda v: is_integer(v) and v >= 1)
 def entry_ids(owner: OwnerId, ids: Iterable[object]) -> frozenset[EntryId]:
     """`ids` as a frozenset of int entry ids; any other id raises MalformedInput."""
     ids = list(ids)
-    if set(map(type, ids)) <= {int}:  # the common case, without a check per id
+    types = set(map(type, ids))
+    if types <= {int}:  # the common case, without a check per id
         return frozenset(ids)
-    bad = [e for e in ids if not is_integer(e)]
-    if bad:
+    bad_types = {t for t in types if not issubclass(t, numbers.Integral) or issubclass(t, bool)}
+    if bad_types:  # each distinct type is checked once, as is_integer would judge its ids
+        bad = [e for e in ids if type(e) in bad_types]
         raise MalformedInput(f"owner {owner!r}: entry ids must be integers, got {bad[:8]!r}")
     return frozenset(map(int, ids))
 

@@ -153,17 +153,28 @@ def split_dataset(
     return dataset.take(train_rows), dataset.take(test_rows)
 
 
+def read_json(path: str | Path, what: str) -> object:
+    """The parsed JSON file at `path`; `what` names the file in a parse error.
+
+    A file that cannot be read (missing, a directory, not UTF-8) or parsed
+    raises MalformedInput.
+    """
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{what} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"{path}: cannot read the file ({exc})") from None
+
+
 def load_partition(source: str | Path | dict) -> OwnerPartition:
     """Read an owner partition from a JSON file or an already-parsed dict.
 
     Shape: {"owners": {"A": [0, 1, 2], "B": [3]}}.
     """
     if isinstance(source, (str, Path)):
-        with Path(source).open() as fh:
-            try:
-                source = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"partition file is not valid JSON: {exc}") from None
+        source = read_json(source, "partition file")
     if not isinstance(source, dict) or "owners" not in source:
         raise MalformedInput('partition JSON must be an object with an "owners" key')
     owners = source["owners"]

@@ -157,13 +157,13 @@ class CounterfactualResult:
     def size(self) -> int:
         return len(self.delta)
 
-    def to_dict(self, *, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
+        """The result as JSON-ready data, without the non-deterministic wall_time."""
         out = asdict(self)
+        del out["wall_time"]
         out["delta"] = [int(e) for e in self.delta]
         out["size"] = self.size
         out["steps"] = [dict(step, entry=int(step["entry"])) for step in out["steps"]]
-        if not include_timing:
-            del out["wall_time"]
         return out
 
 
@@ -315,10 +315,6 @@ class _Request:
         """Check that a is above b; return the failed-precondition status, if any.
 
         A supplied `initial` check is reused without counting its samples.
-        A width stop of cfg.width_stop is exactly the adaptive
-        eps = width_stop * max(1, |mean|) rule here: with the interval still
-        straddling zero the half-width exceeds |mean|, so the adaptive branch
-        with |mean| > 1 can never fire first.
         """
         if initial is None:
             pre = self.check(self.cfg.check_budget)
@@ -381,17 +377,14 @@ def explain_bruteforce(
     b: OwnerId,
     *,
     config: ExplainConfig | None = None,
-    initial: FlipResult | None = None,
 ) -> CounterfactualResult:
     """Minimum-cardinality transfer set by exact ascending-size enumeration.
 
     Subsets of equal size are tried in lexicographic entry order, so ties
-    break deterministically toward the smallest entry ids. `initial` is
-    ignored: this engine decides the precondition exactly, and an exact
-    tie counts as not met.
+    break deterministically toward the smallest entry ids. The engine
+    decides the precondition exactly, and an exact tie counts as not met.
     """
     req = _Request("bf", partition, oracle, a, b, None, config)
-    del initial
     ents = sorted(req.ents_a)
     if len(ents) > req.cfg.bf_entry_limit:
         raise TooLarge(
@@ -502,11 +495,15 @@ def explain(
     config: ExplainConfig | None = None,
     initial: FlipResult | None = None,
 ) -> CounterfactualResult:
-    """Dispatch to an engine by name ("bf", "mc", "svexp")."""
+    """Dispatch to an engine by name ("bf", "mc", "svexp").
+
+    `initial`, a flip check of the pair already made, stands as the
+    precheck of mc and svexp; bf decides the precondition itself.
+    """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}")
     if engine == "bf":
-        return explain_bruteforce(partition, oracle, a, b, config=config, initial=initial)
+        return explain_bruteforce(partition, oracle, a, b, config=config)
     if rng is None:
         raise ValueError(f"engine {engine!r} needs an rng")
     return ENGINES[engine](partition, oracle, a, b, rng, config=config, initial=initial)

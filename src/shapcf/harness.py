@@ -28,7 +28,7 @@ from .core import (
     is_integer,
     spawn_rng,
 )
-from .datasets import Dataset, load_csv, split_dataset
+from .datasets import Dataset, load_csv, read_json, split_dataset
 from .explain import ENGINES, CounterfactualResult, ExplainConfig, explain, flip_check
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import FlipResult, is_flipped
@@ -202,11 +202,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "ExperimentConfig":
         if isinstance(source, (str, Path)):
-            try:
-                with Path(source).open() as fh:
-                    source = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"experiment config is not valid JSON: {exc}") from None
+            source = read_json(source, "experiment config")
         if not isinstance(source, dict):
             raise MalformedInput("experiment config must be a JSON object")
 
@@ -317,6 +313,22 @@ class ExperimentResult:
     grid_axes: tuple[list[str], list[str]] | None
 
 
+def load_split(
+    data: str | Path,
+    test_data: str | Path | None,
+    test_ratio: float,
+    seed: int,
+    *,
+    label: str | None = None,
+    group: str | None = None,
+) -> tuple[Dataset, Dataset]:
+    """Train and test sets: `data` and `test_data`, or `data` split on the seed's split stream."""
+    full = load_csv(data, label=label, group=group)
+    if test_data is not None:
+        return full, load_csv(test_data, label=label, group=group)
+    return split_dataset(full, test_ratio, spawn_rng(seed, _STREAM_SPLIT))
+
+
 def _load_data(cfg: ExperimentConfig) -> tuple[Dataset | None, Dataset | None]:
     inner = unwrap_config(cfg.utility)
     kind = normalize_kind(inner["kind"])
@@ -326,14 +338,10 @@ def _load_data(cfg: ExperimentConfig) -> tuple[Dataset | None, Dataset | None]:
         return None, None
     if cfg.data is None:
         raise MalformedInput(f"utility kind {kind!r} / allocation {alloc_kind!r} needs a data file")
-    label = inner.get("label")
-    group = cfg.allocation.get("group")
-    full = load_csv(cfg.data, label=label, group=group)
-    if cfg.test_data is not None:
-        test = load_csv(cfg.test_data, label=label, group=group)
-        return full, test
-    rng = spawn_rng(cfg.seed, _STREAM_SPLIT)
-    return split_dataset(full, cfg.test_ratio, rng)
+    return load_split(
+        cfg.data, cfg.test_data, cfg.test_ratio, cfg.seed,
+        label=inner.get("label"), group=cfg.allocation.get("group"),
+    )
 
 
 def _synthetic_pool(oracle) -> list[int]:

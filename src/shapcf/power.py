@@ -4,9 +4,7 @@ The power of entry x (held by a) against the pair (a, b) is the differential
 value of b over a AFTER x is transferred: positive power means the move pushes
 the pair toward a flip. It equals an exact differential on the transferred
 partition, and it admits the same single-permutation unbiased sampling as the
-plain differential. Entries that both owners already hold need one fewer
-composed evaluation per sample (the transfer cannot change b's set), which the
-sampler exploits.
+plain differential.
 
 thompson_top1 races the candidate entries as bandit arms with normal posterior
 sampling to find the highest-power entry without exhausting samples on
@@ -32,10 +30,16 @@ from .core import (
     apply_transfer,
     sample_terms,
 )
-from .shapley import EXACT_OWNER_LIMIT, Estimate, diff_shapley_exact, differential_term
+from .shapley import Estimate, diff_shapley_exact, differential_term
 from .utility import UtilityOracle
 
 Sampler = Callable[[EntryId, int, np.random.Generator], Sequence[float]]
+
+# The Thompson race: samples that seed every arm, samples per later batch, and
+# joint posterior draws that estimate the leader's win rate before each batch.
+RACE_SEED_BATCH = 8
+RACE_BATCH = 32
+RACE_POSTERIOR_DRAWS = 256
 
 
 def _check_power_args(
@@ -52,19 +56,27 @@ def _check_power_args(
     return ents_a, ents_b
 
 
-def _power_term(
-    partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId, x: EntryId
-) -> Callable[[list[OwnerId]], float]:
-    """Single-permutation term for the power of entry x, as a function of the prefix.
+def make_power_sampler(
+    partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId
+) -> Sampler:
+    """Sampler of k power terms of an entry, from k fresh permutations per request.
 
-    With P the owners preceding both a and b, the term compares b holding x
-    against a stripped of x:
+    With P the owners preceding both a and b, an entry x's term compares b
+    holding x against a stripped of x:
     (n/2) * [U(P + (B+x)) - U(P + (A-x))] / (n - |P| - 1).
-    When x is already in B the first composed set is just P + B.
+    The arguments are checked before any draw. Each entry's terms are
+    memoised by prefix for the sampler's life (one race), since a term
+    depends only on the entry and the prefix.
     """
-    ents_a, ents_b = _check_power_args(partition, a, b, x)
-    gain = ents_b if x in ents_b else ents_b | {x}
-    return differential_term(partition, oracle, gain, ents_a - {x})
+    memos: dict[EntryId, dict[bytes, float]] = {}
+
+    def sampler(entry: EntryId, k: int, rng: np.random.Generator) -> np.ndarray:
+        ents_a, ents_b = _check_power_args(partition, a, b, entry)
+        gain = ents_b if entry in ents_b else ents_b | {entry}
+        term = differential_term(partition, oracle, gain, ents_a - {entry})
+        return sample_terms(partition, (a, b), term, memos.setdefault(entry, {}), int(k), rng)
+
+    return sampler
 
 
 def power_mc(
@@ -79,43 +91,18 @@ def power_mc(
     budget: int = 1000,
 ) -> Estimate:
     """Monte Carlo power estimate from `budget` permutation draws."""
-    term = _power_term(partition, oracle, a, b, x)
     est = Estimate(delta=delta)
-    est.update_many(sample_terms(partition, (a, b), term, {}, int(budget), rng))
+    est.update_many(make_power_sampler(partition, oracle, a, b)(x, int(budget), rng))
     return est
 
 
 def power_exact(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    x: EntryId,
-    *,
-    owner_limit: int = EXACT_OWNER_LIMIT,
+    partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId, x: EntryId
 ) -> float:
     """Exact power: the differential of b over a on the transferred partition."""
     _check_power_args(partition, a, b, x)
     moved = apply_transfer(partition, Transfer(a, b, frozenset({x})))
-    return diff_shapley_exact(moved, oracle, b, a, owner_limit=owner_limit)
-
-
-def make_power_sampler(
-    partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId
-) -> Sampler:
-    """Bandit-arm sampler drawing fresh permutations per request.
-
-    Each entry's terms are memoised by prefix for the sampler's life (one
-    race), since a term depends only on the entry and the prefix.
-    """
-    memos: dict[EntryId, dict[bytes, float]] = {}
-
-    def sampler(entry: EntryId, k: int, rng: np.random.Generator) -> np.ndarray:
-        term = _power_term(partition, oracle, a, b, entry)
-        memo = memos.setdefault(entry, {})
-        return sample_terms(partition, (a, b), term, memo, int(k), rng)
-
-    return sampler
+    return diff_shapley_exact(moved, oracle, b, a)
 
 
 @dataclass
@@ -148,15 +135,12 @@ def thompson_top1(
     *,
     delta: float = 0.95,
     epsilon: float = 0.01,
-    seed_batch: int = 8,
-    batch: int = 32,
     arm_budget: int = 20_000,
     total_budget: int | None = None,
-    posterior_draws: int = 256,
 ) -> Top1Result:
     """Race the entries and return the one with the highest estimated value.
 
-    Every arm is seeded with seed_batch samples, then batches go to the
+    Every arm is seeded with RACE_SEED_BATCH samples, then batches go to the
     empirical leader with probability equal to its posterior win rate (normal
     posteriors, joint draws) and to a uniformly random challenger otherwise.
     The race ends when the leader's interval half-width is at most epsilon, or
@@ -173,7 +157,7 @@ def thompson_top1(
         total += k
 
     for arm in arms:
-        feed(arm, int(seed_batch))
+        feed(arm, RACE_SEED_BATCH)
 
     while True:
         best = max(arms, key=lambda s: s.estimate.mean)
@@ -191,7 +175,7 @@ def thompson_top1(
         )
         # The draws and final generator state of rng.normal(means, scales, size),
         # bit for bit, without its per-call broadcasting overhead.
-        draws = rng.standard_normal((int(posterior_draws), len(arms))) * scales + means
+        draws = rng.standard_normal((RACE_POSTERIOR_DRAWS, len(arms))) * scales + means
         best_idx = arms.index(best)
         p_win = float((draws.argmax(axis=1) == best_idx).mean())
 
@@ -205,4 +189,4 @@ def thompson_top1(
         room = arm_budget - chosen.estimate.count
         if total_budget is not None:
             room = min(room, total_budget - total)
-        feed(chosen, max(1, min(int(batch), room)))
+        feed(chosen, max(1, min(RACE_BATCH, room)))

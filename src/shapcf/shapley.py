@@ -6,8 +6,8 @@ into a single sum over coalitions that contain neither owner, which halves the
 work and is what flip checks actually need: a's value is below b's exactly
 when the differential is negative.
 
-Exact routines enumerate coalitions, score them in one batched oracle call,
-and are guarded by owner-count limits.
+Exact routines take their coalitions from one builder (coalition_plan),
+which enforces EXACT_OWNER_LIMIT, and score them in one batched oracle call.
 The Monte Carlo routines draw owner permutations in batches through the core
 kernel, which computes each distinct prefix's term once per call (or per flip
 check); shapley_mc walks the same batched draws and computes each distinct
@@ -38,6 +38,9 @@ from .core import (
 from .utility import UtilityOracle
 
 EXACT_OWNER_LIMIT = 12
+
+# Orderings a sequential flip check draws between two looks at its interval.
+FLIP_BATCH = 64
 
 
 @lru_cache(maxsize=64)
@@ -110,71 +113,47 @@ class Estimate:
         return self.mean - hw, self.mean + hw
 
 
-def _coalition_weights(n: int) -> list[float]:
-    """weights[s] = 1 / (n * C(n-1, s)) for coalition size s."""
-    return [1.0 / (n * math.comb(n - 1, s)) for s in range(n)]
-
-
 def fold_gaps(values: list[float], weights: list[float]) -> float:
     """fsum of (values[2i] - values[2i+1]) * weights[i]: an exact routine's weighted gaps."""
     return math.fsum((va - vb) * w for va, vb, w in zip(values[::2], values[1::2], weights))
 
 
-def shapley_exact(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    owner: OwnerId,
-    *,
-    owner_limit: int = EXACT_OWNER_LIMIT,
-) -> float:
-    """Exact Shapley value by coalition enumeration (2^(n-1) subsets)."""
-    n = partition.n
-    if n > owner_limit:
-        raise TooManyOwners(f"exact Shapley over {n} owners exceeds the limit {owner_limit}")
-    ents = partition.entries(owner)
-    others = [o for o in partition.owner_ids() if o != owner]
-    weights = _coalition_weights(n)
-    sets, coefs = [], []
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            base = partition.composed(combo)
-            sets += (base | ents, base)
-            coefs.append(weights[r])
-    return fold_gaps(oracle.values(sets), coefs)
-
-
-def shapley_exact_all(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    *,
-    owner_limit: int = EXACT_OWNER_LIMIT,
-) -> dict[OwnerId, float]:
-    return {
-        o: shapley_exact(partition, oracle, o, owner_limit=owner_limit)
-        for o in partition.owner_ids()
-    }
-
-
 def coalition_plan(
-    partition: OwnerPartition, a: OwnerId, b: OwnerId, *, owner_limit: int = EXACT_OWNER_LIMIT
+    partition: OwnerPartition, *excluded: OwnerId
 ) -> tuple[list[frozenset[int]], list[float]]:
-    """The coalition unions and weights of the exact differential of a over b.
+    """Every coalition S of the owners not in `excluded`: its entry union and Shapley weight.
 
-    For each coalition S of the other n-2 owners (by size, then combinations
-    order), S's entry union and weight 1 / ((|S|+1) * C(n-1, |S|+1)). A
-    transfer between a and b changes none of them: one plan serves them all.
+    S (by size, then combinations order) has weight 1 / (m * C(m-1, |S|)),
+    where m = |others| + 1. Excluding one owner gives the terms of its
+    Shapley value (m = n); excluding a and b gives the terms of their
+    differential (m = n - 1, the weight 1 / ((|S|+1) * C(n-1, |S|+1)) as an
+    integer identity). A transfer between a and b changes none of the
+    latter: one plan serves them all.
     """
     n = partition.n
-    if n > owner_limit:
-        raise TooManyOwners(f"exact differential over {n} owners exceeds the limit {owner_limit}")
-    others = [o for o in partition.owner_ids() if o not in (a, b)]
+    if n > EXACT_OWNER_LIMIT:
+        what = "Shapley" if len(excluded) == 1 else "differential"
+        raise TooManyOwners(f"exact {what} over {n} owners exceeds the limit {EXACT_OWNER_LIMIT}")
+    others = [o for o in partition.owner_ids() if o not in excluded]
+    m = len(others) + 1
     bases, weights = [], []
-    for r in range(n - 1):  # len(others) + 1 unless a == b
-        w = 1.0 / ((r + 1) * math.comb(n - 1, r + 1))
+    for r in range(m):
+        w = 1.0 / (m * math.comb(m - 1, r))
         for combo in itertools.combinations(others, r):
             bases.append(partition.composed(combo))
             weights.append(w)
     return bases, weights
+
+
+def shapley_exact(partition: OwnerPartition, oracle: UtilityOracle, owner: OwnerId) -> float:
+    """Exact Shapley value: the plan's weighted gaps U(S + owner) - U(S) (2^(n-1) coalitions)."""
+    ents = partition.entries(owner)  # an unknown owner raises before any union is built
+    bases, weights = coalition_plan(partition, owner)
+    return fold_gaps(oracle.values([s for base in bases for s in (base | ents, base)]), weights)
+
+
+def shapley_exact_all(partition: OwnerPartition, oracle: UtilityOracle) -> dict[OwnerId, float]:
+    return {o: shapley_exact(partition, oracle, o) for o in partition.owner_ids()}
 
 
 def differentials(
@@ -198,8 +177,6 @@ def diff_shapley_exact(
     oracle: UtilityOracle,
     a: OwnerId,
     b: OwnerId,
-    *,
-    owner_limit: int = EXACT_OWNER_LIMIT,
 ) -> float:
     """Exact differential (value of a minus value of b) by coalition enumeration.
 
@@ -207,7 +184,7 @@ def diff_shapley_exact(
     drawn from the other n-2 owners. Equals shapley_exact(a) - shapley_exact(b).
     """
     ents = (partition.entries(a), partition.entries(b))  # an unknown owner raises even when a == b
-    plan = coalition_plan(partition, a, b, owner_limit=owner_limit)
+    plan = coalition_plan(partition, a, b)
     return differentials(oracle, plan, [ents])[0] if a != b else 0.0
 
 
@@ -342,25 +319,23 @@ def is_flipped(
     *,
     delta: float = 0.95,
     budget: int = 100_000,
-    batch: int = 64,
     width_stop: float | None = None,
 ) -> FlipResult:
     """Sequential test of whether owner a has fallen below owner b.
 
-    Samples differential terms until the delta-confidence interval excludes
-    zero, the optional width_stop half-width is reached, or the permutation
-    budget runs out (verdict "undecided", budget_exhausted set).
+    Samples differential terms, FLIP_BATCH orderings at a time, until the
+    delta-confidence interval excludes zero, the optional width_stop
+    half-width is reached, or the permutation budget runs out (verdict
+    "undecided", budget_exhausted set).
     """
     if a == b:
         raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
-    if batch < 1:
-        raise ValueError(f"flip check batch must be >= 1, got {batch}")
     term = differential_term(partition, oracle, partition.entries(a), partition.entries(b))
     memo: dict[bytes, float] = {}
     est = Estimate(delta=delta)
     budget = int(budget)
     while est.count < budget:
-        n_draw = min(int(batch), budget - est.count)
+        n_draw = min(FLIP_BATCH, budget - est.count)
         est.update_many(sample_terms(partition, (a, b), term, memo, n_draw, rng))
         lo, hi = est.ci()
         if hi < 0.0:

@@ -8,7 +8,11 @@ The second half is the per-draw permutation path: one rng.permutation call,
 one prefix walk and one term per draw, through the public partition and
 oracle API only. The package's batched kernel must reproduce it bit for bit
 (tests/test_kernel.py), and the permutation forms of the exact values
-cross-check the package's coalition enumeration.
+cross-check the package's coalition enumeration. The enumerated forms that
+follow them give the Shapley value and the differential each its own
+coalition loop and weights, as separate routines; the package's one plan
+builder must reproduce both bit for bit, with the same oracle traffic
+(tests/test_shapley.py).
 
 The last part keeps the straightforward numpy/scipy forms of three hot
 numeric paths: the KDE log density and the Thompson race, which the
@@ -276,6 +280,54 @@ def diff_shapley_exact_by_permutations(
             (oracle.value(base | ents_a) - oracle.value(base | ents_b)) / (n - len(p) - 1)
         )
     return math.fsum(terms) / (2.0 * math.factorial(n - 1))
+
+
+def coalition_weights(n: int) -> list[float]:
+    """weights[s] = 1 / (n * C(n-1, s)): the Shapley weight of a coalition of s of n-1 owners."""
+    return [1.0 / (n * math.comb(n - 1, s)) for s in range(n)]
+
+
+def enumerated_shapley_exact(partition: OwnerPartition, oracle: UtilityOracle, owner: OwnerId) -> float:
+    """Exact Shapley value by its own loop over the other owners' coalitions, one values() call."""
+    n = partition.n
+    ents = partition.entries(owner)
+    others = [o for o in partition.owner_ids() if o != owner]
+    weights = coalition_weights(n)
+    sets, coefs = [], []
+    for r in range(len(others) + 1):
+        for combo in itertools.combinations(others, r):
+            base = partition.composed(combo)
+            sets += (base | ents, base)
+            coefs.append(weights[r])
+    vals = oracle.values(sets)
+    return math.fsum((va - vb) * w for va, vb, w in zip(vals[::2], vals[1::2], coefs))
+
+
+def enumerated_diff_weights(n: int) -> list[float]:
+    """Per coalition of the other n-2 owners, in enumeration order: 1 / ((|S|+1) * C(n-1, |S|+1))."""
+    return [
+        1.0 / ((r + 1) * math.comb(n - 1, r + 1))
+        for r in range(n - 1)
+        for _ in range(math.comb(n - 2, r))
+    ]
+
+
+def enumerated_diff_shapley_exact(
+    partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId
+) -> float:
+    """Exact differential by its own loop over the coalitions of the other n-2 owners."""
+    ents_a, ents_b = partition.entries(a), partition.entries(b)
+    if a == b:
+        return 0.0
+    others = [o for o in partition.owner_ids() if o not in (a, b)]
+    sets = []
+    for r in range(len(others) + 1):
+        for combo in itertools.combinations(others, r):
+            base = partition.composed(combo)
+            sets += (base | ents_a, base | ents_b)
+    vals = oracle.values(sets)
+    weights = enumerated_diff_weights(partition.n)
+    return math.fsum((va - vb) * w for va, vb, w in zip(vals[::2], vals[1::2], weights))
 
 
 def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:

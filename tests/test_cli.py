@@ -395,3 +395,29 @@ class TestExperimentCommand:
             assert res.exit_code == 1, (config, res.output)
             assert "Error" in res.stderr
             assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+@pytest.mark.parametrize(
+    "command,option",
+    [("shapley", "--partition"), ("shapley", "--utility"), ("explain", "--partition"),
+     ("explain", "--utility"), ("experiment", "--config")],
+)
+def test_unreadable_json_inputs_are_clean_errors(runner, additive_files, tmp_path, command, option, unreadable):
+    utility, partition = additive_files
+    if unreadable == "directory":
+        bad = tmp_path / "a_directory"
+        bad.mkdir()
+    else:
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"kind": "caf\xe9"}'.encode("latin-1"))
+    args = {
+        "shapley": ["--partition", partition, "--utility", utility],
+        "explain": ["--engine", "bf", "--a", "A", "--b", "B", "--partition", partition, "--utility", utility],
+        "experiment": ["--config", utility, "--out", str(tmp_path / "out")],
+    }[command]
+    args[args.index(option) + 1] = str(bad)
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == 1, res.output
+    assert res.stderr.startswith("Error: ") and str(bad) in res.stderr
+    assert res.exception is None or isinstance(res.exception, SystemExit)

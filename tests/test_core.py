@@ -69,6 +69,13 @@ class TestPartition:
         assert p.entries("A") == frozenset({1, 2}) and p.entries("B") == frozenset({3})
         assert all(type(e) is int for e in p.universe())
 
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_rejects_flags_among_numpy_integers(self, flag):
+        ids = [*np.arange(10, dtype=np.int64), flag, np.int64(11), 1, flag, 2.5, *[flag] * 8]
+        with pytest.raises(MalformedInput) as err:
+            OwnerPartition({"A": ids, "B": [3]})
+        assert str(err.value) == f"owner 'A': entry ids must be integers, got {[flag, flag, 2.5, *[flag] * 5]!r}"
+
 
 class TestTransfer:
     def test_moves_named_entries(self):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,7 +229,7 @@ class TestBruteforce:
         est = Estimate()
         est.update_many([-1.0, -1.1, -0.9])
         bogus = FlipResult("flipped", est)
-        res = explain_bruteforce(p, oracle, "A", "B", initial=bogus)
+        res = explain("bf", p, oracle, "A", "B", initial=bogus)
         assert res.status == STATUS_OK and res.delta == (0,)
 
     def test_result_dict_round_trip(self):
@@ -236,7 +239,6 @@ class TestBruteforce:
         assert "wall_time" not in d
         assert d["delta"] == [0] and d["size"] == 1
         assert all(isinstance(e, int) for e in d["delta"])
-        assert "wall_time" in res.to_dict(include_timing=True)
         again = explain_bruteforce(p, oracle, "A", "B").to_dict()
         assert again == d
         # The exact output fields of a result and of one greedy step.
@@ -249,7 +251,6 @@ class TestBruteforce:
             "initial_diff", "initial_half_width", "final_diff", "final_half_width",
             "samples_used", "subsets_tested", "timed_out", "budget_exhausted", "steps",
         }
-        assert set(res.to_dict(include_timing=True)) == set(d) | {"wall_time"}
         assert set(explain_bruteforce(p, oracle, "A", "B").to_dict()) == set(d)
         assert set(d["steps"][0]) == {
             "entry", "power_mean", "power_half_width", "bandit_samples", "bandit_converged",
@@ -740,3 +741,33 @@ class TestCoalitionPlan:
         limit = f"exact differential over {EXACT_OWNER_LIMIT + 1} owners exceeds the limit {EXACT_OWNER_LIMIT}"
         with pytest.raises(TooManyOwners, match=limit):
             explain_bruteforce(p, oracle, "O0", "O1")
+
+
+def _commented_value(comment: str):
+    """The literal a README comment opens with: all of it, or up to one of its colons."""
+    cuts = [len(comment)] + [i for i, ch in enumerate(comment) if ch == ":"]
+    for cut in cuts:
+        try:
+            return ast.literal_eval(comment[:cut])
+        except (SyntaxError, ValueError):
+            continue
+    raise AssertionError(f"no literal at the start of {comment!r}")
+
+
+def test_readme_quick_start_values():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    pending: list[str] = []
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if not comment:
+            pending.append(line)
+            continue
+        exec("\n".join(pending), namespace)
+        pending = []
+        assert eval(code.strip(), namespace) == _commented_value(comment.strip()), line
+        checked += 1
+    exec("\n".join(pending), namespace)
+    assert checked == 3

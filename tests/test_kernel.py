@@ -14,7 +14,7 @@ import pytest
 
 from shapcf.core import DRAW_CHUNK, OwnerPartition, draw_orders, spawn_rng
 from shapcf.power import make_power_sampler, power_mc, thompson_top1
-from shapcf.shapley import Estimate, FlipResult, diff_shapley_mc, is_flipped, shapley_mc
+from shapcf.shapley import FLIP_BATCH, Estimate, FlipResult, diff_shapley_mc, is_flipped, shapley_mc
 from shapcf.utility import AdditiveUtility
 
 from conftest import random_games
@@ -138,15 +138,13 @@ def test_diff_shapley_mc_matches_reference(budget):
             assert_same_stream(rng_kernel, rng_ref)
 
 
-@pytest.mark.parametrize("batch,width_stop", [(64, None), (7, 0.05)])
-def test_is_flipped_matches_reference(batch, width_stop):
+@pytest.mark.parametrize("width_stop", [None, 0.05])
+def test_is_flipped_matches_reference(width_stop):
     for gi, (partition, oracle) in enumerate(all_games()):
         for a, b in pairs(partition):
             rng_kernel, rng_ref = spawn_rng(8, gi), spawn_rng(8, gi)
-            got = is_flipped(
-                partition, oracle, a, b, rng_kernel, budget=300, batch=batch, width_stop=width_stop
-            )
-            want = ref_is_flipped(partition, oracle, a, b, rng_ref, 300, batch, width_stop)
+            got = is_flipped(partition, oracle, a, b, rng_kernel, budget=300, width_stop=width_stop)
+            want = ref_is_flipped(partition, oracle, a, b, rng_ref, 300, FLIP_BATCH, width_stop)
             assert (got.verdict, got.budget_exhausted) == (want.verdict, want.budget_exhausted)
             assert fields(got.estimate) == fields(want.estimate)
             assert_same_stream(rng_kernel, rng_ref)
@@ -259,7 +257,7 @@ def test_each_distinct_prefix_is_scored_once_per_call():
     # worth the same, so the flip check runs to its budget.
     partition = OwnerPartition({"A": {0, 1}, "B": {2}, "C": {3}, "D": {4}})
     oracle = AdditiveUtility({0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0, 4: 4.0})
-    res = is_flipped(partition, oracle, "C", "D", spawn_rng(15), budget=2000, batch=64)
+    res = is_flipped(partition, oracle, "C", "D", spawn_rng(15), budget=2000)
     assert res.estimate.count == 2000 and res.budget_exhausted
     assert oracle.calls <= 2 * 4
     calls = oracle.calls

@@ -218,7 +218,7 @@ def gaussian_sampler(table, sigma):
 class TestThompsonTop1:
     def test_zero_variance_picks_max_immediately(self):
         sampler = constant_sampler({1: 0.2, 5: 1.0, 9: -0.3})
-        res = thompson_top1([9, 1, 5], sampler, spawn_rng(0), seed_batch=8)
+        res = thompson_top1([9, 1, 5], sampler, spawn_rng(0))
         assert res.entry == 5
         assert res.converged and not res.budget_exhausted
         assert res.samples == 3 * 8
@@ -230,9 +230,7 @@ class TestThompsonTop1:
         wins = 0
         for seed in range(200):
             sampler = gaussian_sampler(table, 0.1)
-            res = thompson_top1(
-                [3, 7, 11], sampler, spawn_rng(seed, 7), epsilon=0.05, seed_batch=8
-            )
+            res = thompson_top1([3, 7, 11], sampler, spawn_rng(seed, 7), epsilon=0.05)
             wins += res.entry == 7
         assert wins >= 190
 
@@ -257,8 +255,6 @@ class TestThompsonTop1:
             sampler,
             spawn_rng(9),
             epsilon=1e-12,
-            seed_batch=8,
-            batch=8,
             arm_budget=16,
         )
         assert res.budget_exhausted and not res.converged
@@ -272,7 +268,6 @@ class TestThompsonTop1:
             sampler,
             spawn_rng(10),
             epsilon=1e-12,
-            seed_batch=8,
             total_budget=50,
         )
         assert res.budget_exhausted and not res.converged
@@ -292,7 +287,6 @@ class TestThompsonTop1:
             kw = dict(
                 epsilon=float(rng.uniform(0.005, 0.1)),
                 arm_budget=int(rng.integers(50, 2000)),
-                posterior_draws=int(rng.integers(1, 300)),
             )
             got_rng, want_rng = spawn_rng(seed, 3), spawn_rng(seed, 3)
             got = thompson_top1(list(table), gaussian_sampler(table, sigma), got_rng, **kw)

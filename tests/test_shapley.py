@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from shapcf.core import OwnerPartition, SameOwner, TooManyOwners, spawn_rng
+from shapcf.core import OwnerPartition, SameOwner, TooManyOwners, UnknownOwner, spawn_rng
 from shapcf.shapley import (
+    EXACT_OWNER_LIMIT,
     Estimate,
+    coalition_plan,
     diff_shapley_exact,
     diff_shapley_mc,
     is_flipped,
@@ -22,7 +25,11 @@ from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility
 
 from conftest import random_games
 from oracles import (
+    coalition_weights,
     diff_shapley_exact_by_permutations,
+    enumerated_diff_shapley_exact,
+    enumerated_diff_weights,
+    enumerated_shapley_exact,
     normal_ci_half_width,
     shapley_by_definition,
     shapley_exact_by_permutations,
@@ -193,6 +200,46 @@ class TestExactDifferential:
         assert diff_shapley_exact(p, o, "A", "B") == pytest.approx(1.5, abs=1e-12)
 
 
+class TestOnePlan:
+    """coalition_plan serves values and differentials with the bits of their own loops."""
+
+    def test_matches_the_enumerated_forms_bit_for_bit(self):
+        for n in range(2, EXACT_OWNER_LIMIT + 1):
+            # Two copies of one game: the package and the reference each count their own traffic.
+            ((p, mine),) = random_games(seed=70 + n, count=1, n_lo=n, n_hi=n)
+            ((_, ref),) = random_games(seed=70 + n, count=1, n_lo=n, n_hi=n)
+            ids = p.owner_ids()
+            for o in ids:
+                assert shapley_exact(p, mine, o).hex() == enumerated_shapley_exact(p, ref, o).hex()
+            for a, b in [(ids[0], ids[0]), *itertools.islice(itertools.permutations(ids, 2), 6)]:
+                got = diff_shapley_exact(p, mine, a, b)
+                assert got.hex() == enumerated_diff_shapley_exact(p, ref, a, b).hex()
+            assert (mine.calls, mine.evals) == (ref.calls, ref.evals)
+
+    def test_weights_match_the_enumerated_forms(self):
+        for n in range(2, EXACT_OWNER_LIMIT + 1):
+            p = OwnerPartition({f"O{i:02d}": frozenset({i}) for i in range(n)})
+            per_size = coalition_weights(n)
+            shapley_weights = [per_size[s] for s in range(n) for _ in range(math.comb(n - 1, s))]
+            assert coalition_plan(p, "O00")[1] == shapley_weights
+            assert coalition_plan(p, "O00", f"O{n - 1:02d}")[1] == enumerated_diff_weights(n)
+
+    def test_limit_messages(self):
+        n = EXACT_OWNER_LIMIT + 1
+        p = OwnerPartition({f"O{i}": frozenset({i}) for i in range(n)})
+        o = AdditiveUtility({i: 1.0 for i in range(n)})
+        with pytest.raises(TooManyOwners, match=f"^exact Shapley over {n} owners exceeds the limit 12$"):
+            shapley_exact(p, o, "O0")
+        with pytest.raises(TooManyOwners, match=f"^exact differential over {n} owners exceeds the limit 12$"):
+            diff_shapley_exact(p, o, "O0", "O1")
+        # A differential of an owner with itself is 0.0, but is still checked.
+        with pytest.raises(TooManyOwners, match="^exact differential over"):
+            diff_shapley_exact(p, o, "O0", "O0")
+        with pytest.raises(UnknownOwner):
+            diff_shapley_exact(part(A={1}, B={2}), o, "Z", "Z")
+        assert o.calls == 0
+
+
 class TestMcDifferential:
     def test_unbiased_on_overlapping_game(self):
         p, o = random_games(seed=16, count=1, n_lo=5, n_hi=5)[0]
@@ -285,20 +332,12 @@ class TestIsFlipped:
         with pytest.raises(SameOwner):
             is_flipped(p, o, "A", "A", spawn_rng(9))
 
-    def test_batch_below_one_rejected(self):
-        # A zero batch never draws, so the sampling loop would not end.
-        p = part(A={1}, B={2})
-        o = AdditiveUtility({1: 1.0, 2: 2.0})
-        for batch in (0, -3):
-            with pytest.raises(ValueError):
-                is_flipped(p, o, "A", "B", spawn_rng(9), batch=batch)
-
     def test_width_stop_converges_early(self):
         # Symmetric game: the differential is exactly zero but single terms
         # vary, so only the width rule can end the check before the budget.
         p = part(A={1}, B={2}, C={1}, D={2})
         o = AdditiveUtility({1: 1.0, 2: 1.0})
-        res = is_flipped(p, o, "A", "B", spawn_rng(10, 0), budget=100_000, width_stop=5.0, batch=8)
+        res = is_flipped(p, o, "A", "B", spawn_rng(10, 0), budget=100_000, width_stop=5.0)
         assert res.verdict == "undecided"
         assert not res.budget_exhausted
         assert res.estimate.count < 100_000
