@@ -21,10 +21,10 @@ and never raise for soft outcomes (statuses cover those); malformed requests rai
 A pair's differential and an entry's power depend on an ordering only
 through the prefix of owners placed before both members of the pair, and n
 owners leave 2^(n-2) such prefixes. While that is at most EXACT_PREFIXES,
-flip checks (flip_check, shared with the harness's pair selection) and
-svexp's race enumerate the prefixes instead of sampling orderings: exact
-answers that draw nothing from the rng and cost less than the draws. A
-request scores each shift on one coalition plan (shapley.coalition_plan).
+flip checks and svexp's race enumerate the prefixes instead of sampling
+orderings: exact answers that draw nothing from the rng. A request scores
+each shift X as the entry sets (A - X, B | X) on its own partition (on one
+shapley.coalition_plan when exact); pair selection checks through flip_check.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from .core import (
     Rule,
     SameOwner,
     TooLarge,
-    Transfer,
-    apply_transfer,
     check_values,
     is_number,
 )
@@ -225,10 +223,11 @@ class _Request:
 
     Engines judge shifts: `moved` is the set of a's entries that a gives b.
     Every flip check goes through `check`, and every result is built by
-    `done`, so the counters and the deadline live in one place. On the exact
-    route (bf always, mc and svexp with few prefixes) a shift is scored as
-    (A - moved, B | moved) on the pair's one coalition plan: no partition is
-    built. The sampled route builds the moved partition and keeps the last.
+    `done`, so the counters and the deadline live in one place. A shift is
+    scored as the entry-set pair (A - moved, B | moved) on the request's own
+    partition: on the exact route (bf always, mc and svexp with few prefixes)
+    over the pair's one coalition plan, on the sampled route over drawn
+    prefixes. No partition is built.
     """
 
     def __init__(
@@ -253,16 +252,9 @@ class _Request:
         self.initial_diff = self.initial_half_width = 0.0
         self.plan = coalition_plan(partition, a, b) if engine == "bf" or _is_small(partition) else None
         self.last: FlipResult | None = None  # the latest check, or the precheck
-        self._shift: tuple[frozenset[EntryId], OwnerPartition] = (frozenset(), partition)
 
     def expired(self) -> bool:
         return time.monotonic() - self.start > self.cfg.timeout
-
-    def _moved(self, moved: frozenset[EntryId]) -> OwnerPartition:
-        """The partition once a gives `moved` to b; the last one built is kept."""
-        if moved != self._shift[0]:
-            self._shift = (moved, apply_transfer(self.partition, Transfer(self.a, self.b, moved)))
-        return self._shift[1]
 
     def check(self, budget: int, moved: Iterable[EntryId] = ()) -> FlipResult:
         """Flip check of the pair once a gives `moved` to b, counted."""
@@ -271,7 +263,10 @@ class _Request:
             pair = (self.ents_a - moved, self.ents_b | moved)
             res = _exact_check(differentials(self.oracle, self.plan, [pair])[0], self.cfg.delta)
         else:
-            res = flip_check(self._moved(moved), self.oracle, self.a, self.b, self.rng, self.cfg, budget)
+            res = is_flipped(
+                self.partition, self.oracle, self.a, self.b, self.rng,
+                delta=self.cfg.delta, budget=budget, width_stop=self.cfg.width_stop, moved=moved,
+            )
         self.samples += res.estimate.count
         self.exhausted |= res.budget_exhausted
         self.last = res
@@ -284,15 +279,18 @@ class _Request:
     def race(self, moved: Iterable[EntryId]) -> Top1Result:
         """The entry of a with the highest power once a gives `moved` to b, counted.
 
-        The arms are a's remaining entries. On the exact route every entry's
-        power is exact (the differential of b over a once the entry moves
-        too, as power_exact) and the argmax wins, ties going to the smallest
-        entry id; no samples are drawn. All the entries' sets go to the
-        oracle in one values() call. Otherwise the entries run a Thompson race.
+        The arms are a's remaining entries; a lone one is a forced pick with
+        an empty estimate. On the exact route every entry's power is exact
+        (the differential of b over a once the entry moves too, as
+        power_exact) and the argmax wins, ties going to the smallest entry
+        id; no samples are drawn. All the entries' sets go to the oracle in
+        one values() call. Otherwise the entries run a Thompson race.
         """
         cfg, moved = self.cfg, frozenset(moved)
         left, got = self.ents_a - moved, self.ents_b | moved
         ents = sorted(left)
+        if len(ents) == 1:
+            return Top1Result(ents[0], (ArmState(ents[0], Estimate(cfg.delta)),), 0, True, False)
         if self.plan is not None:
             powers = differentials(self.oracle, self.plan, [(got | {e}, left - {e}) for e in ents])
             arms = [ArmState(e, Estimate(cfg.delta, power)) for e, power in zip(ents, powers)]
@@ -300,7 +298,7 @@ class _Request:
             return Top1Result(best.entry, tuple(arms), 0, True, False)
         pick = thompson_top1(
             ents,
-            make_power_sampler(self._moved(moved), self.oracle, self.a, self.b),
+            make_power_sampler(self.partition, self.oracle, self.a, self.b, moved),
             self.rng,
             delta=cfg.delta,
             epsilon=cfg.epsilon,
@@ -442,28 +440,21 @@ def explain_svexp(
 
     steps: list[TransferStep] = []
     moved: list[EntryId] = []
-    while remaining := sorted(req.ents_a.difference(moved)):
+    while req.ents_a.difference(moved):
         if req.expired():
             return req.done(STATUS_TIMEOUT, moved, tested=len(steps), steps=steps)
 
-        # Power of a lone entry is undefined; the pick is forced anyway.
-        pick = req.race(moved) if len(remaining) > 1 else None
-        entry = remaining[0] if pick is None else pick.entry
-        moved.append(entry)
+        pick = req.race(moved)
+        moved.append(pick.entry)
         check = req.check(req.cfg.check_budget, moved)
-        if pick is None:
-            power_mean, power_hw, bandit_n, bandit_ok = 0.0, 0.0, 0, True
-        else:
-            arm = next(s for s in pick.arms if s.entry == entry)
-            power_mean, power_hw = arm.estimate.mean, _width(arm.estimate)
-            bandit_n, bandit_ok = pick.samples, pick.converged
+        arm = next(s for s in pick.arms if s.entry == pick.entry)
         steps.append(
             TransferStep(
-                entry=entry,
-                power_mean=power_mean,
-                power_half_width=power_hw,
-                bandit_samples=bandit_n,
-                bandit_converged=bandit_ok,
+                entry=pick.entry,
+                power_mean=arm.estimate.mean,
+                power_half_width=_width(arm.estimate),
+                bandit_samples=pick.samples,
+                bandit_converged=pick.converged,
                 check_verdict=check.verdict,
                 check_mean=check.estimate.mean,
                 check_half_width=_width(check.estimate),

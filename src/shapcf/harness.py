@@ -53,7 +53,7 @@ _ALLOCATION_RULES: dict[str, Rule] = {
     "a": _INTEGER,
     "k1": _INTEGER,
     "k2": _INTEGER,
-    "k_max": _INTEGER,
+    "k_max": _AT_LEAST_0,
     "size_range": (
         "two integers [lo, hi]",
         lambda v: v is None
@@ -356,7 +356,7 @@ def _make_partition(
     cfg: ExperimentConfig,
     train: Dataset | None,
     oracle,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     cell_params: dict,
 ) -> OwnerPartition:
     alloc = cfg.allocation
@@ -405,13 +405,7 @@ def _cells(cfg: ExperimentConfig, train: Dataset | None, oracle) -> list[tuple[s
     if mode == "grid":
         if alloc.get("kind") not in ("natural", "vertical"):
             raise MalformedInput('pair mode "grid" needs a natural or vertical allocation')
-        if train is None:
-            raise MalformedInput("grid pair mode needs a data file")
-        if alloc.get("kind") == "natural":
-            part = gen_natural(train)
-        else:
-            part = gen_vertical(train, alloc.get("groups", {}))
-        ids = part.owner_ids()
+        ids = _make_partition(cfg, train, oracle, None, {}).owner_ids()
         return [(f"{a}->{b}", {"a": a, "b": b}) for a in ids for b in ids if a != b]
     return [("", {})]
 

@@ -26,11 +26,9 @@ from .core import (
     OwnerPartition,
     SameOwner,
     SingletonOwner,
-    Transfer,
-    apply_transfer,
     sample_terms,
 )
-from .shapley import Estimate, diff_shapley_exact, differential_term
+from .shapley import Estimate, coalition_plan, differential_term, differentials
 from .utility import UtilityOracle
 
 Sampler = Callable[[EntryId, int, np.random.Generator], Sequence[float]]
@@ -43,12 +41,14 @@ RACE_POSTERIOR_DRAWS = 256
 
 
 def _check_power_args(
-    partition: OwnerPartition, a: OwnerId, b: OwnerId, x: EntryId
+    partition: OwnerPartition, a: OwnerId, b: OwnerId, x: EntryId, moved: frozenset[EntryId]
 ) -> tuple[frozenset[EntryId], frozenset[EntryId]]:
     if a == b:
         raise SameOwner(f"power needs two distinct owners, got {a!r} twice")
     ents_a = partition.entries(a)
-    ents_b = partition.entries(b)
+    if not moved <= ents_a:
+        raise DeltaNotOwned(f"entries {sorted(moved - ents_a)} are not held by owner {a!r}")
+    ents_a, ents_b = ents_a - moved, partition.entries(b) | moved
     if x not in ents_a:
         raise DeltaNotOwned(f"entry {x} is not held by owner {a!r}")
     if len(ents_a) < 2:
@@ -57,12 +57,16 @@ def _check_power_args(
 
 
 def make_power_sampler(
-    partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId
+    partition: OwnerPartition,
+    oracle: UtilityOracle,
+    a: OwnerId,
+    b: OwnerId,
+    moved: frozenset[EntryId] = frozenset(),
 ) -> Sampler:
     """Sampler of k power terms of an entry, from k fresh permutations per request.
 
-    With P the owners preceding both a and b, an entry x's term compares b
-    holding x against a stripped of x:
+    With P the owners preceding both a and b, and A, B their entry sets once
+    a gives `moved` to b, an entry x's term compares b holding x against A - x:
     (n/2) * [U(P + (B+x)) - U(P + (A-x))] / (n - |P| - 1).
     The arguments are checked before any draw. Each entry's terms are
     memoised by prefix for the sampler's life (one race), since a term
@@ -71,9 +75,8 @@ def make_power_sampler(
     memos: dict[EntryId, dict[bytes, float]] = {}
 
     def sampler(entry: EntryId, k: int, rng: np.random.Generator) -> np.ndarray:
-        ents_a, ents_b = _check_power_args(partition, a, b, entry)
-        gain = ents_b if entry in ents_b else ents_b | {entry}
-        term = differential_term(partition, oracle, gain, ents_a - {entry})
+        ents_a, ents_b = _check_power_args(partition, a, b, entry, moved)
+        term = differential_term(partition, oracle, ents_b | {entry}, ents_a - {entry})
         return sample_terms(partition, (a, b), term, memos.setdefault(entry, {}), int(k), rng)
 
     return sampler
@@ -99,10 +102,9 @@ def power_mc(
 def power_exact(
     partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId, x: EntryId
 ) -> float:
-    """Exact power: the differential of b over a on the transferred partition."""
-    _check_power_args(partition, a, b, x)
-    moved = apply_transfer(partition, Transfer(a, b, frozenset({x})))
-    return diff_shapley_exact(moved, oracle, b, a)
+    """Exact power: the differential of (B + x) over (A - x) on the pair's coalition plan."""
+    ents_a, ents_b = _check_power_args(partition, a, b, x, frozenset())
+    return differentials(oracle, coalition_plan(partition, a, b), [(ents_b | {x}, ents_a - {x})])[0]
 
 
 @dataclass

@@ -28,6 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import (
+    DeltaNotOwned,
     OwnerId,
     OwnerPartition,
     SameOwner,
@@ -320,17 +321,22 @@ def is_flipped(
     delta: float = 0.95,
     budget: int = 100_000,
     width_stop: float | None = None,
+    moved: frozenset[int] = frozenset(),
 ) -> FlipResult:
-    """Sequential test of whether owner a has fallen below owner b.
+    """Sequential test of whether owner a has fallen below owner b once a gives `moved` to b.
 
     Samples differential terms, FLIP_BATCH orderings at a time, until the
     delta-confidence interval excludes zero, the optional width_stop
     half-width is reached, or the permutation budget runs out (verdict
-    "undecided", budget_exhausted set).
+    "undecided", budget_exhausted set). A prefix never holds a or b, so the
+    check is bit for bit the one on the partition after the transfer.
     """
     if a == b:
         raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
-    term = differential_term(partition, oracle, partition.entries(a), partition.entries(b))
+    ents_a = partition.entries(a)
+    if not moved <= ents_a:
+        raise DeltaNotOwned(f"entries {sorted(moved - ents_a)} are not held by owner {a!r}")
+    term = differential_term(partition, oracle, ents_a - moved, partition.entries(b) | moved)
     memo: dict[bytes, float] = {}
     est = Estimate(delta=delta)
     budget = int(budget)

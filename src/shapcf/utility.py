@@ -21,10 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MalformedInput, NonFiniteScore, check_values, is_integer, is_number
+from .core import MalformedInput, NonFiniteScore, Rule, check_values, is_integer, is_number
 from .datasets import Dataset
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Rules for the utilities' numeric parameters.
+_FINITE: Rule = ("a finite number", lambda v: is_number(v) and math.isfinite(v))
+_FINITE_OR_NULL: Rule = ("a finite number or null", lambda v: v is None or _FINITE[1](v))
+_POSITIVE: Rule = ("a finite number > 0", lambda v: is_number(v) and 0.0 < v < math.inf)
+_NON_NEGATIVE: Rule = ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf)
 
 
 class UtilityOracle:
@@ -338,6 +344,11 @@ class KdeUtility(UtilityOracle):
         super().__init__(cache=cache)
         if reference not in ("pool", "nll"):
             raise MalformedInput(f'kde reference must be "pool" or "nll", got {reference!r}')
+        check_values(
+            "kde parameters",
+            [("eta", eta, _FINITE_OR_NULL), ("bandwidth_floor", bandwidth_floor, _NON_NEGATIVE),
+             ("error_cap", error_cap, _POSITIVE)],
+        )
         self.train = train
         self.test = test
         self.floor = float(bandwidth_floor)
@@ -452,10 +463,10 @@ class LogRegUtility(UtilityOracle):
         check_values(
             "logistic-regression parameters",
             (
-                ("eta", eta, ("a finite number", lambda v: is_number(v) and math.isfinite(v))),
+                ("eta", eta, _FINITE),
                 ("iters", iters, ("an integer >= 0", lambda v: is_integer(v) and v >= 0)),
-                ("lr", lr, ("a finite number > 0", lambda v: is_number(v) and 0.0 < v < math.inf)),
-                ("l2", l2, ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf)),
+                ("lr", lr, _POSITIVE),
+                ("l2", l2, _NON_NEGATIVE),
             ),
         )
         self.train = train
@@ -612,6 +623,7 @@ class LinRegUtility(UtilityOracle):
         super().__init__(cache=cache)
         if train.labels is None or test.labels is None:
             raise MalformedInput("linear-regression utility needs a label column")
+        check_values("linear-regression parameters", [("eta", eta, _FINITE_OR_NULL)])
         self.train = train
         self.test = test
         self.axis = _check_axis(axis)

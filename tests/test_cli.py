@@ -179,6 +179,16 @@ class TestShapleyCommand:
         assert "Error" in res.stderr and "entry ids must be integers" in res.stderr
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("params", [{"error_cap": "abc"}, {"eta": "x"}, {"bandwidth_floor": [1]}])
+    def test_bad_kde_parameters_are_clean_errors(self, runner, tmp_path, params):
+        data = write_csv(tmp_path / "train.csv", n_rows=10, seed=1)
+        utility = write_json(tmp_path / "utility.json", {"kind": "kde", **params})
+        partition = write_json(tmp_path / "partition.json", {"owners": {"A": [0], "B": [1]}})
+        res = runner.invoke(main, ["shapley", "--data", data, "--partition", partition, "--utility", utility])
+        assert res.exit_code == 1, res.output
+        assert res.stderr.startswith("Error: ") and next(iter(params)) in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_unreadable_data_is_a_clean_error(self, runner, tmp_path):
         data = tmp_path / "latin1.csv"
         data.write_bytes("x,y\n1.0,caf\xe9\n".encode("latin-1"))

@@ -642,6 +642,7 @@ class TestCoalitionPlan:
         powers = [
             (arm.estimate.mean, power_exact(shifted(req, moved), req.oracle, req.a, req.b, arm.entry))
             for req, moved, pick in races
+            if len(pick.arms) > 1  # a lone arm is a forced pick: it has no power
             for arm in pick.arms
         ]
         assert all(got == want for got, want in powers)
@@ -660,34 +661,49 @@ class TestCoalitionPlan:
             monkeypatch.setattr(explain_module, name, wrapper)
         return counts
 
+    @staticmethod
+    def count_partitions(monkeypatch):
+        """A counter of the OwnerPartitions built from now on, apply_transfer's included."""
+        built = [0]
+        post_init = OwnerPartition.__post_init__
+
+        def counted(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(OwnerPartition, "__post_init__", counted)
+        return built
+
     def test_no_moved_partition_per_subset_or_arm(self, monkeypatch):
-        counts = self.count_calls(monkeypatch, "apply_transfer", "diff_shapley_exact")
+        games = list(self.games())
+        built = self.count_partitions(monkeypatch)
+        counts = self.count_calls(monkeypatch, "diff_shapley_exact")
         rounds = 0
-        for i, p, oracle, a, b in self.games():
+        for i, p, oracle, a, b in games:
             explain_bruteforce(p, oracle, a, b)
             explain_mc(p, oracle, a, b, spawn_rng(63, i))
             res = explain_svexp(p, oracle, a, b, spawn_rng(64, i))
             rounds += len(res.steps)
         assert rounds > 20
-        assert counts["apply_transfer"] == 0  # every shift is scored on the plan
+        assert built == [0]  # every shift is scored on the plan
         assert counts["diff_shapley_exact"] == 0  # that name now serves pair selection only
 
-    def test_sampled_route_builds_one_partition_per_shift(self, monkeypatch):
-        counts = self.count_calls(monkeypatch, "apply_transfer")
+    def test_requests_build_no_partition_on_either_route(self, monkeypatch):
+        base = [heavy_game(), two_step_game(), *integer_gap_games(count=4)]
+        exact = [(OwnerPartition({**p.owners, **{f"Z{i}": () for i in range(6 - p.n)}}), o) for p, o in base]
+        sampled = [(padded(p), oracle) for p, oracle in base]
+        assert {p.n for p, _ in exact} == {6} and {p.n for p, _ in sampled} == {11}
+        built = self.count_partitions(monkeypatch)
         rounds = tested = 0
-        for i, (p, oracle) in enumerate([heavy_game(), two_step_game(), *integer_gap_games(count=4)]):
-            p = padded(p)
+        for i, (p, oracle) in enumerate(exact + sampled):
             res = explain_svexp(p, oracle, "A", "B", spawn_rng(68, i))
             assert res.status == STATUS_OK and res.steps
-            assert counts["apply_transfer"] == len(res.steps)  # one per round, none per race or verification
             rounds += len(res.steps)
-            counts["apply_transfer"] = 0
             res = explain_mc(p, oracle, "A", "B", spawn_rng(69, i))
             assert res.status == STATUS_OK and res.subsets_tested
-            assert counts["apply_transfer"] == res.subsets_tested  # one per subset, none to verify
             tested += res.subsets_tested
-            counts["apply_transfer"] = 0
-        assert rounds > 6 and tested > 6
+        assert built == [0]  # no partition per round, subset, race or verification
+        assert rounds > 12 and tested > 12
 
     def test_exact_verification_reuses_the_last_check(self):
         checked, failed = 0, 0

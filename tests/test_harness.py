@@ -598,6 +598,24 @@ class TestRunErrors:
         with pytest.raises(MalformedInput, match=re.escape(f"{path}: cannot read the file")):
             harness.load_csv(path)
 
+    def test_grid_pair_mode_checks_vertical_groups(self, housing_dataset):
+        train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
+        cfg = ExperimentConfig.from_json(
+            base_config(
+                utility={"kind": "linreg", "axis": "features"},
+                allocation={"kind": "vertical", "groups": ["CRIM", "ZN"]},
+                pair={"mode": "grid"},
+            )
+        )
+        with pytest.raises(MalformedInput, match='"groups" object'):
+            run_experiment(cfg, datasets=(train, test))
+
+    def test_zipfian_grid_needs_k_max_at_least_0(self):
+        with pytest.raises(MalformedInput, match=re.escape("allocation k_max=-1 (need an integer >= 0)")):
+            ExperimentConfig.from_json(
+                base_config(allocation={"kind": "zipfian", "grid": True, "k_max": -1}, n_owners=2)
+            )
+
     def test_grid_pair_mode_needs_group_allocation(self):
         cfg = ExperimentConfig.from_json(base_config(pair={"mode": "grid"}))
         with pytest.raises(MalformedInput):

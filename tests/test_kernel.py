@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from shapcf.core import DRAW_CHUNK, OwnerPartition, draw_orders, spawn_rng
+from shapcf.core import DRAW_CHUNK, OwnerPartition, Transfer, apply_transfer, draw_orders, spawn_rng
 from shapcf.power import make_power_sampler, power_mc, thompson_top1
 from shapcf.shapley import FLIP_BATCH, Estimate, FlipResult, diff_shapley_mc, is_flipped, shapley_mc
 from shapcf.utility import AdditiveUtility
@@ -269,3 +269,67 @@ def test_each_distinct_prefix_is_scored_once_per_call():
     ests = shapley_mc(partition, oracle, spawn_rng(18), budget=2000)
     assert all(e.count == 2000 for e in ests.values())
     assert oracle.calls - calls <= 2**4 - 1
+
+
+def shift_cases():
+    """(case, partition, oracle, a, b, moved) on random games of 10-14 owners.
+
+    moved is a random subset of a's entries (empty, part or all of them); the
+    games have overlapping and empty owners.
+    """
+    rng = np.random.default_rng(79)
+    for gi, (partition, oracle) in enumerate(random_games(seed=79, count=10, n_lo=10, n_hi=14, pool=8)):
+        for pi, (a, b) in enumerate(pairs(partition)):
+            ents = sorted(partition.entries(a))
+            size = int(rng.integers(0, len(ents) + 1))
+            moved = frozenset(int(e) for e in rng.choice(ents, size=size, replace=False)) if ents else frozenset()
+            yield (gi, pi), partition, oracle, a, b, moved
+
+
+def cost(oracle, run):
+    """run()'s result and the oracle (calls, evals) it took from an empty memo."""
+    oracle.clear_cache()
+    calls, evals = oracle.calls, oracle.evals
+    out = run()
+    return out, (oracle.calls - calls, oracle.evals - evals)
+
+
+def test_flip_check_of_a_shift_matches_the_moved_partition():
+    # A prefix never holds a or b, so naming the shift and building the moved
+    # partition must give the same check: verdict, estimate, draws and oracle traffic.
+    cases = overlap = empty = shifted = 0
+    for case, partition, oracle, a, b, moved in shift_cases():
+        after = apply_transfer(partition, Transfer(a, b, moved))
+        rng_got, rng_want = spawn_rng(19, *case), spawn_rng(19, *case)
+        got, got_cost = cost(oracle, lambda: is_flipped(partition, oracle, a, b, rng_got, budget=300, moved=moved))
+        want, want_cost = cost(oracle, lambda: is_flipped(after, oracle, a, b, rng_want, budget=300))
+        assert (got.verdict, got.budget_exhausted) == (want.verdict, want.budget_exhausted)
+        assert fields(got.estimate) == fields(want.estimate)
+        assert got_cost == want_cost and got_cost[0] > 0
+        assert_same_stream(rng_got, rng_want)
+        cases += 1
+        overlap += bool(partition.entries(a) & partition.entries(b))
+        empty += any(not partition.entries(o) for o in partition.owner_ids())
+        shifted += bool(moved)
+    assert cases == 20 and overlap >= 3 and empty >= 3 and shifted >= 10
+
+
+def test_power_sampler_of_a_shift_matches_the_moved_partition():
+    checked = 0
+    for case, partition, oracle, a, b, moved in shift_cases():
+        entries = sorted(partition.entries(a) - moved)
+        if len(entries) < 2:
+            continue
+        after = apply_transfer(partition, Transfer(a, b, moved))
+        got_sampler = make_power_sampler(partition, oracle, a, b, moved=moved)
+        want_sampler = make_power_sampler(after, oracle, a, b)
+        rng_got, rng_want = spawn_rng(20, *case), spawn_rng(20, *case)
+        for call, k in enumerate([8, 1, 32, 17]):
+            x = entries[call % len(entries)]
+            got, got_cost = cost(oracle, lambda: got_sampler(x, k, rng_got))
+            want, want_cost = cost(oracle, lambda: want_sampler(x, k, rng_want))
+            assert got.tolist() == want.tolist()
+            assert got_cost == want_cost
+        assert_same_stream(rng_got, rng_want)
+        checked += 1
+    assert checked >= 8

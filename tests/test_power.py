@@ -179,6 +179,21 @@ class TestPowerArgs:
         with pytest.raises(SingletonOwner):
             make_power_sampler(self.p, self.oracle, "B", "A")(2, 1, spawn_rng(1))
 
+    def test_shift_outside_a_rejected(self):
+        rng = spawn_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(DeltaNotOwned):
+            make_power_sampler(self.p, self.oracle, "A", "B", moved=frozenset({0, 2}))(1, 1, rng)
+        assert rng.bit_generator.state == before
+
+    def test_shift_leaving_one_entry_rejected(self):
+        # A - {1} is {0}: as on the moved partition, a lone entry has no power.
+        sampler = make_power_sampler(self.p, self.oracle, "A", "B", moved=frozenset({1}))
+        with pytest.raises(SingletonOwner):
+            sampler(0, 1, spawn_rng(1))
+        with pytest.raises(DeltaNotOwned):  # a moved entry is no longer a's
+            sampler(1, 1, spawn_rng(1))
+
 
 class TestMakePowerSampler:
     def test_returns_requested_count(self):

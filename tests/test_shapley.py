@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from shapcf.core import OwnerPartition, SameOwner, TooManyOwners, UnknownOwner, spawn_rng
+from shapcf.core import DeltaNotOwned, OwnerPartition, SameOwner, TooManyOwners, UnknownOwner, spawn_rng
 from shapcf.shapley import (
     EXACT_OWNER_LIMIT,
     Estimate,
@@ -331,6 +331,15 @@ class TestIsFlipped:
         o = AdditiveUtility({1: 1.0, 2: 2.0})
         with pytest.raises(SameOwner):
             is_flipped(p, o, "A", "A", spawn_rng(9))
+
+    def test_shift_outside_a_rejected(self):
+        p = part(A={1, 3}, B={2})
+        o = AdditiveUtility({1: 1.0, 2: 2.0, 3: 1.0})
+        rng = spawn_rng(9)
+        before = rng.bit_generator.state
+        with pytest.raises(DeltaNotOwned):
+            is_flipped(p, o, "A", "B", rng, moved=frozenset({2, 3}))
+        assert rng.bit_generator.state == before and o.calls == 0
 
     def test_width_stop_converges_early(self):
         # Symmetric game: the differential is exactly zero but single terms

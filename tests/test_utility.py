@@ -264,6 +264,28 @@ class TestKde:
         with pytest.raises(MalformedInput):
             KdeUtility(train, test, reference="nothing")
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"eta": "x"},
+            {"eta": True},
+            {"eta": math.inf},
+            {"bandwidth_floor": [1]},
+            {"bandwidth_floor": -1e-3},
+            {"bandwidth_floor": math.nan},
+            {"error_cap": "abc"},
+            {"error_cap": -1.0},
+            {"error_cap": 0.0},
+            {"error_cap": math.inf},
+        ],
+    )
+    def test_bad_parameters_rejected(self, pool, params):
+        train, test = pool
+        with pytest.raises(MalformedInput):
+            KdeUtility(train, test, **params)
+        with pytest.raises(MalformedInput):
+            make_oracle({"kind": "kde", **params}, train, test)
+
 
 def with_warnings(fn, *args):
     """fn(*args) and every warning it raised, as (category, message) pairs."""
@@ -633,6 +655,14 @@ class TestLinReg:
         ds = line_dataset()
         with pytest.raises(MalformedInput):
             LinRegUtility(ds, ds, axis="columns")
+
+    @pytest.mark.parametrize("eta", ["x", True, math.nan, -math.inf, [1.0]])
+    def test_bad_eta_rejected(self, eta):
+        ds = line_dataset()
+        with pytest.raises(MalformedInput):
+            LinRegUtility(ds, ds, eta=eta)
+        with pytest.raises(MalformedInput):
+            make_oracle({"kind": "linreg", "eta": eta}, ds, ds)
 
 
 class TestFactoryAndCache:
