@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -179,7 +179,7 @@ def flip_check(
     config: ExplainConfig,
     budget: int,
     *,
-    sampled: Callable[..., FlipResult] | None = None,
+    sampled: Callable[..., FlipResult],
 ) -> FlipResult:
     """Whether a has fallen below b on `partition`: exact when the prefixes are few.
 
@@ -187,14 +187,15 @@ def flip_check(
     differential d: "flipped" if d < 0, "not_flipped" if d > 0 and
     "undecided" on a tie, never budget_exhausted. Such a check draws nothing
     from rng, and its estimate has mean d and no samples. Otherwise
-    `sampled` (is_flipped when None) runs the sequential check with up to
-    `budget` permutations and config's delta and width_stop.
+    `sampled` (is_flipped, or a caller's own import of it) runs the
+    sequential check with up to `budget` permutations and config's delta
+    and width_stop.
     """
     if a == b:
         raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
     if _is_small(partition):
         return _exact_check(diff_shapley_exact(partition, oracle, a, b), config.delta)
-    return (sampled or is_flipped)(
+    return sampled(
         partition, oracle, a, b, rng,
         delta=config.delta, budget=budget, width_stop=config.width_stop,
     )
@@ -222,8 +223,9 @@ class _Request:
     """One explanation request: its pair, rng, config, clock and sample counters.
 
     Engines judge shifts: `moved` is the set of a's entries that a gives b.
-    Every flip check goes through `check`, and every result is built by
-    `done`, so the counters and the deadline live in one place. A shift is
+    Every flip check goes through `checks` (`check` is a chunk of one), and
+    every result is built by `done`, so the counters and the deadline live
+    in one place. A shift is
     scored as the entry-set pair (A - moved, B | moved) on the request's own
     partition: on the exact route (bf always, mc and svexp with few prefixes)
     over the pair's one coalition plan, on the sampled route over drawn
@@ -258,19 +260,48 @@ class _Request:
 
     def check(self, budget: int, moved: Iterable[EntryId] = ()) -> FlipResult:
         """Flip check of the pair once a gives `moved` to b, counted."""
-        moved = frozenset(moved)
+        return next(self.checks(budget, [moved]))
+
+    def checks(self, budget: int, shifts: Iterable[Iterable[EntryId]]) -> Iterator[FlipResult]:
+        """check() of each shift in turn, each counted (and the latest) as it is read.
+
+        On the exact route one values() call scores every shift's sets, here
+        and now; on the sampled route each shift's check runs as it is read.
+        """
+        shifts = [frozenset(moved) for moved in shifts]
         if self.plan is not None:
-            pair = (self.ents_a - moved, self.ents_b | moved)
-            res = _exact_check(differentials(self.oracle, self.plan, [pair])[0], self.cfg.delta)
+            pairs = [(self.ents_a - moved, self.ents_b | moved) for moved in shifts]
+            delta = self.cfg.delta
+            results = [_exact_check(d, delta) for d in differentials(self.oracle, self.plan, pairs)]
         else:
-            res = is_flipped(
-                self.partition, self.oracle, self.a, self.b, self.rng,
-                delta=self.cfg.delta, budget=budget, width_stop=self.cfg.width_stop, moved=moved,
+            results = (
+                is_flipped(
+                    self.partition, self.oracle, self.a, self.b, self.rng,
+                    delta=self.cfg.delta, budget=budget, width_stop=self.cfg.width_stop, moved=moved,
+                )
+                for moved in shifts
             )
+        return map(self._counted, results)
+
+    def _counted(self, res: FlipResult) -> FlipResult:
         self.samples += res.estimate.count
         self.exhausted |= res.budget_exhausted
         self.last = res
         return res
+
+    def span(self, moved: Iterable[EntryId]) -> int:
+        """How many shifts like `moved` one check call takes: 1 on the sampled route.
+
+        On the exact route it is the oracle's room for sets like moved's,
+        over the 2^(n-1) sets a shift scores, at least 1. The room is judged
+        on moved's two largest sets, the union of all the other owners with
+        A - moved and with B | moved.
+        """
+        if self.plan is None:
+            return 1
+        bases, moved = self.plan[0], frozenset(moved)
+        largest = [bases[-1] | (self.ents_a - moved), bases[-1] | self.ents_b | moved]
+        return max(1, self.oracle.room(largest) // (2 * len(bases)))
 
     def verify(self, moved: Iterable[EntryId] = ()) -> FlipResult:
         """The answer's final check; an exact one is the latest check, of the same shift."""
@@ -354,18 +385,33 @@ class _Request:
 
 
 def _first_flip(req: _Request, ents: list[EntryId]) -> CounterfactualResult:
-    """The first subset of `ents` whose shift flips the pair (else all of them), verified."""
-    tested = 0
-    for combo in _subsets(ents):
+    """The first subset of `ents` whose shift flips the pair (else all of them), verified.
+
+    Subsets go in ascending size, lexicographic within a size, in chunks
+    with one check call (on the exact route one values() call) each. A
+    chunk holds req.span subsets, judged once per size on the first subset
+    of that size to start a chunk, and is filled across a size boundary.
+    The deadline is read before each chunk, and only the subsets up to the
+    first flip count as tested.
+    """
+
+    def verified(moved, tested: int) -> CounterfactualResult:
+        final = req.verify(moved)
+        return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, tested)
+
+    tested, spans = 0, {}
+    subsets = _subsets(ents)
+    for first in subsets:
         if req.expired():
             return req.done(STATUS_TIMEOUT, tested=tested)
-        tested += 1
-        if req.check(req.cfg.check_budget, combo).verdict == "flipped":
-            break
-    else:
-        combo = ents
-    final = req.verify(combo)
-    return req.done(STATUS_OK, combo, final.verdict == "flipped", final.estimate, tested)
+        if len(first) not in spans:
+            spans[len(first)] = req.span(first)
+        chunk = [first, *itertools.islice(subsets, spans[len(first)] - 1)]
+        for combo, res in zip(chunk, req.checks(req.cfg.check_budget, chunk)):
+            tested += 1
+            if res.verdict == "flipped":
+                return verified(combo, tested)
+    return verified(ents, tested)
 
 
 def explain_bruteforce(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -89,6 +90,14 @@ class UtilityOracle:
             for i, first in repeats:
                 out[i] = out[first]
         return out
+
+    def room(self, sets: list[frozenset[int]]) -> int:
+        """How many sets like `sets` one values() call scores for about the cost of these alone.
+
+        An oracle whose calls share no work across their sets has room for
+        exactly these: len(sets).
+        """
+        return len(sets)
 
     def clear_cache(self) -> None:
         """Empty the coalition memo.
@@ -180,6 +189,12 @@ class SetCoverUtility(UtilityOracle):
         return self.game.m - len(ids) + self.game.encode(ids)
 
 
+def _check_ids(idx: np.ndarray, limit: int, axis: str) -> None:
+    """Raise MalformedInput unless every row (or feature) id in idx lies in [0, limit)."""
+    if idx.size and (idx.min() < 0 or idx.max() >= limit):
+        raise MalformedInput(f"{'row' if axis == 'rows' else 'feature'} ids out of range [0, {limit})")
+
+
 def _restrict(dataset: Dataset, ids_list: list[frozenset[int]], axis: str) -> np.ndarray:
     """The rows or columns named by each of several equal-size sets, stacked.
 
@@ -189,9 +204,7 @@ def _restrict(dataset: Dataset, ids_list: list[frozenset[int]], axis: str) -> np
     subset of a C-ordered table.
     """
     idx = np.array([sorted(ids) for ids in ids_list], dtype=np.intp)
-    limit = len(dataset) if axis == "rows" else dataset.n_features
-    if idx.size and (idx.min() < 0 or idx.max() >= limit):
-        raise MalformedInput(f"{'row' if axis == 'rows' else 'feature'} ids out of range [0, {limit})")
+    _check_ids(idx, len(dataset) if axis == "rows" else dataset.n_features, axis)
     if axis == "rows":
         return dataset.features[idx]
     return np.moveaxis(dataset.features[:, idx], 0, 1)
@@ -397,11 +410,60 @@ class KdeUtility(UtilityOracle):
         return self._pool_cache
 
 
-def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
+def _padded_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each set's ids in ascending order, one row per set, and the sets' sizes.
+
+    The ids are checked as _restrict checks them. A row shorter than the
+    longest set is filled with `limit`, one past the last id.
+    """
+    sizes = np.fromiter(map(len, ids_list), np.intp, len(ids_list))
+    flat = np.fromiter(chain.from_iterable(map(sorted, ids_list)), np.intp, int(sizes.sum()))
+    _check_ids(flat, limit, axis)
+    idx = np.full((len(ids_list), sizes.max()), limit, dtype=np.intp)
+    idx[np.arange(idx.shape[1]) < sizes[:, None]] = flat
+    return idx, sizes
+
+
+def _row_sums(a: np.ndarray, n_rows: np.ndarray) -> np.ndarray:
+    """(sets, columns) sums over the rows of a (sets, rows, columns) stack, padded rows zero.
+
+    Each set's sums have the bits of the same sum over its own rows, laid
+    out alone as the stack lays them out. Over C-ordered rows of 2 or more
+    columns numpy adds a row at a time, and over F-ordered columns it sums
+    each column's unpadded rows pairwise, so the stack is summed whole: a
+    zero appended to a running sum changes no bit of it. A single C-ordered
+    column is summed pairwise too, in an order set by its row count, so
+    then the sets are summed in groups of one row count.
+    """
+    if a.shape[2] > 1 or n_rows.min() == a.shape[1]:
+        return a.sum(axis=1)
+    out = np.empty((len(a), 1))
+    for k in np.unique(n_rows):
+        of_k = n_rows == k
+        out[of_k] = a[of_k, :k].sum(axis=1)
+    return out
+
+
+def _standardize(
+    x: np.ndarray, n_rows: np.ndarray, real: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each set's columns standardized by its mean and std, with those (sets, columns).
+
+    x is a (sets, rows, columns) stack with n_rows real rows per set and
+    zeros after them, and real is the (sets, rows) mask of the real rows,
+    1.0 or 0.0. x is standardized in place and keeps those zeros. Every
+    value has the bits of x.mean(axis=0), x.std(axis=0) and (x - mu) / sd
+    on the set's own (rows, columns) array, an sd under 1e-12 taken as 1.
+    """
+    n = n_rows[:, None]
+    mu = _row_sums(x, n_rows) / n
+    x -= mu[:, None, :]
+    if n_rows.min() < x.shape[1]:
+        x *= real[:, :, None]
+    sd = np.sqrt(_row_sums(x * x, n_rows) / n)
     sd = np.where(sd < 1e-12, 1.0, sd)
-    return (x - mu) / sd, mu, sd
+    x /= sd[:, None, :]
+    return x, mu, sd
 
 
 def _tree_steps(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -429,6 +491,16 @@ def _tree_sum(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
+# Fit values (rows x (features + bias), summed over the sets) that one
+# logistic values() call scores for about the cost of its largest set alone;
+# exact searches fill a call up to it. The 200 steps of a descent cost about
+# the same up to there: on 224 train rows of 4 features, one call took
+# 3.7 ms for 1 set of 6-20 rows, 4.0 ms for 16 and 5.3 ms for 32 such sets,
+# while sets of 100-200 rows cost about in proportion to their count
+# (15.2 ms for 16, 44.9 ms for 64; README, File shapes).
+SHARED_FIT_VALUES = 1 << 12
+
+
 class LogRegUtility(UtilityOracle):
     """eta minus test log-loss of a logistic model fitted on the composed set.
 
@@ -437,10 +509,10 @@ class LogRegUtility(UtilityOracle):
     composed sets fall back to a Laplace-smoothed constant predictor rather
     than failing.
 
-    The sets of one values() call are fitted together as padded gradient
-    descents (see _fit), in groups of at most _STACK_ELEMENTS values, and a
-    single set is a batch of one, so a set's score is the same bits alone or
-    in any batch.
+    The sets of one values() call are scored in groups of at most
+    _STACK_ELEMENTS fit values (see _fit), each group by whole-array steps
+    over a zero-padded stack of its sets, and a single set is a group of one,
+    so a set's score is the same bits alone or in any batch.
     """
 
     kind = "logistic-regression"
@@ -479,20 +551,20 @@ class LogRegUtility(UtilityOracle):
         classes = np.unique(np.concatenate([train.labels, test.labels]))
         if len(classes) > 2:
             raise MalformedInput(f"labels must be binary, found {len(classes)} classes")
-        self._hi = classes[-1]
-        self._yt = (test.labels == self._hi).astype(np.float64)
-
-    def _xy(self, ids: frozenset[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        hi = classes[-1]
+        self._yt = (test.labels == hi).astype(np.float64)
+        # The tables padded ids point at: one zero row (rows axis) or zero
+        # column (features axis) past the data, so a gathered stack is padded
+        # with zeros.
+        y = (train.labels == hi).astype(np.float64)
         if self.axis == "rows":
-            idx = np.array(sorted(ids), dtype=np.intp)
-            x = self.train.features[idx]
-            y = (self.train.labels[idx] == self._hi).astype(np.float64)
-            xt = self.test.features
+            self._x = np.vstack([train.features, np.zeros((1, train.n_features))])
+            self._y = np.append(y, 0.0)
+            self._real = np.append(np.ones(len(train)), 0.0)
         else:
-            x = _restrict(self.train, [ids], "features")[0]
-            y = (self.train.labels == self._hi).astype(np.float64)
-            xt = _restrict(self.test, [ids], "features")[0]
-        return x, y, xt
+            self._x = np.hstack([train.features, np.zeros((len(train), 1))])
+            self._xt = np.hstack([test.features, np.zeros((len(test), 1))])
+            self._y = y
 
     def _size(self, ids: frozenset[int]) -> tuple[int, int]:
         """(rows, features + bias) of the set's fit."""
@@ -500,69 +572,89 @@ class LogRegUtility(UtilityOracle):
             return len(ids), self.train.n_features + 1
         return len(self.train), len(ids) + 1
 
+    def room(self, sets: list[frozenset[int]]) -> int:
+        """Up to SHARED_FIT_VALUES fit values of sets like the largest of `sets` share one call."""
+        largest = max(rows * width for rows, width in map(self._size, sets))
+        return max(len(sets), SHARED_FIT_VALUES // max(1, largest))  # an empty set fits nothing
+
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
         # Largest sets first, so a group's sets are of like sizes and each
         # group's padded arrays stay under _STACK_ELEMENTS.
-        sizes = [self._size(ids) for ids in ids_list]
-        order = sorted(range(len(ids_list)), key=sizes.__getitem__, reverse=True)
-        scores = [0.0] * len(ids_list)
+        order = sorted(range(len(ids_list)), key=lambda i: len(ids_list[i]), reverse=True)
+        scores = np.empty(len(ids_list))
         at = 0
         while at < len(order):
-            rows, width = sizes[order[at]]
+            rows, width = self._size(ids_list[order[at]])
             group = order[at : at + max(1, _STACK_ELEMENTS // (rows * width))]
             at += len(group)
-            fits, tests = [], []
-            for i in group:
-                x, y, xt = self._xy(ids_list[i])
-                if len(np.unique(y)) < 2:
-                    p = (y.sum() + 1.0) / (len(y) + 2.0)
-                    scores[i] = self._log_loss_score(np.full(len(self._yt), p))
-                else:
-                    xs, mu, sd = _standardize(x)
-                    fits.append((xs, y))
-                    tests.append((i, xt, mu, sd))
-            if fits:
-                # Predictions are made set by set, so they are batch-invariant
-                # whatever the order of their sums; _tree_sum keeps them off BLAS.
-                for (i, xt, mu, sd), v in zip(tests, self._fit(fits).T):
-                    d = xt.shape[1]
-                    xv = np.empty((d + 1, len(xt)))
-                    xv[:d] = ((xt - mu) / sd).T
-                    xv[d] = 1.0
-                    xv *= v[: d + 1, None]
-                    z = _tree_sum(xv)
-                    with np.errstate(over="ignore"):  # exp -> inf gives p = 0, its limit
-                        e = np.exp(z)
-                    scores[i] = self._log_loss_score(1.0 / (1.0 + e))
+            scores[group] = self._score_group([ids_list[i] for i in group])
+        return scores.tolist()
+
+    def _score_group(self, sets: list[frozenset[int]]) -> np.ndarray:
+        """The scores of one fit group, each step one array operation over all its sets.
+
+        A single-class set scores the Laplace-smoothed constant predictor.
+        The other sets are standardized, fitted and predicted as one
+        zero-padded stack.
+        """
+        rows = self.axis == "rows"
+        idx, n_ids = _padded_ids(sets, len(self.train) if rows else self.train.n_features, self.axis)
+        if rows:
+            y, n_rows, widths = self._y[idx], n_ids, np.full(len(sets), self.train.n_features)
+        else:
+            y, n_rows, widths = self._y[None], np.full(len(sets), len(self.train)), n_ids
+        hi = y.sum(axis=1)  # whole numbers, exact in any order
+        mixed = (hi > 0) & (hi < n_rows)
+        scores = np.empty(len(sets))
+        # The single-class sets' constant predictions, in stacks under the cap.
+        p = (hi + 1.0) / (n_rows + 2.0)
+        single = np.flatnonzero(~mixed)
+        step = max(1, _STACK_ELEMENTS // len(self._yt))
+        for at in range(0, len(single), step):
+            of = single[at : at + step]
+            pt = np.empty((len(of), len(self._yt)))
+            pt[:] = p[of, None]
+            scores[of] = self._log_loss(pt)
+        if mixed.any():
+            idx, n_rows, widths = idx[mixed], n_rows[mixed], widths[mixed]
+            if rows:
+                idx = idx[:, : n_rows.max()]
+                x, y, real = self._x[idx], self._y[idx], self._real[idx]
+            else:
+                x, real = np.moveaxis(self._x[:, idx], 0, 1), np.ones((len(idx), len(self.train)))
+                y = np.broadcast_to(y, real.shape)
+            xs, mu, sd = _standardize(x, n_rows, real)
+            v = self._fit(xs, y, real, n_rows, widths)
+            scores[mixed] = self._predict(idx, mu, sd, widths, v)
         return scores
 
-    def _fit(self, fits: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    def _fit(
+        self, xs: np.ndarray, y: np.ndarray, real: np.ndarray, n_rows: np.ndarray, widths: np.ndarray
+    ) -> np.ndarray:
         """The weights of all the sets' gradient descents, negated, one column per set.
 
-        Each set comes as (standardized x, labels), and its model has a bias
+        xs is the (sets, rows, features) stack of standardized inputs and y
+        the (sets, rows) labels, both zero past each set's n_rows rows (real
+        masks them) and xs past its widths features; a set's model has a bias
         column after its features. Per set the step is
         w <- w - lr * (x^T (p - y) / m + l2 * w), p = sigmoid(x w), with no
         penalty on the bias. It runs here on v = -w, which saves a negation:
         v <- v * (1 - lr * l2) + (lr / m) * x^T (p - y), p = 1 / (1 + exp(x v)).
         No BLAS is used: its kernels, and so its rounding, depend on the
-        shapes. The sets sit in one (columns, rows, sets) array, zero-padded
-        to the group's most columns and rows, and both x v and x^T (p - y)
-        are summed in the _tree_steps order, which the padding leaves bitwise
-        alone; a padded row's bias is 0 too, so all its products are 0.
+        shapes. The sets sit in one (columns, rows, sets) array, and both
+        x v and x^T (p - y) are summed in the _tree_steps order, which the
+        padding leaves bitwise alone; a padded row's bias is 0 too, so all
+        its products are 0.
         """
-        m, b = max(len(y) for _, y in fits), len(fits)
-        width = max(xs.shape[1] for xs, _ in fits) + 1
-        x = np.zeros((width, m, b))
-        y = np.zeros((m, b))
-        step = np.empty(b)  # lr / m
-        keep = np.ones((width, b))  # 1 - lr * l2 on the features
-        for j, (xs, yj) in enumerate(fits):
-            d = xs.shape[1]
-            x[:d, : len(yj), j] = xs.T
-            x[d, : len(yj), j] = 1.0
-            y[: len(yj), j] = yj
-            step[j] = self.lr / len(yj)
-            keep[:d, j] = 1.0 - self.lr * self.l2
+        b, m, d = xs.shape
+        x = np.zeros((d + 1, m, b))
+        x[:d] = xs.transpose(2, 1, 0)
+        x[widths, :, np.arange(b)] = real
+        y = np.ascontiguousarray(y.T)
+        step = self.lr / n_rows
+        # 1 - lr * l2, but 1 on the bias; a padded column's weight stays 0 either way.
+        keep = np.full((d + 1, b), 1.0 - self.lr * self.l2)
+        keep[widths, np.arange(b)] = 1.0
         # Each sum runs over the outer axis of its own copy of x, so that every
         # step of _tree_steps adds contiguous blocks: columns outermost for
         # x v, rows outermost for x^T (p - y). The two products share memory.
@@ -593,11 +685,46 @@ class LogRegUtility(UtilityOracle):
                 v += grad
         return v
 
-    def _log_loss_score(self, pt: np.ndarray) -> float:
+    def _predict(
+        self, idx: np.ndarray, mu: np.ndarray, sd: np.ndarray, widths: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
+        """The scores of fitted sets from their ids, standardization and weights v.
+
+        The sets are predicted in stacks of (features + bias, sets, test
+        points), each under _STACK_ELEMENTS or one set alone. A set's row
+        has its standardized test features, then 1 for the bias, then zeros;
+        x v is summed in the _tree_steps order over the outer axis, so the
+        zeros leave every bit, and no BLAS is used.
+        """
+        n_test, width = len(self.test), len(v)
+        step = max(1, _STACK_ELEMENTS // (width * n_test))
+        scores = np.empty(len(idx))
+        for at in range(0, len(idx), step):
+            sets = slice(at, at + step)
+            if self.axis == "rows":
+                xt = self.test.features[None]
+            else:
+                xt = np.moveaxis(self._xt[:, idx[sets]], 0, 1)
+            mu_s, sd_s, v_s = mu[sets].T, sd[sets].T, v[:, sets]  # (features [+ bias], sets)
+            xv = np.zeros((width, v_s.shape[1], n_test))
+            xs = xv[:-1]
+            xs[:] = xt.transpose(2, 0, 1)
+            xs -= mu_s[:, :, None]
+            xs /= sd_s[:, :, None]
+            xv[widths[sets], np.arange(v_s.shape[1])] = 1.0
+            xv *= v_s[:, :, None]
+            z = _tree_sum(xv)
+            with np.errstate(over="ignore"):  # exp -> inf gives p = 0, its limit
+                e = np.exp(z)
+            scores[sets] = self._log_loss(1.0 / (1.0 + e))
+        return scores
+
+    def _log_loss(self, pt: np.ndarray) -> np.ndarray:
+        """eta minus the clipped test log-loss of each row of a (sets, test points) stack."""
         eps = 1e-12
         pt = np.clip(pt, eps, 1.0 - eps)
         yt = self._yt
-        loss = float(-(yt * np.log(pt) + (1.0 - yt) * np.log(1.0 - pt)).mean())
+        loss = -(yt * np.log(pt) + (1.0 - yt) * np.log(1.0 - pt)).mean(axis=1)
         return self.eta - loss
 
 
@@ -636,6 +763,7 @@ class LinRegUtility(UtilityOracle):
     def _score(self, ids: frozenset[int]) -> float:
         if self.axis == "rows":
             idx = np.array(sorted(ids), dtype=np.intp)
+            _check_ids(idx, len(self.train), self.axis)
             x = self.train.features[idx]
             y = self.train.labels[idx]
             xt = self.test.features

@@ -12,7 +12,9 @@ cross-check the package's coalition enumeration. The enumerated forms that
 follow them give the Shapley value and the differential each its own
 coalition loop and weights, as separate routines; the package's one plan
 builder must reproduce both bit for bit, with the same oracle traffic
-(tests/test_shapley.py).
+(tests/test_shapley.py). The ascending-subset search after them checks one
+subset at a time on its own moved partition; the engines' chunked exact
+search must give its answers and counts (tests/test_explain.py).
 
 The last part keeps the straightforward numpy/scipy forms of three hot
 numeric paths: the KDE log density and the Thompson race, which the
@@ -42,7 +44,9 @@ from shapcf.core import (
     SameOwner,
     SingletonOwner,
     TooManyOwners,
+    Transfer,
     UnknownOwner,
+    apply_transfer,
 )
 from shapcf.power import ArmState, Sampler, Top1Result
 from shapcf.shapley import Estimate
@@ -328,6 +332,39 @@ def enumerated_diff_shapley_exact(
     vals = oracle.values(sets)
     weights = enumerated_diff_weights(partition.n)
     return math.fsum((va - vb) * w for va, vb, w in zip(vals[::2], vals[1::2], weights))
+
+
+@dataclass(frozen=True)
+class SearchReference:
+    """The ascending-subset search of a over b, one subset per check."""
+
+    initial: float  # the differential before any transfer
+    delta: tuple[EntryId, ...]  # the first flipping subset, else all of a's entries
+    tested: int  # subsets checked, the flipping one included
+    final: float  # the differential once delta moves
+    diffs: tuple[float, ...]  # every checked subset's differential, in check order
+
+
+def first_flip_reference(
+    partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId
+) -> SearchReference:
+    """bf's search with one subset, and one moved partition, per check.
+
+    Subsets go in ascending size, lexicographic within a size, until the
+    differential falls below 0.
+    """
+    initial = enumerated_diff_shapley_exact(partition, oracle, a, b)
+    ents = sorted(partition.entries(a))
+    sizes = range(1, len(ents) + 1)
+    diffs: list[float] = []
+    delta = tuple(ents)
+    for combo in itertools.chain.from_iterable(itertools.combinations(ents, k) for k in sizes):
+        moved = apply_transfer(partition, Transfer(a, b, frozenset(combo)))
+        diffs.append(enumerated_diff_shapley_exact(moved, oracle, a, b))
+        if diffs[-1] < 0.0:
+            delta = combo
+            break
+    return SearchReference(initial, delta, len(diffs), diffs[-1] if diffs else initial, tuple(diffs))
 
 
 def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import itertools
 import re
@@ -44,12 +45,13 @@ from shapcf.shapley import (
     coalition_plan,
     diff_shapley_exact,
     differentials,
+    is_flipped,
     shapley_exact_all,
 )
 from shapcf.utility import AdditiveUtility, KdeUtility, LogRegUtility, SetCoverGame, SetCoverUtility
 
 from conftest import make_blobs, random_games
-from oracles import shapley_by_definition
+from oracles import first_flip_reference, shapley_by_definition
 
 # The module; `shapcf.explain` as an attribute is the dispatch function.
 explain_module = importlib.import_module("shapcf.explain")
@@ -553,12 +555,12 @@ class TestExactRoute:
             ((p, oracle, "B", "A"), "flipped"),
             ((tie_p, tie_oracle, "A", "B"), "undecided"),
         ]:
-            res = flip_check(pp, o, a, b, None, cfg, 10)
+            res = flip_check(pp, o, a, b, None, cfg, 10, sampled=is_flipped)
             assert res.verdict == verdict and not res.budget_exhausted
             assert res.estimate.count == 0
             assert res.estimate.mean == diff_shapley_exact(pp, o, a, b)
         with pytest.raises(SameOwner):
-            flip_check(p, oracle, "A", "A", None, cfg, 10)
+            flip_check(p, oracle, "A", "A", None, cfg, 10, sampled=is_flipped)
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_samplers_run_only_above_the_threshold(self, sampled, monkeypatch):
@@ -611,19 +613,20 @@ class TestCoalitionPlan:
     def test_shifts_and_powers_have_the_bits_of_moved_partitions(self, monkeypatch):
         shifts, races = [], []
         request = explain_module._Request
-        check, race = request.check, request.race
+        checks, race = request.checks, request.race
 
-        def spy_check(req, budget, moved=()):
-            res = check(req, budget, moved)
-            shifts.append((req, frozenset(moved), res.estimate.mean))
-            return res
+        def spy_checks(req, budget, chunk):  # every check, single or chunked, goes through it
+            chunk = [frozenset(moved) for moved in chunk]
+            for moved, res in zip(chunk, checks(req, budget, chunk)):
+                shifts.append((req, moved, res.estimate.mean))
+                yield res
 
         def spy_race(req, moved):
             pick = race(req, moved)
             races.append((req, frozenset(moved), pick))
             return pick
 
-        monkeypatch.setattr(request, "check", spy_check)
+        monkeypatch.setattr(request, "checks", spy_checks)
         monkeypatch.setattr(request, "race", spy_race)
         sizes, shared, empty = set(), 0, 0
         for i, p, oracle, a, b in self.games():
@@ -757,6 +760,112 @@ class TestCoalitionPlan:
         limit = f"exact differential over {EXACT_OWNER_LIMIT + 1} owners exceeds the limit {EXACT_OWNER_LIMIT}"
         with pytest.raises(TooManyOwners, match=limit):
             explain_bruteforce(p, oracle, "O0", "O1")
+
+
+def logistic_games(count: int = 30, seed: int = 81):
+    """Logistic games of 3-7 owners over 16 shared rows, with a above b where the game allows it.
+
+    Rows 2k and 2k + 1 are twins (same features and label), so a set and its
+    twin-swapped copy score the same bits. A third of the games give
+    a = {2k, 2k + 1} | C and b = C: moving one twin ties exactly. Another
+    third draw every owner from the label-0 rows, where a set's score
+    depends on its size alone, and with eta = 1 every set of 5 rows or more
+    scores 0: a moving everything to b may leave a on top. The rest draw
+    owners freely. Owners overlap. Each game comes with a builder of fresh
+    oracles.
+    """
+    train = make_blobs(40, n_features=2, seed=seed, sep=1.0)
+    train.features[1::2] = train.features[::2]
+    train.labels[1::2] = train.labels[::2]
+    test = make_blobs(20, n_features=2, seed=seed + 1, sep=1.0)
+    rng = np.random.default_rng(seed)
+    zeros = [i for i in range(16) if train.labels[i] == 0.0]
+    games = []
+    for i in range(count):
+        n = 3 + i % 5
+        kind = ("twin", "pure", "free")[i // 5 % 3]
+        pool = zeros if kind == "pure" else range(16)
+        owners = {
+            f"O{j}": frozenset(int(e) for e in rng.choice(pool, size=int(rng.integers(1, 5)), replace=False))
+            for j in range(n)
+        }
+        if kind == "twin":
+            k = int(rng.integers(8))
+            shared = frozenset(int(e) for e in rng.choice(16, size=int(rng.integers(0, 3)), replace=False))
+            shared -= {2 * k, 2 * k + 1}
+            owners["O0"], owners["O1"] = shared | {2 * k, 2 * k + 1}, shared
+        p = OwnerPartition(owners)
+        build = functools.partial(LogRegUtility, train, test, iters=30, eta=1.0 if kind == "pure" else 20.0)
+        a, b = "O0", "O1"
+        if kind != "twin" and diff_shapley_exact(p, build(), a, b) < 0.0:
+            a, b = b, a
+        games.append((i, p, a, b, build))
+    return games
+
+
+class TestChunkedSearch:
+    """Exact searches check as many subsets per oracle call as the oracle has room for."""
+
+    def test_bf_and_mc_match_the_one_subset_reference(self, monkeypatch):
+        spans = []
+        span = explain_module._Request.span
+        monkeypatch.setattr(
+            explain_module._Request, "span", lambda req, moved: spans.append(span(req, moved)) or spans[-1]
+        )
+        sizes, ties, fallbacks, flips, shared, not_met = set(), 0, 0, 0, 0, 0
+        for i, p, a, b, build in logistic_games():
+            ref = first_flip_reference(p, build(), a, b)
+            sizes.add(p.n)
+            shared += bool(p.entries(a) & p.entries(b))
+            for res in (explain_bruteforce(p, build(), a, b), explain_mc(p, build(), a, b, spawn_rng(81, i))):
+                assert res.initial_diff == ref.initial
+                if ref.initial <= 0.0:
+                    tied = res.engine == "mc" and ref.initial == 0.0
+                    assert res.status == (STATUS_UNDECIDED if tied else STATUS_NOT_MET)
+                    assert res.subsets_tested == 0
+                    continue
+                assert res.status == STATUS_OK and res.samples_used == 0
+                assert res.delta == ref.delta and res.subsets_tested == ref.tested
+                assert res.final_diff == ref.final and res.success == (ref.final < 0.0)
+            not_met += ref.initial <= 0.0
+            if ref.initial > 0.0:
+                ties += 0.0 in ref.diffs
+                fallbacks += ref.final >= 0.0
+                flips += ref.final < 0.0
+        assert sizes == set(range(3, 8)) and shared >= 5
+        assert ties >= 2 and fallbacks >= 2 and flips >= 5 and not_met >= 2
+        assert max(spans) > 1 and min(spans) == 1  # some checks share a call, the largest games do not
+
+    def test_one_values_call_per_chunk(self, monkeypatch):
+        request = explain_module._Request
+        checks = request.checks
+        chunks = []
+        monkeypatch.setattr(
+            request, "checks", lambda req, budget, shifts: chunks.append(len(shifts)) or checks(req, budget, shifts)
+        )
+        shared = 0
+        for i, p, a, b, build in logistic_games():
+            oracle = build()
+            values = oracle.values
+            calls = []
+            monkeypatch.setattr(oracle, "values", lambda sets: calls.append(len(sets)) or values(sets))
+            chunks.clear()
+            res = explain_bruteforce(p, oracle, a, b)
+            if res.status != STATUS_OK:
+                continue
+            # the precheck, then one call per chunk; the verification reuses the last check
+            assert calls == [k * 2 ** (p.n - 1) for k in chunks]
+            assert chunks[0] == 1 and sum(chunks[1:]) >= res.subsets_tested > sum(chunks[1:-1])
+            shared += max(chunks) > 1
+        assert shared >= 5
+
+    def test_timeout_before_the_first_chunk(self):
+        for i, p, a, b, build in logistic_games(count=10):
+            for engine in ("bf", "mc"):
+                res = explain(engine, p, build(), a, b, spawn_rng(82, i), config=ExplainConfig(timeout=0.0))
+                if res.initial_diff > 0.0:
+                    assert res.status == STATUS_TIMEOUT and res.timed_out
+                    assert res.subsets_tested == 0 and res.delta == ()
 
 
 def _commented_value(comment: str):

@@ -509,6 +509,17 @@ class TestLogReg:
         assert a.value(ids) == b.value(ids)
 
 
+def count_calls(monkeypatch, owner: object, name: str, calls: dict[str, int]) -> None:
+    """Count the calls of owner.name into calls[name]."""
+    fn = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
 def logreg_sets(train: Dataset, axis: str, rng: np.random.Generator) -> list[frozenset[int]]:
     """Random sets of 1 to 16 ids; on rows also single-row and single-class sets."""
     pool = len(train) if axis == "rows" else train.n_features
@@ -524,7 +535,8 @@ def logreg_sets(train: Dataset, axis: str, rng: np.random.Generator) -> list[fro
 
 class TestLogRegBatch:
     # 9 features put the fit's width above 8, past numpy's short running sums.
-    CASES = [("rows", 2), ("rows", 4), ("rows", 9), ("features", 4), ("features", 9)]
+    # 1 feature on rows is the layout where numpy sums a set's column pairwise.
+    CASES = [("rows", 1), ("rows", 2), ("rows", 4), ("rows", 9), ("features", 4), ("features", 9)]
 
     @pytest.mark.parametrize("axis, n_features", CASES)
     def test_same_bits_alone_and_in_any_batch(self, axis, n_features):
@@ -553,9 +565,9 @@ class TestLogRegBatch:
         fit = LogRegUtility._fit
         groups = []
 
-        def spy(self, fits):
-            groups.append((len(fits), max(len(y) for _, y in fits), max(xs.shape[1] for xs, _ in fits)))
-            return fit(self, fits)
+        def spy(self, xs, *args):
+            groups.append(xs.shape)  # (sets, rows, features)
+            return fit(self, xs, *args)
 
         monkeypatch.setattr(LogRegUtility, "_fit", spy)
         whole = bare._score_many(sets)
@@ -567,6 +579,65 @@ class TestLogRegBatch:
             assert len(groups) > 1
             # (columns, rows, sets) under the cap, or one set alone
             assert all(b == 1 or b * m * (d + 1) <= cap for b, m, d in groups)
+
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    @pytest.mark.parametrize("size", [3, 30])
+    def test_one_array_pass_per_fit_group(self, axis, size, monkeypatch):
+        # Each step runs once for the whole group, whatever its size; the log-loss
+        # once for the fitted sets and once for the single-class ones.
+        train = make_blobs(40, n_features=9, seed=63, sep=1.0)
+        test = make_blobs(30, n_features=9, seed=64, sep=1.0)
+        sets = logreg_sets(train, axis, np.random.default_rng(65))[:size]
+        bare = LogRegUtility(train, test, axis=axis, eta=0.0)
+        alone = [bare._score_many([s])[0] for s in sets]
+        calls: dict[str, int] = {}
+        for owner, name in [
+            (LogRegUtility, "_score_group"),
+            (utility, "_padded_ids"),
+            (utility, "_standardize"),
+            (LogRegUtility, "_fit"),
+            (LogRegUtility, "_predict"),
+            (utility, "_tree_sum"),
+            (LogRegUtility, "_log_loss"),
+        ]:
+            count_calls(monkeypatch, owner, name, calls)
+        assert bare._score_many(sets) == alone
+        assert calls.pop("_log_loss") <= 2
+        once = ("_score_group", "_padded_ids", "_standardize", "_fit", "_predict", "_tree_sum")
+        assert calls == dict.fromkeys(once, 1)
+
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    def test_large_test_sets_split_the_prediction_stack(self, axis, monkeypatch):
+        train = make_blobs(40, n_features=9, seed=66, sep=1.0)
+        test = make_blobs(3000, n_features=9, seed=67, sep=1.0)
+        sets = logreg_sets(train, axis, np.random.default_rng(68))
+        bare = LogRegUtility(train, test, axis=axis, eta=0.0)
+        alone = [bare._score_many([s])[0] for s in sets]
+        tree_sum = utility._tree_sum
+        stacks = []
+
+        def spy(a):
+            stacks.append(a.shape)  # (features + bias, sets, test points)
+            return tree_sum(a)
+
+        monkeypatch.setattr(utility, "_tree_sum", spy)
+        for cap in (utility._STACK_ELEMENTS, 1):
+            stacks.clear()
+            monkeypatch.setattr(utility, "_STACK_ELEMENTS", cap)
+            assert bare._score_many(sets) == alone
+            assert all(c == 1 or w * c * n <= cap for w, c, n in stacks)
+            assert any(c > 1 for _, c, _ in stacks) if cap > 1 else len(stacks) > 1
+
+    def test_room_counts_fit_values(self):
+        train, test = make_blobs(300, n_features=4, seed=69), make_blobs(30, n_features=4, seed=70)
+        rows, features = LogRegUtility(train, test), LogRegUtility(train, test, axis="features")
+        shared = utility.SHARED_FIT_VALUES
+        assert rows.room([frozenset(range(20)), frozenset(range(5))]) == shared // (20 * 5)
+        assert rows.room([frozenset(range(300))] * 3) == max(3, shared // (300 * 5)) == 3
+        assert rows.room([frozenset()]) == shared  # an empty set fits nothing
+        assert features.room([frozenset({0, 1})]) == shared // (300 * 3)
+        sets = [frozenset({1}), frozenset({2, 3})]
+        assert AdditiveUtility({1: 1.0, 2: 1.0, 3: 1.0}).room(sets) == KdeUtility(train, test).room(sets) == 2
 
     @pytest.mark.parametrize("axis, n_features", CASES)
     def test_matches_the_one_set_blas_fit(self, axis, n_features):
@@ -626,6 +697,27 @@ class TestLogRegBatch:
         ds = make_blobs(20, seed=6)
         oracle = LogRegUtility(ds, ds, iters=0, l2=0.0)
         assert oracle.value(range(10)) == pytest.approx(20.0 - math.log(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", [LogRegUtility, LinRegUtility])
+class TestRowIdsOutOfRange:
+    @pytest.mark.parametrize("ids", [[-1, 0, 1, 2, 3, 4], [-7], [0, 1, 2, 3, 20], [0, 1, 2, 3, 99]])
+    def test_rejected(self, kind, ids):
+        ds = make_blobs(20, seed=3)
+        with pytest.raises(MalformedInput, match=r"row ids out of range \[0, 20\)"):
+            kind(ds, ds).value(ids)
+
+    def test_both_bounds_accepted(self, kind):
+        ds = make_blobs(20, seed=3)
+        assert math.isfinite(kind(ds, ds).value([0, 5, 10, 19]))
+
+    def test_one_bad_set_fails_its_batch(self, kind):
+        ds = make_blobs(20, seed=3)
+        oracle = kind(ds, ds)
+        good = [frozenset(range(0, 20, 2)), frozenset(range(1, 20, 3))]
+        with pytest.raises(MalformedInput, match="row ids out of range"):
+            oracle.values([*good, frozenset({3, 4, 20})])
+        assert oracle.values(good) == kind(ds, ds).values(good)
 
 
 class TestLinReg:
