@@ -24,15 +24,17 @@ owners leave 2^(n-2) such prefixes. While that is at most EXACT_PREFIXES,
 flip checks and svexp's race enumerate the prefixes instead of sampling
 orderings: exact answers that draw nothing from the rng. A request scores
 each shift X as the entry sets (A - X, B | X) on its own partition (on one
-shapley.coalition_plan when exact); pair selection checks through flip_check.
+shapley.coalition_plan when exact). Pair selection's checked request is
+explain's `pair`: one plan and one precondition check for every engine.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -50,7 +52,8 @@ from .core import (
     is_number,
 )
 from .power import ArmState, Top1Result, make_power_sampler, thompson_top1
-from .shapley import Estimate, FlipResult, coalition_plan, diff_shapley_exact, differentials, is_flipped
+from .shapley import Estimate, FlipResult, coalition_plan, differentials, is_flipped
+from .shapley import diff_shapley_exact  # unused here; perfbench/tracing.py wraps this name
 from .utility import UtilityOracle
 
 STATUS_OK = "ok"
@@ -170,39 +173,8 @@ def _is_small(partition: OwnerPartition) -> bool:
     return 2 ** (partition.n - 2) <= EXACT_PREFIXES
 
 
-def flip_check(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    rng: np.random.Generator | None,
-    config: ExplainConfig,
-    budget: int,
-    *,
-    sampled: Callable[..., FlipResult],
-) -> FlipResult:
-    """Whether a has fallen below b on `partition`: exact when the prefixes are few.
-
-    With at most EXACT_PREFIXES prefixes the verdict is read off the exact
-    differential d: "flipped" if d < 0, "not_flipped" if d > 0 and
-    "undecided" on a tie, never budget_exhausted. Such a check draws nothing
-    from rng, and its estimate has mean d and no samples. Otherwise
-    `sampled` (is_flipped, or a caller's own import of it) runs the
-    sequential check with up to `budget` permutations and config's delta
-    and width_stop.
-    """
-    if a == b:
-        raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
-    if _is_small(partition):
-        return _exact_check(diff_shapley_exact(partition, oracle, a, b), config.delta)
-    return sampled(
-        partition, oracle, a, b, rng,
-        delta=config.delta, budget=budget, width_stop=config.width_stop,
-    )
-
-
 def _exact_check(d: float, delta: float) -> FlipResult:
-    """flip_check's verdict on an exact differential d."""
+    """The check read off an exact differential d: no samples, never budget_exhausted."""
     verdict = "flipped" if d < 0.0 else "not_flipped" if d > 0.0 else "undecided"
     return FlipResult(verdict, Estimate(delta, d))
 
@@ -227,9 +199,12 @@ class _Request:
     every result is built by `done`, so the counters and the deadline live
     in one place. A shift is
     scored as the entry-set pair (A - moved, B | moved) on the request's own
-    partition: on the exact route (bf always, mc and svexp with few prefixes)
-    over the pair's one coalition plan, on the sampled route over drawn
-    prefixes. No partition is built.
+    partition: on the exact route (bf always, any other engine with few
+    prefixes) over the pair's one coalition plan, on the sampled route over
+    drawn prefixes. No partition is built.
+
+    `pair`, pair selection's prechecked request (engine "pair"), lends its
+    plan and its check as the precheck when checked on this engine's route.
     """
 
     def __init__(
@@ -241,6 +216,7 @@ class _Request:
         b: OwnerId,
         rng: np.random.Generator | None,
         config: ExplainConfig | None,
+        pair: _Request | None = None,
     ) -> None:
         if a == b:
             raise SameOwner(f"explanation needs two distinct owners, got {a!r} twice")
@@ -252,8 +228,17 @@ class _Request:
         self.samples = 0
         self.exhausted = False
         self.initial_diff = self.initial_half_width = 0.0
-        self.plan = coalition_plan(partition, a, b) if engine == "bf" or _is_small(partition) else None
-        self.last: FlipResult | None = None  # the latest check, or the precheck
+        exact = engine == "bf" or _is_small(partition)
+        lent = pair is not None and (pair.plan is not None) == exact
+        self.plan = pair.plan if lent else coalition_plan(partition, a, b) if exact else None
+        self.last: FlipResult | None = pair.last if lent else None  # the latest check, or the precheck
+
+    def swapped(self) -> _Request:
+        """The prechecked request for (b, a); its plan is this one, as it leaves out both owners."""
+        twin = copy.copy(self)
+        twin.a, twin.b, twin.ents_a, twin.ents_b = self.b, self.a, self.ents_b, self.ents_a
+        twin.last, twin.initial_diff = self.last.swapped(), -self.initial_diff
+        return twin
 
     def expired(self) -> bool:
         return time.monotonic() - self.start > self.cfg.timeout
@@ -340,16 +325,13 @@ class _Request:
         self.exhausted |= pick.budget_exhausted
         return pick
 
-    def precheck(self, initial: FlipResult | None) -> str | None:
+    def precheck(self, budget: int) -> str | None:
         """Check that a is above b; return the failed-precondition status, if any.
 
-        A supplied `initial` check is reused without counting its samples.
+        A check lent by the pair stands as the precheck, its samples not counted.
         """
-        if initial is None:
-            pre = self.check(self.cfg.check_budget)
-        else:
-            pre = self.last = initial
-            self.exhausted |= pre.budget_exhausted
+        pre = self.check(budget) if self.last is None else self.last
+        self.exhausted |= pre.budget_exhausted
         self.initial_diff = pre.estimate.mean
         self.initial_half_width = pre.estimate.half_width if pre.estimate.count >= 2 else 0.0
         return {"flipped": STATUS_NOT_MET, "undecided": STATUS_UNDECIDED}.get(pre.verdict)
@@ -414,73 +396,26 @@ def _first_flip(req: _Request, ents: list[EntryId]) -> CounterfactualResult:
     return verified(ents, tested)
 
 
-def explain_bruteforce(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    *,
-    config: ExplainConfig | None = None,
-) -> CounterfactualResult:
-    """Minimum-cardinality transfer set by exact ascending-size enumeration.
-
-    Subsets of equal size are tried in lexicographic entry order, so ties
-    break deterministically toward the smallest entry ids. The engine
-    decides the precondition exactly, and an exact tie counts as not met.
-    """
-    req = _Request("bf", partition, oracle, a, b, None, config)
+def _bruteforce(req: _Request) -> CounterfactualResult:
     ents = sorted(req.ents_a)
     if len(ents) > req.cfg.bf_entry_limit:
         raise TooLarge(
             f"brute force over {len(ents)} entries exceeds the limit {req.cfg.bf_entry_limit}"
         )
-    if req.precheck(None) is not None:
+    if req.precheck(req.cfg.check_budget) is not None:
         return req.done(STATUS_NOT_MET)
     return _first_flip(req, ents)
 
 
-def explain_mc(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    rng: np.random.Generator,
-    *,
-    config: ExplainConfig | None = None,
-    initial: FlipResult | None = None,
-) -> CounterfactualResult:
-    """Ascending-size search with Monte Carlo flip checks.
-
-    Each candidate subset gets a fresh sequential check with check_budget
-    permutations; undecided checks count as not flipped. The first flipped
-    subset (or, failing that, all of a's entries) is re-verified with
-    verify_budget permutations; an exact check stands as its own verification.
-    """
-    req = _Request("mc", partition, oracle, a, b, rng, config)
-    status = req.precheck(initial)
+def _mc(req: _Request) -> CounterfactualResult:
+    status = req.precheck(req.cfg.check_budget)
     if status is not None:
         return req.done(status)
     return _first_flip(req, sorted(req.ents_a))
 
 
-def explain_svexp(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    rng: np.random.Generator,
-    *,
-    config: ExplainConfig | None = None,
-    initial: FlipResult | None = None,
-) -> CounterfactualResult:
-    """Greedy transfer loop guided by a Thompson top-1 race over entry powers.
-
-    Each round races a's remaining entries (a forced pick when only one is
-    left), transfers the winner, and re-checks the pair. Stops on a flip, on
-    timeout, or when a has nothing left to give.
-    """
-    req = _Request("svexp", partition, oracle, a, b, rng, config)
-    status = req.precheck(initial)
+def _svexp(req: _Request) -> CounterfactualResult:
+    status = req.precheck(req.cfg.check_budget)
     if status is not None:
         return req.done(status)
 
@@ -514,10 +449,65 @@ def explain_svexp(
     return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, len(steps), steps)
 
 
+def explain_bruteforce(
+    partition: OwnerPartition,
+    oracle: UtilityOracle,
+    a: OwnerId,
+    b: OwnerId,
+    *,
+    config: ExplainConfig | None = None,
+) -> CounterfactualResult:
+    """Minimum-cardinality transfer set by exact ascending-size enumeration.
+
+    Subsets of equal size are tried in lexicographic entry order, so ties
+    break deterministically toward the smallest entry ids. The engine
+    decides the precondition exactly, and an exact tie counts as not met.
+    """
+    return _bruteforce(_Request("bf", partition, oracle, a, b, None, config))
+
+
+def explain_mc(
+    partition: OwnerPartition,
+    oracle: UtilityOracle,
+    a: OwnerId,
+    b: OwnerId,
+    rng: np.random.Generator,
+    *,
+    config: ExplainConfig | None = None,
+) -> CounterfactualResult:
+    """Ascending-size search with Monte Carlo flip checks.
+
+    Each candidate subset gets a fresh sequential check with check_budget
+    permutations; undecided checks count as not flipped. The first flipped
+    subset (or, failing that, all of a's entries) is re-verified with
+    verify_budget permutations; an exact check stands as its own verification.
+    """
+    return _mc(_Request("mc", partition, oracle, a, b, rng, config))
+
+
+def explain_svexp(
+    partition: OwnerPartition,
+    oracle: UtilityOracle,
+    a: OwnerId,
+    b: OwnerId,
+    rng: np.random.Generator,
+    *,
+    config: ExplainConfig | None = None,
+) -> CounterfactualResult:
+    """Greedy transfer loop guided by a Thompson top-1 race over entry powers.
+
+    Each round races a's remaining entries (a forced pick when only one is
+    left), transfers the winner, and re-checks the pair. Stops on a flip, on
+    timeout, or when a has nothing left to give.
+    """
+    return _svexp(_Request("svexp", partition, oracle, a, b, rng, config))
+
+
+# The engine bodies by name; each takes its request.
 ENGINES = {
-    "bf": explain_bruteforce,
-    "mc": explain_mc,
-    "svexp": explain_svexp,
+    "bf": _bruteforce,
+    "mc": _mc,
+    "svexp": _svexp,
 }
 
 
@@ -530,17 +520,19 @@ def explain(
     rng: np.random.Generator | None = None,
     *,
     config: ExplainConfig | None = None,
-    initial: FlipResult | None = None,
+    pair: _Request | None = None,
 ) -> CounterfactualResult:
     """Dispatch to an engine by name ("bf", "mc", "svexp").
 
-    `initial`, a flip check of the pair already made, stands as the
-    precheck of mc and svexp; bf decides the precondition itself.
+    `pair` is the checked request of pair selection for this partition,
+    oracle and ordered pair; it lends the engine's request its coalition
+    plan and its check as the precheck, when it was checked on the engine's
+    route (bf is always exact).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}")
-    if engine == "bf":
-        return explain_bruteforce(partition, oracle, a, b, config=config)
-    if rng is None:
+    if engine != "bf" and rng is None:
         raise ValueError(f"engine {engine!r} needs an rng")
-    return ENGINES[engine](partition, oracle, a, b, rng, config=config, initial=initial)
+    if pair is not None and (pair.partition, pair.oracle, pair.a, pair.b) != (partition, oracle, a, b):
+        raise ValueError(f"the checked pair {pair.a!r} over {pair.b!r} is not this request's pair")
+    return ENGINES[engine](_Request(engine, partition, oracle, a, b, rng, config, pair))

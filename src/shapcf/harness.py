@@ -29,9 +29,9 @@ from .core import (
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, read_json, split_dataset
-from .explain import ENGINES, CounterfactualResult, ExplainConfig, explain, flip_check
+from .explain import ENGINES, CounterfactualResult, ExplainConfig, _Request, explain
 from .metrics import mean_jaccard, size_stats, success_rate
-from .shapley import FlipResult, is_flipped
+from .shapley import is_flipped  # unused here; perfbench/tracing.py wraps this name
 from .utility import DATA_BACKED_KINDS, AdditiveUtility, SetCoverUtility, make_oracle, normalize_kind, unwrap_config
 
 # RNG stream tags; stable across releases so seeds stay meaningful.
@@ -218,7 +218,7 @@ class ExperimentConfig:
                 raise MalformedInput(f"experiment config has a bad {key!r}: {value!r}") from None
 
         utility = get("utility", dict)
-        engines = get("engines", tuple)
+        engines = get("engines")
         allocation = get("allocation", dict)
         trials = get("trials")
         seed = get("seed")
@@ -232,11 +232,11 @@ class ExperimentConfig:
             path = source.get(key)
             if path is not None and not isinstance(path, str):
                 raise MalformedInput(f"experiment config has a bad {key!r}: {path!r} (need a path)")
-        unknown = [e for e in engines if e not in ENGINES]
-        if unknown:
-            raise MalformedInput(f"unknown engines {unknown}; expected {sorted(ENGINES)}")
-        if not engines:
-            raise MalformedInput("experiment config needs at least one engine")
+        if not isinstance(engines, (list, tuple)) or not engines:
+            raise MalformedInput(f"experiment config's 'engines' must be a non-empty list, got {engines!r}")
+        unknown = [e for e in engines if not isinstance(e, str) or e not in ENGINES]
+        if unknown or len(set(engines)) < len(engines):
+            raise MalformedInput(f"'engines' must name distinct engines of {sorted(ENGINES)}, got {engines}")
         check_values(
             "experiment values",
             [
@@ -252,7 +252,7 @@ class ExperimentConfig:
         )
         return cls(
             utility=utility,
-            engines=engines,
+            engines=tuple(engines),
             n_owners=n_owners,
             allocation=allocation,
             trials=trials,
@@ -417,20 +417,19 @@ def _select_pair(
     cfg: ExperimentConfig,
     ecfg: ExplainConfig,
     cell_params: dict,
-) -> tuple[str, str, FlipResult]:
-    """Choose an ordered pair with a above b, sharing one flip check.
+) -> _Request:
+    """Choose an ordered pair with a above b: its checked request, which every engine shares.
 
     Designated pairs are checked once; random pairs are re-drawn on undecided
     checks up to _PAIR_REDRAWS times, after which the last pair is kept (engines then
-    report the undecided precondition).
+    report the undecided precondition). A pair drawn the wrong way round is
+    kept as the swapped twin of its request.
     """
 
-    def check(a: str, b: str) -> FlipResult:
-        # The sampled check is the harness's own import of is_flipped, so that
-        # a tracer can tell pair checks from the engines' checks.
-        return flip_check(
-            partition, oracle, a, b, rng, ecfg, cfg.pair_budget, sampled=is_flipped
-        )
+    def check(a: str, b: str) -> _Request:
+        pair = _Request("pair", partition, oracle, a, b, rng, ecfg)
+        pair.precheck(cfg.pair_budget)
+        return pair
 
     mode = cfg.pair.get("mode")
     if mode is None:
@@ -440,19 +439,16 @@ def _select_pair(
         # Grid cells name both owners; otherwise the pair config (or "A"/"B").
         a = str(cell_params.get("a", cfg.pair.get("a", "A")))
         b = str(cell_params.get("b", cfg.pair.get("b", "B")))
-        return a, b, check(a, b)
+        return check(a, b)
     ids = partition.owner_ids()
     for _ in range(_PAIR_REDRAWS):
         i, j = rng.choice(len(ids), size=2, replace=False)
-        a, b = ids[int(i)], ids[int(j)]
-        chk = check(a, b)
-        if chk.verdict == "not_flipped":
-            return a, b, chk
-        if chk.verdict == "flipped":
-            return b, a, chk.swapped()
-    if chk.estimate.mean < 0.0:
-        return b, a, chk.swapped()
-    return a, b, chk
+        pair = check(ids[int(i)], ids[int(j)])
+        if pair.last.verdict == "not_flipped":
+            return pair
+        if pair.last.verdict == "flipped":
+            return pair.swapped()
+    return pair.swapped() if pair.last.estimate.mean < 0.0 else pair
 
 
 def _run_cell(
@@ -480,20 +476,20 @@ def _run_cell(
             oracle.clear_cache()
             served = partition
         rng_pair = spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial)
-        a, b, chk = _select_pair(partition, oracle, rng_pair, cfg, ecfg, params)
+        pair = _select_pair(partition, oracle, rng_pair, cfg, ecfg, params)
         for eng_idx, engine in enumerate(cfg.engines):
             rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
             t0 = time.monotonic()
             res: CounterfactualResult = explain(
-                engine, partition, oracle, a, b, rng_eng, config=ecfg, initial=chk
+                engine, partition, oracle, pair.a, pair.b, rng_eng, config=ecfg, pair=pair
             )
             records.append(
                 TrialRecord(
                     cell=label,
                     trial=trial,
                     engine=engine,
-                    a=a,
-                    b=b,
+                    a=pair.a,
+                    b=pair.b,
                     status=res.status,
                     size=res.size,
                     success=res.success,

@@ -35,7 +35,6 @@ from shapcf.explain import (
     explain_bruteforce,
     explain_mc,
     explain_svexp,
-    flip_check,
 )
 from shapcf.power import power_exact
 from shapcf.shapley import (
@@ -45,7 +44,6 @@ from shapcf.shapley import (
     coalition_plan,
     diff_shapley_exact,
     differentials,
-    is_flipped,
     shapley_exact_all,
 )
 from shapcf.utility import AdditiveUtility, KdeUtility, LogRegUtility, SetCoverGame, SetCoverUtility
@@ -71,6 +69,13 @@ def padded(p: OwnerPartition, n: int = 11) -> OwnerPartition:
     owners.update({f"Z{i}": frozenset() for i in range(n - p.n)})
     assert 2 ** (n - 2) > EXACT_PREFIXES
     return OwnerPartition(owners)
+
+
+def checked_pair(p: OwnerPartition, oracle, check: FlipResult):
+    """A request of pair selection for A over B on `p` whose check is `check`."""
+    pair = explain_module._Request("pair", p, oracle, "A", "B", spawn_rng(0, 0), None)
+    pair.last = check
+    return pair
 
 
 def heavy_game():
@@ -227,12 +232,15 @@ class TestBruteforce:
             explain_bruteforce(p, oracle, "A", "Z")
 
     def test_ignores_supplied_initial_check(self):
+        # bf is always exact: a pair checked by sampling lends it nothing.
         p, oracle = heavy_game()
+        p = padded(p)
         est = Estimate()
         est.update_many([-1.0, -1.1, -0.9])
-        bogus = FlipResult("flipped", est)
-        res = explain("bf", p, oracle, "A", "B", initial=bogus)
+        pair = checked_pair(p, oracle, FlipResult("flipped", est))
+        res = explain("bf", p, oracle, "A", "B", pair=pair)
         assert res.status == STATUS_OK and res.delta == (0,)
+        assert res.initial_diff == diff_shapley_exact(p, oracle, "A", "B")
 
     def test_result_dict_round_trip(self):
         p, oracle = heavy_game()
@@ -313,7 +321,8 @@ class TestMonteCarlo:
         p, oracle = heavy_game()
         est = Estimate()
         est.update_many([-1.0, -1.1, -0.9, -1.05])
-        res = explain_mc(p, oracle, "A", "B", spawn_rng(6, 0), initial=FlipResult("flipped", est))
+        pair = checked_pair(p, oracle, FlipResult("flipped", est))
+        res = explain("mc", p, oracle, "A", "B", spawn_rng(6, 0), pair=pair)
         assert res.status == STATUS_NOT_MET
         assert res.samples_used == 0
         assert res.initial_diff == est.mean
@@ -445,7 +454,8 @@ class TestDispatcher:
         p, oracle = heavy_game()
         est = Estimate()
         est.update_many([-1.0, -1.2])
-        res = explain("svexp", p, oracle, "A", "B", spawn_rng(18, 0), initial=FlipResult("flipped", est))
+        pair = checked_pair(p, oracle, FlipResult("flipped", est))
+        res = explain("svexp", p, oracle, "A", "B", spawn_rng(18, 0), pair=pair)
         assert res.status == STATUS_NOT_MET
         assert res.samples_used == 0
 
@@ -555,12 +565,14 @@ class TestExactRoute:
             ((p, oracle, "B", "A"), "flipped"),
             ((tie_p, tie_oracle, "A", "B"), "undecided"),
         ]:
-            res = flip_check(pp, o, a, b, None, cfg, 10, sampled=is_flipped)
+            pair = explain_module._Request("pair", pp, o, a, b, None, cfg)
+            pair.precheck(10)
+            res = pair.last
             assert res.verdict == verdict and not res.budget_exhausted
             assert res.estimate.count == 0
             assert res.estimate.mean == diff_shapley_exact(pp, o, a, b)
         with pytest.raises(SameOwner):
-            flip_check(p, oracle, "A", "A", None, cfg, 10, sampled=is_flipped)
+            explain_module._Request("pair", p, oracle, "A", "A", None, cfg)
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_samplers_run_only_above_the_threshold(self, sampled, monkeypatch):
@@ -575,23 +587,26 @@ class TestExactRoute:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in [(explain_module, "is_flipped"), (explain_module, "thompson_top1"),
-                             (harness, "is_flipped")]:
-            spy(module, name)
+        for name in ("is_flipped", "thompson_top1"):
+            spy(explain_module, name)
         p, oracle = heavy_game()
         if sampled:
             p = padded(p)
         explain_mc(p, oracle, "A", "B", spawn_rng(46, 0))
         explain_svexp(p, oracle, "A", "B", spawn_rng(46, 1))
+        engines = set(calls)
+        calls.clear()
         cfg = harness.ExperimentConfig.from_json({
             "utility": {"kind": "additive", "weights": {str(e): 1.0 for e in range(4)}},
             "engines": ["mc"], "n_owners": p.n, "allocation": {"kind": "uniform"},
             "trials": 1, "seed": 46, "pair": {"mode": "designated"},
         })
-        a, b, _ = harness._select_pair(p, oracle, spawn_rng(46, 2), cfg, cfg.explain_config(), {})
-        assert (a, b) == ("A", "B")
-        expected = {"shapcf.explain.is_flipped", "shapcf.explain.thompson_top1", "shapcf.harness.is_flipped"}
-        assert set(calls) == (expected if sampled else set())
+        pair = harness._select_pair(p, oracle, spawn_rng(46, 2), cfg, cfg.explain_config(), {})
+        assert (pair.a, pair.b) == ("A", "B")
+        expected = {"shapcf.explain.is_flipped", "shapcf.explain.thompson_top1"}
+        assert engines == (expected if sampled else set())
+        # the pair's own check samples through the engines' is_flipped
+        assert set(calls) == ({"shapcf.explain.is_flipped"} if sampled else set())
 
 
 
@@ -689,7 +704,7 @@ class TestCoalitionPlan:
             rounds += len(res.steps)
         assert rounds > 20
         assert built == [0]  # every shift is scored on the plan
-        assert counts["diff_shapley_exact"] == 0  # that name now serves pair selection only
+        assert counts["diff_shapley_exact"] == 0  # no request calls that name; a tracer wraps it
 
     def test_requests_build_no_partition_on_either_route(self, monkeypatch):
         base = [heavy_game(), two_step_game(), *integer_gap_games(count=4)]
@@ -760,6 +775,76 @@ class TestCoalitionPlan:
         limit = f"exact differential over {EXACT_OWNER_LIMIT + 1} owners exceeds the limit {EXACT_OWNER_LIMIT}"
         with pytest.raises(TooManyOwners, match=limit):
             explain_bruteforce(p, oracle, "O0", "O1")
+
+
+class TestPairSession:
+    """Pair selection checks a pair with a request that every engine of the trial shares."""
+
+    @staticmethod
+    def bits(check: FlipResult):
+        est = check.estimate
+        return check.verdict, check.budget_exhausted, est.delta, est.count, est.mean.hex(), est.m2.hex()
+
+    @pytest.mark.parametrize("n_owners", [6, 10])
+    def test_one_coalition_plan_per_checked_pair(self, n_owners, monkeypatch):
+        plans, pairs = [], []
+        plan, request = explain_module.coalition_plan, explain_module._Request
+        for module in (explain_module, importlib.import_module("shapcf.shapley")):
+            monkeypatch.setattr(module, "coalition_plan", lambda *args: plans.append(args[1:]) or plan(*args))
+        monkeypatch.setattr(harness, "_Request", lambda *args: pairs.append(args[3:5]) or request(*args))
+        cfg = harness.ExperimentConfig.from_json({
+            "utility": {"kind": "additive", "weights": {str(e): 1.0 for e in range(40)}},
+            "engines": ["bf", "mc", "svexp"], "n_owners": n_owners,
+            "allocation": {"kind": "uniform", "size_range": [2, 2]}, "trials": 5, "seed": 5,
+            "sampling": {"check_budget": 640, "pair_budget": 320, "arm_budget": 320, "bandit_budget": 1280},
+        })
+        records = harness.run_experiment(cfg).records
+        assert len(pairs) > cfg.trials  # ties: some trials redraw their pair
+        assert {r.status for r in records} >= {STATUS_OK}
+        if n_owners == 6:
+            # every checked pair builds its one plan; no engine builds another
+            assert plans == pairs
+        else:
+            # pairs are checked by sampling; bf, always exact, plans its own pair
+            assert plans == [(r.a, r.b) for r in records if r.engine == "bf"]
+
+    def test_swapped_twin_is_a_fresh_request_for_the_reverse_pair(self):
+        cfg = ExplainConfig(check_budget=640)
+        compared = set()
+        for i, (p, oracle) in enumerate(random_games(seed=71, count=30, n_lo=3, n_hi=9)):
+            a, b = p.owner_ids()[:2]
+            for pp in (p, padded(p)):
+                pair = explain_module._Request("pair", pp, oracle, a, b, spawn_rng(71, i), cfg)
+                pair.precheck(cfg.check_budget)
+                fresh = explain_module._Request("pair", pp, oracle, b, a, spawn_rng(71, i), cfg)
+                fresh.precheck(cfg.check_budget)
+                if pair.last.estimate.mean == 0.0:
+                    continue  # a zero's sign is not negated evidence
+                twin = pair.swapped()
+                assert (twin.a, twin.b) == (b, a)
+                assert (twin.ents_a, twin.ents_b) == (fresh.ents_a, fresh.ents_b)
+                assert self.bits(twin.last) == self.bits(fresh.last)
+                assert twin.plan is pair.plan
+                if twin.plan is None:
+                    assert fresh.plan is None
+                else:
+                    assert twin.plan[0] == fresh.plan[0]
+                    assert [w.hex() for w in twin.plan[1]] == [w.hex() for w in fresh.plan[1]]
+                compared.add((pp.n > 9, twin.last.verdict))
+        assert compared >= {(False, "flipped"), (False, "not_flipped"), (True, "flipped"), (True, "not_flipped")}
+
+    def test_a_mismatched_pair_raises(self):
+        p, oracle = heavy_game()
+        pair = explain_module._Request("pair", p, oracle, "A", "B", None, None)
+        pair.precheck(10)
+        for engine, args in [
+            ("bf", (p, oracle, "B", "A")),
+            ("mc", (part(A=[0, 1, 2], B=[3], C=[]), oracle, "A", "B")),
+            ("svexp", (p, AdditiveUtility({0: 5.0, 1: 1.0, 2: 1.0, 3: 2.0}), "A", "B")),
+        ]:
+            with pytest.raises(ValueError, match="not this request's pair"):
+                explain(engine, *args, spawn_rng(72, 0), pair=pair)
+        assert explain("mc", p, oracle, "A", "B", spawn_rng(72, 0), pair=pair).delta == (0,)
 
 
 def logistic_games(count: int = 30, seed: int = 81):

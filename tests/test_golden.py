@@ -10,12 +10,14 @@ difference, which the same-code rerun tests cannot see.
 svexp and mc have 5 and 6 owners, so their flip checks and races are exact
 (explain.EXACT_PREFIXES); svexp_large and mc_large are the same configs at
 11 owners (svexp's weights extended to 60 entries), where the engines
-sample, and pin the sampled path's draws.
+sample, and pin the sampled path's draws. three_engines_large runs bf, mc
+and svexp on the same 10-owner drawn pairs, one of them swapped: bf's own
+exact precondition check next to the sampled pair check mc and svexp share.
 
 To regenerate after a deliberate change of outputs, from the repository root:
 
     cd tests/data/golden
-    for name in svexp mc logreg svexp_large mc_large; do
+    for name in svexp mc logreg svexp_large mc_large three_engines_large; do
         PYTHONPATH=../../../src python -m shapcf.cli experiment \
             --config ${name}_config.json --out /tmp/golden-$name
         cp /tmp/golden-$name/trials.csv /tmp/golden-$name/summary.json $name/
@@ -39,7 +41,7 @@ from shapcf.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-@pytest.mark.parametrize("name", ["svexp", "mc", "logreg", "svexp_large", "mc_large"])
+@pytest.mark.parametrize("name", ["svexp", "mc", "logreg", "svexp_large", "mc_large", "three_engines_large"])
 def test_experiment_outputs_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN)  # the logreg config names its data file relative to it
     out = tmp_path / name

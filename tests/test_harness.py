@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from shapcf import harness
-from shapcf.core import MalformedInput, SizeOverflow, spawn_rng
+from shapcf.core import MalformedInput, OwnerPartition, SizeOverflow, spawn_rng
 from shapcf.datasets import load_partition, split_dataset
 from shapcf.explain import ExplainConfig
 from shapcf.harness import (
@@ -25,6 +26,7 @@ from shapcf.harness import (
     run_experiment,
     write_outputs,
 )
+from shapcf.shapley import diff_shapley_exact
 from shapcf.utility import UtilityOracle
 
 from conftest import BOSTON_FEATURES, MONTH_SIZES, make_blobs
@@ -239,6 +241,13 @@ class TestExperimentConfig:
         ):
             with pytest.raises(MalformedInput):
                 ExperimentConfig.from_json(base_config(sampling=sampling)).explain_config()
+
+    def test_engines_must_be_a_list_of_distinct_names(self):
+        # a string is not a list of its letters, a mapping not a list of its keys,
+        # and an engine named twice would run twice
+        for engines in ("svexp", {"bf": 1}, ["bf", "bf"], [["bf"]], []):
+            with pytest.raises(MalformedInput, match="engines"):
+                ExperimentConfig.from_json(base_config(engines=engines))
 
     def test_sampling_whitelist(self):
         cfg = ExperimentConfig.from_json(
@@ -634,3 +643,43 @@ class TestLoadPartition:
         with pytest.raises(MalformedInput, match="owner 'A': entry ids must be integers"):
             load_partition({"owners": {"A": [0, bad], "B": [2]}})
 
+
+class TestBenchmarkContract:
+    """What perfbench/ reaches into: the names its tracer wraps and the dispatch it spies on."""
+
+    def test_the_tracer_wraps_names_that_exist_and_restores_them(self):
+        path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()  # a wrapped name that is gone raises here
+        wrapped = list(tracer._restore)
+        try:
+            assert all(getattr(owner, attr) is not original for owner, attr, original in wrapped)
+            run_experiment(ExperimentConfig.from_json(base_config(engines=["bf", "mc"])))
+        finally:
+            tracer.close()
+        assert all(getattr(owner, attr) is original for owner, attr, original in wrapped)
+        names = {(getattr(owner, "__name__", None), attr) for owner, attr, _ in wrapped}
+        assert {("shapcf.harness", "explain"), ("shapcf.harness", "is_flipped"),
+                ("shapcf.explain", "diff_shapley_exact")} <= names
+        assert sum(span.name == "explain.request" for span in tracer.spans) == 4
+
+    def test_dispatch_gets_the_pair_positionally_with_a_over_b(self, monkeypatch):
+        calls = []
+        explain = harness.explain
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return explain(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "explain", spy)
+        cfg = ExperimentConfig.from_json(base_config(engines=["bf", "mc", "svexp"], n_owners=4, trials=3))
+        records = run_experiment(cfg).records
+        assert len(calls) == len(records) == 9
+        for args, rec in zip(calls, records):
+            engine, partition, oracle, a, b = args[:5]
+            assert (engine, a, b) == (rec.engine, rec.a, rec.b)
+            assert isinstance(partition, OwnerPartition) and isinstance(oracle, UtilityOracle)
+            assert diff_shapley_exact(partition, oracle, a, b) > 0.0
