@@ -1,9 +1,14 @@
-"""Domain model: owners, partitions, transfers, the permutation kernel, RNG streams.
+"""Domain model: owners, partitions, transfers, permutation draws, RNG streams.
 
 Entry ids are opaque non-negative ints. An owner partition maps owner ids to
 entry sets; owner entry sets may overlap (owners can hold copies of the same
 entry), and an owner may be empty. All types are immutable after construction;
 mutation happens only by building new values (see apply_transfer).
+
+The draws of every sampler live here: draw_orders and draw_chunks draw owner
+orderings in batches, and draw_prefixes groups a chunk's orderings by the
+owners placed before a pair. What a prefix is worth is scored in
+shapley (sampled_terms), by the same gap function as the exact routes.
 """
 
 from __future__ import annotations
@@ -198,60 +203,31 @@ def draw_orders(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
 
 
-def prefix_terms(
-    partition: OwnerPartition,
-    orders: np.ndarray,
-    targets: Sequence[OwnerId],
-    term: Callable[[list[list[OwnerId]]], Sequence[float]],
-    memo: dict[bytes, float],
-) -> np.ndarray:
-    """term(P) for each ordering, where P are the owners placed before every target.
-
-    orders holds indices into partition.owner_ids(), one ordering per row.
-    Rows are grouped by P, packed as an owner bitmask of any width, so each
-    distinct prefix is scored once; memo (prefix key to term) carries those
-    values across calls. term is called once, with every distinct prefix not
-    yet in memo, each as owner ids in sorted order, and returns their terms
-    in that order. The result is in row order.
-    """
-    ids = partition.owner_ids()
-    pos = orders.argsort(axis=1)  # pos[r, o]: place of owner o in row r
-    cut = pos[:, [ids.index(t) for t in targets]].min(axis=1)
-    before = pos < cut[:, None]
-    packed = np.packbits(before, axis=1)
-    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    keys = unique.tolist()
-    values = [memo.get(key) for key in keys]
-    todo = [i for i, value in enumerate(values) if value is None]
-    if todo:
-        rows = before[first[todo]].tolist()
-        prefixes = [[o for o, inside in zip(ids, row) if inside] for row in rows]
-        for i, value in zip(todo, term(prefixes)):
-            values[i] = memo[keys[i]] = value
-    return np.array(values, dtype=np.float64)[inverse]
-
-
 def draw_chunks(n: int, k: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """draw_orders(n, k, rng) in blocks of at most DRAW_CHUNK rows."""
     for done in range(0, k, DRAW_CHUNK):
         yield draw_orders(n, min(DRAW_CHUNK, k - done), rng)
 
 
-def sample_terms(
-    partition: OwnerPartition,
-    targets: Sequence[OwnerId],
-    term: Callable[[list[list[OwnerId]]], Sequence[float]],
-    memo: dict[bytes, float],
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw k owner orderings and return their prefix terms in draw order."""
-    chunks = [
-        prefix_terms(partition, orders, targets, term, memo)
-        for orders in draw_chunks(partition.n, k, rng)
-    ]
-    return np.concatenate(chunks) if chunks else np.empty(0)
+def draw_prefixes(
+    partition: OwnerPartition, targets: Sequence[OwnerId], k: int, rng: np.random.Generator
+) -> Iterator[tuple[list[bytes], np.ndarray, np.ndarray]]:
+    """Draw k owner orderings, chunk by chunk, grouped by the owners P placed before every target.
+
+    For each chunk of draw_chunks, yields the distinct prefixes' keys (P
+    packed as an owner bitmask of any width, in sorted key order), their
+    masks (row i marks P's members among partition.owner_ids()) and each
+    ordering's row in them, in draw order.
+    """
+    ids = partition.owner_ids()
+    cols = [ids.index(t) for t in targets]
+    for orders in draw_chunks(partition.n, k, rng):
+        pos = orders.argsort(axis=1)  # pos[r, o]: place of owner o in row r
+        before = pos < pos[:, cols].min(axis=1)[:, None]
+        packed = np.packbits(before, axis=1)
+        codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        yield unique.tolist(), before[first], inverse
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:

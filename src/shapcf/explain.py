@@ -333,7 +333,7 @@ class _Request:
         pre = self.check(budget) if self.last is None else self.last
         self.exhausted |= pre.budget_exhausted
         self.initial_diff = pre.estimate.mean
-        self.initial_half_width = pre.estimate.half_width if pre.estimate.count >= 2 else 0.0
+        self.initial_half_width = _width(pre.estimate)
         return {"flipped": STATUS_NOT_MET, "undecided": STATUS_UNDECIDED}.get(pre.verdict)
 
     def done(

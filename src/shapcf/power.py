@@ -26,9 +26,8 @@ from .core import (
     OwnerPartition,
     SameOwner,
     SingletonOwner,
-    sample_terms,
 )
-from .shapley import Estimate, coalition_plan, differential_term, differentials
+from .shapley import Estimate, coalition_plan, differentials, sampled_terms
 from .utility import UtilityOracle
 
 Sampler = Callable[[EntryId, int, np.random.Generator], Sequence[float]]
@@ -76,8 +75,8 @@ def make_power_sampler(
 
     def sampler(entry: EntryId, k: int, rng: np.random.Generator) -> np.ndarray:
         ents_a, ents_b = _check_power_args(partition, a, b, entry, moved)
-        term = differential_term(partition, oracle, ents_b | {entry}, ents_a - {entry})
-        return sample_terms(partition, (a, b), term, memos.setdefault(entry, {}), int(k), rng)
+        pair = (ents_b | {entry}, ents_a - {entry})
+        return sampled_terms(partition, oracle, (a, b), pair, memos.setdefault(entry, {}), k, rng)
 
     return sampler
 

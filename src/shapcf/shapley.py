@@ -6,21 +6,26 @@ into a single sum over coalitions that contain neither owner, which halves the
 work and is what flip checks actually need: a's value is below b's exactly
 when the differential is negative.
 
-Exact routines take their coalitions from one builder (coalition_plan),
-which enforces EXACT_OWNER_LIMIT, and score them in one batched oracle call.
-The Monte Carlo routines draw owner permutations in batches through the core
-kernel, which computes each distinct prefix's term once per call (or per flip
-check); shapley_mc walks the same batched draws and computes each distinct
-coalition's value once per call. They are unbiased for any utility. Sums in
-the exact routines use math.fsum, so owners with identical entry sets get
-bitwise-equal values regardless of enumeration order.
+Every value, differential and power is a weighted sum of one gap,
+U(base + x) - U(base + y), over the coalitions placed before a pair, and
+one function (gaps) scores it on both routes: each pair (x, y) of entry sets
+is laid out as (base + x, base + y) for every base, in one oracle call.
+Exact routines take their bases and weights from one builder
+(coalition_plan), which enforces EXACT_OWNER_LIMIT, and differentials folds
+the gaps with math.fsum, so owners with identical entry sets get
+bitwise-equal values regardless of enumeration order. The Monte Carlo
+routines draw owner permutations in batches (core.draw_prefixes holds the
+draws and groups them by prefix); sampled_terms scores each distinct
+prefix's gap once per call (or per flip check or race arm) with the weight
+n / (2(n - |P| - 1)). shapley_mc walks the same batched draws and computes
+each distinct coalition's value once per call. They are unbiased for any
+utility.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -34,7 +39,7 @@ from .core import (
     SameOwner,
     TooManyOwners,
     draw_chunks,
-    sample_terms,
+    draw_prefixes,
 )
 from .utility import UtilityOracle
 
@@ -114,9 +119,19 @@ class Estimate:
         return self.mean - hw, self.mean + hw
 
 
-def fold_gaps(values: list[float], weights: list[float]) -> float:
-    """fsum of (values[2i] - values[2i+1]) * weights[i]: an exact routine's weighted gaps."""
-    return math.fsum((va - vb) * w for va, vb, w in zip(values[::2], values[1::2], weights))
+def gaps(
+    oracle: UtilityOracle,
+    bases: list[frozenset[int]],
+    pairs: list[tuple[frozenset[int], frozenset[int]]],
+) -> list[float]:
+    """U(base + x) - U(base + y) for each entry-set pair (x, y), then each base.
+
+    Every pair's sets go to the oracle in one values() call, pair by pair,
+    as (base + x, base + y) for each base. An empty y leaves each base the
+    object it is.
+    """
+    vals = oracle.values([s for x, y in pairs for base in bases for s in (base | x, base | y if y else base)])
+    return [va - vb for va, vb in zip(vals[::2], vals[1::2])]
 
 
 def coalition_plan(
@@ -149,8 +164,7 @@ def coalition_plan(
 def shapley_exact(partition: OwnerPartition, oracle: UtilityOracle, owner: OwnerId) -> float:
     """Exact Shapley value: the plan's weighted gaps U(S + owner) - U(S) (2^(n-1) coalitions)."""
     ents = partition.entries(owner)  # an unknown owner raises before any union is built
-    bases, weights = coalition_plan(partition, owner)
-    return fold_gaps(oracle.values([s for base in bases for s in (base | ents, base)]), weights)
+    return differentials(oracle, coalition_plan(partition, owner), [(ents, frozenset())])[0]
 
 
 def shapley_exact_all(partition: OwnerPartition, oracle: UtilityOracle) -> dict[OwnerId, float]:
@@ -164,13 +178,12 @@ def differentials(
 ) -> list[float]:
     """The exact differential of x over y on a coalition plan, for each entry-set pair (x, y).
 
-    Each is fold_gaps of the values of base + x and base + y for each base,
-    in that order; every pair's sets go to the oracle in one values() call.
+    Each is the fsum of the pair's gaps times the plan's weights; every
+    pair's sets go to the oracle in one values() call.
     """
     bases, weights = plan
-    vals = oracle.values([s for x, y in pairs for base in bases for s in (base | x, base | y)])
-    k = 2 * len(bases)
-    return [fold_gaps(vals[i : i + k], weights) for i in range(0, len(vals), k)]
+    found, k = gaps(oracle, bases, pairs), len(bases)
+    return [math.fsum(g * w for g, w in zip(found[i : i + k], weights)) for i in range(0, len(found), k)]
 
 
 def diff_shapley_exact(
@@ -189,34 +202,35 @@ def diff_shapley_exact(
     return differentials(oracle, plan, [ents])[0] if a != b else 0.0
 
 
-def differential_term(
+def sampled_terms(
     partition: OwnerPartition,
     oracle: UtilityOracle,
-    ents_a: frozenset[int],
-    ents_b: frozenset[int],
-) -> Callable[[list[list[OwnerId]]], list[float]]:
-    """Single-permutation differential terms, as a function of a list of prefixes.
+    targets: tuple[OwnerId, OwnerId],
+    pair: tuple[frozenset[int], frozenset[int]],
+    memo: dict[bytes, float],
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Single-permutation differential terms of k drawn orderings, in draw order.
 
-    With P the owners preceding both members of the pair, whose entry sets
-    are ents_a and ents_b, the term is
-    (n/2) * [U(P + ents_a) - U(P + ents_b)] / (n - |P| - 1); averaging over
-    uniform orderings recovers the exact differential. The composed sets of
-    all the prefixes go to the oracle in one values() call.
+    With P the owners placed before both targets and (x, y) the entry-set
+    pair, the term is (n/2) * [U(P + x) - U(P + y)] / (n - |P| - 1);
+    averaging over uniform orderings recovers the exact differential. Each
+    chunk's distinct prefixes not yet in memo (prefix key to term) have
+    their gaps scored in one values() call, and memo keeps their terms.
     """
-    n = partition.n
-
-    def term(prefixes: list[list[OwnerId]]) -> list[float]:
-        sets = []
-        for prefix in prefixes:
-            base = partition.composed(prefix)
-            sets += (base | ents_a, base | ents_b)
-        vals = oracle.values(sets)
-        return [
-            n / (2.0 * (n - len(prefix) - 1)) * (va - vb)
-            for prefix, va, vb in zip(prefixes, vals[::2], vals[1::2])
-        ]
-
-    return term
+    ids, n = partition.owner_ids(), partition.n
+    chunks = []
+    for keys, masks, inverse in draw_prefixes(partition, targets, int(k), rng):
+        terms = [memo.get(key) for key in keys]
+        todo = [i for i, term in enumerate(terms) if term is None]
+        if todo:
+            prefixes = [[o for o, inside in zip(ids, row) if inside] for row in masks[todo].tolist()]
+            found = gaps(oracle, [partition.composed(prefix) for prefix in prefixes], [pair])
+            for i, prefix, gap in zip(todo, prefixes, found):
+                terms[i] = memo[keys[i]] = n / (2.0 * (n - len(prefix) - 1)) * gap
+        chunks.append(np.array(terms, dtype=np.float64)[inverse])
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def diff_shapley_mc(
@@ -240,8 +254,7 @@ def diff_shapley_mc(
     if a == b:
         est.count = int(budget)
         return est
-    term = differential_term(partition, oracle, ents_a, ents_b)
-    est.update_many(sample_terms(partition, (a, b), term, {}, int(budget), rng))
+    est.update_many(sampled_terms(partition, oracle, (a, b), (ents_a, ents_b), {}, budget, rng))
     return est
 
 
@@ -336,13 +349,13 @@ def is_flipped(
     ents_a = partition.entries(a)
     if not moved <= ents_a:
         raise DeltaNotOwned(f"entries {sorted(moved - ents_a)} are not held by owner {a!r}")
-    term = differential_term(partition, oracle, ents_a - moved, partition.entries(b) | moved)
+    pair = (ents_a - moved, partition.entries(b) | moved)
     memo: dict[bytes, float] = {}
     est = Estimate(delta=delta)
     budget = int(budget)
     while est.count < budget:
         n_draw = min(FLIP_BATCH, budget - est.count)
-        est.update_many(sample_terms(partition, (a, b), term, memo, n_draw, rng))
+        est.update_many(sampled_terms(partition, oracle, (a, b), pair, memo, n_draw, rng))
         lo, hi = est.ci()
         if hi < 0.0:
             return FlipResult("flipped", est)

@@ -7,7 +7,7 @@ import pytest
 
 from shapcf.core import OwnerPartition
 from shapcf.datasets import Dataset
-from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility
+from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility, UtilityOracle
 
 from oracles import all_minimum_covers
 
@@ -56,6 +56,20 @@ def random_games(seed: int, count: int, n_lo: int = 2, n_hi: int = 6, pool: int 
                 )
             games.append((OwnerPartition(owners), SetCoverUtility(SetCoverGame(universe, subsets))))
     return games
+
+
+@pytest.fixture
+def values_calls(monkeypatch) -> list[list[frozenset[int]]]:
+    """The sets of every UtilityOracle.values call the test makes, one list per call."""
+    calls: list[list[frozenset[int]]] = []
+    values = UtilityOracle.values
+
+    def spy(oracle, sets):
+        calls.append(list(sets))
+        return values(oracle, calls[-1])
+
+    monkeypatch.setattr(UtilityOracle, "values", spy)
+    return calls
 
 
 def make_blobs(n_rows: int, n_features: int = 4, seed: int = 0, sep: float = 2.0) -> Dataset:

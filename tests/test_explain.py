@@ -6,6 +6,7 @@ import ast
 import functools
 import importlib
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -458,6 +459,16 @@ class TestDispatcher:
         res = explain("svexp", p, oracle, "A", "B", spawn_rng(18, 0), pair=pair)
         assert res.status == STATUS_NOT_MET
         assert res.samples_used == 0
+
+    @pytest.mark.parametrize("engine", ["mc", "svexp"])
+    def test_one_sample_precheck_is_not_reported_exact(self, engine):
+        # One drawn ordering leaves the interval unbounded; only an exact
+        # check, with no samples, has half-width 0.0.
+        p, oracle = heavy_game()
+        cfg = ExplainConfig(check_budget=1)
+        res = explain(engine, padded(p, 10), oracle, "A", "B", spawn_rng(19, 0), config=cfg)
+        assert res.status == STATUS_UNDECIDED and res.samples_used == 1
+        assert res.initial_half_width == math.inf
 
 
 class TestExactRoute:

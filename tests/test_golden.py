@@ -2,7 +2,9 @@
 
 tests/data/golden holds the inputs and the deterministic outputs of one small
 svexp experiment, one small mc experiment, one small bf experiment on a
-logistic-regression utility and one `shapcf shapley --mc` run. A sampling
+logistic-regression utility, one `shapcf shapley --mc` run and one
+`shapcf shapley --exact` run on a logistic-regression utility over 7 owners
+(logreg_data.csv), which pins shapley_exact on a model oracle. A sampling
 rewrite that changes any draw, term or estimate, or a change to the batched
 logistic fit that changes a score's bits, shows up here as a byte
 difference, which the same-code rerun tests cannot see.
@@ -25,6 +27,9 @@ To regenerate after a deliberate change of outputs, from the repository root:
     PYTHONPATH=../../../src python -m shapcf.cli shapley --mc --budget 3000 \
         --seed 7 --partition shapley_partition.json \
         --utility shapley_utility.json --out shapley_mc.json
+    PYTHONPATH=../../../src python -m shapcf.cli shapley --exact --seed 7 \
+        --data logreg_data.csv --partition shapley_logreg_partition.json \
+        --utility shapley_logreg_utility.json --out shapley_logreg.json
 
 and say in CHANGES.md which files moved and why.
 """
@@ -64,3 +69,17 @@ def test_shapley_mc_output_matches_golden(tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert out.read_bytes() == (GOLDEN / "shapley_mc.json").read_bytes()
+
+
+def test_shapley_exact_logreg_output_matches_golden(tmp_path):
+    out = tmp_path / "shapley_logreg.json"
+    res = CliRunner().invoke(
+        main,
+        ["shapley", "--exact", "--seed", "7",
+         "--data", str(GOLDEN / "logreg_data.csv"),
+         "--partition", str(GOLDEN / "shapley_logreg_partition.json"),
+         "--utility", str(GOLDEN / "shapley_logreg_utility.json"),
+         "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (GOLDEN / "shapley_logreg.json").read_bytes()

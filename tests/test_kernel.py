@@ -18,7 +18,7 @@ from shapcf.shapley import FLIP_BATCH, Estimate, FlipResult, diff_shapley_mc, is
 from shapcf.utility import AdditiveUtility
 
 from conftest import random_games
-from oracles import diff_sample_term, power_sample, sample_permutation
+from oracles import diff_sample_term, power_sample, prefix_before_pair, sample_permutation
 
 
 def ref_diff_mc(partition, oracle, a, b, rng, budget):
@@ -269,6 +269,58 @@ def test_each_distinct_prefix_is_scored_once_per_call():
     ests = shapley_mc(partition, oracle, spawn_rng(18), budget=2000)
     assert all(e.count == 2000 for e in ests.values())
     assert oracle.calls - calls <= 2**4 - 1
+
+
+def new_prefix_pairs(partition, a, b, rng, chunks, x, y):
+    """Per chunk of draws, (P + x, P + y) for each distinct prefix P no earlier chunk drew."""
+    seen, expected = set(), []
+    for k in chunks:
+        prefixes = {prefix_before_pair(sample_permutation(partition, rng), a, b) for _ in range(k)}
+        new = prefixes - seen
+        seen |= new
+        unions = (partition.composed(prefix) for prefix in new)
+        expected.append({(base | x, base | y) for base in unions})
+    return [pairs for pairs in expected if pairs]  # a chunk with no new prefix calls no oracle
+
+
+def sent_pairs(calls):
+    """Each values() call's sets read as consecutive pairs, one set of pairs per call."""
+    assert all(len(sets) % 2 == 0 for sets in calls)
+    pairs = [list(zip(sets[::2], sets[1::2])) for sets in calls]
+    assert all(len(set(got)) == len(got) for got in pairs)
+    return [set(got) for got in pairs]
+
+
+def disjoint_game(n):
+    """n owners with one distinct entry each but A's two, so distinct prefixes have distinct unions.
+
+    A's entries weigh what B's does in all, so every differential term of (A, B) is exactly zero.
+    """
+    owners = {"A": {0, 1}, "B": {2}, **{f"O{i}": {i + 3} for i in range(n - 2)}}
+    weights = {0: 1.0, 1: 2.0, 2: 3.0, **{i + 3: float(i % 5) + 0.5 for i in range(n - 2)}}
+    return OwnerPartition(owners), AdditiveUtility(weights)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_flip_check_sends_one_pair_per_new_prefix(n, values_calls):
+    partition, oracle = disjoint_game(n)
+    res = is_flipped(partition, oracle, "A", "B", spawn_rng(21, n), budget=5 * FLIP_BATCH)
+    assert res.budget_exhausted and res.estimate.count == 5 * FLIP_BATCH
+    x, y = partition.entries("A"), partition.entries("B")
+    expected = new_prefix_pairs(partition, "A", "B", spawn_rng(21, n), [FLIP_BATCH] * 5, x, y)
+    assert sent_pairs(values_calls) == expected
+    assert len(expected) > 1
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_power_sampler_sends_one_pair_per_new_prefix(n, values_calls):
+    partition, oracle = disjoint_game(n)
+    sampler = make_power_sampler(partition, oracle, "A", "B")
+    rng, ref = spawn_rng(22, n), spawn_rng(22, n)
+    x, y = partition.entries("B") | {1}, frozenset({0})
+    for k in (40, 40, 300):  # the memo of entry 1 spans the sampler's calls
+        sampler(1, k, rng)
+    assert sent_pairs(values_calls) == new_prefix_pairs(partition, "A", "B", ref, [40, 40, 300], x, y)
 
 
 def shift_cases():

@@ -40,6 +40,21 @@ def part(**owners) -> OwnerPartition:
     return OwnerPartition({k: frozenset(v) for k, v in owners.items()})
 
 
+def test_exact_value_hands_the_oracle_the_plans_own_unions(values_calls):
+    # The empty side of each gap U(S + owner) - U(S) is the plan's union
+    # object itself: no per-coalition copy reaches the oracle.
+    p = part(A=[0, 1], B=[1, 2], C=[3], D=[], E=[4, 5])
+    oracle = AdditiveUtility({i: float(i + 1) for i in range(6)})
+    for owner in p.owner_ids():
+        values_calls.clear()
+        shapley_exact(p, oracle, owner)
+        bases = coalition_plan(p, owner)[0]  # the partition's cached unions, as shapley_exact saw them
+        [sets] = values_calls
+        assert sets[0::2] == [base | p.entries(owner) for base in bases]
+        assert len(sets[1::2]) == len(bases)
+        assert all(got is base for got, base in zip(sets[1::2], bases))
+
+
 class TestEstimate:
     def test_matches_numpy_moments(self):
         rng = np.random.default_rng(0)
