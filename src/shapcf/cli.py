@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,8 +38,20 @@ def _load_utility_inputs(
     return (cfg, *load_split(data, test_data, test_ratio, seed, label=inner.get("label")))
 
 
+def _finite(value):
+    """`value` with every non-finite float (an unbounded half-width) as None, JSON's null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write `payload` as strict JSON: a non-finite float is written as null."""
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
         click.echo(f"wrote {out}", err=True)

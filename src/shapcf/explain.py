@@ -26,6 +26,11 @@ orderings: exact answers that draw nothing from the rng. A request scores
 each shift X as the entry sets (A - X, B | X) on its own partition (on one
 shapley.coalition_plan when exact). Pair selection's checked request is
 explain's `pair`: one plan and one precondition check for every engine.
+An exact request keeps a table of the differentials it scored, by shift,
+and reads it before it scores: a power is minus the differential of its
+shift, so svexp's round check reads the winning arm's power, and the
+pair's table (its check, and with windows its search opening, scored
+with other trials' in one call) is copied into every engine's request.
 """
 
 from __future__ import annotations
@@ -184,6 +189,16 @@ def _width(est: Estimate) -> float:
     return est.half_width if est.count else 0.0
 
 
+def _minus(d: float) -> float:
+    """-d, but +0.0 for a zero: the differential of the reverse pair, bit for bit.
+
+    Reversing a pair negates every gap and term exactly, and fsum's correctly
+    rounded sum of negated terms is the negated sum, except that fsum gives
+    +0.0, never -0.0, for a zero sum.
+    """
+    return 0.0 - d
+
+
 def _subsets(entries: list[EntryId]):
     """Non-empty subsets in ascending size, lexicographic within a size."""
     return itertools.chain.from_iterable(
@@ -232,12 +247,15 @@ class _Request:
         lent = pair is not None and (pair.plan is not None) == exact
         self.plan = pair.plan if lent else coalition_plan(partition, a, b) if exact else None
         self.last: FlipResult | None = pair.last if lent else None  # the latest check, or the precheck
+        # The exact differential of each shift scored so far, a copy of the pair's.
+        self.table: dict[frozenset[EntryId], float] = dict(pair.table) if lent else {}
 
     def swapped(self) -> _Request:
         """The prechecked request for (b, a); its plan is this one, as it leaves out both owners."""
         twin = copy.copy(self)
         twin.a, twin.b, twin.ents_a, twin.ents_b = self.b, self.a, self.ents_b, self.ents_a
         twin.last, twin.initial_diff = self.last.swapped(), -self.initial_diff
+        twin.table = {}  # the shifts of this pair move a's entries, not b's
         return twin
 
     def expired(self) -> bool:
@@ -250,14 +268,17 @@ class _Request:
     def checks(self, budget: int, shifts: Iterable[Iterable[EntryId]]) -> Iterator[FlipResult]:
         """check() of each shift in turn, each counted (and the latest) as it is read.
 
-        On the exact route one values() call scores every shift's sets, here
-        and now; on the sampled route each shift's check runs as it is read.
+        On the exact route the shifts not in the table are scored here and
+        now, in one values() call, and every check is read off the table; on
+        the sampled route each shift's check runs as it is read.
         """
         shifts = [frozenset(moved) for moved in shifts]
         if self.plan is not None:
-            pairs = [(self.ents_a - moved, self.ents_b | moved) for moved in shifts]
-            delta = self.cfg.delta
-            results = [_exact_check(d, delta) for d in differentials(self.oracle, self.plan, pairs)]
+            new, pairs = self._unscored(shifts)
+            table, delta = self.table, self.cfg.delta
+            if new:
+                table.update(zip(new, differentials(self.oracle, [(self.plan, pairs)])))
+            results = [_exact_check(table[moved], delta) for moved in shifts]
         else:
             results = (
                 is_flipped(
@@ -267,6 +288,12 @@ class _Request:
                 for moved in shifts
             )
         return map(self._counted, results)
+
+    def _unscored(self, shifts: list[frozenset[EntryId]]) -> tuple[list[frozenset[EntryId]], list]:
+        """The shifts not in the table (usually all), and their entry-set pairs (A - moved, B | moved)."""
+        table = self.table
+        new = shifts if table.keys().isdisjoint(shifts) else [moved for moved in shifts if moved not in table]
+        return new, [(self.ents_a - moved, self.ents_b | moved) for moved in new]
 
     def _counted(self, res: FlipResult) -> FlipResult:
         self.samples += res.estimate.count
@@ -288,6 +315,10 @@ class _Request:
         largest = [bases[-1] | (self.ents_a - moved), bases[-1] | self.ents_b | moved]
         return max(1, self.oracle.room(largest) // (2 * len(bases)))
 
+    def opening(self) -> list[frozenset[EntryId]]:
+        """The first chunk of the search over a's entries (bf's and mc's): its shifts."""
+        return [frozenset(combo) for combo in next(_chunks(self, sorted(self.ents_a)), [])]
+
     def verify(self, moved: Iterable[EntryId] = ()) -> FlipResult:
         """The answer's final check; an exact one is the latest check, of the same shift."""
         return self.last if self.plan is not None else self.check(self.cfg.verify(), moved)
@@ -299,8 +330,11 @@ class _Request:
         an empty estimate. On the exact route every entry's power is exact
         (the differential of b over a once the entry moves too, as
         power_exact) and the argmax wins, ties going to the smallest entry
-        id; no samples are drawn. All the entries' sets go to the oracle in
-        one values() call. Otherwise the entries run a Thompson race.
+        id; no samples are drawn. An entry e's power is minus the table's
+        differential of the shift moved + {e}, so a shift already scored
+        costs nothing; the other entries' sets go to the oracle in one
+        values() call, and their shifts join the table. Otherwise the
+        entries run a Thompson race.
         """
         cfg, moved = self.cfg, frozenset(moved)
         left, got = self.ents_a - moved, self.ents_b | moved
@@ -308,8 +342,11 @@ class _Request:
         if len(ents) == 1:
             return Top1Result(ents[0], (ArmState(ents[0], Estimate(cfg.delta)),), 0, True, False)
         if self.plan is not None:
-            powers = differentials(self.oracle, self.plan, [(got | {e}, left - {e}) for e in ents])
-            arms = [ArmState(e, Estimate(cfg.delta, power)) for e, power in zip(ents, powers)]
+            todo = [e for e in ents if moved | {e} not in self.table]
+            if todo:
+                powers = differentials(self.oracle, [(self.plan, [(got | {e}, left - {e}) for e in todo])])
+                self.table.update((moved | {e}, _minus(power)) for e, power in zip(todo, powers))
+            arms = [ArmState(e, Estimate(cfg.delta, _minus(self.table[moved | {e}]))) for e in ents]
             best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
             return Top1Result(best.entry, tuple(arms), 0, True, False)
         pick = thompson_top1(
@@ -366,29 +403,53 @@ class _Request:
         )
 
 
+def _score(jobs: Iterable[tuple[_Request, list[frozenset[EntryId]]]]) -> None:
+    """Put each job's shifts that its request's table lacks there, in one values() call.
+
+    A job is an exact-route request and shifts of its pair; the requests
+    share one oracle and may be of different partitions (one
+    shapley.differentials call over their plans), as the checks of one
+    request share one in _Request.checks. Nothing is counted.
+    """
+    todo = [(req, *req._unscored(shifts)) for req, shifts in jobs]
+    plans = [(req.plan, pairs) for req, new, pairs in todo if new]
+    if plans:
+        found = iter(differentials(todo[0][0].oracle, plans))
+        for req, new, _ in todo:
+            req.table.update(zip(new, found))
+
+
+def _chunks(req: _Request, ents: list[EntryId]) -> Iterator[list[tuple[EntryId, ...]]]:
+    """The subsets of `ents` in search order, in chunks of one check call each.
+
+    Subsets go in ascending size, lexicographic within a size. A chunk holds
+    req.span subsets, judged once per size on the first subset of that size
+    to start a chunk, and is filled across a size boundary.
+    """
+    spans = {}
+    subsets = _subsets(ents)
+    for first in subsets:
+        if len(first) not in spans:
+            spans[len(first)] = req.span(first)
+        yield [first, *itertools.islice(subsets, spans[len(first)] - 1)]
+
+
 def _first_flip(req: _Request, ents: list[EntryId]) -> CounterfactualResult:
     """The first subset of `ents` whose shift flips the pair (else all of them), verified.
 
-    Subsets go in ascending size, lexicographic within a size, in chunks
-    with one check call (on the exact route one values() call) each. A
-    chunk holds req.span subsets, judged once per size on the first subset
-    of that size to start a chunk, and is filled across a size boundary.
-    The deadline is read before each chunk, and only the subsets up to the
-    first flip count as tested.
+    The subsets go in _chunks, with one check call (on the exact route at
+    most one values() call) each. The deadline is read before each chunk,
+    and only the subsets up to the first flip count as tested.
     """
 
     def verified(moved, tested: int) -> CounterfactualResult:
         final = req.verify(moved)
         return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, tested)
 
-    tested, spans = 0, {}
-    subsets = _subsets(ents)
-    for first in subsets:
+    tested = 0
+    for chunk in _chunks(req, ents):
         if req.expired():
             return req.done(STATUS_TIMEOUT, tested=tested)
-        if len(first) not in spans:
-            spans[len(first)] = req.span(first)
-        chunk = [first, *itertools.islice(subsets, spans[len(first)] - 1)]
         for combo, res in zip(chunk, req.checks(req.cfg.check_budget, chunk)):
             tested += 1
             if res.verdict == "flipped":

@@ -5,6 +5,12 @@ engines, trial count, seed) and is deterministic given its seed: every
 randomized stage draws from its own named child stream, so trials.csv and
 summary.json are byte-identical across reruns. Wall-clock numbers go to a
 separate timings.json, which is the only non-deterministic artifact.
+
+Trials are independent, so a cell's trials run in windows (_run_cell):
+where the oracle shares work across a values() call, the pair checks of up
+to _WINDOW trials share one call, and their search openings another
+(_select_pairs). Then each trial's engines run in turn through explain.
+A window changes oracle traffic only, never an output.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .core import (
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, read_json, split_dataset
-from .explain import ENGINES, CounterfactualResult, ExplainConfig, _Request, explain
+from .explain import ENGINES, CounterfactualResult, ExplainConfig, _is_small, _Request, _score, explain
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import is_flipped  # unused here; perfbench/tracing.py wraps this name
 from .utility import DATA_BACKED_KINDS, AdditiveUtility, SetCoverUtility, make_oracle, normalize_kind, unwrap_config
@@ -44,6 +50,10 @@ PAIR_MODES = ("random", "designated", "grid")
 
 # Random pairs drawn at most while their checks stay undecided.
 _PAIR_REDRAWS = 10
+
+# Trials at most whose pair checks, and then whose search openings, share one
+# values() call each, where the oracle has room for that (see _window).
+_WINDOW = 16
 
 _AT_LEAST_0: Rule = ("an integer >= 0", lambda v: is_integer(v) and v >= 0)
 _AT_LEAST_2: Rule = ("an integer >= 2", lambda v: is_integer(v) and v >= 2)
@@ -410,26 +420,46 @@ def _cells(cfg: ExperimentConfig, train: Dataset | None, oracle) -> list[tuple[s
     return [("", {})]
 
 
-def _select_pair(
-    partition: OwnerPartition,
+def _window(oracle, partition: OwnerPartition) -> int:
+    """Trials per window of a cell like `partition`: _WINDOW if pair checks can share calls, else 1.
+
+    They can when the pair checks are exact and the oracle has room for
+    more sets than one check's 2^(n-1), judged on sets as large as the
+    partition's whole universe: oracle.room(sets) > len(sets).
+    """
+    if not _is_small(partition):
+        return 1
+    sets = [partition.universe()] * 2 ** (partition.n - 1)
+    return _WINDOW if oracle.room(sets) > len(sets) else 1
+
+
+def _select_pairs(
+    partitions: list[OwnerPartition],
     oracle,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     cfg: ExperimentConfig,
     ecfg: ExplainConfig,
     cell_params: dict,
-) -> _Request:
-    """Choose an ordered pair with a above b: its checked request, which every engine shares.
+    openings: bool,
+) -> list[_Request]:
+    """Each trial's ordered pair with a above b: its checked request, which every engine shares.
 
-    Designated pairs are checked once; random pairs are re-drawn on undecided
-    checks up to _PAIR_REDRAWS times, after which the last pair is kept (engines then
-    report the undecided precondition). A pair drawn the wrong way round is
-    kept as the swapped twin of its request.
+    The trials of a window are checked together. Round 0 checks every
+    trial's pair; the exact checks share one values() call, and sampled
+    ones run in turn. Designated pairs are checked once. Random pairs
+    undecided by their check are re-drawn, each redraw round merged the
+    same way, up to _PAIR_REDRAWS times; then the last pair is kept
+    (engines then report the undecided precondition). A random pair drawn
+    the wrong way round is kept as the swapped twin of its request. With
+    `openings`, round 1 scores each exact request's opening (the first
+    chunk of its search) whose a is above b, in one more call. Every trial
+    draws from its own rng.
     """
 
-    def check(a: str, b: str) -> _Request:
-        pair = _Request("pair", partition, oracle, a, b, rng, ecfg)
-        pair.precheck(cfg.pair_budget)
-        return pair
+    def checked(pairs: list[_Request]) -> None:
+        _score([(pair, [frozenset()]) for pair in pairs if pair.plan is not None])
+        for pair in pairs:
+            pair.precheck(cfg.pair_budget)
 
     mode = cfg.pair.get("mode")
     if mode is None:
@@ -439,16 +469,25 @@ def _select_pair(
         # Grid cells name both owners; otherwise the pair config (or "A"/"B").
         a = str(cell_params.get("a", cfg.pair.get("a", "A")))
         b = str(cell_params.get("b", cfg.pair.get("b", "B")))
-        return check(a, b)
-    ids = partition.owner_ids()
-    for _ in range(_PAIR_REDRAWS):
-        i, j = rng.choice(len(ids), size=2, replace=False)
-        pair = check(ids[int(i)], ids[int(j)])
-        if pair.last.verdict == "not_flipped":
-            return pair
-        if pair.last.verdict == "flipped":
-            return pair.swapped()
-    return pair.swapped() if pair.last.estimate.mean < 0.0 else pair
+        chosen = [_Request("pair", p, oracle, a, b, rng, ecfg) for p, rng in zip(partitions, rngs)]
+        checked(chosen)
+    else:
+        drawn: dict[int, _Request] = {}  # by trial, in trial order
+        todo = range(len(partitions))
+        for _ in range(_PAIR_REDRAWS):
+            for t in todo:
+                ids = partitions[t].owner_ids()
+                i, j = rngs[t].choice(len(ids), size=2, replace=False)
+                drawn[t] = _Request("pair", partitions[t], oracle, ids[int(i)], ids[int(j)], rngs[t], ecfg)
+            checked([drawn[t] for t in todo])
+            todo = [t for t in todo if drawn[t].last.verdict == "undecided"]
+            if not todo:
+                break
+        # A decided check's mean has its verdict's sign.
+        chosen = [pair.swapped() if pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()]
+    if openings:
+        _score([(p, p.opening()) for p in chosen if p.plan is not None and p.last.verdict == "not_flipped"])
+    return chosen
 
 
 def _run_cell(
@@ -458,51 +497,61 @@ def _run_cell(
     oracle,
     cell_idx: int,
     cell: tuple[str, dict],
-    served: OwnerPartition | None,
-) -> tuple[list[TrialRecord], OwnerPartition | None]:
-    """The cell's trials, and the partition the oracle's memo now serves.
+    served: list[OwnerPartition],
+) -> tuple[list[TrialRecord], list[OwnerPartition]]:
+    """The cell's trials, and the partitions the oracle's memo now serves.
 
-    The memo is emptied whenever a trial's partition differs from `served`,
-    the partition it was filled for: drawn allocations share almost no
-    coalitions across trials, while natural and vertical ones rebuild the
-    same partition in every trial and cell and keep their memo.
+    Trials run in windows of _window trials, judged on the first trial's
+    partition: their pairs are selected together (_select_pairs), then each
+    trial's engines run in turn. The
+    memo is emptied before a window with a partition it was not filled for
+    (`served`): drawn allocations share almost no coalitions across
+    trials, while natural and vertical ones rebuild the same partition in
+    every trial and cell and keep their memo. So with drawn partitions it
+    never holds more than one window's sets.
     """
     label, params = cell
     records: list[TrialRecord] = []
-    for trial in range(cfg.trials):
-        rng_part = spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial)
-        partition = _make_partition(cfg, train, oracle, rng_part, params)
-        if partition != served:
+
+    def partition_of(trial: int) -> OwnerPartition:
+        return _make_partition(cfg, train, oracle, spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial), params)
+
+    width = _window(oracle, partition_of(0)) if cfg.trials else 1
+    for start in range(0, cfg.trials, width):
+        trials = range(start, min(cfg.trials, start + width))
+        partitions = list(map(partition_of, trials))
+        if not all(p in served for p in partitions):
             oracle.clear_cache()
-            served = partition
-        rng_pair = spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial)
-        pair = _select_pair(partition, oracle, rng_pair, cfg, ecfg, params)
-        for eng_idx, engine in enumerate(cfg.engines):
-            rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
-            t0 = time.monotonic()
-            res: CounterfactualResult = explain(
-                engine, partition, oracle, pair.a, pair.b, rng_eng, config=ecfg, pair=pair
-            )
-            records.append(
-                TrialRecord(
-                    cell=label,
-                    trial=trial,
-                    engine=engine,
-                    a=pair.a,
-                    b=pair.b,
-                    status=res.status,
-                    size=res.size,
-                    success=res.success,
-                    timed_out=res.timed_out,
-                    budget_exhausted=res.budget_exhausted,
-                    samples_used=res.samples_used,
-                    subsets_tested=res.subsets_tested,
-                    initial_diff=res.initial_diff,
-                    initial_half_width=res.initial_half_width,
-                    delta_entries=res.delta,
-                    runtime_s=time.monotonic() - t0,
+            served = partitions
+        rngs = [spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial) for trial in trials]
+        pairs = _select_pairs(partitions, oracle, rngs, cfg, ecfg, params, openings=width > 1)
+        for trial, partition, pair in zip(trials, partitions, pairs):
+            for eng_idx, engine in enumerate(cfg.engines):
+                rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
+                t0 = time.monotonic()
+                res: CounterfactualResult = explain(
+                    engine, partition, oracle, pair.a, pair.b, rng_eng, config=ecfg, pair=pair
                 )
-            )
+                records.append(
+                    TrialRecord(
+                        cell=label,
+                        trial=trial,
+                        engine=engine,
+                        a=pair.a,
+                        b=pair.b,
+                        status=res.status,
+                        size=res.size,
+                        success=res.success,
+                        timed_out=res.timed_out,
+                        budget_exhausted=res.budget_exhausted,
+                        samples_used=res.samples_used,
+                        subsets_tested=res.subsets_tested,
+                        initial_diff=res.initial_diff,
+                        initial_half_width=res.initial_half_width,
+                        delta_entries=res.delta,
+                        runtime_s=time.monotonic() - t0,
+                    )
+                )
     return records, served
 
 
@@ -520,7 +569,7 @@ def run_experiment(
     ecfg = cfg.explain_config()
     cells = _cells(cfg, train, oracle)
     records: list[TrialRecord] = []
-    served = None
+    served: list[OwnerPartition] = []
     for i, cell in enumerate(cells):
         cell_records, served = _run_cell(cfg, ecfg, train, oracle, i, cell, served)
         records += cell_records

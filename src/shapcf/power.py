@@ -103,7 +103,7 @@ def power_exact(
 ) -> float:
     """Exact power: the differential of (B + x) over (A - x) on the pair's coalition plan."""
     ents_a, ents_b = _check_power_args(partition, a, b, x, frozenset())
-    return differentials(oracle, coalition_plan(partition, a, b), [(ents_b | {x}, ents_a - {x})])[0]
+    return differentials(oracle, [(coalition_plan(partition, a, b), [(ents_b | {x}, ents_a - {x})])])[0]
 
 
 @dataclass

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -121,17 +122,19 @@ class Estimate:
 
 def gaps(
     oracle: UtilityOracle,
-    bases: list[frozenset[int]],
-    pairs: list[tuple[frozenset[int], frozenset[int]]],
+    jobs: list[tuple[list[frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]]],
 ) -> list[float]:
-    """U(base + x) - U(base + y) for each entry-set pair (x, y), then each base.
+    """U(base + x) - U(base + y) for each job's bases and entry-set pairs (x, y), in order.
 
-    Every pair's sets go to the oracle in one values() call, pair by pair,
-    as (base + x, base + y) for each base. An empty y leaves each base the
-    object it is.
+    A job is (bases, pairs); its gaps run pair by pair, each over every base.
+    All the jobs' sets go to the oracle in one values() call, laid out the
+    same way: (base + x, base + y) for each base. An empty y leaves each
+    base the object it is.
     """
-    vals = oracle.values([s for x, y in pairs for base in bases for s in (base | x, base | y if y else base)])
-    return [va - vb for va, vb in zip(vals[::2], vals[1::2])]
+    vals = oracle.values(
+        [s for bases, pairs in jobs for x, y in pairs for base in bases for s in (base | x, base | y if y else base)]
+    )
+    return list(map(operator.sub, vals[::2], vals[1::2]))
 
 
 def coalition_plan(
@@ -164,7 +167,7 @@ def coalition_plan(
 def shapley_exact(partition: OwnerPartition, oracle: UtilityOracle, owner: OwnerId) -> float:
     """Exact Shapley value: the plan's weighted gaps U(S + owner) - U(S) (2^(n-1) coalitions)."""
     ents = partition.entries(owner)  # an unknown owner raises before any union is built
-    return differentials(oracle, coalition_plan(partition, owner), [(ents, frozenset())])[0]
+    return differentials(oracle, [(coalition_plan(partition, owner), [(ents, frozenset())])])[0]
 
 
 def shapley_exact_all(partition: OwnerPartition, oracle: UtilityOracle) -> dict[OwnerId, float]:
@@ -173,17 +176,18 @@ def shapley_exact_all(partition: OwnerPartition, oracle: UtilityOracle) -> dict[
 
 def differentials(
     oracle: UtilityOracle,
-    plan: tuple[list[frozenset[int]], list[float]],
-    pairs: list[tuple[frozenset[int], frozenset[int]]],
+    jobs: list[tuple[tuple[list[frozenset[int]], list[float]], list[tuple[frozenset[int], frozenset[int]]]]],
 ) -> list[float]:
-    """The exact differential of x over y on a coalition plan, for each entry-set pair (x, y).
+    """The exact differential of x over y on a coalition plan, for each job's entry-set pairs (x, y).
 
-    Each is the fsum of the pair's gaps times the plan's weights; every
-    pair's sets go to the oracle in one values() call.
+    A job is (plan, pairs); the result lists every job's differentials in
+    turn. Each is the fsum of the pair's gaps times its plan's weights, and
+    every job's sets go to the oracle in one values() call: plans of
+    several partitions share it, and a single plan is the one-job case.
     """
-    bases, weights = plan
-    found, k = gaps(oracle, bases, pairs), len(bases)
-    return [math.fsum(g * w for g, w in zip(found[i : i + k], weights)) for i in range(0, len(found), k)]
+    found = iter(gaps(oracle, [(plan[0], pairs) for plan, pairs in jobs]))
+    # weights first: map stops at their end and takes no extra gap
+    return [math.fsum(map(operator.mul, weights, found)) for (_, weights), pairs in jobs for _ in pairs]
 
 
 def diff_shapley_exact(
@@ -199,7 +203,7 @@ def diff_shapley_exact(
     """
     ents = (partition.entries(a), partition.entries(b))  # an unknown owner raises even when a == b
     plan = coalition_plan(partition, a, b)
-    return differentials(oracle, plan, [ents])[0] if a != b else 0.0
+    return differentials(oracle, [(plan, [ents])])[0] if a != b else 0.0
 
 
 def sampled_terms(
@@ -226,7 +230,7 @@ def sampled_terms(
         todo = [i for i, term in enumerate(terms) if term is None]
         if todo:
             prefixes = [[o for o, inside in zip(ids, row) if inside] for row in masks[todo].tolist()]
-            found = gaps(oracle, [partition.composed(prefix) for prefix in prefixes], [pair])
+            found = gaps(oracle, [([partition.composed(prefix) for prefix in prefixes], [pair])])
             for i, prefix, gap in zip(todo, prefixes, found):
                 terms[i] = memo[keys[i]] = n / (2.0 * (n - len(prefix) - 1)) * gap
         chunks.append(np.array(terms, dtype=np.float64)[inverse])

@@ -241,6 +241,32 @@ class TestExplainCommand:
         assert "wall_time" not in payload
         assert "status=ok size=1" in res.stderr
 
+    def test_unbounded_half_widths_are_strict_json_nulls(self, runner, tmp_path):
+        # 10 owners take the sampled route, and a one-sample precheck has no finite half-width.
+        weights = {str(e): 1.0 + e for e in range(10)}
+        utility = write_json(tmp_path / "utility.json", {"kind": "additive", "weights": weights})
+        partition = write_json(tmp_path / "partition.json", {"owners": {f"O{e}": [e] for e in range(10)}})
+
+        def strict(token):
+            raise ValueError(f"not JSON: {token}")
+
+        res = runner.invoke(
+            main,
+            ["explain", "--engine", "mc", "--budget", "1", "--partition", partition, "--utility", utility,
+             "--a", "O9", "--b", "O0"],
+        )
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.stdout, parse_constant=strict)
+        assert payload["initial_half_width"] is None and payload["samples_used"] == 1
+        out = tmp_path / "shapley.json"
+        res = runner.invoke(
+            main,
+            ["shapley", "--mc", "--budget", "1", "--partition", partition, "--utility", utility, "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        values = json.loads(out.read_text(), parse_constant=strict)["values"]
+        assert all(v["half_width"] is None and v["count"] == 1 for v in values.values())
+
     def test_sampling_engine_deterministic_per_seed(self, runner, additive_files):
         utility, partition = additive_files
 

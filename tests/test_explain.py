@@ -495,6 +495,34 @@ class TestExactRoute:
             assert mc.subsets_tested == bf.subsets_tested
         assert min(seen) == 2 and max(seen) == self.MAX_OWNERS
 
+    def test_svexp_round_check_reads_the_winners_power(self, values_calls, monkeypatch):
+        # Each round check is minus the winning arm's power, from the table: it
+        # has the bits of a fresh check of the same shift and sends no call,
+        # unless the pick was forced (a's last entry), which scores no power.
+        check, rounds = explain_module._Request.check, []
+
+        def spy(req, budget, moved=()):
+            sent = len(values_calls)
+            res = check(req, budget, moved)
+            if moved:  # not the precheck
+                rounds.append((req, budget, frozenset(moved), res, len(values_calls) - sent))
+            return res
+
+        monkeypatch.setattr(explain_module._Request, "check", spy)
+        tie = (part(A=[0, 1, 2], B=[3], C=[4]), AdditiveUtility({e: 1.0 for e in range(5)}))  # 2 vs 2 after a move
+        games = [*random_games(seed=91, count=40, n_lo=3, n_hi=self.MAX_OWNERS), tie]
+        for i, (p, oracle) in enumerate(games):
+            a, b = p.owner_ids()[:2]
+            explain_svexp(p, oracle, a, b, spawn_rng(91, i))
+        verdicts = set()
+        for req, budget, moved, res, sent in rounds:
+            fresh = explain_module._Request("svexp", req.partition, req.oracle, req.a, req.b, None, req.cfg)
+            assert TestPairSession.bits(res) == TestPairSession.bits(check(fresh, budget, moved))
+            if req.ents_a - moved:
+                assert sent == 0
+                verdicts.add(res.verdict)
+        assert verdicts == {"flipped", "not_flipped", "undecided"}  # ties included: +0.0, never -0.0
+
     def test_svexp_first_pick_is_the_exact_power_argmax(self):
         picked = 0
         for i, (p, oracle) in enumerate(random_games(seed=43, count=40, n_hi=self.MAX_OWNERS)):
@@ -612,7 +640,7 @@ class TestExactRoute:
             "engines": ["mc"], "n_owners": p.n, "allocation": {"kind": "uniform"},
             "trials": 1, "seed": 46, "pair": {"mode": "designated"},
         })
-        pair = harness._select_pair(p, oracle, spawn_rng(46, 2), cfg, cfg.explain_config(), {})
+        (pair,) = harness._select_pairs([p], oracle, [spawn_rng(46, 2)], cfg, cfg.explain_config(), {}, False)
         assert (pair.a, pair.b) == ("A", "B")
         expected = {"shapcf.explain.is_flipped", "shapcf.explain.thompson_top1"}
         assert engines == (expected if sampled else set())
@@ -777,7 +805,7 @@ class TestCoalitionPlan:
         for p, oracle in random_games(seed=66, count=12, n_hi=5):
             values = shapley_by_definition(p.owners, oracle.value)
             for a, b in itertools.permutations(p.owner_ids(), 2):
-                got = differentials(oracle, coalition_plan(p, a, b), [(p.entries(a), p.entries(b))])
+                got = differentials(oracle, [(coalition_plan(p, a, b), [(p.entries(a), p.entries(b))])])
                 assert got[0] == pytest.approx(values[a] - values[b], abs=1e-9)
 
     def test_bruteforce_owner_limit_is_unchanged(self):

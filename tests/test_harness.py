@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 
 from shapcf import harness
 from shapcf.core import MalformedInput, OwnerPartition, SizeOverflow, spawn_rng
-from shapcf.datasets import load_partition, split_dataset
+from shapcf.datasets import Dataset, load_partition, split_dataset
 from shapcf.explain import ExplainConfig
 from shapcf.harness import (
     ExperimentConfig,
@@ -427,9 +428,10 @@ class TestGridRuns:
         assert result.grid_axes == (months, months)
 
 
-def run_watching_memo(cfg, monkeypatch, datasets=None, clear=True):
+def run_watching_memo(cfg, monkeypatch, datasets=None, clear=True, snapshots=None):
     """run_experiment's oracle, the memo size at each clear_cache call, and
-    each explanation's partition; clear=False leaves the memo as it is."""
+    each explanation's partition; clear=False leaves the memo as it is, and
+    a `snapshots` list receives the memo's keys at each clear_cache call."""
     oracles, cleared, partitions = [], [], []
     real_make, real_clear, real_explain = harness.make_oracle, UtilityOracle.clear_cache, harness.explain
 
@@ -439,6 +441,8 @@ def run_watching_memo(cfg, monkeypatch, datasets=None, clear=True):
 
     def clear_cache(self):
         cleared.append(len(self._cache))
+        if snapshots is not None:
+            snapshots.append(frozenset(self._cache))
         if clear:
             real_clear(self)
 
@@ -452,6 +456,32 @@ def run_watching_memo(cfg, monkeypatch, datasets=None, clear=True):
         m.setattr(harness, "explain", explain)
         run_experiment(cfg, datasets=datasets)
     return oracles[0], cleared, partitions
+
+
+def logistic_config(**over):
+    """A logistic experiment whose pair checks share calls: 18 trials, more than one window."""
+    cfg = base_config(
+        utility={"kind": "logistic-regression", "label": "y", "iters": 30},
+        engines=["bf", "mc", "svexp"],
+        n_owners=5,
+        allocation={"kind": "uniform", "size_range": [2, 4]},
+        trials=18,
+        seed=61,
+        sampling={"check_budget": 200, "pair_budget": 200, "arm_budget": 200, "bandit_budget": 800},
+    )
+    cfg.update(over)
+    return cfg
+
+
+def logistic_data(rows: int = 60, zeros: int = 0, groups: int = 0) -> tuple[Dataset, Dataset]:
+    """Train and test blobs; the first `zeros` train rows relabelled 0, and `groups` round-robin groups."""
+    train, test = make_blobs(rows, n_features=2, seed=61, sep=1.0), make_blobs(20, n_features=2, seed=62, sep=1.0)
+    train.labels[:zeros] = 0.0
+    if groups:
+        train = Dataset(
+            train.features, train.feature_names, train.labels, "y", tuple(f"G{i % groups}" for i in range(rows)), "g"
+        )
+    return train, test
 
 
 class TestOracleMemoLifetime:
@@ -508,6 +538,190 @@ class TestOracleMemoLifetime:
         assert cleared == [0]
         kept, _, _ = run_watching_memo(cfg, monkeypatch, datasets, clear=False)
         assert oracle.evals == kept.evals
+
+    def test_a_logistic_memo_holds_one_window(self, monkeypatch):
+        monkeypatch.setattr(harness, "_WINDOW", 3)
+        cfg = ExperimentConfig.from_json(logistic_config(trials=7, engines=["bf", "svexp"]))
+        snapshots = []
+        oracle, cleared, partitions = run_watching_memo(cfg, monkeypatch, logistic_data(), snapshots=snapshots)
+        universes = [p.universe() for p in partitions[::2]]  # two engines per trial
+        windows = [universes[0:3], universes[3:6], universes[6:7]]
+        # Once per window; only the first window finds the memo empty.
+        assert len(cleared) == len(windows) and cleared[0] == 0
+        for window, memo in zip(windows, [*snapshots[1:], frozenset(oracle._cache)]):
+            # every set the memo holds is one of the window's, and more than one trial's are there
+            assert memo and all(any(key <= u for u in window) for key in memo)
+            assert len(window) == 1 or not any(all(key <= u for key in memo) for u in window)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# Logistic experiments, by what their pair selection covers; each pair of
+# config and datasets runs in windows, except "sampled" (10 owners).
+WINDOW_CASES = {
+    "random": lambda: (logistic_config(), logistic_data()),
+    "designated": lambda: (
+        logistic_config(allocation={"kind": "zipfian", "a": 2, "k1": 2, "k2": 1, "k_max": 2}),
+        logistic_data(),
+    ),
+    "grid": lambda: (
+        logistic_config(allocation={"kind": "natural"}, pair={"mode": "grid"}, trials=2),
+        logistic_data(rows=16, groups=4),
+    ),
+    # Where every owner holds label-0 rows only, each set scores by its size
+    # alone, so a pair of owners that share no row with the others ties.
+    "ties": lambda: (
+        logistic_config(allocation={"kind": "uniform", "size_range": [2, 2]}),
+        logistic_data(zeros=54),
+    ),
+    "sampled": lambda: (
+        logistic_config(n_owners=10, allocation={"kind": "uniform", "size_range": [2, 3]}, trials=3),
+        logistic_data(),
+    ),
+}
+
+# Experiments whose oracle shares no work across a call (windows of one
+# trial). tests/data/golden/values_calls.json holds the values() traffic
+# each sent at the commit before windows and the shift table, less the
+# calls of svexp's round checks (each a _Request.check called from _svexp),
+# as values_digest reads it.
+TRAFFIC_CASES = {
+    "svexp": lambda: (ExperimentConfig.from_json(GOLDEN / "svexp_config.json"), None),
+    "mc": lambda: (ExperimentConfig.from_json(GOLDEN / "mc_config.json"), None),
+    "three_engines_large": lambda: (ExperimentConfig.from_json(GOLDEN / "three_engines_large_config.json"), None),
+    "additive_ties": lambda: (
+        ExperimentConfig.from_json(
+            base_config(
+                utility={"kind": "additive", "weights": {str(e): 1.0 for e in range(40)}},
+                engines=["bf", "mc", "svexp"],
+                n_owners=6,
+                allocation={"kind": "uniform", "size_range": [2, 2]},
+                trials=5,
+                seed=5,
+                sampling={"check_budget": 640, "pair_budget": 320, "arm_budget": 320, "bandit_budget": 1280},
+            )
+        ),
+        None,
+    ),
+    "kde": lambda: (
+        ExperimentConfig.from_json(
+            base_config(
+                utility={"kind": "kde", "label": "y"},
+                engines=["bf", "mc", "svexp"],
+                n_owners=6,
+                allocation={"kind": "uniform", "size_range": [4, 8]},
+                trials=3,
+                seed=7,
+            )
+        ),
+        (make_blobs(120, n_features=2, seed=5, sep=1.0), make_blobs(30, n_features=2, seed=6, sep=1.0)),
+    ),
+}
+
+
+def values_digest(calls: list[list[frozenset[int]]]) -> dict:
+    """The count of values() calls and of their sets, and a hash of every call's sets in order."""
+    digest = hashlib.sha256()
+    for sets in calls:
+        digest.update(repr([sorted(s) for s in sets]).encode() + b"\n")
+    return {"calls": len(calls), "sets": sum(map(len, calls)), "sha256": digest.hexdigest()}
+
+
+def traffic_by_trial(cfg, monkeypatch, values_calls, datasets=None):
+    """run_experiment's values() calls: before each request, and each request's own."""
+    before, own, marks = [], [], [0]
+    explain = harness.explain
+
+    def spy(*args, **kwargs):
+        before.append(values_calls[marks[-1] : len(values_calls)])
+        start = len(values_calls)
+        res = explain(*args, **kwargs)
+        own.append(values_calls[start:])
+        marks.append(len(values_calls))
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "explain", spy)
+        values_calls.clear()
+        run_experiment(cfg, datasets=datasets)
+    return before, own
+
+
+class TestWindows:
+    """A window's pair checks, and then its search openings, share one values() call each."""
+
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
+    def test_outputs_do_not_depend_on_the_window(self, case, tmp_path, monkeypatch):
+        raw, datasets = WINDOW_CASES[case]()
+        cfg = ExperimentConfig.from_json(raw)
+        select, request = harness._select_pairs, harness._Request
+        outputs = []
+        for window in (harness._WINDOW, 1):
+            widths, pairs = [], []
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_WINDOW", window)
+                m.setattr(
+                    harness, "_select_pairs", lambda parts, *args, **kw: widths.append(len(parts)) or select(parts, *args, **kw)
+                )
+                m.setattr(harness, "_Request", lambda *args: pairs.append(args) or request(*args))
+                out = tmp_path / str(window)
+                write_outputs(run_experiment(cfg, datasets=datasets), out)
+            outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.json")])
+            if window > 1:
+                assert max(widths) == (1 if case == "sampled" else min(window, cfg.trials))
+                drawn = len(pairs)
+        assert outputs[0] == outputs[1]
+        trials = cfg.trials * (12 if case == "grid" else 1)
+        assert drawn > trials if case == "ties" else drawn >= trials
+
+    def test_logreg_golden_merges_pair_checks_and_openings(self, values_calls, monkeypatch):
+        monkeypatch.chdir(GOLDEN)  # the config names its data file relative to it
+        cfg = ExperimentConfig.from_json(GOLDEN / "logreg_config.json")
+        monkeypatch.setattr(harness, "_WINDOW", 1)
+        before, own = traffic_by_trial(cfg, monkeypatch, values_calls)
+        monkeypatch.setattr(harness, "_WINDOW", 16)
+        merged_before, merged_own = traffic_by_trial(cfg, monkeypatch, values_calls)
+        # Alone, each trial sends its pair check, then its search's first chunk and later chunks.
+        assert [len(calls) for calls in before] == [1] * cfg.trials
+        assert all(len(calls) >= 1 for calls in own)
+        # In one window the four pair checks share the first call, the four
+        # openings (the first chunks) the second, and the later chunks are as before.
+        assert merged_before == [[
+            [s for calls in before for s in calls[0]],
+            [s for calls in own for s in calls[0]],
+        ]] + [[]] * (cfg.trials - 1)
+        assert merged_own == [calls[1:] for calls in own]
+        assert sum(map(len, merged_before + merged_own)) == 2 + sum(len(calls) - 1 for calls in own)
+
+    def test_svexp_first_races_read_the_openings(self, values_calls, monkeypatch):
+        race, races = harness._Request.race, []
+
+        def spy(req, moved):
+            sent, scored = len(values_calls), set(req.table)
+            pick = race(req, moved)
+            races.append((req, frozenset(moved), scored, values_calls[sent:]))
+            return pick
+
+        monkeypatch.setattr(harness._Request, "race", spy)
+        cfg = ExperimentConfig.from_json(logistic_config(engines=["svexp"]))
+        records = run_experiment(cfg, datasets=logistic_data()).records
+        firsts = [(req, scored, sent) for req, moved, scored, sent in races if not moved]
+        assert len(firsts) == sum(r.status == "ok" for r in records) > 0
+        free = 0
+        for req, scored, sent in firsts:
+            # Only the arms whose one-entry shift is not in the opening are scored.
+            missing = [e for e in sorted(req.ents_a) if frozenset({e}) not in scored]
+            assert [len(call) for call in sent] == ([2 ** (req.partition.n - 1) * len(missing)] if missing else [])
+            free += not missing
+        assert free > 0
+
+    @pytest.mark.parametrize("case", list(TRAFFIC_CASES))
+    def test_additive_and_kde_send_the_earlier_calls(self, case, values_calls):
+        cfg, datasets = TRAFFIC_CASES[case]()
+        values_calls.clear()
+        run_experiment(cfg, datasets=datasets)
+        expected = json.loads((GOLDEN / "values_calls.json").read_text())[case]
+        assert values_digest(values_calls) == expected
 
 
 class TestDataBackedRuns:

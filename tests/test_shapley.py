@@ -14,6 +14,7 @@ from shapcf.shapley import (
     Estimate,
     coalition_plan,
     diff_shapley_exact,
+    differentials,
     diff_shapley_mc,
     is_flipped,
     shapley_exact,
@@ -230,6 +231,22 @@ class TestOnePlan:
                 got = diff_shapley_exact(p, mine, a, b)
                 assert got.hex() == enumerated_diff_shapley_exact(p, ref, a, b).hex()
             assert (mine.calls, mine.evals) == (ref.calls, ref.evals)
+
+    def test_plans_of_several_partitions_share_one_call(self, values_calls):
+        rng = np.random.default_rng(73)
+        oracle = AdditiveUtility({e: float(w) for e, w in enumerate(rng.uniform(0.0, 5.0, 12))})
+        jobs = []
+        for n in (2, 5, 3, 7, 4):
+            p = OwnerPartition({f"O{i}": frozenset(rng.choice(12, size=3, replace=False).tolist()) for i in range(n)})
+            ents_a, ents_b = p.entries("O0"), p.entries("O1")
+            shifts = [frozenset(), *(frozenset({e}) for e in sorted(ents_a))][: n - 1]  # n = 2: one pair
+            jobs.append((coalition_plan(p, "O0", "O1"), [(ents_a - x, ents_b | x) for x in shifts]))
+        jobs.insert(2, (jobs[0][0], []))  # a job without pairs adds nothing
+        alone = [d.hex() for job in jobs for d in differentials(oracle, [job])]
+        sent = [s for call in values_calls for s in call]
+        values_calls.clear()
+        assert [d.hex() for d in differentials(oracle, jobs)] == alone
+        assert values_calls == [sent]
 
     def test_weights_match_the_enumerated_forms(self):
         for n in range(2, EXACT_OWNER_LIMIT + 1):
