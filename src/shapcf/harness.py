@@ -355,6 +355,7 @@ def _load_data(cfg: ExperimentConfig) -> tuple[Dataset | None, Dataset | None]:
 
 
 def _synthetic_pool(oracle) -> list[int]:
+    """The entry ids a generated allocation draws from when there is no data file."""
     if isinstance(oracle, AdditiveUtility):
         return sorted(oracle.weights)
     if isinstance(oracle, SetCoverUtility):
@@ -365,7 +366,7 @@ def _synthetic_pool(oracle) -> list[int]:
 def _make_partition(
     cfg: ExperimentConfig,
     train: Dataset | None,
-    oracle,
+    pool: list[int] | None,
     rng: np.random.Generator | None,
     cell_params: dict,
 ) -> OwnerPartition:
@@ -376,7 +377,7 @@ def _make_partition(
         size_range = tuple(size_range) if size_range else None
         if train is not None:
             return gen_uniform(train, cfg.n_owners, rng, size_range=size_range)
-        return _uniform_from_pool(_synthetic_pool(oracle), cfg.n_owners, rng, size_range=size_range)
+        return _uniform_from_pool(pool, cfg.n_owners, rng, size_range=size_range)
     if kind == "zipfian":
         params = dict(
             a=alloc.get("a", 3),
@@ -386,7 +387,7 @@ def _make_partition(
         )
         if train is not None:
             return gen_zipfian(train, cfg.n_owners, rng, **params)
-        return _zipfian_from_pool(_synthetic_pool(oracle), cfg.n_owners, rng, **params)
+        return _zipfian_from_pool(pool, cfg.n_owners, rng, **params)
     if kind == "natural":
         if train is None:
             raise MalformedInput("natural allocation needs a data file")
@@ -401,7 +402,7 @@ def _make_partition(
     raise MalformedInput(f"unknown allocation kind {kind!r}")
 
 
-def _cells(cfg: ExperimentConfig, train: Dataset | None, oracle) -> list[tuple[str, dict]]:
+def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: list[int] | None) -> list[tuple[str, dict]]:
     """Grid cells: (label, params). A single anonymous cell when not gridded."""
     alloc = cfg.allocation
     mode = cfg.pair.get("mode")
@@ -415,7 +416,7 @@ def _cells(cfg: ExperimentConfig, train: Dataset | None, oracle) -> list[tuple[s
     if mode == "grid":
         if alloc.get("kind") not in ("natural", "vertical"):
             raise MalformedInput('pair mode "grid" needs a natural or vertical allocation')
-        ids = _make_partition(cfg, train, oracle, None, {}).owner_ids()
+        ids = _make_partition(cfg, train, pool, None, {}).owner_ids()
         return [(f"{a}->{b}", {"a": a, "b": b}) for a in ids for b in ids if a != b]
     return [("", {})]
 
@@ -494,6 +495,7 @@ def _run_cell(
     cfg: ExperimentConfig,
     ecfg: ExplainConfig,
     train: Dataset | None,
+    pool: list[int] | None,
     oracle,
     cell_idx: int,
     cell: tuple[str, dict],
@@ -514,12 +516,15 @@ def _run_cell(
     records: list[TrialRecord] = []
 
     def partition_of(trial: int) -> OwnerPartition:
-        return _make_partition(cfg, train, oracle, spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial), params)
+        return _make_partition(cfg, train, pool, spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial), params)
 
-    width = _window(oracle, partition_of(0)) if cfg.trials else 1
+    if not cfg.trials:
+        return records, served
+    first = partition_of(0)
+    width = _window(oracle, first)
     for start in range(0, cfg.trials, width):
         trials = range(start, min(cfg.trials, start + width))
-        partitions = list(map(partition_of, trials))
+        partitions = [first if trial == 0 else partition_of(trial) for trial in trials]
         if not all(p in served for p in partitions):
             oracle.clear_cache()
             served = partitions
@@ -567,11 +572,12 @@ def run_experiment(
     train, test = datasets if datasets is not None else _load_data(cfg)
     oracle = make_oracle(cfg.utility, train, test)
     ecfg = cfg.explain_config()
-    cells = _cells(cfg, train, oracle)
+    pool = None if train is not None else _synthetic_pool(oracle)
+    cells = _cells(cfg, train, pool)
     records: list[TrialRecord] = []
     served: list[OwnerPartition] = []
     for i, cell in enumerate(cells):
-        cell_records, served = _run_cell(cfg, ecfg, train, oracle, i, cell, served)
+        cell_records, served = _run_cell(cfg, ecfg, train, pool, oracle, i, cell, served)
         records += cell_records
 
     grids, axes = _build_grids(cfg, records, cells)

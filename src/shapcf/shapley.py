@@ -29,7 +29,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
 
 import numpy as np
 
@@ -55,6 +54,9 @@ def z_quantile(delta: float) -> float:
     """Two-sided normal quantile: z such that P(|Z| <= z) = delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
+    # Imported here, not at load: it brings decimal and fractions, and only sampled intervals need it.
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf((1.0 + delta) / 2.0)
 
 

@@ -221,8 +221,12 @@ def _check_axis(axis: str) -> str:
 # values() call's sets are scored in stacks under it, and a larger set
 # alone. The logistic fit keeps three arrays of this size, 512 KB each, which
 # stay in cache: larger groups measured slower on sets of a thousand rows
-# and more. On KDE inputs uncapped stacks raised peak memory by 8 %, and a
-# 2^14 cap was slower.
+# and more. A KDE stack counts one (test x train x sets) array against the
+# cap, but the 2-D distance form and the log-sum-exp hold about three of that
+# size at once. So on sets of 200 train rows against 80 test points, stacks
+# of 4 and 18 sets took 421 and 407 us per set against 391 us one at a time.
+# kde-svexp's sets of 15-90 rows gain from stacking, so the cap stays. On KDE
+# inputs uncapped stacks raised peak memory by 8 %, and a 2^14 cap was slower.
 _STACK_ELEMENTS = 1 << 16
 
 
@@ -438,7 +442,7 @@ def _row_sums(a: np.ndarray, n_rows: np.ndarray) -> np.ndarray:
     if a.shape[2] > 1 or n_rows.min() == a.shape[1]:
         return a.sum(axis=1)
     out = np.empty((len(a), 1))
-    for k in np.unique(n_rows):
+    for k in sorted(set(n_rows.tolist())):
         of_k = n_rows == k
         out[of_k] = a[of_k, :k].sum(axis=1)
     return out
@@ -548,7 +552,9 @@ class LogRegUtility(UtilityOracle):
         self.lr = float(lr)
         self.l2 = float(l2)
         self.axis = _check_axis(axis)
-        classes = np.unique(np.concatenate([train.labels, test.labels]))
+        # Sorted distinct values, as np.unique gives them; its plain form
+        # imports numpy.ma (about 18 ms) on the first call.
+        classes = sorted(set(train.labels.tolist()) | set(test.labels.tolist()))
         if len(classes) > 2:
             raise MalformedInput(f"labels must be binary, found {len(classes)} classes")
         hi = classes[-1]

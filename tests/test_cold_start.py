@@ -1,0 +1,102 @@
+"""Cold start: importing shapcf, building an oracle and running an exact route load nothing extra.
+
+Each check runs in a fresh interpreter, since this one has long since
+imported whatever the rest of the suite needed.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import shapcf
+from shapcf.core import MalformedInput
+from shapcf.datasets import Dataset
+from shapcf.utility import LogRegUtility
+
+from conftest import make_blobs
+
+SRC = str(Path(shapcf.__file__).resolve().parents[1])
+
+
+def new_modules(before: str, after: str) -> list[str]:
+    """Modules a fresh interpreter imports running `after`, once it has run `before`."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    code = "\n".join([
+        "import json, sys",
+        before,
+        "seen = set(sys.modules)",
+        after,
+        "print(json.dumps(sorted(set(sys.modules) - seen)))",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_neither_statistics_nor_numpy_ma():
+    added = new_modules("import numpy", "import shapcf")
+    assert "shapcf.utility" in added and "shapcf.metrics" in added
+    assert not [m for m in added if m.split(".")[0] in ("statistics", "decimal", "fractions")]
+    assert not [m for m in added if m == "numpy.ma" or m.startswith("numpy.ma.")]
+
+
+# Every oracle kind, each scoring sets alone and in a batch (a single-feature
+# logistic table of unequal sets takes _row_sums' per-row-count branch), then
+# one exact-route request per engine on a 3-owner partition.
+ORACLES_AND_EXACT_ROUTES = """
+import numpy as np
+from shapcf import Dataset, OwnerPartition, explain, make_oracle, spawn_rng
+
+rng = np.random.default_rng(0)
+labels = np.arange(40) % 2 * 1.0
+wide = Dataset(features=rng.normal(size=(40, 3)) + labels[:, None], feature_names=("x", "y", "z"), labels=labels)
+thin = Dataset(features=rng.normal(size=(40, 1)) + labels[:, None], feature_names=("x",), labels=labels)
+oracles = [
+    make_oracle({"kind": "additive", "weights": {str(i): float(i % 7) for i in range(40)}}),
+    make_oracle({"kind": "set-cover", "universe": [1, 2, 3], "subsets": [[1], [2, 3], [1, 3], [2]]}),
+    make_oracle({"kind": "kde"}, wide, wide),
+    make_oracle({"kind": "logistic-regression"}, wide, wide),
+    make_oracle({"kind": "logistic-regression"}, thin, thin),
+    make_oracle({"kind": "logistic-regression", "axis": "features"}, wide, wide),
+    make_oracle({"kind": "linear-regression"}, wide, wide),
+]
+for oracle in oracles[2:]:
+    limit = 3 if getattr(oracle, "axis", "rows") == "features" else 40
+    oracle.values([frozenset(range(0, limit, 2)), frozenset(range(1, limit)), frozenset({0, 1})])
+    oracle.value(frozenset(range(limit)))
+rows = OwnerPartition({"A": frozenset(range(0, 12)), "B": frozenset(range(12, 15)), "C": frozenset(range(15, 20))})
+for oracle in (oracles[0], oracles[3]):
+    for i, engine in enumerate(("bf", "mc", "svexp")):
+        explain(engine, rows, oracle, "A", "B", spawn_rng(1, i))
+"""
+
+
+def test_oracles_and_exact_routes_import_nothing_after_the_package():
+    assert new_modules("import shapcf", ORACLES_AND_EXACT_ROUTES) == []
+
+
+class TestLogisticLabels:
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 2.5)])
+    def test_any_two_labels_score_as_zero_and_one(self, lo, hi):
+        ds = make_blobs(40, n_features=2, seed=5)
+        relabelled = Dataset(
+            features=ds.features,
+            feature_names=ds.feature_names,
+            labels=np.where(ds.labels == 1.0, hi, lo),
+            label_name="y",
+        )
+        sets = [frozenset(range(0, 40, 3)), frozenset(range(20)), frozenset(i for i in range(40) if ds.labels[i] == 0.0)]
+        assert LogRegUtility(relabelled, relabelled).values(sets) == LogRegUtility(ds, ds).values(sets)
+
+    def test_three_classes_still_raise(self):
+        ds = make_blobs(30, n_features=2, seed=6)
+        three = Dataset(features=ds.features, feature_names=ds.feature_names, labels=np.arange(30) % 3 * 1.0)
+        with pytest.raises(MalformedInput, match="labels must be binary, found 3 classes"):
+            LogRegUtility(three, three)
