@@ -25,9 +25,6 @@ from .explain import (
     ExplainConfig,
     TransferStep,
     explain,
-    explain_bruteforce,
-    explain_mc,
-    explain_svexp,
 )
 from .harness import (
     ExperimentConfig,

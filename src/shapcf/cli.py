@@ -9,33 +9,55 @@ from pathlib import Path
 
 import click
 
-from .core import ShapcfError, spawn_rng
-from .datasets import Dataset, load_partition, read_json, validate_partition
+from .core import OwnerPartition, ShapcfError, spawn_rng
+from .datasets import load_partition, read_json, validate_partition
 from .explain import ENGINES, ExplainConfig, explain as run_engine
 from .harness import ExperimentConfig, load_split, run_experiment, write_outputs
 from .shapley import shapley_exact_all, shapley_mc
-from .utility import DATA_BACKED_KINDS, make_oracle, normalize_kind, unwrap_config
+from .utility import DATA_BACKED_KINDS, UtilityOracle, make_oracle, normalize_kind, unwrap_config
 
 # Stream tags for CLI-level randomness, disjoint from the harness tags.
 _STREAM_SHAPLEY = 100
 _STREAM_EXPLAIN = 101
 
 
-def _load_utility_inputs(
-    utility_path: str,
+def _inputs(command):
+    """The options naming a partition and its utility, shared by shapley and explain."""
+    options = [
+        click.option("--data", type=click.Path(exists=True), default=None, help="CSV with the pooled data."),
+        click.option("--test-data", type=click.Path(exists=True), default=None, help="Separate held-out CSV."),
+        click.option("--test-ratio", type=float, default=0.2, show_default=True),
+        click.option("--partition", "partition_path", type=click.Path(exists=True), required=True),
+        click.option("--utility", "utility_path", type=click.Path(exists=True), required=True),
+    ]
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
+def _load_inputs(
     data: str | None,
     test_data: str | None,
     test_ratio: float,
+    partition_path: str,
+    utility_path: str,
     seed: int,
-) -> tuple[dict, Dataset | None, Dataset | None]:
+    *,
+    cache: bool = True,
+) -> tuple[OwnerPartition, UtilityOracle]:
+    """The partition and its utility's oracle; a data-backed utility's data is split on `seed`."""
     cfg = read_json(utility_path, "utility file")
     inner = unwrap_config(cfg)
     kind = normalize_kind(inner["kind"])
-    if kind not in DATA_BACKED_KINDS:
-        return cfg, None, None
-    if data is None:
-        raise click.UsageError(f"utility kind {kind!r} needs --data")
-    return (cfg, *load_split(data, test_data, test_ratio, seed, label=inner.get("label")))
+    train = test = None
+    if kind in DATA_BACKED_KINDS:
+        if data is None:
+            raise click.UsageError(f"utility kind {kind!r} needs --data")
+        train, test = load_split(data, test_data, test_ratio, seed, label=inner.get("label"))
+    partition = load_partition(partition_path)
+    if train is not None:
+        validate_partition(partition, train, axis=inner.get("axis", "rows"))
+    return partition, make_oracle(cfg, train, test, cache=cache)
 
 
 def _finite(value):
@@ -65,11 +87,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--data", type=click.Path(exists=True), default=None, help="CSV with the pooled data.")
-@click.option("--test-data", type=click.Path(exists=True), default=None, help="Separate held-out CSV.")
-@click.option("--test-ratio", type=float, default=0.2, show_default=True)
-@click.option("--partition", "partition_path", type=click.Path(exists=True), required=True)
-@click.option("--utility", "utility_path", type=click.Path(exists=True), required=True)
+@_inputs
 @click.option("--exact", "mode", flag_value="exact", default=True, help="Exact enumeration (default).")
 @click.option("--mc", "mode", flag_value="mc", help="Monte Carlo permutation sampling.")
 @click.option("--delta", type=click.FloatRange(0, 1, min_open=True, max_open=True), default=0.95,
@@ -81,13 +99,10 @@ def main() -> None:
 def shapley(data, test_data, test_ratio, partition_path, utility_path, mode, delta, budget, seed, out):
     """Value every owner in a partition."""
     try:
-        cfg, train, test = _load_utility_inputs(utility_path, data, test_data, test_ratio, seed)
-        partition = load_partition(partition_path)
-        if train is not None:
-            axis = unwrap_config(cfg).get("axis", "rows")
-            validate_partition(partition, train, axis=axis)
         # shapley_mc memoises its coalitions itself; only the exact route reuses the oracle's memo.
-        oracle = make_oracle(cfg, train, test, cache=mode == "exact")
+        partition, oracle = _load_inputs(
+            data, test_data, test_ratio, partition_path, utility_path, seed, cache=mode == "exact"
+        )
         if mode == "exact":
             values = shapley_exact_all(partition, oracle)
             payload = {
@@ -113,11 +128,7 @@ def shapley(data, test_data, test_ratio, partition_path, utility_path, mode, del
 
 @main.command(name="explain")
 @click.option("--engine", type=click.Choice(sorted(ENGINES)), required=True)
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--test-data", type=click.Path(exists=True), default=None)
-@click.option("--test-ratio", type=float, default=0.2, show_default=True)
-@click.option("--partition", "partition_path", type=click.Path(exists=True), required=True)
-@click.option("--utility", "utility_path", type=click.Path(exists=True), required=True)
+@_inputs
 @click.option("--a", "owner_a", required=True, help="Owner currently ranked higher.")
 @click.option("--b", "owner_b", required=True, help="Owner to lift above --a.")
 @click.option("--delta", type=float, default=ExplainConfig.delta, show_default=True)
@@ -132,12 +143,7 @@ def explain_cmd(engine, data, test_data, test_ratio, partition_path, utility_pat
                 owner_a, owner_b, delta, epsilon, budget, timeout, seed, out):
     """Find a transfer set from owner --a to owner --b that flips their ranking."""
     try:
-        cfg, train, test = _load_utility_inputs(utility_path, data, test_data, test_ratio, seed)
-        partition = load_partition(partition_path)
-        if train is not None:
-            axis = unwrap_config(cfg).get("axis", "rows")
-            validate_partition(partition, train, axis=axis)
-        oracle = make_oracle(cfg, train, test)
+        partition, oracle = _load_inputs(data, test_data, test_ratio, partition_path, utility_path, seed)
         ecfg = ExplainConfig(delta=delta, epsilon=epsilon, check_budget=budget, timeout=timeout)
         rng = spawn_rng(seed, _STREAM_EXPLAIN)
         result = run_engine(engine, partition, oracle, owner_a, owner_b, rng, config=ecfg)

@@ -118,11 +118,15 @@ class OwnerPartition:
 
     owners: dict[OwnerId, frozenset[EntryId]]
     _composed: dict[frozenset[OwnerId], frozenset[EntryId]] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         normalized = {str(o): entry_ids(o, ents) for o, ents in self.owners.items()}
+        if len(normalized) < len(self.owners):
+            names = [str(o) for o in self.owners]
+            clashes = [o for o in self.owners if names.count(str(o)) > 1]
+            raise MalformedInput(f"owner ids {clashes!r} are the same as strings")
         if len(normalized) < 2:
             raise MalformedInput(f"a partition needs at least 2 owners, got {len(normalized)}")
         object.__setattr__(self, "owners", normalized)

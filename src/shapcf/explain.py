@@ -72,13 +72,19 @@ STATUS_TIMEOUT = "timeout"
 # from 11; on an additive utility it is 2x slower at 9 and 4x at 10.
 EXACT_PREFIXES = 2**7
 
+# Half-width at which a sampled flip check whose interval still holds 0 stops,
+# undecided: the pair is that close to a tie, and more samples rarely decide it.
+WIDTH_STOP = 0.01
+
+# Most entries of a that bf enumerates (2^20 subsets); above it bf raises TooLarge.
+BF_ENTRY_LIMIT = 20
+
 
 # ExplainConfig fields and the values they accept; every other field is a
-# count (a budget or a limit) and takes an integer >= 1.
+# budget and takes an integer >= 1.
 _SAMPLING_RULES: dict[str, Rule] = {
     "delta": ("0 < delta < 1", lambda v: is_number(v) and 0.0 < v < 1.0),
     "epsilon": ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf),
-    "width_stop": ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf),
     "timeout": ("a number of seconds >= 0", lambda v: is_number(v) and v >= 0.0),
 }
 
@@ -87,20 +93,17 @@ _SAMPLING_RULES: dict[str, Rule] = {
 class ExplainConfig:
     """Knobs shared by the engines; defaults suit desk-scale runs.
 
-    verify_budget, width_stop and bandit_budget may be None (twice
-    check_budget, no width stop, no total cap); a value out of range raises
-    MalformedInput.
+    verify_budget and bandit_budget may be None (twice check_budget, no
+    total cap); a value out of range raises MalformedInput.
     """
 
     delta: float = 0.95
     epsilon: float = 0.01
     check_budget: int = 20_000
     verify_budget: int | None = None
-    width_stop: float | None = 0.01
     arm_budget: int = 20_000
     bandit_budget: int | None = None
     timeout: float = 7200.0
-    bf_entry_limit: int = 20
 
     def __post_init__(self) -> None:
         check_values(
@@ -109,7 +112,7 @@ class ExplainConfig:
                 (f.name, getattr(self, f.name), _SAMPLING_RULES.get(f.name, COUNT_RULE))
                 for f in fields(self)
                 if getattr(self, f.name) is not None
-                or f.name not in ("verify_budget", "width_stop", "bandit_budget")
+                or f.name not in ("verify_budget", "bandit_budget")
             ),
         )
 
@@ -283,7 +286,7 @@ class _Request:
             results = (
                 is_flipped(
                     self.partition, self.oracle, self.a, self.b, self.rng,
-                    delta=self.cfg.delta, budget=budget, width_stop=self.cfg.width_stop, moved=moved,
+                    delta=self.cfg.delta, budget=budget, width_stop=WIDTH_STOP, moved=moved,
                 )
                 for moved in shifts
             )
@@ -458,17 +461,28 @@ def _first_flip(req: _Request, ents: list[EntryId]) -> CounterfactualResult:
 
 
 def _bruteforce(req: _Request) -> CounterfactualResult:
+    """Minimum-cardinality transfer set by exact ascending-size enumeration.
+
+    Subsets of equal size are tried in lexicographic entry order, so ties
+    break deterministically toward the smallest entry ids. The engine
+    decides the precondition exactly, and an exact tie counts as not met.
+    """
     ents = sorted(req.ents_a)
-    if len(ents) > req.cfg.bf_entry_limit:
-        raise TooLarge(
-            f"brute force over {len(ents)} entries exceeds the limit {req.cfg.bf_entry_limit}"
-        )
+    if len(ents) > BF_ENTRY_LIMIT:
+        raise TooLarge(f"brute force over {len(ents)} entries exceeds the limit {BF_ENTRY_LIMIT}")
     if req.precheck(req.cfg.check_budget) is not None:
         return req.done(STATUS_NOT_MET)
     return _first_flip(req, ents)
 
 
 def _mc(req: _Request) -> CounterfactualResult:
+    """Ascending-size search with Monte Carlo flip checks.
+
+    Each candidate subset gets a fresh sequential check with check_budget
+    permutations; undecided checks count as not flipped. The first flipped
+    subset (or, failing that, all of a's entries) is re-verified with
+    verify_budget permutations; an exact check stands as its own verification.
+    """
     status = req.precheck(req.cfg.check_budget)
     if status is not None:
         return req.done(status)
@@ -476,6 +490,12 @@ def _mc(req: _Request) -> CounterfactualResult:
 
 
 def _svexp(req: _Request) -> CounterfactualResult:
+    """Greedy transfer loop guided by a Thompson top-1 race over entry powers.
+
+    Each round races a's remaining entries (a forced pick when only one is
+    left), transfers the winner, and re-checks the pair. Stops on a flip, on
+    timeout, or when a has nothing left to give.
+    """
     status = req.precheck(req.cfg.check_budget)
     if status is not None:
         return req.done(status)
@@ -508,60 +528,6 @@ def _svexp(req: _Request) -> CounterfactualResult:
 
     final = req.verify(moved)
     return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, len(steps), steps)
-
-
-def explain_bruteforce(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    *,
-    config: ExplainConfig | None = None,
-) -> CounterfactualResult:
-    """Minimum-cardinality transfer set by exact ascending-size enumeration.
-
-    Subsets of equal size are tried in lexicographic entry order, so ties
-    break deterministically toward the smallest entry ids. The engine
-    decides the precondition exactly, and an exact tie counts as not met.
-    """
-    return _bruteforce(_Request("bf", partition, oracle, a, b, None, config))
-
-
-def explain_mc(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    rng: np.random.Generator,
-    *,
-    config: ExplainConfig | None = None,
-) -> CounterfactualResult:
-    """Ascending-size search with Monte Carlo flip checks.
-
-    Each candidate subset gets a fresh sequential check with check_budget
-    permutations; undecided checks count as not flipped. The first flipped
-    subset (or, failing that, all of a's entries) is re-verified with
-    verify_budget permutations; an exact check stands as its own verification.
-    """
-    return _mc(_Request("mc", partition, oracle, a, b, rng, config))
-
-
-def explain_svexp(
-    partition: OwnerPartition,
-    oracle: UtilityOracle,
-    a: OwnerId,
-    b: OwnerId,
-    rng: np.random.Generator,
-    *,
-    config: ExplainConfig | None = None,
-) -> CounterfactualResult:
-    """Greedy transfer loop guided by a Thompson top-1 race over entry powers.
-
-    Each round races a's remaining entries (a forced pick when only one is
-    left), transfers the winner, and re-checks the pair. Stops on a flip, on
-    timeout, or when a has nothing left to give.
-    """
-    return _svexp(_Request("svexp", partition, oracle, a, b, rng, config))
 
 
 # The engine bodies by name; each takes its request.

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     COUNT_RULE,
     MalformedInput,
+    OwnerId,
     OwnerPartition,
     Rule,
     SizeOverflow,
@@ -445,47 +446,47 @@ def _select_pairs(
 ) -> list[_Request]:
     """Each trial's ordered pair with a above b: its checked request, which every engine shares.
 
-    The trials of a window are checked together. Round 0 checks every
-    trial's pair; the exact checks share one values() call, and sampled
-    ones run in turn. Designated pairs are checked once. Random pairs
-    undecided by their check are re-drawn, each redraw round merged the
-    same way, up to _PAIR_REDRAWS times; then the last pair is kept
-    (engines then report the undecided precondition). A random pair drawn
-    the wrong way round is kept as the swapped twin of its request. With
-    `openings`, round 1 scores each exact request's opening (the first
-    chunk of its search) whose a is above b, in one more call. Every trial
-    draws from its own rng.
+    The trials of a window are checked together, in rounds: a round builds
+    the request of each trial still open and checks them all, the exact
+    checks in one values() call and the sampled ones in turn. A designated
+    pair (grid cells, the pair config, or "A" over "B") is fixed: one
+    round, and it is never swapped. A random pair is drawn from its trial's
+    rng, and redrawn while its check is undecided, for _PAIR_REDRAWS rounds
+    at most; then the last pair is kept (engines then report the undecided
+    precondition), and one drawn the wrong way round is kept as the swapped
+    twin of its request. With `openings`, one more call scores each exact
+    request's opening (the first chunk of its search) whose a is above b.
     """
-
-    def checked(pairs: list[_Request]) -> None:
-        _score([(pair, [frozenset()]) for pair in pairs if pair.plan is not None])
-        for pair in pairs:
-            pair.precheck(cfg.pair_budget)
-
     mode = cfg.pair.get("mode")
     if mode is None:
-        designated = "a" in cell_params or cfg.allocation.get("kind") == "zipfian"
-        mode = "designated" if designated else "random"
-    if mode != "random":
-        # Grid cells name both owners; otherwise the pair config (or "A"/"B").
-        a = str(cell_params.get("a", cfg.pair.get("a", "A")))
-        b = str(cell_params.get("b", cfg.pair.get("b", "B")))
-        chosen = [_Request("pair", p, oracle, a, b, rng, ecfg) for p, rng in zip(partitions, rngs)]
-        checked(chosen)
-    else:
-        drawn: dict[int, _Request] = {}  # by trial, in trial order
-        todo = range(len(partitions))
-        for _ in range(_PAIR_REDRAWS):
-            for t in todo:
-                ids = partitions[t].owner_ids()
-                i, j = rngs[t].choice(len(ids), size=2, replace=False)
-                drawn[t] = _Request("pair", partitions[t], oracle, ids[int(i)], ids[int(j)], rngs[t], ecfg)
-            checked([drawn[t] for t in todo])
-            todo = [t for t in todo if drawn[t].last.verdict == "undecided"]
-            if not todo:
-                break
-        # A decided check's mean has its verdict's sign.
-        chosen = [pair.swapped() if pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()]
+        mode = "designated" if "a" in cell_params or cfg.allocation.get("kind") == "zipfian" else "random"
+    fixed = None if mode == "random" else (
+        str(cell_params.get("a", cfg.pair.get("a", "A"))),
+        str(cell_params.get("b", cfg.pair.get("b", "B"))),
+    )
+
+    def pair_of(t: int) -> tuple[OwnerId, OwnerId]:
+        if fixed is not None:
+            return fixed
+        ids = partitions[t].owner_ids()
+        i, j = rngs[t].choice(len(ids), size=2, replace=False)
+        return ids[int(i)], ids[int(j)]
+
+    drawn: dict[int, _Request] = {}  # by trial, in trial order
+    todo = range(len(partitions))
+    for _ in range(_PAIR_REDRAWS if fixed is None else 1):
+        for t in todo:
+            drawn[t] = _Request("pair", partitions[t], oracle, *pair_of(t), rngs[t], ecfg)
+        _score([(drawn[t], [frozenset()]) for t in todo if drawn[t].plan is not None])
+        for t in todo:
+            drawn[t].precheck(cfg.pair_budget)
+        todo = [t for t in todo if drawn[t].last.verdict == "undecided"]
+        if not todo:
+            break
+    # A decided check's mean has its verdict's sign.
+    chosen = [
+        pair.swapped() if fixed is None and pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()
+    ]
     if openings:
         _score([(p, p.opening()) for p in chosen if p.plan is not None and p.last.verdict == "not_flipped"])
     return chosen
@@ -560,16 +561,9 @@ def _run_cell(
     return records, served
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    *,
-    datasets: tuple[Dataset | None, Dataset | None] | None = None,
-) -> ExperimentResult:
-    """Run all cells and trials; deterministic given cfg.seed.
-
-    `datasets` injects preloaded (train, test) sets, bypassing file loading.
-    """
-    train, test = datasets if datasets is not None else _load_data(cfg)
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run all cells and trials; deterministic given cfg.seed."""
+    train, test = _load_data(cfg)
     oracle = make_oracle(cfg.utility, train, test)
     ecfg = cfg.explain_config()
     pool = None if train is not None else _synthetic_pool(oracle)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from shapcf import harness
 from shapcf.core import OwnerPartition
 from shapcf.datasets import Dataset
 from shapcf.utility import AdditiveUtility, SetCoverGame, SetCoverUtility, UtilityOracle
@@ -188,3 +189,12 @@ def build_cover_instances(
 @pytest.fixture(scope="session")
 def cover_instances() -> list[tuple[SetCoverGame, frozenset[int]]]:
     return build_cover_instances(10, seed=404)
+
+
+def serve_datasets(monkeypatch, datasets) -> None:
+    """Have run_experiment take `datasets`, a (train, test) pair, in place of loading the config's files.
+
+    None leaves the loading as it is.
+    """
+    if datasets is not None:
+        monkeypatch.setattr(harness, "_load_data", lambda cfg: datasets)

@@ -17,12 +17,12 @@ from statistics import mean
 import numpy as np
 import pytest
 
-from conftest import make_blobs, random_games, two_owner_cover_partition
+from conftest import make_blobs, random_games, serve_datasets, two_owner_cover_partition
 from oracles import greedy_flip_size
 
 from shapcf.core import OwnerPartition, spawn_rng
 from shapcf.datasets import split_dataset
-from shapcf.explain import explain_bruteforce
+from shapcf.explain import explain
 from shapcf.harness import ExperimentConfig, run_experiment, write_outputs
 from shapcf.metrics import jaccard, success_rate
 from shapcf.power import power_exact, power_mc
@@ -201,7 +201,7 @@ def test_05_bruteforce_finds_analytic_minimum_on_disjoint_additive(capsys):
         weights[k] = float(wa.sum() * rng.uniform(0.05, 0.9))
         part = OwnerPartition({"A": frozenset(range(k)), "B": frozenset({k})})
         oracle = AdditiveUtility(weights)
-        res = explain_bruteforce(part, oracle, "A", "B")
+        res = explain("bf", part, oracle, "A", "B")
         expect = greedy_flip_size(weights, part.entries("A"), part.entries("B"))
         if (
             res.status == "ok"
@@ -224,7 +224,7 @@ def test_06_bruteforce_recovers_unique_minimum_cover(capsys, cover_instances):
     hit = 0
     for game, cstar in cover_instances:
         part = two_owner_cover_partition(game)
-        res = explain_bruteforce(part, SetCoverUtility(game), "A", "B")
+        res = explain("bf", part, SetCoverUtility(game), "A", "B")
         if res.status == "ok" and res.success and res.delta == tuple(sorted(cstar)):
             hit += 1
     ok = hit == len(cover_instances) == 10
@@ -247,13 +247,14 @@ def _completed(rec) -> bool:
     return rec is not None and rec.status == "ok" and rec.success
 
 
-def test_07_greedy_never_beats_bruteforce_on_small_data_games(capsys):
+def test_07_greedy_never_beats_bruteforce_on_small_data_games(capsys, monkeypatch):
     # Overlapping low-dimensional clusters keep single rows from dominating,
     # so flips need more than a trivial transfer; owners of 10..20 rows stay
     # inside the exhaustive engine's entry limit.
     t0 = time.monotonic()
     blobs = make_blobs(50, n_features=2, seed=1313, sep=0.8)
     train, test = split_dataset(blobs, 0.2, spawn_rng(7001))
+    serve_datasets(monkeypatch, (train, test))
     runs = []
     for utility, seed in (
         ({"kind": "kde"}, 7117),
@@ -275,7 +276,7 @@ def test_07_greedy_never_beats_bruteforce_on_small_data_games(capsys):
                 "pair_budget": 800,
             },
         })
-        runs.append(run_experiment(cfg, datasets=(train, test)))
+        runs.append(run_experiment(cfg))
 
     # Means are taken over trials both engines completed, so the per-trial
     # dominance check and the mean comparison see the same instances.
@@ -322,10 +323,11 @@ def test_07_greedy_never_beats_bruteforce_on_small_data_games(capsys):
     )
 
 
-def test_08_greedy_flips_reliably_under_density_utility(capsys):
+def test_08_greedy_flips_reliably_under_density_utility(capsys, monkeypatch):
     t0 = time.monotonic()
     blobs = make_blobs(150, n_features=4, seed=2120)
     train, test = split_dataset(blobs, 0.2, spawn_rng(8001))
+    serve_datasets(monkeypatch, (train, test))
     rates = {}
     counts = {}
     for n, seed in ((3, 8113), (6, 8117)):
@@ -345,7 +347,7 @@ def test_08_greedy_flips_reliably_under_density_utility(capsys):
                 "pair_budget": 1000,
             },
         })
-        res = run_experiment(cfg, datasets=(train, test))
+        res = run_experiment(cfg)
         outcomes = [(r.status, r.success, r.timed_out) for r in res.records]
         rates[n] = success_rate(outcomes)
         counts[n] = sum(1 for s, _, t in outcomes if s == "ok" and not t)
@@ -367,11 +369,12 @@ def test_08_greedy_flips_reliably_under_density_utility(capsys):
     )
 
 
-def test_09_mean_greedy_size_shrinks_as_owners_multiply(capsys):
+def test_09_mean_greedy_size_shrinks_as_owners_multiply(capsys, monkeypatch):
     # A fixed pool divided among more owners: owner sizes scale inversely
     # with the owner count, as they would when real data is split n ways.
     blobs = make_blobs(150, n_features=2, seed=2120, sep=0.8)
     train, test = split_dataset(blobs, 0.2, spawn_rng(8001))
+    serve_datasets(monkeypatch, (train, test))
     pool = len(train)
     means = []
     counts = []
@@ -395,7 +398,7 @@ def test_09_mean_greedy_size_shrinks_as_owners_multiply(capsys):
                 "pair_budget": 800,
             },
         })
-        res = run_experiment(cfg, datasets=(train, test))
+        res = run_experiment(cfg)
         sizes = [r.size for r in res.records if r.status == "ok" and r.success]
         counts.append(len(sizes))
         means.append(mean(sizes) if sizes else float("nan"))

@@ -59,6 +59,16 @@ class TestPartition:
         p = part(B={1}, A={2}, C={3})
         assert p.owner_ids() == ("A", "B", "C")
 
+    def test_owner_ids_that_collide_as_strings_are_rejected(self):
+        # "1" and 1 would both become owner "1", and one owner's entries would be lost.
+        with pytest.raises(MalformedInput, match=r"owner ids \['1', 1\] are the same as strings"):
+            OwnerPartition({"1": [1], 1: [2], "B": [3]})
+        assert OwnerPartition({1: [1], "B": [3]}).owners == {"1": frozenset({1}), "B": frozenset({3})}
+
+    def test_takes_only_its_owners(self):
+        with pytest.raises(TypeError):
+            OwnerPartition({"A": [1], "B": [2]}, {})
+
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1", None])
     def test_rejects_non_integer_entry_ids(self, bad):
         with pytest.raises(MalformedInput, match="owner 'A': entry ids must be integers"):

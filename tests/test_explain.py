@@ -33,9 +33,6 @@ from shapcf.explain import (
     CounterfactualResult,
     ExplainConfig,
     explain,
-    explain_bruteforce,
-    explain_mc,
-    explain_svexp,
 )
 from shapcf.power import power_exact
 from shapcf.shapley import (
@@ -141,7 +138,7 @@ def integer_gap_games(count=10, seed=31):
 class TestBruteforce:
     def test_moves_single_heavy_entry(self):
         p, oracle = heavy_game()
-        res = explain_bruteforce(p, oracle, "A", "B")
+        res = explain("bf", p, oracle, "A", "B")
         assert res.engine == "bf"
         assert res.status == STATUS_OK and res.success
         assert res.delta == (0,) and res.size == 1
@@ -154,25 +151,25 @@ class TestBruteforce:
 
     def test_lexicographic_tie_break(self):
         oracle = AdditiveUtility({0: 1.0, 1: 1.0, 2: 1.0, 3: 2.5})
-        res = explain_bruteforce(part(A=[0, 1, 2], B=[3]), oracle, "A", "B")
+        res = explain("bf", part(A=[0, 1, 2], B=[3]), oracle, "A", "B")
         assert res.delta == (0,)
         assert res.subsets_tested == 1
 
     def test_precondition_not_met_when_behind(self):
         p, oracle = heavy_game()
-        res = explain_bruteforce(p, oracle, "B", "A")
+        res = explain("bf", p, oracle, "B", "A")
         assert res.status == STATUS_NOT_MET
         assert not res.success and res.delta == ()
         assert res.final_diff is None and res.subsets_tested == 0
 
     def test_precondition_not_met_on_exact_tie(self):
         oracle = AdditiveUtility({0: 1.0, 1: 1.0})
-        res = explain_bruteforce(part(A=[0], B=[1]), oracle, "A", "B")
+        res = explain("bf", part(A=[0], B=[1]), oracle, "A", "B")
         assert res.status == STATUS_NOT_MET
 
     def test_full_transfer_fallback_reports_failure(self):
         p, oracle, a, b = stubborn_pair()
-        res = explain_bruteforce(p, oracle, a, b)
+        res = explain("bf", p, oracle, a, b)
         assert res.status == STATUS_OK
         assert not res.success
         assert res.delta == (3,)
@@ -187,7 +184,7 @@ class TestBruteforce:
             ents = sorted(partition.entries(a))
             if values[a] - values[b] <= 1e-9 or not 0 < len(ents) <= 6:
                 continue
-            res = explain_bruteforce(partition, oracle, a, b)
+            res = explain("bf", partition, oracle, a, b)
             assert res.status == STATUS_OK
 
             def flips(combo):
@@ -206,31 +203,32 @@ class TestBruteforce:
             checked += 1
         assert checked >= 8
 
-    def test_too_many_entries_rejected(self):
+    def test_too_many_entries_rejected(self, monkeypatch):
         weights = {i: 1.0 for i in range(22)}
         weights[0] = 50.0
         oracle = AdditiveUtility(weights)
         p = part(A=list(range(21)), B=[21])
-        with pytest.raises(TooLarge):
-            explain_bruteforce(p, oracle, "A", "B")
-        res = explain_bruteforce(p, oracle, "A", "B", config=ExplainConfig(bf_entry_limit=21))
+        with pytest.raises(TooLarge, match="brute force over 21 entries exceeds the limit 20"):
+            explain("bf", p, oracle, "A", "B")
+        monkeypatch.setattr(explain_module, "BF_ENTRY_LIMIT", 21)
+        res = explain("bf", p, oracle, "A", "B")
         assert res.status == STATUS_OK and res.delta == (0,)
 
     def test_timeout_reported(self):
         p, oracle = heavy_game()
-        res = explain_bruteforce(p, oracle, "A", "B", config=ExplainConfig(timeout=0.0))
+        res = explain("bf", p, oracle, "A", "B", config=ExplainConfig(timeout=0.0))
         assert res.status == STATUS_TIMEOUT and res.timed_out
         assert res.delta == () and not res.success
 
     def test_same_owner_rejected(self):
         p, oracle = heavy_game()
         with pytest.raises(SameOwner):
-            explain_bruteforce(p, oracle, "A", "A")
+            explain("bf", p, oracle, "A", "A")
 
     def test_unknown_owner_rejected(self):
         p, oracle = heavy_game()
         with pytest.raises(UnknownOwner):
-            explain_bruteforce(p, oracle, "A", "Z")
+            explain("bf", p, oracle, "A", "Z")
 
     def test_ignores_supplied_initial_check(self):
         # bf is always exact: a pair checked by sampling lends it nothing.
@@ -245,16 +243,16 @@ class TestBruteforce:
 
     def test_result_dict_round_trip(self):
         p, oracle = heavy_game()
-        res = explain_bruteforce(p, oracle, "A", "B")
+        res = explain("bf", p, oracle, "A", "B")
         d = res.to_dict()
         assert "wall_time" not in d
         assert d["delta"] == [0] and d["size"] == 1
         assert all(isinstance(e, int) for e in d["delta"])
-        again = explain_bruteforce(p, oracle, "A", "B").to_dict()
+        again = explain("bf", p, oracle, "A", "B").to_dict()
         assert again == d
         # The exact output fields of a result and of one greedy step.
         p, oracle = two_step_game()
-        res = explain_svexp(p, oracle, "A", "B", spawn_rng(5, 0))
+        res = explain("svexp", p, oracle, "A", "B", spawn_rng(5, 0))
         assert res.status == STATUS_OK and len(res.steps) == 2
         d = res.to_dict()
         assert set(d) == {
@@ -262,7 +260,7 @@ class TestBruteforce:
             "initial_diff", "initial_half_width", "final_diff", "final_half_width",
             "samples_used", "subsets_tested", "timed_out", "budget_exhausted", "steps",
         }
-        assert set(explain_bruteforce(p, oracle, "A", "B").to_dict()) == set(d)
+        assert set(explain("bf", p, oracle, "A", "B").to_dict()) == set(d)
         assert set(d["steps"][0]) == {
             "entry", "power_mean", "power_half_width", "bandit_samples", "bandit_converged",
             "check_verdict", "check_mean", "check_half_width", "check_samples",
@@ -270,7 +268,7 @@ class TestBruteforce:
         assert isinstance(d["steps"], list)
         assert d["steps"][0]["entry"] == res.steps[0].entry
         assert all(isinstance(s["entry"], int) for s in d["steps"])
-        assert d == explain_svexp(p, oracle, "A", "B", spawn_rng(5, 0)).to_dict()
+        assert d == explain("svexp", p, oracle, "A", "B", spawn_rng(5, 0)).to_dict()
 
 
 class TestMonteCarlo:
@@ -278,8 +276,8 @@ class TestMonteCarlo:
         # Third owner so the sampled terms actually vary with the prefix.
         oracle = AdditiveUtility({0: 5.0, 1: 1.0, 2: 1.0, 3: 2.0, 4: 0.5})
         p = padded(part(A=[0, 1, 2], B=[3], C=[4]))
-        bf = explain_bruteforce(p, oracle, "A", "B")
-        res = explain_mc(p, oracle, "A", "B", spawn_rng(1, 0))
+        bf = explain("bf", p, oracle, "A", "B")
+        res = explain("mc", p, oracle, "A", "B", spawn_rng(1, 0))
         assert res.engine == "mc"
         assert res.status == STATUS_OK and res.success
         assert res.delta == bf.delta
@@ -292,29 +290,31 @@ class TestMonteCarlo:
         # once both of A's entries move.
         oracle = AdditiveUtility({0: 1.0, 1: 1.0, 2: 0.0})
         p = part(A=[0, 1], B=[2])
-        res = explain_mc(p, oracle, "A", "B", spawn_rng(2, 0))
+        res = explain("mc", p, oracle, "A", "B", spawn_rng(2, 0))
         assert res.status == STATUS_OK and res.success
         assert res.delta == (0, 1)
         assert res.subsets_tested == 3
 
     def test_precondition_not_met(self):
         p, oracle = heavy_game()
-        res = explain_mc(p, oracle, "B", "A", spawn_rng(3, 0))
+        res = explain("mc", p, oracle, "B", "A", spawn_rng(3, 0))
         assert res.status == STATUS_NOT_MET
         assert res.delta == () and not res.success
         assert res.initial_diff < 0.0
 
-    def test_precondition_undecided_by_width_stop(self):
+    def test_precondition_undecided_by_width_stop(self, monkeypatch):
         p, oracle = tie_game()
-        res = explain_mc(p, oracle, "A", "B", spawn_rng(4, 0), config=ExplainConfig(width_stop=0.5))
+        monkeypatch.setattr(explain_module, "WIDTH_STOP", 0.5)
+        res = explain("mc", p, oracle, "A", "B", spawn_rng(4, 0))
         assert res.status == STATUS_UNDECIDED
         assert not res.budget_exhausted
 
-    def test_precondition_undecided_by_exhaustion(self):
+    def test_precondition_undecided_by_exhaustion(self, monkeypatch):
         p, oracle = tie_game()
         p = padded(p)
-        cfg = ExplainConfig(width_stop=0.0, check_budget=192)
-        res = explain_mc(p, oracle, "A", "B", spawn_rng(5, 0), config=cfg)
+        monkeypatch.setattr(explain_module, "WIDTH_STOP", 0.0)
+        cfg = ExplainConfig(check_budget=192)
+        res = explain("mc", p, oracle, "A", "B", spawn_rng(5, 0), config=cfg)
         assert res.status == STATUS_UNDECIDED
         assert res.budget_exhausted
 
@@ -330,7 +330,7 @@ class TestMonteCarlo:
 
     def test_full_transfer_fallback_reports_failure(self):
         p, oracle, a, b = stubborn_pair()
-        res = explain_mc(p, oracle, a, b, spawn_rng(7, 0))
+        res = explain("mc", p, oracle, a, b, spawn_rng(7, 0))
         assert res.status == STATUS_OK
         assert not res.success
         assert res.delta == (3,)
@@ -338,14 +338,14 @@ class TestMonteCarlo:
 
     def test_timeout_reported(self):
         p, oracle = heavy_game()
-        res = explain_mc(p, oracle, "A", "B", spawn_rng(8, 0), config=ExplainConfig(timeout=0.0))
+        res = explain("mc", p, oracle, "A", "B", spawn_rng(8, 0), config=ExplainConfig(timeout=0.0))
         assert res.status == STATUS_TIMEOUT and res.timed_out
         assert res.delta == ()
 
     def test_matches_bruteforce_on_integer_gap_games(self):
         for i, (p, oracle) in enumerate(integer_gap_games()):
-            bf = explain_bruteforce(p, oracle, "A", "B")
-            mc = explain_mc(p, oracle, "A", "B", spawn_rng(9, i))
+            bf = explain("bf", p, oracle, "A", "B")
+            mc = explain("mc", p, oracle, "A", "B", spawn_rng(9, i))
             assert mc.status == STATUS_OK and mc.success
             assert mc.delta == bf.delta
 
@@ -354,7 +354,7 @@ class TestGreedyBandit:
     def test_moves_dominant_entry_first(self):
         p, oracle = heavy_game()
         p = padded(p)
-        res = explain_svexp(p, oracle, "A", "B", spawn_rng(10, 0))
+        res = explain("svexp", p, oracle, "A", "B", spawn_rng(10, 0))
         assert res.engine == "svexp"
         assert res.status == STATUS_OK and res.success
         assert res.delta == (0,)
@@ -367,7 +367,7 @@ class TestGreedyBandit:
 
     def test_grows_transfer_without_revisiting(self):
         p, oracle = two_step_game()
-        res = explain_svexp(p, oracle, "A", "B", spawn_rng(11, 0))
+        res = explain("svexp", p, oracle, "A", "B", spawn_rng(11, 0))
         assert res.status == STATUS_OK and res.success
         assert res.size == 2
         moved = [s.entry for s in res.steps]
@@ -380,7 +380,7 @@ class TestGreedyBandit:
         # take the lone remaining entry without racing it.
         oracle = AdditiveUtility({0: 1.0, 1: 1.0, 2: 0.0})
         p = part(A=[0, 1], B=[2])
-        res = explain_svexp(p, oracle, "A", "B", spawn_rng(12, 0))
+        res = explain("svexp", p, oracle, "A", "B", spawn_rng(12, 0))
         assert res.status == STATUS_OK and res.success
         assert res.delta == (0, 1)
         assert len(res.steps) == 2
@@ -388,19 +388,18 @@ class TestGreedyBandit:
         assert res.steps[1].bandit_samples == 0
         assert res.steps[1].power_mean == 0.0
 
-    def test_precondition_statuses(self):
+    def test_precondition_statuses(self, monkeypatch):
         p, oracle = heavy_game()
-        behind = explain_svexp(p, oracle, "B", "A", spawn_rng(13, 0))
+        behind = explain("svexp", p, oracle, "B", "A", spawn_rng(13, 0))
         assert behind.status == STATUS_NOT_MET and behind.delta == ()
         tie_p, tie_oracle = tie_game()
-        tied = explain_svexp(
-            tie_p, tie_oracle, "A", "B", spawn_rng(13, 1), config=ExplainConfig(width_stop=0.5)
-        )
+        monkeypatch.setattr(explain_module, "WIDTH_STOP", 0.5)
+        tied = explain("svexp", tie_p, tie_oracle, "A", "B", spawn_rng(13, 1))
         assert tied.status == STATUS_UNDECIDED
 
     def test_exhausts_owner_and_reports_failure(self):
         p, oracle, a, b = stubborn_pair()
-        res = explain_svexp(p, oracle, a, b, spawn_rng(14, 0))
+        res = explain("svexp", p, oracle, a, b, spawn_rng(14, 0))
         assert res.status == STATUS_OK
         assert not res.success
         assert res.delta == (3,)
@@ -409,7 +408,7 @@ class TestGreedyBandit:
 
     def test_timeout_reported(self):
         p, oracle = heavy_game()
-        res = explain_svexp(p, oracle, "A", "B", spawn_rng(15, 0), config=ExplainConfig(timeout=0.0))
+        res = explain("svexp", p, oracle, "A", "B", spawn_rng(15, 0), config=ExplainConfig(timeout=0.0))
         assert res.status == STATUS_TIMEOUT and res.timed_out
         assert res.delta == ()
 
@@ -417,7 +416,7 @@ class TestGreedyBandit:
         p, oracle = two_step_game()
 
         def run():
-            return explain_svexp(p, oracle, "A", "B", spawn_rng(16, 0))
+            return explain("svexp", p, oracle, "A", "B", spawn_rng(16, 0))
 
         first, second = run(), run()
         assert first.delta == second.delta
@@ -426,8 +425,8 @@ class TestGreedyBandit:
 
     def test_never_beats_bruteforce_size(self):
         for i, (p, oracle) in enumerate(integer_gap_games()):
-            bf = explain_bruteforce(p, oracle, "A", "B")
-            sv = explain_svexp(p, oracle, "A", "B", spawn_rng(17, i))
+            bf = explain("bf", p, oracle, "A", "B")
+            sv = explain("svexp", p, oracle, "A", "B", spawn_rng(17, i))
             assert sv.status == STATUS_OK and sv.success
             assert sv.size >= bf.size
 
@@ -480,8 +479,8 @@ class TestExactRoute:
         seen = set()
         for i, (p, oracle) in enumerate(random_games(seed=41, count=40, n_hi=self.MAX_OWNERS)):
             a, b = p.owner_ids()[:2]
-            bf = explain_bruteforce(p, oracle, a, b)
-            mc = explain_mc(p, oracle, a, b, spawn_rng(41, i))
+            bf = explain("bf", p, oracle, a, b)
+            mc = explain("mc", p, oracle, a, b, spawn_rng(41, i))
             seen.add(p.n)
             assert mc.initial_diff == bf.initial_diff
             assert mc.initial_half_width == 0.0 and mc.samples_used == 0
@@ -513,7 +512,7 @@ class TestExactRoute:
         games = [*random_games(seed=91, count=40, n_lo=3, n_hi=self.MAX_OWNERS), tie]
         for i, (p, oracle) in enumerate(games):
             a, b = p.owner_ids()[:2]
-            explain_svexp(p, oracle, a, b, spawn_rng(91, i))
+            explain("svexp", p, oracle, a, b, spawn_rng(91, i))
         verdicts = set()
         for req, budget, moved, res, sent in rounds:
             fresh = explain_module._Request("svexp", req.partition, req.oracle, req.a, req.b, None, req.cfg)
@@ -532,7 +531,7 @@ class TestExactRoute:
                 continue
             powers = [power_exact(p, oracle, a, b, x) for x in ents]
             best = max(powers)
-            res = explain_svexp(p, oracle, a, b, spawn_rng(43, i))
+            res = explain("svexp", p, oracle, a, b, spawn_rng(43, i))
             step = res.steps[0]
             assert step.entry == ents[powers.index(best)]
             assert step.power_mean == best
@@ -578,15 +577,15 @@ class TestExactRoute:
     def test_power_ties_go_to_the_smallest_entry(self):
         oracle = AdditiveUtility({5: 2.0, 3: 2.0, 8: 2.0, 1: 1.0})
         p = part(A=[8, 3, 5], B=[1], C=[])
-        res = explain_svexp(p, oracle, "A", "B", spawn_rng(44, 0))
+        res = explain("svexp", p, oracle, "A", "B", spawn_rng(44, 0))
         assert [s.entry for s in res.steps] == [3, 5]
 
     def test_exact_checks_draw_nothing_and_report_no_width(self):
         p, oracle = two_step_game()
-        for engine in (explain_mc, explain_svexp):
+        for engine in ("mc", "svexp"):
             rng = spawn_rng(45, 0)
             state = rng.bit_generator.state
-            res = engine(p, oracle, "A", "B", rng)
+            res = explain(engine, p, oracle, "A", "B", rng)
             assert rng.bit_generator.state == state
             assert res.status == STATUS_OK and res.success
             assert res.samples_used == 0 and not res.budget_exhausted
@@ -631,8 +630,8 @@ class TestExactRoute:
         p, oracle = heavy_game()
         if sampled:
             p = padded(p)
-        explain_mc(p, oracle, "A", "B", spawn_rng(46, 0))
-        explain_svexp(p, oracle, "A", "B", spawn_rng(46, 1))
+        explain("mc", p, oracle, "A", "B", spawn_rng(46, 0))
+        explain("svexp", p, oracle, "A", "B", spawn_rng(46, 1))
         engines = set(calls)
         calls.clear()
         cfg = harness.ExperimentConfig.from_json({
@@ -687,9 +686,9 @@ class TestCoalitionPlan:
             sizes.add(p.n)
             shared += bool(p.entries(a) & p.entries(b))
             empty += any(not p.entries(o) for o in p.owner_ids())
-            explain_bruteforce(p, oracle, a, b)
-            explain_mc(p, oracle, a, b, spawn_rng(61, i))
-            explain_svexp(p, oracle, a, b, spawn_rng(62, i))
+            explain("bf", p, oracle, a, b)
+            explain("mc", p, oracle, a, b, spawn_rng(61, i))
+            explain("svexp", p, oracle, a, b, spawn_rng(62, i))
         assert sizes == set(range(2, self.MAX_OWNERS + 1)) and shared >= 5 and empty >= 5
         def shifted(req, moved):
             return apply_transfer(req.partition, Transfer(req.a, req.b, moved))
@@ -737,9 +736,9 @@ class TestCoalitionPlan:
         counts = self.count_calls(monkeypatch, "diff_shapley_exact")
         rounds = 0
         for i, p, oracle, a, b in games:
-            explain_bruteforce(p, oracle, a, b)
-            explain_mc(p, oracle, a, b, spawn_rng(63, i))
-            res = explain_svexp(p, oracle, a, b, spawn_rng(64, i))
+            explain("bf", p, oracle, a, b)
+            explain("mc", p, oracle, a, b, spawn_rng(63, i))
+            res = explain("svexp", p, oracle, a, b, spawn_rng(64, i))
             rounds += len(res.steps)
         assert rounds > 20
         assert built == [0]  # every shift is scored on the plan
@@ -753,10 +752,10 @@ class TestCoalitionPlan:
         built = self.count_partitions(monkeypatch)
         rounds = tested = 0
         for i, (p, oracle) in enumerate(exact + sampled):
-            res = explain_svexp(p, oracle, "A", "B", spawn_rng(68, i))
+            res = explain("svexp", p, oracle, "A", "B", spawn_rng(68, i))
             assert res.status == STATUS_OK and res.steps
             rounds += len(res.steps)
-            res = explain_mc(p, oracle, "A", "B", spawn_rng(69, i))
+            res = explain("mc", p, oracle, "A", "B", spawn_rng(69, i))
             assert res.status == STATUS_OK and res.subsets_tested
             tested += res.subsets_tested
         assert built == [0]  # no partition per round, subset, race or verification
@@ -813,7 +812,7 @@ class TestCoalitionPlan:
         oracle = AdditiveUtility({i: 1.0 for i in range(EXACT_OWNER_LIMIT + 1)})
         limit = f"exact differential over {EXACT_OWNER_LIMIT + 1} owners exceeds the limit {EXACT_OWNER_LIMIT}"
         with pytest.raises(TooManyOwners, match=limit):
-            explain_bruteforce(p, oracle, "O0", "O1")
+            explain("bf", p, oracle, "O0", "O1")
 
 
 class TestPairSession:
@@ -941,7 +940,7 @@ class TestChunkedSearch:
             ref = first_flip_reference(p, build(), a, b)
             sizes.add(p.n)
             shared += bool(p.entries(a) & p.entries(b))
-            for res in (explain_bruteforce(p, build(), a, b), explain_mc(p, build(), a, b, spawn_rng(81, i))):
+            for res in (explain("bf", p, build(), a, b), explain("mc", p, build(), a, b, spawn_rng(81, i))):
                 assert res.initial_diff == ref.initial
                 if ref.initial <= 0.0:
                     tied = res.engine == "mc" and ref.initial == 0.0
@@ -974,7 +973,7 @@ class TestChunkedSearch:
             calls = []
             monkeypatch.setattr(oracle, "values", lambda sets: calls.append(len(sets)) or values(sets))
             chunks.clear()
-            res = explain_bruteforce(p, oracle, a, b)
+            res = explain("bf", p, oracle, a, b)
             if res.status != STATUS_OK:
                 continue
             # the precheck, then one call per chunk; the verification reuses the last check

@@ -6,7 +6,6 @@ import csv
 import hashlib
 import importlib.util
 import json
-import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -30,7 +29,7 @@ from shapcf.harness import (
 from shapcf.shapley import diff_shapley_exact
 from shapcf.utility import UtilityOracle
 
-from conftest import BOSTON_FEATURES, MONTH_SIZES, make_blobs
+from conftest import BOSTON_FEATURES, MONTH_SIZES, make_blobs, serve_datasets
 
 VERTICAL_GROUPS = {
     "P": ["RM", "AGE"],
@@ -229,8 +228,6 @@ class TestExperimentConfig:
             {"timeout": -1.0},
             {"epsilon": "x"},
             {"epsilon": -0.1},
-            {"width_stop": math.nan},
-            {"bf_entry_limit": "20"},
             {"check_budget": -1},
             {"check_budget": True},
             {"verify_budget": 0},
@@ -252,14 +249,14 @@ class TestExperimentConfig:
 
     def test_sampling_whitelist(self):
         cfg = ExperimentConfig.from_json(
-            base_config(sampling={"check_budget": 500, "width_stop": 0.1, "pair_budget": 100})
+            base_config(sampling={"check_budget": 500, "arm_budget": 300, "pair_budget": 100})
         )
         ecfg = cfg.explain_config()
         assert ecfg.check_budget == 500
-        assert ecfg.width_stop == 0.1
+        assert ecfg.arm_budget == 300
         assert ecfg.epsilon == 0.01
         assert cfg.pair_budget == 100
-        assert ecfg == ExplainConfig(check_budget=500, width_stop=0.1)
+        assert ecfg == ExplainConfig(check_budget=500, arm_budget=300)
 
     def test_unknown_sampling_key_rejected(self):
         # Batch sizes, posterior draws and limits are fixed in the library: naming
@@ -272,6 +269,8 @@ class TestExperimentConfig:
             ("posterior_draws", 256),
             ("owner_limit", 12),
             ("pair_redraws", 10),
+            ("width_stop", 0.01),
+            ("bf_entry_limit", 20),
         ):
             cfg = ExperimentConfig.from_json(base_config(sampling={key: value}))
             with pytest.raises(MalformedInput, match=rf"unknown sampling keys \['{key}'\]"):
@@ -397,7 +396,7 @@ class TestGridRuns:
         assert [r[0] for r in rows[1:]] == ["k0", "k1", "k2"]
         assert len(paths) == 5
 
-    def test_grid_pair_mode_on_natural_allocation(self, booking_dataset):
+    def test_grid_pair_mode_on_natural_allocation(self, booking_dataset, monkeypatch):
         # Three months, each with one heavy row (its first), later months
         # heavier: the heavier month of a pair flips by giving up that row.
         sizes = MONTH_SIZES[:3]
@@ -415,7 +414,8 @@ class TestGridRuns:
                 "sampling": {"check_budget": 300, "pair_budget": 300},
             }
         )
-        result = run_experiment(cfg, datasets=(subset, subset.take(range(5))))
+        serve_datasets(monkeypatch, (subset, subset.take(range(5))))
+        result = run_experiment(cfg)
         months = ["01", "02", "03"]
         cells = [f"{a}->{b}" for a in months for b in months if a != b]
         assert [rec.cell for rec in result.records] == cells
@@ -454,7 +454,8 @@ def run_watching_memo(cfg, monkeypatch, datasets=None, clear=True, snapshots=Non
         m.setattr(harness, "make_oracle", make_oracle)
         m.setattr(UtilityOracle, "clear_cache", clear_cache)
         m.setattr(harness, "explain", explain)
-        run_experiment(cfg, datasets=datasets)
+        serve_datasets(m, datasets)
+        run_experiment(cfg)
     return oracles[0], cleared, partitions
 
 
@@ -642,8 +643,9 @@ def traffic_by_trial(cfg, monkeypatch, values_calls, datasets=None):
 
     with monkeypatch.context() as m:
         m.setattr(harness, "explain", spy)
+        serve_datasets(m, datasets)
         values_calls.clear()
-        run_experiment(cfg, datasets=datasets)
+        run_experiment(cfg)
     return before, own
 
 
@@ -664,8 +666,9 @@ class TestWindows:
                     harness, "_select_pairs", lambda parts, *args, **kw: widths.append(len(parts)) or select(parts, *args, **kw)
                 )
                 m.setattr(harness, "_Request", lambda *args: pairs.append(args) or request(*args))
+                serve_datasets(m, datasets)
                 out = tmp_path / str(window)
-                write_outputs(run_experiment(cfg, datasets=datasets), out)
+                write_outputs(run_experiment(cfg), out)
             outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.json")])
             if window > 1:
                 assert max(widths) == (1 if case == "sampled" else min(window, cfg.trials))
@@ -704,7 +707,8 @@ class TestWindows:
 
         monkeypatch.setattr(harness._Request, "race", spy)
         cfg = ExperimentConfig.from_json(logistic_config(engines=["svexp"]))
-        records = run_experiment(cfg, datasets=logistic_data()).records
+        serve_datasets(monkeypatch, logistic_data())
+        records = run_experiment(cfg).records
         firsts = [(req, scored, sent) for req, moved, scored, sent in races if not moved]
         assert len(firsts) == sum(r.status == "ok" for r in records) > 0
         free = 0
@@ -716,16 +720,17 @@ class TestWindows:
         assert free > 0
 
     @pytest.mark.parametrize("case", list(TRAFFIC_CASES))
-    def test_additive_and_kde_send_the_earlier_calls(self, case, values_calls):
+    def test_additive_and_kde_send_the_earlier_calls(self, case, values_calls, monkeypatch):
         cfg, datasets = TRAFFIC_CASES[case]()
+        serve_datasets(monkeypatch, datasets)
         values_calls.clear()
-        run_experiment(cfg, datasets=datasets)
+        run_experiment(cfg)
         expected = json.loads((GOLDEN / "values_calls.json").read_text())[case]
         assert values_digest(values_calls) == expected
 
 
 class TestDataBackedRuns:
-    def test_natural_allocation_designated_pair(self, booking_dataset):
+    def test_natural_allocation_designated_pair(self, booking_dataset, monkeypatch):
         # Two months, one dominant row: both sampling engines should move
         # exactly that row.
         subset = booking_dataset.take(range(62))
@@ -742,7 +747,8 @@ class TestDataBackedRuns:
                 "sampling": {"check_budget": 1500},
             }
         )
-        result = run_experiment(cfg, datasets=(subset, subset.take(range(5))))
+        serve_datasets(monkeypatch, (subset, subset.take(range(5))))
+        result = run_experiment(cfg)
         assert len(result.records) == 4
         for rec in result.records:
             assert rec.status == "ok" and rec.success
@@ -751,7 +757,7 @@ class TestDataBackedRuns:
         assert result.summary["agreement"]["mc|svexp"] == 1.0
         assert result.summary["engines"]["svexp"]["sizes"]["mean"] == 1.0
 
-    def test_vertical_allocation_with_model_utility(self, housing_dataset):
+    def test_vertical_allocation_with_model_utility(self, housing_dataset, monkeypatch):
         train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
         cfg = ExperimentConfig.from_json(
             {
@@ -764,7 +770,8 @@ class TestDataBackedRuns:
                 "sampling": {"check_budget": 512, "pair_budget": 512},
             }
         )
-        result = run_experiment(cfg, datasets=(train, test))
+        serve_datasets(monkeypatch, (train, test))
+        result = run_experiment(cfg)
         assert len(result.records) == 1
         rec = result.records[0]
         assert rec.status in ("ok", "precondition_not_met", "precondition_undecided")
@@ -790,7 +797,7 @@ class TestRunErrors:
         with pytest.raises(MalformedInput):
             run_experiment(cfg)
 
-    def test_vertical_needs_groups_object(self, housing_dataset):
+    def test_vertical_needs_groups_object(self, housing_dataset, monkeypatch):
         train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
         cfg = ExperimentConfig.from_json(
             base_config(
@@ -798,8 +805,9 @@ class TestRunErrors:
                 allocation={"kind": "vertical"},
             )
         )
+        serve_datasets(monkeypatch, (train, test))
         with pytest.raises(MalformedInput):
-            run_experiment(cfg, datasets=(train, test))
+            run_experiment(cfg)
 
     @pytest.mark.parametrize("key", ["data", "test_data"])
     @pytest.mark.parametrize("path", [5, 1.5, True, ["x.csv"], {"path": "x.csv"}])
@@ -821,7 +829,7 @@ class TestRunErrors:
         with pytest.raises(MalformedInput, match=re.escape(f"{path}: cannot read the file")):
             harness.load_csv(path)
 
-    def test_grid_pair_mode_checks_vertical_groups(self, housing_dataset):
+    def test_grid_pair_mode_checks_vertical_groups(self, housing_dataset, monkeypatch):
         train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
         cfg = ExperimentConfig.from_json(
             base_config(
@@ -830,8 +838,9 @@ class TestRunErrors:
                 pair={"mode": "grid"},
             )
         )
+        serve_datasets(monkeypatch, (train, test))
         with pytest.raises(MalformedInput, match='"groups" object'):
-            run_experiment(cfg, datasets=(train, test))
+            run_experiment(cfg)
 
     def test_zipfian_grid_needs_k_max_at_least_0(self):
         with pytest.raises(MalformedInput, match=re.escape("allocation k_max=-1 (need an integer >= 0)")):

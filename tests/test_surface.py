@@ -1,20 +1,36 @@
-"""The package's surface: no library code that only tests call.
+"""The package's surface: no library code that only tests call, no knob that only tests set.
 
 Every module-level function, class and constant in src/shapcf is either
 exported in shapcf.__all__ or referenced by library code. A reference is an
 AST name, attribute or imported name anywhere in the package, outside the
 top-level statement that defines it; click commands are reached through
 their group and are exempt, as are dunder names such as __version__.
+
+An exported name is itself referenced by library code outside __init__.py,
+or is on USER_API. Every ExplainConfig field is set by the CLI or by a
+benchmark workload.
 """
 
 from __future__ import annotations
 
 import ast
+import types
+from dataclasses import fields
 from pathlib import Path
 
 import shapcf
+from shapcf.explain import ExplainConfig
 
 PACKAGE = Path(shapcf.__file__).parent
+ROOT = Path(__file__).parents[1]
+
+# Exported names no library code calls, each kept for users of the package.
+USER_API = {
+    "apply_transfer": "builds the partition after a transfer, to inspect or re-value an explanation's outcome",
+    "diff_shapley_mc": "the paper's Monte Carlo estimator of a pair's differential, documented in README",
+    "power_mc": "the paper's Monte Carlo estimator of an entry's power, documented in README",
+    "power_exact": "the paper's exact entry power, documented in README",
+}
 
 
 def defined_names(stmt: ast.stmt) -> list[str]:
@@ -76,3 +92,45 @@ def test_an_unused_definition_is_caught(tmp_path):
     )
     (tmp_path / "other.py").write_text("from .mod import used\n")
     assert unreferenced(tmp_path, {"public"}) == ["mod._UNUSED", "mod.leftover"]
+
+
+def library_references(package: Path) -> set[str]:
+    """Every name referenced by a top-level statement of a module other than __init__.py, but not its own."""
+    return {
+        name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text()).body
+        for name in set(referenced_names(stmt)) - set(defined_names(stmt))
+    }
+
+
+def test_every_export_is_used_by_the_library_or_is_user_api():
+    exported = {name for name in shapcf.__all__ if not isinstance(getattr(shapcf, name), types.ModuleType)}
+    assert sorted(exported - library_references(PACKAGE) - set(USER_API)) == []
+    assert set(USER_API) <= exported
+
+
+def keywords_passed(path: Path, callee: str) -> set[str]:
+    """The keyword names of every call to `callee` in the module at `path`."""
+    return {
+        kw.arg
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee
+        for kw in node.keywords
+    }
+
+
+def dict_keys(path: Path, name: str) -> set[str]:
+    """The string keys of the dict literal assigned to the top-level `name` of the module at `path`."""
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in stmt.targets):
+            return {key.value for key in stmt.value.keys if isinstance(key, ast.Constant)}
+    raise AssertionError(f"{path} assigns no {name}")
+
+
+def test_every_explain_config_field_is_set_outside_the_tests():
+    cli = keywords_passed(PACKAGE / "cli.py", "ExplainConfig")
+    workloads = dict_keys(ROOT / "perfbench" / "workloads.py", "SAMPLING")
+    assert cli and workloads
+    assert sorted({f.name for f in fields(ExplainConfig)} - cli - workloads) == []
