@@ -23,14 +23,15 @@ through the prefix of owners placed before both members of the pair, and n
 owners leave 2^(n-2) such prefixes. While that is at most EXACT_PREFIXES,
 flip checks and svexp's race enumerate the prefixes instead of sampling
 orderings: exact answers that draw nothing from the rng. A request scores
-each shift X as the entry sets (A - X, B | X) on its own partition (on one
-shapley.coalition_plan when exact). Pair selection's checked request is
+each shift X as the entry sets (A - X, B | X) on its own partition, on the
+route chosen once when it is built: _Exact over one shapley.coalition_plan,
+or _Sampled over drawn prefixes. Pair selection's checked request is
 explain's `pair`: one plan and one precondition check for every engine.
-An exact request keeps a table of the differentials it scored, by shift,
-and reads it before it scores: a power is minus the differential of its
-shift, so svexp's round check reads the winning arm's power, and the
-pair's table (its check, and with windows its search opening, scored
-with other trials' in one call) is copied into every engine's request.
+_Exact keeps a table of the differentials it scored, by shift, and reads
+it before it scores: a power is minus the differential of its shift, so
+svexp's round check reads the winning arm's power, and the pair's table
+(its check, and with windows its search opening, scored with other
+trials' in one _score call) is copied into every engine's request.
 """
 
 from __future__ import annotations
@@ -215,14 +216,14 @@ class _Request:
     Engines judge shifts: `moved` is the set of a's entries that a gives b.
     Every flip check goes through `checks` (`check` is a chunk of one), and
     every result is built by `done`, so the counters and the deadline live
-    in one place. A shift is
-    scored as the entry-set pair (A - moved, B | moved) on the request's own
-    partition: on the exact route (bf always, any other engine with few
-    prefixes) over the pair's one coalition plan, on the sampled route over
-    drawn prefixes. No partition is built.
+    in one place. The route, chosen here once, scores a shift as the
+    entry-set pair (A - moved, B | moved) on the request's own partition:
+    _Exact (bf always, any other engine with few prefixes) over the pair's
+    one coalition plan, else _Sampled over drawn prefixes.
 
     `pair`, pair selection's prechecked request (engine "pair"), lends its
-    plan and its check as the precheck when checked on this engine's route.
+    check as the precheck, and its exact route (plan shared, table copied),
+    when checked on this engine's route; never its rng.
     """
 
     def __init__(
@@ -247,18 +248,20 @@ class _Request:
         self.exhausted = False
         self.initial_diff = self.initial_half_width = 0.0
         exact = engine == "bf" or _is_small(partition)
-        lent = pair is not None and (pair.plan is not None) == exact
-        self.plan = pair.plan if lent else coalition_plan(partition, a, b) if exact else None
+        lent = pair is not None and isinstance(pair.route, _Exact) == exact
+        self.route: _Exact | _Sampled = (
+            _Sampled() if not exact
+            else _Exact(pair.route.plan, pair.route.table) if lent
+            else _Exact(coalition_plan(partition, a, b))
+        )
         self.last: FlipResult | None = pair.last if lent else None  # the latest check, or the precheck
-        # The exact differential of each shift scored so far, a copy of the pair's.
-        self.table: dict[frozenset[EntryId], float] = dict(pair.table) if lent else {}
 
     def swapped(self) -> _Request:
-        """The prechecked request for (b, a); its plan is this one, as it leaves out both owners."""
+        """The prechecked request for (b, a), on the route's twin."""
         twin = copy.copy(self)
         twin.a, twin.b, twin.ents_a, twin.ents_b = self.b, self.a, self.ents_b, self.ents_a
         twin.last, twin.initial_diff = self.last.swapped(), -self.initial_diff
-        twin.table = {}  # the shifts of this pair move a's entries, not b's
+        twin.route = self.route.swapped()
         return twin
 
     def expired(self) -> bool:
@@ -269,34 +272,8 @@ class _Request:
         return next(self.checks(budget, [moved]))
 
     def checks(self, budget: int, shifts: Iterable[Iterable[EntryId]]) -> Iterator[FlipResult]:
-        """check() of each shift in turn, each counted (and the latest) as it is read.
-
-        On the exact route the shifts not in the table are scored here and
-        now, in one values() call, and every check is read off the table; on
-        the sampled route each shift's check runs as it is read.
-        """
-        shifts = [frozenset(moved) for moved in shifts]
-        if self.plan is not None:
-            new, pairs = self._unscored(shifts)
-            table, delta = self.table, self.cfg.delta
-            if new:
-                table.update(zip(new, differentials(self.oracle, [(self.plan, pairs)])))
-            results = [_exact_check(table[moved], delta) for moved in shifts]
-        else:
-            results = (
-                is_flipped(
-                    self.partition, self.oracle, self.a, self.b, self.rng,
-                    delta=self.cfg.delta, budget=budget, width_stop=WIDTH_STOP, moved=moved,
-                )
-                for moved in shifts
-            )
-        return map(self._counted, results)
-
-    def _unscored(self, shifts: list[frozenset[EntryId]]) -> tuple[list[frozenset[EntryId]], list]:
-        """The shifts not in the table (usually all), and their entry-set pairs (A - moved, B | moved)."""
-        table = self.table
-        new = shifts if table.keys().isdisjoint(shifts) else [moved for moved in shifts if moved not in table]
-        return new, [(self.ents_a - moved, self.ents_b | moved) for moved in new]
+        """The route's check of each shift in turn, each counted (and the latest) as it is read."""
+        return map(self._counted, self.route.checks(self, budget, [frozenset(moved) for moved in shifts]))
 
     def _counted(self, res: FlipResult) -> FlipResult:
         self.samples += res.estimate.count
@@ -305,62 +282,28 @@ class _Request:
         return res
 
     def span(self, moved: Iterable[EntryId]) -> int:
-        """How many shifts like `moved` one check call takes: 1 on the sampled route.
-
-        On the exact route it is the oracle's room for sets like moved's,
-        over the 2^(n-1) sets a shift scores, at least 1. The room is judged
-        on moved's two largest sets, the union of all the other owners with
-        A - moved and with B | moved.
-        """
-        if self.plan is None:
-            return 1
-        bases, moved = self.plan[0], frozenset(moved)
-        largest = [bases[-1] | (self.ents_a - moved), bases[-1] | self.ents_b | moved]
-        return max(1, self.oracle.room(largest) // (2 * len(bases)))
+        """How many shifts like `moved` one check call takes, at least 1."""
+        return self.route.span(self, frozenset(moved))
 
     def opening(self) -> list[frozenset[EntryId]]:
         """The first chunk of the search over a's entries (bf's and mc's): its shifts."""
         return [frozenset(combo) for combo in next(_chunks(self, sorted(self.ents_a)), [])]
 
     def verify(self, moved: Iterable[EntryId] = ()) -> FlipResult:
-        """The answer's final check; an exact one is the latest check, of the same shift."""
-        return self.last if self.plan is not None else self.check(self.cfg.verify(), moved)
+        """The answer's final check."""
+        return self.route.verify(self, moved)
 
     def race(self, moved: Iterable[EntryId]) -> Top1Result:
         """The entry of a with the highest power once a gives `moved` to b, counted.
 
         The arms are a's remaining entries; a lone one is a forced pick with
-        an empty estimate. On the exact route every entry's power is exact
-        (the differential of b over a once the entry moves too, as
-        power_exact) and the argmax wins, ties going to the smallest entry
-        id; no samples are drawn. An entry e's power is minus the table's
-        differential of the shift moved + {e}, so a shift already scored
-        costs nothing; the other entries' sets go to the oracle in one
-        values() call, and their shifts join the table. Otherwise the
-        entries run a Thompson race.
+        an empty estimate, else the route races them.
         """
-        cfg, moved = self.cfg, frozenset(moved)
-        left, got = self.ents_a - moved, self.ents_b | moved
-        ents = sorted(left)
+        moved = frozenset(moved)
+        ents = sorted(self.ents_a - moved)
         if len(ents) == 1:
-            return Top1Result(ents[0], (ArmState(ents[0], Estimate(cfg.delta)),), 0, True, False)
-        if self.plan is not None:
-            todo = [e for e in ents if moved | {e} not in self.table]
-            if todo:
-                powers = differentials(self.oracle, [(self.plan, [(got | {e}, left - {e}) for e in todo])])
-                self.table.update((moved | {e}, _minus(power)) for e, power in zip(todo, powers))
-            arms = [ArmState(e, Estimate(cfg.delta, _minus(self.table[moved | {e}]))) for e in ents]
-            best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
-            return Top1Result(best.entry, tuple(arms), 0, True, False)
-        pick = thompson_top1(
-            ents,
-            make_power_sampler(self.partition, self.oracle, self.a, self.b, moved),
-            self.rng,
-            delta=cfg.delta,
-            epsilon=cfg.epsilon,
-            arm_budget=cfg.arm_budget,
-            total_budget=cfg.bandit_budget,
-        )
+            return Top1Result(ents[0], (ArmState(ents[0], Estimate(self.cfg.delta)),), 0, True, False)
+        pick = self.route.race(self, moved, ents)
         self.samples += pick.samples
         self.exhausted |= pick.budget_exhausted
         return pick
@@ -406,20 +349,110 @@ class _Request:
         )
 
 
-def _score(jobs: Iterable[tuple[_Request, list[frozenset[EntryId]]]]) -> None:
-    """Put each job's shifts that its request's table lacks there, in one values() call.
+class _Exact:
+    """The exact route: each shift's differential, folded over the pair's one coalition plan.
 
-    A job is an exact-route request and shifts of its pair; the requests
-    share one oracle and may be of different partitions (one
-    shapley.differentials call over their plans), as the checks of one
-    request share one in _Request.checks. Nothing is counted.
+    `table` holds the differential of each shift scored so far, read before
+    anything is scored; _score fills it for checks and openings.
     """
-    todo = [(req, *req._unscored(shifts)) for req, shifts in jobs]
-    plans = [(req.plan, pairs) for req, new, pairs in todo if new]
+
+    def __init__(self, plan, table: dict[frozenset[EntryId], float] | None = None) -> None:
+        self.plan, self.table = plan, dict(table or {})
+
+    def swapped(self) -> _Exact:
+        """The reverse pair's route: this plan, as it leaves out both owners, and no shifts yet."""
+        return _Exact(self.plan)
+
+    def unscored(self, req: _Request, shifts: list[frozenset[EntryId]]) -> tuple[list[frozenset[EntryId]], list]:
+        """The shifts not in the table (usually all), and their entry-set pairs (A - moved, B | moved)."""
+        new = shifts if self.table.keys().isdisjoint(shifts) else [moved for moved in shifts if moved not in self.table]
+        return new, [(req.ents_a - moved, req.ents_b | moved) for moved in new]
+
+    def checks(self, req: _Request, budget: int, shifts: list[frozenset[EntryId]]) -> list[FlipResult]:
+        """Every shift's check, read off the table: the shifts it lacks are scored in one values() call."""
+        _score([(req, shifts)])
+        return [_exact_check(self.table[moved], req.cfg.delta) for moved in shifts]
+
+    def span(self, req: _Request, moved: frozenset[EntryId]) -> int:
+        """The oracle's room for moved's two largest sets, over the 2^(n-1) sets a shift scores."""
+        bases = self.plan[0]
+        largest = [bases[-1] | (req.ents_a - moved), bases[-1] | req.ents_b | moved]
+        return max(1, req.oracle.room(largest) // (2 * len(bases)))
+
+    def verify(self, req: _Request, moved: Iterable[EntryId]) -> FlipResult:
+        return req.last  # the latest check, of the same shift
+
+    def race(self, req: _Request, moved: frozenset[EntryId], ents: list[EntryId]) -> Top1Result:
+        """Every arm's exact power; the argmax wins, ties going to the smallest entry id.
+
+        Entry e's power (as power_exact) is minus the table's differential of
+        the shift moved + {e}. The shifts not in the table are scored here,
+        their sets (B | moved | {e}, A - moved - {e}) in one values() call.
+        """
+        left, got = req.ents_a - moved, req.ents_b | moved
+        todo = [e for e in ents if moved | {e} not in self.table]
+        if todo:
+            powers = differentials(req.oracle, [(self.plan, [(got | {e}, left - {e}) for e in todo])])
+            self.table.update((moved | {e}, _minus(power)) for e, power in zip(todo, powers))
+        arms = [ArmState(e, Estimate(req.cfg.delta, _minus(self.table[moved | {e}]))) for e in ents]
+        best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
+        return Top1Result(best.entry, tuple(arms), 0, True, False)
+
+
+class _Sampled:
+    """The sampled route: checks and races draw prefixes from the request's rng; it holds nothing."""
+
+    def swapped(self) -> _Sampled:
+        return self
+
+    def checks(self, req: _Request, budget: int, shifts: list[frozenset[EntryId]]) -> Iterator[FlipResult]:
+        """Each shift's sequential check, run as it is read."""
+        args, delta = (req.partition, req.oracle, req.a, req.b, req.rng), req.cfg.delta
+        return (is_flipped(*args, delta=delta, budget=budget, width_stop=WIDTH_STOP, moved=moved) for moved in shifts)
+
+    def span(self, req: _Request, moved: frozenset[EntryId]) -> int:
+        return 1
+
+    def verify(self, req: _Request, moved: Iterable[EntryId]) -> FlipResult:
+        """A fresh check of the answer, to verify_budget."""
+        return req.check(req.cfg.verify(), moved)
+
+    def race(self, req: _Request, moved: frozenset[EntryId], ents: list[EntryId]) -> Top1Result:
+        """A Thompson race over the entries' sampled powers."""
+        cfg, sampler = req.cfg, make_power_sampler(req.partition, req.oracle, req.a, req.b, moved)
+        return thompson_top1(
+            ents, sampler, req.rng,
+            delta=cfg.delta, epsilon=cfg.epsilon, arm_budget=cfg.arm_budget, total_budget=cfg.bandit_budget,
+        )
+
+
+def _score(jobs: Iterable[tuple[_Request, list[frozenset[EntryId]]]]) -> None:
+    """Put each job's shifts that its exact route's table lacks there, in one values() call.
+
+    A job is a request and shifts of its pair; sampled-route requests are
+    skipped. The requests share one oracle and may be of different
+    partitions (one shapley.differentials call over their plans). Nothing
+    is counted.
+    """
+    todo = [(req, *req.route.unscored(req, shifts)) for req, shifts in jobs if isinstance(req.route, _Exact)]
+    plans = [(req.route.plan, pairs) for req, new, pairs in todo if new]
     if plans:
         found = iter(differentials(todo[0][0].oracle, plans))
         for req, new, _ in todo:
-            req.table.update(zip(new, found))
+            req.route.table.update(zip(new, found))
+
+
+def _window(oracle: UtilityOracle, partition: OwnerPartition, most: int) -> int:
+    """Trials per window of a cell like `partition`: `most` if pair checks can share calls, else 1.
+
+    They can when the pair checks are exact and the oracle has room for
+    more sets than one check's 2^(n-1), judged on sets as large as the
+    partition's whole universe: oracle.room(sets) > len(sets).
+    """
+    if not _is_small(partition):
+        return 1
+    sets = [partition.universe()] * 2 ** (partition.n - 1)
+    return most if oracle.room(sets) > len(sets) else 1
 
 
 def _chunks(req: _Request, ents: list[EntryId]) -> Iterator[list[tuple[EntryId, ...]]]:

@@ -36,7 +36,7 @@ from .core import (
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, read_json, split_dataset
-from .explain import ENGINES, CounterfactualResult, ExplainConfig, _is_small, _Request, _score, explain
+from .explain import ENGINES, CounterfactualResult, ExplainConfig, _Request, _score, _window, explain
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import is_flipped  # unused here; perfbench/tracing.py wraps this name
 from .utility import DATA_BACKED_KINDS, AdditiveUtility, SetCoverUtility, make_oracle, normalize_kind, unwrap_config
@@ -53,7 +53,7 @@ PAIR_MODES = ("random", "designated", "grid")
 _PAIR_REDRAWS = 10
 
 # Trials at most whose pair checks, and then whose search openings, share one
-# values() call each, where the oracle has room for that (see _window).
+# values() call each, where the oracle has room for that (see explain._window).
 _WINDOW = 16
 
 _AT_LEAST_0: Rule = ("an integer >= 0", lambda v: is_integer(v) and v >= 0)
@@ -406,7 +406,11 @@ def _make_partition(
 def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: list[int] | None) -> list[tuple[str, dict]]:
     """Grid cells: (label, params). A single anonymous cell when not gridded."""
     alloc = cfg.allocation
-    mode = cfg.pair.get("mode")
+    if cfg.pair.get("mode") == "grid":
+        if alloc.get("kind") not in ("natural", "vertical"):
+            raise MalformedInput('pair mode "grid" needs a natural or vertical allocation')
+        ids = _make_partition(cfg, train, pool, None, {}).owner_ids()
+        return [(f"{a}->{b}", {"a": a, "b": b}) for a in ids for b in ids if a != b]
     if alloc.get("kind") == "zipfian" and alloc.get("grid"):
         k_max = alloc.get("k_max", 4)
         return [
@@ -414,25 +418,7 @@ def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: list[int] | None)
             for k1 in range(k_max + 1)
             for k2 in range(k_max + 1)
         ]
-    if mode == "grid":
-        if alloc.get("kind") not in ("natural", "vertical"):
-            raise MalformedInput('pair mode "grid" needs a natural or vertical allocation')
-        ids = _make_partition(cfg, train, pool, None, {}).owner_ids()
-        return [(f"{a}->{b}", {"a": a, "b": b}) for a in ids for b in ids if a != b]
     return [("", {})]
-
-
-def _window(oracle, partition: OwnerPartition) -> int:
-    """Trials per window of a cell like `partition`: _WINDOW if pair checks can share calls, else 1.
-
-    They can when the pair checks are exact and the oracle has room for
-    more sets than one check's 2^(n-1), judged on sets as large as the
-    partition's whole universe: oracle.room(sets) > len(sets).
-    """
-    if not _is_small(partition):
-        return 1
-    sets = [partition.universe()] * 2 ** (partition.n - 1)
-    return _WINDOW if oracle.room(sets) > len(sets) else 1
 
 
 def _select_pairs(
@@ -477,7 +463,7 @@ def _select_pairs(
     for _ in range(_PAIR_REDRAWS if fixed is None else 1):
         for t in todo:
             drawn[t] = _Request("pair", partitions[t], oracle, *pair_of(t), rngs[t], ecfg)
-        _score([(drawn[t], [frozenset()]) for t in todo if drawn[t].plan is not None])
+        _score([(drawn[t], [frozenset()]) for t in todo])
         for t in todo:
             drawn[t].precheck(cfg.pair_budget)
         todo = [t for t in todo if drawn[t].last.verdict == "undecided"]
@@ -488,7 +474,7 @@ def _select_pairs(
         pair.swapped() if fixed is None and pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()
     ]
     if openings:
-        _score([(p, p.opening()) for p in chosen if p.plan is not None and p.last.verdict == "not_flipped"])
+        _score([(p, p.opening()) for p in chosen if p.last.verdict == "not_flipped"])
     return chosen
 
 
@@ -522,7 +508,7 @@ def _run_cell(
     if not cfg.trials:
         return records, served
     first = partition_of(0)
-    width = _window(oracle, first)
+    width = _window(oracle, first, _WINDOW)
     for start in range(0, cfg.trials, width):
         trials = range(start, min(cfg.trials, start + width))
         partitions = [first if trial == 0 else partition_of(trial) for trial in trials]

@@ -862,12 +862,11 @@ class TestPairSession:
                 assert (twin.a, twin.b) == (b, a)
                 assert (twin.ents_a, twin.ents_b) == (fresh.ents_a, fresh.ents_b)
                 assert self.bits(twin.last) == self.bits(fresh.last)
-                assert twin.plan is pair.plan
-                if twin.plan is None:
-                    assert fresh.plan is None
-                else:
-                    assert twin.plan[0] == fresh.plan[0]
-                    assert [w.hex() for w in twin.plan[1]] == [w.hex() for w in fresh.plan[1]]
+                assert type(twin.route) is type(pair.route) is type(fresh.route)
+                if isinstance(twin.route, explain_module._Exact):
+                    assert twin.route.plan is pair.route.plan and twin.route.table == {}
+                    assert twin.route.plan[0] == fresh.route.plan[0]
+                    assert [w.hex() for w in twin.route.plan[1]] == [w.hex() for w in fresh.route.plan[1]]
                 compared.add((pp.n > 9, twin.last.verdict))
         assert compared >= {(False, "flipped"), (False, "not_flipped"), (True, "flipped"), (True, "not_flipped")}
 
@@ -883,6 +882,20 @@ class TestPairSession:
             with pytest.raises(ValueError, match="not this request's pair"):
                 explain(engine, *args, spawn_rng(72, 0), pair=pair)
         assert explain("mc", p, oracle, "A", "B", spawn_rng(72, 0), pair=pair).delta == (0,)
+
+    @pytest.mark.parametrize("engine", ["mc", "svexp"])
+    def test_a_sampled_pair_lends_its_check_not_its_rng(self, engine):
+        p, oracle = heavy_game()
+        p, cfg = padded(p), ExplainConfig(check_budget=640)
+        pair = explain_module._Request("pair", p, oracle, "A", "B", spawn_rng(73, 0), cfg)
+        pair.precheck(cfg.check_budget)
+        assert pair.last.verdict == "not_flipped" and pair.last.estimate.count > 0
+        pair_state, rng = pair.rng.bit_generator.state, spawn_rng(73, 1)
+        engine_state = rng.bit_generator.state
+        res = explain(engine, p, oracle, "A", "B", rng, config=cfg, pair=pair)
+        assert res.status == STATUS_OK and res.initial_diff == pair.last.estimate.mean
+        assert pair.rng.bit_generator.state == pair_state
+        assert rng.bit_generator.state != engine_state
 
 
 def logistic_games(count: int = 30, seed: int = 81):

@@ -585,7 +585,26 @@ WINDOW_CASES = {
 # trial). tests/data/golden/values_calls.json holds the values() traffic
 # each sent at the commit before windows and the shift table, less the
 # calls of svexp's round checks (each a _Request.check called from _svexp),
-# as values_digest reads it.
+# as values_digest reads it. To regenerate it after a deliberate change of
+# traffic, run each case under the same values() spy and dump its digest,
+# from the repository root, and say in CHANGES.md which cases moved and why:
+#
+#     PYTHONPATH=src:tests python - <<'EOF'
+#     import json, pytest
+#     from conftest import serve_datasets
+#     from shapcf.harness import run_experiment
+#     from shapcf.utility import UtilityOracle
+#     from test_harness import GOLDEN, TRAFFIC_CASES, values_digest
+#     digests, values = {}, UtilityOracle.values
+#     for case, build in TRAFFIC_CASES.items():
+#         (cfg, datasets), calls = build(), []
+#         with pytest.MonkeyPatch.context() as m:
+#             m.setattr(UtilityOracle, "values", lambda o, sets: calls.append(list(sets)) or values(o, calls[-1]))
+#             serve_datasets(m, datasets)
+#             run_experiment(cfg)
+#         digests[case] = values_digest(calls)
+#     (GOLDEN / "values_calls.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+#     EOF
 TRAFFIC_CASES = {
     "svexp": lambda: (ExperimentConfig.from_json(GOLDEN / "svexp_config.json"), None),
     "mc": lambda: (ExperimentConfig.from_json(GOLDEN / "mc_config.json"), None),
@@ -700,7 +719,7 @@ class TestWindows:
         race, races = harness._Request.race, []
 
         def spy(req, moved):
-            sent, scored = len(values_calls), set(req.table)
+            sent, scored = len(values_calls), set(req.route.table)
             pick = race(req, moved)
             races.append((req, frozenset(moved), scored, values_calls[sent:]))
             return pick
@@ -849,9 +868,10 @@ class TestRunErrors:
             )
 
     def test_grid_pair_mode_needs_group_allocation(self):
-        cfg = ExperimentConfig.from_json(base_config(pair={"mode": "grid"}))
-        with pytest.raises(MalformedInput):
-            run_experiment(cfg)
+        for allocation in (base_config()["allocation"], {"kind": "zipfian", "grid": True, "k_max": 1}):
+            cfg = ExperimentConfig.from_json(base_config(pair={"mode": "grid"}, allocation=allocation))
+            with pytest.raises(MalformedInput, match='pair mode "grid" needs a natural or vertical allocation'):
+                run_experiment(cfg)
 
 
 class TestLoadPartition:
@@ -888,6 +908,25 @@ class TestBenchmarkContract:
         assert {("shapcf.harness", "explain"), ("shapcf.harness", "is_flipped"),
                 ("shapcf.explain", "diff_shapley_exact")} <= names
         assert sum(span.name == "explain.request" for span in tracer.spans) == 4
+
+    def test_the_sampled_route_fires_its_traced_names(self):
+        # 10 owners: the engines' checks and races sample through explain.is_flipped and explain.thompson_top1.
+        path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            run_experiment(ExperimentConfig.from_json(base_config(
+                utility={"kind": "additive", "weights": {str(e): 1.0 for e in range(40)}},
+                engines=["mc", "svexp"], n_owners=10, allocation={"kind": "uniform", "size_range": [2, 2]},
+                sampling={"check_budget": 640, "pair_budget": 320, "arm_budget": 320, "bandit_budget": 1280},
+            )))
+        finally:
+            tracer.close()
+        names = [span.name for span in tracer.spans]
+        assert names.count("shapley.is_flipped") > 0 and names.count("power.thompson_top1") > 0
 
     def test_dispatch_gets_the_pair_positionally_with_a_over_b(self, monkeypatch):
         calls = []
