@@ -21,6 +21,7 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .core import (
     SizeOverflow,
     check_values,
     is_integer,
+    is_number,
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, read_json, split_dataset
@@ -62,6 +64,7 @@ _INTEGER: Rule = ("an integer", is_integer)
 # Allocation keys and the values they accept; the generators check the ranges.
 _ALLOCATION_RULES: dict[str, Rule] = {
     "a": _INTEGER,
+    "grid": ("true or false", lambda v: isinstance(v, bool)),
     "k1": _INTEGER,
     "k2": _INTEGER,
     "k_max": _AT_LEAST_0,
@@ -71,6 +74,11 @@ _ALLOCATION_RULES: dict[str, Rule] = {
         or isinstance(v, (list, tuple)) and len(v) == 2 and all(is_integer(x) for x in v),
     ),
 }
+_OBJECT: Rule = ("a JSON object", lambda v: isinstance(v, dict))
+_PATH: Rule = ("a path", lambda v: v is None or isinstance(v, str))
+
+# gen_zipfian's default largest exponent; a zipfian grid without k_max spans it too.
+_K_MAX = 4
 
 
 def _draw_rows(pool: Sequence[int], size: int, rng: np.random.Generator) -> frozenset[int]:
@@ -79,28 +87,19 @@ def _draw_rows(pool: Sequence[int], size: int, rng: np.random.Generator) -> froz
 
 
 def gen_uniform(
-    dataset: Dataset,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    size_range: tuple[int, int] | None = None,
-) -> OwnerPartition:
-    """n owners with independently drawn row sets of uniform random size.
-
-    Sizes are uniform on [lo, hi] (defaults to [1, row count]); each owner's
-    rows are drawn without replacement from the full dataset independently of
-    the other owners, so owners may overlap.
-    """
-    return _uniform_from_pool(range(len(dataset)), n, rng, size_range=size_range)
-
-
-def _uniform_from_pool(
     pool: Sequence[int],
     n: int,
     rng: np.random.Generator,
     *,
     size_range: tuple[int, int] | None = None,
 ) -> OwnerPartition:
+    """n owners with independently drawn entry sets of uniform random size.
+
+    Sizes are uniform on [lo, hi] (defaults to [1, len(pool)]); each owner's
+    entries are drawn without replacement from the pool of entry ids (a
+    dataset's rows are range(len(dataset))) independently of the other
+    owners, so owners may overlap.
+    """
     m = len(pool)
     lo, hi = size_range if size_range is not None else (1, m)
     if not 1 <= lo <= hi:
@@ -115,33 +114,21 @@ def _uniform_from_pool(
 
 
 def gen_zipfian(
-    dataset: Dataset,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    a: int = 3,
-    k1: int,
-    k2: int,
-    k_max: int = 4,
-) -> OwnerPartition:
-    """Power-law owner sizes a^k with a designated pair A (a^k1) and B (a^k2).
-
-    Filler owners draw their exponent uniformly from {0..k_max}. Sizes beyond
-    the dataset raise SizeOverflow.
-    """
-    return _zipfian_from_pool(range(len(dataset)), n, rng, a=a, k1=k1, k2=k2, k_max=k_max)
-
-
-def _zipfian_from_pool(
     pool: Sequence[int],
     n: int,
     rng: np.random.Generator,
     *,
-    a: int,
-    k1: int,
-    k2: int,
-    k_max: int,
+    a: int = 3,
+    k1: int = 0,
+    k2: int = 0,
+    k_max: int = _K_MAX,
 ) -> OwnerPartition:
+    """Power-law owner sizes a^k with a designated pair A (a^k1) and B (a^k2).
+
+    Entries are drawn from the pool of entry ids, as in gen_uniform. Filler
+    owners draw their exponent uniformly from {0..k_max}. Sizes beyond the
+    pool raise SizeOverflow.
+    """
     if n < 2:
         raise MalformedInput(f"need at least 2 owners, got {n}")
     if min(k1, k2, k_max) < 0 or max(k1, k2) > k_max:
@@ -156,6 +143,10 @@ def _zipfian_from_pool(
         k = int(rng.integers(0, k_max + 1))
         owners[f"O{i}"] = _draw_rows(pool, a ** k, rng)
     return OwnerPartition(owners)
+
+
+# Each generated allocation kind: its generator and the allocation keys it takes.
+_GENERATORS = {"uniform": (gen_uniform, ("size_range",)), "zipfian": (gen_zipfian, ("a", "k1", "k2", "k_max"))}
 
 
 def gen_natural(dataset: Dataset) -> OwnerPartition:
@@ -217,32 +208,25 @@ class ExperimentConfig:
         if not isinstance(source, dict):
             raise MalformedInput("experiment config must be a JSON object")
 
-        def get(key: str, cast=None, *default):
+        def get(key: str, rule: Rule | None = None, *default):
             if key not in source and not default:
                 raise MalformedInput(f"experiment config needs {key!r}")
             value = source.get(key, *default)
-            if cast is None:
-                return value
-            try:
-                return cast(value)
-            except (TypeError, ValueError):
-                raise MalformedInput(f"experiment config has a bad {key!r}: {value!r}") from None
+            if rule is not None and not rule[1](value):
+                raise MalformedInput(f"experiment config has a bad {key!r}: {value!r} (need {rule[0]})")
+            return value
 
-        utility = get("utility", dict)
+        utility = get("utility", _OBJECT)
         engines = get("engines")
-        allocation = get("allocation", dict)
+        allocation = get("allocation", _OBJECT)
         trials = get("trials")
         seed = get("seed")
         n_owners = source.get("n_owners", 2)
-        pair = get("pair", dict, {})
+        pair = get("pair", _OBJECT, {})
         if pair.get("mode") not in (None, *PAIR_MODES):
             raise MalformedInput(
                 f"unknown pair mode {pair['mode']!r}; expected one of {list(PAIR_MODES)}"
             )
-        for key in ("data", "test_data"):
-            path = source.get(key)
-            if path is not None and not isinstance(path, str):
-                raise MalformedInput(f"experiment config has a bad {key!r}: {path!r} (need a path)")
         if not isinstance(engines, (list, tuple)) or not engines:
             raise MalformedInput(f"experiment config's 'engines' must be a non-empty list, got {engines!r}")
         unknown = [e for e in engines if not isinstance(e, str) or e not in ENGINES]
@@ -262,17 +246,17 @@ class ExperimentConfig:
             ],
         )
         return cls(
-            utility=utility,
+            utility=dict(utility),
             engines=tuple(engines),
             n_owners=n_owners,
-            allocation=allocation,
+            allocation=dict(allocation),
             trials=trials,
             seed=seed,
-            data=source.get("data"),
-            test_data=source.get("test_data"),
-            test_ratio=get("test_ratio", float, 0.2),
-            pair=pair,
-            sampling=get("sampling", dict, {}),
+            data=get("data", _PATH, None),
+            test_data=get("test_data", _PATH, None),
+            test_ratio=float(get("test_ratio", ("a number", is_number), 0.2)),
+            pair=dict(pair),
+            sampling=dict(get("sampling", _OBJECT, {})),
         )
 
     def explain_config(self) -> ExplainConfig:
@@ -367,28 +351,17 @@ def _synthetic_pool(oracle) -> list[int]:
 def _make_partition(
     cfg: ExperimentConfig,
     train: Dataset | None,
-    pool: list[int] | None,
+    pool: Sequence[int],
     rng: np.random.Generator | None,
     cell_params: dict,
 ) -> OwnerPartition:
     alloc = cfg.allocation
     kind = alloc.get("kind")
-    if kind == "uniform":
-        size_range = alloc.get("size_range")
-        size_range = tuple(size_range) if size_range else None
-        if train is not None:
-            return gen_uniform(train, cfg.n_owners, rng, size_range=size_range)
-        return _uniform_from_pool(pool, cfg.n_owners, rng, size_range=size_range)
-    if kind == "zipfian":
-        params = dict(
-            a=alloc.get("a", 3),
-            k1=cell_params.get("k1", alloc.get("k1", 0)),
-            k2=cell_params.get("k2", alloc.get("k2", 0)),
-            k_max=alloc.get("k_max", 4),
-        )
-        if train is not None:
-            return gen_zipfian(train, cfg.n_owners, rng, **params)
-        return _zipfian_from_pool(pool, cfg.n_owners, rng, **params)
+    if kind in _GENERATORS:
+        generate, keys = _GENERATORS[kind]
+        # A zipfian grid cell's k1 and k2 stand in for the allocation's.
+        params = {key: alloc[key] for key in keys if key in alloc} | cell_params
+        return generate(pool, cfg.n_owners, rng, **params)
     if kind == "natural":
         if train is None:
             raise MalformedInput("natural allocation needs a data file")
@@ -403,22 +376,34 @@ def _make_partition(
     raise MalformedInput(f"unknown allocation kind {kind!r}")
 
 
-def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: list[int] | None) -> list[tuple[str, dict]]:
-    """Grid cells: (label, params). A single anonymous cell when not gridded."""
+class _Cell(NamedTuple):
+    """One grid cell: its trial label, its allocation or pair parameters, its table position."""
+
+    label: str
+    params: dict
+    row: int
+    col: int
+
+
+def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: Sequence[int]) -> tuple[list[_Cell], list[str] | None]:
+    """The grid's cells and its axis labels (rows and columns alike); one anonymous cell when not gridded."""
     alloc = cfg.allocation
     if cfg.pair.get("mode") == "grid":
         if alloc.get("kind") not in ("natural", "vertical"):
             raise MalformedInput('pair mode "grid" needs a natural or vertical allocation')
         ids = _make_partition(cfg, train, pool, None, {}).owner_ids()
-        return [(f"{a}->{b}", {"a": a, "b": b}) for a in ids for b in ids if a != b]
-    if alloc.get("kind") == "zipfian" and alloc.get("grid"):
-        k_max = alloc.get("k_max", 4)
-        return [
-            (f"k{k1}-k{k2}", {"k1": k1, "k2": k2})
-            for k1 in range(k_max + 1)
-            for k2 in range(k_max + 1)
+        cells = [
+            _Cell(f"{a}->{b}", {"a": a, "b": b}, i, j)
+            for i, a in enumerate(ids)
+            for j, b in enumerate(ids)
+            if a != b
         ]
-    return [("", {})]
+        return cells, list(ids)
+    if alloc.get("kind") == "zipfian" and alloc.get("grid"):
+        ks = range(alloc.get("k_max", _K_MAX) + 1)
+        cells = [_Cell(f"k{k1}-k{k2}", {"k1": k1, "k2": k2}, k1, k2) for k1 in ks for k2 in ks]
+        return cells, [f"k{k}" for k in ks]
+    return [_Cell("", {}, 0, 0)], None
 
 
 def _select_pairs(
@@ -482,10 +467,10 @@ def _run_cell(
     cfg: ExperimentConfig,
     ecfg: ExplainConfig,
     train: Dataset | None,
-    pool: list[int] | None,
+    pool: Sequence[int],
     oracle,
     cell_idx: int,
-    cell: tuple[str, dict],
+    cell: _Cell,
     served: list[OwnerPartition],
 ) -> tuple[list[TrialRecord], list[OwnerPartition]]:
     """The cell's trials, and the partitions the oracle's memo now serves.
@@ -499,11 +484,10 @@ def _run_cell(
     every trial and cell and keep their memo. So with drawn partitions it
     never holds more than one window's sets.
     """
-    label, params = cell
     records: list[TrialRecord] = []
 
     def partition_of(trial: int) -> OwnerPartition:
-        return _make_partition(cfg, train, pool, spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial), params)
+        return _make_partition(cfg, train, pool, spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial), cell.params)
 
     if not cfg.trials:
         return records, served
@@ -516,7 +500,7 @@ def _run_cell(
             oracle.clear_cache()
             served = partitions
         rngs = [spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial) for trial in trials]
-        pairs = _select_pairs(partitions, oracle, rngs, cfg, ecfg, params, openings=width > 1)
+        pairs = _select_pairs(partitions, oracle, rngs, cfg, ecfg, cell.params, openings=width > 1)
         for trial, partition, pair in zip(trials, partitions, pairs):
             for eng_idx, engine in enumerate(cfg.engines):
                 rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
@@ -526,7 +510,7 @@ def _run_cell(
                 )
                 records.append(
                     TrialRecord(
-                        cell=label,
+                        cell=cell.label,
                         trial=trial,
                         engine=engine,
                         a=pair.a,
@@ -552,52 +536,39 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     train, test = _load_data(cfg)
     oracle = make_oracle(cfg.utility, train, test)
     ecfg = cfg.explain_config()
-    pool = None if train is not None else _synthetic_pool(oracle)
-    cells = _cells(cfg, train, pool)
+    pool = range(len(train)) if train is not None else _synthetic_pool(oracle)
+    cells, axis = _cells(cfg, train, pool)
     records: list[TrialRecord] = []
     served: list[OwnerPartition] = []
     for i, cell in enumerate(cells):
         cell_records, served = _run_cell(cfg, ecfg, train, pool, oracle, i, cell, served)
         records += cell_records
 
-    grids, axes = _build_grids(cfg, records, cells)
+    grids, axes = _build_grids(cfg.engines, records, cells, axis)
     summary = summarize(cfg, records, grids, axes)
     return ExperimentResult(config=cfg, records=records, summary=summary, grids=grids, grid_axes=axes)
 
 
 def _build_grids(
-    cfg: ExperimentConfig, records: list[TrialRecord], cells: list[tuple[str, dict]]
+    engines: Sequence[str], records: list[TrialRecord], cells: list[_Cell], axis: list[str] | None
 ) -> tuple[dict, tuple[list[str], list[str]] | None]:
-    if len(cells) < 2:
+    """Per engine, the mean success size and the success rate of each cell, at its position."""
+    if axis is None or len(cells) < 2:
         return {}, None
-    zipf_grid = cfg.allocation.get("kind") == "zipfian" and cfg.allocation.get("grid")
-    if zipf_grid:
-        k_max = cfg.allocation.get("k_max", 4)
-        rows = [f"k{k}" for k in range(k_max + 1)]
-        cols = list(rows)
-    else:
-        ids = sorted({p["a"] for _, p in cells} | {p["b"] for _, p in cells})
-        rows, cols = list(ids), list(ids)
-    grids: dict[str, dict[str, list[list[float | None]]]] = {}
     by_cell: dict[tuple[str, str], list[TrialRecord]] = {}
     for rec in records:
         by_cell.setdefault((rec.cell, rec.engine), []).append(rec)
-    for engine in cfg.engines:
-        size_grid: list[list[float | None]] = []
-        rate_grid: list[list[float | None]] = []
-        for r in rows:
-            size_row: list[float | None] = []
-            rate_row: list[float | None] = []
-            for c in cols:
-                cell_label = f"{r}-{c}" if zipf_grid else f"{r}->{c}"
-                recs = by_cell.get((cell_label, engine), [])
-                sizes = [x.size for x in recs if x.status == "ok" and x.success]
-                size_row.append(float(np.mean(sizes)) if sizes else None)
-                rate_row.append(success_rate([(x.status, x.success, x.timed_out) for x in recs]))
-            size_grid.append(size_row)
-            rate_grid.append(rate_row)
+    grids: dict[str, dict[str, list[list[float | None]]]] = {}
+    for engine in engines:
+        size_grid: list[list[float | None]] = [[None] * len(axis) for _ in axis]
+        rate_grid: list[list[float | None]] = [[None] * len(axis) for _ in axis]
+        for cell in cells:
+            recs = by_cell.get((cell.label, engine), [])
+            sizes = [x.size for x in recs if x.status == "ok" and x.success]
+            size_grid[cell.row][cell.col] = float(np.mean(sizes)) if sizes else None
+            rate_grid[cell.row][cell.col] = success_rate([(x.status, x.success, x.timed_out) for x in recs])
         grids[engine] = {"size": size_grid, "success": rate_grid}
-    return grids, (rows, cols)
+    return grids, (axis, axis)
 
 
 def summarize(
@@ -622,22 +593,16 @@ def summarize(
             "sizes": size_stats([r.size for r in succ]),
             "mean_samples": float(np.mean([r.samples_used for r in recs])) if recs else None,
         }
-    agreement: dict[str, float | None] = {}
-    by_key: dict[tuple[str, int, str], TrialRecord] = {
-        (r.cell, r.trial, r.engine): r for r in records
+    # Each (cell, trial)'s successful explanations, by engine, in record order.
+    found: dict[tuple[str, int], dict[str, tuple[int, ...]]] = {}
+    for r in records:
+        if r.status == "ok" and r.success:
+            found.setdefault((r.cell, r.trial), {})[r.engine] = r.delta_entries
+    agreement = {
+        f"{e1}|{e2}": mean_jaccard([(by[e1], by[e2]) for by in found.values() if e1 in by and e2 in by])
+        for i, e1 in enumerate(cfg.engines)
+        for e2 in cfg.engines[i + 1:]
     }
-    for i, e1 in enumerate(cfg.engines):
-        for e2 in cfg.engines[i + 1:]:
-            pairs = []
-            for (cell, trial, eng), r1 in by_key.items():
-                if eng != e1:
-                    continue
-                r2 = by_key.get((cell, trial, e2))
-                if r2 is None:
-                    continue
-                if r1.status == "ok" and r1.success and r2.status == "ok" and r2.success:
-                    pairs.append((r1.delta_entries, r2.delta_entries))
-            agreement[f"{e1}|{e2}"] = mean_jaccard(pairs)
     return {
         "engines": engines,
         "agreement": agreement,

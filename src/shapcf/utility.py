@@ -795,7 +795,14 @@ _KIND_ALIASES = {
     "linear-regression": "linear-regression",
 }
 
-DATA_BACKED_KINDS = frozenset({"kde", "logistic-regression", "linear-regression"})
+# Each data-backed kind: its oracle and the config keys it takes; the oracle
+# holds the defaults of the keys a config leaves out.
+_DATA_BACKED = {
+    "kde": (KdeUtility, ("eta", "bandwidth_floor", "error_cap", "reference", "axis")),
+    "logistic-regression": (LogRegUtility, ("eta", "iters", "lr", "l2", "axis")),
+    "linear-regression": (LinRegUtility, ("eta", "axis")),
+}
+DATA_BACKED_KINDS = frozenset(_DATA_BACKED)
 
 
 def normalize_kind(kind: str) -> str:
@@ -860,28 +867,6 @@ def make_oracle(
         return SetCoverUtility(game, cache=cache)
     if train is None or test is None:
         raise MalformedInput(f"utility kind {kind!r} needs train and test datasets")
-    axis = inner.get("axis", "rows")
-    if kind == "kde":
-        return KdeUtility(
-            train,
-            test,
-            eta=inner.get("eta"),
-            bandwidth_floor=inner.get("bandwidth_floor", 1e-3),
-            error_cap=inner.get("error_cap", 100.0),
-            reference=inner.get("reference", "pool"),
-            axis=axis,
-            cache=cache,
-        )
-    if kind == "logistic-regression":
-        return LogRegUtility(
-            train,
-            test,
-            eta=inner.get("eta", 20.0),
-            iters=inner.get("iters", 200),
-            lr=inner.get("lr", 0.5),
-            l2=inner.get("l2", 1e-3),
-            axis=axis,
-            cache=cache,
-        )
-    return LinRegUtility(train, test, eta=inner.get("eta"), axis=axis, cache=cache)
+    oracle, keys = _DATA_BACKED[kind]
+    return oracle(train, test, **{key: inner[key] for key in keys if key in inner}, cache=cache)
 

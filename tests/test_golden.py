@@ -15,6 +15,10 @@ svexp and mc have 5 and 6 owners, so their flip checks and races are exact
 sample, and pin the sampled path's draws. three_engines_large runs bf, mc
 and svexp on the same 10-owner drawn pairs, one of them swapped: bf's own
 exact precondition check next to the sampled pair check mc and svexp share.
+grid_vertical (a pair grid over logreg_data.csv's three feature columns)
+and grid_zipfian (a zipfian size grid over additive weights, with three
+engines) pin the grid layout: every written file but timings.json,
+the pairwise_*.csv tables included.
 
 To regenerate after a deliberate change of outputs, from the repository root:
 
@@ -23,6 +27,12 @@ To regenerate after a deliberate change of outputs, from the repository root:
         PYTHONPATH=../../../src python -m shapcf.cli experiment \
             --config ${name}_config.json --out /tmp/golden-$name
         cp /tmp/golden-$name/trials.csv /tmp/golden-$name/summary.json $name/
+    done
+    for name in grid_vertical grid_zipfian; do
+        PYTHONPATH=../../../src python -m shapcf.cli experiment \
+            --config ${name}_config.json --out /tmp/golden-$name
+        cp /tmp/golden-$name/trials.csv /tmp/golden-$name/summary.json \
+            /tmp/golden-$name/pairwise_*.csv $name/
     done
     PYTHONPATH=../../../src python -m shapcf.cli shapley --mc --budget 3000 \
         --seed 7 --partition shapley_partition.json \
@@ -55,6 +65,20 @@ def test_experiment_outputs_match_golden(name, tmp_path, monkeypatch):
     )
     assert res.exit_code == 0, res.output
     for artifact in ("trials.csv", "summary.json"):
+        assert (out / artifact).read_bytes() == (GOLDEN / name / artifact).read_bytes(), artifact
+
+
+@pytest.mark.parametrize("name", ["grid_vertical", "grid_zipfian"])
+def test_grid_outputs_match_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / name
+    res = CliRunner().invoke(
+        main, ["experiment", "--config", str(GOLDEN / f"{name}_config.json"), "--out", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    written = sorted(p.name for p in out.iterdir() if p.name != "timings.json")
+    assert written == sorted(p.name for p in (GOLDEN / name).iterdir())
+    for artifact in written:
         assert (out / artifact).read_bytes() == (GOLDEN / name / artifact).read_bytes(), artifact
 
 

@@ -40,8 +40,8 @@ VERTICAL_GROUPS = {
 
 class TestUniformAllocation:
     def test_bounds_names_and_membership(self):
-        data = make_blobs(30, seed=1)
-        p = gen_uniform(data, 4, spawn_rng(0, 1), size_range=(2, 5))
+        rows = range(30)
+        p = gen_uniform(rows, 4, spawn_rng(0, 1), size_range=(2, 5))
         assert p.owner_ids() == ("O0", "O1", "O2", "O3")
         for o in p.owner_ids():
             ents = p.entries(o)
@@ -49,11 +49,11 @@ class TestUniformAllocation:
             assert all(0 <= e < 30 for e in ents)
 
     def test_default_range_spans_all_rows(self):
-        data = make_blobs(455, seed=2)
+        rows = range(455)
         sizes = []
         rng = spawn_rng(3, 1)
         for _ in range(1000):
-            p = gen_uniform(data, 2, rng)
+            p = gen_uniform(rows, 2, rng)
             sizes += [len(p.entries(o)) for o in p.owner_ids()]
         assert min(sizes) >= 1 and max(sizes) <= 455
         # Uniform sizes on [1, 455]: the sample mean stays within 4 standard
@@ -62,25 +62,25 @@ class TestUniformAllocation:
         assert abs(np.mean(sizes) - 228.0) <= 4 * se
 
     def test_deterministic_per_seed(self):
-        data = make_blobs(30, seed=1)
-        p1 = gen_uniform(data, 3, spawn_rng(7, 0), size_range=(1, 10))
-        p2 = gen_uniform(data, 3, spawn_rng(7, 0), size_range=(1, 10))
+        rows = range(30)
+        p1 = gen_uniform(rows, 3, spawn_rng(7, 0), size_range=(1, 10))
+        p2 = gen_uniform(rows, 3, spawn_rng(7, 0), size_range=(1, 10))
         assert p1 == p2
 
     def test_overflow_and_bad_ranges(self):
-        data = make_blobs(30, seed=1)
+        rows = range(30)
         with pytest.raises(SizeOverflow):
-            gen_uniform(data, 2, spawn_rng(0), size_range=(1, 31))
+            gen_uniform(rows, 2, spawn_rng(0), size_range=(1, 31))
         with pytest.raises(MalformedInput):
-            gen_uniform(data, 2, spawn_rng(0), size_range=(0, 5))
+            gen_uniform(rows, 2, spawn_rng(0), size_range=(0, 5))
         with pytest.raises(MalformedInput):
-            gen_uniform(data, 2, spawn_rng(0), size_range=(4, 2))
+            gen_uniform(rows, 2, spawn_rng(0), size_range=(4, 2))
 
 
 class TestZipfianAllocation:
     def test_designated_and_filler_sizes(self):
-        data = make_blobs(100, seed=4)
-        p = gen_zipfian(data, 5, spawn_rng(1, 0), a=3, k1=2, k2=0, k_max=4)
+        rows = range(100)
+        p = gen_zipfian(rows, 5, spawn_rng(1, 0), a=3, k1=2, k2=0, k_max=4)
         assert len(p.entries("A")) == 9
         assert len(p.entries("B")) == 1
         fillers = [o for o in p.owner_ids() if o not in ("A", "B")]
@@ -88,25 +88,25 @@ class TestZipfianAllocation:
         assert all(len(p.entries(o)) in (1, 3, 9, 27, 81) for o in fillers)
 
     def test_deterministic_per_seed(self):
-        data = make_blobs(100, seed=4)
+        rows = range(100)
         kw = dict(a=2, k1=3, k2=1, k_max=5)
-        assert gen_zipfian(data, 4, spawn_rng(2, 0), **kw) == gen_zipfian(
-            data, 4, spawn_rng(2, 0), **kw
+        assert gen_zipfian(rows, 4, spawn_rng(2, 0), **kw) == gen_zipfian(
+            rows, 4, spawn_rng(2, 0), **kw
         )
 
     def test_overflow_when_largest_owner_exceeds_rows(self):
-        data = make_blobs(50, seed=4)
+        rows = range(50)
         with pytest.raises(SizeOverflow):
-            gen_zipfian(data, 3, spawn_rng(0), a=3, k1=1, k2=1, k_max=4)
+            gen_zipfian(rows, 3, spawn_rng(0), a=3, k1=1, k2=1, k_max=4)
 
     def test_bad_parameters(self):
-        data = make_blobs(100, seed=4)
+        rows = range(100)
         with pytest.raises(MalformedInput):
-            gen_zipfian(data, 1, spawn_rng(0), a=3, k1=0, k2=0, k_max=2)
+            gen_zipfian(rows, 1, spawn_rng(0), a=3, k1=0, k2=0, k_max=2)
         with pytest.raises(MalformedInput):
-            gen_zipfian(data, 3, spawn_rng(0), a=3, k1=5, k2=0, k_max=2)
+            gen_zipfian(rows, 3, spawn_rng(0), a=3, k1=5, k2=0, k_max=2)
         with pytest.raises(MalformedInput):
-            gen_zipfian(data, 3, spawn_rng(0), a=1, k1=0, k2=0, k_max=2)
+            gen_zipfian(rows, 3, spawn_rng(0), a=1, k1=0, k2=0, k_max=2)
 
 
 class TestNaturalAllocation:
@@ -239,6 +239,28 @@ class TestExperimentConfig:
         ):
             with pytest.raises(MalformedInput):
                 ExperimentConfig.from_json(base_config(sampling=sampling)).explain_config()
+
+    def test_allocation_must_be_an_object(self):
+        pairs = [["kind", "zipfian"], ["a", 2], ["k1", 1], ["k2", 0], ["k_max", 2]]
+        with pytest.raises(MalformedInput, match="bad 'allocation'"):
+            ExperimentConfig.from_json(base_config(allocation=pairs))
+
+    def test_sampling_must_be_an_object(self):
+        with pytest.raises(MalformedInput, match="bad 'sampling'"):
+            ExperimentConfig.from_json(base_config(sampling=[["check_budget", 10]]))
+
+    def test_test_ratio_must_be_a_number(self):
+        with pytest.raises(MalformedInput, match="bad 'test_ratio'"):
+            ExperimentConfig.from_json(base_config(test_ratio="0.25"))
+
+    def test_grid_must_be_a_boolean(self):
+        zipfian = {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 2}
+        for grid in ("false", 1):
+            with pytest.raises(MalformedInput, match="allocation grid="):
+                ExperimentConfig.from_json(base_config(allocation={**zipfian, "grid": grid}))
+        result = run_experiment(ExperimentConfig.from_json(base_config(allocation={**zipfian, "grid": False})))
+        assert {r.cell for r in result.records} == {""}
+        assert result.grid_axes is None
 
     def test_engines_must_be_a_list_of_distinct_names(self):
         # a string is not a list of its letters, a mapping not a list of its keys,
