@@ -74,6 +74,9 @@ _ALLOCATION_RULES: dict[str, Rule] = {
         or isinstance(v, (list, tuple)) and len(v) == 2 and all(is_integer(x) for x in v),
     ),
 }
+# Every allocation key: the ruled ones, the kind and the natural and vertical groupings.
+_ALLOCATION_KEYS = frozenset({"kind", "group", "groups", *_ALLOCATION_RULES})
+_PAIR_KEYS = frozenset({"mode", "a", "b"})
 _OBJECT: Rule = ("a JSON object", lambda v: isinstance(v, dict))
 _PATH: Rule = ("a path", lambda v: v is None or isinstance(v, str))
 
@@ -216,13 +219,21 @@ class ExperimentConfig:
                 raise MalformedInput(f"experiment config has a bad {key!r}: {value!r} (need {rule[0]})")
             return value
 
+        def known(section: str, obj: dict, keys) -> None:
+            stray = set(obj) - set(keys)
+            if stray:
+                raise MalformedInput(f"unknown {section} keys {sorted(stray, key=str)}")
+
+        known("experiment config", source, (f.name for f in fields(cls)))
         utility = get("utility", _OBJECT)
         engines = get("engines")
         allocation = get("allocation", _OBJECT)
+        known("allocation", allocation, _ALLOCATION_KEYS)
         trials = get("trials")
         seed = get("seed")
         n_owners = source.get("n_owners", 2)
         pair = get("pair", _OBJECT, {})
+        known("pair", pair, _PAIR_KEYS)
         if pair.get("mode") not in (None, *PAIR_MODES):
             raise MalformedInput(
                 f"unknown pair mode {pair['mode']!r}; expected one of {list(PAIR_MODES)}"
@@ -553,7 +564,7 @@ def _build_grids(
     engines: Sequence[str], records: list[TrialRecord], cells: list[_Cell], axis: list[str] | None
 ) -> tuple[dict, tuple[list[str], list[str]] | None]:
     """Per engine, the mean success size and the success rate of each cell, at its position."""
-    if axis is None or len(cells) < 2:
+    if axis is None:
         return {}, None
     by_cell: dict[tuple[str, str], list[TrialRecord]] = {}
     for rec in records:

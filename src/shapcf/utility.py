@@ -221,12 +221,15 @@ def _check_axis(axis: str) -> str:
 # values() call's sets are scored in stacks under it, and a larger set
 # alone. The logistic fit keeps three arrays of this size, 512 KB each, which
 # stay in cache: larger groups measured slower on sets of a thousand rows
-# and more. A KDE stack counts one (test x train x sets) array against the
-# cap, but the 2-D distance form and the log-sum-exp hold about three of that
-# size at once. So on sets of 200 train rows against 80 test points, stacks
-# of 4 and 18 sets took 421 and 407 us per set against 391 us one at a time.
-# kde-svexp's sets of 15-90 rows gain from stacking, so the cap stays. On KDE
-# inputs uncapped stacks raised peak memory by 8 %, and a 2^14 cap was slower.
+# and more. A KDE oracle keeps a workspace of two arrays of this size and
+# runs every stack in it, so a stack touches no fresh pages. With it, caps of
+# 2^15, 2^16 and 2^17 ran eight kde-svexp experiments in a median of 1.71,
+# 1.49 and 1.56 s (10 alternating rounds, quartile spreads 0.17-0.40 s, 2-core
+# box), a spread too wide to rank them, at a peak RSS of 40.2, 40.7 and
+# 41.9 MiB; so the cap stays. Against 80 test points a stack takes 0.3x,
+# 0.5-0.6x, 0.5-0.75x and 0.8-0.9x the time per set of scoring its sets one
+# by one, on sets of 20, 60, 120 and 200 train rows (best of 7 rounds of 20
+# calls).
 _STACK_ELEMENTS = 1 << 16
 
 
@@ -246,71 +249,9 @@ def _sum_order(test: np.ndarray, train: np.ndarray) -> str:
     return "F" if s_test is not None and s_train is not None and s_test < s_train else "C"
 
 
-def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sum_j ((test_ij - train_kj) / h_j)^2 for every (test i, train k) pair of each set.
-
-    test is (sets or 1, n_test, d), train (sets, n_train, d) and h
-    (sets, d). Each set's (n_test, n_train) slice is bitwise
-    `(z * z).sum(axis=2)` of its own (n_test, n_train, d) array z, laid out
-    as that sum is. Below 8 features numpy adds the short last axis as one
-    running sum in every layout, so the sum is built from one 2-D array per
-    feature, which skips the slow short-axis reduction. From 8 features
-    numpy sums pairwise with 8 accumulators, and the 3-D form is used. The
-    3-D form also takes any input that raises a floating-point error, so
-    numpy reports each error once under the caller's error state, not once
-    per feature.
-    """
-    d = test.shape[2]
-    if d < 8:
-        g, n_test, n = len(train), test.shape[1], train.shape[1]
-        # The slices' order, with the sets outermost.
-        c_order = _sum_order(test[0], train[0]) == "C"
-
-        def part(j: int) -> np.ndarray:
-            z = np.empty((g, n_test, n)) if c_order else np.empty((g, n, n_test)).transpose(0, 2, 1)
-            np.subtract(test[:, :, j, None], train[:, None, :, j], out=z)
-            z /= h[:, j, None, None]
-            z *= z
-            return z
-
-        try:
-            with np.errstate(all="raise"):
-                acc = part(0)
-                for j in range(1, d):
-                    acc += part(j)
-                return acc
-        except FloatingPointError:
-            pass
-    z = (test[:, :, None, :] - train[:, None, :, :]) / h[:, None, None, :]
-    return (z * z).sum(axis=3)
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=-1)) with scipy.special.logsumexp's arithmetic.
-
-    Same steps as scipy 1.17: shift by the row max with the tied maxima
-    (count m) taken out of the sum, log1p(s / m) + log(m) + max, and the
-    direct formula on rows whose max is not finite. `a` is overwritten.
-    """
-    a_max = a.max(axis=-1)
-    bad = ~np.isfinite(a_max)
-    direct = a[bad]
-    top = a == a_max[..., None]
-    m = np.count_nonzero(top, axis=-1).astype(a.dtype)
-    np.copyto(a, -np.inf, where=top)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a -= a_max[..., None]
-        np.exp(a, out=a)
-        s = a.sum(axis=-1)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-    if len(direct):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[bad] = np.log(np.exp(direct).sum(axis=1))
-    return out
-
-
-def _kde_log_density(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
+def _kde_log_density(
+    train: np.ndarray, test: np.ndarray, floor: float, work: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Log density of each test point under a product-Gaussian KDE of each set's train points.
 
     train is a (sets, n, d) stack and test a (sets or 1, n_test, d) one;
@@ -319,15 +260,93 @@ def _kde_log_density(train: np.ndarray, test: np.ndarray, floor: float) -> np.nd
     usable. Computed in log space throughout. Every reduction runs within
     one set, in the order it takes for that set alone, so a set's row has
     the same bits in any stack.
+
+    The log kernel of the whole stack is one (sets, n, n_test) block, test
+    points innermost, in work's first float array; its second holds each
+    feature's term, then the tie mask, then the transposed copy the sum
+    reads. A stack larger than work (or no work) gets one-off arrays.
     """
-    n, d = train.shape[1:]
+    g, n, d = train.shape
+    n_test = test.shape[1]
+    size = g * n * n_test
+    if work is None or len(work[0]) < size:
+        work = (np.empty(size), np.empty(size))
+    sq = work[0][:size].reshape(g, n, n_test)
     std = train.std(axis=1)
     h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
-    sq = _scaled_sq_dist(test, train, h)
+    _scaled_sq_dist(test, train, h, sq, work[1][:size].reshape(g, n, n_test))
     sq *= -0.5
     sq -= np.log(h).sum(axis=1)[:, None, None]
     sq -= 0.5 * d * _LOG_2PI
-    return _logsumexp_rows(sq) - math.log(n)
+    # numpy sums a set's log kernel along train points pairwise when they
+    # are its inner axis ("C") and one train row at a time when the test
+    # points are ("F").
+    return _logsumexp_train(sq, work[1], _sum_order(test[0], train[0]) == "C") - math.log(n)
+
+
+def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray, out: np.ndarray, z: np.ndarray) -> None:
+    """sum_j ((test_ij - train_kj) / h_j)^2 for every (train k, test i) pair of each set, into out.
+
+    test is (sets or 1, n_test, d), train (sets, n_train, d), h (sets, d)
+    and out and z (sets, n_train, n_test). Each value has the bits of
+    `(w * w).sum(axis=2)` for the set's own (n_test, n_train, d) array w.
+    Below 8 features numpy adds the short last axis as one running sum in
+    every layout, so the sum is built one feature at a time, each term in z,
+    with no short-axis reduction. From 8 features numpy sums pairwise with 8
+    accumulators, and the 3-D form is used. The 3-D form also takes any
+    input that raises a floating-point error, so numpy reports each error
+    once under the caller's error state, not once per feature.
+    """
+    d = test.shape[2]
+    if d < 8:
+        try:
+            with np.errstate(all="raise"):
+                for j in range(d):
+                    term = out if j == 0 else z
+                    np.subtract(test[:, None, :, j], train[:, :, None, j], out=term)
+                    term /= h[:, None, None, j]
+                    term *= term
+                    if j:
+                        out += z
+                return
+        except FloatingPointError:
+            pass
+    w = (test[:, :, None, :] - train[:, None, :, :]) / h[:, None, None, :]
+    np.copyto(out, (w * w).sum(axis=3).transpose(0, 2, 1))
+
+
+def _logsumexp_train(a: np.ndarray, spare: np.ndarray, pairwise: bool) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a (sets, n, n_test) block with scipy.special.logsumexp's arithmetic.
+
+    Same steps as scipy 1.17: shift by the max over train points with the
+    tied maxima (count m) taken out of the sum, log1p(s / m) + log(m) + max,
+    and the direct formula on test points whose max is not finite. The max
+    and the count are exact in any order; the sum runs pairwise over each
+    test point's contiguous train values (a transposed copy in spare) or
+    one train row at a time. `a` is overwritten; spare holds at least
+    a.size floats.
+    """
+    a_max = a.max(axis=1)
+    bad = ~np.isfinite(a_max)
+    direct = a.transpose(0, 2, 1)[bad]
+    top = np.equal(a, a_max[:, None, :], out=spare.view(np.bool_)[: a.size].reshape(a.shape))
+    m = np.count_nonzero(top, axis=1).astype(a.dtype)
+    np.copyto(a, -np.inf, where=top)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a -= a_max[:, None, :]
+        np.exp(a, out=a)
+        if pairwise:
+            rows = spare[: a.size].reshape(len(a), a.shape[2], a.shape[1])
+            np.copyto(rows, a.transpose(0, 2, 1))
+            s = rows.sum(axis=-1)
+        else:
+            s = a.sum(axis=1)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    if len(direct):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[bad] = np.log(np.exp(direct).sum(axis=1))
+    return out
 
 
 class KdeUtility(UtilityOracle):
@@ -341,7 +360,9 @@ class KdeUtility(UtilityOracle):
 
     The sets of one values() call are scored as stacks of equal-size sets,
     each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
-    set alone; a set's score is the same bits alone or in any batch.
+    set alone; a set's score is the same bits alone or in any batch. Every
+    stack runs in one workspace of two _STACK_ELEMENTS float arrays, made
+    at the first stack and kept; a larger set gets one-off arrays.
     """
 
     kind = "kde"
@@ -374,6 +395,7 @@ class KdeUtility(UtilityOracle):
         self.axis = _check_axis(axis)
         self.eta = float(eta) if eta is not None else len(test) * self.error_cap
         self._pool_cache: np.ndarray | None = None
+        self._work: tuple[np.ndarray, np.ndarray] | None = None
 
     def _pool_ids(self) -> frozenset[int]:
         if self.axis == "rows":
@@ -387,7 +409,9 @@ class KdeUtility(UtilityOracle):
             t = self.test.features[None]
         else:
             t = _restrict(self.test, ids_list, self.axis)
-        return _kde_log_density(x, t, self.floor)
+        if self._work is None:
+            self._work = (np.empty(_STACK_ELEMENTS), np.empty(_STACK_ELEMENTS))
+        return _kde_log_density(x, t, self.floor, self._work)
 
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
         by_size: dict[int, list[int]] = {}

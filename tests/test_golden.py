@@ -2,12 +2,13 @@
 
 tests/data/golden holds the inputs and the deterministic outputs of one small
 svexp experiment, one small mc experiment, one small bf experiment on a
-logistic-regression utility, one `shapcf shapley --mc` run and one
+logistic-regression utility, one small svexp experiment on a KDE utility
+(kde_data.csv), one `shapcf shapley --mc` run and one
 `shapcf shapley --exact` run on a logistic-regression utility over 7 owners
 (logreg_data.csv), which pins shapley_exact on a model oracle. A sampling
 rewrite that changes any draw, term or estimate, or a change to the batched
-logistic fit that changes a score's bits, shows up here as a byte
-difference, which the same-code rerun tests cannot see.
+logistic fit or the stacked KDE kernel that changes a score's bits, shows up
+here as a byte difference, which the same-code rerun tests cannot see.
 
 svexp and mc have 5 and 6 owners, so their flip checks and races are exact
 (explain.EXACT_PREFIXES); svexp_large and mc_large are the same configs at
@@ -23,7 +24,7 @@ the pairwise_*.csv tables included.
 To regenerate after a deliberate change of outputs, from the repository root:
 
     cd tests/data/golden
-    for name in svexp mc logreg svexp_large mc_large three_engines_large; do
+    for name in svexp mc logreg kde svexp_large mc_large three_engines_large; do
         PYTHONPATH=../../../src python -m shapcf.cli experiment \
             --config ${name}_config.json --out /tmp/golden-$name
         cp /tmp/golden-$name/trials.csv /tmp/golden-$name/summary.json $name/
@@ -56,7 +57,7 @@ from shapcf.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-@pytest.mark.parametrize("name", ["svexp", "mc", "logreg", "svexp_large", "mc_large", "three_engines_large"])
+@pytest.mark.parametrize("name", ["svexp", "mc", "logreg", "kde", "svexp_large", "mc_large", "three_engines_large"])
 def test_experiment_outputs_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN)  # the logreg config names its data file relative to it
     out = tmp_path / name

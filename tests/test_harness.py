@@ -239,6 +239,15 @@ class TestExperimentConfig:
         ):
             with pytest.raises(MalformedInput):
                 ExperimentConfig.from_json(base_config(sampling=sampling)).explain_config()
+        # A misspelt key is named, not run with its default.
+        for bad, key in (
+            ({"n_owner": 5}, "n_owner"),
+            ({"allocation": {"kind": "uniform", "sise_range": [1, 2]}}, "sise_range"),
+            ({"allocation": {**zipfian, "kmax": 2}}, "kmax"),
+            ({"pair": {"mode": "designated", "a": "O0", "B": "O1"}}, "B"),
+        ):
+            with pytest.raises(MalformedInput, match=f"unknown .*keys \\['{key}'\\]"):
+                ExperimentConfig.from_json(base_config(**bad))
 
     def test_allocation_must_be_an_object(self):
         pairs = [["kind", "zipfian"], ["a", 2], ["k1", 1], ["k2", 0], ["k_max", 2]]
@@ -386,13 +395,13 @@ class TestRunExperiment:
         assert "runtime" not in json.dumps(summary)
 
 
-def zipf_grid_config(trials=2):
+def zipf_grid_config(trials=2, k_max=2):
     return ExperimentConfig.from_json(
         {
             "utility": {"kind": "additive", "weights": {str(i): 1.0 + i for i in range(8)}},
             "engines": ["bf"],
             "n_owners": 3,
-            "allocation": {"kind": "zipfian", "a": 2, "k_max": 2, "grid": True},
+            "allocation": {"kind": "zipfian", "a": 2, "k_max": k_max, "grid": True},
             "trials": trials,
             "seed": 23,
         }
@@ -417,6 +426,18 @@ class TestGridRuns:
         assert rows[0] == ["", "k0", "k1", "k2"]
         assert [r[0] for r in rows[1:]] == ["k0", "k1", "k2"]
         assert len(paths) == 5
+
+    def test_one_cell_zipfian_grid_writes_its_tables(self, tmp_path):
+        result = run_experiment(zipf_grid_config(k_max=0))
+        assert {r.cell for r in result.records} == {"k0-k0"}
+        assert result.grid_axes == (["k0"], ["k0"])
+        assert result.summary["pairwise"]["tables"] == result.grids
+        assert [len(t) for t in result.grids["bf"].values()] == [1, 1]
+        assert len(write_outputs(result, tmp_path)) == 5
+        for name in ("size", "success"):
+            with (tmp_path / f"pairwise_bf_{name}.csv").open() as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["", "k0"] and len(rows) == 2 and rows[1][0] == "k0"
 
     def test_grid_pair_mode_on_natural_allocation(self, booking_dataset, monkeypatch):
         # Three months, each with one heavy row (its first), later months

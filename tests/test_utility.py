@@ -452,9 +452,9 @@ class TestKdeBatch:
         kernel = utility._kde_log_density
         stacks = []
 
-        def spy(x, t, floor):
+        def spy(x, t, floor, work):
             stacks.append(x.shape[:2])  # (sets, train points)
-            return kernel(x, t, floor)
+            return kernel(x, t, floor, work)
 
         monkeypatch.setattr(utility, "_kde_log_density", spy)
         whole = bare._score_many(sets)
@@ -467,6 +467,47 @@ class TestKdeBatch:
             # (sets, test points, train points) under the cap, or one set alone
             assert all(g == 1 or g * len(test) * n <= cap for g, n in stacks)
             assert len(stacks) == len(sets) if cap == 1 else any(g > 1 for g, _ in stacks)
+
+
+class TestKdeWorkspace:
+    @pytest.mark.parametrize("reference", ["pool", "nll"])
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    def test_reused_workspace_leaves_every_bit(self, axis, reference, monkeypatch):
+        # Rows: stacks of up to 6 sets of 5 rows against 15 test points. Features:
+        # every set spans all 40 rows, so stacks of up to 3 sets.
+        cap = 450 if axis == "rows" else 1800
+        monkeypatch.setattr(utility, "_STACK_ELEMENTS", cap)
+        train, test = kde_tables(5, 90, axis)
+        rng = np.random.default_rng(91)
+
+        def oracle():
+            # A zero floor: a set with a zero bandwidth takes the 3-D form.
+            return KdeUtility(train, test, axis=axis, reference=reference, bandwidth_floor=0.0, eta=0.0)
+
+        def draw(size, count, pool):
+            return [frozenset(rng.choice(pool, size=size, replace=False).tolist()) for _ in range(count)]
+
+        if axis == "rows":
+            calls = [
+                draw(5, 6, 40),  # a full stack
+                draw(3, 2, np.arange(8, 40)),  # a smaller one
+                draw(36, 1, 40),  # one set above the cap
+                draw(3, 3, 8),  # a stack with a zero bandwidth
+            ]
+        else:
+            calls = [draw(2, 3, np.arange(1, 5)), draw(3, 2, np.arange(1, 5)), draw(2, 3, 5)]
+        every = [s for call in calls for s in call]
+        calls.append(every)  # stacks of each size again, after all the others
+        o = oracle()
+        with np.errstate(all="ignore"):
+            for call in calls:
+                assert bits(o._score_many(call)) == bits([oracle()._score_many([s])[0] for s in call])
+            # A stack larger than the workspace, once the cap no longer splits it.
+            monkeypatch.setattr(utility, "_STACK_ELEMENTS", 100 * cap)
+            assert bits(o._score_many(every)) == bits([oracle()._score_many([s])[0] for s in every])
+        held = [a for v in vars(o).values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        # The workspace, and the pool's density (n_test floats) in pool mode.
+        assert [a.size for a in held if a.size > len(test)] == [cap, cap]
 
 
 class TestLogReg:
