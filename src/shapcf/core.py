@@ -83,8 +83,8 @@ Rule = tuple[str, Callable[[object], bool]]
 COUNT_RULE: Rule = ("an integer >= 1", lambda v: is_integer(v) and v >= 1)
 
 
-def entry_ids(owner: OwnerId, ids: Iterable[object]) -> frozenset[EntryId]:
-    """`ids` as a frozenset of int entry ids; any other id raises MalformedInput."""
+def entry_ids(what: str, ids: Iterable[object]) -> frozenset[EntryId]:
+    """`ids` as a frozenset of int entry ids; any other id raises MalformedInput naming `what`."""
     ids = list(ids)
     types = set(map(type, ids))
     if types <= {int}:  # the common case, without a check per id
@@ -92,7 +92,7 @@ def entry_ids(owner: OwnerId, ids: Iterable[object]) -> frozenset[EntryId]:
     bad_types = {t for t in types if not issubclass(t, numbers.Integral) or issubclass(t, bool)}
     if bad_types:  # each distinct type is checked once, as is_integer would judge its ids
         bad = [e for e in ids if type(e) in bad_types]
-        raise MalformedInput(f"owner {owner!r}: entry ids must be integers, got {bad[:8]!r}")
+        raise MalformedInput(f"{what}: entry ids must be integers, got {bad[:8]!r}")
     return frozenset(map(int, ids))
 
 
@@ -122,7 +122,7 @@ class OwnerPartition:
     )
 
     def __post_init__(self) -> None:
-        normalized = {str(o): entry_ids(o, ents) for o, ents in self.owners.items()}
+        normalized = {str(o): entry_ids(f"owner {o!r}", ents) for o, ents in self.owners.items()}
         if len(normalized) < len(self.owners):
             names = [str(o) for o in self.owners]
             clashes = [o for o in self.owners if names.count(str(o)) > 1]
@@ -169,7 +169,7 @@ class Transfer:
     delta: frozenset[EntryId]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", entry_ids(self.source, self.delta))
+        object.__setattr__(self, "delta", entry_ids(f"owner {self.source!r}", self.delta))
         if self.source == self.target:
             raise SameOwner(f"transfer source and target are both {self.source!r}")
 

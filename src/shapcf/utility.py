@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import MalformedInput, NonFiniteScore, Rule, check_values, is_integer, is_number
+from .core import MalformedInput, NonFiniteScore, Rule, check_values, entry_ids, is_integer, is_number
 from .datasets import Dataset
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -62,6 +62,8 @@ class UtilityOracle:
         The counters move as one value() call per set would move them: calls
         by one per set, evals by one per distinct miss (with cache=False, per
         non-empty set). A set that occurs twice is scored once either way.
+        A set other than a frozenset is converted as an owner's entries are:
+        an id that is not an integer raises MalformedInput.
         """
         cache = self._cache
         known = cache if cache is not None else {}
@@ -70,7 +72,7 @@ class UtilityOracle:
         repeats: list[tuple[int, int]] = []  # later positions of a missed set
         for i, ids in enumerate(sets):
             if not isinstance(ids, frozenset):
-                ids = frozenset(int(e) for e in ids)
+                ids = entry_ids(f"{self.kind} utility", ids)
             hit = known.get(ids) if ids else 0.0
             if hit is None:
                 first = missing.setdefault(ids, i)
@@ -195,16 +197,20 @@ def _check_ids(idx: np.ndarray, limit: int, axis: str) -> None:
         raise MalformedInput(f"{'row' if axis == 'rows' else 'feature'} ids out of range [0, {limit})")
 
 
-def _restrict(dataset: Dataset, ids_list: list[frozenset[int]], axis: str) -> np.ndarray:
-    """The rows or columns named by each of several equal-size sets, stacked.
-
-    A (sets, rows, columns) array; each set's ids are taken in ascending
-    order for determinism. Every slice has the layout that indexing with
-    that set alone gives: C order for a row subset, F order for a column
-    subset of a C-ordered table.
-    """
+def _stack_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> np.ndarray:
+    """The (sets, size) ids of several equal-size sets, each row ascending, checked to lie in [0, limit)."""
     idx = np.array([sorted(ids) for ids in ids_list], dtype=np.intp)
-    _check_ids(idx, len(dataset) if axis == "rows" else dataset.n_features, axis)
+    _check_ids(idx, limit, axis)
+    return idx
+
+
+def _restrict(dataset: Dataset, idx: np.ndarray, axis: str) -> np.ndarray:
+    """The rows or columns named by each row of idx (see _stack_ids), stacked.
+
+    A (sets, rows, columns) array. Every slice has the layout that indexing
+    with that set alone gives: C order for a row subset, F order for a
+    column subset of a C-ordered table.
+    """
     if axis == "rows":
         return dataset.features[idx]
     return np.moveaxis(dataset.features[:, idx], 0, 1)
@@ -222,15 +228,47 @@ def _check_axis(axis: str) -> str:
 # alone. The logistic fit keeps three arrays of this size, 512 KB each, which
 # stay in cache: larger groups measured slower on sets of a thousand rows
 # and more. A KDE oracle keeps a workspace of two arrays of this size and
-# runs every stack in it, so a stack touches no fresh pages. With it, caps of
-# 2^15, 2^16 and 2^17 ran eight kde-svexp experiments in a median of 1.71,
-# 1.49 and 1.56 s (10 alternating rounds, quartile spreads 0.17-0.40 s, 2-core
-# box), a spread too wide to rank them, at a peak RSS of 40.2, 40.7 and
-# 41.9 MiB; so the cap stays. Against 80 test points a stack takes 0.3x,
-# 0.5-0.6x, 0.5-0.75x and 0.8-0.9x the time per set of scoring its sets one
-# by one, on sets of 20, 60, 120 and 200 train rows (best of 7 rounds of 20
-# calls).
+# runs every stack in it, so a stack touches no fresh pages. With it (and
+# before the difference table), caps of 2^15, 2^16 and 2^17 ran eight
+# kde-svexp experiments in a median of 1.71, 1.49 and 1.56 s (10 alternating
+# rounds, quartile spreads 0.17-0.40 s, 2-core box), a spread too wide to
+# rank them, at a peak RSS of 40.2, 40.7 and 41.9 MiB; so the cap stays.
+# With the difference table and the no-tie log-sum-exp (see KdeUtility), a
+# stack against 80 test points (2 features) takes 0.24-0.37x, 0.46-0.57x,
+# 0.62-0.70x and 0.82-0.87x the time per set of scoring its sets one by one,
+# on sets of 20, 60, 120 and 200 train rows, and 0.57-0.58 ms for 12 sets of
+# 45 rows (best of 7 rounds, two draws of the sets).
 _STACK_ELEMENTS = 1 << 16
+
+
+# Most floats a KDE oracle's table of test - train differences may hold (see
+# _diff_table): 2 MiB, one core's L2 cache on the 2-core Xeon box where it was
+# measured. Against stacks of 15- and 45-row sets and 80 test points (2
+# features; best of 7 rounds of 20 random stacks, two draws), a stack took
+# 0.90-1.01x its time without the table at a 0.4 MiB table, 0.91-0.97x at
+# 2.0 MiB, 1.02-1.03x at 3.9 MiB and 1.02-1.10x at 7.3 and 24 MiB.
+_DIFF_TABLE_ELEMENTS = 1 << 18
+
+
+def _diff_table(train: np.ndarray, test: np.ndarray) -> np.ndarray | None:
+    """The (d, n_train, n_test) differences test[i, j] - train[k, j] at [j, k, i], or None.
+
+    A stack's per-feature terms are gathered from it (see _scaled_sq_dist):
+    the same subtraction of the same two floats, so the same bits. None from
+    8 features, where the 3-D form takes every stack, above
+    _DIFF_TABLE_ELEMENTS floats, and when a difference raises a
+    floating-point error; then every stack subtracts its own terms.
+    """
+    (n_train, d), n_test = train.shape, len(test)
+    if d >= 8 or d * n_train * n_test > _DIFF_TABLE_ELEMENTS:
+        return None
+    table = np.empty((d, n_train, n_test))
+    try:
+        with np.errstate(all="raise"):
+            np.subtract(test.T[:, None, :], train.T[:, :, None], out=table)
+    except FloatingPointError:
+        return None
+    return table
 
 
 def _sum_order(test: np.ndarray, train: np.ndarray) -> str:
@@ -250,7 +288,12 @@ def _sum_order(test: np.ndarray, train: np.ndarray) -> str:
 
 
 def _kde_log_density(
-    train: np.ndarray, test: np.ndarray, floor: float, work: tuple[np.ndarray, np.ndarray] | None = None
+    train: np.ndarray,
+    test: np.ndarray,
+    floor: float,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+    diffs: tuple[np.ndarray, np.ndarray] | None = None,
+    pairwise: bool | None = None,
 ) -> np.ndarray:
     """Log density of each test point under a product-Gaussian KDE of each set's train points.
 
@@ -265,6 +308,12 @@ def _kde_log_density(
     points innermost, in work's first float array; its second holds each
     feature's term, then the tie mask, then the transposed copy the sum
     reads. A stack larger than work (or no work) gets one-off arrays.
+    diffs is (table, idx): a _diff_table of the rows train was gathered
+    from and the (sets, n) ids it was gathered with. pairwise is
+    `_sum_order(test[0], train[0]) == "C"`, asked here when None: numpy
+    sums a set's log kernel along train points pairwise when they are its
+    inner axis ("C") and one train row at a time when the test points are
+    ("F").
     """
     g, n, d = train.shape
     n_test = test.shape[1]
@@ -272,19 +321,36 @@ def _kde_log_density(
     if work is None or len(work[0]) < size:
         work = (np.empty(size), np.empty(size))
     sq = work[0][:size].reshape(g, n, n_test)
-    std = train.std(axis=1)
-    h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
-    _scaled_sq_dist(test, train, h, sq, work[1][:size].reshape(g, n, n_test))
+    h = np.maximum(_train_std(train) * n ** (-1.0 / (d + 4)), floor)
+    _scaled_sq_dist(test, train, h, sq, work[1][:size].reshape(g, n, n_test), diffs)
     sq *= -0.5
     sq -= np.log(h).sum(axis=1)[:, None, None]
     sq -= 0.5 * d * _LOG_2PI
-    # numpy sums a set's log kernel along train points pairwise when they
-    # are its inner axis ("C") and one train row at a time when the test
-    # points are ("F").
-    return _logsumexp_train(sq, work[1], _sum_order(test[0], train[0]) == "C") - math.log(n)
+    if pairwise is None:
+        pairwise = _sum_order(test[0], train[0]) == "C"
+    return _logsumexp_train(sq, work[1], pairwise) - math.log(n)
 
 
-def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray, out: np.ndarray, z: np.ndarray) -> None:
+def _train_std(x: np.ndarray) -> np.ndarray:
+    """x.std(axis=1) of a (sets, n, d) stack: the ufunc calls of numpy's _var and _std, without their wrapper."""
+    n = x.shape[1]
+    mean = np.add.reduce(x, axis=1, keepdims=True)
+    mean /= n
+    dev = np.subtract(x, mean)
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev, axis=1)
+    var /= n
+    return np.sqrt(var, out=var)
+
+
+def _scaled_sq_dist(
+    test: np.ndarray,
+    train: np.ndarray,
+    h: np.ndarray,
+    out: np.ndarray,
+    z: np.ndarray,
+    diffs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> None:
     """sum_j ((test_ij - train_kj) / h_j)^2 for every (train k, test i) pair of each set, into out.
 
     test is (sets or 1, n_test, d), train (sets, n_train, d), h (sets, d)
@@ -292,10 +358,12 @@ def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray, out: np.
     `(w * w).sum(axis=2)` for the set's own (n_test, n_train, d) array w.
     Below 8 features numpy adds the short last axis as one running sum in
     every layout, so the sum is built one feature at a time, each term in z,
-    with no short-axis reduction. From 8 features numpy sums pairwise with 8
-    accumulators, and the 3-D form is used. The 3-D form also takes any
-    input that raises a floating-point error, so numpy reports each error
-    once under the caller's error state, not once per feature.
+    with no short-axis reduction; with diffs (see _kde_log_density) a term
+    starts as the table rows of the stack's ids, else as a subtraction.
+    From 8 features numpy sums pairwise with 8 accumulators, and the 3-D
+    form is used. The 3-D form also takes any input that raises a
+    floating-point error, so numpy reports each error once under the
+    caller's error state, not once per feature.
     """
     d = test.shape[2]
     if d < 8:
@@ -303,7 +371,10 @@ def _scaled_sq_dist(test: np.ndarray, train: np.ndarray, h: np.ndarray, out: np.
             with np.errstate(all="raise"):
                 for j in range(d):
                     term = out if j == 0 else z
-                    np.subtract(test[:, None, :, j], train[:, :, None, j], out=term)
+                    if diffs is None:
+                        np.subtract(test[:, None, :, j], train[:, :, None, j], out=term)
+                    else:  # the ids are checked, so "clip" clips nothing and writes straight to term
+                        np.take(diffs[0][j], diffs[1], axis=0, out=term, mode="clip")
                     term /= h[:, None, None, j]
                     term *= term
                     if j:
@@ -323,30 +394,43 @@ def _logsumexp_train(a: np.ndarray, spare: np.ndarray, pairwise: bool) -> np.nda
     and the direct formula on test points whose max is not finite. The max
     and the count are exact in any order; the sum runs pairwise over each
     test point's contiguous train values (a transposed copy in spare) or
-    one train row at a time. `a` is overwritten; spare holds at least
-    a.size floats.
+    one train row at a time. When every max is finite and is met once, m is
+    1 throughout, and log1p(s) + max has the same bits (s / 1 is s, log(1)
+    is +0.0 and log1p(s) is not -0.0). `a` is overwritten; spare holds at
+    least a.size floats.
     """
     a_max = a.max(axis=1)
+    top = np.equal(a, a_max[:, None, :], out=spare.view(np.bool_)[: a.size].reshape(a.shape))
+    if np.count_nonzero(top) == a_max.size and np.isfinite(a_max).all():
+        # No tie and no direct formula; nothing below raises a floating-point error.
+        np.copyto(a, -np.inf, where=top)
+        a -= a_max[:, None, :]
+        np.exp(a, out=a)
+        s = _sum_train(a, spare, pairwise)
+        return np.log1p(s, out=s) + a_max
     bad = ~np.isfinite(a_max)
     direct = a.transpose(0, 2, 1)[bad]
-    top = np.equal(a, a_max[:, None, :], out=spare.view(np.bool_)[: a.size].reshape(a.shape))
     m = np.count_nonzero(top, axis=1).astype(a.dtype)
     np.copyto(a, -np.inf, where=top)
     with np.errstate(divide="ignore", invalid="ignore"):
         a -= a_max[:, None, :]
         np.exp(a, out=a)
-        if pairwise:
-            rows = spare[: a.size].reshape(len(a), a.shape[2], a.shape[1])
-            np.copyto(rows, a.transpose(0, 2, 1))
-            s = rows.sum(axis=-1)
-        else:
-            s = a.sum(axis=1)
+        s = _sum_train(a, spare, pairwise)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
     if len(direct):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out[bad] = np.log(np.exp(direct).sum(axis=1))
     return out
+
+
+def _sum_train(a: np.ndarray, spare: np.ndarray, pairwise: bool) -> np.ndarray:
+    """(sets, n_test) sums of a (sets, n, n_test) block over train points, pairwise or a row at a time."""
+    if not pairwise:
+        return a.sum(axis=1)
+    rows = spare[: a.size].reshape(len(a), a.shape[2], a.shape[1])
+    np.copyto(rows, a.transpose(0, 2, 1))
+    return rows.sum(axis=-1)
 
 
 class KdeUtility(UtilityOracle):
@@ -362,7 +446,11 @@ class KdeUtility(UtilityOracle):
     each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
     set alone; a set's score is the same bits alone or in any batch. Every
     stack runs in one workspace of two _STACK_ELEMENTS float arrays, made
-    at the first stack and kept; a larger set gets one-off arrays.
+    at the first stack and kept; a larger set gets one-off arrays. On the
+    rows axis below 8 features the oracle also keeps, from its
+    construction, a table of every test - train difference (_diff_table,
+    d x n_train x n_test floats, at most _DIFF_TABLE_ELEMENTS), from which
+    each stack gathers its per-feature terms.
     """
 
     kind = "kde"
@@ -396,6 +484,8 @@ class KdeUtility(UtilityOracle):
         self.eta = float(eta) if eta is not None else len(test) * self.error_cap
         self._pool_cache: np.ndarray | None = None
         self._work: tuple[np.ndarray, np.ndarray] | None = None
+        self._diffs = _diff_table(train.features, test.features) if self.axis == "rows" else None
+        self._orders: dict[tuple[int, ...], bool] = {}
 
     def _pool_ids(self) -> frozenset[int]:
         if self.axis == "rows":
@@ -404,14 +494,26 @@ class KdeUtility(UtilityOracle):
 
     def _log_density(self, ids_list: list[frozenset[int]]) -> np.ndarray:
         """The (sets, n_test) log densities of equal-size sets."""
-        x = _restrict(self.train, ids_list, self.axis)
-        if self.axis == "rows":
-            t = self.test.features[None]
-        else:
-            t = _restrict(self.test, ids_list, self.axis)
+        rows = self.axis == "rows"
+        idx = _stack_ids(ids_list, len(self.train) if rows else self.train.n_features, self.axis)
+        x = _restrict(self.train, idx, self.axis)
+        t = self.test.features[None] if rows else _restrict(self.test, idx, self.axis)
         if self._work is None:
             self._work = (np.empty(_STACK_ELEMENTS), np.empty(_STACK_ELEMENTS))
-        return _kde_log_density(x, t, self.floor, self._work)
+        diffs = None if self._diffs is None else (self._diffs, idx)
+        return _kde_log_density(x, t, self.floor, self._work, diffs, self._pairwise(t[0], x[0]))
+
+    def _pairwise(self, test: np.ndarray, train: np.ndarray) -> bool:
+        """_sum_order(test, train) == "C", asked of numpy once per layout.
+
+        numpy orders the axes by the strides of those longer than 1, and an
+        oracle gathers every set into one layout, so the key changes only
+        with a 1-row set (rows axis) or a 1-column one (features axis).
+        """
+        key = tuple(st if n > 1 else 0 for a in (test, train) for st, n in zip(a.strides, a.shape))
+        if key not in self._orders:
+            self._orders[key] = _sum_order(test, train) == "C"
+        return self._orders[key]
 
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
         by_size: dict[int, list[int]] = {}
@@ -441,7 +543,7 @@ class KdeUtility(UtilityOracle):
 def _padded_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
     """Each set's ids in ascending order, one row per set, and the sets' sizes.
 
-    The ids are checked as _restrict checks them. A row shorter than the
+    The ids are checked as _stack_ids checks them. A row shorter than the
     longest set is filled with `limit`, one past the last id.
     """
     sizes = np.fromiter(map(len, ids_list), np.intp, len(ids_list))
@@ -798,9 +900,10 @@ class LinRegUtility(UtilityOracle):
             y = self.train.labels[idx]
             xt = self.test.features
         else:
-            x = _restrict(self.train, [ids], "features")[0]
+            idx = _stack_ids([ids], self.train.n_features, self.axis)
+            x = _restrict(self.train, idx, self.axis)[0]
             y = self.train.labels
-            xt = _restrict(self.test, [ids], "features")[0]
+            xt = _restrict(self.test, idx, self.axis)[0]
         xb = np.hstack([x, np.ones((len(x), 1))])
         w, *_ = np.linalg.lstsq(xb, y, rcond=None)
         pred = np.hstack([xt, np.ones((len(xt), 1))]) @ w

@@ -133,6 +133,16 @@ class TestBatchedValues:
                 assert (batch.calls, batch.evals) == (loop.calls, loop.evals)
         assert batch.values([]) == []
 
+    @pytest.mark.parametrize("bad", [[1.5], [0.9], ["1"], [True], [0, 1.0]])
+    def test_non_integer_ids_rejected(self, bad):
+        o = AdditiveUtility({0: 1.0, 1: 2.0})
+        with pytest.raises(MalformedInput, match="additive utility: entry ids must be integers"):
+            o.value(bad)
+        with pytest.raises(MalformedInput, match="entry ids must be integers"):
+            o.values([{0}, bad])
+        assert o.value([np.int64(1)]) == 2.0
+        assert o.value(range(2)) == o.value(frozenset({0, 1})) == 3.0
+
 
 class TestSetCover:
     def test_single_covering_subset(self, cover_example):
@@ -452,9 +462,9 @@ class TestKdeBatch:
         kernel = utility._kde_log_density
         stacks = []
 
-        def spy(x, t, floor, work):
+        def spy(x, t, floor, *rest):
             stacks.append(x.shape[:2])  # (sets, train points)
-            return kernel(x, t, floor, work)
+            return kernel(x, t, floor, *rest)
 
         monkeypatch.setattr(utility, "_kde_log_density", spy)
         whole = bare._score_many(sets)
@@ -467,6 +477,20 @@ class TestKdeBatch:
             # (sets, test points, train points) under the cap, or one set alone
             assert all(g == 1 or g * len(test) * n <= cap for g, n in stacks)
             assert len(stacks) == len(sets) if cap == 1 else any(g > 1 for g, _ in stacks)
+
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    def test_sum_order_follows_each_layout(self, axis):
+        # F-ordered tables: on rows the test points are innermost and numpy sums
+        # a row at a time, but a 1-row set has no train axis to order.
+        rng = np.random.default_rng(85)
+        train, test = np.asfortranarray(rng.normal(size=(30, 3))), np.asfortranarray(rng.normal(size=(9, 3)))
+        o = KdeUtility(*(Dataset(features=x, feature_names=("a", "b", "c")) for x in (train, test)), axis=axis)
+        pool = len(train) if axis == "rows" else 3
+        for size in (1, 2, 1, min(pool, 20)):  # pairwise and running sums differ from 9 rows
+            ids = sorted(rng.choice(pool, size=size, replace=False).tolist())
+            cols = ids if axis == "features" else slice(None)
+            want = kde_log_density_reference(train[ids] if axis == "rows" else train[:, cols], test[:, cols], o.floor)
+            assert o._log_density([frozenset(ids)])[0].tobytes() == want.tobytes()
 
 
 class TestKdeWorkspace:
@@ -505,9 +529,76 @@ class TestKdeWorkspace:
             # A stack larger than the workspace, once the cap no longer splits it.
             monkeypatch.setattr(utility, "_STACK_ELEMENTS", 100 * cap)
             assert bits(o._score_many(every)) == bits([oracle()._score_many([s])[0] for s in every])
-        held = [a for v in vars(o).values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
-        # The workspace, and the pool's density (n_test floats) in pool mode.
-        assert [a.size for a in held if a.size > len(test)] == [cap, cap]
+        held = [
+            a.size for v in vars(o).values() for a in (v if isinstance(v, (tuple, list)) else (v,))
+            if isinstance(a, np.ndarray)
+        ]
+        # The workspace, on rows the table of d x n_train x n_test differences
+        # however it is held, and the pool's density (n_test floats) in pool mode.
+        table = train.n_features * len(train) * len(test) if axis == "rows" else 0
+        assert held.count(cap) == 2
+        assert sum(held) == 2 * cap + table + (len(test) if reference == "pool" else 0)
+
+
+def kde_rows_oracle(train: np.ndarray, test: np.ndarray, floor: float) -> KdeUtility:
+    names = tuple(f"x{j}" for j in range(train.shape[1]))
+    return KdeUtility(
+        Dataset(features=train, feature_names=names), Dataset(features=test, feature_names=names), bandwidth_floor=floor
+    )
+
+
+class TestKdeDiffTable:
+    """Rows below 8 features: the oracle gathers each term from its table of test - train differences."""
+
+    @staticmethod
+    def check(o: KdeUtility, train: np.ndarray, test: np.ndarray, ids, floor: float) -> np.ndarray:
+        """The oracle's log density of one row set has the reference's bits and warnings."""
+        got, got_warnings = with_warnings(o._log_density, [frozenset(ids)])
+        want, want_warnings = with_warnings(kde_log_density_reference, train[sorted(ids)], test, floor)
+        assert got[0].tobytes() == want.tobytes()
+        assert got_warnings == want_warnings
+        return want
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 7])
+    def test_tied_maxima(self, d):
+        # Train rows 40 and 41 repeat rows 0 and 1, and so do the last two test
+        # points: their maxima tie between two identical pool rows.
+        train, test = kde_case(d, 200 + d)
+        o = kde_rows_oracle(train, test, 1e-3)
+        assert o._diffs is not None
+        for ids in (range(len(train)), [0, 1, 7, 20, 40, 41]):
+            self.check(o, train, test, ids, 1e-3)
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_far_point_has_a_non_finite_maximum(self, d):
+        train, test = kde_case(d, 300 + d)
+        test[0] = 1e200
+        o = kde_rows_oracle(train, test, 1e-3)
+        assert o._diffs is not None
+        for ids in (range(5, 30), [3]):  # with one row, the one maximum of each point
+            assert self.check(o, train, test, ids, 1e-3)[0] == -math.inf
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zero_bandwidth_stack_takes_the_3d_form(self, d):
+        # A zero floor leaves the constant column a zero bandwidth, whose
+        # per-feature terms raise.
+        train, test = kde_case(d, 400 + d)
+        o = kde_rows_oracle(train, test, 0.0)
+        assert o._diffs is not None
+        self.check(o, train, test, range(0, 42, 3), 0.0)
+
+    @pytest.mark.parametrize("room", [0, -1])
+    def test_each_side_of_the_cap(self, room, monkeypatch):
+        train, test = kde_case(3, 500)
+        monkeypatch.setattr(utility, "_DIFF_TABLE_ELEMENTS", train.size * len(test) + room)
+        o = kde_rows_oracle(train, test, 1e-3)
+        assert (o._diffs is None) == (room < 0)
+        rng = np.random.default_rng(501)
+        sets = [frozenset(rng.choice(len(train), size=9, replace=False).tolist()) for _ in range(5)]
+        for ids in sets:
+            self.check(o, train, test, ids, 1e-3)
+        want = [kde_log_density_reference(train[sorted(s)], test, 1e-3) for s in sets]
+        assert o._log_density(sets).tobytes() == np.array(want).tobytes()
 
 
 class TestLogReg:
