@@ -55,9 +55,10 @@ def _load_inputs(
             raise click.UsageError(f"utility kind {kind!r} needs --data")
         train, test = load_split(data, test_data, test_ratio, seed, label=inner.get("label"))
     partition = load_partition(partition_path)
+    oracle = make_oracle(cfg, train, test, cache=cache)
     if train is not None:
-        validate_partition(partition, train, axis=inner.get("axis", "rows"))
-    return partition, make_oracle(cfg, train, test, cache=cache)
+        validate_partition(partition, train, axis=oracle.axis)
+    return partition, oracle
 
 
 def _finite(value):

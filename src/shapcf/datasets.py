@@ -18,7 +18,8 @@ class Dataset:
 
     Rows are addressed by 0-based position; those positions are the entry ids
     used by owner partitions over the row axis. Feature columns are addressed
-    by 0-based position for partitions over the feature axis.
+    by 0-based position for partitions over the feature axis. features is
+    held as a C-ordered float64 array, copied only when it is not one.
     """
 
     features: np.ndarray
@@ -29,7 +30,7 @@ class Dataset:
     group_name: str | None = None
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = np.ascontiguousarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] < 1:
             raise MalformedInput(f"features must be 2-D with at least one column, got shape {feats.shape}")
         if not np.isfinite(feats).all():

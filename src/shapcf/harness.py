@@ -174,6 +174,8 @@ def gen_vertical(dataset: Dataset, groups: Mapping[str, Sequence[str]]) -> Owner
     owners: dict[str, frozenset[int]] = {}
     seen: set[str] = set()
     for owner, names in groups.items():
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise MalformedInput(f"group {owner!r} must be a list of feature names, got {names!r}")
         bad = [n for n in names if n not in index]
         if bad:
             raise MalformedInput(f"unknown feature names {bad} in group {owner!r}")
@@ -256,7 +258,7 @@ class ExperimentConfig:
                 ),
             ],
         )
-        return cls(
+        cfg = cls(
             utility=dict(utility),
             engines=tuple(engines),
             n_owners=n_owners,
@@ -269,6 +271,8 @@ class ExperimentConfig:
             pair=dict(pair),
             sampling=dict(get("sampling", _OBJECT, {})),
         )
+        cfg.explain_config()  # rejects a bad sampling section before any data loads
+        return cfg
 
     def explain_config(self) -> ExplainConfig:
         keys = {f.name for f in fields(ExplainConfig)}
@@ -454,6 +458,7 @@ def _select_pairs(
         i, j = rngs[t].choice(len(ids), size=2, replace=False)
         return ids[int(i)], ids[int(j)]
 
+    budget = cfg.pair_budget
     drawn: dict[int, _Request] = {}  # by trial, in trial order
     todo = range(len(partitions))
     for _ in range(_PAIR_REDRAWS if fixed is None else 1):
@@ -461,7 +466,7 @@ def _select_pairs(
             drawn[t] = _Request("pair", partitions[t], oracle, *pair_of(t), rngs[t], ecfg)
         _score([(drawn[t], [frozenset()]) for t in todo])
         for t in todo:
-            drawn[t].precheck(cfg.pair_budget)
+            drawn[t].precheck(budget)
         todo = [t for t in todo if drawn[t].last.verdict == "undecided"]
         if not todo:
             break

@@ -207,9 +207,9 @@ def _stack_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> np.ndar
 def _restrict(dataset: Dataset, idx: np.ndarray, axis: str) -> np.ndarray:
     """The rows or columns named by each row of idx (see _stack_ids), stacked.
 
-    A (sets, rows, columns) array. Every slice has the layout that indexing
-    with that set alone gives: C order for a row subset, F order for a
-    column subset of a C-ordered table.
+    A (sets, rows, columns) array. The table is C-ordered (see Dataset), and
+    every slice has the layout that indexing it with that set alone gives:
+    C order for a row subset, F order for a column subset.
     """
     if axis == "rows":
         return dataset.features[idx]
@@ -271,29 +271,12 @@ def _diff_table(train: np.ndarray, test: np.ndarray) -> np.ndarray | None:
     return table
 
 
-def _sum_order(test: np.ndarray, train: np.ndarray) -> str:
-    """Memory order ("C" or "F") numpy gives test[:, None, :] - train[None, :, :].
-
-    The order is that of the test and train axes; a sum over the feature
-    axis keeps it. numpy's iterator is asked directly: it allocates the array
-    but computes nothing.
-    """
-    out = np.nditer(
-        [test[:, None, :], train[None, :, :], None],
-        flags=["zerosize_ok"],
-        op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
-    ).operands[2]
-    s_test, s_train = (abs(s) if n > 1 else None for s, n in zip(out.strides[:2], out.shape[:2]))
-    return "F" if s_test is not None and s_train is not None and s_test < s_train else "C"
-
-
 def _kde_log_density(
     train: np.ndarray,
     test: np.ndarray,
     floor: float,
     work: tuple[np.ndarray, np.ndarray] | None = None,
     diffs: tuple[np.ndarray, np.ndarray] | None = None,
-    pairwise: bool | None = None,
 ) -> np.ndarray:
     """Log density of each test point under a product-Gaussian KDE of each set's train points.
 
@@ -309,11 +292,9 @@ def _kde_log_density(
     feature's term, then the tie mask, then the transposed copy the sum
     reads. A stack larger than work (or no work) gets one-off arrays.
     diffs is (table, idx): a _diff_table of the rows train was gathered
-    from and the (sets, n) ids it was gathered with. pairwise is
-    `_sum_order(test[0], train[0]) == "C"`, asked here when None: numpy
-    sums a set's log kernel along train points pairwise when they are its
-    inner axis ("C") and one train row at a time when the test points are
-    ("F").
+    from and the (sets, n) ids it was gathered with. Each test point's log
+    kernel is summed over train points pairwise: the order numpy takes for a
+    set gathered from a C-ordered table (see _restrict), on either axis.
     """
     g, n, d = train.shape
     n_test = test.shape[1]
@@ -326,9 +307,7 @@ def _kde_log_density(
     sq *= -0.5
     sq -= np.log(h).sum(axis=1)[:, None, None]
     sq -= 0.5 * d * _LOG_2PI
-    if pairwise is None:
-        pairwise = _sum_order(test[0], train[0]) == "C"
-    return _logsumexp_train(sq, work[1], pairwise) - math.log(n)
+    return _logsumexp_train(sq, work[1]) - math.log(n)
 
 
 def _train_std(x: np.ndarray) -> np.ndarray:
@@ -386,18 +365,17 @@ def _scaled_sq_dist(
     np.copyto(out, (w * w).sum(axis=3).transpose(0, 2, 1))
 
 
-def _logsumexp_train(a: np.ndarray, spare: np.ndarray, pairwise: bool) -> np.ndarray:
+def _logsumexp_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)) of a (sets, n, n_test) block with scipy.special.logsumexp's arithmetic.
 
     Same steps as scipy 1.17: shift by the max over train points with the
     tied maxima (count m) taken out of the sum, log1p(s / m) + log(m) + max,
     and the direct formula on test points whose max is not finite. The max
     and the count are exact in any order; the sum runs pairwise over each
-    test point's contiguous train values (a transposed copy in spare) or
-    one train row at a time. When every max is finite and is met once, m is
-    1 throughout, and log1p(s) + max has the same bits (s / 1 is s, log(1)
-    is +0.0 and log1p(s) is not -0.0). `a` is overwritten; spare holds at
-    least a.size floats.
+    test point's contiguous train values, a transposed copy in spare. When
+    every max is finite and is met once, m is 1 throughout, and log1p(s) +
+    max has the same bits (s / 1 is s, log(1) is +0.0 and log1p(s) is not
+    -0.0). `a` is overwritten; spare holds at least a.size floats.
     """
     a_max = a.max(axis=1)
     top = np.equal(a, a_max[:, None, :], out=spare.view(np.bool_)[: a.size].reshape(a.shape))
@@ -406,7 +384,7 @@ def _logsumexp_train(a: np.ndarray, spare: np.ndarray, pairwise: bool) -> np.nda
         np.copyto(a, -np.inf, where=top)
         a -= a_max[:, None, :]
         np.exp(a, out=a)
-        s = _sum_train(a, spare, pairwise)
+        s = _sum_train(a, spare)
         return np.log1p(s, out=s) + a_max
     bad = ~np.isfinite(a_max)
     direct = a.transpose(0, 2, 1)[bad]
@@ -415,7 +393,7 @@ def _logsumexp_train(a: np.ndarray, spare: np.ndarray, pairwise: bool) -> np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         a -= a_max[:, None, :]
         np.exp(a, out=a)
-        s = _sum_train(a, spare, pairwise)
+        s = _sum_train(a, spare)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
     if len(direct):
@@ -424,10 +402,8 @@ def _logsumexp_train(a: np.ndarray, spare: np.ndarray, pairwise: bool) -> np.nda
     return out
 
 
-def _sum_train(a: np.ndarray, spare: np.ndarray, pairwise: bool) -> np.ndarray:
-    """(sets, n_test) sums of a (sets, n, n_test) block over train points, pairwise or a row at a time."""
-    if not pairwise:
-        return a.sum(axis=1)
+def _sum_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """(sets, n_test) sums of a (sets, n, n_test) block over train points, pairwise over a transposed copy in spare."""
     rows = spare[: a.size].reshape(len(a), a.shape[2], a.shape[1])
     np.copyto(rows, a.transpose(0, 2, 1))
     return rows.sum(axis=-1)
@@ -444,10 +420,11 @@ class KdeUtility(UtilityOracle):
 
     The sets of one values() call are scored as stacks of equal-size sets,
     each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
-    set alone; a set's score is the same bits alone or in any batch. Every
-    stack runs in one workspace of two _STACK_ELEMENTS float arrays, made
-    at the first stack and kept; a larger set gets one-off arrays. On the
-    rows axis below 8 features the oracle also keeps, from its
+    set alone; a set's score is the same bits alone, in any batch and from
+    any layout of the caller's arrays, which a Dataset holds C-ordered.
+    Every stack runs in one workspace of two _STACK_ELEMENTS float arrays,
+    made at the first stack and kept; a larger set gets one-off arrays. On
+    the rows axis below 8 features the oracle also keeps, from its
     construction, a table of every test - train difference (_diff_table,
     d x n_train x n_test floats, at most _DIFF_TABLE_ELEMENTS), from which
     each stack gathers its per-feature terms.
@@ -485,7 +462,6 @@ class KdeUtility(UtilityOracle):
         self._pool_cache: np.ndarray | None = None
         self._work: tuple[np.ndarray, np.ndarray] | None = None
         self._diffs = _diff_table(train.features, test.features) if self.axis == "rows" else None
-        self._orders: dict[tuple[int, ...], bool] = {}
 
     def _pool_ids(self) -> frozenset[int]:
         if self.axis == "rows":
@@ -501,19 +477,7 @@ class KdeUtility(UtilityOracle):
         if self._work is None:
             self._work = (np.empty(_STACK_ELEMENTS), np.empty(_STACK_ELEMENTS))
         diffs = None if self._diffs is None else (self._diffs, idx)
-        return _kde_log_density(x, t, self.floor, self._work, diffs, self._pairwise(t[0], x[0]))
-
-    def _pairwise(self, test: np.ndarray, train: np.ndarray) -> bool:
-        """_sum_order(test, train) == "C", asked of numpy once per layout.
-
-        numpy orders the axes by the strides of those longer than 1, and an
-        oracle gathers every set into one layout, so the key changes only
-        with a 1-row set (rows axis) or a 1-column one (features axis).
-        """
-        key = tuple(st if n > 1 else 0 for a in (test, train) for st, n in zip(a.strides, a.shape))
-        if key not in self._orders:
-            self._orders[key] = _sum_order(test, train) == "C"
-        return self._orders[key]
+        return _kde_log_density(x, t, self.floor, self._work, diffs)
 
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
         by_size: dict[int, list[int]] = {}

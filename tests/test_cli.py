@@ -154,6 +154,13 @@ class TestShapleyCommand:
         assert res.exit_code == 1
         assert "Error" in res.stderr
 
+    def test_bad_axis_is_reported_before_the_partition_check(self, runner, tmp_path):
+        data = write_csv(tmp_path / "train.csv", n_rows=10, seed=1)
+        utility = write_json(tmp_path / "utility.json", {"kind": "kde", "axis": "cols"})
+        partition = write_json(tmp_path / "partition.json", {"owners": {"A": [0], "B": [3]}})
+        res = runner.invoke(main, ["shapley", "--data", data, "--partition", partition, "--utility", utility])
+        assert res.exit_code == 1, res.output
+        assert 'axis must be "rows" or "features"' in res.stderr and "out of range" not in res.stderr
 
     def test_truncated_json_is_a_clean_error(self, runner, additive_files, tmp_path):
         utility, partition = additive_files

@@ -147,6 +147,13 @@ class TestVerticalAllocation:
         with pytest.raises(MalformedInput):
             gen_vertical(housing_dataset, {"P": ["RM"], "Q": ["AGE"]})
 
+    @pytest.mark.parametrize("value", ["B", 5, None, [["B"]], {"B": 1}], ids=["str", "int", "null", "nested", "dict"])
+    def test_group_must_be_a_list_of_names(self, housing_dataset, value):
+        # A string is not a list of its letters: "B" would take feature B.
+        rest = {**VERTICAL_GROUPS, "S": [n for n in VERTICAL_GROUPS["S"] if n != "B"]}
+        with pytest.raises(MalformedInput, match="group 'X' must be a list of feature names"):
+            gen_vertical(housing_dataset, {**rest, "X": value})
+
 
 def base_config(**over):
     cfg = {
@@ -254,6 +261,11 @@ class TestExperimentConfig:
         with pytest.raises(MalformedInput, match="bad 'allocation'"):
             ExperimentConfig.from_json(base_config(allocation=pairs))
 
+    @pytest.mark.parametrize("key, value", [("check_budget", 0), ("bogus", 1), ("pair_budget", 0), ("delta", 2)])
+    def test_bad_sampling_rejected_before_any_run(self, key, value):
+        with pytest.raises(MalformedInput, match="sampling"):
+            ExperimentConfig.from_json(base_config(sampling={key: value}))
+
     def test_sampling_must_be_an_object(self):
         with pytest.raises(MalformedInput, match="bad 'sampling'"):
             ExperimentConfig.from_json(base_config(sampling=[["check_budget", 10]]))
@@ -303,9 +315,8 @@ class TestExperimentConfig:
             ("width_stop", 0.01),
             ("bf_entry_limit", 20),
         ):
-            cfg = ExperimentConfig.from_json(base_config(sampling={key: value}))
             with pytest.raises(MalformedInput, match=rf"unknown sampling keys \['{key}'\]"):
-                cfg.explain_config()
+                ExperimentConfig.from_json(base_config(sampling={key: value}))
 
     def test_readme_lists_the_sampling_keys(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -869,6 +880,18 @@ class TestRunErrors:
         )
         serve_datasets(monkeypatch, (train, test))
         with pytest.raises(MalformedInput):
+            run_experiment(cfg)
+
+    def test_vertical_group_must_be_a_list_of_names(self, housing_dataset, monkeypatch):
+        train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
+        cfg = ExperimentConfig.from_json(
+            base_config(
+                utility={"kind": "linreg", "axis": "features"},
+                allocation={"kind": "vertical", "groups": {**VERTICAL_GROUPS, "X": 5}},
+            )
+        )
+        serve_datasets(monkeypatch, (train, test))
+        with pytest.raises(MalformedInput, match="group 'X'"):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("key", ["data", "test_data"])

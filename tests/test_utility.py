@@ -341,22 +341,6 @@ class TestKdeKernelBits:
                 assert got.tobytes() == want.tobytes()
                 assert got_warnings == want_warnings
 
-    def test_matches_reference_on_mixed_and_strided_layouts(self):
-        rng = np.random.default_rng(11)
-        layouts = {
-            "C": lambda x: x,
-            "F": np.asfortranarray,
-            "strided": lambda x: np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)[::2, ::2],
-            "reversed": lambda x: np.ascontiguousarray(x[:, ::-1])[:, ::-1],
-        }
-        for d in (2, 7, 9, 130):
-            train, test = rng.normal(size=(30, d)), rng.normal(size=(9, d))
-            for lay_train in layouts.values():
-                for lay_test in layouts.values():
-                    got = kde_one(lay_train(train), lay_test(test), 1e-3)
-                    want = kde_log_density_reference(lay_train(train), lay_test(test), 1e-3)
-                    assert got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("d", [1, 2, 9])
     def test_far_point_is_minus_inf_with_the_same_warnings(self, d):
         train, test = kde_case(d, 100 + d)
@@ -479,18 +463,33 @@ class TestKdeBatch:
             assert len(stacks) == len(sets) if cap == 1 else any(g > 1 for g, _ in stacks)
 
     @pytest.mark.parametrize("axis", ["rows", "features"])
-    def test_sum_order_follows_each_layout(self, axis):
-        # F-ordered tables: on rows the test points are innermost and numpy sums
-        # a row at a time, but a 1-row set has no train axis to order.
+    def test_every_layout_of_a_table_has_the_c_copy_bits(self, axis):
+        # One table as a C, F, strided and reversed array, for train and test
+        # alike: a Dataset holds each C-ordered, so every layout gives every set
+        # the bits of the reference on the C copy.
         rng = np.random.default_rng(85)
-        train, test = np.asfortranarray(rng.normal(size=(30, 3))), np.asfortranarray(rng.normal(size=(9, 3)))
-        o = KdeUtility(*(Dataset(features=x, feature_names=("a", "b", "c")) for x in (train, test)), axis=axis)
-        pool = len(train) if axis == "rows" else 3
-        for size in (1, 2, 1, min(pool, 20)):  # pairwise and running sums differ from 9 rows
-            ids = sorted(rng.choice(pool, size=size, replace=False).tolist())
-            cols = ids if axis == "features" else slice(None)
-            want = kde_log_density_reference(train[ids] if axis == "rows" else train[:, cols], test[:, cols], o.floor)
-            assert o._log_density([frozenset(ids)])[0].tobytes() == want.tobytes()
+        layouts = (
+            lambda x: x,
+            np.asfortranarray,
+            lambda x: np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)[::2, ::2],
+            lambda x: np.ascontiguousarray(x[:, ::-1])[:, ::-1],
+        )
+        for d in (2, 3, 9, 130):
+            train, test = rng.normal(size=(30, d)), rng.normal(size=(9, d))
+            names = tuple(f"x{j}" for j in range(d))
+            pool = len(train) if axis == "rows" else d
+            for size in sorted({1, 2, min(pool, 9), pool}):  # pairwise and running sums differ from 9 rows
+                ids = sorted(rng.choice(pool, size=size, replace=False).tolist())
+                if axis == "rows":
+                    want = kde_log_density_reference(train[ids], test, 1e-3)
+                else:
+                    want = kde_log_density_reference(train[:, ids], test[:, ids], 1e-3)
+                for lay_train in layouts:
+                    for lay_test in layouts:
+                        tables = ((lay_train, train), (lay_test, test))
+                        o = KdeUtility(*(Dataset(features=lay(x), feature_names=names) for lay, x in tables), axis=axis)
+                        assert o.train.features.flags.c_contiguous and o.test.features.flags.c_contiguous
+                        assert o._log_density([frozenset(ids)])[0].tobytes() == want.tobytes()
 
 
 class TestKdeWorkspace:
