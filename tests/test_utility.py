@@ -341,6 +341,34 @@ class TestKdeKernelBits:
                 assert got.tobytes() == want.tobytes()
                 assert got_warnings == want_warnings
 
+    def test_matches_reference_on_mixed_and_strided_layouts(self):
+        # Train and test as C, F, strided and reversed arrays. The kernel takes
+        # each set as the oracle gathers it from the Dataset's C copy (a
+        # C-ordered row subset, an F-ordered column subset) and gives the bits
+        # of the reference on the C copy.
+        rng = np.random.default_rng(11)
+        layouts = {
+            "C": lambda x: x,
+            "F": np.asfortranarray,
+            "strided": lambda x: np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)[::2, ::2],
+            "reversed": lambda x: np.ascontiguousarray(x[:, ::-1])[:, ::-1],
+        }
+        for d in (2, 7, 9, 130):
+            train, test = rng.normal(size=(30, d)), rng.normal(size=(9, d))
+            names = tuple(f"x{j}" for j in range(d))
+            rows = np.sort(rng.choice(30, size=9, replace=False))[None]
+            cols = np.sort(rng.choice(d, size=max(1, d // 2), replace=False))[None]
+            want_rows = kde_log_density_reference(train[rows[0]], test, 1e-3)
+            want_cols = kde_log_density_reference(train[:, cols[0]], test[:, cols[0]], 1e-3)
+            for lay_train in layouts.values():
+                for lay_test in layouts.values():
+                    tables = ((lay_train, train), (lay_test, test))
+                    tr, te = (Dataset(features=lay(x), feature_names=names) for lay, x in tables)
+                    got = _kde_log_density(utility._restrict(tr, rows, "rows"), te.features[None], 1e-3)[0]
+                    assert got.tobytes() == want_rows.tobytes()
+                    x, t = (utility._restrict(ds, cols, "features") for ds in (tr, te))
+                    assert _kde_log_density(x, t, 1e-3)[0].tobytes() == want_cols.tobytes()
+
     @pytest.mark.parametrize("d", [1, 2, 9])
     def test_far_point_is_minus_inf_with_the_same_warnings(self, d):
         train, test = kde_case(d, 100 + d)
@@ -463,10 +491,10 @@ class TestKdeBatch:
             assert len(stacks) == len(sets) if cap == 1 else any(g > 1 for g, _ in stacks)
 
     @pytest.mark.parametrize("axis", ["rows", "features"])
-    def test_every_layout_of_a_table_has_the_c_copy_bits(self, axis):
+    def test_sum_order_follows_each_layout(self, axis):
         # One table as a C, F, strided and reversed array, for train and test
-        # alike: a Dataset holds each C-ordered, so every layout gives every set
-        # the bits of the reference on the C copy.
+        # alike: a Dataset holds each C-ordered, so every layout sums in one
+        # order and gives every set the bits of the reference on the C copy.
         rng = np.random.default_rng(85)
         layouts = (
             lambda x: x,
