@@ -9,7 +9,7 @@ from pathlib import Path
 
 import click
 
-from .core import OwnerPartition, ShapcfError, spawn_rng
+from .core import MalformedInput, OwnerPartition, ShapcfError, spawn_rng
 from .datasets import load_partition, read_json, validate_partition
 from .explain import ENGINES, ExplainConfig, explain as run_engine
 from .harness import ExperimentConfig, load_split, run_experiment, write_outputs
@@ -76,7 +76,10 @@ def _emit(payload: dict, out: str | None) -> None:
     """Write `payload` as strict JSON: a non-finite float is written as null."""
     text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise MalformedInput(f"{out}: cannot write the file ({exc})") from None
         click.echo(f"wrote {out}", err=True)
     else:
         click.echo(text, nl=False)

@@ -31,8 +31,8 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] < 1:
-            raise MalformedInput(f"features must be 2-D with at least one column, got shape {feats.shape}")
+        if feats.ndim != 2 or min(feats.shape) < 1:
+            raise MalformedInput(f"features must be 2-D with at least one row and column, got shape {feats.shape}")
         if not np.isfinite(feats).all():
             raise MalformedInput("features contain NaN or infinite values")
         if len(self.feature_names) != feats.shape[1]:

@@ -23,15 +23,17 @@ through the prefix of owners placed before both members of the pair, and n
 owners leave 2^(n-2) such prefixes. While that is at most EXACT_PREFIXES,
 flip checks and svexp's race enumerate the prefixes instead of sampling
 orderings: exact answers that draw nothing from the rng. A request scores
-each shift X as the entry sets (A - X, B | X) on its own partition, on the
-route chosen once when it is built: _Exact over one shapley.coalition_plan,
-or _Sampled over drawn prefixes. Pair selection's checked request is
-explain's `pair`: one plan and one precondition check for every engine.
+each shift X as shapley.shift_sets's entry sets (A - X, B | X) on its own
+partition, on the route chosen once when it is built: _Exact over one
+shapley.coalition_plan, or _Sampled over drawn prefixes. Pair selection's
+checked request is explain's `pair`: one plan and one precondition check
+for every engine. An entry e's power is minus the differential (or terms)
+of its shift X | {e}, so a race scores its arms' shifts as checks would.
 _Exact keeps a table of the differentials it scored, by shift, and reads
-it before it scores: a power is minus the differential of its shift, so
-svexp's round check reads the winning arm's power, and the pair's table
-(its check, and with windows its search opening, scored with other
-trials' in one _score call) is copied into every engine's request.
+it before it scores: svexp's round check reads the winning arm's shift,
+and the pair's table (its check, and with windows its search opening,
+scored with other trials' in one _score call) is copied into every
+engine's request.
 """
 
 from __future__ import annotations
@@ -52,13 +54,12 @@ from .core import (
     OwnerId,
     OwnerPartition,
     Rule,
-    SameOwner,
     TooLarge,
     check_values,
     is_number,
 )
-from .power import ArmState, Top1Result, make_power_sampler, thompson_top1
-from .shapley import Estimate, FlipResult, coalition_plan, differentials, is_flipped
+from .power import ArmState, Top1Result, _minus, make_power_sampler, thompson_top1
+from .shapley import Estimate, FlipResult, coalition_plan, differentials, is_flipped, shift_sets
 from .shapley import diff_shapley_exact  # unused here; perfbench/tracing.py wraps this name
 from .utility import UtilityOracle
 
@@ -193,16 +194,6 @@ def _width(est: Estimate) -> float:
     return est.half_width if est.count else 0.0
 
 
-def _minus(d: float) -> float:
-    """-d, but +0.0 for a zero: the differential of the reverse pair, bit for bit.
-
-    Reversing a pair negates every gap and term exactly, and fsum's correctly
-    rounded sum of negated terms is the negated sum, except that fsum gives
-    +0.0, never -0.0, for a zero sum.
-    """
-    return 0.0 - d
-
-
 def _subsets(entries: list[EntryId]):
     """Non-empty subsets in ascending size, lexicographic within a size."""
     return itertools.chain.from_iterable(
@@ -237,9 +228,7 @@ class _Request:
         config: ExplainConfig | None,
         pair: _Request | None = None,
     ) -> None:
-        if a == b:
-            raise SameOwner(f"explanation needs two distinct owners, got {a!r} twice")
-        self.ents_a, self.ents_b = partition.entries(a), partition.entries(b)
+        self.ents_a, self.ents_b = shift_sets(partition, a, b, frozenset())
         self.engine, self.partition, self.oracle = engine, partition, oracle
         self.a, self.b, self.rng = a, b, rng
         self.cfg = config or ExplainConfig()
@@ -353,7 +342,7 @@ class _Exact:
     """The exact route: each shift's differential, folded over the pair's one coalition plan.
 
     `table` holds the differential of each shift scored so far, read before
-    anything is scored; _score fills it for checks and openings.
+    anything is scored; _score fills it for checks, openings and races.
     """
 
     def __init__(self, plan, table: dict[frozenset[EntryId], float] | None = None) -> None:
@@ -363,11 +352,6 @@ class _Exact:
         """The reverse pair's route: this plan, as it leaves out both owners, and no shifts yet."""
         return _Exact(self.plan)
 
-    def unscored(self, req: _Request, shifts: list[frozenset[EntryId]]) -> tuple[list[frozenset[EntryId]], list]:
-        """The shifts not in the table (usually all), and their entry-set pairs (A - moved, B | moved)."""
-        new = shifts if self.table.keys().isdisjoint(shifts) else [moved for moved in shifts if moved not in self.table]
-        return new, [(req.ents_a - moved, req.ents_b | moved) for moved in new]
-
     def checks(self, req: _Request, budget: int, shifts: list[frozenset[EntryId]]) -> list[FlipResult]:
         """Every shift's check, read off the table: the shifts it lacks are scored in one values() call."""
         _score([(req, shifts)])
@@ -376,7 +360,7 @@ class _Exact:
     def span(self, req: _Request, moved: frozenset[EntryId]) -> int:
         """The oracle's room for moved's two largest sets, over the 2^(n-1) sets a shift scores."""
         bases = self.plan[0]
-        largest = [bases[-1] | (req.ents_a - moved), bases[-1] | req.ents_b | moved]
+        largest = [bases[-1] | ents for ents in shift_sets(req.partition, req.a, req.b, moved)]
         return max(1, req.oracle.room(largest) // (2 * len(bases)))
 
     def verify(self, req: _Request, moved: Iterable[EntryId]) -> FlipResult:
@@ -386,15 +370,12 @@ class _Exact:
         """Every arm's exact power; the argmax wins, ties going to the smallest entry id.
 
         Entry e's power (as power_exact) is minus the table's differential of
-        the shift moved + {e}. The shifts not in the table are scored here,
-        their sets (B | moved | {e}, A - moved - {e}) in one values() call.
+        the shift moved + {e}; the shifts the table lacks are scored in one
+        values() call, as their checks would be.
         """
-        left, got = req.ents_a - moved, req.ents_b | moved
-        todo = [e for e in ents if moved | {e} not in self.table]
-        if todo:
-            powers = differentials(req.oracle, [(self.plan, [(got | {e}, left - {e}) for e in todo])])
-            self.table.update((moved | {e}, _minus(power)) for e, power in zip(todo, powers))
-        arms = [ArmState(e, Estimate(req.cfg.delta, _minus(self.table[moved | {e}]))) for e in ents]
+        shifts = [moved | {e} for e in ents]
+        _score([(req, shifts)])
+        arms = [ArmState(e, Estimate(req.cfg.delta, _minus(self.table[shift]))) for e, shift in zip(ents, shifts)]
         best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
         return Top1Result(best.entry, tuple(arms), 0, True, False)
 
@@ -429,16 +410,19 @@ class _Sampled:
 def _score(jobs: Iterable[tuple[_Request, list[frozenset[EntryId]]]]) -> None:
     """Put each job's shifts that its exact route's table lacks there, in one values() call.
 
-    A job is a request and shifts of its pair; sampled-route requests are
-    skipped. The requests share one oracle and may be of different
-    partitions (one shapley.differentials call over their plans). Nothing
-    is counted.
+    A job is a request and shifts of its pair, each scored as its
+    shapley.shift_sets pair; sampled-route requests are skipped. The
+    requests share one oracle and may be of different partitions (one
+    shapley.differentials call over their plans). Nothing is counted.
     """
-    todo = [(req, *req.route.unscored(req, shifts)) for req, shifts in jobs if isinstance(req.route, _Exact)]
-    plans = [(req.route.plan, pairs) for req, new, pairs in todo if new]
-    if plans:
+    todo = [
+        (req, [moved for moved in shifts if moved not in req.route.table])
+        for req, shifts in jobs if isinstance(req.route, _Exact)
+    ]
+    if any(new for _, new in todo):
+        plans = [(req.route.plan, [shift_sets(req.partition, req.a, req.b, m) for m in new]) for req, new in todo]
         found = iter(differentials(todo[0][0].oracle, plans))
-        for req, new, _ in todo:
+        for req, new in todo:
             req.route.table.update(zip(new, found))
 
 

@@ -647,46 +647,49 @@ _CSV_FIELDS = [f.name for f in fields(TrialRecord) if f.name != "runtime_s"]
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write trials.csv, summary.json, grid CSVs (deterministic) + timings.json."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        written: list[Path] = []
 
-    trials_path = out / "trials.csv"
-    with trials_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_FIELDS)
-        for r in result.records:
-            w.writerow([
-                ";".join(str(e) for e in r.delta_entries) if name == "delta_entries"
-                else getattr(r, name)
-                for name in _CSV_FIELDS
-            ])
-    written.append(trials_path)
+        trials_path = out / "trials.csv"
+        with trials_path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(_CSV_FIELDS)
+            for r in result.records:
+                w.writerow([
+                    ";".join(str(e) for e in r.delta_entries) if name == "delta_entries"
+                    else getattr(r, name)
+                    for name in _CSV_FIELDS
+                ])
+        written.append(trials_path)
 
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
-    written.append(summary_path)
+        summary_path = out / "summary.json"
+        summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
+        written.append(summary_path)
 
-    if result.grids and result.grid_axes:
-        rows, cols = result.grid_axes
-        for engine, tables in result.grids.items():
-            for name, table in tables.items():
-                path = out / f"pairwise_{engine}_{name}.csv"
-                with path.open("w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow([""] + cols)
-                    for label, row in zip(rows, table):
-                        w.writerow([label] + ["" if v is None else repr(v) for v in row])
-                written.append(path)
+        if result.grids and result.grid_axes:
+            rows, cols = result.grid_axes
+            for engine, tables in result.grids.items():
+                for name, table in tables.items():
+                    path = out / f"pairwise_{engine}_{name}.csv"
+                    with path.open("w", newline="") as fh:
+                        w = csv.writer(fh)
+                        w.writerow([""] + cols)
+                        for label, row in zip(rows, table):
+                            w.writerow([label] + ["" if v is None else repr(v) for v in row])
+                    written.append(path)
 
-    timings_path = out / "timings.json"
-    timings = {
-        "note": "wall-clock seconds; not covered by the determinism contract",
-        "trials": [
-            {"cell": r.cell, "trial": r.trial, "engine": r.engine, "runtime_s": r.runtime_s}
-            for r in result.records
-        ],
-        "total_s": sum(r.runtime_s for r in result.records),
-    }
-    timings_path.write_text(json.dumps(timings, indent=2) + "\n")
-    written.append(timings_path)
+        timings_path = out / "timings.json"
+        timings = {
+            "note": "wall-clock seconds; not covered by the determinism contract",
+            "trials": [
+                {"cell": r.cell, "trial": r.trial, "engine": r.engine, "runtime_s": r.runtime_s}
+                for r in result.records
+            ],
+            "total_s": sum(r.runtime_s for r in result.records),
+        }
+        timings_path.write_text(json.dumps(timings, indent=2) + "\n")
+        written.append(timings_path)
+    except OSError as exc:
+        raise MalformedInput(f"{out}: cannot write the outputs ({exc})") from None
     return written

@@ -2,9 +2,9 @@
 
 The power of entry x (held by a) against the pair (a, b) is the differential
 value of b over a AFTER x is transferred: positive power means the move pushes
-the pair toward a flip. It equals an exact differential on the transferred
-partition, and it admits the same single-permutation unbiased sampling as the
-plain differential.
+the pair toward a flip. Both routes score it as minus the differential (or
+the terms) of the shift that adds x to the entries a gives b, so a power and
+the flip check of its shift send the same entry sets to the oracle.
 
 thompson_top1 races the candidate entries as bandit arms with normal posterior
 sampling to find the highest-power entry without exhausting samples on
@@ -19,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DeltaNotOwned,
-    EntryId,
-    OwnerId,
-    OwnerPartition,
-    SameOwner,
-    SingletonOwner,
-)
-from .shapley import Estimate, coalition_plan, differentials, sampled_terms
+from .core import DeltaNotOwned, EntryId, OwnerId, OwnerPartition, SingletonOwner
+from .shapley import Estimate, coalition_plan, differentials, sampled_terms, shift_sets
 from .utility import UtilityOracle
 
 Sampler = Callable[[EntryId, int, np.random.Generator], Sequence[float]]
@@ -39,20 +32,26 @@ RACE_BATCH = 32
 RACE_POSTERIOR_DRAWS = 256
 
 
-def _check_power_args(
+def _minus(d):
+    """-d, but +0.0 for a zero: a power from its shift's differential or terms, bit for bit.
+
+    Swapping a pair's entry sets negates every gap and weighted term exactly,
+    and fsum of negated terms is the negated sum, except that fsum gives
+    +0.0, never -0.0, for a zero sum.
+    """
+    return 0.0 - d
+
+
+def _power_shift(
     partition: OwnerPartition, a: OwnerId, b: OwnerId, x: EntryId, moved: frozenset[EntryId]
 ) -> tuple[frozenset[EntryId], frozenset[EntryId]]:
-    if a == b:
-        raise SameOwner(f"power needs two distinct owners, got {a!r} twice")
-    ents_a = partition.entries(a)
-    if not moved <= ents_a:
-        raise DeltaNotOwned(f"entries {sorted(moved - ents_a)} are not held by owner {a!r}")
-    ents_a, ents_b = ents_a - moved, partition.entries(b) | moved
-    if x not in ents_a:
+    """The entry-set pair of x's shift, moved + {x}, once x's power is checked to be defined."""
+    if x in moved:
         raise DeltaNotOwned(f"entry {x} is not held by owner {a!r}")
-    if len(ents_a) < 2:
+    pair = shift_sets(partition, a, b, moved | {x})
+    if not pair[0]:
         raise SingletonOwner(f"owner {a!r} holds only entry {x}; its power is undefined")
-    return ents_a, ents_b
+    return pair
 
 
 def make_power_sampler(
@@ -65,8 +64,8 @@ def make_power_sampler(
     """Sampler of k power terms of an entry, from k fresh permutations per request.
 
     With P the owners preceding both a and b, and A, B their entry sets once
-    a gives `moved` to b, an entry x's term compares b holding x against A - x:
-    (n/2) * [U(P + (B+x)) - U(P + (A-x))] / (n - |P| - 1).
+    a gives `moved` to b, an entry x's term is minus the flip-check term of
+    the shift moved + {x}: (n/2) * [U(P + (B+x)) - U(P + (A-x))] / (n - |P| - 1).
     The arguments are checked before any draw. Each entry's terms are
     memoised by prefix for the sampler's life (one race), since a term
     depends only on the entry and the prefix.
@@ -74,9 +73,8 @@ def make_power_sampler(
     memos: dict[EntryId, dict[bytes, float]] = {}
 
     def sampler(entry: EntryId, k: int, rng: np.random.Generator) -> np.ndarray:
-        ents_a, ents_b = _check_power_args(partition, a, b, entry, moved)
-        pair = (ents_b | {entry}, ents_a - {entry})
-        return sampled_terms(partition, oracle, (a, b), pair, memos.setdefault(entry, {}), k, rng)
+        pair = _power_shift(partition, a, b, entry, moved)
+        return _minus(sampled_terms(partition, oracle, (a, b), pair, memos.setdefault(entry, {}), k, rng))
 
     return sampler
 
@@ -101,9 +99,9 @@ def power_mc(
 def power_exact(
     partition: OwnerPartition, oracle: UtilityOracle, a: OwnerId, b: OwnerId, x: EntryId
 ) -> float:
-    """Exact power: the differential of (B + x) over (A - x) on the pair's coalition plan."""
-    ents_a, ents_b = _check_power_args(partition, a, b, x, frozenset())
-    return differentials(oracle, [(coalition_plan(partition, a, b), [(ents_b | {x}, ents_a - {x})])])[0]
+    """Exact power: minus the differential of the shift {x} on the pair's coalition plan."""
+    pair = _power_shift(partition, a, b, x, frozenset())
+    return _minus(differentials(oracle, [(coalition_plan(partition, a, b), [pair])])[0])
 
 
 @dataclass

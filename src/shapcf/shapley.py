@@ -330,6 +330,21 @@ class FlipResult:
         return FlipResult(flip.get(self.verdict, self.verdict), est, self.budget_exhausted)
 
 
+def shift_sets(
+    partition: OwnerPartition, a: OwnerId, b: OwnerId, moved: frozenset[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The entry sets (A - moved, B + moved) of owners a and b once a gives `moved` to b.
+
+    Raises SameOwner for a == b and DeltaNotOwned for entries of `moved` that a does not hold.
+    """
+    if a == b:
+        raise SameOwner(f"a shift needs two distinct owners, got {a!r} twice")
+    ents_a = partition.entries(a)
+    if not moved <= ents_a:
+        raise DeltaNotOwned(f"entries {sorted(moved - ents_a)} are not held by owner {a!r}")
+    return ents_a - moved, partition.entries(b) | moved
+
+
 def is_flipped(
     partition: OwnerPartition,
     oracle: UtilityOracle,
@@ -350,12 +365,7 @@ def is_flipped(
     "undecided", budget_exhausted set). A prefix never holds a or b, so the
     check is bit for bit the one on the partition after the transfer.
     """
-    if a == b:
-        raise SameOwner(f"flip check needs two distinct owners, got {a!r} twice")
-    ents_a = partition.entries(a)
-    if not moved <= ents_a:
-        raise DeltaNotOwned(f"entries {sorted(moved - ents_a)} are not held by owner {a!r}")
-    pair = (ents_a - moved, partition.entries(b) | moved)
+    pair = shift_sets(partition, a, b, moved)
     memo: dict[bytes, float] = {}
     est = Estimate(delta=delta)
     budget = int(budget)

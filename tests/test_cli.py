@@ -206,6 +206,28 @@ class TestShapleyCommand:
         assert res.stderr.startswith("Error: ") and str(data) in res.stderr
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("kind", ["kde", "logistic-regression", "linreg"])
+    def test_held_out_table_without_rows_is_a_clean_error(self, runner, tmp_path, kind):
+        data = write_csv(tmp_path / "train.csv", n_rows=30, seed=1)
+        test = tmp_path / "test.csv"
+        test.write_text("x,y\n")
+        utility = write_json(tmp_path / "utility.json", {"kind": kind, "label": "y"})
+        partition = write_json(tmp_path / "partition.json", {"owners": {"A": [0, 1, 2], "B": [3, 4]}})
+        res = runner.invoke(
+            main, ["shapley", "--data", data, "--test-data", str(test), "--partition", partition, "--utility", utility]
+        )
+        assert res.exit_code == 1, res.output
+        assert res.stderr.startswith("Error: ") and "at least one row" in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    def test_out_in_a_missing_directory_is_a_clean_error(self, runner, additive_files, tmp_path):
+        utility, partition = additive_files
+        out = tmp_path / "missing_dir" / "values.json"
+        res = runner.invoke(main, ["shapley", "--partition", partition, "--utility", utility, "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert res.stderr.startswith("Error: ") and f"{out}: cannot write the file" in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_bad_options_are_clean_errors(self, runner, additive_files):
         utility, partition = additive_files
         for args in (
@@ -370,6 +392,14 @@ class TestExperimentCommand:
         assert runner.invoke(main, ["experiment", "--config", config, "--out", str(out2)]).exit_code == 0
         for name in ("trials.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_out_on_an_existing_file_is_a_clean_error(self, runner, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        res = runner.invoke(main, ["experiment", "--config", self.make_config(tmp_path), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert res.stderr.startswith("Error: ") and f"{out}: cannot write the outputs" in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
 
     def test_bad_config_is_a_clean_error(self, runner, tmp_path):
         with open(self.make_config(tmp_path)) as fh:

@@ -34,14 +34,16 @@ from shapcf.explain import (
     ExplainConfig,
     explain,
 )
-from shapcf.power import power_exact
+from shapcf.power import make_power_sampler, power_exact
 from shapcf.shapley import (
     EXACT_OWNER_LIMIT,
+    FLIP_BATCH,
     Estimate,
     FlipResult,
     coalition_plan,
     diff_shapley_exact,
     differentials,
+    is_flipped,
     shapley_exact_all,
 )
 from shapcf.utility import AdditiveUtility, KdeUtility, LogRegUtility, SetCoverGame, SetCoverUtility
@@ -646,6 +648,32 @@ class TestExactRoute:
         # the pair's own check samples through the engines' is_flipped
         assert set(calls) == ({"shapcf.explain.is_flipped"} if sampled else set())
 
+
+@pytest.mark.parametrize("n", [7, 11])  # exact and sampled races
+def test_race_sends_what_checking_its_shifts_sends(n, values_calls):
+    # A power is minus its shift's differential: the race at X scores arm e
+    # on the sets that checking the shift X + {e} sends, in the same order.
+    owners = {"A": [0, 1, 2, 3, 4], "B": [5], **{f"C{i}": [6 + i, 7 + i] for i in range(n - 2)}}
+    p = part(**owners)
+    oracle = AdditiveUtility({e: 1.0 + (e * 7 % 5) for e in range(n + 6)})
+    moved = frozenset({2})
+    ents = [0, 1, 3, 4]
+    shifts = [moved | {e} for e in ents]
+    if n == 7:
+        explain_module._Request("svexp", p, oracle, "A", "B", None, None).race(moved)
+        raced = values_calls[:]
+        values_calls.clear()
+        list(explain_module._Request("mc", p, oracle, "A", "B", spawn_rng(0), None).checks(64, shifts))
+    else:
+        sampler = make_power_sampler(p, oracle, "A", "B", moved)
+        for e in ents:
+            sampler(e, FLIP_BATCH, spawn_rng(83, e))
+        raced = values_calls[:]
+        values_calls.clear()
+        for e, shift in zip(ents, shifts):
+            is_flipped(p, oracle, "A", "B", spawn_rng(83, e), budget=FLIP_BATCH, moved=shift)
+    assert len(raced) == (1 if n == 7 else len(ents))
+    assert values_calls == raced
 
 
 class TestCoalitionPlan:

@@ -639,7 +639,8 @@ WINDOW_CASES = {
 # trial). tests/data/golden/values_calls.json holds the values() traffic
 # each sent at the commit before windows and the shift table, less the
 # calls of svexp's round checks (each a _Request.check called from _svexp),
-# as values_digest reads it. To regenerate it after a deliberate change of
+# as values_digest reads it, with each race pair laid out as the check of
+# its shift, (A - X - {e}, B | X | {e}). To regenerate it after a deliberate change of
 # traffic, run each case under the same values() spy and dump its digest,
 # from the repository root, and say in CHANGES.md which cases moved and why:
 #
@@ -913,6 +914,19 @@ class TestRunErrors:
             run_experiment(cfg)
         with pytest.raises(MalformedInput, match=re.escape(f"{path}: cannot read the file")):
             harness.load_csv(path)
+
+    def test_held_out_table_without_rows_is_rejected(self, tmp_path):
+        # Scored against no test rows, a utility would divide by zero or average nothing.
+        (tmp_path / "train.csv").write_text("x0,x1,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(40)))
+        (tmp_path / "test.csv").write_text("x0,x1,y\n")
+        with pytest.raises(MalformedInput, match="at least one row"):
+            harness.load_csv(tmp_path / "test.csv", label="y")
+        cfg = ExperimentConfig.from_json(
+            base_config(utility={"kind": "kde", "label": "y"}, data=str(tmp_path / "train.csv"),
+                        test_data=str(tmp_path / "test.csv"))
+        )
+        with pytest.raises(MalformedInput, match="at least one row"):
+            run_experiment(cfg)
 
     def test_grid_pair_mode_checks_vertical_groups(self, housing_dataset, monkeypatch):
         train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))

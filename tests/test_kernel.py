@@ -317,7 +317,7 @@ def test_power_sampler_sends_one_pair_per_new_prefix(n, values_calls):
     partition, oracle = disjoint_game(n)
     sampler = make_power_sampler(partition, oracle, "A", "B")
     rng, ref = spawn_rng(22, n), spawn_rng(22, n)
-    x, y = partition.entries("B") | {1}, frozenset({0})
+    x, y = frozenset({0}), partition.entries("B") | {1}  # the shift {1}: (A - {1}, B + {1})
     for k in (40, 40, 300):  # the memo of entry 1 spans the sampler's calls
         sampler(1, k, rng)
     assert sent_pairs(values_calls) == new_prefix_pairs(partition, "A", "B", ref, [40, 40, 300], x, y)
