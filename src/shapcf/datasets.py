@@ -82,6 +82,7 @@ def load_csv(
     The optional label column is parsed as numbers when possible, otherwise
     mapped to 0..k-1 by sorted distinct value. The optional group column is
     kept as strings. Every remaining column must parse as a finite float.
+    Every MalformedInput raised names the file.
     """
     path = Path(path)
     try:
@@ -124,14 +125,17 @@ def load_csv(
             labels = np.array([codes[v] for v in raw], dtype=np.float64)
 
     groups = tuple(row[group_idx] for row in rows) if group_idx is not None else None
-    return Dataset(
-        features=feats,
-        feature_names=tuple(header[i] for i in feat_idx),
-        labels=labels,
-        label_name=label,
-        groups=groups,
-        group_name=group,
-    )
+    try:
+        return Dataset(
+            features=feats,
+            feature_names=tuple(header[i] for i in feat_idx),
+            labels=labels,
+            label_name=label,
+            groups=groups,
+            group_name=group,
+        )
+    except MalformedInput as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
 
 
 def split_dataset(

@@ -332,10 +332,19 @@ def load_split(
     label: str | None = None,
     group: str | None = None,
 ) -> tuple[Dataset, Dataset]:
-    """Train and test sets: `data` and `test_data`, or `data` split on the seed's split stream."""
+    """Train and test sets: `data` and `test_data`, or `data` split on the seed's split stream.
+
+    `test_data` must have `data`'s feature columns, in the same order.
+    """
     full = load_csv(data, label=label, group=group)
     if test_data is not None:
-        return full, load_csv(test_data, label=label, group=group)
+        test = load_csv(test_data, label=label, group=group)
+        if test.feature_names != full.feature_names:
+            raise MalformedInput(
+                f"{test_data}: feature columns {list(test.feature_names)} differ from"
+                f" {data}'s {list(full.feature_names)}"
+            )
+        return full, test
     return split_dataset(full, test_ratio, spawn_rng(seed, _STREAM_SPLIT))
 
 

@@ -8,8 +8,8 @@ when the differential is negative.
 
 Every value, differential and power is a weighted sum of one gap,
 U(base + x) - U(base + y), over the coalitions placed before a pair, and
-one function (gaps) scores it on both routes: each pair (x, y) of entry sets
-is laid out as (base + x, base + y) for every base, in one oracle call.
+one oracle method (UtilityOracle.gaps) scores it on both routes, every
+pair (x, y) of entry sets over every base of a job, in one call.
 Exact routines take their bases and weights from one builder
 (coalition_plan), which enforces EXACT_OWNER_LIMIT, and differentials folds
 the gaps with math.fsum, so owners with identical entry sets get
@@ -122,23 +122,6 @@ class Estimate:
         return self.mean - hw, self.mean + hw
 
 
-def gaps(
-    oracle: UtilityOracle,
-    jobs: list[tuple[list[frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]]],
-) -> list[float]:
-    """U(base + x) - U(base + y) for each job's bases and entry-set pairs (x, y), in order.
-
-    A job is (bases, pairs); its gaps run pair by pair, each over every base.
-    All the jobs' sets go to the oracle in one values() call, laid out the
-    same way: (base + x, base + y) for each base. An empty y leaves each
-    base the object it is.
-    """
-    vals = oracle.values(
-        [s for bases, pairs in jobs for x, y in pairs for base in bases for s in (base | x, base | y if y else base)]
-    )
-    return list(map(operator.sub, vals[::2], vals[1::2]))
-
-
 def coalition_plan(
     partition: OwnerPartition, *excluded: OwnerId
 ) -> tuple[list[frozenset[int]], list[float]]:
@@ -184,10 +167,10 @@ def differentials(
 
     A job is (plan, pairs); the result lists every job's differentials in
     turn. Each is the fsum of the pair's gaps times its plan's weights, and
-    every job's sets go to the oracle in one values() call: plans of
-    several partitions share it, and a single plan is the one-job case.
+    every job goes to the oracle in one gaps() call: plans of several
+    partitions share it, and a single plan is the one-job case.
     """
-    found = iter(gaps(oracle, [(plan[0], pairs) for plan, pairs in jobs]))
+    found = iter(oracle.gaps([(plan[0], pairs) for plan, pairs in jobs]))
     # weights first: map stops at their end and takes no extra gap
     return [math.fsum(map(operator.mul, weights, found)) for (_, weights), pairs in jobs for _ in pairs]
 
@@ -223,7 +206,7 @@ def sampled_terms(
     pair, the term is (n/2) * [U(P + x) - U(P + y)] / (n - |P| - 1);
     averaging over uniform orderings recovers the exact differential. Each
     chunk's distinct prefixes not yet in memo (prefix key to term) have
-    their gaps scored in one values() call, and memo keeps their terms.
+    their gaps scored in one gaps() call, and memo keeps their terms.
     """
     ids, n = partition.owner_ids(), partition.n
     chunks = []
@@ -232,7 +215,7 @@ def sampled_terms(
         todo = [i for i, term in enumerate(terms) if term is None]
         if todo:
             prefixes = [[o for o, inside in zip(ids, row) if inside] for row in masks[todo].tolist()]
-            found = gaps(oracle, [([partition.composed(prefix) for prefix in prefixes], [pair])])
+            found = oracle.gaps([([partition.composed(prefix) for prefix in prefixes], [pair])])
             for i, prefix, gap in zip(todo, prefixes, found):
                 terms[i] = memo[keys[i]] = n / (2.0 * (n - len(prefix) - 1)) * gap
         chunks.append(np.array(terms, dtype=np.float64)[inverse])

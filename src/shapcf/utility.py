@@ -16,6 +16,7 @@ positions (all training rows used).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -93,6 +94,21 @@ class UtilityOracle:
                 out[i] = out[first]
         return out
 
+    def gaps(
+        self, jobs: list[tuple[list[frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]]]
+    ) -> list[float]:
+        """U(base + x) - U(base + y) for each job's bases and entry-set pairs (x, y), in order.
+
+        A job is (bases, pairs); its gaps run pair by pair, each over every
+        base. All the jobs' sets go to values() in one call, laid out the
+        same way: (base + x, base + y) for each base. An empty y leaves each
+        base the object it is.
+        """
+        vals = self.values(
+            [s for bases, pairs in jobs for x, y in pairs for base in bases for s in (base | x, base | y if y else base)]
+        )
+        return list(map(operator.sub, vals[::2], vals[1::2]))
+
     def room(self, sets: list[frozenset[int]]) -> int:
         """How many sets like `sets` one values() call scores for about the cost of these alone.
 
@@ -118,7 +134,14 @@ class UtilityOracle:
 
 
 class AdditiveUtility(UtilityOracle):
-    """Sum of fixed non-negative per-entry weights; duplicates count once."""
+    """Sum of fixed non-negative per-entry weights; duplicates count once.
+
+    Each weight is held as an exact integer at one scale 2^K, so a set's
+    score is its integer sum divided by 2^K. Int true division rounds
+    correctly, so a score is the correctly rounded sum of its weights: the
+    bits math.fsum gives in any order. The weights' total must round to a
+    finite float, so no set's score overflows.
+    """
 
     kind = "additive"
 
@@ -128,13 +151,60 @@ class AdditiveUtility(UtilityOracle):
         bad = sorted(e for e, w in self.weights.items() if w < 0 or not math.isfinite(w))
         if bad:
             raise MalformedInput(f"additive weights must be finite and >= 0, bad entries {bad[:8]}")
+        ratios = {e: w.as_integer_ratio() for e, w in self.weights.items()}  # each denominator a power of 2
+        self._scale = max((den for _, den in ratios.values()), default=1)
+        self._ints = {e: num * (self._scale // den) for e, (num, den) in ratios.items()}
+        try:
+            sum(self._ints.values()) / self._scale
+        except OverflowError:
+            raise MalformedInput("additive weights must sum to a finite float, these overflow") from None
+        self._sums: dict[frozenset[int], int] | None = {} if cache else None
 
-    def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
-        weight = self.weights.__getitem__
-        try:  # fsum is correctly rounded, so the order of the entries is immaterial
-            return [math.fsum(map(weight, ids)) for ids in ids_list]
+    def gaps(
+        self, jobs: list[tuple[list[frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]]]
+    ) -> list[float]:
+        """UtilityOracle.gaps from integer sums, with the bits values() gives each union.
+
+        A base's sum is kept (by base, until clear_cache), and U(base + x) is
+        that sum plus x's, or plus that of x's entries outside the base when
+        they overlap (owners may share entries), over 2^K. So no union set is
+        built, and no coalition is memoised. calls and evals move by one for
+        each set a gap stands for.
+        """
+        total, scale = self._total, self._scale
+        sums = self._sums if self._sums is not None else {}
+        out: list[float] = []
+        for bases, pairs in jobs:
+            at = []
+            for base in bases:
+                s = sums.get(base)
+                if s is None:
+                    s = sums[base] = total(base)
+                at.append(s)
+            for x, y in pairs:
+                sx, sy = total(x), total(y)
+                out += [
+                    (s + (sx if x.isdisjoint(base) else total(x - base))) / scale
+                    - (s + (sy if y.isdisjoint(base) else total(y - base))) / scale
+                    for base, s in zip(bases, at)
+                ]
+        self.calls += 2 * len(out)
+        self.evals += 2 * len(out)
+        return out
+
+    def clear_cache(self) -> None:
+        super().clear_cache()
+        if self._sums is not None:
+            self._sums.clear()
+
+    def _total(self, ids: frozenset[int]) -> int:
+        try:
+            return sum(map(self._ints.__getitem__, ids))
         except KeyError as exc:
             raise MalformedInput(f"no weight for entry {exc.args[0]}") from None
+
+    def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
+        return [self._total(ids) / self._scale for ids in ids_list]
 
 
 @dataclass(frozen=True)

@@ -61,16 +61,57 @@ def random_games(seed: int, count: int, n_lo: int = 2, n_hi: int = 6, pool: int 
 
 @pytest.fixture
 def values_calls(monkeypatch) -> list[list[frozenset[int]]]:
-    """The sets of every UtilityOracle.values call the test makes, one list per call."""
+    """The sets of every oracle call the test makes, one list per call.
+
+    A values() call is recorded as its sets, and a gaps() call as the sets
+    its gaps stand for: (base + x, base + y) for each base and pair, an
+    empty y leaving the base itself, in the one values() call the generic
+    gaps makes of them (which is not recorded again). So the additive
+    oracle's gap path, which builds no union, shows the traffic of the
+    generic one.
+    """
     calls: list[list[frozenset[int]]] = []
+    inside = [False]
     values = UtilityOracle.values
 
-    def spy(oracle, sets):
-        calls.append(list(sets))
-        return values(oracle, calls[-1])
+    def values_spy(oracle, sets):
+        sets = list(sets)
+        if not inside[0]:
+            calls.append(sets)
+        return values(oracle, sets)
 
-    monkeypatch.setattr(UtilityOracle, "values", spy)
+    def gaps_spy(gaps):
+        def spy(oracle, jobs):
+            if inside[0]:
+                return gaps(oracle, jobs)
+            calls.append(
+                [s for bases, pairs in jobs for x, y in pairs for base in bases for s in (base | x, base | y if y else base)]
+            )
+            inside[0] = True
+            try:
+                return gaps(oracle, jobs)
+            finally:
+                inside[0] = False
+
+        return spy
+
+    monkeypatch.setattr(UtilityOracle, "values", values_spy)
+    for cls in (UtilityOracle, AdditiveUtility):
+        monkeypatch.setattr(cls, "gaps", gaps_spy(cls.gaps))
     return calls
+
+
+class MemoAdditive(AdditiveUtility):
+    """An additive oracle on the generic gap path: every union goes through values() and its memo."""
+
+    gaps = UtilityOracle.gaps
+
+
+def on_memo_path(oracle: UtilityOracle) -> UtilityOracle:
+    """A MemoAdditive with an additive oracle's weights and cache setting; any other oracle as it is."""
+    if isinstance(oracle, AdditiveUtility):
+        return MemoAdditive(oracle.weights, cache=oracle._cache is not None)
+    return oracle
 
 
 def make_blobs(n_rows: int, n_features: int = 4, seed: int = 0, sep: float = 2.0) -> Dataset:

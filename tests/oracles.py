@@ -12,9 +12,12 @@ cross-check the package's coalition enumeration. The enumerated forms that
 follow them give the Shapley value and the differential each its own
 coalition loop and weights, as separate routines; the package's one plan
 builder must reproduce both bit for bit, with the same oracle traffic
-(tests/test_shapley.py). The ascending-subset search after them checks one
-subset at a time on its own moved partition; the engines' chunked exact
-search must give its answers and counts (tests/test_explain.py).
+(tests/test_shapley.py). The additive utility scored with math.fsum over
+built unions is the reference for the additive oracle's integer sums
+(tests/test_additive_sums.py). The ascending-subset search after them
+checks one subset at a time on its own moved partition; the engines'
+chunked exact search must give its answers and counts
+(tests/test_explain.py).
 
 The last part keeps the straightforward numpy/scipy forms of three hot
 numeric paths: the KDE log density and the Thompson race, which the
@@ -33,7 +36,6 @@ from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from shapcf.core import (
     DeltaNotOwned,
@@ -307,6 +309,24 @@ def enumerated_shapley_exact(partition: OwnerPartition, oracle: UtilityOracle, o
     return math.fsum((va - vb) * w for va, vb, w in zip(vals[::2], vals[1::2], coefs))
 
 
+class FsumAdditive(UtilityOracle):
+    """The additive utility by its definition, on the generic gap path.
+
+    Every union is built and goes through values(), where it is scored as
+    the math.fsum of its weights: the bits AdditiveUtility's integer sums
+    must give.
+    """
+
+    kind = "additive"
+
+    def __init__(self, weights: Mapping[int, float]):
+        super().__init__()
+        self.weights = dict(weights)
+
+    def _score(self, ids: frozenset[int]) -> float:
+        return math.fsum(self.weights[e] for e in ids)
+
+
 def enumerated_diff_weights(n: int) -> list[float]:
     """Per coalition of the other n-2 owners, in enumeration order: 1 / ((|S|+1) * C(n-1, |S|+1))."""
     return [
@@ -369,6 +389,8 @@ def first_flip_reference(
 
 def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
     """Product-Gaussian KDE log density: one (n_test, n_train, d) array and scipy's logsumexp."""
+    from scipy.special import logsumexp  # here, so that a test without scipy can import this module
+
     n, d = train.shape
     std = train.std(axis=0)
     h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)

@@ -220,6 +220,41 @@ class TestShapleyCommand:
         assert res.stderr.startswith("Error: ") and "at least one row" in res.stderr
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("kind", ["kde", "logistic-regression", "linreg"])
+    def test_held_out_table_with_other_features_is_a_clean_error(self, runner, tmp_path, kind):
+        data = tmp_path / "train.csv"
+        data.write_text("x,y\n" + "".join(f"{0.1 * i},{i % 2}\n" for i in range(30)))  # binary labels fit every kind
+        data = str(data)
+        test = tmp_path / "wide.csv"
+        test.write_text("x,z,y\n0.5,1.0,0.0\n-0.5,2.0,1.0\n")
+        utility = write_json(tmp_path / "utility.json", {"kind": kind, "label": "y"})
+        partition = write_json(tmp_path / "partition.json", {"owners": {"A": [0, 1, 2], "B": [3, 4]}})
+        res = runner.invoke(
+            main, ["shapley", "--data", data, "--test-data", str(test), "--partition", partition, "--utility", utility]
+        )
+        assert res.exit_code == 1, res.output
+        assert res.stderr.startswith("Error: ") and "feature columns" in res.stderr
+        assert str(test) in res.stderr and data in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [("x,y\n", "features must be 2-D"), ("x,y\n0.5,nan\n1.5,1.0\n", "labels contain NaN")],
+        ids=["header_only", "nan_label"],
+    )
+    def test_held_out_table_errors_name_the_file(self, runner, tmp_path, table, message):
+        data = write_csv(tmp_path / "train.csv", n_rows=30, seed=1)
+        test = tmp_path / "test.csv"
+        test.write_text(table)
+        utility = write_json(tmp_path / "utility.json", {"kind": "kde", "label": "y"})
+        partition = write_json(tmp_path / "partition.json", {"owners": {"A": [0, 1, 2], "B": [3, 4]}})
+        res = runner.invoke(
+            main, ["shapley", "--data", data, "--test-data", str(test), "--partition", partition, "--utility", utility]
+        )
+        assert res.exit_code == 1, res.output
+        assert res.stderr.startswith(f"Error: {test}: {message}")
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_out_in_a_missing_directory_is_a_clean_error(self, runner, additive_files, tmp_path):
         utility, partition = additive_files
         out = tmp_path / "missing_dir" / "values.json"

@@ -29,7 +29,7 @@ from shapcf.harness import (
 from shapcf.shapley import diff_shapley_exact
 from shapcf.utility import UtilityOracle
 
-from conftest import BOSTON_FEATURES, MONTH_SIZES, make_blobs, serve_datasets
+from conftest import BOSTON_FEATURES, MONTH_SIZES, make_blobs, on_memo_path, serve_datasets
 
 VERTICAL_GROUPS = {
     "P": ["RM", "AGE"],
@@ -558,6 +558,9 @@ class TestOracleMemoLifetime:
                 trials=4,
             )
         )
+        # The additive oracle's gaps keep no coalition memo: watch the generic path's.
+        make_oracle = harness.make_oracle
+        monkeypatch.setattr(harness, "make_oracle", lambda *args, **kw: on_memo_path(make_oracle(*args, **kw)))
         oracle, cleared, partitions = run_watching_memo(cfg, monkeypatch)
         assert len(partitions) == 4
         # Once per trial; only the first trial finds the memo empty.
