@@ -25,15 +25,15 @@ flip checks and svexp's race enumerate the prefixes instead of sampling
 orderings: exact answers that draw nothing from the rng. A request scores
 each shift X as shapley.shift_sets's entry sets (A - X, B | X) on its own
 partition, on the route chosen once when it is built: _Exact over one
-shapley.coalition_plan, or _Sampled over drawn prefixes. Pair selection's
-checked request is explain's `pair`: one plan and one precondition check
-for every engine. An entry e's power is minus the differential (or terms)
-of its shift X | {e}, so a race scores its arms' shifts as checks would.
-_Exact keeps a table of the differentials it scored, by shift, and reads
-it before it scores: svexp's round check reads the winning arm's shift,
-and the pair's table (its check, and with windows its search opening,
-scored with other trials' in one _score call) is copied into every
-engine's request.
+shapley.coalition_plan, or _Sampled over drawn prefixes. Pair selection
+(select_pairs) builds each trial's checked request, engine "pair": one plan
+and one precondition check for every engine. An entry e's power is minus
+the differential (or terms) of its shift X | {e}, so a race scores its
+arms' shifts as checks would. _Exact keeps a table of the differentials it
+scored, by shift, and reads it before it scores: svexp's round check reads
+the winning arm's shift, a verification reads its answer's, and the pair's
+table (its check, and with windows its search opening, scored with other
+trials' in one _score call) is copied into every engine's request.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .core import (
     check_values,
     is_number,
 )
-from .power import ArmState, Top1Result, _minus, make_power_sampler, thompson_top1
+from .power import ArmState, Top1Result, make_power_sampler, minus, thompson_top1
 from .shapley import Estimate, FlipResult, coalition_plan, differentials, is_flipped, shift_sets
 from .shapley import diff_shapley_exact  # unused here; perfbench/tracing.py wraps this name
 from .utility import UtilityOracle
@@ -80,6 +80,13 @@ WIDTH_STOP = 0.01
 
 # Most entries of a that bf enumerates (2^20 subsets); above it bf raises TooLarge.
 BF_ENTRY_LIMIT = 20
+
+# Random pairs drawn at most while their checks stay undecided.
+_PAIR_REDRAWS = 10
+
+# Trials at most whose pair checks, and then whose search openings, share one
+# values() call each, where the oracle has room for that (see window).
+_WINDOW = 16
 
 
 # ExplainConfig fields and the values they accept; every other field is a
@@ -274,13 +281,9 @@ class _Request:
         """How many shifts like `moved` one check call takes, at least 1."""
         return self.route.span(self, frozenset(moved))
 
-    def opening(self) -> list[frozenset[EntryId]]:
-        """The first chunk of the search over a's entries (bf's and mc's): its shifts."""
-        return [frozenset(combo) for combo in next(_chunks(self, sorted(self.ents_a)), [])]
-
     def verify(self, moved: Iterable[EntryId] = ()) -> FlipResult:
-        """The answer's final check."""
-        return self.route.verify(self, moved)
+        """The answer's final check, to verify_budget; an exact route reads it off its table."""
+        return self.check(self.cfg.verify(), moved)
 
     def race(self, moved: Iterable[EntryId]) -> Top1Result:
         """The entry of a with the highest power once a gives `moved` to b, counted.
@@ -363,9 +366,6 @@ class _Exact:
         largest = [bases[-1] | ents for ents in shift_sets(req.partition, req.a, req.b, moved)]
         return max(1, req.oracle.room(largest) // (2 * len(bases)))
 
-    def verify(self, req: _Request, moved: Iterable[EntryId]) -> FlipResult:
-        return req.last  # the latest check, of the same shift
-
     def race(self, req: _Request, moved: frozenset[EntryId], ents: list[EntryId]) -> Top1Result:
         """Every arm's exact power; the argmax wins, ties going to the smallest entry id.
 
@@ -375,7 +375,7 @@ class _Exact:
         """
         shifts = [moved | {e} for e in ents]
         _score([(req, shifts)])
-        arms = [ArmState(e, Estimate(req.cfg.delta, _minus(self.table[shift]))) for e, shift in zip(ents, shifts)]
+        arms = [ArmState(e, Estimate(req.cfg.delta, minus(self.table[shift]))) for e, shift in zip(ents, shifts)]
         best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
         return Top1Result(best.entry, tuple(arms), 0, True, False)
 
@@ -393,10 +393,6 @@ class _Sampled:
 
     def span(self, req: _Request, moved: frozenset[EntryId]) -> int:
         return 1
-
-    def verify(self, req: _Request, moved: Iterable[EntryId]) -> FlipResult:
-        """A fresh check of the answer, to verify_budget."""
-        return req.check(req.cfg.verify(), moved)
 
     def race(self, req: _Request, moved: frozenset[EntryId], ents: list[EntryId]) -> Top1Result:
         """A Thompson race over the entries' sampled powers."""
@@ -426,8 +422,8 @@ def _score(jobs: Iterable[tuple[_Request, list[frozenset[EntryId]]]]) -> None:
             req.route.table.update(zip(new, found))
 
 
-def _window(oracle: UtilityOracle, partition: OwnerPartition, most: int) -> int:
-    """Trials per window of a cell like `partition`: `most` if pair checks can share calls, else 1.
+def window(oracle: UtilityOracle, partition: OwnerPartition) -> int:
+    """Trials per window of a cell like `partition`: _WINDOW if pair checks can share calls, else 1.
 
     They can when the pair checks are exact and the oracle has room for
     more sets than one check's 2^(n-1), judged on sets as large as the
@@ -436,7 +432,58 @@ def _window(oracle: UtilityOracle, partition: OwnerPartition, most: int) -> int:
     if not _is_small(partition):
         return 1
     sets = [partition.universe()] * 2 ** (partition.n - 1)
-    return most if oracle.room(sets) > len(sets) else 1
+    return _WINDOW if oracle.room(sets) > len(sets) else 1
+
+
+def select_pairs(
+    partitions: list[OwnerPartition],
+    oracle: UtilityOracle,
+    rngs: list[np.random.Generator],
+    config: ExplainConfig,
+    budget: int,
+    fixed: tuple[OwnerId, OwnerId] | None,
+    openings: bool,
+) -> list[_Request]:
+    """Each trial's ordered pair with a above b: its checked request, which every engine shares.
+
+    The trials of a window are checked together, in rounds: a round builds
+    the request (engine "pair") of each trial still open and checks them
+    all to `budget`, the exact checks in one values() call and the sampled
+    ones in turn. A `fixed` pair takes one round and is never swapped.
+    Otherwise a pair is drawn from its trial's rng, and redrawn while its
+    check is undecided, for _PAIR_REDRAWS rounds at most; then the last
+    pair is kept (engines then report the undecided precondition), and one
+    drawn the wrong way round is kept as the swapped twin of its request.
+    With `openings`, one more call scores each exact request's opening,
+    the first chunk of its bf or mc search, where a is above b.
+    """
+
+    def pair_of(t: int) -> tuple[OwnerId, OwnerId]:
+        if fixed is not None:
+            return fixed
+        ids = partitions[t].owner_ids()
+        i, j = rngs[t].choice(len(ids), size=2, replace=False)
+        return ids[int(i)], ids[int(j)]
+
+    drawn: dict[int, _Request] = {}  # by trial, in trial order
+    todo = range(len(partitions))
+    for _ in range(_PAIR_REDRAWS if fixed is None else 1):
+        for t in todo:
+            drawn[t] = _Request("pair", partitions[t], oracle, *pair_of(t), rngs[t], config)
+        _score([(drawn[t], [frozenset()]) for t in todo])
+        for t in todo:
+            drawn[t].precheck(budget)
+        todo = [t for t in todo if drawn[t].last.verdict == "undecided"]
+        if not todo:
+            break
+    # A decided check's mean has its verdict's sign.
+    chosen = [
+        pair.swapped() if fixed is None and pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()
+    ]
+    if openings:
+        ahead = [p for p in chosen if p.last.verdict == "not_flipped"]
+        _score((p, [frozenset(c) for c in next(_chunks(p, sorted(p.ents_a)), [])]) for p in ahead)
+    return chosen
 
 
 def _chunks(req: _Request, ents: list[EntryId]) -> Iterator[list[tuple[EntryId, ...]]]:

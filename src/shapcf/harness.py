@@ -7,10 +7,11 @@ summary.json are byte-identical across reruns. Wall-clock numbers go to a
 separate timings.json, which is the only non-deterministic artifact.
 
 Trials are independent, so a cell's trials run in windows (_run_cell):
-where the oracle shares work across a values() call, the pair checks of up
-to _WINDOW trials share one call, and their search openings another
-(_select_pairs). Then each trial's engines run in turn through explain.
-A window changes oracle traffic only, never an output.
+where the oracle shares work across a values() call, the pair checks of a
+window's trials share one call, and their search openings another
+(explain.window and explain.select_pairs). Then each trial's engines run
+in turn through explain. A window changes oracle traffic only, never an
+output.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core import (
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, read_json, split_dataset
-from .explain import ENGINES, CounterfactualResult, ExplainConfig, _Request, _score, _window, explain
+from .explain import ENGINES, CounterfactualResult, ExplainConfig, explain, select_pairs, window
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import is_flipped  # unused here; perfbench/tracing.py wraps this name
 from .utility import DATA_BACKED_KINDS, AdditiveUtility, SetCoverUtility, make_oracle, normalize_kind, unwrap_config
@@ -50,13 +51,6 @@ _STREAM_PAIR = 2
 _STREAM_ENGINE = 3
 
 PAIR_MODES = ("random", "designated", "grid")
-
-# Random pairs drawn at most while their checks stay undecided.
-_PAIR_REDRAWS = 10
-
-# Trials at most whose pair checks, and then whose search openings, share one
-# values() call each, where the oracle has room for that (see explain._window).
-_WINDOW = 16
 
 _AT_LEAST_0: Rule = ("an integer >= 0", lambda v: is_integer(v) and v >= 0)
 _AT_LEAST_2: Rule = ("an integer >= 2", lambda v: is_integer(v) and v >= 2)
@@ -430,64 +424,6 @@ def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: Sequence[int]) ->
     return [_Cell("", {}, 0, 0)], None
 
 
-def _select_pairs(
-    partitions: list[OwnerPartition],
-    oracle,
-    rngs: list[np.random.Generator],
-    cfg: ExperimentConfig,
-    ecfg: ExplainConfig,
-    cell_params: dict,
-    openings: bool,
-) -> list[_Request]:
-    """Each trial's ordered pair with a above b: its checked request, which every engine shares.
-
-    The trials of a window are checked together, in rounds: a round builds
-    the request of each trial still open and checks them all, the exact
-    checks in one values() call and the sampled ones in turn. A designated
-    pair (grid cells, the pair config, or "A" over "B") is fixed: one
-    round, and it is never swapped. A random pair is drawn from its trial's
-    rng, and redrawn while its check is undecided, for _PAIR_REDRAWS rounds
-    at most; then the last pair is kept (engines then report the undecided
-    precondition), and one drawn the wrong way round is kept as the swapped
-    twin of its request. With `openings`, one more call scores each exact
-    request's opening (the first chunk of its search) whose a is above b.
-    """
-    mode = cfg.pair.get("mode")
-    if mode is None:
-        mode = "designated" if "a" in cell_params or cfg.allocation.get("kind") == "zipfian" else "random"
-    fixed = None if mode == "random" else (
-        str(cell_params.get("a", cfg.pair.get("a", "A"))),
-        str(cell_params.get("b", cfg.pair.get("b", "B"))),
-    )
-
-    def pair_of(t: int) -> tuple[OwnerId, OwnerId]:
-        if fixed is not None:
-            return fixed
-        ids = partitions[t].owner_ids()
-        i, j = rngs[t].choice(len(ids), size=2, replace=False)
-        return ids[int(i)], ids[int(j)]
-
-    budget = cfg.pair_budget
-    drawn: dict[int, _Request] = {}  # by trial, in trial order
-    todo = range(len(partitions))
-    for _ in range(_PAIR_REDRAWS if fixed is None else 1):
-        for t in todo:
-            drawn[t] = _Request("pair", partitions[t], oracle, *pair_of(t), rngs[t], ecfg)
-        _score([(drawn[t], [frozenset()]) for t in todo])
-        for t in todo:
-            drawn[t].precheck(budget)
-        todo = [t for t in todo if drawn[t].last.verdict == "undecided"]
-        if not todo:
-            break
-    # A decided check's mean has its verdict's sign.
-    chosen = [
-        pair.swapped() if fixed is None and pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()
-    ]
-    if openings:
-        _score([(p, p.opening()) for p in chosen if p.last.verdict == "not_flipped"])
-    return chosen
-
-
 def _run_cell(
     cfg: ExperimentConfig,
     ecfg: ExplainConfig,
@@ -500,10 +436,10 @@ def _run_cell(
 ) -> tuple[list[TrialRecord], list[OwnerPartition]]:
     """The cell's trials, and the partitions the oracle's memo now serves.
 
-    Trials run in windows of _window trials, judged on the first trial's
-    partition: their pairs are selected together (_select_pairs), then each
-    trial's engines run in turn. The
-    memo is emptied before a window with a partition it was not filled for
+    Trials run in windows of explain.window trials, judged on the first
+    trial's partition: their pairs are selected together (select_pairs),
+    then each trial's engines run in turn. The memo is emptied before a
+    window with a partition it was not filled for
     (`served`): drawn allocations share almost no coalitions across
     trials, while natural and vertical ones rebuild the same partition in
     every trial and cell and keep their memo. So with drawn partitions it
@@ -516,8 +452,17 @@ def _run_cell(
 
     if not cfg.trials:
         return records, served
+    # A designated pair (grid cells, the pair config, or "A" over "B") is
+    # fixed for the cell; None draws a random pair per trial.
+    mode = cfg.pair.get("mode")
+    if mode is None:
+        mode = "designated" if "a" in cell.params or cfg.allocation.get("kind") == "zipfian" else "random"
+    fixed = None if mode == "random" else (
+        str(cell.params.get("a", cfg.pair.get("a", "A"))),
+        str(cell.params.get("b", cfg.pair.get("b", "B"))),
+    )
     first = partition_of(0)
-    width = _window(oracle, first, _WINDOW)
+    width = window(oracle, first)
     for start in range(0, cfg.trials, width):
         trials = range(start, min(cfg.trials, start + width))
         partitions = [first if trial == 0 else partition_of(trial) for trial in trials]
@@ -525,7 +470,7 @@ def _run_cell(
             oracle.clear_cache()
             served = partitions
         rngs = [spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial) for trial in trials]
-        pairs = _select_pairs(partitions, oracle, rngs, cfg, ecfg, cell.params, openings=width > 1)
+        pairs = select_pairs(partitions, oracle, rngs, ecfg, cfg.pair_budget, fixed, openings=width > 1)
         for trial, partition, pair in zip(trials, partitions, pairs):
             for eng_idx, engine in enumerate(cfg.engines):
                 rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
@@ -560,6 +505,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all cells and trials; deterministic given cfg.seed."""
     train, test = _load_data(cfg)
     oracle = make_oracle(cfg.utility, train, test)
+    # A vertical allocation's entries are feature columns, every other kind's are training rows.
+    kind = cfg.allocation.get("kind")
+    need = "features" if kind == "vertical" else "rows"
+    if getattr(oracle, "axis", need) != need and kind in ("natural", "vertical", *_GENERATORS):
+        raise MalformedInput(f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {oracle.axis!r}")
     ecfg = cfg.explain_config()
     pool = range(len(train)) if train is not None else _synthetic_pool(oracle)
     cells, axis = _cells(cfg, train, pool)

@@ -32,7 +32,7 @@ RACE_BATCH = 32
 RACE_POSTERIOR_DRAWS = 256
 
 
-def _minus(d):
+def minus(d):
     """-d, but +0.0 for a zero: a power from its shift's differential or terms, bit for bit.
 
     Swapping a pair's entry sets negates every gap and weighted term exactly,
@@ -74,7 +74,7 @@ def make_power_sampler(
 
     def sampler(entry: EntryId, k: int, rng: np.random.Generator) -> np.ndarray:
         pair = _power_shift(partition, a, b, entry, moved)
-        return _minus(sampled_terms(partition, oracle, (a, b), pair, memos.setdefault(entry, {}), k, rng))
+        return minus(sampled_terms(partition, oracle, (a, b), pair, memos.setdefault(entry, {}), k, rng))
 
     return sampler
 
@@ -101,7 +101,7 @@ def power_exact(
 ) -> float:
     """Exact power: minus the differential of the shift {x} on the pair's coalition plan."""
     pair = _power_shift(partition, a, b, x, frozenset())
-    return _minus(differentials(oracle, [(coalition_plan(partition, a, b), [pair])])[0])
+    return minus(differentials(oracle, [(coalition_plan(partition, a, b), [pair])])[0])
 
 
 @dataclass

@@ -927,17 +927,11 @@ class LinRegUtility(UtilityOracle):
             self.eta = max(1.0, 4.0 * base)
 
     def _score(self, ids: frozenset[int]) -> float:
-        if self.axis == "rows":
-            idx = np.array(sorted(ids), dtype=np.intp)
-            _check_ids(idx, len(self.train), self.axis)
-            x = self.train.features[idx]
-            y = self.train.labels[idx]
-            xt = self.test.features
-        else:
-            idx = _stack_ids([ids], self.train.n_features, self.axis)
-            x = _restrict(self.train, idx, self.axis)[0]
-            y = self.train.labels
-            xt = _restrict(self.test, idx, self.axis)[0]
+        rows = self.axis == "rows"
+        idx = _stack_ids([ids], len(self.train) if rows else self.train.n_features, self.axis)
+        x = _restrict(self.train, idx, self.axis)[0]
+        y = self.train.labels[idx[0]] if rows else self.train.labels
+        xt = self.test.features if rows else _restrict(self.test, idx, self.axis)[0]
         xb = np.hstack([x, np.ones((len(x), 1))])
         w, *_ = np.linalg.lstsq(xb, y, rcond=None)
         pred = np.hstack([xt, np.ones((len(xt), 1))]) @ w

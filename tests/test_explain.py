@@ -636,12 +636,8 @@ class TestExactRoute:
         explain("svexp", p, oracle, "A", "B", spawn_rng(46, 1))
         engines = set(calls)
         calls.clear()
-        cfg = harness.ExperimentConfig.from_json({
-            "utility": {"kind": "additive", "weights": {str(e): 1.0 for e in range(4)}},
-            "engines": ["mc"], "n_owners": p.n, "allocation": {"kind": "uniform"},
-            "trials": 1, "seed": 46, "pair": {"mode": "designated"},
-        })
-        (pair,) = harness._select_pairs([p], oracle, [spawn_rng(46, 2)], cfg, cfg.explain_config(), {}, False)
+        cfg = ExplainConfig()
+        (pair,) = explain_module.select_pairs([p], oracle, [spawn_rng(46, 2)], cfg, cfg.check_budget, ("A", "B"), False)
         assert (pair.a, pair.b) == ("A", "B")
         expected = {"shapcf.explain.is_flipped", "shapcf.explain.thompson_top1"}
         assert engines == (expected if sampled else set())
@@ -863,7 +859,13 @@ class TestPairSession:
         plan, request = explain_module.coalition_plan, explain_module._Request
         for module in (explain_module, importlib.import_module("shapcf.shapley")):
             monkeypatch.setattr(module, "coalition_plan", lambda *args: plans.append(args[1:]) or plan(*args))
-        monkeypatch.setattr(harness, "_Request", lambda *args: pairs.append(args[3:5]) or request(*args))
+
+        def spy(*args):  # counts pair selection's requests, not the engines'
+            if args[0] == "pair":
+                pairs.append(args[3:5])
+            return request(*args)
+
+        monkeypatch.setattr(explain_module, "_Request", spy)
         cfg = harness.ExperimentConfig.from_json({
             "utility": {"kind": "additive", "weights": {str(e): 1.0 for e in range(40)}},
             "engines": ["bf", "mc", "svexp"], "n_owners": n_owners,
@@ -1023,9 +1025,10 @@ class TestChunkedSearch:
             res = explain("bf", p, oracle, a, b)
             if res.status != STATUS_OK:
                 continue
-            # the precheck, then one call per chunk; the verification reuses the last check
-            assert calls == [k * 2 ** (p.n - 1) for k in chunks]
-            assert chunks[0] == 1 and sum(chunks[1:]) >= res.subsets_tested > sum(chunks[1:-1])
+            # the precheck, then one call per chunk; the verification is a
+            # one-shift check of the answer, read off the table with no call
+            assert chunks[-1] == 1 and calls == [k * 2 ** (p.n - 1) for k in chunks[:-1]]
+            assert chunks[0] == 1 and sum(chunks[1:-1]) >= res.subsets_tested > sum(chunks[1:-2])
             shared += max(chunks) > 1
         assert shared >= 5
 

@@ -31,6 +31,8 @@ from shapcf.utility import UtilityOracle
 
 from conftest import BOSTON_FEATURES, MONTH_SIZES, make_blobs, on_memo_path, serve_datasets
 
+explain_module = importlib.import_module("shapcf.explain")
+
 VERTICAL_GROUPS = {
     "P": ["RM", "AGE"],
     "G": ["CHAS", "NOX", "DIS", "RAD"],
@@ -598,7 +600,7 @@ class TestOracleMemoLifetime:
         assert oracle.evals == kept.evals
 
     def test_a_logistic_memo_holds_one_window(self, monkeypatch):
-        monkeypatch.setattr(harness, "_WINDOW", 3)
+        monkeypatch.setattr(explain_module, "_WINDOW", 3)
         cfg = ExperimentConfig.from_json(logistic_config(trials=7, engines=["bf", "svexp"]))
         snapshots = []
         oracle, cleared, partitions = run_watching_memo(cfg, monkeypatch, logistic_data(), snapshots=snapshots)
@@ -733,16 +735,22 @@ class TestWindows:
     def test_outputs_do_not_depend_on_the_window(self, case, tmp_path, monkeypatch):
         raw, datasets = WINDOW_CASES[case]()
         cfg = ExperimentConfig.from_json(raw)
-        select, request = harness._select_pairs, harness._Request
+        select, request = harness.select_pairs, explain_module._Request
         outputs = []
-        for window in (harness._WINDOW, 1):
+        for window in (explain_module._WINDOW, 1):
             widths, pairs = [], []
+
+            def spy(*args):  # counts pair selection's requests, not the engines'
+                if args[0] == "pair":
+                    pairs.append(args)
+                return request(*args)
+
             with monkeypatch.context() as m:
-                m.setattr(harness, "_WINDOW", window)
+                m.setattr(explain_module, "_WINDOW", window)
                 m.setattr(
-                    harness, "_select_pairs", lambda parts, *args, **kw: widths.append(len(parts)) or select(parts, *args, **kw)
+                    harness, "select_pairs", lambda parts, *args, **kw: widths.append(len(parts)) or select(parts, *args, **kw)
                 )
-                m.setattr(harness, "_Request", lambda *args: pairs.append(args) or request(*args))
+                m.setattr(explain_module, "_Request", spy)
                 serve_datasets(m, datasets)
                 out = tmp_path / str(window)
                 write_outputs(run_experiment(cfg), out)
@@ -757,9 +765,9 @@ class TestWindows:
     def test_logreg_golden_merges_pair_checks_and_openings(self, values_calls, monkeypatch):
         monkeypatch.chdir(GOLDEN)  # the config names its data file relative to it
         cfg = ExperimentConfig.from_json(GOLDEN / "logreg_config.json")
-        monkeypatch.setattr(harness, "_WINDOW", 1)
+        monkeypatch.setattr(explain_module, "_WINDOW", 1)
         before, own = traffic_by_trial(cfg, monkeypatch, values_calls)
-        monkeypatch.setattr(harness, "_WINDOW", 16)
+        monkeypatch.setattr(explain_module, "_WINDOW", 16)
         merged_before, merged_own = traffic_by_trial(cfg, monkeypatch, values_calls)
         # Alone, each trial sends its pair check, then its search's first chunk and later chunks.
         assert [len(calls) for calls in before] == [1] * cfg.trials
@@ -774,7 +782,7 @@ class TestWindows:
         assert sum(map(len, merged_before + merged_own)) == 2 + sum(len(calls) - 1 for calls in own)
 
     def test_svexp_first_races_read_the_openings(self, values_calls, monkeypatch):
-        race, races = harness._Request.race, []
+        race, races = explain_module._Request.race, []
 
         def spy(req, moved):
             sent, scored = len(values_calls), set(req.route.table)
@@ -782,7 +790,7 @@ class TestWindows:
             races.append((req, frozenset(moved), scored, values_calls[sent:]))
             return pick
 
-        monkeypatch.setattr(harness._Request, "race", spy)
+        monkeypatch.setattr(explain_module._Request, "race", spy)
         cfg = ExperimentConfig.from_json(logistic_config(engines=["svexp"]))
         serve_datasets(monkeypatch, logistic_data())
         records = run_experiment(cfg).records
@@ -930,6 +938,33 @@ class TestRunErrors:
         )
         with pytest.raises(MalformedInput, match="at least one row"):
             run_experiment(cfg)
+
+    BOOKING_GROUPS = {"kind": "vertical", "groups": {"A": ["lead_time", "rate"], "B": ["stay_nights", "guests"]}}
+
+    @pytest.mark.parametrize(
+        "utility, allocation",
+        [
+            ({"kind": "logistic-regression"}, BOOKING_GROUPS),
+            ({"kind": "kde", "axis": "rows"}, BOOKING_GROUPS),
+            ({"kind": "logistic-regression", "axis": "features"}, {"kind": "natural"}),
+            ({"kind": "linreg", "axis": "features"}, {"kind": "uniform", "size_range": [1, 3]}),
+            ({"kind": "kde", "axis": "features"}, {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 1}),
+        ],
+    )
+    def test_allocation_entries_must_be_on_the_utilitys_axis(self, utility, allocation, booking_dataset, monkeypatch):
+        # Vertical entries are feature columns and every other kind's are rows;
+        # a mismatch used to score one as the other, or fail inside the scorer.
+        train, test = split_dataset(booking_dataset, 0.25, spawn_rng(0, 0))
+        cfg = ExperimentConfig.from_json(base_config(utility=utility, allocation=allocation, n_owners=2))
+        serve_datasets(monkeypatch, (train, test))
+        explained = []
+        monkeypatch.setattr(harness, "explain", lambda *args, **kwargs: explained.append(args))
+        kind, axis = allocation["kind"], utility.get("axis", "rows")
+        need = "features" if kind == "vertical" else "rows"
+        message = f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {axis!r}"
+        with pytest.raises(MalformedInput, match=re.escape(message)):
+            run_experiment(cfg)
+        assert explained == []
 
     def test_grid_pair_mode_checks_vertical_groups(self, housing_dataset, monkeypatch):
         train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))

@@ -8,7 +8,8 @@ their group and are exempt, as are dunder names such as __version__.
 
 An exported name is itself referenced by library code outside __init__.py,
 or is on USER_API. Every ExplainConfig field is set by the CLI or by a
-benchmark workload.
+benchmark workload. No module imports an underscore name from another
+module of the package: a private name stays with the module that owns it.
 """
 
 from __future__ import annotations
@@ -92,6 +93,32 @@ def test_an_unused_definition_is_caught(tmp_path):
     )
     (tmp_path / "other.py").write_text("from .mod import used\n")
     assert unreferenced(tmp_path, {"public"}) == ["mod._UNUSED", "mod.leftover"]
+
+
+def private_imports(package: Path) -> list[str]:
+    """module: name of each underscore name that a module imports from a shapcf module, dunders aside."""
+    return [
+        f"{path.stem}: {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").partition(".")[0] == "shapcf")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports(PACKAGE) == []
+
+
+def test_a_private_import_is_caught(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .other import _hidden, shown\n"
+        "from . import __version__\n"
+        "from numpy import _private\n"
+        "def f():\n    from shapcf.core import _rule\n"
+    )
+    assert private_imports(tmp_path) == ["mod: _hidden", "mod: _rule"]
 
 
 def library_references(package: Path) -> set[str]:
