@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from .core import MalformedInput, OwnerPartition, ShapcfError, spawn_rng
-from .datasets import load_partition, read_json, validate_partition
+from .datasets import load_partition, read_json
 from .explain import ENGINES, ExplainConfig, explain as run_engine
 from .harness import ExperimentConfig, load_split, run_experiment, write_outputs
 from .shapley import shapley_exact_all, shapley_mc
@@ -45,7 +45,10 @@ def _load_inputs(
     *,
     cache: bool = True,
 ) -> tuple[OwnerPartition, UtilityOracle]:
-    """The partition and its utility's oracle; a data-backed utility's data is split on `seed`."""
+    """The partition and its utility's oracle; a data-backed utility's data is split on `seed`.
+
+    Every entry of the partition must be one the oracle scores, in its pool.
+    """
     cfg = read_json(utility_path, "utility file")
     inner = unwrap_config(cfg)
     kind = normalize_kind(inner["kind"])
@@ -56,8 +59,11 @@ def _load_inputs(
         train, test = load_split(data, test_data, test_ratio, seed, label=inner.get("label"))
     partition = load_partition(partition_path)
     oracle = make_oracle(cfg, train, test, cache=cache)
-    if train is not None:
-        validate_partition(partition, train, axis=oracle.axis)
+    stray = sorted(partition.universe().difference(oracle.pool))
+    if stray:
+        raise MalformedInput(
+            f"partition entries {stray[:8]} are not among the {len(oracle.pool)} entry ids of the {oracle.kind} utility"
+        )
     return partition, oracle
 
 

@@ -189,11 +189,3 @@ def load_partition(source: str | Path | dict) -> OwnerPartition:
         if not isinstance(entries, list):
             raise MalformedInput(f"owner {owner!r}: entries must be a list")
     return OwnerPartition(owners)
-
-
-def validate_partition(partition: OwnerPartition, dataset: Dataset, *, axis: str = "rows") -> None:
-    """Check that every entry id addresses a dataset row (or feature column)."""
-    limit = len(dataset) if axis == "rows" else dataset.n_features
-    bad = sorted(e for e in partition.universe() if e < 0 or e >= limit)
-    if bad:
-        raise MalformedInput(f"partition entries {bad[:8]} out of range for {axis} [0, {limit})")

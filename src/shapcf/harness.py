@@ -42,7 +42,7 @@ from .datasets import Dataset, load_csv, read_json, split_dataset
 from .explain import ENGINES, CounterfactualResult, ExplainConfig, explain, select_pairs, window
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import is_flipped  # unused here; perfbench/tracing.py wraps this name
-from .utility import DATA_BACKED_KINDS, AdditiveUtility, SetCoverUtility, make_oracle, normalize_kind, unwrap_config
+from .utility import DATA_BACKED_KINDS, make_oracle, normalize_kind, unwrap_config
 
 # RNG stream tags; stable across releases so seeds stay meaningful.
 _STREAM_SPLIT = 0
@@ -315,6 +315,8 @@ class ExperimentResult:
     summary: dict
     grids: dict[str, dict[str, list[list[float | None]]]]
     grid_axes: tuple[list[str], list[str]] | None
+    # Wall clock: each window's cell, trials and select_pairs_s; excluded from deterministic artifacts.
+    windows: list[dict]
 
 
 def load_split(
@@ -357,15 +359,6 @@ def _load_data(cfg: ExperimentConfig) -> tuple[Dataset | None, Dataset | None]:
     )
 
 
-def _synthetic_pool(oracle) -> list[int]:
-    """The entry ids a generated allocation draws from when there is no data file."""
-    if isinstance(oracle, AdditiveUtility):
-        return sorted(oracle.weights)
-    if isinstance(oracle, SetCoverUtility):
-        return list(range(1, len(oracle.game.subsets) + 1))
-    raise MalformedInput("generated allocations need a data file for this utility kind")
-
-
 def _make_partition(
     cfg: ExperimentConfig,
     train: Dataset | None,
@@ -381,12 +374,8 @@ def _make_partition(
         params = {key: alloc[key] for key in keys if key in alloc} | cell_params
         return generate(pool, cfg.n_owners, rng, **params)
     if kind == "natural":
-        if train is None:
-            raise MalformedInput("natural allocation needs a data file")
         return gen_natural(train)
     if kind == "vertical":
-        if train is None:
-            raise MalformedInput("vertical allocation needs a data file")
         groups = alloc.get("groups")
         if not isinstance(groups, dict):
             raise MalformedInput('vertical allocation needs a "groups" object')
@@ -428,13 +417,12 @@ def _run_cell(
     cfg: ExperimentConfig,
     ecfg: ExplainConfig,
     train: Dataset | None,
-    pool: Sequence[int],
     oracle,
     cell_idx: int,
     cell: _Cell,
     served: list[OwnerPartition],
-) -> tuple[list[TrialRecord], list[OwnerPartition]]:
-    """The cell's trials, and the partitions the oracle's memo now serves.
+) -> tuple[list[TrialRecord], list[dict], list[OwnerPartition]]:
+    """The cell's trials, its windows' timings, and the partitions the oracle's memo now serves.
 
     Trials run in windows of explain.window trials, judged on the first
     trial's partition: their pairs are selected together (select_pairs),
@@ -443,15 +431,18 @@ def _run_cell(
     (`served`): drawn allocations share almost no coalitions across
     trials, while natural and vertical ones rebuild the same partition in
     every trial and cell and keep their memo. So with drawn partitions it
-    never holds more than one window's sets.
+    never holds more than one window's sets. A window's select_pairs call
+    serves all its trials, so its wall time is recorded once, by window.
     """
     records: list[TrialRecord] = []
+    windows: list[dict] = []
 
     def partition_of(trial: int) -> OwnerPartition:
-        return _make_partition(cfg, train, pool, spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial), cell.params)
+        rng = spawn_rng(cfg.seed, _STREAM_PARTITION, cell_idx, trial)
+        return _make_partition(cfg, train, oracle.pool, rng, cell.params)
 
     if not cfg.trials:
-        return records, served
+        return records, windows, served
     # A designated pair (grid cells, the pair config, or "A" over "B") is
     # fixed for the cell; None draws a random pair per trial.
     mode = cfg.pair.get("mode")
@@ -470,7 +461,9 @@ def _run_cell(
             oracle.clear_cache()
             served = partitions
         rngs = [spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial) for trial in trials]
+        t0 = time.monotonic()
         pairs = select_pairs(partitions, oracle, rngs, ecfg, cfg.pair_budget, fixed, openings=width > 1)
+        windows.append({"cell": cell.label, "trials": list(trials), "select_pairs_s": time.monotonic() - t0})
         for trial, partition, pair in zip(trials, partitions, pairs):
             for eng_idx, engine in enumerate(cfg.engines):
                 rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
@@ -498,7 +491,7 @@ def _run_cell(
                         runtime_s=time.monotonic() - t0,
                     )
                 )
-    return records, served
+    return records, windows, served
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -511,17 +504,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if getattr(oracle, "axis", need) != need and kind in ("natural", "vertical", *_GENERATORS):
         raise MalformedInput(f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {oracle.axis!r}")
     ecfg = cfg.explain_config()
-    pool = range(len(train)) if train is not None else _synthetic_pool(oracle)
-    cells, axis = _cells(cfg, train, pool)
+    cells, axis = _cells(cfg, train, oracle.pool)
     records: list[TrialRecord] = []
+    windows: list[dict] = []
     served: list[OwnerPartition] = []
     for i, cell in enumerate(cells):
-        cell_records, served = _run_cell(cfg, ecfg, train, pool, oracle, i, cell, served)
+        cell_records, cell_windows, served = _run_cell(cfg, ecfg, train, oracle, i, cell, served)
         records += cell_records
+        windows += cell_windows
 
     grids, axes = _build_grids(cfg.engines, records, cells, axis)
     summary = summarize(cfg, records, grids, axes)
-    return ExperimentResult(config=cfg, records=records, summary=summary, grids=grids, grid_axes=axes)
+    return ExperimentResult(
+        config=cfg, records=records, summary=summary, grids=grids, grid_axes=axes, windows=windows
+    )
 
 
 def _build_grids(
@@ -645,7 +641,8 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
                 {"cell": r.cell, "trial": r.trial, "engine": r.engine, "runtime_s": r.runtime_s}
                 for r in result.records
             ],
-            "total_s": sum(r.runtime_s for r in result.records),
+            "windows": result.windows,
+            "total_s": sum(r.runtime_s for r in result.records) + sum(w["select_pairs_s"] for w in result.windows),
         }
         timings_path.write_text(json.dumps(timings, indent=2) + "\n")
         written.append(timings_path)

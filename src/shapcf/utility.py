@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -44,10 +44,12 @@ class UtilityOracle:
 
     Subclasses implement _score for one composed set, or _score_many for a
     batch of them when scoring several at once is cheaper; values() hands
-    all of a call's cache misses to one _score_many call.
+    all of a call's cache misses to one _score_many call. Each sets `pool`,
+    the entry ids it scores, in the order generated allocations draw from.
     """
 
     kind = "base"
+    pool: Sequence[int]
 
     def __init__(self, *, cache: bool = True):
         self._cache: dict[frozenset[int], float] | None = {} if cache else None
@@ -148,6 +150,7 @@ class AdditiveUtility(UtilityOracle):
     def __init__(self, weights: Mapping[int, float], *, cache: bool = True):
         super().__init__(cache=cache)
         self.weights = {int(e): float(w) for e, w in weights.items()}
+        self.pool = sorted(self.weights)
         bad = sorted(e for e, w in self.weights.items() if w < 0 or not math.isfinite(w))
         if bad:
             raise MalformedInput(f"additive weights must be finite and >= 0, bad entries {bad[:8]}")
@@ -250,9 +253,10 @@ class SetCoverUtility(UtilityOracle):
     def __init__(self, game: SetCoverGame, *, cache: bool = True):
         super().__init__(cache=cache)
         self.game = game
+        self.pool = range(1, len(game.subsets) + 1)
 
     def _score(self, ids: frozenset[int]) -> float:
-        r = len(self.game.subsets)
+        r = len(self.pool)
         stray = sorted(i for i in ids if i < 1 or i > r)
         if stray:
             raise MalformedInput(f"subset indices {stray[:8]} outside 1..{r}")
@@ -286,10 +290,17 @@ def _restrict(dataset: Dataset, idx: np.ndarray, axis: str) -> np.ndarray:
     return np.moveaxis(dataset.features[:, idx], 0, 1)
 
 
-def _check_axis(axis: str) -> str:
-    if axis not in ("rows", "features"):
-        raise MalformedInput(f'axis must be "rows" or "features", got {axis!r}')
-    return axis
+class _DataUtility(UtilityOracle):
+    """A data-backed oracle: its train and test tables, its axis, and the axis's ids as its pool."""
+
+    def __init__(self, train: Dataset, test: Dataset, axis: str, *, cache: bool) -> None:
+        if axis not in ("rows", "features"):
+            raise MalformedInput(f'axis must be "rows" or "features", got {axis!r}')
+        super().__init__(cache=cache)
+        self.train = train
+        self.test = test
+        self.axis = axis
+        self.pool = range(len(train) if axis == "rows" else train.n_features)
 
 
 # Most float64 values one stack of sets holds: (columns x rows x sets) in a
@@ -479,7 +490,7 @@ def _sum_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return rows.sum(axis=-1)
 
 
-class KdeUtility(UtilityOracle):
+class KdeUtility(_DataUtility):
     """Density-estimation usefulness of a composed set against held-out points.
 
     Each test point contributes an error capped at error_cap: in "pool" mode
@@ -514,7 +525,6 @@ class KdeUtility(UtilityOracle):
         axis: str = "rows",
         cache: bool = True,
     ):
-        super().__init__(cache=cache)
         if reference not in ("pool", "nll"):
             raise MalformedInput(f'kde reference must be "pool" or "nll", got {reference!r}')
         check_values(
@@ -522,28 +532,20 @@ class KdeUtility(UtilityOracle):
             [("eta", eta, _FINITE_OR_NULL), ("bandwidth_floor", bandwidth_floor, _NON_NEGATIVE),
              ("error_cap", error_cap, _POSITIVE)],
         )
-        self.train = train
-        self.test = test
+        super().__init__(train, test, axis, cache=cache)
         self.floor = float(bandwidth_floor)
         self.error_cap = float(error_cap)
         self.reference = reference
-        self.axis = _check_axis(axis)
         self.eta = float(eta) if eta is not None else len(test) * self.error_cap
         self._pool_cache: np.ndarray | None = None
         self._work: tuple[np.ndarray, np.ndarray] | None = None
         self._diffs = _diff_table(train.features, test.features) if self.axis == "rows" else None
 
-    def _pool_ids(self) -> frozenset[int]:
-        if self.axis == "rows":
-            return frozenset(range(len(self.train)))
-        return frozenset(range(self.train.n_features))
-
     def _log_density(self, ids_list: list[frozenset[int]]) -> np.ndarray:
         """The (sets, n_test) log densities of equal-size sets."""
-        rows = self.axis == "rows"
-        idx = _stack_ids(ids_list, len(self.train) if rows else self.train.n_features, self.axis)
+        idx = _stack_ids(ids_list, len(self.pool), self.axis)
         x = _restrict(self.train, idx, self.axis)
-        t = self.test.features[None] if rows else _restrict(self.test, idx, self.axis)
+        t = self.test.features[None] if self.axis == "rows" else _restrict(self.test, idx, self.axis)
         if self._work is None:
             self._work = (np.empty(_STACK_ELEMENTS), np.empty(_STACK_ELEMENTS))
         diffs = None if self._diffs is None else (self._diffs, idx)
@@ -570,7 +572,7 @@ class KdeUtility(UtilityOracle):
 
     def _pool_logp(self) -> np.ndarray:
         if self._pool_cache is None:
-            self._pool_cache = self._log_density([self._pool_ids()])[0]
+            self._pool_cache = self._log_density([frozenset(self.pool)])[0]
         return self._pool_cache
 
 
@@ -665,7 +667,7 @@ def _tree_sum(a: np.ndarray) -> np.ndarray:
 SHARED_FIT_VALUES = 1 << 12
 
 
-class LogRegUtility(UtilityOracle):
+class LogRegUtility(_DataUtility):
     """eta minus test log-loss of a logistic model fitted on the composed set.
 
     Fitting is full-batch gradient descent with fixed iteration count and
@@ -693,7 +695,6 @@ class LogRegUtility(UtilityOracle):
         axis: str = "rows",
         cache: bool = True,
     ):
-        super().__init__(cache=cache)
         if train.labels is None or test.labels is None:
             raise MalformedInput("logistic-regression utility needs a label column")
         check_values(
@@ -705,13 +706,11 @@ class LogRegUtility(UtilityOracle):
                 ("l2", l2, _NON_NEGATIVE),
             ),
         )
-        self.train = train
-        self.test = test
+        super().__init__(train, test, axis, cache=cache)
         self.eta = float(eta)
         self.iters = int(iters)
         self.lr = float(lr)
         self.l2 = float(l2)
-        self.axis = _check_axis(axis)
         # Sorted distinct values, as np.unique gives them; its plain form
         # imports numpy.ma (about 18 ms) on the first call.
         classes = sorted(set(train.labels.tolist()) | set(test.labels.tolist()))
@@ -764,7 +763,7 @@ class LogRegUtility(UtilityOracle):
         zero-padded stack.
         """
         rows = self.axis == "rows"
-        idx, n_ids = _padded_ids(sets, len(self.train) if rows else self.train.n_features, self.axis)
+        idx, n_ids = _padded_ids(sets, len(self.pool), self.axis)
         if rows:
             y, n_rows, widths = self._y[idx], n_ids, np.full(len(sets), self.train.n_features)
         else:
@@ -894,7 +893,7 @@ class LogRegUtility(UtilityOracle):
         return self.eta - loss
 
 
-class LinRegUtility(UtilityOracle):
+class LinRegUtility(_DataUtility):
     """eta minus test mean squared error of least squares on the composed set.
 
     Default eta is max(1, 4x the MSE of predicting the pool label mean), so a
@@ -913,13 +912,10 @@ class LinRegUtility(UtilityOracle):
         axis: str = "rows",
         cache: bool = True,
     ):
-        super().__init__(cache=cache)
         if train.labels is None or test.labels is None:
             raise MalformedInput("linear-regression utility needs a label column")
         check_values("linear-regression parameters", [("eta", eta, _FINITE_OR_NULL)])
-        self.train = train
-        self.test = test
-        self.axis = _check_axis(axis)
+        super().__init__(train, test, axis, cache=cache)
         if eta is not None:
             self.eta = float(eta)
         else:
@@ -928,7 +924,7 @@ class LinRegUtility(UtilityOracle):
 
     def _score(self, ids: frozenset[int]) -> float:
         rows = self.axis == "rows"
-        idx = _stack_ids([ids], len(self.train) if rows else self.train.n_features, self.axis)
+        idx = _stack_ids([ids], len(self.pool), self.axis)
         x = _restrict(self.train, idx, self.axis)[0]
         y = self.train.labels[idx[0]] if rows else self.train.labels
         xt = self.test.features if rows else _restrict(self.test, idx, self.axis)[0]
@@ -958,6 +954,11 @@ _DATA_BACKED = {
     "linear-regression": (LinRegUtility, ("eta", "axis")),
 }
 DATA_BACKED_KINDS = frozenset(_DATA_BACKED)
+# The config keys each kind takes besides "kind" and "label"; "label" names
+# the data file's label column wherever a data file is read.
+_KEYS = {"additive": ("weights",), "set-cover": ("universe", "subsets")} | {
+    kind: keys for kind, (_, keys) in _DATA_BACKED.items()
+}
 
 
 def normalize_kind(kind: str) -> str:
@@ -974,6 +975,8 @@ def unwrap_config(cfg: dict) -> dict:
     inner = cfg.get("utility", cfg)
     if not isinstance(inner, dict) or "kind" not in inner:
         raise MalformedInput('utility config needs a "kind" field')
+    if inner is not cfg and len(cfg) > 1:
+        raise MalformedInput(f"unknown utility keys {sorted(set(cfg) - {'utility'}, key=str)} beside 'utility'")
     return inner
 
 
@@ -987,10 +990,14 @@ def make_oracle(
     """Build a utility oracle from its JSON config.
 
     Data-backed kinds require train and test datasets; synthetic kinds are
-    fully described by the config.
+    fully described by the config. A key the kind does not take raises
+    MalformedInput.
     """
     inner = unwrap_config(cfg)
     kind = normalize_kind(inner["kind"])
+    stray = set(inner) - {"kind", "label", *_KEYS[kind]}
+    if stray:
+        raise MalformedInput(f"unknown {kind} utility keys {sorted(stray, key=str)}")
     if kind == "additive":
         weights = inner.get("weights")
         if not isinstance(weights, dict):

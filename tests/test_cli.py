@@ -162,6 +162,24 @@ class TestShapleyCommand:
         assert res.exit_code == 1, res.output
         assert 'axis must be "rows" or "features"' in res.stderr and "out of range" not in res.stderr
 
+    @pytest.mark.parametrize(
+        "utility, owners, stray",
+        [
+            ({"kind": "additive", "weights": {"0": 1.0, "1": 2.0}}, {"A": [0, 7], "B": [1]}, [7]),
+            ({"kind": "set-cover", "universe": [1, 2], "subsets": [[1], [2]]}, {"A": [0, 1], "B": [2, 3]}, [0, 3]),
+            ({"kind": "kde"}, {"A": [0, 1], "B": [99]}, [99]),
+            ({"kind": "kde", "axis": "features"}, {"A": [0], "B": [2]}, [2]),
+        ],
+    )
+    def test_every_kind_checks_the_partition_against_its_pool(self, runner, tmp_path, utility, owners, stray):
+        data = write_csv(tmp_path / "train.csv", n_rows=10, seed=1)
+        utility = write_json(tmp_path / "utility.json", utility)
+        partition = write_json(tmp_path / "partition.json", {"owners": owners})
+        for command in (["shapley"], ["explain", "--engine", "bf", "--a", "A", "--b", "B"]):
+            res = runner.invoke(main, [*command, "--data", data, "--partition", partition, "--utility", utility])
+            assert res.exit_code == 1, res.output
+            assert f"Error: partition entries {stray} are not among" in res.stderr
+
     def test_truncated_json_is_a_clean_error(self, runner, additive_files, tmp_path):
         utility, partition = additive_files
         cut_utility = tmp_path / "cut_utility.json"

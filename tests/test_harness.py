@@ -397,7 +397,7 @@ class TestRunExperiment:
         assert float(first["initial_diff"]) == result.records[0].initial_diff
         assert first["engine"] == result.records[0].engine
 
-    def test_timings_are_separate(self, tmp_path):
+    def test_timings_are_separate(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_json(base_config(trials=1))
         write_outputs(run_experiment(cfg), tmp_path)
         timings = json.loads((tmp_path / "timings.json").read_text())
@@ -405,7 +405,33 @@ class TestRunExperiment:
         assert len(timings["trials"]) == 1
         assert timings["trials"][0]["runtime_s"] >= 0.0
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert "runtime" not in json.dumps(summary)
+        assert "runtime" not in json.dumps(summary) and "select_pairs" not in json.dumps(summary)
+        # Pair selection is timed once per window, not split across its
+        # trials, and total_s counts it: 18 logistic trials run in windows
+        # of 16 and 2.
+        serve_datasets(monkeypatch, logistic_data())
+        write_outputs(run_experiment(ExperimentConfig.from_json(logistic_config(engines=["bf"]))), tmp_path)
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        windows = timings["windows"]
+        assert [w["trials"] for w in windows] == [list(range(16)), [16, 17]]
+        assert all(w["cell"] == "" and w["select_pairs_s"] > 0.0 for w in windows)
+        engines = sum(t["runtime_s"] for t in timings["trials"])
+        assert timings["total_s"] == pytest.approx(engines + sum(w["select_pairs_s"] for w in windows))
+
+    @pytest.mark.parametrize(
+        "utility, pool",
+        [
+            ({"kind": "additive", "weights": {str(e): 1.0 + e for e in (2, 5, 7, 11, 13, 17)}}, [2, 5, 7, 11, 13, 17]),
+            ({"kind": "set-cover", "universe": [1, 2, 3], "subsets": [[1], [2], [3], [1, 2], [2, 3]]}, range(1, 6)),
+        ],
+    )
+    def test_generated_allocations_draw_from_the_oracle_pool(self, monkeypatch, utility, pool):
+        allocation = {"kind": "uniform", "size_range": [2, 4]}
+        cfg = ExperimentConfig.from_json(base_config(utility=utility, allocation=allocation, trials=6))
+        oracle, _, partitions = run_watching_memo(cfg, monkeypatch)
+        assert oracle.pool == pool
+        drawn = frozenset().union(*(p.universe() for p in partitions))
+        assert drawn <= frozenset(pool) and len(drawn) > 3
 
 
 def zipf_grid_config(trials=2, k_max=2):

@@ -953,6 +953,46 @@ class TestFactoryAndCache:
         with pytest.raises(MalformedInput):
             make_oracle({"kind": "kde"})
 
+    @pytest.mark.parametrize(
+        "cfg, stray",
+        [
+            ({"kind": "additive", "weights": {"1": 2.0}, "weight": {"2": 1.0}}, "weight"),
+            ({"kind": "set-cover", "universe": [1], "subsets": [[1]], "subset": [[1]]}, "subset"),
+            ({"kind": "kde", "error_cpa": 5}, "error_cpa"),
+            ({"kind": "logreg", "itres": 3}, "itres"),
+            ({"kind": "linreg", "axes": "features"}, "axes"),
+            ({"utility": {"kind": "additive", "weights": {"1": 2.0}}, "eta": 1.0}, "eta"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, cfg, stray):
+        ds = make_blobs(20, seed=3)
+        with pytest.raises(MalformedInput, match=rf"unknown .*keys \['{stray}'\]"):
+            make_oracle(cfg, ds, ds)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"kind": "additive", "weights": {"1": 2.0}},
+            {"kind": "set-cover", "universe": [1], "subsets": [[1]]},
+            {"kind": "kde", "eta": None, "bandwidth_floor": 0.0, "error_cap": 5, "reference": "nll", "axis": "rows"},
+            {"kind": "logreg", "eta": 5.0, "iters": 3, "lr": 0.1, "l2": 0.0, "axis": "rows"},
+            {"kind": "linreg", "eta": None, "axis": "rows"},
+        ],
+    )
+    def test_every_key_a_kind_takes_and_label_accepted(self, cfg):
+        ds = make_blobs(20, seed=3)
+        oracle = make_oracle({**cfg, "label": "y"}, ds, ds)
+        assert oracle.value(oracle.pool) >= 0.0
+
+    def test_each_kind_names_its_pool(self):
+        assert make_oracle({"kind": "additive", "weights": {"7": 1.0, "2": 3.0, "5": 0.0}}).pool == [2, 5, 7]
+        cover = make_oracle({"kind": "set-cover", "universe": [1, 2], "subsets": [[1], [2], [1, 2]]})
+        assert cover.pool == range(1, 4)
+        train, test = make_blobs(30, seed=4), make_blobs(10, seed=5)  # 4 feature columns
+        for kind in (KdeUtility, LogRegUtility, LinRegUtility):
+            assert kind(train, test).pool == range(30)
+            assert kind(train, test, axis="features").pool == range(4)
+
     def test_cache_counts_single_eval(self):
         o = AdditiveUtility({1: 1.0, 2: 2.0})
         for _ in range(5):
