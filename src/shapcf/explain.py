@@ -22,7 +22,8 @@ A pair's differential and an entry's power depend on an ordering only
 through the prefix of owners placed before both members of the pair, and n
 owners leave 2^(n-2) such prefixes. While that is at most EXACT_PREFIXES,
 flip checks and svexp's race enumerate the prefixes instead of sampling
-orderings: exact answers that draw nothing from the rng. A request scores
+orderings: exact answers that draw nothing from the rng (draws tells a
+request that samples, and so needs an rng, from one that does not). A request scores
 each shift X as shapley.shift_sets's entry sets (A - X, B | X) on its own
 partition, on the route chosen once when it is built: _Exact over one
 shapley.coalition_plan, or _Sampled over drawn prefixes. Pair selection
@@ -185,9 +186,14 @@ class CounterfactualResult:
         return out
 
 
-def _is_small(partition: OwnerPartition) -> bool:
-    """Whether the pairs of `partition` have at most EXACT_PREFIXES prefixes."""
-    return 2 ** (partition.n - 2) <= EXACT_PREFIXES
+def draws(engine: str, partition: OwnerPartition) -> bool:
+    """Whether a request of `engine` on `partition` reads its rng: whether it samples.
+
+    It does unless it is exact: bf always is, and every other request (a
+    pair check, engine "pair", included) while the pairs of `partition`
+    have at most EXACT_PREFIXES prefixes.
+    """
+    return engine != "bf" and 2 ** (partition.n - 2) > EXACT_PREFIXES
 
 
 def _exact_check(d: float, delta: float) -> FlipResult:
@@ -243,7 +249,7 @@ class _Request:
         self.samples = 0
         self.exhausted = False
         self.initial_diff = self.initial_half_width = 0.0
-        exact = engine == "bf" or _is_small(partition)
+        exact = not draws(engine, partition)
         lent = pair is not None and isinstance(pair.route, _Exact) == exact
         self.route: _Exact | _Sampled = (
             _Sampled() if not exact
@@ -429,7 +435,7 @@ def window(oracle: UtilityOracle, partition: OwnerPartition) -> int:
     more sets than one check's 2^(n-1), judged on sets as large as the
     partition's whole universe: oracle.room(sets) > len(sets).
     """
-    if not _is_small(partition):
+    if draws("pair", partition):
         return 1
     sets = [partition.universe()] * 2 ** (partition.n - 1)
     return _WINDOW if oracle.room(sets) > len(sets) else 1
@@ -438,7 +444,7 @@ def window(oracle: UtilityOracle, partition: OwnerPartition) -> int:
 def select_pairs(
     partitions: list[OwnerPartition],
     oracle: UtilityOracle,
-    rngs: list[np.random.Generator],
+    rngs: list[np.random.Generator | None],
     config: ExplainConfig,
     budget: int,
     fixed: tuple[OwnerId, OwnerId] | None,
@@ -455,7 +461,9 @@ def select_pairs(
     pair is kept (engines then report the undecided precondition), and one
     drawn the wrong way round is kept as the swapped twin of its request.
     With `openings`, one more call scores each exact request's opening,
-    the first chunk of its bf or mc search, where a is above b.
+    the first chunk of its bf or mc search, where a is above b. A trial's
+    rng is read only where its pair is drawn or its check samples
+    (draws("pair", partition)); elsewhere it may be None.
     """
 
     def pair_of(t: int) -> tuple[OwnerId, OwnerId]:
@@ -557,8 +565,11 @@ def _svexp(req: _Request) -> CounterfactualResult:
     """Greedy transfer loop guided by a Thompson top-1 race over entry powers.
 
     Each round races a's remaining entries (a forced pick when only one is
-    left), transfers the winner, and re-checks the pair. Stops on a flip, on
-    timeout, or when a has nothing left to give.
+    left), transfers the winner, and re-checks the pair. A round check that
+    says flipped is verified at once; the loop stops there unless the
+    verification decisively refutes the flip. It also stops on timeout, or
+    when a has nothing left to give. On the exact route a verification
+    reads the round check's differential, so it never refutes one.
     """
     status = req.precheck(req.cfg.check_budget)
     if status is not None:
@@ -566,6 +577,7 @@ def _svexp(req: _Request) -> CounterfactualResult:
 
     steps: list[TransferStep] = []
     moved: list[EntryId] = []
+    final: FlipResult | None = None  # the verification of the latest round's flip
     while req.ents_a.difference(moved):
         if req.expired():
             return req.done(STATUS_TIMEOUT, moved, tested=len(steps), steps=steps)
@@ -587,10 +599,12 @@ def _svexp(req: _Request) -> CounterfactualResult:
                 check_samples=check.estimate.count,
             )
         )
-        if check.verdict == "flipped":
+        final = req.verify(moved) if check.verdict == "flipped" else None
+        if final is not None and final.verdict != "not_flipped":
             break
 
-    final = req.verify(moved)
+    if final is None:
+        final = req.verify(moved)
     return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, len(steps), steps)
 
 
@@ -615,6 +629,11 @@ def explain(
 ) -> CounterfactualResult:
     """Dispatch to an engine by name ("bf", "mc", "svexp").
 
+    `rng` may be None where the request draws nothing from it (see draws):
+    for bf, and for mc and svexp while the partition's pairs have at most
+    EXACT_PREFIXES prefixes. A sampling request without one raises
+    ValueError.
+
     `pair` is the checked request of pair selection for this partition,
     oracle and ordered pair; it lends the engine's request its coalition
     plan and its check as the precheck, when it was checked on the engine's
@@ -622,8 +641,8 @@ def explain(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}")
-    if engine != "bf" and rng is None:
-        raise ValueError(f"engine {engine!r} needs an rng")
+    if rng is None and draws(engine, partition):
+        raise ValueError(f"engine {engine!r} needs an rng on {partition.n} owners")
     if pair is not None and (pair.partition, pair.oracle, pair.a, pair.b) != (partition, oracle, a, b):
         raise ValueError(f"the checked pair {pair.a!r} over {pair.b!r} is not this request's pair")
     return ENGINES[engine](_Request(engine, partition, oracle, a, b, rng, config, pair))

@@ -3,8 +3,11 @@
 A run is fully described by a JSON config (data paths, utility, allocation,
 engines, trial count, seed) and is deterministic given its seed: every
 randomized stage draws from its own named child stream, so trials.csv and
-summary.json are byte-identical across reruns. Wall-clock numbers go to a
-separate timings.json, which is the only non-deterministic artifact.
+summary.json are byte-identical across reruns. A trial's pair and engine
+streams are spawned only where a request draws from them (explain.draws):
+an exact request with a designated pair needs neither. Wall-clock numbers
+go to a separate timings.json, which is the only non-deterministic
+artifact.
 
 Trials are independent, so a cell's trials run in windows (_run_cell):
 where the oracle shares work across a values() call, the pair checks of a
@@ -39,7 +42,7 @@ from .core import (
     spawn_rng,
 )
 from .datasets import Dataset, load_csv, read_json, split_dataset
-from .explain import ENGINES, CounterfactualResult, ExplainConfig, explain, select_pairs, window
+from .explain import ENGINES, CounterfactualResult, ExplainConfig, draws, explain, select_pairs, window
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import is_flipped  # unused here; perfbench/tracing.py wraps this name
 from .utility import DATA_BACKED_KINDS, make_oracle, normalize_kind, unwrap_config
@@ -80,7 +83,7 @@ _K_MAX = 4
 
 def _draw_rows(pool: Sequence[int], size: int, rng: np.random.Generator) -> frozenset[int]:
     idx = rng.choice(len(pool), size=int(size), replace=False)
-    return frozenset(int(pool[i]) for i in idx)
+    return frozenset(map(pool.__getitem__, idx.tolist()))
 
 
 def gen_uniform(
@@ -460,13 +463,18 @@ def _run_cell(
         if not all(p in served for p in partitions):
             oracle.clear_cache()
             served = partitions
-        rngs = [spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial) for trial in trials]
+        rngs = [
+            spawn_rng(cfg.seed, _STREAM_PAIR, cell_idx, trial) if fixed is None or draws("pair", partition) else None
+            for trial, partition in zip(trials, partitions)
+        ]
         t0 = time.monotonic()
         pairs = select_pairs(partitions, oracle, rngs, ecfg, cfg.pair_budget, fixed, openings=width > 1)
         windows.append({"cell": cell.label, "trials": list(trials), "select_pairs_s": time.monotonic() - t0})
         for trial, partition, pair in zip(trials, partitions, pairs):
             for eng_idx, engine in enumerate(cfg.engines):
-                rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
+                rng_eng = None
+                if draws(engine, partition):
+                    rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
                 t0 = time.monotonic()
                 res: CounterfactualResult = explain(
                     engine, partition, oracle, pair.a, pair.b, rng_eng, config=ecfg, pair=pair

@@ -23,7 +23,8 @@ from .core import DeltaNotOwned, EntryId, OwnerId, OwnerPartition, SingletonOwne
 from .shapley import Estimate, coalition_plan, differentials, sampled_terms, shift_sets
 from .utility import UtilityOracle
 
-Sampler = Callable[[EntryId, int, np.random.Generator], Sequence[float]]
+# Quoted: evaluated here, np.random would load numpy.random with the package.
+Sampler = Callable[[EntryId, int, "np.random.Generator"], Sequence[float]]
 
 # The Thompson race: samples that seed every arm, samples per later batch, and
 # joint posterior draws that estimate the leader's win rate before each batch.

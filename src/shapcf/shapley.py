@@ -133,6 +133,9 @@ def coalition_plan(
     differential (m = n - 1, the weight 1 / ((|S|+1) * C(n-1, |S|+1)) as an
     integer identity). A transfer between a and b changes none of the
     latter: one plan serves them all.
+
+    Each union is built once, here: the union of S without its last owner
+    (listed before S) joined with that owner's entries.
     """
     n = partition.n
     if n > EXACT_OWNER_LIMIT:
@@ -140,13 +143,15 @@ def coalition_plan(
         raise TooManyOwners(f"exact {what} over {n} owners exceeds the limit {EXACT_OWNER_LIMIT}")
     others = [o for o in partition.owner_ids() if o not in excluded]
     m = len(others) + 1
-    bases, weights = [], []
+    unions: dict[tuple[OwnerId, ...], frozenset[int]] = {(): frozenset()}
+    weights = []
     for r in range(m):
         w = 1.0 / (m * math.comb(m - 1, r))
         for combo in itertools.combinations(others, r):
-            bases.append(partition.composed(combo))
+            if r:
+                unions[combo] = unions[combo[:-1]] | partition.owners[combo[-1]]
             weights.append(w)
-    return bases, weights
+    return list(unions.values()), weights
 
 
 def shapley_exact(partition: OwnerPartition, oracle: UtilityOracle, owner: OwnerId) -> float:

@@ -139,10 +139,18 @@ class AdditiveUtility(UtilityOracle):
     """Sum of fixed non-negative per-entry weights; duplicates count once.
 
     Each weight is held as an exact integer at one scale 2^K, so a set's
-    score is its integer sum divided by 2^K. Int true division rounds
+    score is its integer sum n divided by 2^K. Int true division rounds
     correctly, so a score is the correctly rounded sum of its weights: the
     bits math.fsum gives in any order. The weights' total must round to a
     finite float, so no set's score overflows.
+
+    Where the weights' integer total and 2^K both convert to finite floats,
+    n is divided in float instead, as float(n) / 2.0**K, which has the same
+    bits: a quotient of 2^-1022 or more is normal, so float(n)'s one
+    rounding is scaled exactly, and a smaller one has n of 0 or 1, which
+    converts exactly. Otherwise (a weight with a bit below 2^-1023 sets K
+    above 1023, or large weights beside small ones put the total at 2^1024
+    or more) int division stays.
     """
 
     kind = "additive"
@@ -157,10 +165,18 @@ class AdditiveUtility(UtilityOracle):
         ratios = {e: w.as_integer_ratio() for e, w in self.weights.items()}  # each denominator a power of 2
         self._scale = max((den for _, den in ratios.values()), default=1)
         self._ints = {e: num * (self._scale // den) for e, (num, den) in ratios.items()}
+        n = sum(self._ints.values())
         try:
-            sum(self._ints.values()) / self._scale
+            n / self._scale
         except OverflowError:
             raise MalformedInput("additive weights must sum to a finite float, these overflow") from None
+        # The divisor of an integer sum: 2^K as a float where that gives the same bits, else as an int.
+        self._divisor: int | float = self._scale
+        try:
+            float(n)
+            self._divisor = float(self._scale)
+        except OverflowError:
+            pass
         self._sums: dict[frozenset[int], int] | None = {} if cache else None
 
     def gaps(
@@ -174,7 +190,7 @@ class AdditiveUtility(UtilityOracle):
         built, and no coalition is memoised. calls and evals move by one for
         each set a gap stands for.
         """
-        total, scale = self._total, self._scale
+        total, div = self._total, self._divisor
         sums = self._sums if self._sums is not None else {}
         out: list[float] = []
         for bases, pairs in jobs:
@@ -187,8 +203,8 @@ class AdditiveUtility(UtilityOracle):
             for x, y in pairs:
                 sx, sy = total(x), total(y)
                 out += [
-                    (s + (sx if x.isdisjoint(base) else total(x - base))) / scale
-                    - (s + (sy if y.isdisjoint(base) else total(y - base))) / scale
+                    (s + (sx if x.isdisjoint(base) else total(x - base))) / div
+                    - (s + (sy if y.isdisjoint(base) else total(y - base))) / div
                     for base, s in zip(bases, at)
                 ]
         self.calls += 2 * len(out)
@@ -207,7 +223,7 @@ class AdditiveUtility(UtilityOracle):
             raise MalformedInput(f"no weight for entry {exc.args[0]}") from None
 
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
-        return [self._total(ids) / self._scale for ids in ids_list]
+        return [self._total(ids) / self._divisor for ids in ids_list]
 
 
 @dataclass(frozen=True)

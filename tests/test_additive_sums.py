@@ -1,15 +1,18 @@
 """The additive oracle's exact integer sums against math.fsum over built unions, bit for bit.
 
 AdditiveUtility scores a set as its weights' exact integer sum over one
-power-of-two scale, and its gaps add a base's kept sum to each side's; the
-reference (oracles.FsumAdditive) builds every union and sums its weights
-with math.fsum on the generic gap path. This file needs only pytest, numpy
-and the package, so it runs on the declared Python floor too, where int
-true division and fsum are those of that interpreter.
+power-of-two scale, divided in float where that gives the same bits and
+by int true division elsewhere, and its gaps add a base's kept sum to each
+side's; the reference (oracles.FsumAdditive) builds every union and sums
+its weights with math.fsum on the generic gap path. This file needs only
+pytest, numpy and the package, so it runs on the declared Python floor
+too, where int-to-float conversion, int true division and fsum are those
+of that interpreter.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -116,6 +119,31 @@ def test_extreme_weights_round_like_fsum():
     sets = [frozenset(s) for s in ([0], [0, 6], [1, 0], [2, 3], [2, 3, 0], [4], [5, 0], [0, 1, 2, 3, 4, 5, 6])]
     assert hexes(mine.values(sets)) == hexes(ref.values(sets))
     assert mine.value(frozenset({2, 3})) == 1.0  # the half ulp rounds to even
+
+
+@pytest.mark.parametrize(
+    "weights, scaled",
+    [
+        # 2^K = 2^1022 and a total of about 3.6 * 2^1022: both finite floats.
+        ({0: 2.0**-1022, 1: 1.0, 2: 2.5, 3: 0.125, 4: 0.0}, True),
+        # A subnormal weight of 2^-1023 still scales: no non-zero sum lies below it.
+        ({0: 2.0**-1023, 1: 1.5, 2: 3 * 2.0**-1023}, True),
+        # A subnormal weight of 2^-1074 puts 2^K past the largest float.
+        ({0: 5e-324, 1: 1.0, 2: 7 * 5e-324}, False),
+        # The integer total 2^1024 + 1 has no float, though the weights' sum does.
+        ({0: 0.5, 1: 2.0**1023}, False),
+        # 1 + the largest float rounds to that float: still scaled.
+        ({0: 0.5, 1: 2.0**1023 * (1 - 2.0**-53)}, True),
+    ],
+)
+def test_sums_scale_in_float_only_where_the_bits_hold(weights, scaled):
+    mine, ref = AdditiveUtility(weights), FsumAdditive(weights)
+    assert isinstance(mine._divisor, float) == scaled
+    ids = sorted(weights)
+    sets = [frozenset(c) for r in range(len(ids) + 1) for c in itertools.combinations(ids, r)]
+    assert hexes(mine.values(sets)) == hexes(ref.values(sets))
+    jobs = [(sets, [(frozenset(ids[:1]), frozenset(ids[1:2])), (frozenset(ids[-1:]), frozenset())])]
+    assert hexes(mine.gaps(jobs)) == hexes(ref.gaps(jobs))
 
 
 def test_weights_whose_total_overflows_are_rejected():

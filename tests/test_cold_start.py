@@ -47,6 +47,13 @@ def test_importing_the_package_loads_neither_statistics_nor_numpy_ma():
     assert not [m for m in added if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
 
+def test_importing_the_package_loads_no_numpy_random():
+    # Only a request that spawns or draws from a stream needs numpy.random.
+    added = new_modules("import numpy", "import shapcf")
+    assert "shapcf.power" in added
+    assert not [m for m in added if m == "numpy.random" or m.startswith("numpy.random.")]
+
+
 # Every oracle kind, each scoring sets alone and in a batch (a single-feature
 # logistic table of unequal sets takes _row_sums' per-row-count branch), then
 # one exact-route request per engine on a 3-owner partition.
@@ -79,7 +86,7 @@ for oracle in (oracles[0], oracles[3]):
 
 
 def test_oracles_and_exact_routes_import_nothing_after_the_package():
-    assert new_modules("import shapcf", ORACLES_AND_EXACT_ROUTES) == []
+    assert new_modules("import shapcf, numpy.random", ORACLES_AND_EXACT_ROUTES) == []
 
 
 class TestLogisticLabels:

@@ -24,6 +24,7 @@ from shapcf.core import (
     apply_transfer,
     spawn_rng,
 )
+from shapcf.datasets import Dataset
 from shapcf.explain import (
     EXACT_PREFIXES,
     STATUS_NOT_MET,
@@ -50,6 +51,7 @@ from shapcf.utility import AdditiveUtility, KdeUtility, LogRegUtility, SetCoverG
 
 from conftest import make_blobs, on_memo_path, random_games
 from oracles import first_flip_reference, shapley_by_definition
+from test_quality_gate import CONFIG as GATE_CONFIG
 
 # The module; `shapcf.explain` as an attribute is the dispatch function.
 explain_module = importlib.import_module("shapcf.explain")
@@ -425,6 +427,29 @@ class TestGreedyBandit:
         assert first.samples_used == second.samples_used
         assert [s.entry for s in first.steps] == [s.entry for s in second.steps]
 
+    @pytest.mark.parametrize("seed, delta, success", [(124, (12, 45), True), (120, (11, 46), False)])
+    def test_goes_on_past_a_flip_its_verification_refutes(self, seed, delta, success):
+        # 10 owners over a 48-row KDE table, so svexp samples. With seed 124
+        # the first round check says flipped once 45 moves, but the exact
+        # differential after that shift is +0.566 and the verification
+        # refutes the flip: the loop goes on to bf's answer. With seed 120
+        # the verification of (11, 46) is undecided (exact -0.0127), and
+        # that answer stands unverified.
+        rng = np.random.default_rng([64, seed])
+        labels = np.arange(60) % 2 * 1.0
+        feats = rng.normal(size=(60, 2)) + 0.8 * labels[:, None]
+        oracle = KdeUtility(Dataset(feats[:48], ("f0", "f1")), Dataset(feats[48:], ("f0", "f1")))
+        p = harness.gen_zipfian(range(48), 10, rng, a=2, k1=3, k2=0, k_max=3)
+        res = explain("svexp", p, oracle, "A", "B", spawn_rng(seed, 1), config=GATE_CONFIG)
+        assert res.status == STATUS_OK and (res.delta, res.success) == (delta, success)
+        assert explain("bf", p, oracle, "A", "B").delta == delta
+        assert res.steps[-1].check_verdict == "flipped"
+        if success:
+            assert [s.check_verdict for s in res.steps] == ["flipped", "flipped"]
+            assert res.final_diff + res.final_half_width < 0.0
+        else:
+            assert abs(res.final_diff) < res.final_half_width
+
     def test_never_beats_bruteforce_size(self):
         for i, (p, oracle) in enumerate(integer_gap_games()):
             bf = explain("bf", p, oracle, "A", "B")
@@ -440,11 +465,26 @@ class TestDispatcher:
             explain("newton", p, oracle, "A", "B", spawn_rng(0))
 
     def test_sampling_engines_need_rng(self):
+        # From 10 owners mc and svexp sample; bf never does.
         p, oracle = heavy_game()
-        with pytest.raises(ValueError):
+        p = padded(p, 10)
+        assert explain_module.draws("mc", p) and not explain_module.draws("bf", p)
+        with pytest.raises(ValueError, match="needs an rng"):
             explain("mc", p, oracle, "A", "B")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs an rng"):
             explain("svexp", p, oracle, "A", "B")
+
+    @pytest.mark.parametrize("engine", ["mc", "svexp"])
+    def test_exact_route_needs_no_rng(self, engine):
+        # Up to 9 owners every check and race is exact: no rng is read, and
+        # none gives the result an rng would.
+        heavy, oracle = heavy_game()
+        nine = OwnerPartition({**heavy.owners, **{f"Z{i}": frozenset() for i in range(7)}})
+        games = [(99, nine, oracle, "A", "B"), *TestCoalitionPlan.games()]
+        for i, p, oracle, a, b in games:
+            assert not explain_module.draws(engine, p)
+            want = explain(engine, p, oracle, a, b, spawn_rng(20, i)).to_dict()
+            assert explain(engine, p, oracle, a, b).to_dict() == want
 
     def test_bruteforce_runs_without_rng(self):
         p, oracle = heavy_game()

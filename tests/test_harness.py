@@ -419,6 +419,41 @@ class TestRunExperiment:
         assert timings["total_s"] == pytest.approx(engines + sum(w["select_pairs_s"] for w in windows))
 
     @pytest.mark.parametrize(
+        "n_owners, mode, streams",
+        [
+            (6, "designated", {harness._STREAM_PARTITION: 2}),
+            (6, "random", {harness._STREAM_PARTITION: 2, harness._STREAM_PAIR: 2}),
+            (10, "designated", {harness._STREAM_PARTITION: 2, harness._STREAM_PAIR: 2, harness._STREAM_ENGINE: 4}),
+        ],
+    )
+    def test_spawns_only_the_streams_a_trial_draws_from(self, monkeypatch, n_owners, mode, streams):
+        # Up to 9 owners pair checks and the engines are exact: a designated
+        # pair needs no pair stream and no engine an engine stream. A drawn
+        # pair needs its stream; from 10 owners the pair check and mc and
+        # svexp (not bf) sample.
+        spawned = []
+
+        def spawn_spy(seed, *path):
+            spawned.append(path)
+            return spawn_rng(seed, *path)
+
+        monkeypatch.setattr(harness, "spawn_rng", spawn_spy)
+        cfg = base_config(
+            utility={"kind": "additive", "weights": {str(i): 1.0 + i % 5 for i in range(30)}},
+            engines=["bf", "mc", "svexp"],
+            n_owners=n_owners,
+            allocation={"kind": "zipfian", "a": 2, "k1": 2, "k2": 0, "k_max": 2},
+            pair={"mode": mode, "a": "A", "b": "B"} if mode == "designated" else {"mode": mode},
+            sampling={"check_budget": 300, "pair_budget": 300, "arm_budget": 100, "bandit_budget": 600},
+        )
+        records = run_experiment(ExperimentConfig.from_json(cfg)).records
+        assert len(records) == 6
+        counts = {tag: sum(path[0] == tag for path in spawned) for tag in {path[0] for path in spawned}}
+        assert counts == streams
+        # Engine streams are those of mc and svexp, the engines 1 and 2.
+        assert {path[-1] for path in spawned if path[0] == harness._STREAM_ENGINE} <= {1, 2}
+
+    @pytest.mark.parametrize(
         "utility, pool",
         [
             ({"kind": "additive", "weights": {str(e): 1.0 + e for e in (2, 5, 7, 11, 13, 17)}}, [2, 5, 7, 11, 13, 17]),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 
@@ -37,19 +38,48 @@ from oracles import (
 )
 
 
+shapley_module = importlib.import_module("shapcf.shapley")
+
+
 def part(**owners) -> OwnerPartition:
     return OwnerPartition({k: frozenset(v) for k, v in owners.items()})
 
 
-def test_exact_value_hands_the_oracle_the_plans_own_unions(values_calls):
+@pytest.mark.parametrize("seed", range(4))
+def test_plan_bases_are_the_composed_coalitions(seed):
+    # The plan builds each union from its coalition's shorter prefix; each
+    # must equal the partition's own union of the coalition, owners
+    # overlapping or empty, up to EXACT_OWNER_LIMIT owners.
+    rng = np.random.default_rng([91, seed])
+    for _ in range(6):
+        n = int(rng.integers(2, EXACT_OWNER_LIMIT + 1))
+        sizes = rng.integers(0, 8, size=n)
+        p = OwnerPartition({f"O{i}": rng.choice(30, size=int(k), replace=False).tolist() for i, k in enumerate(sizes)})
+        ids = p.owner_ids()
+        for excluded in ((ids[0],), (ids[-1], ids[1])):
+            others = [o for o in ids if o not in excluded]
+            combos = [c for r in range(len(others) + 1) for c in itertools.combinations(others, r)]
+            bases, weights = coalition_plan(p, *excluded)
+            assert bases == [p.composed(c) for c in combos]
+            assert len(weights) == len(bases)
+
+
+def test_exact_value_hands_the_oracle_the_plans_own_unions(values_calls, monkeypatch):
     # The empty side of each gap U(S + owner) - U(S) is the plan's union
     # object itself: no per-coalition copy reaches the oracle.
     p = part(A=[0, 1], B=[1, 2], C=[3], D=[], E=[4, 5])
     oracle = AdditiveUtility({i: float(i + 1) for i in range(6)})
+    plans = []
+
+    def plan_spy(*args):
+        plans.append(coalition_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(shapley_module, "coalition_plan", plan_spy)
     for owner in p.owner_ids():
         values_calls.clear()
         shapley_exact(p, oracle, owner)
-        bases = coalition_plan(p, owner)[0]  # the partition's cached unions, as shapley_exact saw them
+        bases = plans[-1][0]  # the plan shapley_exact built
         [sets] = values_calls
         assert sets[0::2] == [base | p.entries(owner) for base in bases]
         assert len(sets[1::2]) == len(bases)
