@@ -11,7 +11,7 @@ import click
 
 from .core import MalformedInput, OwnerPartition, ShapcfError, spawn_rng
 from .datasets import load_partition, read_json
-from .explain import ENGINES, ExplainConfig, explain as run_engine
+from .explain import ENGINES, ExplainConfig, draws, explain as run_engine
 from .harness import ExperimentConfig, load_split, run_experiment, write_outputs
 from .shapley import shapley_exact_all, shapley_mc
 from .utility import DATA_BACKED_KINDS, UtilityOracle, make_oracle, normalize_kind, unwrap_config
@@ -155,7 +155,7 @@ def explain_cmd(engine, data, test_data, test_ratio, partition_path, utility_pat
     try:
         partition, oracle = _load_inputs(data, test_data, test_ratio, partition_path, utility_path, seed)
         ecfg = ExplainConfig(delta=delta, epsilon=epsilon, check_budget=budget, timeout=timeout)
-        rng = spawn_rng(seed, _STREAM_EXPLAIN)
+        rng = spawn_rng(seed, _STREAM_EXPLAIN) if draws(engine, partition) else None
         result = run_engine(engine, partition, oracle, owner_a, owner_b, rng, config=ecfg)
         _emit(result.to_dict(), out)
         click.echo(f"status={result.status} size={result.size} wall_time={result.wall_time:.3f}s", err=True)

@@ -448,7 +448,6 @@ def select_pairs(
     config: ExplainConfig,
     budget: int,
     fixed: tuple[OwnerId, OwnerId] | None,
-    openings: bool,
 ) -> list[_Request]:
     """Each trial's ordered pair with a above b: its checked request, which every engine shares.
 
@@ -460,10 +459,11 @@ def select_pairs(
     check is undecided, for _PAIR_REDRAWS rounds at most; then the last
     pair is kept (engines then report the undecided precondition), and one
     drawn the wrong way round is kept as the swapped twin of its request.
-    With `openings`, one more call scores each exact request's opening,
-    the first chunk of its bf or mc search, where a is above b. A trial's
-    rng is read only where its pair is drawn or its check samples
-    (draws("pair", partition)); elsewhere it may be None.
+    Where the window holds more than one trial, one more call scores each
+    exact request's opening, the first chunk of its bf or mc search, where
+    a is above b (a lone trial's search would spend that one call itself).
+    A trial's rng is read only where its pair is drawn or its check
+    samples (draws("pair", partition)); elsewhere it may be None.
     """
 
     def pair_of(t: int) -> tuple[OwnerId, OwnerId]:
@@ -488,7 +488,7 @@ def select_pairs(
     chosen = [
         pair.swapped() if fixed is None and pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()
     ]
-    if openings:
+    if len(partitions) > 1:
         ahead = [p for p in chosen if p.last.verdict == "not_flipped"]
         _score((p, [frozenset(c) for c in next(_chunks(p, sorted(p.ents_a)), [])]) for p in ahead)
     return chosen

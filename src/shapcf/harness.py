@@ -22,8 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,11 +71,23 @@ _ALLOCATION_RULES: dict[str, Rule] = {
         or isinstance(v, (list, tuple)) and len(v) == 2 and all(is_integer(x) for x in v),
     ),
 }
-# Every allocation key: the ruled ones, the kind and the natural and vertical groupings.
-_ALLOCATION_KEYS = frozenset({"kind", "group", "groups", *_ALLOCATION_RULES})
-_PAIR_KEYS = frozenset({"mode", "a", "b"})
 _OBJECT: Rule = ("a JSON object", lambda v: isinstance(v, dict))
 _PATH: Rule = ("a path", lambda v: v is None or isinstance(v, str))
+# The shape of each config field that is not a count.
+_SHAPES: dict[str, Rule] = {
+    "utility": _OBJECT,
+    "engines": (
+        f"a non-empty list of distinct engines of {sorted(ENGINES)}",
+        lambda v: isinstance(v, (list, tuple)) and bool(v)
+        and all(isinstance(e, str) and e in ENGINES for e in v) and len(set(v)) == len(v),
+    ),
+    "allocation": _OBJECT,
+    "data": _PATH,
+    "test_data": _PATH,
+    "test_ratio": ("a number", is_number),
+    "pair": _OBJECT,
+    "sampling": _OBJECT,
+}
 
 # gen_zipfian's default largest exponent; a zipfian grid without k_max spans it too.
 _K_MAX = 4
@@ -145,8 +157,15 @@ def gen_zipfian(
     return OwnerPartition(owners)
 
 
-# Each generated allocation kind: its generator and the allocation keys it takes.
-_GENERATORS = {"uniform": (gen_uniform, ("size_range",)), "zipfian": (gen_zipfian, ("a", "k1", "k2", "k_max"))}
+_GENERATORS = {"uniform": gen_uniform, "zipfian": gen_zipfian}
+# Each allocation kind and the keys it reads beside "kind": a generated kind's
+# generator keywords and zipfian's grid, natural's group column, vertical's groups.
+_ALLOCATION_KEYS = {
+    "uniform": ("size_range",),
+    "zipfian": ("a", "k1", "k2", "k_max", "grid"),
+    "natural": ("group",),
+    "vertical": ("groups",),
+}
 
 
 def gen_natural(dataset: Dataset) -> OwnerPartition:
@@ -187,108 +206,94 @@ def gen_vertical(dataset: Dataset, groups: Mapping[str, Sequence[str]]) -> Owner
     return OwnerPartition(owners)
 
 
+def _only(section: str, obj: dict, keys: Iterable[str]) -> None:
+    """Raise MalformedInput naming every key of `obj` outside `keys`."""
+    stray = set(obj) - set(keys)
+    if stray:
+        raise MalformedInput(f"unknown {section} keys {sorted(stray, key=str)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description; see from_json for the file shape."""
+    """An experiment, checked when it is built; README's File shapes lists its keys.
+
+    Any value or key the run would reject or ignore raises MalformedInput
+    here, before any data loads. Construction also resolves what the run
+    reads off the sampling and pair sections: the engines' explain_config,
+    the pair_budget (check_budget unless set) and the pair_mode (designated
+    for a zipfian allocation, else random, unless set).
+    """
 
     utility: dict
     engines: tuple[str, ...]
-    n_owners: int
     allocation: dict
     trials: int
     seed: int
+    n_owners: int = 2
     data: str | None = None
     test_data: str | None = None
     test_ratio: float = 0.2
     pair: dict = field(default_factory=dict)
     sampling: dict = field(default_factory=dict)
+    explain_config: ExplainConfig = field(init=False)
+    pair_budget: int = field(init=False)
+    pair_mode: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        for key, (need, ok) in _SHAPES.items():
+            if not ok(getattr(self, key)):
+                raise MalformedInput(f"experiment config has a bad {key!r}: {getattr(self, key)!r} (need {need})")
+        alloc, pair, sampling = self.allocation, self.pair, self.sampling
+        kind = alloc.get("kind")
+        if kind not in _ALLOCATION_KEYS:
+            raise MalformedInput(f"unknown allocation kind {kind!r}; expected one of {sorted(_ALLOCATION_KEYS)}")
+        # A zipfian grid sets k1 and k2 per cell.
+        grid = kind == "zipfian" and alloc.get("grid") is True
+        _only("zipfian grid" if grid else f"{kind} allocation", alloc,
+              {"kind", *_ALLOCATION_KEYS[kind]} - ({"k1", "k2"} if grid else set()))
+        if kind == "vertical" and not isinstance(alloc.get("groups"), dict):
+            raise MalformedInput('vertical allocation needs a "groups" object')
+        mode = pair.get("mode")
+        if mode is None:
+            mode = "designated" if kind == "zipfian" else "random"
+        if mode not in PAIR_MODES:
+            raise MalformedInput(f"unknown pair mode {mode!r}; expected one of {list(PAIR_MODES)}")
+        _only(f"{mode} pair", pair, ("mode", "a", "b") if mode == "designated" else ("mode",))
+        if mode == "grid" and kind not in ("natural", "vertical"):
+            raise MalformedInput('pair mode "grid" needs a natural or vertical allocation')
+        check_values(
+            "experiment values",
+            [
+                ("trials", self.trials, _AT_LEAST_0),
+                ("seed", self.seed, _AT_LEAST_0),
+                ("n_owners", self.n_owners, _AT_LEAST_2),
+                *((f"allocation {key}", alloc[key], rule) for key, rule in _ALLOCATION_RULES.items() if key in alloc),
+            ],
+        )
+        names = {f.name for f in fields(ExplainConfig)}
+        _only("sampling", sampling, {*names, "pair_budget"})
+        ecfg = ExplainConfig(**{key: value for key, value in sampling.items() if key in names})
+        budget = sampling.get("pair_budget", ecfg.check_budget)
+        check_values("sampling values", [("pair_budget", budget, COUNT_RULE)])
+        for key, value in (
+            ("engines", tuple(self.engines)), ("test_ratio", float(self.test_ratio)),
+            ("explain_config", ecfg), ("pair_budget", int(budget)), ("pair_mode", mode),
+        ):
+            object.__setattr__(self, key, value)
 
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "ExperimentConfig":
+        """The config in a JSON file, or its parsed object, as the constructor checks it."""
         if isinstance(source, (str, Path)):
             source = read_json(source, "experiment config")
         if not isinstance(source, dict):
             raise MalformedInput("experiment config must be a JSON object")
-
-        def get(key: str, rule: Rule | None = None, *default):
-            if key not in source and not default:
-                raise MalformedInput(f"experiment config needs {key!r}")
-            value = source.get(key, *default)
-            if rule is not None and not rule[1](value):
-                raise MalformedInput(f"experiment config has a bad {key!r}: {value!r} (need {rule[0]})")
-            return value
-
-        def known(section: str, obj: dict, keys) -> None:
-            stray = set(obj) - set(keys)
-            if stray:
-                raise MalformedInput(f"unknown {section} keys {sorted(stray, key=str)}")
-
-        known("experiment config", source, (f.name for f in fields(cls)))
-        utility = get("utility", _OBJECT)
-        engines = get("engines")
-        allocation = get("allocation", _OBJECT)
-        known("allocation", allocation, _ALLOCATION_KEYS)
-        trials = get("trials")
-        seed = get("seed")
-        n_owners = source.get("n_owners", 2)
-        pair = get("pair", _OBJECT, {})
-        known("pair", pair, _PAIR_KEYS)
-        if pair.get("mode") not in (None, *PAIR_MODES):
-            raise MalformedInput(
-                f"unknown pair mode {pair['mode']!r}; expected one of {list(PAIR_MODES)}"
-            )
-        if not isinstance(engines, (list, tuple)) or not engines:
-            raise MalformedInput(f"experiment config's 'engines' must be a non-empty list, got {engines!r}")
-        unknown = [e for e in engines if not isinstance(e, str) or e not in ENGINES]
-        if unknown or len(set(engines)) < len(engines):
-            raise MalformedInput(f"'engines' must name distinct engines of {sorted(ENGINES)}, got {engines}")
-        check_values(
-            "experiment values",
-            [
-                ("trials", trials, _AT_LEAST_0),
-                ("seed", seed, _AT_LEAST_0),
-                ("n_owners", n_owners, _AT_LEAST_2),
-                *(
-                    (f"allocation {key}", value, _ALLOCATION_RULES[key])
-                    for key, value in allocation.items()
-                    if key in _ALLOCATION_RULES
-                ),
-            ],
-        )
-        cfg = cls(
-            utility=dict(utility),
-            engines=tuple(engines),
-            n_owners=n_owners,
-            allocation=dict(allocation),
-            trials=trials,
-            seed=seed,
-            data=get("data", _PATH, None),
-            test_data=get("test_data", _PATH, None),
-            test_ratio=float(get("test_ratio", ("a number", is_number), 0.2)),
-            pair=dict(pair),
-            sampling=dict(get("sampling", _OBJECT, {})),
-        )
-        cfg.explain_config()  # rejects a bad sampling section before any data loads
-        return cfg
-
-    def explain_config(self) -> ExplainConfig:
-        keys = {f.name for f in fields(ExplainConfig)}
-        picked = {k: v for k, v in self.sampling.items() if k in keys}
-        counts = ("pair_budget",)  # the harness's own sampling key
-        unknown = set(self.sampling) - keys - set(counts)
-        if unknown:
-            raise MalformedInput(f"unknown sampling keys {sorted(unknown)}")
-        check_values(
-            "sampling values",
-            ((key, self.sampling[key], COUNT_RULE) for key in counts if key in self.sampling),
-        )
-        return ExplainConfig(**picked)
-
-    @property
-    def pair_budget(self) -> int:
-        if "pair_budget" in self.sampling:
-            return int(self.sampling["pair_budget"])
-        return self.explain_config().check_budget
+        keys = [f for f in fields(cls) if f.init]
+        _only("experiment config", source, (f.name for f in keys))
+        missing = [f.name for f in keys if f.name not in source and f.default is f.default_factory is MISSING]
+        if missing:
+            raise MalformedInput(f"experiment config needs {', '.join(map(repr, missing))}")
+        return cls(**source)
 
 
 @dataclass(frozen=True)
@@ -370,20 +375,13 @@ def _make_partition(
     cell_params: dict,
 ) -> OwnerPartition:
     alloc = cfg.allocation
-    kind = alloc.get("kind")
-    if kind in _GENERATORS:
-        generate, keys = _GENERATORS[kind]
-        # A zipfian grid cell's k1 and k2 stand in for the allocation's.
-        params = {key: alloc[key] for key in keys if key in alloc} | cell_params
-        return generate(pool, cfg.n_owners, rng, **params)
-    if kind == "natural":
+    if alloc["kind"] == "natural":
         return gen_natural(train)
-    if kind == "vertical":
-        groups = alloc.get("groups")
-        if not isinstance(groups, dict):
-            raise MalformedInput('vertical allocation needs a "groups" object')
-        return gen_vertical(train, groups)
-    raise MalformedInput(f"unknown allocation kind {kind!r}")
+    if alloc["kind"] == "vertical":
+        return gen_vertical(train, alloc["groups"])
+    # A zipfian grid cell's k1 and k2 stand in for the allocation's.
+    params = {key: value for key, value in alloc.items() if key not in ("kind", "grid")} | cell_params
+    return _GENERATORS[alloc["kind"]](pool, cfg.n_owners, rng, **params)
 
 
 class _Cell(NamedTuple):
@@ -398,9 +396,7 @@ class _Cell(NamedTuple):
 def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: Sequence[int]) -> tuple[list[_Cell], list[str] | None]:
     """The grid's cells and its axis labels (rows and columns alike); one anonymous cell when not gridded."""
     alloc = cfg.allocation
-    if cfg.pair.get("mode") == "grid":
-        if alloc.get("kind") not in ("natural", "vertical"):
-            raise MalformedInput('pair mode "grid" needs a natural or vertical allocation')
+    if cfg.pair_mode == "grid":
         ids = _make_partition(cfg, train, pool, None, {}).owner_ids()
         cells = [
             _Cell(f"{a}->{b}", {"a": a, "b": b}, i, j)
@@ -409,7 +405,7 @@ def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: Sequence[int]) ->
             if a != b
         ]
         return cells, list(ids)
-    if alloc.get("kind") == "zipfian" and alloc.get("grid"):
+    if alloc.get("grid"):
         ks = range(alloc.get("k_max", _K_MAX) + 1)
         cells = [_Cell(f"k{k1}-k{k2}", {"k1": k1, "k2": k2}, k1, k2) for k1 in ks for k2 in ks]
         return cells, [f"k{k}" for k in ks]
@@ -418,7 +414,6 @@ def _cells(cfg: ExperimentConfig, train: Dataset | None, pool: Sequence[int]) ->
 
 def _run_cell(
     cfg: ExperimentConfig,
-    ecfg: ExplainConfig,
     train: Dataset | None,
     oracle,
     cell_idx: int,
@@ -446,12 +441,9 @@ def _run_cell(
 
     if not cfg.trials:
         return records, windows, served
-    # A designated pair (grid cells, the pair config, or "A" over "B") is
-    # fixed for the cell; None draws a random pair per trial.
-    mode = cfg.pair.get("mode")
-    if mode is None:
-        mode = "designated" if "a" in cell.params or cfg.allocation.get("kind") == "zipfian" else "random"
-    fixed = None if mode == "random" else (
+    # A grid cell's pair or a designated one (the pair config's, or "A" over
+    # "B") is fixed for the cell; None draws a random pair per trial.
+    fixed = None if cfg.pair_mode == "random" else (
         str(cell.params.get("a", cfg.pair.get("a", "A"))),
         str(cell.params.get("b", cfg.pair.get("b", "B"))),
     )
@@ -468,7 +460,7 @@ def _run_cell(
             for trial, partition in zip(trials, partitions)
         ]
         t0 = time.monotonic()
-        pairs = select_pairs(partitions, oracle, rngs, ecfg, cfg.pair_budget, fixed, openings=width > 1)
+        pairs = select_pairs(partitions, oracle, rngs, cfg.explain_config, cfg.pair_budget, fixed)
         windows.append({"cell": cell.label, "trials": list(trials), "select_pairs_s": time.monotonic() - t0})
         for trial, partition, pair in zip(trials, partitions, pairs):
             for eng_idx, engine in enumerate(cfg.engines):
@@ -477,7 +469,7 @@ def _run_cell(
                     rng_eng = spawn_rng(cfg.seed, _STREAM_ENGINE, cell_idx, trial, eng_idx)
                 t0 = time.monotonic()
                 res: CounterfactualResult = explain(
-                    engine, partition, oracle, pair.a, pair.b, rng_eng, config=ecfg, pair=pair
+                    engine, partition, oracle, pair.a, pair.b, rng_eng, config=cfg.explain_config, pair=pair
                 )
                 records.append(
                     TrialRecord(
@@ -507,17 +499,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     train, test = _load_data(cfg)
     oracle = make_oracle(cfg.utility, train, test)
     # A vertical allocation's entries are feature columns, every other kind's are training rows.
-    kind = cfg.allocation.get("kind")
+    kind = cfg.allocation["kind"]
     need = "features" if kind == "vertical" else "rows"
-    if getattr(oracle, "axis", need) != need and kind in ("natural", "vertical", *_GENERATORS):
+    if getattr(oracle, "axis", need) != need:
         raise MalformedInput(f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {oracle.axis!r}")
-    ecfg = cfg.explain_config()
     cells, axis = _cells(cfg, train, oracle.pool)
     records: list[TrialRecord] = []
     windows: list[dict] = []
     served: list[OwnerPartition] = []
     for i, cell in enumerate(cells):
-        cell_records, cell_windows, served = _run_cell(cfg, ecfg, train, oracle, i, cell, served)
+        cell_records, cell_windows, served = _run_cell(cfg, train, oracle, i, cell, served)
         records += cell_records
         windows += cell_windows
 

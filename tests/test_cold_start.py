@@ -89,6 +89,44 @@ def test_oracles_and_exact_routes_import_nothing_after_the_package():
     assert new_modules("import shapcf, numpy.random", ORACLES_AND_EXACT_ROUTES) == []
 
 
+def explain_fresh(tmp_path: Path, engine: str, n_owners: int, seed: int) -> tuple[list[str], dict]:
+    """`shapcf explain`, A over B, on an additive game of `n_owners` in a fresh interpreter: its modules and output."""
+    utility = {"kind": "additive", "weights": {str(e): 1.0 + e % 4 for e in range(2 * n_owners + 1)}}
+    owners = {"A": [0, 1, 2, 3], "B": [4], **{f"O{i}": [5 + 2 * i, 6 + 2 * i] for i in range(n_owners - 2)}}
+    (tmp_path / "utility.json").write_text(json.dumps(utility))
+    (tmp_path / "partition.json").write_text(json.dumps({"owners": owners}))
+    out = tmp_path / "out.json"
+    args = [
+        "explain", "--engine", engine, "--a", "A", "--b", "B", "--budget", "2000", "--seed", str(seed),
+        "--partition", str(tmp_path / "partition.json"), "--utility", str(tmp_path / "utility.json"), "--out", str(out),
+    ]
+    added = new_modules("", f"from shapcf.cli import main\nmain({args!r}, standalone_mode=False)")
+    return added, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("engine", ["bf", "mc"])
+def test_an_exact_explain_request_loads_no_numpy_random(tmp_path, engine):
+    # Up to 9 owners mc is exact, and bf always is: neither spawns its stream.
+    added, payload = explain_fresh(tmp_path, engine, 5, seed=3)
+    assert payload["status"] == "ok" and payload["success"] and payload["samples_used"] == 0
+    assert "shapcf.cli" in added and "numpy" in added
+    assert not [m for m in added if m == "numpy.random" or m.startswith("numpy.random.")]
+
+
+def test_a_sampled_explain_request_draws_the_explain_stream(tmp_path):
+    # At 10 owners mc samples, from the seed's explain stream, as it always has.
+    from shapcf import ExplainConfig, explain, load_partition, make_oracle, spawn_rng
+    from shapcf.cli import _STREAM_EXPLAIN, _finite
+
+    added, payload = explain_fresh(tmp_path, "mc", 10, seed=3)
+    assert "numpy.random" in added and payload["samples_used"] > 0
+    partition = load_partition(tmp_path / "partition.json")
+    oracle = make_oracle(json.loads((tmp_path / "utility.json").read_text()))
+    rng = spawn_rng(3, _STREAM_EXPLAIN)
+    expected = explain("mc", partition, oracle, "A", "B", rng, config=ExplainConfig(check_budget=2000)).to_dict()
+    assert payload == _finite(expected)
+
+
 class TestLogisticLabels:
     @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 2.5)])
     def test_any_two_labels_score_as_zero_and_one(self, lo, hi):

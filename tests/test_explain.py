@@ -677,7 +677,7 @@ class TestExactRoute:
         engines = set(calls)
         calls.clear()
         cfg = ExplainConfig()
-        (pair,) = explain_module.select_pairs([p], oracle, [spawn_rng(46, 2)], cfg, cfg.check_budget, ("A", "B"), False)
+        (pair,) = explain_module.select_pairs([p], oracle, [spawn_rng(46, 2)], cfg, cfg.check_budget, ("A", "B"))
         assert (pair.a, pair.b) == ("A", "B")
         expected = {"shapcf.explain.is_flipped", "shapcf.explain.thompson_top1"}
         assert engines == (expected if sampled else set())

@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import json
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -247,13 +248,20 @@ class TestExperimentConfig:
             {"pair_budget": None},
         ):
             with pytest.raises(MalformedInput):
-                ExperimentConfig.from_json(base_config(sampling=sampling)).explain_config()
-        # A misspelt key is named, not run with its default.
+                ExperimentConfig.from_json(base_config(sampling=sampling))
+        # A misspelt key, or one the allocation kind or pair mode does not
+        # read, is named, not run with its default or left unread.
         for bad, key in (
             ({"n_owner": 5}, "n_owner"),
             ({"allocation": {"kind": "uniform", "sise_range": [1, 2]}}, "sise_range"),
             ({"allocation": {**zipfian, "kmax": 2}}, "kmax"),
             ({"pair": {"mode": "designated", "a": "O0", "B": "O1"}}, "B"),
+            ({"pair": {"a": "O0"}}, "a"),
+            ({"pair": {"mode": "random", "b": "O1"}}, "b"),
+            ({"allocation": {"kind": "uniform", "size_range": [1, 6], "k_max": 2}}, "k_max"),
+            ({"allocation": {"kind": "uniform", "grid": True}}, "grid"),
+            ({"allocation": {**zipfian, "size_range": [1, 6]}}, "size_range"),
+            ({"allocation": {"kind": "zipfian", "a": 2, "k_max": 2, "grid": True, "k1": 1}}, "k1"),
         ):
             with pytest.raises(MalformedInput, match=f"unknown .*keys \\['{key}'\\]"):
                 ExperimentConfig.from_json(base_config(**bad))
@@ -296,7 +304,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_json(
             base_config(sampling={"check_budget": 500, "arm_budget": 300, "pair_budget": 100})
         )
-        ecfg = cfg.explain_config()
+        ecfg = cfg.explain_config
         assert ecfg.check_budget == 500
         assert ecfg.arm_budget == 300
         assert ecfg.epsilon == 0.01
@@ -329,6 +337,50 @@ class TestExperimentConfig:
     def test_pair_budget_defaults_to_check_budget(self):
         cfg = ExperimentConfig.from_json(base_config(sampling={"check_budget": 777}))
         assert cfg.pair_budget == 777
+
+    @pytest.mark.parametrize(
+        "over, named",
+        [
+            ({"engines": ("bogus",)}, "engines"),
+            ({"engines": ()}, "engines"),
+            ({"trials": -3}, "trials=-3"),
+            ({"n_owners": "5"}, "n_owners='5'"),
+            ({"allocation": {"kind": "uniform", "size_rnage": [1, 6]}}, "size_rnage"),
+            ({"pair": {"mode": "sideways"}}, "sideways"),
+        ],
+    )
+    def test_direct_construction_applies_the_same_checks(self, over, named):
+        kwargs = {**base_config(), "engines": ("bf",)}
+        assert ExperimentConfig(**kwargs) == ExperimentConfig.from_json(base_config())
+        with pytest.raises(MalformedInput, match=re.escape(named)):
+            ExperimentConfig(**{**kwargs, **over})
+
+    @pytest.mark.parametrize("key", ["explain_config", "pair_budget", "pair_mode"])
+    def test_a_resolved_field_is_no_config_key(self, key):
+        assert hasattr(ExperimentConfig.from_json(base_config()), key)
+        with pytest.raises(MalformedInput, match=rf"unknown experiment config keys \['{key}'\]"):
+            ExperimentConfig.from_json(base_config(**{key: 5}))
+
+    def test_the_pair_mode_is_resolved_once(self):
+        zipfian = {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 2}
+        assert ExperimentConfig.from_json(base_config()).pair_mode == "random"
+        assert ExperimentConfig.from_json(base_config(allocation=zipfian)).pair_mode == "designated"
+        cfg = ExperimentConfig.from_json(base_config(allocation=zipfian, pair={"mode": "random"}))
+        assert cfg.pair_mode == "random"
+
+    def test_sampling_is_parsed_once_when_the_config_is_built(self, monkeypatch):
+        built = []
+
+        class Counted(ExplainConfig):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(harness, "ExplainConfig", Counted)
+        cfg = ExperimentConfig.from_json(base_config(allocation={"kind": "zipfian", "a": 2, "k_max": 2, "grid": True}))
+        assert len(built) == 1
+        run_experiment(cfg)  # nine grid cells
+        assert len(built) == 1
 
 
 class TestRunExperiment:
@@ -938,22 +990,21 @@ class TestRunErrors:
         with pytest.raises(MalformedInput):
             run_experiment(cfg)
 
-    def test_unknown_allocation_kind(self):
-        cfg = ExperimentConfig.from_json(base_config(allocation={"kind": "mystery"}))
-        with pytest.raises(MalformedInput):
-            run_experiment(cfg)
+    def test_unknown_allocation_kind(self, tmp_path):
+        # The kind is named when the config is built, before its data file is opened.
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(MalformedInput, match="unknown allocation kind 'mystery'") as err:
+            ExperimentConfig.from_json(base_config(allocation={"kind": "mystery"}, data=str(missing)))
+        assert "missing.csv" not in str(err.value)
 
-    def test_vertical_needs_groups_object(self, housing_dataset, monkeypatch):
-        train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
-        cfg = ExperimentConfig.from_json(
-            base_config(
-                utility={"kind": "linreg", "axis": "features"},
-                allocation={"kind": "vertical"},
+    def test_vertical_needs_groups_object(self):
+        with pytest.raises(MalformedInput, match='"groups" object'):
+            ExperimentConfig.from_json(
+                base_config(
+                    utility={"kind": "linreg", "axis": "features"},
+                    allocation={"kind": "vertical"},
+                )
             )
-        )
-        serve_datasets(monkeypatch, (train, test))
-        with pytest.raises(MalformedInput):
-            run_experiment(cfg)
 
     def test_vertical_group_must_be_a_list_of_names(self, housing_dataset, monkeypatch):
         train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
@@ -1027,18 +1078,16 @@ class TestRunErrors:
             run_experiment(cfg)
         assert explained == []
 
-    def test_grid_pair_mode_checks_vertical_groups(self, housing_dataset, monkeypatch):
-        train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
-        cfg = ExperimentConfig.from_json(
-            base_config(
-                utility={"kind": "linreg", "axis": "features"},
-                allocation={"kind": "vertical", "groups": ["CRIM", "ZN"]},
-                pair={"mode": "grid"},
-            )
-        )
-        serve_datasets(monkeypatch, (train, test))
+    def test_grid_pair_mode_checks_vertical_groups(self):
+        # The groups are checked when the config is built, before any data loads.
         with pytest.raises(MalformedInput, match='"groups" object'):
-            run_experiment(cfg)
+            ExperimentConfig.from_json(
+                base_config(
+                    utility={"kind": "linreg", "axis": "features"},
+                    allocation={"kind": "vertical", "groups": ["CRIM", "ZN"]},
+                    pair={"mode": "grid"},
+                )
+            )
 
     def test_zipfian_grid_needs_k_max_at_least_0(self):
         with pytest.raises(MalformedInput, match=re.escape("allocation k_max=-1 (need an integer >= 0)")):
@@ -1048,9 +1097,8 @@ class TestRunErrors:
 
     def test_grid_pair_mode_needs_group_allocation(self):
         for allocation in (base_config()["allocation"], {"kind": "zipfian", "grid": True, "k_max": 1}):
-            cfg = ExperimentConfig.from_json(base_config(pair={"mode": "grid"}, allocation=allocation))
             with pytest.raises(MalformedInput, match='pair mode "grid" needs a natural or vertical allocation'):
-                run_experiment(cfg)
+                ExperimentConfig.from_json(base_config(pair={"mode": "grid"}, allocation=allocation))
 
 
 class TestLoadPartition:
@@ -1068,6 +1116,20 @@ class TestLoadPartition:
 
 class TestBenchmarkContract:
     """What perfbench/ reaches into: the names its tracer wraps and the dispatch it spies on."""
+
+    def test_every_config_the_repo_runs_passes_the_checks(self, tmp_path, monkeypatch):
+        # A check that rejected one of these would turn a golden or a benchmark run into a failure.
+        for path in sorted(GOLDEN.glob("*_config.json")):
+            ExperimentConfig.from_json(path)
+        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+        spec.loader.exec_module(workloads)
+        for name, workload in workloads.WORKLOADS.items():
+            for seed in (1, 2, 3):
+                ExperimentConfig.from_json(workload.write_inputs(seed, 0, tmp_path / name / str(seed)))
+                ExperimentConfig.from_json(workload.write_warmup(seed, tmp_path / name / f"warmup{seed}"))
 
     def test_the_tracer_wraps_names_that_exist_and_restores_them(self):
         path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
