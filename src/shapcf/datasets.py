@@ -138,6 +138,12 @@ def load_csv(
         raise MalformedInput(f"{path}: {exc}") from None
 
 
+def check_test_ratio(test_ratio: float) -> None:
+    """Raise MalformedInput unless 0 < test_ratio < 1, as split_dataset needs."""
+    if not 0.0 < test_ratio < 1.0:
+        raise MalformedInput(f"test_ratio must be in (0, 1), got {test_ratio}")
+
+
 def split_dataset(
     dataset: Dataset, test_ratio: float, rng: np.random.Generator
 ) -> tuple[Dataset, Dataset]:
@@ -146,8 +152,7 @@ def split_dataset(
     Entry ids used by partitions refer to row positions WITHIN the returned
     train set.
     """
-    if not 0.0 < test_ratio < 1.0:
-        raise MalformedInput(f"test_ratio must be in (0, 1), got {test_ratio}")
+    check_test_ratio(test_ratio)
     m = len(dataset)
     n_test = max(1, round(m * test_ratio))
     if n_test >= m:

@@ -33,8 +33,12 @@ the differential (or terms) of its shift X | {e}, so a race scores its
 arms' shifts as checks would. _Exact keeps a table of the differentials it
 scored, by shift, and reads it before it scores: svexp's round check reads
 the winning arm's shift, a verification reads its answer's, and the pair's
-table (its check, and with windows its search opening, scored with other
-trials' in one _score call) is copied into every engine's request.
+table is copied into every engine's request. With windows that table holds
+the pair's check and the search rounds: select_pairs runs the exact
+searches of a window's trials (a's subsets in search order, and the arms
+of svexp's first race) in lock step, each round one _score call, so an
+engine replays its search from the table and scores only what no round
+did.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ BF_ENTRY_LIMIT = 20
 # Random pairs drawn at most while their checks stay undecided.
 _PAIR_REDRAWS = 10
 
-# Trials at most whose pair checks, and then whose search openings, share one
-# values() call each, where the oracle has room for that (see window).
+# Trials at most whose pair checks, and then each round of whose searches,
+# share one values() call, where the oracle has room for that (see window).
 _WINDOW = 16
 
 
@@ -274,7 +278,11 @@ class _Request:
         return next(self.checks(budget, [moved]))
 
     def checks(self, budget: int, shifts: Iterable[Iterable[EntryId]]) -> Iterator[FlipResult]:
-        """The route's check of each shift in turn, each counted (and the latest) as it is read."""
+        """The route's check of each shift in turn, each counted (and the latest) as it is read.
+
+        The exact route checks the shifts up to the first that its table
+        holds flipped, and none past it.
+        """
         return map(self._counted, self.route.checks(self, budget, [frozenset(moved) for moved in shifts]))
 
     def _counted(self, res: FlipResult) -> FlipResult:
@@ -351,7 +359,7 @@ class _Exact:
     """The exact route: each shift's differential, folded over the pair's one coalition plan.
 
     `table` holds the differential of each shift scored so far, read before
-    anything is scored; _score fills it for checks, openings and races.
+    anything is scored; _score fills it for checks, search rounds and races.
     """
 
     def __init__(self, plan, table: dict[frozenset[EntryId], float] | None = None) -> None:
@@ -362,9 +370,14 @@ class _Exact:
         return _Exact(self.plan)
 
     def checks(self, req: _Request, budget: int, shifts: list[frozenset[EntryId]]) -> list[FlipResult]:
-        """Every shift's check, read off the table: the shifts it lacks are scored in one values() call."""
-        _score([(req, shifts)])
-        return [_exact_check(self.table[moved], req.cfg.delta) for moved in shifts]
+        """The shifts' checks, read off the table, up to the first shift it holds flipped.
+
+        The shifts before that one that it lacks are scored in one values()
+        call; a search stops at that flip, so nothing past it is scored.
+        """
+        end = next((i for i, moved in enumerate(shifts) if self.table.get(moved, 0.0) < 0.0), len(shifts))
+        _score([(req, shifts[:end])])
+        return [_exact_check(self.table[moved], req.cfg.delta) for moved in shifts[: end + 1]]
 
     def span(self, req: _Request, moved: frozenset[EntryId]) -> int:
         """The oracle's room for moved's two largest sets, over the 2^(n-1) sets a shift scores."""
@@ -448,6 +461,7 @@ def select_pairs(
     config: ExplainConfig,
     budget: int,
     fixed: tuple[OwnerId, OwnerId] | None,
+    engines: Iterable[str],
 ) -> list[_Request]:
     """Each trial's ordered pair with a above b: its checked request, which every engine shares.
 
@@ -459,9 +473,10 @@ def select_pairs(
     check is undecided, for _PAIR_REDRAWS rounds at most; then the last
     pair is kept (engines then report the undecided precondition), and one
     drawn the wrong way round is kept as the swapped twin of its request.
-    Where the window holds more than one trial, one more call scores each
-    exact request's opening, the first chunk of its bf or mc search, where
-    a is above b (a lone trial's search would spend that one call itself).
+    Where the window holds more than one trial, the searches that the
+    cell's `engines` will run are scored ahead into the pairs' tables, in
+    lock-step rounds of one values() call each (_search_rounds); a lone
+    trial's search would spend those calls itself.
     A trial's rng is read only where its pair is drawn or its check
     samples (draws("pair", partition)); elsewhere it may be None.
     """
@@ -489,9 +504,69 @@ def select_pairs(
         pair.swapped() if fixed is None and pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()
     ]
     if len(partitions) > 1:
-        ahead = [p for p in chosen if p.last.verdict == "not_flipped"]
-        _score((p, [frozenset(c) for c in next(_chunks(p, sorted(p.ents_a)), [])]) for p in ahead)
+        _search_rounds(chosen, engines)
     return chosen
+
+
+def _search_rounds(pairs: list[_Request], engines: Iterable[str]) -> None:
+    """Score the exact searches of `pairs` ahead, in lock-step rounds of one values() call each.
+
+    A trial searches where its pair's check is exact and a is above b. bf
+    and mc read a's subsets in _subsets order, chunk by _chunks chunk, where
+    a holds at most BF_ENTRY_LIMIT entries; svexp's first race reads the
+    one-entry shifts, which come first in that order. Each round scores the
+    next chunk of every open search (_Ascending): first its first subset;
+    then, for bf and mc, the rest of each _chunks chunk in turn, so a
+    search scores no subset that its engine alone would not. Where the
+    cell runs svexp, the first chunk is instead the first _chunks chunk
+    (the one-call opening that rounds replaced) and every one-entry shift,
+    so a svexp-only cell sends no more than that opening did. The open
+    searches share _WINDOW spans, so no round sends more than _WINDOW *
+    span * 2^(n-1) sets. A search leaves once a chunk holds a flip, it has
+    nothing left to score, or its pair request is past config.timeout.
+    """
+    engines = set(engines)
+    searches = []
+    for pair in pairs:
+        if isinstance(pair.route, _Exact) and pair.last.verdict == "not_flipped":
+            ents = sorted(pair.ents_a)
+            more = not engines.isdisjoint({"bf", "mc"}) and len(ents) <= BF_ENTRY_LIMIT
+            if more or "svexp" in engines:
+                first = max(pair.span(ents[:1]), len(ents)) if "svexp" in engines else 1
+                searches.append(_Ascending(pair, ents, first, more))
+    while searches:
+        searches = [search for search in searches if not search.req.expired()]
+        chunks = [search.chunk(_WINDOW / len(searches)) for search in searches]
+        _score(zip((search.req for search in searches), chunks))
+        searches = [
+            search for search, shifts in zip(searches, chunks)
+            if shifts and min(search.req.route.table[moved] for moved in shifts) >= 0.0
+        ]
+
+
+class _Ascending:
+    """One search ahead: the subsets of `ents` in _subsets order, a chunk of them each round.
+
+    The first chunk holds `first` subsets; where the search goes on
+    (`more`), each later one runs to the end of the _chunks chunk it starts
+    in. A chunk holds at most `share` spans of its first subset.
+    """
+
+    def __init__(self, req: _Request, ents: list[EntryId], first: int, more: bool) -> None:
+        self.req, self.first, self.more = req, first, more
+        # Each subset, and whether it ends its _chunks chunk.
+        self.subsets = ((frozenset(s), s is c[-1]) for c in _chunks(req, ents) for s in c)
+
+    def chunk(self, share: float) -> list[frozenset[EntryId]]:
+        first, self.first = self.first, 0
+        chunk = []
+        for moved, ends in self.subsets if first or self.more else ():
+            if not chunk:
+                cap = max(1, int(share * self.req.span(moved)))
+            chunk.append(moved)
+            if len(chunk) in (first, cap) or ends and not first:
+                break
+        return chunk
 
 
 def _chunks(req: _Request, ents: list[EntryId]) -> Iterator[list[tuple[EntryId, ...]]]:
@@ -512,9 +587,12 @@ def _chunks(req: _Request, ents: list[EntryId]) -> Iterator[list[tuple[EntryId, 
 def _first_flip(req: _Request, ents: list[EntryId]) -> CounterfactualResult:
     """The first subset of `ents` whose shift flips the pair (else all of them), verified.
 
-    The subsets go in _chunks, with one check call (on the exact route at
-    most one values() call) each. The deadline is read before each chunk,
-    and only the subsets up to the first flip count as tested.
+    The subsets go in _chunks, with one check call each. On the exact route
+    that is at most one values() call, for the chunk's subsets that the
+    table lacks, up to the first it holds flipped; where a window's search
+    rounds ran to this search's flip (select_pairs), it replays the table
+    and scores nothing. The deadline is read before each chunk, and only
+    the subsets up to the first flip count as tested.
     """
 
     def verified(moved, tested: int) -> CounterfactualResult:

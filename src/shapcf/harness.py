@@ -11,10 +11,10 @@ artifact.
 
 Trials are independent, so a cell's trials run in windows (_run_cell):
 where the oracle shares work across a values() call, the pair checks of a
-window's trials share one call, and their search openings another
-(explain.window and explain.select_pairs). Then each trial's engines run
-in turn through explain. A window changes oracle traffic only, never an
-output.
+window's trials share one call, and then each round of their exact
+searches another (explain.window and explain.select_pairs). Then each
+trial's engines run in turn through explain, replaying what the rounds
+scored. A window changes oracle traffic only, never an output.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .core import (
     is_number,
     spawn_rng,
 )
-from .datasets import Dataset, load_csv, read_json, split_dataset
+from .datasets import Dataset, check_test_ratio, load_csv, read_json, split_dataset
 from .explain import ENGINES, CounterfactualResult, ExplainConfig, draws, explain, select_pairs, window
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import is_flipped  # unused here; perfbench/tracing.py wraps this name
@@ -58,7 +58,7 @@ PAIR_MODES = ("random", "designated", "grid")
 _AT_LEAST_0: Rule = ("an integer >= 0", lambda v: is_integer(v) and v >= 0)
 _AT_LEAST_2: Rule = ("an integer >= 2", lambda v: is_integer(v) and v >= 2)
 _INTEGER: Rule = ("an integer", is_integer)
-# Allocation keys and the values they accept; the generators check the ranges.
+# Allocation keys and the values they accept; _RANGES checks a generated kind's ranges.
 _ALLOCATION_RULES: dict[str, Rule] = {
     "a": _INTEGER,
     "grid": ("true or false", lambda v: isinstance(v, bool)),
@@ -98,6 +98,20 @@ def _draw_rows(pool: Sequence[int], size: int, rng: np.random.Generator) -> froz
     return frozenset(map(pool.__getitem__, idx.tolist()))
 
 
+def _uniform_ranges(*, size_range: tuple[int, int] | None) -> None:
+    """Raise MalformedInput unless size_range is [lo, hi] with 1 <= lo <= hi; None (the whole pool) is not checked."""
+    if size_range is not None and not 1 <= size_range[0] <= size_range[1]:
+        raise MalformedInput(f"bad size_range [{size_range[0]}, {size_range[1]}]")
+
+
+def _zipfian_ranges(*, a: int, k1: int, k2: int, k_max: int) -> None:
+    """Raise MalformedInput unless 0 <= k1, k2 <= k_max and a >= 2."""
+    if min(k1, k2, k_max) < 0 or max(k1, k2) > k_max:
+        raise MalformedInput(f"exponents must satisfy 0 <= k1, k2 <= k_max, got {k1}, {k2}, {k_max}")
+    if a < 2:
+        raise MalformedInput(f"zipfian base must be >= 2, got {a}")
+
+
 def gen_uniform(
     pool: Sequence[int],
     n: int,
@@ -114,8 +128,7 @@ def gen_uniform(
     """
     m = len(pool)
     lo, hi = size_range if size_range is not None else (1, m)
-    if not 1 <= lo <= hi:
-        raise MalformedInput(f"bad size_range [{lo}, {hi}]")
+    _uniform_ranges(size_range=(lo, hi))
     if hi > m:
         raise SizeOverflow(f"owner size bound {hi} exceeds the {m} available entries")
     owners = {}
@@ -143,10 +156,7 @@ def gen_zipfian(
     """
     if n < 2:
         raise MalformedInput(f"need at least 2 owners, got {n}")
-    if min(k1, k2, k_max) < 0 or max(k1, k2) > k_max:
-        raise MalformedInput(f"exponents must satisfy 0 <= k1, k2 <= k_max, got {k1}, {k2}, {k_max}")
-    if a < 2:
-        raise MalformedInput(f"zipfian base must be >= 2, got {a}")
+    _zipfian_ranges(a=a, k1=k1, k2=k2, k_max=k_max)
     m = len(pool)
     if a ** k_max > m:
         raise SizeOverflow(f"largest owner size {a ** k_max} exceeds the {m} available entries")
@@ -158,6 +168,8 @@ def gen_zipfian(
 
 
 _GENERATORS = {"uniform": gen_uniform, "zipfian": gen_zipfian}
+# Each generator's range check, which it runs too; it takes the generator's keywords.
+_RANGES = {"uniform": _uniform_ranges, "zipfian": _zipfian_ranges}
 # Each allocation kind and the keys it reads beside "kind": a generated kind's
 # generator keywords and zipfian's grid, natural's group column, vertical's groups.
 _ALLOCATION_KEYS = {
@@ -253,6 +265,8 @@ class ExperimentConfig:
               {"kind", *_ALLOCATION_KEYS[kind]} - ({"k1", "k2"} if grid else set()))
         if kind == "vertical" and not isinstance(alloc.get("groups"), dict):
             raise MalformedInput('vertical allocation needs a "groups" object')
+        if kind == "natural" and not isinstance(alloc.get("group"), str):
+            raise MalformedInput(f'natural allocation needs a "group" column name, got {alloc.get("group")!r}')
         mode = pair.get("mode")
         if mode is None:
             mode = "designated" if kind == "zipfian" else "random"
@@ -270,6 +284,12 @@ class ExperimentConfig:
                 *((f"allocation {key}", alloc[key], rule) for key, rule in _ALLOCATION_RULES.items() if key in alloc),
             ],
         )
+        # The data-free part of what the generator and the loader check, on
+        # the generator's own defaults for the keys the allocation leaves out.
+        if kind in _RANGES:
+            params = {key: alloc[key] for key in _ALLOCATION_KEYS[kind] if key in alloc and key != "grid"}
+            _RANGES[kind](**_GENERATORS[kind].__kwdefaults__ | params)
+        check_test_ratio(self.test_ratio)
         names = {f.name for f in fields(ExplainConfig)}
         _only("sampling", sampling, {*names, "pair_budget"})
         ecfg = ExplainConfig(**{key: value for key, value in sampling.items() if key in names})
@@ -423,8 +443,9 @@ def _run_cell(
     """The cell's trials, its windows' timings, and the partitions the oracle's memo now serves.
 
     Trials run in windows of explain.window trials, judged on the first
-    trial's partition: their pairs are selected together (select_pairs),
-    then each trial's engines run in turn. The memo is emptied before a
+    trial's partition: their pairs are selected, and the cell's engines'
+    searches scored ahead, together (select_pairs), then each trial's
+    engines run in turn. The memo is emptied before a
     window with a partition it was not filled for
     (`served`): drawn allocations share almost no coalitions across
     trials, while natural and vertical ones rebuild the same partition in
@@ -460,7 +481,7 @@ def _run_cell(
             for trial, partition in zip(trials, partitions)
         ]
         t0 = time.monotonic()
-        pairs = select_pairs(partitions, oracle, rngs, cfg.explain_config, cfg.pair_budget, fixed)
+        pairs = select_pairs(partitions, oracle, rngs, cfg.explain_config, cfg.pair_budget, fixed, cfg.engines)
         windows.append({"cell": cell.label, "trials": list(trials), "select_pairs_s": time.monotonic() - t0})
         for trial, partition, pair in zip(trials, partitions, pairs):
             for eng_idx, engine in enumerate(cfg.engines):

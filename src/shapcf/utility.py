@@ -289,7 +289,9 @@ def _check_ids(idx: np.ndarray, limit: int, axis: str) -> None:
 
 def _stack_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> np.ndarray:
     """The (sets, size) ids of several equal-size sets, each row ascending, checked to lie in [0, limit)."""
-    idx = np.array([sorted(ids) for ids in ids_list], dtype=np.intp)
+    size = len(ids_list[0])
+    idx = np.fromiter(chain.from_iterable(ids_list), np.intp, len(ids_list) * size).reshape(len(ids_list), size)
+    idx.sort(axis=1)
     _check_ids(idx, limit, axis)
     return idx
 
@@ -596,13 +598,14 @@ def _padded_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> tuple[
     """Each set's ids in ascending order, one row per set, and the sets' sizes.
 
     The ids are checked as _stack_ids checks them. A row shorter than the
-    longest set is filled with `limit`, one past the last id.
+    longest set is filled with `limit`, one past the last id, so it sorts last.
     """
     sizes = np.fromiter(map(len, ids_list), np.intp, len(ids_list))
-    flat = np.fromiter(chain.from_iterable(map(sorted, ids_list)), np.intp, int(sizes.sum()))
+    flat = np.fromiter(chain.from_iterable(ids_list), np.intp, int(sizes.sum()))
     _check_ids(flat, limit, axis)
     idx = np.full((len(ids_list), sizes.max()), limit, dtype=np.intp)
     idx[np.arange(idx.shape[1]) < sizes[:, None]] = flat
+    idx.sort(axis=1)
     return idx, sizes
 
 

@@ -677,7 +677,7 @@ class TestExactRoute:
         engines = set(calls)
         calls.clear()
         cfg = ExplainConfig()
-        (pair,) = explain_module.select_pairs([p], oracle, [spawn_rng(46, 2)], cfg, cfg.check_budget, ("A", "B"))
+        (pair,) = explain_module.select_pairs([p], oracle, [spawn_rng(46, 2)], cfg, cfg.check_budget, ("A", "B"), ["mc"])
         assert (pair.a, pair.b) == ("A", "B")
         expected = {"shapcf.explain.is_flipped", "shapcf.explain.thompson_top1"}
         assert engines == (expected if sampled else set())
@@ -1071,6 +1071,31 @@ class TestChunkedSearch:
             assert chunks[0] == 1 and sum(chunks[1:-1]) >= res.subsets_tested > sum(chunks[1:-2])
             shared += max(chunks) > 1
         assert shared >= 5
+
+    def test_a_chunk_stops_at_a_flip_its_table_holds(self, monkeypatch):
+        # A pair whose table already holds the answer's shift (as a window's
+        # search rounds leave it) lends it to bf: bf scores the subsets before
+        # the answer and nothing past it, however far its chunk reaches.
+        served, past = 0, 0
+        for i, p, a, b, build in logistic_games():
+            shift = 2 ** (p.n - 1)
+            alone, calls = build(), []
+            values = alone.values
+            monkeypatch.setattr(alone, "values", lambda sets: calls.append(len(sets)) or values(sets))
+            res = explain("bf", p, alone, a, b)
+            if res.status != STATUS_OK or not res.success:
+                continue
+            oracle, cfg = build(), ExplainConfig()
+            pair = explain_module._Request("pair", p, oracle, a, b, None, cfg)
+            pair.precheck(cfg.check_budget)
+            explain_module._score([(pair, [frozenset(res.delta)])])
+            values, replayed = oracle.values, []
+            monkeypatch.setattr(oracle, "values", lambda sets: replayed.append(len(sets)) or values(sets))
+            assert explain("bf", p, oracle, a, b, pair=pair).to_dict() == res.to_dict()
+            assert sum(replayed) == (res.subsets_tested - 1) * shift
+            past += sum(calls) - shift > sum(replayed)  # alone, bf scored past its flip
+            served += 1
+        assert served >= 5 and past >= 2
 
     def test_timeout_before_the_first_chunk(self):
         for i, p, a, b, build in logistic_games(count=10):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from shapcf import harness
-from shapcf.core import MalformedInput, OwnerPartition, SizeOverflow, spawn_rng
+from shapcf.core import MalformedInput, OwnerPartition, SizeOverflow, TooLarge, spawn_rng
 from shapcf.datasets import Dataset, load_partition, split_dataset
 from shapcf.explain import ExplainConfig
 from shapcf.harness import (
@@ -576,7 +576,7 @@ class TestGridRuns:
             {
                 "utility": {"kind": "additive", "weights": weights},
                 "engines": ["mc"],
-                "allocation": {"kind": "natural"},
+                "allocation": {"kind": "natural", "group": "month"},
                 "pair": {"mode": "grid"},
                 "trials": 1,
                 "seed": 41,
@@ -696,7 +696,7 @@ class TestOracleMemoLifetime:
             {
                 "utility": {"kind": "additive", "weights": weights},
                 "engines": ["mc"],
-                "allocation": {"kind": "natural"},
+                "allocation": {"kind": "natural", "group": "month"},
                 "pair": {"mode": "grid"},
                 "trials": 2,
                 "seed": 41,
@@ -738,7 +738,7 @@ WINDOW_CASES = {
         logistic_data(),
     ),
     "grid": lambda: (
-        logistic_config(allocation={"kind": "natural"}, pair={"mode": "grid"}, trials=2),
+        logistic_config(allocation={"kind": "natural", "group": "g"}, pair={"mode": "grid"}, trials=2),
         logistic_data(rows=16, groups=4),
     ),
     # Where every owner holds label-0 rows only, each set scores by its size
@@ -841,8 +841,52 @@ def traffic_by_trial(cfg, monkeypatch, values_calls, datasets=None):
     return before, own
 
 
+def watch_rounds(monkeypatch, values_calls):
+    """Search rounds, the shifts scored in and after pair selection, and the shifts the engines' checks read.
+
+    A round is a _score call inside explain._search_rounds with shifts its
+    tables lack: those shifts by request, and the values() calls it sent.
+    A shift is keyed by its pair's entry sets and the shift, the same in
+    any run of one config.
+    """
+    rounds, ahead, later, reads, where = [], set(), set(), [], {"select": False, "rounds": False}
+    score, checks = explain_module._score, explain_module._Request.checks
+
+    def score_spy(jobs):
+        new = [(req, [m for m in shifts if m not in getattr(req.route, "table", ())]) for req, shifts in jobs]
+        sent = len(values_calls)
+        score(new)
+        (ahead if where["select"] else later).update(
+            (req.ents_a, req.ents_b, moved) for req, shifts in new for moved in shifts
+        )
+        if where["rounds"] and any(shifts for _, shifts in new):
+            rounds.append((new, values_calls[sent:]))
+
+    def during(name, fn):
+        def spy(*args):
+            where[name] = True
+            try:
+                return fn(*args)
+            finally:
+                where[name] = False
+        return spy
+
+    def checks_spy(req, budget, shifts):
+        shifts = [frozenset(moved) for moved in shifts]
+        for moved, res in zip(shifts, checks(req, budget, shifts)):
+            if req.engine != "pair":
+                reads.append((req.ents_a, req.ents_b, moved))
+            yield res
+
+    monkeypatch.setattr(explain_module, "_score", score_spy)
+    monkeypatch.setattr(explain_module, "_search_rounds", during("rounds", explain_module._search_rounds))
+    monkeypatch.setattr(harness, "select_pairs", during("select", harness.select_pairs))
+    monkeypatch.setattr(explain_module._Request, "checks", checks_spy)
+    return rounds, ahead, later, reads
+
+
 class TestWindows:
-    """A window's pair checks, and then its search openings, share one values() call each."""
+    """A window's pair checks, and then each round of its exact searches, share one values() call each."""
 
     @pytest.mark.parametrize("case", list(WINDOW_CASES))
     def test_outputs_do_not_depend_on_the_window(self, case, tmp_path, monkeypatch):
@@ -875,24 +919,90 @@ class TestWindows:
         trials = cfg.trials * (12 if case == "grid" else 1)
         assert drawn > trials if case == "ties" else drawn >= trials
 
-    def test_logreg_golden_merges_pair_checks_and_openings(self, values_calls, monkeypatch):
+    def test_logreg_golden_searches_in_rounds(self, values_calls, monkeypatch):
         monkeypatch.chdir(GOLDEN)  # the config names its data file relative to it
         cfg = ExperimentConfig.from_json(GOLDEN / "logreg_config.json")
-        monkeypatch.setattr(explain_module, "_WINDOW", 1)
-        before, own = traffic_by_trial(cfg, monkeypatch, values_calls)
-        monkeypatch.setattr(explain_module, "_WINDOW", 16)
-        merged_before, merged_own = traffic_by_trial(cfg, monkeypatch, values_calls)
-        # Alone, each trial sends its pair check, then its search's first chunk and later chunks.
+        with monkeypatch.context() as m:
+            m.setattr(explain_module, "_WINDOW", 1)
+            _, _, searched, _ = watch_rounds(m, values_calls)
+            before, own = traffic_by_trial(cfg, m, values_calls)
+        # Alone, each trial sends its pair check, then its search's chunks.
         assert [len(calls) for calls in before] == [1] * cfg.trials
-        assert all(len(calls) >= 1 for calls in own)
-        # In one window the four pair checks share the first call, the four
-        # openings (the first chunks) the second, and the later chunks are as before.
-        assert merged_before == [[
-            [s for calls in before for s in calls[0]],
-            [s for calls in own for s in calls[0]],
-        ]] + [[]] * (cfg.trials - 1)
-        assert merged_own == [calls[1:] for calls in own]
-        assert sum(map(len, merged_before + merged_own)) == 2 + sum(len(calls) - 1 for calls in own)
+        assert all(own)
+        rounds, ahead, later, reads = watch_rounds(monkeypatch, values_calls)
+        merged_before, merged_own = traffic_by_trial(cfg, monkeypatch, values_calls)
+        # The four pair checks share the first call, as alone they sent them;
+        # each round is one more call, and no request sends any.
+        assert merged_before[0][0] == [s for calls in before for s in calls[0]]
+        assert merged_before[0][1:] == [call for _, calls in rounds for call in calls]
+        assert merged_before[1:] == [[]] * (cfg.trials - 1) and merged_own == [[]] * cfg.trials
+        assert len(rounds) > 1 and not later
+        for jobs, calls in rounds:
+            shifts = sum(len(new) for _, new in jobs)
+            assert len(calls) == 1 and len(calls[0]) == 2 ** (5 - 1) * shifts
+            # Every round stays under the former opening's bound.
+            assert shifts <= explain_module._WINDOW * max(req.span(new[0]) for req, new in jobs if new)
+        # Every shift a search reads (its chunks up to the first flip, and the
+        # verification of its answer) was scored by a window call, and the
+        # rounds scored no shift that the trials' searches alone did not.
+        assert reads and set(reads) <= ahead
+        assert {key for key in ahead if key[2]} <= searched
+        # So the window sends no more sets than its trials alone, which sent
+        # as many as the former one-call opening (2 calls, 336 sets), and
+        # fewer calls than they did.
+        alone = [call for calls in before + own for call in calls]
+        assert sum(map(len, merged_before[0])) <= sum(map(len, alone)) == 336
+        assert len(merged_before[0]) < len(alone)
+
+    def test_rounds_stay_under_the_bound_at_a_span_of_one(self, values_calls, monkeypatch):
+        monkeypatch.setattr(explain_module._Exact, "span", lambda self, req, moved: 1)
+        cfg = ExperimentConfig.from_json(logistic_config())
+        serve_datasets(monkeypatch, logistic_data())
+        rounds, _, _, _ = watch_rounds(monkeypatch, values_calls)
+        records = run_experiment(cfg).records
+        assert {r.engine for r in records if r.status == "ok"} == {"bf", "mc", "svexp"}
+        # svexp widens a first chunk to every one-entry shift, bf and mc
+        # search on: the open searches still share _WINDOW spans of one shift.
+        assert len(rounds) > 2
+        assert all(sum(len(new) for _, new in jobs) <= explain_module._WINDOW for jobs, _ in rounds)
+
+    @pytest.mark.parametrize("engines", [["bf", "mc", "svexp"], ["svexp"]])
+    def test_timeout_zero_sends_no_round(self, engines, values_calls, monkeypatch):
+        cfg = ExperimentConfig.from_json(logistic_config(engines=engines, sampling={"timeout": 0}))
+        serve_datasets(monkeypatch, logistic_data())
+        rounds, _, _, reads = watch_rounds(monkeypatch, values_calls)
+        records = run_experiment(cfg).records
+        assert rounds == [] and reads == []
+        statuses = [r.status for r in records]
+        assert "timeout" in statuses and set(statuses) <= {"timeout", "precondition_not_met"}
+
+    def test_a_bf_request_over_the_entry_limit_sends_no_round(self, values_calls, monkeypatch):
+        # A holds 2^5 = 32 entries, past BF_ENTRY_LIMIT: its subsets are not
+        # enumerated ahead, and bf still raises TooLarge.
+        allocation = {"kind": "zipfian", "a": 2, "k1": 5, "k2": 0, "k_max": 5}
+        cfg = ExperimentConfig.from_json(logistic_config(engines=["bf"], n_owners=3, allocation=allocation, trials=3))
+        serve_datasets(monkeypatch, logistic_data())
+        select, widths = harness.select_pairs, []
+        monkeypatch.setattr(harness, "select_pairs", lambda parts, *args: widths.append(len(parts)) or select(parts, *args))
+        rounds, _, _, _ = watch_rounds(monkeypatch, values_calls)
+        with pytest.raises(TooLarge, match="32 entries exceeds the limit 20"):
+            run_experiment(cfg)
+        assert widths == [3] and rounds == []
+
+    def test_svexp_only_cell_sends_no_more_than_the_opening(self, values_calls, monkeypatch):
+        cfg = ExperimentConfig.from_json(logistic_config(engines=["svexp"]))
+        serve_datasets(monkeypatch, logistic_data())
+        rounds, ahead, _, _ = watch_rounds(monkeypatch, values_calls)
+        values_calls.clear()
+        records = run_experiment(cfg).records
+        assert all(r.status == "ok" and r.success for r in records)
+        # Pair selection's former one-call opening sent 5 calls and 2,080 sets here.
+        assert len(values_calls) <= 5 and sum(map(len, values_calls)) <= 2080
+        # Each window (16 trials, then 2) sends one round: every search's
+        # first _chunks chunk and its first race's arms, all of them here.
+        assert len(rounds) == 2
+        searched = [req for jobs, _ in rounds for req, _ in jobs]
+        assert all((req.ents_a, req.ents_b, frozenset({e})) in ahead for req in searched for e in req.ents_a)
 
     def test_svexp_first_races_read_the_openings(self, values_calls, monkeypatch):
         race, races = explain_module._Request.race, []
@@ -911,7 +1021,7 @@ class TestWindows:
         assert len(firsts) == sum(r.status == "ok" for r in records) > 0
         free = 0
         for req, scored, sent in firsts:
-            # Only the arms whose one-entry shift is not in the opening are scored.
+            # Only the arms whose one-entry shift no search round scored are scored.
             missing = [e for e in sorted(req.ents_a) if frozenset({e}) not in scored]
             assert [len(call) for call in sent] == ([2 ** (req.partition.n - 1) * len(missing)] if missing else [])
             free += not missing
@@ -938,7 +1048,7 @@ class TestDataBackedRuns:
             {
                 "utility": {"kind": "additive", "weights": weights},
                 "engines": ["mc", "svexp"],
-                "allocation": {"kind": "natural"},
+                "allocation": {"kind": "natural", "group": "month"},
                 "pair": {"mode": "designated", "a": "02", "b": "01"},
                 "trials": 2,
                 "seed": 31,
@@ -986,7 +1096,7 @@ class TestRunErrors:
             run_experiment(cfg)
 
     def test_natural_allocation_needs_data(self):
-        cfg = ExperimentConfig.from_json(base_config(allocation={"kind": "natural"}))
+        cfg = ExperimentConfig.from_json(base_config(allocation={"kind": "natural", "group": "month"}))
         with pytest.raises(MalformedInput):
             run_experiment(cfg)
 
@@ -996,6 +1106,42 @@ class TestRunErrors:
         with pytest.raises(MalformedInput, match="unknown allocation kind 'mystery'") as err:
             ExperimentConfig.from_json(base_config(allocation={"kind": "mystery"}, data=str(missing)))
         assert "missing.csv" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"allocation": {"kind": "zipfian", "k1": 5, "k_max": 4}}, "got 5, 0, 4"),
+            ({"allocation": {"kind": "zipfian", "k1": 1, "k2": 0, "k_max": 1, "a": 1}}, "got 1"),
+            ({"allocation": {"kind": "zipfian", "grid": True, "a": 1}}, "got 1"),
+            ({"allocation": {"kind": "uniform", "size_range": [5, 2]}}, r"size_range \[5, 2\]"),
+            ({"allocation": {"kind": "uniform", "size_range": [0, 2]}}, r"size_range \[0, 2\]"),
+            ({"test_ratio": 1.5}, r"got 1\.5"),
+            ({"test_ratio": 0}, "got 0"),
+            ({"allocation": {"kind": "natural"}}, '"group" column name, got None'),
+            ({"allocation": {"kind": "natural", "group": 3}}, '"group" column name, got 3'),
+        ],
+    )
+    def test_generator_and_loader_ranges_fail_before_the_data_loads(self, over, message, tmp_path):
+        # The checks that gen_uniform, gen_zipfian and split_dataset run are
+        # run when the config is built too, so the bad value is named, not the
+        # missing data file.
+        raw = base_config(utility={"kind": "kde", "label": "y"}, data=str(tmp_path / "missing.csv"), **over)
+        with pytest.raises(MalformedInput, match=message) as err:
+            ExperimentConfig.from_json(raw)
+        assert "missing.csv" not in str(err.value)
+
+    def test_the_generators_run_the_same_range_checks(self):
+        rng = spawn_rng(0, 0)
+        with pytest.raises(MalformedInput, match="got 5, 0, 4"):
+            harness.gen_zipfian(range(100), 3, rng, k1=5)
+        with pytest.raises(MalformedInput, match="got 1"):
+            harness.gen_zipfian(range(100), 3, rng, a=1, k_max=1)
+        with pytest.raises(MalformedInput, match=r"size_range \[5, 2\]"):
+            harness.gen_uniform(range(100), 3, rng, size_range=(5, 2))
+        with pytest.raises(MalformedInput, match=r"size_range \[1, 0\]"):
+            harness.gen_uniform(range(0), 3, rng)
+        with pytest.raises(MalformedInput, match=r"got 1\.5"):
+            split_dataset(make_blobs(20, n_features=2, seed=1, sep=1.0), 1.5, rng)
 
     def test_vertical_needs_groups_object(self):
         with pytest.raises(MalformedInput, match='"groups" object'):
@@ -1058,7 +1204,7 @@ class TestRunErrors:
         [
             ({"kind": "logistic-regression"}, BOOKING_GROUPS),
             ({"kind": "kde", "axis": "rows"}, BOOKING_GROUPS),
-            ({"kind": "logistic-regression", "axis": "features"}, {"kind": "natural"}),
+            ({"kind": "logistic-regression", "axis": "features"}, {"kind": "natural", "group": "month"}),
             ({"kind": "linreg", "axis": "features"}, {"kind": "uniform", "size_range": [1, 3]}),
             ({"kind": "kde", "axis": "features"}, {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 1}),
         ],

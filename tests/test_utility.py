@@ -879,6 +879,43 @@ class TestRowIdsOutOfRange:
         assert oracle.values(good) == kind(ds, ds).values(good)
 
 
+class TestStackIds:
+    """The id stacks against a per-set sorted() build: same arrays, same range checks."""
+
+    @staticmethod
+    def sorted_stack(sets):
+        return np.array([sorted(ids) for ids in sets], dtype=np.intp)
+
+    @staticmethod
+    def sorted_padded(sets, limit):
+        width = max(map(len, sets))
+        idx = np.array([sorted(ids) + [limit] * (width - len(ids)) for ids in sets], dtype=np.intp)
+        return idx, np.array([len(ids) for ids in sets], dtype=np.intp)
+
+    @given(st.lists(st.frozensets(st.integers(0, 63), min_size=1, max_size=12), min_size=1, max_size=15))
+    def test_same_arrays_as_sorted(self, sets):
+        idx, sizes = utility._padded_ids(sets, 64, "rows")
+        want_idx, want_sizes = self.sorted_padded(sets, 64)
+        assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx) and np.array_equal(sizes, want_sizes)
+        equal = [ids for ids in sets if len(ids) == len(sets[0])]
+        stack = utility._stack_ids(equal, 64, "rows")
+        assert stack.dtype == np.intp and np.array_equal(stack, self.sorted_stack(equal))
+
+    def test_one_set_and_empty_sets(self):
+        assert np.array_equal(utility._stack_ids([frozenset({9, 2, 5})], 10, "rows"), [[2, 5, 9]])
+        assert utility._stack_ids([frozenset(), frozenset()], 10, "rows").shape == (2, 0)
+        idx, sizes = utility._padded_ids([frozenset({3}), frozenset(), frozenset({7, 1})], 10, "features")
+        assert idx.tolist() == [[3, 10], [10, 10], [1, 7]] and sizes.tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize("build", [utility._stack_ids, utility._padded_ids])
+    @pytest.mark.parametrize("sets", [[frozenset({0, 10})], [frozenset({-1, 3}), frozenset({2, 4})]])
+    @pytest.mark.parametrize("axis, name", [("rows", "row"), ("features", "feature")])
+    def test_same_range_checks(self, build, sets, axis, name):
+        with pytest.raises(MalformedInput, match=rf"^{name} ids out of range \[0, 10\)$"):
+            build(sets, 10, axis)
+        assert build([frozenset({0, 9})], 10, axis) is not None
+
+
 class TestLinReg:
     def test_interpolating_subset_scores_eta(self):
         ds = line_dataset()
