@@ -15,8 +15,11 @@ positions (all training rows used).
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
+import os
+import threading
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -326,18 +329,41 @@ class _DataUtility(UtilityOracle):
 # values() call's sets are scored in stacks under it, and a larger set
 # alone. The logistic fit keeps three arrays of this size, 512 KB each, which
 # stay in cache: larger groups measured slower on sets of a thousand rows
-# and more. A KDE oracle keeps a workspace of two arrays of this size and
-# runs every stack in it, so a stack touches no fresh pages. With it (and
-# before the difference table), caps of 2^15, 2^16 and 2^17 ran eight
-# kde-svexp experiments in a median of 1.71, 1.49 and 1.56 s (10 alternating
-# rounds, quartile spreads 0.17-0.40 s, 2-core box), a spread too wide to
-# rank them, at a peak RSS of 40.2, 40.7 and 41.9 MiB; so the cap stays.
+# and more. A KDE oracle keeps a workspace of two arrays of this size, 1 MiB,
+# for each thread that scores its stacks (two at most, so 2 MiB in all; see
+# KdeUtility), and runs every stack in its thread's workspace, so a stack
+# touches no fresh pages. With one workspace (and before the difference
+# table), caps of 2^15, 2^16 and 2^17 ran eight kde-svexp experiments in a
+# median of 1.71, 1.49 and 1.56 s (10 alternating rounds, quartile spreads
+# 0.17-0.40 s, 2-core box), a spread too wide to rank them, at a peak RSS of
+# 40.2, 40.7 and 41.9 MiB; so the cap stays.
 # With the difference table and the no-tie log-sum-exp (see KdeUtility), a
 # stack against 80 test points (2 features) takes 0.24-0.37x, 0.46-0.57x,
 # 0.62-0.70x and 0.82-0.87x the time per set of scoring its sets one by one,
 # on sets of 20, 60, 120 and 200 train rows, and 0.57-0.58 ms for 12 sets of
 # 45 rows (best of 7 rounds, two draws of the sets).
 _STACK_ELEMENTS = 1 << 16
+
+# CPUs this process may run on, read once at import.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Fewest (test x train x sets) elements of a KDE stack that a worker thread
+# may score (see _deal). Six kde-svexp experiments (seeds 1-2, experiments
+# 0-2; in-process, 15 interleaved rounds, 2-core box) ran in a median of
+# 0.532 s on one thread, and 0.480, 0.470, 0.484 and 0.512 s with a worker
+# from 2^13, 2^14, 2^15 and 40,000 elements; on seeds 11-13 and 21-23 the
+# thresholds from 2^14 to 40,000 were within each other's quartiles. 2^15 is
+# as fast as 2^14 and starts fewer threads.
+_THREAD_MIN_ELEMENTS = 1 << 15
+
+# The KDE workspace of the stacks run in this context, when it is not the
+# oracle's own: a threaded call's worker sets the oracle's second one.
+_WORK: contextvars.ContextVar[tuple[np.ndarray, np.ndarray] | None] = contextvars.ContextVar("_WORK", default=None)
+
+
+def _workspace() -> tuple[np.ndarray, np.ndarray]:
+    """A KDE stack's workspace: two _STACK_ELEMENTS float arrays (see _kde_log_density)."""
+    return np.empty(_STACK_ELEMENTS), np.empty(_STACK_ELEMENTS)
 
 
 # Most floats a KDE oracle's table of test - train differences may hold (see
@@ -508,6 +534,28 @@ def _sum_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return rows.sum(axis=-1)
 
 
+def _deal(stacks: list[tuple[int, list[int]]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Split (elements, members) stacks into the members the caller scores and a worker's (none: no worker).
+
+    With 2 or more CPUs and 2 or more stacks of _THREAD_MIN_ELEMENTS up to
+    _STACK_ELEMENTS elements, those go largest first to whichever thread
+    holds fewer of their elements so far, the caller on a tie. Every other
+    stack stays with the caller: a small one, and a set above the cap, so the
+    worker never needs arrays beyond its workspace.
+    """
+    dealt = [_THREAD_MIN_ELEMENTS <= elements <= _STACK_ELEMENTS for elements, _ in stacks]
+    if _CPUS < 2 or sum(dealt) < 2:
+        return [members for _, members in stacks], []
+    mine = [members for (_, members), d in zip(stacks, dealt) if not d]
+    theirs: list[list[int]] = []
+    held = [0, 0]
+    for elements, members in sorted((s for s, d in zip(stacks, dealt) if d), key=lambda s: -s[0]):
+        side = held[1] < held[0]
+        held[side] += elements
+        (theirs if side else mine).append(members)
+    return mine, theirs
+
+
 class KdeUtility(_DataUtility):
     """Density-estimation usefulness of a composed set against held-out points.
 
@@ -521,8 +569,15 @@ class KdeUtility(_DataUtility):
     each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
     set alone; a set's score is the same bits alone, in any batch and from
     any layout of the caller's arrays, which a Dataset holds C-ordered.
-    Every stack runs in one workspace of two _STACK_ELEMENTS float arrays,
-    made at the first stack and kept; a larger set gets one-off arrays. On
+    Every stack runs in a workspace of two _STACK_ELEMENTS float arrays
+    (1 MiB), made at the first stack and kept; a larger set gets one-off
+    arrays. When the process may run on 2 or more CPUs and a call holds 2 or
+    more stacks of _THREAD_MIN_ELEMENTS up to _STACK_ELEMENTS, one worker
+    thread scores some of them (see _deal), in a second workspace that the
+    oracle makes at its first such call and keeps: one workspace per thread,
+    2 MiB in all. The call joins the worker before it returns, and an error
+    on either thread raises from values() with no score of the call memoised.
+    A set's score has the same bits on either thread. On
     the rows axis below 8 features the oracle also keeps, from its
     construction, a table of every test - train difference (_diff_table,
     d x n_train x n_test floats, at most _DIFF_TABLE_ELEMENTS), from which
@@ -557,6 +612,7 @@ class KdeUtility(_DataUtility):
         self.eta = float(eta) if eta is not None else len(test) * self.error_cap
         self._pool_cache: np.ndarray | None = None
         self._work: tuple[np.ndarray, np.ndarray] | None = None
+        self._spare: tuple[np.ndarray, np.ndarray] | None = None  # a threaded call's second workspace
         self._diffs = _diff_table(train.features, test.features) if self.axis == "rows" else None
 
     def _log_density(self, ids_list: list[frozenset[int]]) -> np.ndarray:
@@ -564,29 +620,67 @@ class KdeUtility(_DataUtility):
         idx = _stack_ids(ids_list, len(self.pool), self.axis)
         x = _restrict(self.train, idx, self.axis)
         t = self.test.features[None] if self.axis == "rows" else _restrict(self.test, idx, self.axis)
-        if self._work is None:
-            self._work = (np.empty(_STACK_ELEMENTS), np.empty(_STACK_ELEMENTS))
+        work = _WORK.get() or self._work
+        if work is None:
+            work = self._work = _workspace()
         diffs = None if self._diffs is None else (self._diffs, idx)
-        return _kde_log_density(x, t, self.floor, self._work, diffs)
+        return _kde_log_density(x, t, self.floor, work, diffs)
 
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
         by_size: dict[int, list[int]] = {}
         for i, ids in enumerate(ids_list):
             by_size.setdefault(len(ids), []).append(i)
-        scores = [0.0] * len(ids_list)
+        stacks: list[tuple[int, list[int]]] = []  # (elements, positions in ids_list)
         for size, members in by_size.items():
-            n = size if self.axis == "rows" else len(self.train)
-            step = max(1, _STACK_ELEMENTS // (len(self.test) * n))
-            for at in range(0, len(members), step):
-                group = members[at : at + step]
-                logp = self._log_density([ids_list[i] for i in group])
-                if self.reference == "nll":
-                    err = np.clip(-logp, -self.error_cap, self.error_cap)
-                else:
-                    err = np.minimum(np.abs(logp - self._pool_logp()), self.error_cap)
-                for i, total in zip(group, err.sum(axis=1).tolist()):
-                    scores[i] = self.eta - total
+            per_set = len(self.test) * (size if self.axis == "rows" else len(self.train))
+            step = max(1, _STACK_ELEMENTS // per_set)
+            groups = (members[at : at + step] for at in range(0, len(members), step))
+            stacks += [(per_set * len(group), group) for group in groups]
+        scores = [0.0] * len(ids_list)
+        mine, theirs = _deal(stacks)
+        if theirs:
+            self._score_on_two_threads(mine, theirs, ids_list, scores)
+        else:
+            self._score_stacks(mine, ids_list, scores)
         return scores
+
+    def _score_on_two_threads(
+        self, mine: list[list[int]], theirs: list[list[int]], ids_list: list[frozenset[int]], scores: list[float]
+    ) -> None:
+        """_score_stacks of mine here and of theirs on a worker thread, joined before any error is raised."""
+        # Everything the threads share is built here, before the worker starts.
+        if self.reference == "pool":
+            self._pool_logp()
+        self._work, self._spare = self._work or _workspace(), self._spare or _workspace()
+        failed: list[BaseException] = []
+
+        def work() -> None:
+            _WORK.set(self._spare)
+            try:
+                self._score_stacks(theirs, ids_list, scores)
+            except BaseException as exc:
+                failed.append(exc)
+
+        # A copy of this context carries the caller's np.errstate to the worker.
+        worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        worker.start()
+        try:
+            self._score_stacks(mine, ids_list, scores)
+        finally:
+            worker.join()
+        if failed:
+            raise failed[0]
+
+    def _score_stacks(self, stacks: list[list[int]], ids_list: list[frozenset[int]], scores: list[float]) -> None:
+        """Score each stack of ids_list positions into scores."""
+        for group in stacks:
+            logp = self._log_density([ids_list[i] for i in group])
+            if self.reference == "nll":
+                err = np.clip(-logp, -self.error_cap, self.error_cap)
+            else:
+                err = np.minimum(np.abs(logp - self._pool_logp()), self.error_cap)
+            for i, total in zip(group, err.sum(axis=1).tolist()):
+                scores[i] = self.eta - total
 
     def _pool_logp(self) -> np.ndarray:
         if self._pool_cache is None:

@@ -89,6 +89,28 @@ def test_oracles_and_exact_routes_import_nothing_after_the_package():
     assert new_modules("import shapcf, numpy.random", ORACLES_AND_EXACT_ROUTES) == []
 
 
+# A KDE oracle and one call's sets in two stacks of at least
+# _THREAD_MIN_ELEMENTS (16 sets of 50 rows and 13 of 60 against 80 test
+# points), with the worker forced on whatever the CPU count.
+THREADED_KDE_CALL = """
+import numpy as np
+from shapcf import Dataset, make_oracle, utility
+
+utility._CPUS = 2
+rng = np.random.default_rng(0)
+train = Dataset(features=rng.normal(size=(300, 2)), feature_names=("x", "y"))
+test = Dataset(features=rng.normal(size=(80, 2)), feature_names=("x", "y"))
+oracle = make_oracle({"kind": "kde"}, train, test)
+sets = [frozenset(rng.choice(300, size=size, replace=False).tolist()) for size in [50] * 16 + [60] * 13]
+"""
+
+
+def test_a_threaded_kde_call_imports_nothing_after_the_package():
+    # threading and contextvars load with the package; no pool module may load with the call.
+    added = new_modules(THREADED_KDE_CALL, "oracle.values(sets)\nassert oracle._spare is not None")
+    assert added == []
+
+
 def explain_fresh(tmp_path: Path, engine: str, n_owners: int, seed: int) -> tuple[list[str], dict]:
     """`shapcf explain`, A over B, on an additive game of `n_owners` in a fresh interpreter: its modules and output."""
     utility = {"kind": "additive", "weights": {str(e): 1.0 + e % 4 for e in range(2 * n_owners + 1)}}

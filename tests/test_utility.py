@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -565,6 +568,187 @@ class TestKdeWorkspace:
         table = train.n_features * len(train) * len(test) if axis == "rows" else 0
         assert held.count(cap) == 2
         assert sum(held) == 2 * cap + table + (len(test) if reference == "pool" else 0)
+
+
+def thread_tables(axis: str, seed: int) -> tuple[Dataset, Dataset]:
+    """Rows: 300 train rows and 80 test points of 3 features. Features: 120 rows and 40 points of 7."""
+    rng = np.random.default_rng(seed)
+    n_train, n_test, d = (300, 80, 3) if axis == "rows" else (120, 40, 7)
+    names = tuple(f"x{j}" for j in range(d))
+    train = rng.normal(size=(n_train, d)) * rng.uniform(0.5, 3.0, size=d)
+    return (Dataset(features=train, feature_names=names),
+            Dataset(features=rng.normal(size=(n_test, d)) * 2.0, feature_names=names))
+
+
+def draw_sets(rng: np.random.Generator, pool, size: int, count: int) -> list[frozenset[int]]:
+    return [frozenset(rng.choice(pool, size=size, replace=False).tolist()) for _ in range(count)]
+
+
+class TestKdeThreads:
+    """A call with two or more stacks of _THREAD_MIN_ELEMENTS scores some of them on a worker thread."""
+
+    @staticmethod
+    def sets(axis: str, seed: int) -> list[frozenset[int]]:
+        """One call's sets: stacks of at least _THREAD_MIN_ELEMENTS (2^15) elements beside small ones.
+
+        Rows, against 80 test points: 32 sets of 50 rows (two stacks of
+        64,000 elements), 13 of 60 rows (62,400) and 10 of 20 rows (16,000).
+        Features, against 120 train rows and 40 test points: the 21 pairs and
+        35 triples of 7 features (stacks of 62,400, 38,400, 62,400, 62,400
+        and 43,200 elements) and one set of 5 features (4,800).
+        """
+        rng = np.random.default_rng(seed)
+        if axis == "rows":
+            return draw_sets(rng, 300, 50, 32) + draw_sets(rng, 300, 60, 13) + draw_sets(rng, 300, 20, 10)
+        sets = [frozenset(c) for k in (2, 3) for c in itertools.combinations(range(7), k)]
+        return [sets[i] for i in rng.permutation(len(sets))] + [frozenset(range(5))]
+
+    @staticmethod
+    def record_threads(monkeypatch) -> list[tuple[int, frozenset[int]]]:
+        """(thread id, first set) of each _log_density call from now on."""
+        seen = []
+        real = KdeUtility._log_density
+
+        def spy(self, ids_list):
+            seen.append((threading.get_ident(), ids_list[0]))
+            return real(self, ids_list)
+
+        monkeypatch.setattr(KdeUtility, "_log_density", spy)
+        return seen
+
+    def test_large_stacks_are_dealt_largest_first_to_the_thread_holding_fewer(self, monkeypatch):
+        monkeypatch.setattr(utility, "_CPUS", 2)
+        a, b, c, d, e = ([i] for i in range(5))
+        # b is small and e a set above the cap: both stay with the caller.
+        stacks = [(62_400, a), (16_000, b), (64_000, c), (70_000, e), (64_000, d)]
+        assert utility._deal(stacks) == ([b, e, c, a], [d])
+        assert utility._deal(stacks[:4]) == ([b, e, c], [a])
+        assert utility._deal(stacks[1:4]) == ([b, c, e], [])  # one large stack: no worker
+        monkeypatch.setattr(utility, "_CPUS", 1)
+        assert utility._deal(stacks) == ([a, b, c, e, d], [])
+
+    @pytest.mark.parametrize("reference", ["pool", "nll"])
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    def test_a_threaded_call_keeps_every_bit(self, axis, reference, monkeypatch):
+        train, test = thread_tables(axis, 30)
+        sets = self.sets(axis, 31)
+        call = sets + sets[:3]  # repeats count as calls, not evals
+        seen = self.record_threads(monkeypatch)
+        threads = threading.active_count()
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(utility, "_CPUS", cpus)
+            o = KdeUtility(train, test, axis=axis, reference=reference)
+            seen.clear()
+            runs[cpus] = (o, o.values(call), {ident for ident, _ in seen})
+            assert threading.active_count() == threads
+        (serial, want, serial_ids), (threaded, got, threaded_ids) = runs[1], runs[2]
+        assert serial_ids == {threading.get_ident()} and serial._spare is None
+        assert len(threaded_ids) == 2 and threading.get_ident() in threaded_ids and threaded._spare is not None
+        assert bits(got) == bits(want)
+        assert (threaded.calls, threaded.evals) == (serial.calls, serial.evals) == (len(call), len(sets))
+        assert list(threaded._cache.items()) == list(serial._cache.items())
+        alone = KdeUtility(train, test, axis=axis, reference=reference)
+        assert bits(got) == bits([alone.value(s) for s in call])
+
+    def test_threaded_calls_at_a_one_microsecond_switch_interval(self, monkeypatch):
+        # A score lost between the threads, or a stack run in the other
+        # thread's workspace, would change the bits.
+        train, test = thread_tables("rows", 36)
+        sets = self.sets("rows", 37)
+        monkeypatch.setattr(utility, "_CPUS", 1)
+        want = bits(KdeUtility(train, test).values(sets))
+        monkeypatch.setattr(utility, "_CPUS", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                assert bits(KdeUtility(train, test).values(sets)) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_fresh_oracle_computes_its_pool_density_once_before_the_worker(self, monkeypatch):
+        monkeypatch.setattr(utility, "_CPUS", 2)
+        train, test = thread_tables("rows", 32)
+        o = KdeUtility(train, test)
+        seen = self.record_threads(monkeypatch)
+        o.values(self.sets("rows", 33))
+        pool = frozenset(range(len(train)))
+        assert [ids for _, ids in seen].count(pool) == 1
+        caller = threading.get_ident()
+        assert seen[0] == (caller, pool)
+        assert len({ident for ident, _ in seen}) == 2
+
+    @staticmethod
+    def two_stacks() -> tuple[Dataset, Dataset, list[frozenset[int]], list[frozenset[int]]]:
+        """Tables and one call's sets in two large stacks, (caller's, worker's).
+
+        The caller takes the larger stack, of 16 sets of 50 rows (64,000
+        elements), and the worker the 13 sets of 60 rows (62,400).
+        """
+        train, test = thread_tables("rows", 34)
+        rng = np.random.default_rng(35)
+        return train, test, draw_sets(rng, 300, 50, 16), draw_sets(rng, 300, 60, 13)
+
+    @staticmethod
+    def check_failed_call(o: KdeUtility, sets: list[frozenset[int]], error: type[Exception], seen) -> None:
+        """values(sets) raises error from the worker's stack, leaves no thread and memoises nothing of it."""
+        threads = threading.active_count()
+        with pytest.raises(error):
+            o.values(sets)
+        assert threading.active_count() == threads
+        assert not any(s in o._cache for s in sets)
+        assert seen and all(ident != threading.get_ident() for ident in seen)
+
+    def test_an_error_in_the_workers_stack_raises_from_values(self, monkeypatch):
+        monkeypatch.setattr(utility, "_CPUS", 2)
+        train, test, mine, theirs = self.two_stacks()
+        kernel = utility._kde_log_density
+        failed = []
+
+        def spy(x, t, floor, *rest):
+            if x.shape[1] == 60:
+                failed.append(threading.get_ident())
+                raise RuntimeError("a failing stack")
+            return kernel(x, t, floor, *rest)
+
+        o = KdeUtility(train, test)
+        monkeypatch.setattr(utility, "_kde_log_density", spy)
+        self.check_failed_call(o, mine + theirs, RuntimeError, failed)
+        # The oracle goes on: a later call without the failure is the serial call's.
+        monkeypatch.setattr(utility, "_kde_log_density", kernel)
+        threads = threading.active_count()
+        got = o.values(mine + theirs)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(utility, "_CPUS", 1)
+        assert bits(got) == bits(KdeUtility(train, test).values(mine + theirs))
+
+    def test_the_callers_error_state_holds_on_the_worker(self, monkeypatch):
+        monkeypatch.setattr(utility, "_CPUS", 2)
+        train, test, mine, theirs = self.two_stacks()
+        # A feature of 1e200 in one of the worker's sets: its squared deviation overflows.
+        big = next(iter(theirs[0] - frozenset().union(*mine)))
+        features = train.features.copy()
+        features[big, 0] = 1e200
+        train = Dataset(features=features, feature_names=train.feature_names)
+        failed = []
+        real = KdeUtility._log_density
+
+        def spy(self, ids_list):
+            try:
+                return real(self, ids_list)
+            except FloatingPointError:
+                failed.append(threading.get_ident())
+                raise
+
+        monkeypatch.setattr(KdeUtility, "_log_density", spy)
+        o = KdeUtility(train, test, reference="nll")
+        with np.errstate(all="raise"):
+            self.check_failed_call(o, mine + theirs, FloatingPointError, failed)
+        # Under the default error state the worker warns instead, and the call scores.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert len(o.values(mine + theirs)) == len(mine + theirs)
 
 
 def kde_rows_oracle(train: np.ndarray, test: np.ndarray, floor: float) -> KdeUtility:
