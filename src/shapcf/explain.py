@@ -33,12 +33,12 @@ the differential (or terms) of its shift X | {e}, so a race scores its
 arms' shifts as checks would. _Exact keeps a table of the differentials it
 scored, by shift, and reads it before it scores: svexp's round check reads
 the winning arm's shift, a verification reads its answer's, and the pair's
-table is copied into every engine's request. With windows that table holds
-the pair's check and the search rounds: select_pairs runs the exact
-searches of a window's trials (a's subsets in search order, and the arms
-of svexp's first race) in lock step, each round one _score call, so an
-engine replays its search from the table and scores only what no round
-did.
+table is copied into every engine's request. An engine body is a
+generator that yields the shifts of each read before it reads them, and
+_drive runs bodies: explain runs one alone, its reads scoring what they
+lack; select_pairs runs a window's bodies in lock step on their pairs' own
+tables, each round one _score call, and each engine then replays its run
+from the table.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ import copy
 import itertools
 import math
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,9 +90,12 @@ BF_ENTRY_LIMIT = 20
 # Random pairs drawn at most while their checks stay undecided.
 _PAIR_REDRAWS = 10
 
-# Trials at most whose pair checks, and then each round of whose searches,
+# Trials at most whose pair checks, and then each round of whose engine runs,
 # share one values() call, where the oracle has room for that (see window).
 _WINDOW = 16
+
+# An engine body: it yields the shifts of each read before the read (see _drive), then returns its result.
+_Body = Generator[list[frozenset[EntryId]], None, "CounterfactualResult"]
 
 
 # ExplainConfig fields and the values they accept; every other field is a
@@ -211,13 +215,6 @@ def _width(est: Estimate) -> float:
     return est.half_width if est.count else 0.0
 
 
-def _subsets(entries: list[EntryId]):
-    """Non-empty subsets in ascending size, lexicographic within a size."""
-    return itertools.chain.from_iterable(
-        itertools.combinations(entries, size) for size in range(1, len(entries) + 1)
-    )
-
-
 class _Request:
     """One explanation request: its pair, rng, config, clock and sample counters.
 
@@ -278,11 +275,7 @@ class _Request:
         return next(self.checks(budget, [moved]))
 
     def checks(self, budget: int, shifts: Iterable[Iterable[EntryId]]) -> Iterator[FlipResult]:
-        """The route's check of each shift in turn, each counted (and the latest) as it is read.
-
-        The exact route checks the shifts up to the first that its table
-        holds flipped, and none past it.
-        """
+        """The route's check of each shift in turn, each counted (and the latest) as it is read."""
         return map(self._counted, self.route.checks(self, budget, [frozenset(moved) for moved in shifts]))
 
     def _counted(self, res: FlipResult) -> FlipResult:
@@ -359,7 +352,7 @@ class _Exact:
     """The exact route: each shift's differential, folded over the pair's one coalition plan.
 
     `table` holds the differential of each shift scored so far, read before
-    anything is scored; _score fills it for checks, search rounds and races.
+    anything is scored; _score fills it for checks, races and a window's rounds.
     """
 
     def __init__(self, plan, table: dict[frozenset[EntryId], float] | None = None) -> None:
@@ -370,14 +363,9 @@ class _Exact:
         return _Exact(self.plan)
 
     def checks(self, req: _Request, budget: int, shifts: list[frozenset[EntryId]]) -> list[FlipResult]:
-        """The shifts' checks, read off the table, up to the first shift it holds flipped.
-
-        The shifts before that one that it lacks are scored in one values()
-        call; a search stops at that flip, so nothing past it is scored.
-        """
-        end = next((i for i, moved in enumerate(shifts) if self.table.get(moved, 0.0) < 0.0), len(shifts))
-        _score([(req, shifts[:end])])
-        return [_exact_check(self.table[moved], req.cfg.delta) for moved in shifts[: end + 1]]
+        """The shifts' checks, read off the table; the shifts it lacks are scored first, in one values() call."""
+        _score([(req, shifts)])
+        return [_exact_check(self.table[moved], req.cfg.delta) for moved in shifts]
 
     def span(self, req: _Request, moved: frozenset[EntryId]) -> int:
         """The oracle's room for moved's two largest sets, over the 2^(n-1) sets a shift scores."""
@@ -401,6 +389,8 @@ class _Exact:
 
 class _Sampled:
     """The sampled route: checks and races draw prefixes from the request's rng; it holds nothing."""
+
+    table = MappingProxyType({})  # empty and read-only, so a search reads a table on either route
 
     def swapped(self) -> _Sampled:
         return self
@@ -473,10 +463,11 @@ def select_pairs(
     check is undecided, for _PAIR_REDRAWS rounds at most; then the last
     pair is kept (engines then report the undecided precondition), and one
     drawn the wrong way round is kept as the swapped twin of its request.
-    Where the window holds more than one trial, the searches that the
-    cell's `engines` will run are scored ahead into the pairs' tables, in
-    lock-step rounds of one values() call each (_search_rounds); a lone
-    trial's search would spend those calls itself.
+    Where the window holds more than one trial, the bodies of the cell's
+    `engines` run on each exact pair, on requests that score into the
+    pair's table, in lock-step rounds of one values() call each (_drive);
+    each engine then replays its run from that table. A lone trial's
+    engines would send those calls themselves.
     A trial's rng is read only where its pair is drawn or its check
     samples (draws("pair", partition)); elsewhere it may be None.
     """
@@ -504,94 +495,94 @@ def select_pairs(
         pair.swapped() if fixed is None and pair.last.estimate.mean < 0.0 else pair for pair in drawn.values()
     ]
     if len(partitions) > 1:
-        _search_rounds(chosen, engines)
+        runs = []
+        for pair, engine in itertools.product(chosen, engines):
+            if isinstance(pair.route, _Exact):
+                req = _Request(engine, pair.partition, oracle, pair.a, pair.b, None, config, pair)
+                req.route = pair.route  # the pair's table itself, not a copy
+                runs.append((req, ENGINES[engine](req)))
+        _drive(runs)
     return chosen
 
 
-def _search_rounds(pairs: list[_Request], engines: Iterable[str]) -> None:
-    """Score the exact searches of `pairs` ahead, in lock-step rounds of one values() call each.
+def _drive(runs: list[tuple[_Request, _Body]]) -> CounterfactualResult | None:
+    """Run engine bodies, each on its request: a lone one to its result, several in lock-step rounds.
 
-    A trial searches where its pair's check is exact and a is above b. bf
-    and mc read a's subsets in _subsets order, chunk by _chunks chunk, where
-    a holds at most BF_ENTRY_LIMIT entries; svexp's first race reads the
-    one-entry shifts, which come first in that order. Each round scores the
-    next chunk of every open search (_Ascending): first its first subset;
-    then, for bf and mc, the rest of each _chunks chunk in turn, so a
-    search scores no subset that its engine alone would not. Where the
-    cell runs svexp, the first chunk is instead the first _chunks chunk
-    (the one-call opening that rounds replaced) and every one-entry shift,
-    so a svexp-only cell sends no more than that opening did. The open
-    searches share _WINDOW spans, so no round sends more than _WINDOW *
-    span * 2^(n-1) sets. A search leaves once a chunk holds a flip, it has
-    nothing left to score, or its pair request is past config.timeout.
+    A body yields the shifts that its next read needs, then reads them. A
+    lone body's reads score what they lack, as a round would. Several are
+    run for their tables: each round merges, per table, the shifts that the
+    bodies' yields need into one _score call, then resumes each body whose
+    yield its table holds. A round holds pairs while their shifts fit in
+    _WINDOW spans (judged on each pair's first shift), at least one pair.
+    Where no body is svexp, the first round scores each body's first shift
+    alone, and a body whose first subset flips stops there, its answer in
+    the table; with svexp, the first race's arms go whole.
     """
-    engines = set(engines)
-    searches = []
-    for pair in pairs:
-        if isinstance(pair.route, _Exact) and pair.last.verdict == "not_flipped":
-            ents = sorted(pair.ents_a)
-            more = not engines.isdisjoint({"bf", "mc"}) and len(ents) <= BF_ENTRY_LIMIT
-            if more or "svexp" in engines:
-                first = max(pair.span(ents[:1]), len(ents)) if "svexp" in engines else 1
-                searches.append(_Ascending(pair, ents, first, more))
-    while searches:
-        searches = [search for search in searches if not search.req.expired()]
-        chunks = [search.chunk(_WINDOW / len(searches)) for search in searches]
-        _score(zip((search.req for search in searches), chunks))
-        searches = [
-            search for search, shifts in zip(searches, chunks)
-            if shifts and min(search.req.route.table[moved] for moved in shifts) >= 0.0
-        ]
-
-
-class _Ascending:
-    """One search ahead: the subsets of `ents` in _subsets order, a chunk of them each round.
-
-    The first chunk holds `first` subsets; where the search goes on
-    (`more`), each later one runs to the end of the _chunks chunk it starts
-    in. A chunk holds at most `share` spans of its first subset.
-    """
-
-    def __init__(self, req: _Request, ents: list[EntryId], first: int, more: bool) -> None:
-        self.req, self.first, self.more = req, first, more
-        # Each subset, and whether it ends its _chunks chunk.
-        self.subsets = ((frozenset(s), s is c[-1]) for c in _chunks(req, ents) for s in c)
-
-    def chunk(self, share: float) -> list[frozenset[EntryId]]:
-        first, self.first = self.first, 0
-        chunk = []
-        for moved, ends in self.subsets if first or self.more else ():
-            if not chunk:
-                cap = max(1, int(share * self.req.span(moved)))
-            chunk.append(moved)
-            if len(chunk) in (first, cap) or ends and not first:
+    if len(runs) == 1:
+        body = runs[0][1]
+        try:
+            while True:
+                next(body)
+        except StopIteration as stop:
+            return stop.value
+    first = all(req.engine != "svexp" for req, _ in runs)
+    waits = [(req, body, []) for req, body in runs]
+    while True:
+        going, waits = waits, []
+        for req, body, wait in going:
+            try:
+                while not (wait := [moved for moved in wait if moved not in req.route.table]):
+                    wait = next(body)
+            except StopIteration:
+                continue
+            waits.append((req, body, wait))
+        if not waits:
+            return None
+        merged: dict[_Exact, tuple[_Request, dict[frozenset[EntryId], None]]] = {}
+        for req, _, wait in waits:
+            merged.setdefault(req.route, (req, {}))[1].update(dict.fromkeys(wait[:1] if first else wait))
+        room, jobs = float(_WINDOW), []
+        for req, new in merged.values():
+            room -= len(new) / req.span(next(iter(new)))
+            if jobs and room < 0.0:
                 break
-        return chunk
+            jobs.append((req, list(new)))
+        _score(jobs)
+        if first:
+            first = False
+            waits = [(req, body, wait) for req, body, wait in waits if req.route.table.get(wait[0], 0.0) >= 0.0]
 
 
-def _chunks(req: _Request, ents: list[EntryId]) -> Iterator[list[tuple[EntryId, ...]]]:
-    """The subsets of `ents` in search order, in chunks of one check call each.
+def _chunks(req: _Request, ents: list[EntryId]) -> Iterator[list[frozenset[EntryId]]]:
+    """The shifts of the subsets of `ents` in search order, in chunks of one check call each.
 
     Subsets go in ascending size, lexicographic within a size. A chunk holds
     req.span subsets, judged once per size on the first subset of that size
     to start a chunk, and is filled across a size boundary.
     """
     spans = {}
-    subsets = _subsets(ents)
+    subsets = (frozenset(s) for size in range(1, len(ents) + 1) for s in itertools.combinations(ents, size))
     for first in subsets:
         if len(first) not in spans:
             spans[len(first)] = req.span(first)
         yield [first, *itertools.islice(subsets, spans[len(first)] - 1)]
 
 
-def _first_flip(req: _Request, ents: list[EntryId]) -> CounterfactualResult:
+def _precheck(req: _Request) -> Generator[list[frozenset[EntryId]], None, str | None]:
+    """The request's precheck (see _Request.precheck), its empty shift yielded first where no pair lent a check."""
+    if req.last is None:
+        yield [frozenset()]
+    return req.precheck(req.cfg.check_budget)
+
+
+def _first_flip(req: _Request, ents: list[EntryId]) -> _Body:
     """The first subset of `ents` whose shift flips the pair (else all of them), verified.
 
-    The subsets go in _chunks, with one check call each. On the exact route
-    that is at most one values() call, for the chunk's subsets that the
-    table lacks, up to the first it holds flipped; where a window's search
-    rounds ran to this search's flip (select_pairs), it replays the table
-    and scores nothing. The deadline is read before each chunk, and only
+    The subsets go in _chunks, with one check call each, each chunk cut
+    after the first shift that the table already holds flipped: a window's
+    rounds, or a lent table, may hold the answer, and nothing past it is
+    scored. The verification reads a checked shift: the flip, or the last
+    subset, all of `ents`. The deadline is read before each chunk, and only
     the subsets up to the first flip count as tested.
     """
 
@@ -599,18 +590,20 @@ def _first_flip(req: _Request, ents: list[EntryId]) -> CounterfactualResult:
         final = req.verify(moved)
         return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, tested)
 
-    tested = 0
+    table, tested = req.route.table, 0
     for chunk in _chunks(req, ents):
         if req.expired():
             return req.done(STATUS_TIMEOUT, tested=tested)
-        for combo, res in zip(chunk, req.checks(req.cfg.check_budget, chunk)):
+        chunk = chunk[: next((i for i, moved in enumerate(chunk) if table.get(moved, 0.0) < 0.0), len(chunk)) + 1]
+        yield chunk
+        for moved, res in zip(chunk, req.checks(req.cfg.check_budget, chunk)):
             tested += 1
             if res.verdict == "flipped":
-                return verified(combo, tested)
+                return verified(moved, tested)
     return verified(ents, tested)
 
 
-def _bruteforce(req: _Request) -> CounterfactualResult:
+def _bruteforce(req: _Request) -> _Body:
     """Minimum-cardinality transfer set by exact ascending-size enumeration.
 
     Subsets of equal size are tried in lexicographic entry order, so ties
@@ -620,12 +613,12 @@ def _bruteforce(req: _Request) -> CounterfactualResult:
     ents = sorted(req.ents_a)
     if len(ents) > BF_ENTRY_LIMIT:
         raise TooLarge(f"brute force over {len(ents)} entries exceeds the limit {BF_ENTRY_LIMIT}")
-    if req.precheck(req.cfg.check_budget) is not None:
+    if (yield from _precheck(req)) is not None:
         return req.done(STATUS_NOT_MET)
-    return _first_flip(req, ents)
+    return (yield from _first_flip(req, ents))
 
 
-def _mc(req: _Request) -> CounterfactualResult:
+def _mc(req: _Request) -> _Body:
     """Ascending-size search with Monte Carlo flip checks.
 
     Each candidate subset gets a fresh sequential check with check_budget
@@ -633,13 +626,13 @@ def _mc(req: _Request) -> CounterfactualResult:
     subset (or, failing that, all of a's entries) is re-verified with
     verify_budget permutations; an exact check stands as its own verification.
     """
-    status = req.precheck(req.cfg.check_budget)
+    status = yield from _precheck(req)
     if status is not None:
         return req.done(status)
-    return _first_flip(req, sorted(req.ents_a))
+    return (yield from _first_flip(req, sorted(req.ents_a)))
 
 
-def _svexp(req: _Request) -> CounterfactualResult:
+def _svexp(req: _Request) -> _Body:
     """Greedy transfer loop guided by a Thompson top-1 race over entry powers.
 
     Each round races a's remaining entries (a forced pick when only one is
@@ -649,7 +642,7 @@ def _svexp(req: _Request) -> CounterfactualResult:
     when a has nothing left to give. On the exact route a verification
     reads the round check's differential, so it never refutes one.
     """
-    status = req.precheck(req.cfg.check_budget)
+    status = yield from _precheck(req)
     if status is not None:
         return req.done(status)
 
@@ -660,8 +653,12 @@ def _svexp(req: _Request) -> CounterfactualResult:
         if req.expired():
             return req.done(STATUS_TIMEOUT, moved, tested=len(steps), steps=steps)
 
+        base = frozenset(moved)
+        if len(req.ents_a) - len(base) > 1:  # a lone arm is a forced pick: nothing to score
+            yield [base | {e} for e in sorted(req.ents_a - base)]
         pick = req.race(moved)
         moved.append(pick.entry)
+        yield [base | {pick.entry}]
         check = req.check(req.cfg.check_budget, moved)
         arm = next(s for s in pick.arms if s.entry == pick.entry)
         steps.append(
@@ -686,7 +683,7 @@ def _svexp(req: _Request) -> CounterfactualResult:
     return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, len(steps), steps)
 
 
-# The engine bodies by name; each takes its request.
+# The engine bodies by name; each takes its request, and _drive runs it.
 ENGINES = {
     "bf": _bruteforce,
     "mc": _mc,
@@ -723,4 +720,5 @@ def explain(
         raise ValueError(f"engine {engine!r} needs an rng on {partition.n} owners")
     if pair is not None and (pair.partition, pair.oracle, pair.a, pair.b) != (partition, oracle, a, b):
         raise ValueError(f"the checked pair {pair.a!r} over {pair.b!r} is not this request's pair")
-    return ENGINES[engine](_Request(engine, partition, oracle, a, b, rng, config, pair))
+    req = _Request(engine, partition, oracle, a, b, rng, config, pair)
+    return _drive([(req, ENGINES[engine](req))])

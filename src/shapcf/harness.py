@@ -11,8 +11,8 @@ artifact.
 
 Trials are independent, so a cell's trials run in windows (_run_cell):
 where the oracle shares work across a values() call, the pair checks of a
-window's trials share one call, and then each round of their exact
-searches another (explain.window and explain.select_pairs). Then each
+window's trials share one call, and then each round of their engines'
+exact runs another (explain.window and explain.select_pairs). Then each
 trial's engines run in turn through explain, replaying what the rounds
 scored. A window changes oracle traffic only, never an output.
 """
@@ -443,9 +443,10 @@ def _run_cell(
     """The cell's trials, its windows' timings, and the partitions the oracle's memo now serves.
 
     Trials run in windows of explain.window trials, judged on the first
-    trial's partition: their pairs are selected, and the cell's engines'
-    searches scored ahead, together (select_pairs), then each trial's
-    engines run in turn. The memo is emptied before a
+    trial's partition: their pairs are selected, and the cell's engines run
+    in lock-step rounds that score into the pairs' tables, together
+    (select_pairs); then each trial's engines run in turn through explain,
+    replaying those tables. The memo is emptied before a
     window with a partition it was not filled for
     (`served`): drawn allocations share almost no coalitions across
     trials, while natural and vertical ones rebuild the same partition in

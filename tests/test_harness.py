@@ -844,8 +844,9 @@ def traffic_by_trial(cfg, monkeypatch, values_calls, datasets=None):
 def watch_rounds(monkeypatch, values_calls):
     """Search rounds, the shifts scored in and after pair selection, and the shifts the engines' checks read.
 
-    A round is a _score call inside explain._search_rounds with shifts its
-    tables lack: those shifts by request, and the values() calls it sent.
+    A round is a _score call inside pair selection's explain._drive with
+    shifts its tables lack: those shifts by request, and the values() calls
+    it sent.
     A shift is keyed by its pair's entry sets and the shift, the same in
     any run of one config.
     """
@@ -859,7 +860,7 @@ def watch_rounds(monkeypatch, values_calls):
         (ahead if where["select"] else later).update(
             (req.ents_a, req.ents_b, moved) for req, shifts in new for moved in shifts
         )
-        if where["rounds"] and any(shifts for _, shifts in new):
+        if where["rounds"] and where["select"] and any(shifts for _, shifts in new):
             rounds.append((new, values_calls[sent:]))
 
     def during(name, fn):
@@ -879,7 +880,7 @@ def watch_rounds(monkeypatch, values_calls):
             yield res
 
     monkeypatch.setattr(explain_module, "_score", score_spy)
-    monkeypatch.setattr(explain_module, "_search_rounds", during("rounds", explain_module._search_rounds))
+    monkeypatch.setattr(explain_module, "_drive", during("rounds", explain_module._drive))
     monkeypatch.setattr(harness, "select_pairs", during("select", harness.select_pairs))
     monkeypatch.setattr(explain_module._Request, "checks", checks_spy)
     return rounds, ahead, later, reads
@@ -897,10 +898,10 @@ class TestWindows:
         for window in (explain_module._WINDOW, 1):
             widths, pairs = [], []
 
-            def spy(*args):  # counts pair selection's requests, not the engines'
+            def spy(*args, **kwargs):  # counts pair selection's requests, not the engines'
                 if args[0] == "pair":
                     pairs.append(args)
-                return request(*args)
+                return request(*args, **kwargs)
 
             with monkeypatch.context() as m:
                 m.setattr(explain_module, "_WINDOW", window)
@@ -993,27 +994,48 @@ class TestWindows:
         cfg = ExperimentConfig.from_json(logistic_config(engines=["svexp"]))
         serve_datasets(monkeypatch, logistic_data())
         rounds, ahead, _, _ = watch_rounds(monkeypatch, values_calls)
+        explain, own = harness.explain, []
+
+        def spy(*args, **kwargs):
+            sent = len(values_calls)
+            res = explain(*args, **kwargs)
+            own.append(values_calls[sent:])
+            return res
+
+        monkeypatch.setattr(harness, "explain", spy)
         values_calls.clear()
         records = run_experiment(cfg).records
         assert all(r.status == "ok" and r.success for r in records)
-        # Pair selection's former one-call opening sent 5 calls and 2,080 sets here.
-        assert len(values_calls) <= 5 and sum(map(len, values_calls)) <= 2080
-        # Each window (16 trials, then 2) sends one round: every search's
-        # first _chunks chunk and its first race's arms, all of them here.
-        assert len(rounds) == 2
+        # Pair selection's former one-call opening sent 5 calls and 2,080 sets
+        # here. svexp's whole loop runs in the window's rounds, which score
+        # only its races' arms and round checks: no more calls, at most 1,264
+        # sets, and no engine request sends a call.
+        assert len(values_calls) <= 5 and sum(map(len, values_calls)) <= 1264
+        assert own == [[]] * cfg.trials
         searched = [req for jobs, _ in rounds for req, _ in jobs]
         assert all((req.ents_a, req.ents_b, frozenset({e})) in ahead for req in searched for e in req.ents_a)
 
     def test_svexp_first_races_read_the_openings(self, values_calls, monkeypatch):
         race, races = explain_module._Request.race, []
+        select, selecting = harness.select_pairs, []
 
         def spy(req, moved):
+            if selecting:  # pair selection's rounds run the engine bodies too; count the engines' own
+                return race(req, moved)
             sent, scored = len(values_calls), set(req.route.table)
             pick = race(req, moved)
             races.append((req, frozenset(moved), scored, values_calls[sent:]))
             return pick
 
+        def select_spy(*args):
+            selecting.append(True)
+            try:
+                return select(*args)
+            finally:
+                selecting.pop()
+
         monkeypatch.setattr(explain_module._Request, "race", spy)
+        monkeypatch.setattr(harness, "select_pairs", select_spy)
         cfg = ExperimentConfig.from_json(logistic_config(engines=["svexp"]))
         serve_datasets(monkeypatch, logistic_data())
         records = run_experiment(cfg).records
@@ -1026,6 +1048,68 @@ class TestWindows:
             assert [len(call) for call in sent] == ([2 ** (req.partition.n - 1) * len(missing)] if missing else [])
             free += not missing
         assert free > 0
+
+    # values() calls and sets of windowed logistic cells before svexp's whole
+    # loop joined the rounds, when the engines still scored its later races.
+    EARLIER_TRAFFIC = {
+        ("svexp", 61): (5, 2080), ("svexp", 62): (5, 1728), ("svexp", 63): (7, 2208), ("svexp", 64): (5, 2112),
+        ("bf+mc+svexp", 61): (5, 2080), ("bf+mc+svexp", 62): (5, 1728),
+        ("bf+mc+svexp", 63): (7, 2240), ("bf+mc+svexp", 64): (5, 2112),
+    }
+
+    @pytest.mark.parametrize("engines, seed", list(EARLIER_TRAFFIC))
+    def test_svexp_whole_loop_joins_the_rounds(self, engines, seed, values_calls, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_json(logistic_config(engines=engines.split("+"), seed=seed))
+        serve_datasets(monkeypatch, logistic_data())
+        explain, own = harness.explain, []
+
+        def spy(*args, **kwargs):
+            sent = len(values_calls)
+            res = explain(*args, **kwargs)
+            own.append(len(values_calls) - sent)
+            return res
+
+        outputs = []
+        for window in (explain_module._WINDOW, 1):
+            with monkeypatch.context() as m:
+                m.setattr(explain_module, "_WINDOW", window)
+                m.setattr(harness, "explain", spy)
+                values_calls.clear()
+                write_outputs(run_experiment(cfg), tmp_path / str(window))
+            outputs.append([(tmp_path / str(window) / name).read_bytes() for name in ("trials.csv", "summary.json")])
+            if window > 1:
+                calls, sets = len(values_calls), sum(map(len, values_calls))
+                assert own and not any(own)  # every engine replays its run from its pair's table
+                own.clear()
+        assert outputs[0] == outputs[1]
+        earlier_calls, earlier_sets = self.EARLIER_TRAFFIC[engines, seed]
+        assert sets <= earlier_sets and calls <= earlier_calls + 1
+
+    def test_every_read_is_yielded_first(self, monkeypatch):
+        # In a window, every shift an engine request reads was yielded, and so
+        # scored by a round, before the read: the reads' own fill is never
+        # reached. A forgotten yield would fall back to it and change no output.
+        reads = {"checks": 0, "race": 0}
+
+        def held(name, shifts_of):
+            fn = getattr(explain_module._Exact, name)
+
+            def spy(route, req, *args):
+                if req.engine != "pair":
+                    reads[name] += 1
+                    missing = [moved for moved in shifts_of(*args) if moved not in route.table]
+                    assert not missing, f"{req.engine} {name} read unyielded shifts {missing}"
+                return fn(route, req, *args)
+
+            monkeypatch.setattr(explain_module._Exact, name, spy)
+
+        held("checks", lambda budget, shifts: shifts)
+        held("race", lambda moved, ents: [moved | {e} for e in ents])
+        cfg = ExperimentConfig.from_json(logistic_config(engines=["bf", "mc", "svexp"]))
+        serve_datasets(monkeypatch, logistic_data())
+        records = run_experiment(cfg).records
+        assert {r.engine for r in records if r.status == "ok"} == {"bf", "mc", "svexp"}
+        assert reads["checks"] > 0 and reads["race"] > 0
 
     @pytest.mark.parametrize("case", list(TRAFFIC_CASES))
     def test_additive_and_kde_send_the_earlier_calls(self, case, values_calls, monkeypatch):
