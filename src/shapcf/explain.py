@@ -30,15 +30,15 @@ shapley.coalition_plan, or _Sampled over drawn prefixes. Pair selection
 (select_pairs) builds each trial's checked request, engine "pair": one plan
 and one precondition check for every engine. An entry e's power is minus
 the differential (or terms) of its shift X | {e}, so a race scores its
-arms' shifts as checks would. _Exact keeps a table of the differentials it
-scored, by shift, and reads it before it scores: svexp's round check reads
-the winning arm's shift, a verification reads its answer's, and the pair's
-table is copied into every engine's request. An engine body is a
-generator that yields the shifts of each read before it reads them, and
-_drive runs bodies: explain runs one alone, its reads scoring what they
-lack; select_pairs runs a window's bodies in lock step on their pairs' own
-tables, each round one _score call, and each engine then replays its run
-from the table.
+arms' shifts as checks would. A trial has one exact table, its pair's:
+every engine's request shares the pair's _Exact route, which holds the
+differential of each shift scored so far. An engine body is a generator
+that yields the shifts of each read before it reads them off the table, so
+svexp's round check reads the winning arm's shift, a verification its
+answer's, and a trial's later engines what its earlier ones scored.
+_drive runs bodies: explain runs one alone, scoring each yield; select_pairs
+runs a window's bodies in lock step, each round one _score call, and each
+engine then replays its run from the table.
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ class _Request:
     one coalition plan, else _Sampled over drawn prefixes.
 
     `pair`, pair selection's prechecked request (engine "pair"), lends its
-    check as the precheck, and its exact route (plan shared, table copied),
-    when checked on this engine's route; never its rng.
+    check as the precheck, and its route itself, plan and table, when
+    checked on this engine's route; never its rng.
     """
 
     def __init__(
@@ -253,9 +253,7 @@ class _Request:
         exact = not draws(engine, partition)
         lent = pair is not None and isinstance(pair.route, _Exact) == exact
         self.route: _Exact | _Sampled = (
-            _Sampled() if not exact
-            else _Exact(pair.route.plan, pair.route.table) if lent
-            else _Exact(coalition_plan(partition, a, b))
+            pair.route if lent else _Exact(coalition_plan(partition, a, b)) if exact else _Sampled()
         )
         self.last: FlipResult | None = pair.last if lent else None  # the latest check, or the precheck
 
@@ -351,20 +349,20 @@ class _Request:
 class _Exact:
     """The exact route: each shift's differential, folded over the pair's one coalition plan.
 
-    `table` holds the differential of each shift scored so far, read before
-    anything is scored; _score fills it for checks, races and a window's rounds.
+    `table` holds the differential of each shift scored so far, filled by
+    _score only; checks and races read it, and a shift it lacks is a bug
+    (KeyError): every read's shifts are yielded, and so scored, first.
     """
 
-    def __init__(self, plan, table: dict[frozenset[EntryId], float] | None = None) -> None:
-        self.plan, self.table = plan, dict(table or {})
+    def __init__(self, plan) -> None:
+        self.plan, self.table = plan, {}
 
     def swapped(self) -> _Exact:
         """The reverse pair's route: this plan, as it leaves out both owners, and no shifts yet."""
         return _Exact(self.plan)
 
     def checks(self, req: _Request, budget: int, shifts: list[frozenset[EntryId]]) -> list[FlipResult]:
-        """The shifts' checks, read off the table; the shifts it lacks are scored first, in one values() call."""
-        _score([(req, shifts)])
+        """The shifts' checks, read off the table."""
         return [_exact_check(self.table[moved], req.cfg.delta) for moved in shifts]
 
     def span(self, req: _Request, moved: frozenset[EntryId]) -> int:
@@ -377,12 +375,9 @@ class _Exact:
         """Every arm's exact power; the argmax wins, ties going to the smallest entry id.
 
         Entry e's power (as power_exact) is minus the table's differential of
-        the shift moved + {e}; the shifts the table lacks are scored in one
-        values() call, as their checks would be.
+        the shift moved + {e}, scored as its check would be.
         """
-        shifts = [moved | {e} for e in ents]
-        _score([(req, shifts)])
-        arms = [ArmState(e, Estimate(req.cfg.delta, minus(self.table[shift]))) for e, shift in zip(ents, shifts)]
+        arms = [ArmState(e, Estimate(req.cfg.delta, minus(self.table[moved | {e}]))) for e in ents]
         best = max(arms, key=lambda s: s.estimate.mean)  # the first of equal maxima
         return Top1Result(best.entry, tuple(arms), 0, True, False)
 
@@ -464,10 +459,10 @@ def select_pairs(
     pair is kept (engines then report the undecided precondition), and one
     drawn the wrong way round is kept as the swapped twin of its request.
     Where the window holds more than one trial, the bodies of the cell's
-    `engines` run on each exact pair, on requests that score into the
-    pair's table, in lock-step rounds of one values() call each (_drive);
-    each engine then replays its run from that table. A lone trial's
-    engines would send those calls themselves.
+    `engines` run on each exact pair, on requests that share the pair's
+    table, in lock-step rounds of one values() call each (_drive); each
+    engine then replays its run from that table. A lone trial's engines
+    send those calls themselves, into the same table.
     A trial's rng is read only where its pair is drawn or its check
     samples (draws("pair", partition)); elsewhere it may be None.
     """
@@ -499,7 +494,6 @@ def select_pairs(
         for pair, engine in itertools.product(chosen, engines):
             if isinstance(pair.route, _Exact):
                 req = _Request(engine, pair.partition, oracle, pair.a, pair.b, None, config, pair)
-                req.route = pair.route  # the pair's table itself, not a copy
                 runs.append((req, ENGINES[engine](req)))
         _drive(runs)
     return chosen
@@ -508,8 +502,8 @@ def select_pairs(
 def _drive(runs: list[tuple[_Request, _Body]]) -> CounterfactualResult | None:
     """Run engine bodies, each on its request: a lone one to its result, several in lock-step rounds.
 
-    A body yields the shifts that its next read needs, then reads them. A
-    lone body's reads score what they lack, as a round would. Several are
+    A body yields the shifts that its next read needs, then reads them off
+    its table. A lone body's yields are one _score call each. Several are
     run for their tables: each round merges, per table, the shifts that the
     bodies' yields need into one _score call, then resumes each body whose
     yield its table holds. A round holds pairs while their shifts fit in
@@ -519,10 +513,10 @@ def _drive(runs: list[tuple[_Request, _Body]]) -> CounterfactualResult | None:
     the table; with svexp, the first race's arms go whole.
     """
     if len(runs) == 1:
-        body = runs[0][1]
+        req, body = runs[0]
         try:
             while True:
-                next(body)
+                _score([(req, next(body))])
         except StopIteration as stop:
             return stop.value
     first = all(req.engine != "svexp" for req, _ in runs)
@@ -580,10 +574,12 @@ def _first_flip(req: _Request, ents: list[EntryId]) -> _Body:
 
     The subsets go in _chunks, with one check call each, each chunk cut
     after the first shift that the table already holds flipped: a window's
-    rounds, or a lent table, may hold the answer, and nothing past it is
-    scored. The verification reads a checked shift: the flip, or the last
-    subset, all of `ents`. The deadline is read before each chunk, and only
-    the subsets up to the first flip count as tested.
+    rounds, or the trial's earlier engines, may hold the answer, and nothing
+    past it is scored. The verification reads a checked shift: the flip, or
+    the last subset, all of `ents` (yielded again: with a empty, the
+    precheck's shift, which a lent check may leave unscored). The deadline
+    is read before each chunk, and only the subsets up to the first flip
+    count as tested.
     """
 
     def verified(moved, tested: int) -> CounterfactualResult:
@@ -600,6 +596,7 @@ def _first_flip(req: _Request, ents: list[EntryId]) -> _Body:
             tested += 1
             if res.verdict == "flipped":
                 return verified(moved, tested)
+    yield [frozenset(ents)]
     return verified(ents, tested)
 
 
@@ -679,6 +676,7 @@ def _svexp(req: _Request) -> _Body:
             break
 
     if final is None:
+        yield [frozenset(moved)]  # the last round's check, or with a empty the precheck's shift
         final = req.verify(moved)
     return req.done(STATUS_OK, moved, final.verdict == "flipped", final.estimate, len(steps), steps)
 

@@ -329,10 +329,10 @@ class _DataUtility(UtilityOracle):
 # values() call's sets are scored in stacks under it, and a larger set
 # alone. The logistic fit keeps three arrays of this size, 512 KB each, which
 # stay in cache: larger groups measured slower on sets of a thousand rows
-# and more. A KDE oracle keeps a workspace of two arrays of this size, 1 MiB,
-# for each thread that scores its stacks (two at most, so 2 MiB in all; see
-# KdeUtility), and runs every stack in its thread's workspace, so a stack
-# touches no fresh pages. With one workspace (and before the difference
+# and more. A KDE oracle makes a workspace of two arrays of this size, 1 MiB,
+# for each of the two threads that may score its stacks (see KdeUtility), and
+# runs every stack in its thread's workspace, so a stack touches no fresh
+# pages. With one workspace (and before the difference
 # table), caps of 2^15, 2^16 and 2^17 ran eight kde-svexp experiments in a
 # median of 1.71, 1.49 and 1.56 s (10 alternating rounds, quartile spreads
 # 0.17-0.40 s, 2-core box), a spread too wide to rank them, at a peak RSS of
@@ -355,11 +355,6 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 # thresholds from 2^14 to 40,000 were within each other's quartiles. 2^15 is
 # as fast as 2^14 and starts fewer threads.
 _THREAD_MIN_ELEMENTS = 1 << 15
-
-# The KDE workspace of the stacks run in this context, when it is not the
-# oracle's own: a threaded call's worker sets the oracle's second one.
-_WORK: contextvars.ContextVar[tuple[np.ndarray, np.ndarray] | None] = contextvars.ContextVar("_WORK", default=None)
-
 
 def _workspace() -> tuple[np.ndarray, np.ndarray]:
     """A KDE stack's workspace: two _STACK_ELEMENTS float arrays (see _kde_log_density)."""
@@ -400,8 +395,8 @@ def _kde_log_density(
     train: np.ndarray,
     test: np.ndarray,
     floor: float,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-    diffs: tuple[np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, np.ndarray],
+    diffs: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
     """Log density of each test point under a product-Gaussian KDE of each set's train points.
 
@@ -415,8 +410,8 @@ def _kde_log_density(
     The log kernel of the whole stack is one (sets, n, n_test) block, test
     points innermost, in work's first float array; its second holds each
     feature's term, then the tie mask, then the transposed copy the sum
-    reads. A stack larger than work (or no work) gets one-off arrays.
-    diffs is (table, idx): a _diff_table of the rows train was gathered
+    reads. A stack larger than work gets one-off arrays.
+    diffs is None or (table, idx): a _diff_table of the rows train was gathered
     from and the (sets, n) ids it was gathered with. Each test point's log
     kernel is summed over train points pairwise: the order numpy takes for a
     set gathered from a C-ordered table (see _restrict), on either axis.
@@ -424,7 +419,7 @@ def _kde_log_density(
     g, n, d = train.shape
     n_test = test.shape[1]
     size = g * n * n_test
-    if work is None or len(work[0]) < size:
+    if len(work[0]) < size:
         work = (np.empty(size), np.empty(size))
     sq = work[0][:size].reshape(g, n, n_test)
     h = np.maximum(_train_std(train) * n ** (-1.0 / (d + 4)), floor)
@@ -453,7 +448,7 @@ def _scaled_sq_dist(
     h: np.ndarray,
     out: np.ndarray,
     z: np.ndarray,
-    diffs: tuple[np.ndarray, np.ndarray] | None = None,
+    diffs: tuple[np.ndarray, np.ndarray] | None,
 ) -> None:
     """sum_j ((test_ij - train_kj) / h_j)^2 for every (train k, test i) pair of each set, into out.
 
@@ -569,15 +564,16 @@ class KdeUtility(_DataUtility):
     each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
     set alone; a set's score is the same bits alone, in any batch and from
     any layout of the caller's arrays, which a Dataset holds C-ordered.
-    Every stack runs in a workspace of two _STACK_ELEMENTS float arrays
-    (1 MiB), made at the first stack and kept; a larger set gets one-off
-    arrays. When the process may run on 2 or more CPUs and a call holds 2 or
-    more stacks of _THREAD_MIN_ELEMENTS up to _STACK_ELEMENTS, one worker
-    thread scores some of them (see _deal), in a second workspace that the
-    oracle makes at its first such call and keeps: one workspace per thread,
-    2 MiB in all. The call joins the worker before it returns, and an error
-    on either thread raises from values() with no score of the call memoised.
-    A set's score has the same bits on either thread. On
+    The oracle makes, with itself, one workspace for the calling thread and
+    one for a worker, each two _STACK_ELEMENTS float arrays (1 MiB) left
+    untouched until a stack runs in it; a larger set gets one-off arrays.
+    When the process may run on 2 or more CPUs and a call holds 2 or more
+    stacks of _THREAD_MIN_ELEMENTS up to _STACK_ELEMENTS, the worker thread
+    scores some of them (see _deal) in its workspace. The call joins the
+    worker before it returns, and an error on either thread raises from
+    values() with no score of the call memoised. A set's score has the same
+    bits on either thread. In pool mode the pool's density is built at the
+    first call, before its stacks are dealt. On
     the rows axis below 8 features the oracle also keeps, from its
     construction, a table of every test - train difference (_diff_table,
     d x n_train x n_test floats, at most _DIFF_TABLE_ELEMENTS), from which
@@ -610,19 +606,15 @@ class KdeUtility(_DataUtility):
         self.error_cap = float(error_cap)
         self.reference = reference
         self.eta = float(eta) if eta is not None else len(test) * self.error_cap
-        self._pool_cache: np.ndarray | None = None
-        self._work: tuple[np.ndarray, np.ndarray] | None = None
-        self._spare: tuple[np.ndarray, np.ndarray] | None = None  # a threaded call's second workspace
+        self._pool_logp: np.ndarray | None = None
+        self._works = (_workspace(), _workspace())  # the caller's and the worker's
         self._diffs = _diff_table(train.features, test.features) if self.axis == "rows" else None
 
-    def _log_density(self, ids_list: list[frozenset[int]]) -> np.ndarray:
-        """The (sets, n_test) log densities of equal-size sets."""
+    def _log_density(self, ids_list: list[frozenset[int]], work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The (sets, n_test) log densities of equal-size sets, run in work."""
         idx = _stack_ids(ids_list, len(self.pool), self.axis)
         x = _restrict(self.train, idx, self.axis)
         t = self.test.features[None] if self.axis == "rows" else _restrict(self.test, idx, self.axis)
-        work = _WORK.get() or self._work
-        if work is None:
-            work = self._work = _workspace()
         diffs = None if self._diffs is None else (self._diffs, idx)
         return _kde_log_density(x, t, self.floor, work, diffs)
 
@@ -636,56 +628,43 @@ class KdeUtility(_DataUtility):
             step = max(1, _STACK_ELEMENTS // per_set)
             groups = (members[at : at + step] for at in range(0, len(members), step))
             stacks += [(per_set * len(group), group) for group in groups]
+        if self.reference == "pool" and self._pool_logp is None:  # before the deal: both threads read it
+            self._pool_logp = self._log_density([frozenset(self.pool)], self._works[0])[0]
         scores = [0.0] * len(ids_list)
+        failed: list[BaseException] = []
         mine, theirs = _deal(stacks)
         if theirs:
-            self._score_on_two_threads(mine, theirs, ids_list, scores)
-        else:
-            self._score_stacks(mine, ids_list, scores)
-        return scores
-
-    def _score_on_two_threads(
-        self, mine: list[list[int]], theirs: list[list[int]], ids_list: list[frozenset[int]], scores: list[float]
-    ) -> None:
-        """_score_stacks of mine here and of theirs on a worker thread, joined before any error is raised."""
-        # Everything the threads share is built here, before the worker starts.
-        if self.reference == "pool":
-            self._pool_logp()
-        self._work, self._spare = self._work or _workspace(), self._spare or _workspace()
-        failed: list[BaseException] = []
-
-        def work() -> None:
-            _WORK.set(self._spare)
-            try:
-                self._score_stacks(theirs, ids_list, scores)
-            except BaseException as exc:
-                failed.append(exc)
-
-        # A copy of this context carries the caller's np.errstate to the worker.
-        worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-        worker.start()
-        try:
-            self._score_stacks(mine, ids_list, scores)
-        finally:
+            # A copy of this context carries the caller's np.errstate to the worker.
+            args = (self._score_stacks, theirs, ids_list, self._works[1], scores, failed)
+            worker = threading.Thread(target=contextvars.copy_context().run, args=args)
+            worker.start()
+        self._score_stacks(mine, ids_list, self._works[0], scores, failed)
+        if theirs:
             worker.join()
         if failed:
             raise failed[0]
+        return scores
 
-    def _score_stacks(self, stacks: list[list[int]], ids_list: list[frozenset[int]], scores: list[float]) -> None:
-        """Score each stack of ids_list positions into scores."""
-        for group in stacks:
-            logp = self._log_density([ids_list[i] for i in group])
-            if self.reference == "nll":
-                err = np.clip(-logp, -self.error_cap, self.error_cap)
-            else:
-                err = np.minimum(np.abs(logp - self._pool_logp()), self.error_cap)
-            for i, total in zip(group, err.sum(axis=1).tolist()):
-                scores[i] = self.eta - total
-
-    def _pool_logp(self) -> np.ndarray:
-        if self._pool_cache is None:
-            self._pool_cache = self._log_density([frozenset(self.pool)])[0]
-        return self._pool_cache
+    def _score_stacks(
+        self,
+        stacks: list[list[int]],
+        ids_list: list[frozenset[int]],
+        work: tuple[np.ndarray, np.ndarray],
+        scores: list[float],
+        failed: list[BaseException],
+    ) -> None:
+        """Score each stack of ids_list positions into scores, in work; an error ends it and goes to failed."""
+        try:
+            for group in stacks:
+                logp = self._log_density([ids_list[i] for i in group], work)
+                if self.reference == "nll":
+                    err = np.clip(-logp, -self.error_cap, self.error_cap)
+                else:
+                    err = np.minimum(np.abs(logp - self._pool_logp), self.error_cap)
+                for i, total in zip(group, err.sum(axis=1).tolist()):
+                    scores[i] = self.eta - total
+        except BaseException as exc:
+            failed.append(exc)
 
 
 def _padded_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -776,7 +755,7 @@ def _tree_sum(a: np.ndarray) -> np.ndarray:
 # the same up to there: on 224 train rows of 4 features, one call took
 # 3.7 ms for 1 set of 6-20 rows, 4.0 ms for 16 and 5.3 ms for 32 such sets,
 # while sets of 100-200 rows cost about in proportion to their count
-# (15.2 ms for 16, 44.9 ms for 64; README, File shapes).
+# (15.2 ms for 16, 44.9 ms for 64; 2-core box, median of 5 rounds).
 SHARED_FIT_VALUES = 1 << 12
 
 

@@ -93,6 +93,8 @@ def test_oracles_and_exact_routes_import_nothing_after_the_package():
 # _THREAD_MIN_ELEMENTS (16 sets of 50 rows and 13 of 60 against 80 test
 # points), with the worker forced on whatever the CPU count.
 THREADED_KDE_CALL = """
+import threading
+
 import numpy as np
 from shapcf import Dataset, make_oracle, utility
 
@@ -107,7 +109,8 @@ sets = [frozenset(rng.choice(300, size=size, replace=False).tolist()) for size i
 
 def test_a_threaded_kde_call_imports_nothing_after_the_package():
     # threading and contextvars load with the package; no pool module may load with the call.
-    added = new_modules(THREADED_KDE_CALL, "oracle.values(sets)\nassert oracle._spare is not None")
+    call = "started = []\nstart = threading.Thread.start\nthreading.Thread.start = lambda t: started.append(t) or start(t)\n"
+    added = new_modules(THREADED_KDE_CALL, call + "oracle.values(sets)\nassert started")
     assert added == []
 
 

@@ -47,7 +47,7 @@ from shapcf.shapley import (
     is_flipped,
     shapley_exact_all,
 )
-from shapcf.utility import AdditiveUtility, KdeUtility, LogRegUtility, SetCoverGame, SetCoverUtility
+from shapcf.utility import AdditiveUtility, KdeUtility, LogRegUtility, SetCoverGame, SetCoverUtility, UtilityOracle
 
 from conftest import make_blobs, on_memo_path, random_games
 from oracles import first_flip_reference, shapley_by_definition
@@ -558,6 +558,7 @@ class TestExactRoute:
         verdicts = set()
         for req, budget, moved, res, sent in rounds:
             fresh = explain_module._Request("svexp", req.partition, req.oracle, req.a, req.b, None, req.cfg)
+            explain_module._score([(fresh, [moved])])
             assert TestPairSession.bits(res) == TestPairSession.bits(check(fresh, budget, moved))
             if req.ents_a - moved:
                 assert sent == 0
@@ -605,7 +606,9 @@ class TestExactRoute:
         calls = []
         values = oracle.values
         monkeypatch.setattr(oracle, "values", lambda sets: calls.append(len(sets)) or values(sets))
-        pick = explain_module._Request("svexp", p, oracle, "A", "B", None, None).race(())
+        req = explain_module._Request("svexp", p, oracle, "A", "B", None, None)
+        explain_module._score([(req, [frozenset({e}) for e in ents])])
+        pick = req.race(())
         powers = [
             diff_shapley_exact(apply_transfer(p, Transfer("A", "B", frozenset({e}))), reference, "B", "A")
             for e in ents
@@ -646,6 +649,7 @@ class TestExactRoute:
             ((tie_p, tie_oracle, "A", "B"), "undecided"),
         ]:
             pair = explain_module._Request("pair", pp, o, a, b, None, cfg)
+            explain_module._score([(pair, [frozenset()])])
             pair.precheck(10)
             res = pair.last
             assert res.verdict == verdict and not res.budget_exhausted
@@ -696,10 +700,14 @@ def test_race_sends_what_checking_its_shifts_sends(n, values_calls):
     ents = [0, 1, 3, 4]
     shifts = [moved | {e} for e in ents]
     if n == 7:
-        explain_module._Request("svexp", p, oracle, "A", "B", None, None).race(moved)
+        race = explain_module._Request("svexp", p, oracle, "A", "B", None, None)
+        explain_module._score([(race, shifts)])
+        race.race(moved)
         raced = values_calls[:]
         values_calls.clear()
-        list(explain_module._Request("mc", p, oracle, "A", "B", spawn_rng(0), None).checks(64, shifts))
+        check = explain_module._Request("mc", p, oracle, "A", "B", spawn_rng(0), None)
+        explain_module._score([(check, shifts)])
+        list(check.checks(64, shifts))
     else:
         sampler = make_power_sampler(p, oracle, "A", "B", moved)
         for e in ents:
@@ -929,8 +937,9 @@ class TestPairSession:
             a, b = p.owner_ids()[:2]
             for pp in (p, padded(p)):
                 pair = explain_module._Request("pair", pp, oracle, a, b, spawn_rng(71, i), cfg)
-                pair.precheck(cfg.check_budget)
                 fresh = explain_module._Request("pair", pp, oracle, b, a, spawn_rng(71, i), cfg)
+                explain_module._score([(pair, [frozenset()]), (fresh, [frozenset()])])  # the sampled route scores nothing
+                pair.precheck(cfg.check_budget)
                 fresh.precheck(cfg.check_budget)
                 if pair.last.estimate.mean == 0.0:
                     continue  # a zero's sign is not negated evidence
@@ -949,6 +958,7 @@ class TestPairSession:
     def test_a_mismatched_pair_raises(self):
         p, oracle = heavy_game()
         pair = explain_module._Request("pair", p, oracle, "A", "B", None, None)
+        explain_module._score([(pair, [frozenset()])])
         pair.precheck(10)
         for engine, args in [
             ("bf", (p, oracle, "B", "A")),
@@ -958,6 +968,52 @@ class TestPairSession:
             with pytest.raises(ValueError, match="not this request's pair"):
                 explain(engine, *args, spawn_rng(72, 0), pair=pair)
         assert explain("mc", p, oracle, "A", "B", spawn_rng(72, 0), pair=pair).delta == (0,)
+
+    def test_a_trials_engines_share_the_pairs_one_table(self, values_calls):
+        # Every engine of an exact trial reads and fills its pair's one table:
+        # mc after bf reads only the shifts bf scored and sends no call, and an
+        # engine run again sends none. Each result is the one on a fresh pair.
+        cfg, scored = ExplainConfig(), 0
+
+        def checked_pair(p, oracle, a, b):
+            (pair,) = explain_module.select_pairs([p], oracle, [None], cfg, cfg.check_budget, (a, b), ["bf"])
+            return pair
+
+        for i, p, oracle, a, b in TestCoalitionPlan.games():
+            pair, sent = checked_pair(p, oracle, a, b), []
+            for engine in ("bf", "mc", "svexp", "bf", "mc", "svexp"):
+                values_calls.clear()
+                res = explain(engine, p, oracle, a, b, spawn_rng(74, i), pair=pair)
+                sent.append(len(values_calls))
+                fresh = explain(engine, p, oracle, a, b, spawn_rng(74, i), pair=checked_pair(p, oracle, a, b))
+                assert res.to_dict() == fresh.to_dict()
+            assert sent[1] == 0 and sent[3:] == [0, 0, 0]
+            scored += sent[0] > 0
+        assert scored >= 10
+
+    def test_an_empty_owner_on_a_swapped_twin_verifies_its_empty_shift(self):
+        # A has a negative value, so a pair drawn as (A, B) is kept as its twin
+        # (B, A), whose table lacks the empty shift; with nothing to give, every
+        # engine verifies that shift, which its body yields and so scores.
+        class Shrinking(UtilityOracle):
+            kind, pool = "shrinking", range(3)
+
+            def _score(self, ids):
+                return 3.0 - len(ids)
+
+        p, cfg, twins = part(A=[0, 1], B=[], C=[2]), ExplainConfig(), 0
+        assert diff_shapley_exact(p, Shrinking(), "A", "B") == -0.5
+        for i in range(40):
+            oracle = Shrinking()
+            (pair,) = explain_module.select_pairs([p], oracle, [spawn_rng(75, i)], cfg, cfg.check_budget, None, ["bf"])
+            if (pair.a, pair.b) != ("B", "A") or pair.route.table:
+                continue  # not the twin of a pair drawn as (A, B)
+            twins += 1
+            for engine in ("bf", "mc", "svexp"):
+                res = explain(engine, p, oracle, "B", "A", pair=pair)
+                assert (res.status, res.delta, res.success, res.final_diff) == (STATUS_OK, (), False, 0.5)
+                assert res.to_dict() == explain(engine, p, Shrinking(), "B", "A").to_dict()
+        assert twins > 0
 
     @pytest.mark.parametrize("engine", ["mc", "svexp"])
     def test_a_sampled_pair_lends_its_check_not_its_rng(self, engine):
@@ -1087,6 +1143,7 @@ class TestChunkedSearch:
                 continue
             oracle, cfg = build(), ExplainConfig()
             pair = explain_module._Request("pair", p, oracle, a, b, None, cfg)
+            explain_module._score([(pair, [frozenset()])])
             pair.precheck(cfg.check_budget)
             explain_module._score([(pair, [frozenset(res.delta)])])
             values, replayed = oracle.values, []

@@ -758,21 +758,22 @@ WINDOW_CASES = {
 # each sent at the commit before windows and the shift table, less the
 # calls of svexp's round checks (each a _Request.check called from _svexp),
 # as values_digest reads it, with each race pair laid out as the check of
-# its shift, (A - X - {e}, B | X | {e}). To regenerate it after a deliberate change of
-# traffic, run each case under the same values() spy and dump its digest,
-# from the repository root, and say in CHANGES.md which cases moved and why:
+# its shift, (A - X - {e}, B | X | {e}); and less, in additive_ties and kde,
+# the shifts a trial's later engine reads off the one table its earlier
+# engines filled. To regenerate it after a deliberate change of traffic,
+# run each case under the values_calls spy and dump its digest, from the
+# repository root, and say in CHANGES.md which cases moved and why:
 #
 #     PYTHONPATH=src:tests python - <<'EOF'
 #     import json, pytest
-#     from conftest import serve_datasets
+#     from conftest import serve_datasets, values_calls
 #     from shapcf.harness import run_experiment
-#     from shapcf.utility import UtilityOracle
 #     from test_harness import GOLDEN, TRAFFIC_CASES, values_digest
-#     digests, values = {}, UtilityOracle.values
+#     digests = {}
 #     for case, build in TRAFFIC_CASES.items():
-#         (cfg, datasets), calls = build(), []
+#         cfg, datasets = build()
 #         with pytest.MonkeyPatch.context() as m:
-#             m.setattr(UtilityOracle, "values", lambda o, sets: calls.append(list(sets)) or values(o, calls[-1]))
+#             calls = values_calls._get_wrapped_function()(m)
 #             serve_datasets(m, datasets)
 #             run_experiment(cfg)
 #         digests[case] = values_digest(calls)
@@ -1087,8 +1088,9 @@ class TestWindows:
 
     def test_every_read_is_yielded_first(self, monkeypatch):
         # In a window, every shift an engine request reads was yielded, and so
-        # scored by a round, before the read: the reads' own fill is never
-        # reached. A forgotten yield would fall back to it and change no output.
+        # scored by a round, before the read. The reads only read the pair's
+        # one table: a forgotten yield raises KeyError there, and this spy
+        # names the engine and the shifts.
         reads = {"checks": 0, "race": 0}
 
         def held(name, shifts_of):

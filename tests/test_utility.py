@@ -327,7 +327,7 @@ def kde_case(d: int, seed: int, order: str = "C") -> tuple[np.ndarray, np.ndarra
 
 def kde_one(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
     """_kde_log_density of a single set: a stack of one."""
-    return _kde_log_density(train[None], test[None], floor)[0]
+    return _kde_log_density(train[None], test[None], floor, utility._workspace(), None)[0]
 
 
 class TestKdeKernelBits:
@@ -356,6 +356,7 @@ class TestKdeKernelBits:
             "strided": lambda x: np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)[::2, ::2],
             "reversed": lambda x: np.ascontiguousarray(x[:, ::-1])[:, ::-1],
         }
+        work = utility._workspace()
         for d in (2, 7, 9, 130):
             train, test = rng.normal(size=(30, d)), rng.normal(size=(9, d))
             names = tuple(f"x{j}" for j in range(d))
@@ -367,10 +368,10 @@ class TestKdeKernelBits:
                 for lay_test in layouts.values():
                     tables = ((lay_train, train), (lay_test, test))
                     tr, te = (Dataset(features=lay(x), feature_names=names) for lay, x in tables)
-                    got = _kde_log_density(utility._restrict(tr, rows, "rows"), te.features[None], 1e-3)[0]
+                    got = _kde_log_density(utility._restrict(tr, rows, "rows"), te.features[None], 1e-3, work, None)[0]
                     assert got.tobytes() == want_rows.tobytes()
                     x, t = (utility._restrict(ds, cols, "features") for ds in (tr, te))
-                    assert _kde_log_density(x, t, 1e-3)[0].tobytes() == want_cols.tobytes()
+                    assert _kde_log_density(x, t, 1e-3, work, None)[0].tobytes() == want_cols.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 9])
     def test_far_point_is_minus_inf_with_the_same_warnings(self, d):
@@ -388,9 +389,9 @@ class TestKdeKernelBits:
         seen = []
         real = KdeUtility._log_density
 
-        def spy(self, ids_list):
+        def spy(self, ids_list, work):
             seen.extend(ids_list)
-            return real(self, ids_list)
+            return real(self, ids_list, work)
 
         monkeypatch.setattr(KdeUtility, "_log_density", spy)
         feats = housing_dataset.features
@@ -520,7 +521,7 @@ class TestKdeBatch:
                         tables = ((lay_train, train), (lay_test, test))
                         o = KdeUtility(*(Dataset(features=lay(x), feature_names=names) for lay, x in tables), axis=axis)
                         assert o.train.features.flags.c_contiguous and o.test.features.flags.c_contiguous
-                        assert o._log_density([frozenset(ids)])[0].tobytes() == want.tobytes()
+                        assert o._log_density([frozenset(ids)], o._works[0])[0].tobytes() == want.tobytes()
 
 
 class TestKdeWorkspace:
@@ -559,15 +560,18 @@ class TestKdeWorkspace:
             # A stack larger than the workspace, once the cap no longer splits it.
             monkeypatch.setattr(utility, "_STACK_ELEMENTS", 100 * cap)
             assert bits(o._score_many(every)) == bits([oracle()._score_many([s])[0] for s in every])
-        held = [
-            a.size for v in vars(o).values() for a in (v if isinstance(v, (tuple, list)) else (v,))
-            if isinstance(a, np.ndarray)
-        ]
-        # The workspace, on rows the table of d x n_train x n_test differences
-        # however it is held, and the pool's density (n_test floats) in pool mode.
+        def arrays(v):
+            if isinstance(v, (tuple, list)):
+                return [a for x in v for a in arrays(x)]
+            return [v] if isinstance(v, np.ndarray) else []
+
+        held = [a.size for v in vars(o).values() for a in arrays(v)]
+        # The two workspaces (the caller's and a worker's), on rows the table of
+        # d x n_train x n_test differences however it is held, and the pool's
+        # density (n_test floats) in pool mode.
         table = train.n_features * len(train) * len(test) if axis == "rows" else 0
-        assert held.count(cap) == 2
-        assert sum(held) == 2 * cap + table + (len(test) if reference == "pool" else 0)
+        assert held.count(cap) == 4
+        assert sum(held) == 4 * cap + table + (len(test) if reference == "pool" else 0)
 
 
 def thread_tables(axis: str, seed: int) -> tuple[Dataset, Dataset]:
@@ -605,13 +609,14 @@ class TestKdeThreads:
 
     @staticmethod
     def record_threads(monkeypatch) -> list[tuple[int, frozenset[int]]]:
-        """(thread id, first set) of each _log_density call from now on."""
-        seen = []
+        """(thread id, first set) of each _log_density call from now on, each run in its thread's workspace."""
+        seen, caller = [], threading.get_ident()
         real = KdeUtility._log_density
 
-        def spy(self, ids_list):
+        def spy(self, ids_list, work):
+            assert work is self._works[threading.get_ident() != caller]
             seen.append((threading.get_ident(), ids_list[0]))
-            return real(self, ids_list)
+            return real(self, ids_list, work)
 
         monkeypatch.setattr(KdeUtility, "_log_density", spy)
         return seen
@@ -643,8 +648,8 @@ class TestKdeThreads:
             runs[cpus] = (o, o.values(call), {ident for ident, _ in seen})
             assert threading.active_count() == threads
         (serial, want, serial_ids), (threaded, got, threaded_ids) = runs[1], runs[2]
-        assert serial_ids == {threading.get_ident()} and serial._spare is None
-        assert len(threaded_ids) == 2 and threading.get_ident() in threaded_ids and threaded._spare is not None
+        assert serial_ids == {threading.get_ident()}
+        assert len(threaded_ids) == 2 and threading.get_ident() in threaded_ids
         assert bits(got) == bits(want)
         assert (threaded.calls, threaded.evals) == (serial.calls, serial.evals) == (len(call), len(sets))
         assert list(threaded._cache.items()) == list(serial._cache.items())
@@ -734,9 +739,9 @@ class TestKdeThreads:
         failed = []
         real = KdeUtility._log_density
 
-        def spy(self, ids_list):
+        def spy(self, ids_list, work):
             try:
-                return real(self, ids_list)
+                return real(self, ids_list, work)
             except FloatingPointError:
                 failed.append(threading.get_ident())
                 raise
@@ -764,7 +769,7 @@ class TestKdeDiffTable:
     @staticmethod
     def check(o: KdeUtility, train: np.ndarray, test: np.ndarray, ids, floor: float) -> np.ndarray:
         """The oracle's log density of one row set has the reference's bits and warnings."""
-        got, got_warnings = with_warnings(o._log_density, [frozenset(ids)])
+        got, got_warnings = with_warnings(o._log_density, [frozenset(ids)], o._works[0])
         want, want_warnings = with_warnings(kde_log_density_reference, train[sorted(ids)], test, floor)
         assert got[0].tobytes() == want.tobytes()
         assert got_warnings == want_warnings
@@ -809,7 +814,7 @@ class TestKdeDiffTable:
         for ids in sets:
             self.check(o, train, test, ids, 1e-3)
         want = [kde_log_density_reference(train[sorted(s)], test, 1e-3) for s in sets]
-        assert o._log_density(sets).tobytes() == np.array(want).tobytes()
+        assert o._log_density(sets, o._works[0]).tobytes() == np.array(want).tobytes()
 
 
 class TestLogReg:
@@ -1227,9 +1232,9 @@ class TestFactoryAndCache:
         seen = []
         real = KdeUtility._log_density
 
-        def spy(self, ids_list):
+        def spy(self, ids_list, work):
             seen.extend(ids_list)
-            return real(self, ids_list)
+            return real(self, ids_list, work)
 
         monkeypatch.setattr(KdeUtility, "_log_density", spy)
         sets = [frozenset(range(5)), frozenset(range(3, 12))]
