@@ -20,7 +20,7 @@ import math
 import operator
 import os
 import threading
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -342,19 +342,21 @@ class _DataUtility(UtilityOracle):
 # 0.62-0.70x and 0.82-0.87x the time per set of scoring its sets one by one,
 # on sets of 20, 60, 120 and 200 train rows, and 0.57-0.58 ms for 12 sets of
 # 45 rows (best of 7 rounds, two draws of the sets).
+# A KDE call starts a worker thread only for 2 or more stacks of at least
+# half this cap. Six kde-svexp experiments (seeds 1-2, experiments 0-2;
+# in-process, 15 interleaved rounds, 2-core box) ran in a median of 0.532 s
+# on one thread, and 0.480, 0.470, 0.484 and 0.512 s with a worker from
+# 2^13, 2^14, 2^15 and 40,000 elements; on seeds 11-13 and 21-23 the
+# thresholds from 2^14 to 40,000 were within each other's quartiles. With
+# the threads taking stacks from one queue, fresh-interpreter pairs against
+# a static split of the stacks read 0.95-1.00x its time from 2^15 elements
+# and 1.02x from any stack. Half the cap is as fast as 2^14 and starts
+# fewer threads.
 _STACK_ELEMENTS = 1 << 16
 
 # CPUs this process may run on, read once at import.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Fewest (test x train x sets) elements of a KDE stack that a worker thread
-# may score (see _deal). Six kde-svexp experiments (seeds 1-2, experiments
-# 0-2; in-process, 15 interleaved rounds, 2-core box) ran in a median of
-# 0.532 s on one thread, and 0.480, 0.470, 0.484 and 0.512 s with a worker
-# from 2^13, 2^14, 2^15 and 40,000 elements; on seeds 11-13 and 21-23 the
-# thresholds from 2^14 to 40,000 were within each other's quartiles. 2^15 is
-# as fast as 2^14 and starts fewer threads.
-_THREAD_MIN_ELEMENTS = 1 << 15
 
 def _workspace() -> tuple[np.ndarray, np.ndarray]:
     """A KDE stack's workspace: two _STACK_ELEMENTS float arrays (see _kde_log_density)."""
@@ -529,28 +531,6 @@ def _sum_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return rows.sum(axis=-1)
 
 
-def _deal(stacks: list[tuple[int, list[int]]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Split (elements, members) stacks into the members the caller scores and a worker's (none: no worker).
-
-    With 2 or more CPUs and 2 or more stacks of _THREAD_MIN_ELEMENTS up to
-    _STACK_ELEMENTS elements, those go largest first to whichever thread
-    holds fewer of their elements so far, the caller on a tie. Every other
-    stack stays with the caller: a small one, and a set above the cap, so the
-    worker never needs arrays beyond its workspace.
-    """
-    dealt = [_THREAD_MIN_ELEMENTS <= elements <= _STACK_ELEMENTS for elements, _ in stacks]
-    if _CPUS < 2 or sum(dealt) < 2:
-        return [members for _, members in stacks], []
-    mine = [members for (_, members), d in zip(stacks, dealt) if not d]
-    theirs: list[list[int]] = []
-    held = [0, 0]
-    for elements, members in sorted((s for s, d in zip(stacks, dealt) if d), key=lambda s: -s[0]):
-        side = held[1] < held[0]
-        held[side] += elements
-        (theirs if side else mine).append(members)
-    return mine, theirs
-
-
 class KdeUtility(_DataUtility):
     """Density-estimation usefulness of a composed set against held-out points.
 
@@ -567,13 +547,15 @@ class KdeUtility(_DataUtility):
     The oracle makes, with itself, one workspace for the calling thread and
     one for a worker, each two _STACK_ELEMENTS float arrays (1 MiB) left
     untouched until a stack runs in it; a larger set gets one-off arrays.
-    When the process may run on 2 or more CPUs and a call holds 2 or more
-    stacks of _THREAD_MIN_ELEMENTS up to _STACK_ELEMENTS, the worker thread
-    scores some of them (see _deal) in its workspace. The call joins the
-    worker before it returns, and an error on either thread raises from
-    values() with no score of the call memoised. A set's score has the same
-    bits on either thread. In pool mode the pool's density is built at the
-    first call, before its stacks are dealt. On
+    A call's stacks wait in one queue, largest first. When the process may
+    run on 2 or more CPUs and a call holds 2 or more stacks of at least half
+    _STACK_ELEMENTS, the call starts a worker thread, and the caller and the
+    worker each take the next stack, in their own workspace, until the queue
+    is empty or either has failed. The call joins the worker before it
+    returns, and an error on either thread raises from values() with no
+    score of the call memoised. A set's score has the same bits on either
+    thread. In pool mode the pool's density is built on the caller at the
+    first call, before the worker starts. On
     the rows axis below 8 features the oracle also keeps, from its
     construction, a table of every test - train difference (_diff_table,
     d x n_train x n_test floats, at most _DIFF_TABLE_ELEMENTS), from which
@@ -628,18 +610,27 @@ class KdeUtility(_DataUtility):
             step = max(1, _STACK_ELEMENTS // per_set)
             groups = (members[at : at + step] for at in range(0, len(members), step))
             stacks += [(per_set * len(group), group) for group in groups]
-        if self.reference == "pool" and self._pool_logp is None:  # before the deal: both threads read it
+        if self.reference == "pool" and self._pool_logp is None:  # before the worker: both threads read it
             self._pool_logp = self._log_density([frozenset(self.pool)], self._works[0])[0]
+        stacks.sort(key=lambda s: -s[0])
+        # A worker for 2 or more stacks of at least half the cap (see _STACK_ELEMENTS).
+        threaded = _CPUS > 1 and len(stacks) > 1 and stacks[1][0] >= _STACK_ELEMENTS // 2
+        queue, lock = iter([members for _, members in stacks]), threading.Lock()
         scores = [0.0] * len(ids_list)
         failed: list[BaseException] = []
-        mine, theirs = _deal(stacks)
-        if theirs:
+
+        def take() -> list[int] | None:
+            """The next stack, largest first; None once the queue is empty or either thread has failed."""
+            with lock:
+                return None if failed else next(queue, None)
+
+        if threaded:
             # A copy of this context carries the caller's np.errstate to the worker.
-            args = (self._score_stacks, theirs, ids_list, self._works[1], scores, failed)
+            args = (self._score_stacks, take, ids_list, self._works[1], scores, failed)
             worker = threading.Thread(target=contextvars.copy_context().run, args=args)
             worker.start()
-        self._score_stacks(mine, ids_list, self._works[0], scores, failed)
-        if theirs:
+        self._score_stacks(take, ids_list, self._works[0], scores, failed)
+        if threaded:
             worker.join()
         if failed:
             raise failed[0]
@@ -647,15 +638,15 @@ class KdeUtility(_DataUtility):
 
     def _score_stacks(
         self,
-        stacks: list[list[int]],
+        take: Callable[[], list[int] | None],
         ids_list: list[frozenset[int]],
         work: tuple[np.ndarray, np.ndarray],
         scores: list[float],
         failed: list[BaseException],
     ) -> None:
-        """Score each stack of ids_list positions into scores, in work; an error ends it and goes to failed."""
+        """Score the stacks take gives, ids_list positions each, into scores, in work; an error goes to failed."""
         try:
-            for group in stacks:
+            while (group := take()) is not None:
                 logp = self._log_density([ids_list[i] for i in group], work)
                 if self.reference == "nll":
                     err = np.clip(-logp, -self.error_cap, self.error_cap)

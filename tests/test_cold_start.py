@@ -89,8 +89,8 @@ def test_oracles_and_exact_routes_import_nothing_after_the_package():
     assert new_modules("import shapcf, numpy.random", ORACLES_AND_EXACT_ROUTES) == []
 
 
-# A KDE oracle and one call's sets in two stacks of at least
-# _THREAD_MIN_ELEMENTS (16 sets of 50 rows and 13 of 60 against 80 test
+# A KDE oracle and one call's sets in two stacks of at least half
+# _STACK_ELEMENTS (16 sets of 50 rows and 13 of 60 against 80 test
 # points), with the worker forced on whatever the CPU count.
 THREADED_KDE_CALL = """
 import threading

@@ -8,6 +8,7 @@ import math
 import sys
 import threading
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -589,11 +590,11 @@ def draw_sets(rng: np.random.Generator, pool, size: int, count: int) -> list[fro
 
 
 class TestKdeThreads:
-    """A call with two or more stacks of _THREAD_MIN_ELEMENTS scores some of them on a worker thread."""
+    """A call with two or more stacks of at least half _STACK_ELEMENTS scores them from one queue on two threads."""
 
     @staticmethod
     def sets(axis: str, seed: int) -> list[frozenset[int]]:
-        """One call's sets: stacks of at least _THREAD_MIN_ELEMENTS (2^15) elements beside small ones.
+        """One call's sets: stacks of at least half _STACK_ELEMENTS (2^15 elements) beside small ones.
 
         Rows, against 80 test points: 32 sets of 50 rows (two stacks of
         64,000 elements), 13 of 60 rows (62,400) and 10 of 20 rows (16,000).
@@ -621,16 +622,38 @@ class TestKdeThreads:
         monkeypatch.setattr(KdeUtility, "_log_density", spy)
         return seen
 
-    def test_large_stacks_are_dealt_largest_first_to_the_thread_holding_fewer(self, monkeypatch):
-        monkeypatch.setattr(utility, "_CPUS", 2)
-        a, b, c, d, e = ([i] for i in range(5))
-        # b is small and e a set above the cap: both stay with the caller.
-        stacks = [(62_400, a), (16_000, b), (64_000, c), (70_000, e), (64_000, d)]
-        assert utility._deal(stacks) == ([b, e, c, a], [d])
-        assert utility._deal(stacks[:4]) == ([b, e, c], [a])
-        assert utility._deal(stacks[1:4]) == ([b, c, e], [])  # one large stack: no worker
-        monkeypatch.setattr(utility, "_CPUS", 1)
-        assert utility._deal(stacks) == ([a, b, c, e, d], [])
+    @staticmethod
+    def hold_first_stacks(monkeypatch) -> None:
+        """From now on, in a threaded call the caller holds the first stack and the worker the second before either goes on.
+
+        One barrier, met twice: the worker takes no stack until the caller
+        holds one, and the caller's first stack waits until the worker holds
+        one too. Calls while _CPUS is 1, and single sets (the pool's density,
+        value()), pass straight through.
+        """
+        caller, barrier, held = threading.get_ident(), threading.Barrier(2, timeout=60), set()
+        score_stacks, log_density = KdeUtility._score_stacks, KdeUtility._log_density
+
+        def take_second(self, *args):
+            if threading.get_ident() != caller:
+                barrier.wait()  # the caller holds the first stack
+                return score_stacks(self, *args)
+            try:
+                return score_stacks(self, *args)
+            finally:
+                held.clear()
+
+        def hold(self, ids_list, work):
+            ident = threading.get_ident()
+            if utility._CPUS > 1 and len(ids_list) > 1 and ident not in held:
+                held.add(ident)
+                if ident == caller:
+                    barrier.wait()  # the worker may take the second stack
+                barrier.wait()  # both threads hold a stack
+            return log_density(self, ids_list, work)
+
+        monkeypatch.setattr(KdeUtility, "_score_stacks", take_second)
+        monkeypatch.setattr(KdeUtility, "_log_density", hold)
 
     @pytest.mark.parametrize("reference", ["pool", "nll"])
     @pytest.mark.parametrize("axis", ["rows", "features"])
@@ -638,6 +661,7 @@ class TestKdeThreads:
         train, test = thread_tables(axis, 30)
         sets = self.sets(axis, 31)
         call = sets + sets[:3]  # repeats count as calls, not evals
+        self.hold_first_stacks(monkeypatch)
         seen = self.record_threads(monkeypatch)
         threads = threading.active_count()
         runs = {}
@@ -676,6 +700,7 @@ class TestKdeThreads:
         monkeypatch.setattr(utility, "_CPUS", 2)
         train, test = thread_tables("rows", 32)
         o = KdeUtility(train, test)
+        self.hold_first_stacks(monkeypatch)
         seen = self.record_threads(monkeypatch)
         o.values(self.sets("rows", 33))
         pool = frozenset(range(len(train)))
@@ -688,8 +713,9 @@ class TestKdeThreads:
     def two_stacks() -> tuple[Dataset, Dataset, list[frozenset[int]], list[frozenset[int]]]:
         """Tables and one call's sets in two large stacks, (caller's, worker's).
 
-        The caller takes the larger stack, of 16 sets of 50 rows (64,000
-        elements), and the worker the 13 sets of 60 rows (62,400).
+        Under hold_first_stacks the caller takes the larger stack, of 16 sets
+        of 50 rows (64,000 elements), and the worker the 13 sets of 60 rows
+        (62,400).
         """
         train, test = thread_tables("rows", 34)
         rng = np.random.default_rng(35)
@@ -707,6 +733,7 @@ class TestKdeThreads:
 
     def test_an_error_in_the_workers_stack_raises_from_values(self, monkeypatch):
         monkeypatch.setattr(utility, "_CPUS", 2)
+        self.hold_first_stacks(monkeypatch)
         train, test, mine, theirs = self.two_stacks()
         kernel = utility._kde_log_density
         failed = []
@@ -730,6 +757,7 @@ class TestKdeThreads:
 
     def test_the_callers_error_state_holds_on_the_worker(self, monkeypatch):
         monkeypatch.setattr(utility, "_CPUS", 2)
+        self.hold_first_stacks(monkeypatch)
         train, test, mine, theirs = self.two_stacks()
         # A feature of 1e200 in one of the worker's sets: its squared deviation overflows.
         big = next(iter(theirs[0] - frozenset().union(*mine)))
@@ -754,6 +782,70 @@ class TestKdeThreads:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert len(o.values(mine + theirs)) == len(mine + theirs)
+
+    def test_a_free_thread_takes_the_next_stack(self, monkeypatch):
+        # The caller's first stack waits until the worker has scored two
+        # more; every set is then scored once, in one stack on one thread.
+        train, test = thread_tables("rows", 38)
+        sets = self.sets("rows", 39)
+        monkeypatch.setattr(utility, "_CPUS", 1)
+        want = KdeUtility(train, test, reference="nll").values(sets)
+        monkeypatch.setattr(utility, "_CPUS", 2)
+        caller, done, scored = threading.get_ident(), threading.Condition(), []
+        real = KdeUtility._log_density
+
+        def spy(self, ids_list, work):
+            ident = threading.get_ident()
+            if ident == caller and all(i != caller for i, _ in scored):
+                with done:
+                    assert done.wait_for(lambda: len(scored) >= 2, timeout=10), "the worker scored fewer than two stacks"
+            logp = real(self, ids_list, work)
+            with done:
+                scored.append((ident, tuple(ids_list)))
+                done.notify_all()
+            return logp
+
+        monkeypatch.setattr(KdeUtility, "_log_density", spy)
+        got = KdeUtility(train, test, reference="nll").values(sets)
+        assert bits(got) == bits(want)
+        threads = [ident for ident, _ in scored]
+        assert threads[0] == threads[1] != caller and caller in threads
+        assert len(scored) == 4  # stacks of 16, 16, 13 and 10 sets
+        assert Counter(s for _, stack in scored for s in stack) == Counter(sets)
+
+    @pytest.mark.parametrize("fails", ["caller", "worker"])
+    def test_no_thread_takes_a_stack_after_an_error(self, fails, monkeypatch):
+        monkeypatch.setattr(utility, "_CPUS", 2)
+        train, test = thread_tables("rows", 40)
+        rng = np.random.default_rng(41)
+        # Eight stacks: 12 sets each of 40 to 47 rows (38,400 to 45,120 elements).
+        sets = [s for size in range(40, 48) for s in draw_sets(rng, 300, size, 12)]
+        caller, barrier, lock = threading.get_ident(), threading.Barrier(2, timeout=60), threading.Lock()
+        calls, failed_at = [], []
+        kernel = utility._kde_log_density
+
+        def spy(*args):
+            ident = threading.get_ident()
+            with lock:
+                first = ident not in calls
+                calls.append(ident)
+            if first:
+                barrier.wait()  # each thread holds a stack
+                if (ident == caller) == (fails == "caller"):
+                    with lock:
+                        failed_at.append(len(calls))
+                    raise RuntimeError("a failing stack")
+            return kernel(*args)
+
+        o = KdeUtility(train, test, reference="nll")
+        monkeypatch.setattr(utility, "_kde_log_density", spy)
+        with pytest.raises(RuntimeError):
+            o.values(sets)
+        assert len(failed_at) == 1 and len(set(calls)) == 2
+        after = Counter(calls[failed_at[0] :])
+        assert all(n <= 1 for n in after.values())  # each thread at most one more kernel call
+        assert after[caller if fails == "caller" else next(i for i in calls if i != caller)] == 0
+        assert not any(s in o._cache for s in sets)
 
 
 def kde_rows_oracle(train: np.ndarray, test: np.ndarray, floor: float) -> KdeUtility:
