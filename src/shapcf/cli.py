@@ -14,7 +14,7 @@ from .datasets import load_partition, read_json
 from .explain import ENGINES, ExplainConfig, draws, explain as run_engine
 from .harness import ExperimentConfig, load_split, run_experiment, write_outputs
 from .shapley import shapley_exact_all, shapley_mc
-from .utility import DATA_BACKED_KINDS, UtilityOracle, make_oracle, normalize_kind, unwrap_config
+from .utility import DATA_BACKED, UtilityOracle, check_config, make_oracle
 
 # Stream tags for CLI-level randomness, disjoint from the harness tags.
 _STREAM_SHAPLEY = 100
@@ -47,16 +47,16 @@ def _load_inputs(
 ) -> tuple[OwnerPartition, UtilityOracle]:
     """The partition and its utility's oracle; a data-backed utility's data is split on `seed`.
 
-    Every entry of the partition must be one the oracle scores, in its pool.
+    The utility file is read and checked before any other file. Every entry
+    of the partition must be one the oracle scores, in its pool.
     """
     cfg = read_json(utility_path, "utility file")
-    inner = unwrap_config(cfg)
-    kind = normalize_kind(inner["kind"])
+    kind, utility = check_config(cfg)
     train = test = None
-    if kind in DATA_BACKED_KINDS:
+    if kind in DATA_BACKED:
         if data is None:
             raise click.UsageError(f"utility kind {kind!r} needs --data")
-        train, test = load_split(data, test_data, test_ratio, seed, label=inner.get("label"))
+        train, test = load_split(data, test_data, test_ratio, seed, label=utility.get("label"))
     partition = load_partition(partition_path)
     oracle = make_oracle(cfg, train, test, cache=cache)
     stray = sorted(partition.universe().difference(oracle.pool))
@@ -153,8 +153,8 @@ def explain_cmd(engine, data, test_data, test_ratio, partition_path, utility_pat
                 owner_a, owner_b, delta, epsilon, budget, timeout, seed, out):
     """Find a transfer set from owner --a to owner --b that flips their ranking."""
     try:
-        partition, oracle = _load_inputs(data, test_data, test_ratio, partition_path, utility_path, seed)
         ecfg = ExplainConfig(delta=delta, epsilon=epsilon, check_budget=budget, timeout=timeout)
+        partition, oracle = _load_inputs(data, test_data, test_ratio, partition_path, utility_path, seed)
         rng = spawn_rng(seed, _STREAM_EXPLAIN) if draws(engine, partition) else None
         result = run_engine(engine, partition, oracle, owner_a, owner_b, rng, config=ecfg)
         _emit(result.to_dict(), out)

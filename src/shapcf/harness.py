@@ -45,7 +45,7 @@ from .datasets import Dataset, check_test_ratio, load_csv, read_json, split_data
 from .explain import ENGINES, CounterfactualResult, ExplainConfig, draws, explain, select_pairs, window
 from .metrics import mean_jaccard, size_stats, success_rate
 from .shapley import is_flipped  # unused here; perfbench/tracing.py wraps this name
-from .utility import DATA_BACKED_KINDS, make_oracle, normalize_kind, unwrap_config
+from .utility import DATA_BACKED, check_config, make_oracle
 
 # RNG stream tags; stable across releases so seeds stay meaningful.
 _STREAM_SPLIT = 0
@@ -75,7 +75,6 @@ _OBJECT: Rule = ("a JSON object", lambda v: isinstance(v, dict))
 _PATH: Rule = ("a path", lambda v: v is None or isinstance(v, str))
 # The shape of each config field that is not a count.
 _SHAPES: dict[str, Rule] = {
-    "utility": _OBJECT,
     "engines": (
         f"a non-empty list of distinct engines of {sorted(ENGINES)}",
         lambda v: isinstance(v, (list, tuple)) and bool(v)
@@ -230,10 +229,13 @@ class ExperimentConfig:
     """An experiment, checked when it is built; README's File shapes lists its keys.
 
     Any value or key the run would reject or ignore raises MalformedInput
-    here, before any data loads. Construction also resolves what the run
-    reads off the sampling and pair sections: the engines' explain_config,
-    the pair_budget (check_budget unless set) and the pair_mode (designated
-    for a zipfian allocation, else random, unless set).
+    here, before any data loads: the utility's kind, keys and values by
+    utility.check_config, the rest (the allocation against the utility's
+    axis too) here and by ExplainConfig. Construction also resolves what
+    the run reads off the sampling and pair sections: the engines'
+    explain_config, the pair_budget (check_budget unless set) and the
+    pair_mode (designated for a zipfian allocation, else random, unless
+    set).
     """
 
     utility: dict
@@ -252,6 +254,7 @@ class ExperimentConfig:
     pair_mode: str = field(init=False)
 
     def __post_init__(self) -> None:
+        utility_kind, utility = check_config(self.utility)
         for key, (need, ok) in _SHAPES.items():
             if not ok(getattr(self, key)):
                 raise MalformedInput(f"experiment config has a bad {key!r}: {getattr(self, key)!r} (need {need})")
@@ -267,6 +270,11 @@ class ExperimentConfig:
             raise MalformedInput('vertical allocation needs a "groups" object')
         if kind == "natural" and not isinstance(alloc.get("group"), str):
             raise MalformedInput(f'natural allocation needs a "group" column name, got {alloc.get("group")!r}')
+        # A vertical allocation's entries are feature columns, every other kind's
+        # training rows; every data-backed oracle's axis defaults to rows.
+        need, axis = "features" if kind == "vertical" else "rows", utility.get("axis", "rows")
+        if utility_kind in DATA_BACKED and axis != need:
+            raise MalformedInput(f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {axis!r}")
         mode = pair.get("mode")
         if mode is None:
             mode = "designated" if kind == "zipfian" else "random"
@@ -373,17 +381,16 @@ def load_split(
 
 
 def _load_data(cfg: ExperimentConfig) -> tuple[Dataset | None, Dataset | None]:
-    inner = unwrap_config(cfg.utility)
-    kind = normalize_kind(inner["kind"])
+    kind, utility = check_config(cfg.utility)
     alloc_kind = cfg.allocation.get("kind")
-    needs = kind in DATA_BACKED_KINDS or alloc_kind in ("natural", "vertical")
+    needs = kind in DATA_BACKED or alloc_kind in ("natural", "vertical")
     if not needs:
         return None, None
     if cfg.data is None:
         raise MalformedInput(f"utility kind {kind!r} / allocation {alloc_kind!r} needs a data file")
     return load_split(
         cfg.data, cfg.test_data, cfg.test_ratio, cfg.seed,
-        label=inner.get("label"), group=cfg.allocation.get("group"),
+        label=utility.get("label"), group=cfg.allocation.get("group"),
     )
 
 
@@ -520,11 +527,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all cells and trials; deterministic given cfg.seed."""
     train, test = _load_data(cfg)
     oracle = make_oracle(cfg.utility, train, test)
-    # A vertical allocation's entries are feature columns, every other kind's are training rows.
-    kind = cfg.allocation["kind"]
-    need = "features" if kind == "vertical" else "rows"
-    if getattr(oracle, "axis", need) != need:
-        raise MalformedInput(f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {oracle.axis!r}")
     cells, axis = _cells(cfg, train, oracle.pool)
     records: list[TrialRecord] = []
     windows: list[dict] = []
@@ -605,7 +607,7 @@ def summarize(
             "trials": cfg.trials,
             "seed": cfg.seed,
             "allocation": cfg.allocation,
-            "utility": unwrap_config(cfg.utility),
+            "utility": check_config(cfg.utility)[1],
             "pair": cfg.pair,
             "sampling": cfg.sampling,
         },

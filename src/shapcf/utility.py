@@ -11,6 +11,11 @@ test error so that more useful data scores higher.
 Data-backed oracles accept an axis: "rows" treats entry ids as training-row
 positions (all feature columns used), "features" treats them as feature-column
 positions (all training rows used).
+
+_RULES holds each kind's config keys and their values' rules, and
+check_config checks a config by it without data. ExperimentConfig, the CLI
+(before it reads a data file), make_oracle and the constructors (on their
+own arguments) run it; a constructor then checks what needs the data.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import contextvars
 import math
 import operator
 import os
+import reprlib
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -26,16 +32,60 @@ from itertools import chain
 
 import numpy as np
 
-from .core import MalformedInput, NonFiniteScore, Rule, check_values, entry_ids, is_integer, is_number
+from .core import MalformedInput, NonFiniteScore, Rule, entry_ids, is_integer, is_number
 from .datasets import Dataset
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Rules for the utilities' numeric parameters.
 _FINITE: Rule = ("a finite number", lambda v: is_number(v) and math.isfinite(v))
 _FINITE_OR_NULL: Rule = ("a finite number or null", lambda v: v is None or _FINITE[1](v))
 _POSITIVE: Rule = ("a finite number > 0", lambda v: is_number(v) and 0.0 < v < math.inf)
 _NON_NEGATIVE: Rule = ("a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf)
+_AXIS: Rule = ('"rows" or "features"', lambda v: v in ("rows", "features"))
+
+
+def _weights_ok(weights: object) -> bool:
+    """Whether weights maps entry ids to finite numbers >= 0 whose sum does not overflow.
+
+    An id is an integer >= 0 or, as a JSON key, its decimal string. Float
+    and int weights skip the per-weight is_number call. As no weight is
+    negative, the sum overflows exactly when math.fsum's total does.
+    """
+    if not isinstance(weights, Mapping) or not all(
+        e.isdecimal() if isinstance(e, str) else is_integer(e) and e >= 0 for e in weights
+    ):
+        return False
+    values = list(weights.values())
+    if not set(map(type, values)) <= {float, int} and not all(map(is_number, values)):
+        return False
+    try:
+        return min(values, default=0.0) >= 0.0 and math.isfinite(math.fsum(values))
+    except OverflowError:  # an int weight past the largest float
+        return False
+
+
+def _is_ints(v: object) -> bool:
+    return isinstance(v, (list, tuple, set, frozenset)) and all(map(is_integer, v))
+
+
+# Each utility kind's config keys besides "kind" and "label" (the data file's
+# label column), and the rule each value must meet. A synthetic kind needs
+# every key; a data-backed kind's oracle holds the defaults of the keys a
+# config leaves out. README's File shapes lists this table.
+_RULES: dict[str, dict[str, Rule]] = {
+    "additive": {"weights": ("an object of entry ids (integers >= 0) to finite numbers >= 0 with no overflowing sum",
+                             _weights_ok)},
+    "set-cover": {
+        "universe": ("a non-empty list of integers", lambda v: _is_ints(v) and len(v) > 0),
+        "subsets": ("a list of lists of integers in the universe",
+                    lambda v: isinstance(v, (list, tuple)) and all(map(_is_ints, v))),
+    },
+    "kde": {"eta": _FINITE_OR_NULL, "bandwidth_floor": _NON_NEGATIVE, "error_cap": _POSITIVE,
+            "reference": ('"pool" or "nll"', lambda v: v in ("pool", "nll")), "axis": _AXIS},
+    "logistic-regression": {"eta": _FINITE, "iters": ("an integer >= 0", lambda v: is_integer(v) and v >= 0),
+                            "lr": _POSITIVE, "l2": _NON_NEGATIVE, "axis": _AXIS},
+    "linear-regression": {"eta": _FINITE_OR_NULL, "axis": _AXIS},
+}
 
 
 class UtilityOracle:
@@ -145,7 +195,8 @@ class AdditiveUtility(UtilityOracle):
     score is its integer sum n divided by 2^K. Int true division rounds
     correctly, so a score is the correctly rounded sum of its weights: the
     bits math.fsum gives in any order. The weights' total must round to a
-    finite float, so no set's score overflows.
+    finite float, so no set's score overflows. An id is an int or its
+    decimal string.
 
     Where the weights' integer total and 2^K both convert to finite floats,
     n is divided in float instead, as float(n) / 2.0**K, which has the same
@@ -158,21 +209,15 @@ class AdditiveUtility(UtilityOracle):
 
     kind = "additive"
 
-    def __init__(self, weights: Mapping[int, float], *, cache: bool = True):
+    def __init__(self, weights: Mapping[int | str, float], *, cache: bool = True):
+        check_config({"kind": self.kind, "weights": weights})
         super().__init__(cache=cache)
         self.weights = {int(e): float(w) for e, w in weights.items()}
         self.pool = sorted(self.weights)
-        bad = sorted(e for e, w in self.weights.items() if w < 0 or not math.isfinite(w))
-        if bad:
-            raise MalformedInput(f"additive weights must be finite and >= 0, bad entries {bad[:8]}")
         ratios = {e: w.as_integer_ratio() for e, w in self.weights.items()}  # each denominator a power of 2
         self._scale = max((den for _, den in ratios.values()), default=1)
         self._ints = {e: num * (self._scale // den) for e, (num, den) in ratios.items()}
         n = sum(self._ints.values())
-        try:
-            n / self._scale
-        except OverflowError:
-            raise MalformedInput("additive weights must sum to a finite float, these overflow") from None
         # The divisor of an integer sum: 2^K as a float where that gives the same bits, else as an int.
         self._divisor: int | float = self._scale
         try:
@@ -237,15 +282,11 @@ class SetCoverGame:
     subsets: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        check_config({"kind": "set-cover", "universe": self.universe, "subsets": self.subsets})
         object.__setattr__(self, "universe", frozenset(int(u) for u in self.universe))
         object.__setattr__(
             self, "subsets", tuple(frozenset(int(v) for v in s) for s in self.subsets)
         )
-        if not self.universe:
-            raise MalformedInput("set-cover universe is empty")
-        stray = frozenset().union(*self.subsets) - self.universe if self.subsets else frozenset()
-        if stray:
-            raise MalformedInput(f"subset items {sorted(stray)} outside the universe")
 
     @property
     def m(self) -> int:
@@ -315,8 +356,6 @@ class _DataUtility(UtilityOracle):
     """A data-backed oracle: its train and test tables, its axis, and the axis's ids as its pool."""
 
     def __init__(self, train: Dataset, test: Dataset, axis: str, *, cache: bool) -> None:
-        if axis not in ("rows", "features"):
-            raise MalformedInput(f'axis must be "rows" or "features", got {axis!r}')
         super().__init__(cache=cache)
         self.train = train
         self.test = test
@@ -576,13 +615,8 @@ class KdeUtility(_DataUtility):
         axis: str = "rows",
         cache: bool = True,
     ):
-        if reference not in ("pool", "nll"):
-            raise MalformedInput(f'kde reference must be "pool" or "nll", got {reference!r}')
-        check_values(
-            "kde parameters",
-            [("eta", eta, _FINITE_OR_NULL), ("bandwidth_floor", bandwidth_floor, _NON_NEGATIVE),
-             ("error_cap", error_cap, _POSITIVE)],
-        )
+        check_config({"kind": self.kind, "eta": eta, "bandwidth_floor": bandwidth_floor, "error_cap": error_cap,
+                      "reference": reference, "axis": axis})
         super().__init__(train, test, axis, cache=cache)
         self.floor = float(bandwidth_floor)
         self.error_cap = float(error_cap)
@@ -778,17 +812,9 @@ class LogRegUtility(_DataUtility):
         axis: str = "rows",
         cache: bool = True,
     ):
+        check_config({"kind": self.kind, "eta": eta, "iters": iters, "lr": lr, "l2": l2, "axis": axis})
         if train.labels is None or test.labels is None:
             raise MalformedInput("logistic-regression utility needs a label column")
-        check_values(
-            "logistic-regression parameters",
-            (
-                ("eta", eta, _FINITE),
-                ("iters", iters, ("an integer >= 0", lambda v: is_integer(v) and v >= 0)),
-                ("lr", lr, _POSITIVE),
-                ("l2", l2, _NON_NEGATIVE),
-            ),
-        )
         super().__init__(train, test, axis, cache=cache)
         self.eta = float(eta)
         self.iters = int(iters)
@@ -995,9 +1021,9 @@ class LinRegUtility(_DataUtility):
         axis: str = "rows",
         cache: bool = True,
     ):
+        check_config({"kind": self.kind, "eta": eta, "axis": axis})
         if train.labels is None or test.labels is None:
             raise MalformedInput("linear-regression utility needs a label column")
-        check_values("linear-regression parameters", [("eta", eta, _FINITE_OR_NULL)])
         super().__init__(train, test, axis, cache=cache)
         if eta is not None:
             self.eta = float(eta)
@@ -1018,41 +1044,23 @@ class LinRegUtility(_DataUtility):
         return self.eta - mse
 
 
-_KIND_ALIASES = {
-    "additive": "additive",
-    "set-cover": "set-cover",
-    "setcover": "set-cover",
-    "kde": "kde",
-    "logreg": "logistic-regression",
-    "logistic-regression": "logistic-regression",
-    "linreg": "linear-regression",
-    "linear-regression": "linear-regression",
+_KIND_ALIASES = {kind: kind for kind in _RULES} | {
+    "setcover": "set-cover", "logreg": "logistic-regression", "linreg": "linear-regression"
 }
-
-# Each data-backed kind: its oracle and the config keys it takes; the oracle
-# holds the defaults of the keys a config leaves out.
-_DATA_BACKED = {
-    "kde": (KdeUtility, ("eta", "bandwidth_floor", "error_cap", "reference", "axis")),
-    "logistic-regression": (LogRegUtility, ("eta", "iters", "lr", "l2", "axis")),
-    "linear-regression": (LinRegUtility, ("eta", "axis")),
-}
-DATA_BACKED_KINDS = frozenset(_DATA_BACKED)
-# The config keys each kind takes besides "kind" and "label"; "label" names
-# the data file's label column wherever a data file is read.
-_KEYS = {"additive": ("weights",), "set-cover": ("universe", "subsets")} | {
-    kind: keys for kind, (_, keys) in _DATA_BACKED.items()
-}
+# Each data-backed kind's oracle; its constructor holds the defaults of the keys a config leaves out.
+DATA_BACKED = {"kde": KdeUtility, "logistic-regression": LogRegUtility, "linear-regression": LinRegUtility}
 
 
-def normalize_kind(kind: str) -> str:
-    key = str(kind).strip().lower().replace("_", "-").replace(" ", "-")
-    if key not in _KIND_ALIASES:
-        raise MalformedInput(f"unknown utility kind {kind!r}")
-    return _KIND_ALIASES[key]
+def check_config(cfg: object) -> tuple[str, dict]:
+    """The kind of a utility config and the kind's object, checked by _RULES without data.
 
-
-def unwrap_config(cfg: dict) -> dict:
-    """Accept either the bare kind object or a {"utility": {...}} wrapper."""
+    Either the bare kind object or a {"utility": {...}} wrapper is taken.
+    An unknown kind, a key the kind does not take (besides "kind" and
+    "label") in the object or beside the wrapper, a synthetic kind's
+    missing key and a value that breaks its rule raise MalformedInput.
+    The constructors check their arguments here too; what needs the data
+    (a label column, binary classes) is checked when an oracle is built.
+    """
     if not isinstance(cfg, dict):
         raise MalformedInput("utility config must be a JSON object")
     inner = cfg.get("utility", cfg)
@@ -1060,7 +1068,24 @@ def unwrap_config(cfg: dict) -> dict:
         raise MalformedInput('utility config needs a "kind" field')
     if inner is not cfg and len(cfg) > 1:
         raise MalformedInput(f"unknown utility keys {sorted(set(cfg) - {'utility'}, key=str)} beside 'utility'")
-    return inner
+    kind = _KIND_ALIASES.get(str(inner["kind"]).strip().lower().replace("_", "-").replace(" ", "-"))
+    if kind is None:
+        raise MalformedInput(f"unknown utility kind {inner['kind']!r}")
+    rules = _RULES[kind]
+    stray = set(inner) - {"kind", "label", *rules}
+    if stray:
+        raise MalformedInput(f"unknown {kind} utility keys {sorted(stray, key=str)}")
+    missing = [] if kind in DATA_BACKED else [key for key in rules if key not in inner]
+    if missing:
+        raise MalformedInput(f"{kind} utility needs {', '.join(map(repr, missing))}")
+    bad = [f"{key} must be {need}, got {reprlib.repr(inner[key])}" for key, (need, ok) in rules.items()
+           if key in inner and not ok(inner[key])]
+    if bad:
+        raise MalformedInput(f"{kind} utility: {'; '.join(bad)}")
+    # The one rule that reads two keys.
+    if kind == "set-cover" and (outside := set().union(*inner["subsets"]) - set(inner["universe"])):
+        raise MalformedInput(f"set-cover utility: subset items {sorted(map(int, outside))} outside the universe")
+    return kind, inner
 
 
 def make_oracle(
@@ -1072,46 +1097,16 @@ def make_oracle(
 ) -> UtilityOracle:
     """Build a utility oracle from its JSON config.
 
-    Data-backed kinds require train and test datasets; synthetic kinds are
-    fully described by the config. A key the kind does not take raises
-    MalformedInput.
+    The config is checked first (check_config, which ExperimentConfig and
+    the CLI also run before any data loads), then the oracle is built,
+    which checks what needs the data. Data-backed kinds require train and
+    test datasets; synthetic kinds are fully described by the config.
     """
-    inner = unwrap_config(cfg)
-    kind = normalize_kind(inner["kind"])
-    stray = set(inner) - {"kind", "label", *_KEYS[kind]}
-    if stray:
-        raise MalformedInput(f"unknown {kind} utility keys {sorted(stray, key=str)}")
+    kind, inner = check_config(cfg)
     if kind == "additive":
-        weights = inner.get("weights")
-        if not isinstance(weights, dict):
-            raise MalformedInput('additive utility needs a "weights" object')
-        entry_id = (
-            "a non-negative integer",
-            lambda k: is_integer(k) and k >= 0 or isinstance(k, str) and k.isdecimal(),
-        )
-        check_values(
-            "additive weights",
-            [("entry id", k, entry_id) for k in weights]
-            + [(f"weights[{k!r}]", v, ("a number", is_number)) for k, v in weights.items()],
-        )
-        return AdditiveUtility({int(k): v for k, v in weights.items()}, cache=cache)
+        return AdditiveUtility(inner["weights"], cache=cache)
     if kind == "set-cover":
-        try:
-            universe, subsets = inner["universe"], inner["subsets"]
-        except KeyError as exc:
-            raise MalformedInput(f"set-cover utility needs {exc.args[0]!r}") from None
-        seq = (list, tuple)
-        ints = ("a list of integers", lambda v: isinstance(v, seq) and all(map(is_integer, v)))
-        items = subsets if isinstance(subsets, seq) else ()
-        check_values(
-            "set-cover utility",
-            [("universe", universe, ints), ("subsets", subsets, ("a list", lambda v: isinstance(v, seq)))]
-            + [(f"subsets[{i}]", s, ints) for i, s in enumerate(items)],
-        )
-        game = SetCoverGame(frozenset(universe), tuple(frozenset(s) for s in subsets))
-        return SetCoverUtility(game, cache=cache)
+        return SetCoverUtility(SetCoverGame(inner["universe"], inner["subsets"]), cache=cache)
     if train is None or test is None:
         raise MalformedInput(f"utility kind {kind!r} needs train and test datasets")
-    oracle, keys = _DATA_BACKED[kind]
-    return oracle(train, test, **{key: inner[key] for key in keys if key in inner}, cache=cache)
-
+    return DATA_BACKED[kind](train, test, **{key: inner[key] for key in _RULES[kind] if key in inner}, cache=cache)

@@ -400,6 +400,24 @@ class TestExplainCommand:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "command, utility, named",
+        [
+            (["explain", "--engine", "bf", "--a", "A", "--b", "B", "--delta", "1.5"], {"kind": "kde"}, "delta=1.5"),
+            (["explain", "--engine", "bf", "--a", "A", "--b", "B"], {"kind": "kde", "bogus": 1}, "['bogus']"),
+            (["shapley"], {"kind": "kde", "bogus": 1}, "['bogus']"),
+        ],
+    )
+    def test_options_and_utility_are_checked_before_the_data(self, runner, tmp_path, command, utility, named):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("x,y\n1.0,caf\xe9\n".encode("latin-1"))
+        utility = write_json(tmp_path / "utility.json", utility)
+        partition = write_json(tmp_path / "partition.json", {"owners": {"A": [0], "B": [1]}})
+        res = runner.invoke(main, [*command, "--data", str(data), "--partition", partition, "--utility", utility])
+        assert res.exit_code == 1, res.output
+        assert res.stderr.startswith("Error: ") and named in res.stderr and str(data) not in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_precondition_status_in_stderr(self, runner, additive_files):
         utility, partition = additive_files
         res = runner.invoke(

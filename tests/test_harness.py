@@ -6,6 +6,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
 import re
 import sys
 from dataclasses import fields
@@ -1284,31 +1285,67 @@ class TestRunErrors:
             run_experiment(cfg)
 
     BOOKING_GROUPS = {"kind": "vertical", "groups": {"A": ["lead_time", "rate"], "B": ["stay_nights", "guests"]}}
+    AXIS_MISMATCHES = [
+        ({"kind": "logistic-regression"}, BOOKING_GROUPS),
+        ({"kind": "kde", "axis": "rows"}, BOOKING_GROUPS),
+        ({"kind": "logistic-regression", "axis": "features"}, {"kind": "natural", "group": "month"}),
+        ({"kind": "linreg", "axis": "features"}, {"kind": "uniform", "size_range": [1, 3]}),
+        ({"kind": "kde", "axis": "features"}, {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 1}),
+    ]
 
-    @pytest.mark.parametrize(
-        "utility, allocation",
-        [
-            ({"kind": "logistic-regression"}, BOOKING_GROUPS),
-            ({"kind": "kde", "axis": "rows"}, BOOKING_GROUPS),
-            ({"kind": "logistic-regression", "axis": "features"}, {"kind": "natural", "group": "month"}),
-            ({"kind": "linreg", "axis": "features"}, {"kind": "uniform", "size_range": [1, 3]}),
-            ({"kind": "kde", "axis": "features"}, {"kind": "zipfian", "a": 2, "k1": 1, "k2": 0, "k_max": 1}),
-        ],
-    )
-    def test_allocation_entries_must_be_on_the_utilitys_axis(self, utility, allocation, booking_dataset, monkeypatch):
+    @pytest.mark.parametrize("utility, allocation", AXIS_MISMATCHES)
+    def test_allocation_entries_must_be_on_the_utilitys_axis(self, utility, allocation, monkeypatch):
         # Vertical entries are feature columns and every other kind's are rows;
         # a mismatch used to score one as the other, or fail inside the scorer.
-        train, test = split_dataset(booking_dataset, 0.25, spawn_rng(0, 0))
-        cfg = ExperimentConfig.from_json(base_config(utility=utility, allocation=allocation, n_owners=2))
-        serve_datasets(monkeypatch, (train, test))
+        # It is named when the config is built, before any data loads.
         explained = []
         monkeypatch.setattr(harness, "explain", lambda *args, **kwargs: explained.append(args))
         kind, axis = allocation["kind"], utility.get("axis", "rows")
         need = "features" if kind == "vertical" else "rows"
         message = f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {axis!r}"
         with pytest.raises(MalformedInput, match=re.escape(message)):
-            run_experiment(cfg)
+            ExperimentConfig.from_json(base_config(utility=utility, allocation=allocation, n_owners=2))
         assert explained == []
+
+    COVER = {"kind": "set-cover", "universe": [1, 2], "subsets": [[1], [2]]}
+    EACH_KIND = [
+        {"kind": "additive", "weights": {"0": 1.0}}, COVER,
+        {"kind": "kde"}, {"kind": "logistic-regression"}, {"kind": "linear-regression"},
+    ]
+
+    @pytest.mark.parametrize(
+        "over, named",
+        [
+            ({"utility": {"kind": "mystery"}}, "unknown utility kind 'mystery'"),
+            *(({"utility": {**u, "bogus": 1}}, f"unknown {u['kind']} utility keys ['bogus']") for u in EACH_KIND),
+            *(({"utility": {"utility": u, "bogus": 1}}, "unknown utility keys ['bogus'] beside 'utility'")
+              for u in EACH_KIND),
+            ({"utility": {"kind": "additive"}}, "additive utility needs 'weights'"),
+            ({"utility": {"kind": "additive", "weights": {"0": 1.0, "a": 2.0}}}, "weights must be an object of entry ids"),
+            ({"utility": {"kind": "additive", "weights": {"0": -1.0}}}, "weights must be an object of entry ids"),
+            ({"utility": {"kind": "additive", "weights": {"0": 1e308, "1": 1e308}}}, "no overflowing sum"),
+            ({"utility": {"kind": "set-cover", "subsets": [[1]]}}, "set-cover utility needs 'universe'"),
+            ({"utility": {**COVER, "universe": []}}, "universe must be a non-empty list of integers, got []"),
+            ({"utility": {**COVER, "subsets": [[1], ["2"]]}}, "subsets must be a list of lists of integers"),
+            ({"utility": {**COVER, "subsets": [[1], [3]]}}, "subset items [3] outside the universe"),
+            ({"utility": {"kind": "kde", "eta": "x"}}, "eta must be a finite number or null, got 'x'"),
+            ({"utility": {"kind": "kde", "bandwidth_floor": -1}}, "bandwidth_floor must be a finite number >= 0, got -1"),
+            ({"utility": {"kind": "kde", "error_cap": 0}}, "error_cap must be a finite number > 0, got 0"),
+            ({"utility": {"kind": "kde", "reference": "mean"}}, """reference must be "pool" or "nll", got 'mean'"""),
+            ({"utility": {"kind": "kde", "axis": "cols"}}, """axis must be "rows" or "features", got 'cols'"""),
+            ({"utility": {"kind": "logreg", "eta": math.inf}}, "eta must be a finite number, got inf"),
+            ({"utility": {"kind": "logreg", "iters": "x"}}, "iters must be an integer >= 0, got 'x'"),
+            ({"utility": {"kind": "logreg", "lr": 0}}, "lr must be a finite number > 0, got 0"),
+            ({"utility": {"kind": "logreg", "l2": -1.0}}, "l2 must be a finite number >= 0, got -1.0"),
+            ({"utility": {"kind": "linreg", "eta": True}}, "eta must be a finite number or null, got True"),
+            *(({"utility": u, "allocation": a}, f"got axis {u.get('axis', 'rows')!r}") for u, a in AXIS_MISMATCHES),
+        ],
+    )
+    def test_utility_checks_fail_before_the_data_loads(self, over, named, tmp_path):
+        # Each is named when the config is built, not the missing data file the run would open.
+        with pytest.raises(MalformedInput, match=re.escape(named)) as err:
+            ExperimentConfig.from_json(base_config(data=str(tmp_path / "missing.csv"), **over))
+        assert "missing.csv" not in str(err.value)
 
     def test_grid_pair_mode_checks_vertical_groups(self):
         # The groups are checked when the config is built, before any data loads.

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import math
+import re
 import sys
 import threading
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +30,8 @@ from shapcf.utility import (
     SetCoverUtility,
     UtilityOracle,
     _kde_log_density,
+    check_config,
     make_oracle,
-    normalize_kind,
 )
 
 from conftest import make_blobs
@@ -1236,11 +1239,11 @@ class TestLinReg:
 
 class TestFactoryAndCache:
     def test_kind_aliases(self):
-        assert normalize_kind("logreg") == "logistic-regression"
-        assert normalize_kind("Linear_Regression") == "linear-regression"
-        assert normalize_kind("setcover") == "set-cover"
+        assert check_config({"kind": "logreg"})[0] == "logistic-regression"
+        assert check_config({"kind": "Linear_Regression"})[0] == "linear-regression"
+        assert check_config({"kind": "setcover", "universe": [1], "subsets": [[1]]})[0] == "set-cover"
         with pytest.raises(MalformedInput):
-            normalize_kind("mystery")
+            check_config({"kind": "mystery"})
 
     def test_wrapped_config(self):
         o = make_oracle({"utility": {"kind": "additive", "weights": {"1": 2.0}}})
@@ -1301,6 +1304,32 @@ class TestFactoryAndCache:
         ds = make_blobs(20, seed=3)
         oracle = make_oracle({**cfg, "label": "y"}, ds, ds)
         assert oracle.value(oracle.pool) >= 0.0
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda ds: AdditiveUtility({"a": 1.0}), "weights must be"),
+            (lambda ds: AdditiveUtility({-1: 1.0}), "weights must be"),
+            (lambda ds: SetCoverUtility(SetCoverGame(universe=[1, 2.5], subsets=[[1]])), "universe must be"),
+            (lambda ds: KdeUtility(ds, ds, reference="mean"), 'reference must be "pool" or "nll"'),
+            (lambda ds: LogRegUtility(ds, ds, iters=1.5), "iters must be an integer >= 0"),
+            (lambda ds: LinRegUtility(ds, ds, axis="columns"), 'axis must be "rows" or "features"'),
+        ],
+    )
+    def test_constructors_check_their_arguments_by_the_rule_table(self, build, named):
+        with pytest.raises(MalformedInput, match=named):
+            build(make_blobs(20, seed=3))
+
+    def test_readme_lists_the_rule_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| ([\w-]+) \| (\w+) \| (.+?) \| (.+?) \|$", readme, re.M)
+        listed = {(kind, key): (need, default.strip("`")) for kind, key, need, default in rows if kind != "kind"}
+        defaults = {kind: oracle.__init__.__kwdefaults__ for kind, oracle in utility.DATA_BACKED.items()}
+        assert listed == {
+            (kind, key): (need, json.dumps(defaults[kind][key]) if kind in defaults else "required")
+            for kind, rules in utility._RULES.items()
+            for key, (need, _) in rules.items()
+        }
 
     def test_each_kind_names_its_pool(self):
         assert make_oracle({"kind": "additive", "weights": {"7": 1.0, "2": 3.0, "5": 0.0}}).pool == [2, 5, 7]
