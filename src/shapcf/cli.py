@@ -1,4 +1,13 @@
-"""Command-line interface: shapley, explain, and experiment subcommands."""
+"""Command-line interface: shapley, explain, and experiment subcommands.
+
+Every command first pays for `import shapcf`, which loads every submodule,
+numpy most of it (`python -X importtime -c "import shapcf.cli"` shows the
+split). numpy.random loads only when a command first spawns a random
+stream: shapley --mc always, explain only for a request that samples
+(explain.draws), and experiment only for a stage that draws (a data split,
+a drawn allocation or pair, a sampled request). Building an oracle and
+running an exact route load nothing more (tests/test_cold_start.py).
+"""
 
 from __future__ import annotations
 

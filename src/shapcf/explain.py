@@ -75,9 +75,21 @@ STATUS_UNDECIDED = "precondition_undecided"
 STATUS_TIMEOUT = "timeout"
 
 # Largest prefix count 2^(n-2) at which checks and races are exact: n <= 9
-# owners. Timed against the sampled path (README, "How sampling works"), the
-# exact one is faster on a KDE utility up to 9 owners, even at 10 and slower
-# from 11; on an additive utility it is 2x slower at 9 and 4x at 10.
+# owners. Set by timing whole requests both ways on the benchmark's inputs
+# with n_owners raised (same partitions and pairs, the oracle's memo emptied
+# before each request, routes alternating; uncalibrated wall time), as the
+# exact route's time over the sampled one's:
+#
+#   owners   kde-svexp inputs, svexp   additive-mc inputs, mc
+#        8   0.77 (6 requests)         1.15 (30 requests)
+#        9   0.80 (12)                 1.97 (30)
+#       10   1.05 (12)                 3.86 (30)
+#       11   1.66 (6)                  7.2 (30)
+#       12   2.60 (6)                  9.6 (10)
+#
+# With a costly oracle (KDE) the exact route is faster up to 9 owners and
+# breaks even at 10; with a cheap one (additive) it is about even at 8 owners
+# and 2x slower at 9. At the benchmark's 5-6 owners it is faster on both.
 EXACT_PREFIXES = 2**7
 
 # Half-width at which a sampled flip check whose interval still holds 0 stops,
@@ -109,7 +121,7 @@ _SAMPLING_RULES: dict[str, Rule] = {
 
 @dataclass(frozen=True)
 class ExplainConfig:
-    """Knobs shared by the engines; defaults suit desk-scale runs.
+    """Knobs shared by the engines; defaults suit desk-scale runs. README's Sampling table lists them.
 
     verify_budget and bandit_budget may be None (twice check_budget, no
     total cap); a value out of range raises MalformedInput.
@@ -579,7 +591,9 @@ def _first_flip(req: _Request, ents: list[EntryId]) -> _Body:
     the last subset, all of `ents` (yielded again: with a empty, the
     precheck's shift, which a lent check may leave unscored). The deadline
     is read before each chunk, and only the subsets up to the first flip
-    count as tested.
+    count as tested. So delta, subsets_tested, initial_diff, final_diff and
+    success are those of checking one subset at a time, the loop that
+    tests/oracles.py keeps as first_flip_reference.
     """
 
     def verified(moved, tested: int) -> CounterfactualResult:
@@ -710,7 +724,8 @@ def explain(
     `pair` is the checked request of pair selection for this partition,
     oracle and ordered pair; it lends the engine's request its coalition
     plan and its check as the precheck, when it was checked on the engine's
-    route (bf is always exact).
+    route (bf is always exact). A pair of another partition, oracle or
+    ordered pair raises ValueError.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}")

@@ -53,7 +53,9 @@ _STREAM_PARTITION = 1
 _STREAM_PAIR = 2
 _STREAM_ENGINE = 3
 
-PAIR_MODES = ("random", "designated", "grid")
+# Each pair mode and the keys it reads beside "mode", with their defaults:
+# a designated pair is a over b. README's Experiment config lists this table.
+PAIR_MODES: dict[str, dict[str, str]] = {"random": {}, "designated": {"a": "A", "b": "B"}, "grid": {}}
 
 _AT_LEAST_0: Rule = ("an integer >= 0", lambda v: is_integer(v) and v >= 0)
 _AT_LEAST_2: Rule = ("an integer >= 2", lambda v: is_integer(v) and v >= 2)
@@ -170,7 +172,8 @@ _GENERATORS = {"uniform": gen_uniform, "zipfian": gen_zipfian}
 # Each generator's range check, which it runs too; it takes the generator's keywords.
 _RANGES = {"uniform": _uniform_ranges, "zipfian": _zipfian_ranges}
 # Each allocation kind and the keys it reads beside "kind": a generated kind's
-# generator keywords and zipfian's grid, natural's group column, vertical's groups.
+# generator keywords and zipfian's grid, natural's group column, vertical's
+# groups. README's Experiment config lists this table.
 _ALLOCATION_KEYS = {
     "uniform": ("size_range",),
     "zipfian": ("a", "k1", "k2", "k_max", "grid"),
@@ -191,18 +194,24 @@ def gen_natural(dataset: Dataset) -> OwnerPartition:
     return OwnerPartition({g: frozenset(rows) for g, rows in owners.items()})
 
 
+def _vertical_groups(groups: Mapping[str, Sequence[str]]) -> None:
+    """Raise MalformedInput unless every group is a list of feature names."""
+    for owner, names in groups.items():
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise MalformedInput(f"group {owner!r} must be a list of feature names, got {names!r}")
+
+
 def gen_vertical(dataset: Dataset, groups: Mapping[str, Sequence[str]]) -> OwnerPartition:
     """Exact partition of feature columns into named owner groups.
 
     Groups must be disjoint and cover every feature; entry ids are feature
     column positions, for use with axis="features" utilities.
     """
+    _vertical_groups(groups)
     index = {name: i for i, name in enumerate(dataset.feature_names)}
     owners: dict[str, frozenset[int]] = {}
     seen: set[str] = set()
     for owner, names in groups.items():
-        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
-            raise MalformedInput(f"group {owner!r} must be a list of feature names, got {names!r}")
         bad = [n for n in names if n not in index]
         if bad:
             raise MalformedInput(f"unknown feature names {bad} in group {owner!r}")
@@ -226,7 +235,7 @@ def _only(section: str, obj: dict, keys: Iterable[str]) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment, checked when it is built; README's File shapes lists its keys.
+    """An experiment, checked when it is built; README's Experiment config lists its keys.
 
     Any value or key the run would reject or ignore raises MalformedInput
     here, before any data loads: the utility's kind, keys and values by
@@ -266,8 +275,10 @@ class ExperimentConfig:
         grid = kind == "zipfian" and alloc.get("grid") is True
         _only("zipfian grid" if grid else f"{kind} allocation", alloc,
               {"kind", *_ALLOCATION_KEYS[kind]} - ({"k1", "k2"} if grid else set()))
-        if kind == "vertical" and not isinstance(alloc.get("groups"), dict):
-            raise MalformedInput('vertical allocation needs a "groups" object')
+        if kind == "vertical":
+            if not isinstance(alloc.get("groups"), dict):
+                raise MalformedInput('vertical allocation needs a "groups" object')
+            _vertical_groups(alloc["groups"])
         if kind == "natural" and not isinstance(alloc.get("group"), str):
             raise MalformedInput(f'natural allocation needs a "group" column name, got {alloc.get("group")!r}')
         # A vertical allocation's entries are feature columns, every other kind's
@@ -280,7 +291,7 @@ class ExperimentConfig:
             mode = "designated" if kind == "zipfian" else "random"
         if mode not in PAIR_MODES:
             raise MalformedInput(f"unknown pair mode {mode!r}; expected one of {list(PAIR_MODES)}")
-        _only(f"{mode} pair", pair, ("mode", "a", "b") if mode == "designated" else ("mode",))
+        _only(f"{mode} pair", pair, ("mode", *PAIR_MODES[mode]))
         if mode == "grid" and kind not in ("natural", "vertical"):
             raise MalformedInput('pair mode "grid" needs a natural or vertical allocation')
         check_values(
@@ -470,11 +481,10 @@ def _run_cell(
 
     if not cfg.trials:
         return records, windows, served
-    # A grid cell's pair or a designated one (the pair config's, or "A" over
-    # "B") is fixed for the cell; None draws a random pair per trial.
-    fixed = None if cfg.pair_mode == "random" else (
-        str(cell.params.get("a", cfg.pair.get("a", "A"))),
-        str(cell.params.get("b", cfg.pair.get("b", "B"))),
+    # A grid cell's pair or a designated one (the pair config's, or the
+    # defaults) is fixed for the cell; None draws a random pair per trial.
+    fixed = None if cfg.pair_mode == "random" else tuple(
+        str(cell.params.get(key, cfg.pair.get(key, default))) for key, default in PAIR_MODES["designated"].items()
     )
     first = partition_of(0)
     width = window(oracle, first)

@@ -71,7 +71,7 @@ def _is_ints(v: object) -> bool:
 # Each utility kind's config keys besides "kind" and "label" (the data file's
 # label column), and the rule each value must meet. A synthetic kind needs
 # every key; a data-backed kind's oracle holds the defaults of the keys a
-# config leaves out. README's File shapes lists this table.
+# config leaves out. README's Utility section lists this table.
 _RULES: dict[str, dict[str, Rule]] = {
     "additive": {"weights": ("an object of entry ids (integers >= 0) to finite numbers >= 0 with no overflowing sum",
                              _weights_ok)},
@@ -120,6 +120,13 @@ class UtilityOracle:
         non-empty set). A set that occurs twice is scored once either way.
         A set other than a frozenset is converted as an owner's entries are:
         an id that is not an integer raises MalformedInput.
+
+        So the counters measure the sets asked for, not the calls made. A
+        sampled check or race sends one pair of sets per distinct prefix, not
+        one per drawn ordering: calls fall by a large factor against scoring
+        every ordering, and a hit ratio with them, while evals do not move.
+        A wrapper around value() alone (the benchmark's tracer wraps only
+        that name) sees none of this batched traffic; read calls and evals.
         """
         cache = self._cache
         known = cache if cache is not None else {}
@@ -579,6 +586,12 @@ class KdeUtility(_DataUtility):
     density itself. Utility is eta minus the total error; the default
     eta = n_test * error_cap keeps it non-negative by construction.
 
+    A set's log density has the bits of the plain form, one (n_test,
+    n_train, d) array reduced with .sum(axis=2) and then
+    scipy.special.logsumexp, which tests/oracles.py keeps as the reference.
+    Older scipy releases may take other steps in logsumexp, so the test
+    extra asks for scipy >= 1.17.
+
     The sets of one values() call are scored as stacks of equal-size sets,
     each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
     set alone; a set's score is the same bits alone, in any batch and from
@@ -781,6 +794,10 @@ def _tree_sum(a: np.ndarray) -> np.ndarray:
 # 3.7 ms for 1 set of 6-20 rows, 4.0 ms for 16 and 5.3 ms for 32 such sets,
 # while sets of 100-200 rows cost about in proportion to their count
 # (15.2 ms for 16, 44.9 ms for 64; 2-core box, median of 5 rounds).
+# On logreg-bf's inputs (sets of at most 20 rows) a call takes about 40 sets'
+# room: 2-3 subsets of 16 sets at 5 owners. The batched fit wins while sets
+# have up to a few hundred rows; from about 1,000 rows per set, and on the
+# features axis of wide tables, it is up to 2x slower than one BLAS fit per set.
 SHARED_FIT_VALUES = 1 << 12
 
 
@@ -795,7 +812,10 @@ class LogRegUtility(_DataUtility):
     The sets of one values() call are scored in groups of at most
     _STACK_ELEMENTS fit values (see _fit), each group by whole-array steps
     over a zero-padded stack of its sets, and a single set is a group of one,
-    so a set's score is the same bits alone or in any batch.
+    so a set's score is the same bits alone or in any batch. As no BLAS is
+    used, the last bits differ from one BLAS fit per set, which
+    tests/oracles.py keeps as logreg_score_reference: the two agree to a
+    relative 1e-12.
     """
 
     kind = "logistic-regression"

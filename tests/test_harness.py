@@ -9,14 +9,14 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shapcf import harness
-from shapcf.core import MalformedInput, OwnerPartition, SizeOverflow, TooLarge, spawn_rng
+from shapcf.core import COUNT_RULE, MalformedInput, OwnerPartition, SizeOverflow, TooLarge, spawn_rng
 from shapcf.datasets import Dataset, load_partition, split_dataset
 from shapcf.explain import ExplainConfig
 from shapcf.harness import (
@@ -157,6 +157,19 @@ class TestVerticalAllocation:
         rest = {**VERTICAL_GROUPS, "S": [n for n in VERTICAL_GROUPS["S"] if n != "B"]}
         with pytest.raises(MalformedInput, match="group 'X' must be a list of feature names"):
             gen_vertical(housing_dataset, {**rest, "X": value})
+
+
+def readme_table(heading: str) -> list[list[str]]:
+    """The body rows of the table under README's `heading`, each a list of its cells."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.strip("|").split(" | ") for line in section.splitlines() if line.startswith("| ")]
+    return [[cell.strip() for cell in row] for row in rows[1:]]  # rows[0] is the header
+
+
+def listed_default(cell: str) -> str:
+    """A README default cell's value: "required", or the text in its first backticks."""
+    return cell if cell == "required" else re.match(r"`([^`]+)`", cell).group(1)
 
 
 def base_config(**over):
@@ -330,10 +343,45 @@ class TestExperimentConfig:
                 ExperimentConfig.from_json(base_config(sampling={key: value}))
 
     def test_readme_lists_the_sampling_keys(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        bullet = re.search(r"^- `sampling` (.*?)\n(?!  )", readme, re.M | re.S).group(1)
-        named = set(re.findall(r"`(\w+)`", bullet)) - {"MalformedInput", "null"}
-        assert named == {f.name for f in fields(ExplainConfig)} | {"pair_budget"}
+        rows = readme_table("#### Sampling")
+        listed = {key.strip("`"): listed_default(default) for key, _, default, _ in rows}
+        # Unless set, pair_budget is check_budget's value (test_pair_budget_defaults_to_check_budget).
+        assert listed == {f.name: json.dumps(f.default) for f in fields(ExplainConfig)} | {"pair_budget": "check_budget"}
+        for key, need, _, _ in rows:
+            assert need.startswith(explain_module._SAMPLING_RULES.get(key.strip("`"), COUNT_RULE)[0]), key
+
+    def test_readme_lists_the_top_level_keys(self):
+        listed = {key.strip("`"): listed_default(default) for key, _, default in readme_table("#### Top-level keys")}
+        assert listed == {
+            f.name: "required" if f.default is f.default_factory is MISSING
+            else json.dumps(f.default_factory() if f.default is MISSING else f.default)
+            for f in fields(ExperimentConfig)
+            if f.init
+        }
+
+    def test_readme_lists_the_allocation_keys(self):
+        rows = readme_table("#### Allocation")
+        listed = {(kind.strip("`"), key.strip("`")): listed_default(default) for kind, key, _, default in rows}
+        # A generated kind's defaults are its generator's; a grid is on only when true.
+        gens = harness._GENERATORS
+        assert listed == {
+            (kind, key): "false" if key == "grid" else json.dumps(gens[kind].__kwdefaults__[key]) if kind in gens
+            else "required"
+            for kind, keys in harness._ALLOCATION_KEYS.items()
+            for key in keys
+        }
+        for _, key, need, _ in rows:
+            if key.strip("`") in harness._ALLOCATION_RULES:
+                assert need.startswith(harness._ALLOCATION_RULES[key.strip("`")][0]), key
+
+    def test_readme_lists_the_pair_modes(self):
+        listed = {
+            json.loads(mode.strip("`")): {
+                key: json.loads(default) for key, default in re.findall(r"`(\w+)` \(default `([^`]+)`\)", keys)
+            }
+            for mode, keys, _ in readme_table("#### Pair")
+        }
+        assert listed == harness.PAIR_MODES
 
     def test_pair_budget_defaults_to_check_budget(self):
         cfg = ExperimentConfig.from_json(base_config(sampling={"check_budget": 777}))
@@ -1239,17 +1287,18 @@ class TestRunErrors:
                 )
             )
 
-    def test_vertical_group_must_be_a_list_of_names(self, housing_dataset, monkeypatch):
-        train, test = split_dataset(housing_dataset, 0.25, spawn_rng(0, 0))
-        cfg = ExperimentConfig.from_json(
-            base_config(
+    def test_vertical_group_must_be_a_list_of_names(self, tmp_path):
+        # The rule needs no data, so it fails when the config is built, before
+        # the data file (here a missing one) would be opened.
+        for data in (None, str(tmp_path / "missing.csv")):
+            raw = base_config(
                 utility={"kind": "linreg", "axis": "features"},
                 allocation={"kind": "vertical", "groups": {**VERTICAL_GROUPS, "X": 5}},
+                data=data,
             )
-        )
-        serve_datasets(monkeypatch, (train, test))
-        with pytest.raises(MalformedInput, match="group 'X'"):
-            run_experiment(cfg)
+            with pytest.raises(MalformedInput, match="group 'X'") as err:
+                ExperimentConfig.from_json(raw)
+            assert "missing.csv" not in str(err.value)
 
     @pytest.mark.parametrize("key", ["data", "test_data"])
     @pytest.mark.parametrize("path", [5, 1.5, True, ["x.csv"], {"path": "x.csv"}])

@@ -15,6 +15,7 @@ module of the package: a private name stays with the module that owns it.
 from __future__ import annotations
 
 import ast
+import re
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -161,3 +162,12 @@ def test_every_explain_config_field_is_set_outside_the_tests():
     workloads = dict_keys(ROOT / "perfbench" / "workloads.py", "SAMPLING")
     assert cli and workloads
     assert sorted({f.name for f in fields(ExplainConfig)} - cli - workloads) == []
+
+
+def test_readme_names_no_private_library_name():
+    # README is a user guide: mechanism behind private names lives in their
+    # docstrings. The exceptions are the two hooks a custom oracle implements.
+    readme = (ROOT / "README.md").read_text()
+    named = {name for span in re.findall(r"`([^`\n]+)`", readme) for name in re.findall(r"[\w.]+", span)}
+    private = {name for name in named if name.startswith("_") or "._" in name}
+    assert sorted(private - {"_score", "_score_many"}) == []
