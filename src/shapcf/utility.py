@@ -25,6 +25,7 @@ import math
 import operator
 import os
 import reprlib
+import sys
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .core import MalformedInput, NonFiniteScore, Rule, entry_ids, is_integer, i
 from .datasets import Dataset
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
 _FINITE: Rule = ("a finite number", lambda v: is_number(v) and math.isfinite(v))
 _FINITE_OR_NULL: Rule = ("a finite number or null", lambda v: v is None or _FINITE[1](v))
@@ -383,10 +385,10 @@ class _DataUtility(UtilityOracle):
 # median of 1.71, 1.49 and 1.56 s (10 alternating rounds, quartile spreads
 # 0.17-0.40 s, 2-core box), a spread too wide to rank them, at a peak RSS of
 # 40.2, 40.7 and 41.9 MiB; so the cap stays.
-# With the difference table and the no-tie log-sum-exp (see KdeUtility), a
-# stack against 80 test points (2 features) takes 0.24-0.37x, 0.46-0.57x,
-# 0.62-0.70x and 0.82-0.87x the time per set of scoring its sets one by one,
-# on sets of 20, 60, 120 and 200 train rows, and 0.57-0.58 ms for 12 sets of
+# With the difference table and the min-shifted sum (see _kde_log_density), a
+# full stack against 80 test points (2 features) takes 0.34x, 0.55-0.56x,
+# 0.67-0.68x and 0.80-0.88x the time per set of scoring its sets one by one,
+# on sets of 20, 60, 120 and 200 train rows, and 0.36-0.37 ms for 12 sets of
 # 45 rows (best of 7 rounds, two draws of the sets).
 # A KDE call starts a worker thread only for 2 or more stacks of at least
 # half this cap. Six kde-svexp experiments (seeds 1-2, experiments 0-2;
@@ -397,7 +399,10 @@ class _DataUtility(UtilityOracle):
 # the threads taking stacks from one queue, fresh-interpreter pairs against
 # a static split of the stacks read 0.95-1.00x its time from 2^15 elements
 # and 1.02x from any stack. Half the cap is as fast as 2^14 and starts
-# fewer threads.
+# fewer threads. On the min-shifted kernel the worker still pays: kde-svexp
+# seeds 1 and 21 (10 alternating benchmark pairs each, 2-core box) read a
+# median run_s of 0.104 and 0.114 s with it against 0.108 and 0.119 s
+# without, outside the threaded runs' quartiles.
 _STACK_ELEMENTS = 1 << 16
 
 # CPUs this process may run on, read once at import.
@@ -451,18 +456,30 @@ def _kde_log_density(
     train is a (sets, n, d) stack and test a (sets or 1, n_test, d) one;
     the result is (sets, n_test). Per-dimension Scott bandwidths
     h_j = std_j * n^(-1/(d+4)), floored so that degenerate dimensions stay
-    usable. Computed in log space throughout. Every reduction runs within
-    one set, in the order it takes for that set alone, so a set's row has
-    the same bits in any stack.
+    usable, and r_j = 1 / (h_j * sqrt(2)). Each (train k, test i) pair has
+    sq = sum_j ((test_ij - train_kj) * r_j)^2, half its squared scaled
+    distance, so its log kernel is -sq - sum_j log h_j - d/2 * log(2 pi),
+    with no division and no -1/2 pass on the block. The log density is
+    log(sum_k exp(lo - sq)) - lo - c, with lo the smallest sq of the test
+    point (its nearest train point, whose term is exp(0) = 1: a tie adds 1
+    per tied point, and the sum is at least 1) and
+    c = sum_j log h_j + (d/2 * log(2 pi) + log n), subtracted on the
+    (sets, n_test) result. It differs from the log kernel through
+    scipy.special.logsumexp in the last bits only: at most 8.3e-16 relative
+    on the tests' cases, which hold it to 1e-12. lo is taken as at most the
+    largest float, so a test point whose every sq is +inf sums
+    exp(-inf) = 0 terms and gets -inf, and numpy warns of the log of zero.
 
-    The log kernel of the whole stack is one (sets, n, n_test) block, test
-    points innermost, in work's first float array; its second holds each
-    feature's term, then the tie mask, then the transposed copy the sum
-    reads. A stack larger than work gets one-off arrays.
-    diffs is None or (table, idx): a _diff_table of the rows train was gathered
-    from and the (sets, n) ids it was gathered with. Each test point's log
-    kernel is summed over train points pairwise: the order numpy takes for a
-    set gathered from a C-ordered table (see _restrict), on either axis.
+    Every reduction runs within one set, in the order it takes for that set
+    alone, so a set's row has the same bits in any stack. The sq of the
+    whole stack is one (sets, n, n_test) block, test points innermost, in
+    work's first float array; its second holds each feature's term, then
+    the transposed copy the sum reads. A stack larger than work gets
+    one-off arrays. diffs is None or (table, idx): a _diff_table of the rows
+    train was gathered from and the (sets, n) ids it was gathered with. Each
+    test point's terms are summed over train points pairwise: the order
+    numpy takes for a set gathered from a C-ordered table (see _restrict),
+    on either axis.
     """
     g, n, d = train.shape
     n_test = test.shape[1]
@@ -471,11 +488,15 @@ def _kde_log_density(
         work = (np.empty(size), np.empty(size))
     sq = work[0][:size].reshape(g, n, n_test)
     h = np.maximum(_train_std(train) * n ** (-1.0 / (d + 4)), floor)
-    _scaled_sq_dist(test, train, h, sq, work[1][:size].reshape(g, n, n_test), diffs)
-    sq *= -0.5
-    sq -= np.log(h).sum(axis=1)[:, None, None]
-    sq -= 0.5 * d * _LOG_2PI
-    return _logsumexp_train(sq, work[1]) - math.log(n)
+    _scaled_sq_dist(test, train, 1.0 / (h * _SQRT2), sq, work[1][:size].reshape(g, n, n_test), diffs)
+    lo = sq.min(axis=1, initial=sys.float_info.max)
+    np.subtract(lo[:, None, :], sq, out=sq)
+    np.exp(sq, out=sq)
+    s = _sum_train(sq, work[1])
+    np.log(s, out=s)
+    s -= lo
+    s -= (np.log(h).sum(axis=1) + (0.5 * d * _LOG_2PI + math.log(n)))[:, None]
+    return s
 
 
 def _train_std(x: np.ndarray) -> np.ndarray:
@@ -493,14 +514,14 @@ def _train_std(x: np.ndarray) -> np.ndarray:
 def _scaled_sq_dist(
     test: np.ndarray,
     train: np.ndarray,
-    h: np.ndarray,
+    r: np.ndarray,
     out: np.ndarray,
     z: np.ndarray,
     diffs: tuple[np.ndarray, np.ndarray] | None,
 ) -> None:
-    """sum_j ((test_ij - train_kj) / h_j)^2 for every (train k, test i) pair of each set, into out.
+    """sum_j ((test_ij - train_kj) * r_j)^2 for every (train k, test i) pair of each set, into out.
 
-    test is (sets or 1, n_test, d), train (sets, n_train, d), h (sets, d)
+    test is (sets or 1, n_test, d), train (sets, n_train, d), r (sets, d)
     and out and z (sets, n_train, n_test). Each value has the bits of
     `(w * w).sum(axis=2)` for the set's own (n_test, n_train, d) array w.
     Below 8 features numpy adds the short last axis as one running sum in
@@ -522,52 +543,15 @@ def _scaled_sq_dist(
                         np.subtract(test[:, None, :, j], train[:, :, None, j], out=term)
                     else:  # the ids are checked, so "clip" clips nothing and writes straight to term
                         np.take(diffs[0][j], diffs[1], axis=0, out=term, mode="clip")
-                    term /= h[:, None, None, j]
+                    term *= r[:, None, None, j]
                     term *= term
                     if j:
                         out += z
                 return
         except FloatingPointError:
             pass
-    w = (test[:, :, None, :] - train[:, None, :, :]) / h[:, None, None, :]
+    w = (test[:, :, None, :] - train[:, None, :, :]) * r[:, None, None, :]
     np.copyto(out, (w * w).sum(axis=3).transpose(0, 2, 1))
-
-
-def _logsumexp_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of a (sets, n, n_test) block with scipy.special.logsumexp's arithmetic.
-
-    Same steps as scipy 1.17: shift by the max over train points with the
-    tied maxima (count m) taken out of the sum, log1p(s / m) + log(m) + max,
-    and the direct formula on test points whose max is not finite. The max
-    and the count are exact in any order; the sum runs pairwise over each
-    test point's contiguous train values, a transposed copy in spare. When
-    every max is finite and is met once, m is 1 throughout, and log1p(s) +
-    max has the same bits (s / 1 is s, log(1) is +0.0 and log1p(s) is not
-    -0.0). `a` is overwritten; spare holds at least a.size floats.
-    """
-    a_max = a.max(axis=1)
-    top = np.equal(a, a_max[:, None, :], out=spare.view(np.bool_)[: a.size].reshape(a.shape))
-    if np.count_nonzero(top) == a_max.size and np.isfinite(a_max).all():
-        # No tie and no direct formula; nothing below raises a floating-point error.
-        np.copyto(a, -np.inf, where=top)
-        a -= a_max[:, None, :]
-        np.exp(a, out=a)
-        s = _sum_train(a, spare)
-        return np.log1p(s, out=s) + a_max
-    bad = ~np.isfinite(a_max)
-    direct = a.transpose(0, 2, 1)[bad]
-    m = np.count_nonzero(top, axis=1).astype(a.dtype)
-    np.copyto(a, -np.inf, where=top)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a -= a_max[:, None, :]
-        np.exp(a, out=a)
-        s = _sum_train(a, spare)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-    if len(direct):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[bad] = np.log(np.exp(direct).sum(axis=1))
-    return out
 
 
 def _sum_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -586,11 +570,13 @@ class KdeUtility(_DataUtility):
     density itself. Utility is eta minus the total error; the default
     eta = n_test * error_cap keeps it non-negative by construction.
 
-    A set's log density has the bits of the plain form, one (n_test,
-    n_train, d) array reduced with .sum(axis=2) and then
-    scipy.special.logsumexp, which tests/oracles.py keeps as the reference.
-    Older scipy releases may take other steps in logsumexp, so the test
-    extra asks for scipy >= 1.17.
+    A set's log density has the bits of the plain one-set form that
+    tests/oracles.py keeps as the reference: one (n_test, n_train, d) array
+    of differences times reciprocal bandwidths, squared and summed over
+    features, shifted by each test point's smallest sum and summed over
+    train points pairwise (see _kde_log_density). Its bits follow numpy
+    alone. It is within 1e-12 relative of the log kernel through
+    scipy.special.logsumexp, which the tests check.
 
     The sets of one values() call are scored as stacks of equal-size sets,
     each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger

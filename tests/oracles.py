@@ -24,6 +24,8 @@ numeric paths: the KDE log density and the Thompson race, which the
 package's faster forms must match bit for bit (tests/test_utility.py,
 tests/test_power.py), and the one-set logistic fit, which the package's
 batched fit must match to 1e-12 (its products are summed in another order).
+The KDE density is also kept in its textbook form, through
+scipy.special.logsumexp, which the package must match to 1e-12.
 It ends with an empirical monotonicity audit of any oracle.
 """
 
@@ -388,7 +390,30 @@ def first_flip_reference(
 
 
 def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
-    """Product-Gaussian KDE log density: one (n_test, n_train, d) array and scipy's logsumexp."""
+    """Product-Gaussian KDE log density: one (n_test, n_train, d) array, shifted by each test point's nearest train point.
+
+    sq is half the squared scaled distance, built with the reciprocal
+    bandwidths r = 1 / (h * sqrt(2)); lo, its minimum over train points, is
+    taken as at most the largest float, so a point whose every sq is +inf
+    sums zeros and gets -inf. Each point's terms exp(lo - sq) are summed
+    pairwise over its contiguous row.
+    """
+    n, d = train.shape
+    std = train.std(axis=0)
+    h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
+    r = 1.0 / (h * math.sqrt(2.0))
+    z = (test[:, None, :] - train[None, :, :]) * r
+    sq = (z * z).sum(axis=2)
+    # Reduced as the rows of an (n_train, n_test) array, the layout of the
+    # package's stack: numpy's min over a contiguous row may give a NaN
+    # another sign bit.
+    lo = np.ascontiguousarray(sq.T).min(axis=0, initial=np.finfo(np.float64).max)
+    s = np.exp(lo[:, None] - sq).sum(axis=1)
+    return np.log(s) - lo - (np.log(h).sum() + (0.5 * d * math.log(2.0 * math.pi) + math.log(n)))
+
+
+def kde_log_density_logsumexp(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
+    """The same density as the textbook form: the (n_test, n_train) log kernel through scipy.special.logsumexp."""
     from scipy.special import logsumexp  # here, so that a test without scipy can import this module
 
     n, d = train.shape

@@ -35,7 +35,13 @@ from shapcf.utility import (
 )
 
 from conftest import make_blobs
-from oracles import audit_monotonicity, kde_log_density_reference, logreg_score_reference, setcover_value
+from oracles import (
+    audit_monotonicity,
+    kde_log_density_logsumexp,
+    kde_log_density_reference,
+    logreg_score_reference,
+    setcover_value,
+)
 
 
 def line_dataset(n: int = 12) -> Dataset:
@@ -314,7 +320,8 @@ def with_warnings(fn, *args):
 
 def kde_case(d: int, seed: int, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
     """Train rows with a constant column and two duplicated rows; the last two
-    test rows are those duplicates, so their log-kernel rows tie at the max.
+    test rows are those duplicates, so each has two nearest train points at
+    distance 0.
 
     order "F" gives the arrays the layout of a column subset of a C-ordered
     table (what the features axis passes), "C" that of a row subset.
@@ -329,15 +336,24 @@ def kde_case(d: int, seed: int, order: str = "C") -> tuple[np.ndarray, np.ndarra
     return train, test
 
 
+def check_close_to_logsumexp(got: np.ndarray, train: np.ndarray, test: np.ndarray) -> None:
+    """got is within 1e-12 * max(1, |x|) of the finite log densities x of the scipy logsumexp form (floor 1e-3)."""
+    want = kde_log_density_logsumexp(train, test, 1e-3)
+    assert np.isfinite(want).all()
+    assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
+
 def kde_one(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
     """_kde_log_density of a single set: a stack of one."""
     return _kde_log_density(train[None], test[None], floor, utility._workspace(), None)[0]
 
 
 class TestKdeKernelBits:
-    """_kde_log_density is the 3-D array + scipy logsumexp form, bit for bit."""
+    """_kde_log_density is the one-set 3-D array form of tests/oracles.py, bit for bit."""
 
-    @pytest.mark.parametrize("d", [*range(1, 41), 127, 128, 129, 130, 200, 300])
+    DIMS = [*range(1, 41), 127, 128, 129, 130, 200, 300]
+
+    @pytest.mark.parametrize("d", DIMS)
     def test_matches_reference(self, d):
         for order in ("C", "F"):
             train, test = kde_case(d, d, order)
@@ -347,6 +363,15 @@ class TestKdeKernelBits:
                 want, want_warnings = with_warnings(kde_log_density_reference, train, test, floor)
                 assert got.tobytes() == want.tobytes()
                 assert got_warnings == want_warnings
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_matches_scipy_logsumexp(self, d):
+        # The min shift and the reciprocal bandwidths change only the last
+        # bits of the textbook form: the log kernel through scipy's logsumexp.
+        # A zero floor gives no finite score to compare.
+        for order in ("C", "F"):
+            train, test = kde_case(d, d, order)
+            check_close_to_logsumexp(kde_one(train, test, 1e-3), train, test)
 
     def test_matches_reference_on_mixed_and_strided_layouts(self):
         # Train and test as C, F, strided and reversed arrays. The kernel takes
@@ -873,21 +898,31 @@ class TestKdeDiffTable:
     @pytest.mark.parametrize("d", [1, 2, 5, 7])
     def test_tied_maxima(self, d):
         # Train rows 40 and 41 repeat rows 0 and 1, and so do the last two test
-        # points: their maxima tie between two identical pool rows.
+        # points: each has two nearest train points, whose log kernels tie at
+        # the maximum. Each tied point's term is exp(0) = 1 in the plain sum,
+        # with no tie count, and the density stays within 1e-12 of scipy's.
         train, test = kde_case(d, 200 + d)
         o = kde_rows_oracle(train, test, 1e-3)
         assert o._diffs is not None
         for ids in (range(len(train)), [0, 1, 7, 20, 40, 41]):
-            self.check(o, train, test, ids, 1e-3)
+            check_close_to_logsumexp(self.check(o, train, test, ids, 1e-3), train[sorted(ids)], test)
 
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_far_point_has_a_non_finite_maximum(self, d):
+        # Every squared distance of test point 0 overflows to +inf, so its
+        # shift is the largest float, each term exp(-inf) = 0, and its log
+        # density -inf: numpy warns of the overflow and of the log of zero,
+        # once each. Every other point keeps a finite density.
         train, test = kde_case(d, 300 + d)
         test[0] = 1e200
         o = kde_rows_oracle(train, test, 1e-3)
         assert o._diffs is not None
-        for ids in (range(5, 30), [3]):  # with one row, the one maximum of each point
-            assert self.check(o, train, test, ids, 1e-3)[0] == -math.inf
+        for ids in (range(5, 30), [3]):  # with one row, the one term of each point
+            got, got_warnings = with_warnings(o._log_density, [frozenset(ids)], o._works[0])
+            assert got[0, 0] == -math.inf and np.isfinite(got[0, 1:]).all()
+            assert got_warnings == [(RuntimeWarning, "overflow encountered in multiply"),
+                                    (RuntimeWarning, "divide by zero encountered in log")]
+            self.check(o, train, test, ids, 1e-3)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_zero_bandwidth_stack_takes_the_3d_form(self, d):
