@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,7 +83,8 @@ def load_csv(
     The optional label column is parsed as numbers when possible, otherwise
     mapped to 0..k-1 by sorted distinct value. The optional group column is
     kept as strings. Every remaining column must parse as a finite float.
-    Every MalformedInput raised names the file.
+    Column names must be distinct. Every MalformedInput raised names the
+    file.
     """
     path = Path(path)
     try:
@@ -94,6 +96,9 @@ def load_csv(
         raise MalformedInput(f"{path}: cannot read the file ({exc})") from None
     if header is None:
         raise MalformedInput(f"{path}: empty file")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise MalformedInput(f"{path}: repeated column names {repeated}")
     for name in (label, group):
         if name is not None and name not in header:
             raise UnknownColumn(f"{path}: no column named {name!r}")

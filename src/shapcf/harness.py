@@ -226,6 +226,11 @@ def gen_vertical(dataset: Dataset, groups: Mapping[str, Sequence[str]]) -> Owner
     return OwnerPartition(owners)
 
 
+def _needs_data(utility_kind: str, alloc_kind: str) -> bool:
+    """Whether a run loads a table: for a data-backed utility or an allocation built from the table."""
+    return utility_kind in DATA_BACKED or alloc_kind in ("natural", "vertical")
+
+
 def _only(section: str, obj: dict, keys: Iterable[str]) -> None:
     """Raise MalformedInput naming every key of `obj` outside `keys`."""
     stray = set(obj) - set(keys)
@@ -286,6 +291,10 @@ class ExperimentConfig:
         need, axis = "features" if kind == "vertical" else "rows", utility.get("axis", "rows")
         if utility_kind in DATA_BACKED and axis != need:
             raise MalformedInput(f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {axis!r}")
+        if not _needs_data(utility_kind, kind):
+            for key in ("data", "test_data"):
+                if getattr(self, key) is not None:
+                    raise MalformedInput(f"a {utility_kind!r} utility with a {kind!r} allocation reads no {key!r}")
         mode = pair.get("mode")
         if mode is None:
             mode = "designated" if kind == "zipfian" else "random"
@@ -394,8 +403,7 @@ def load_split(
 def _load_data(cfg: ExperimentConfig) -> tuple[Dataset | None, Dataset | None]:
     kind, utility = check_config(cfg.utility)
     alloc_kind = cfg.allocation.get("kind")
-    needs = kind in DATA_BACKED or alloc_kind in ("natural", "vertical")
-    if not needs:
+    if not _needs_data(kind, alloc_kind):
         return None, None
     if cfg.data is None:
         raise MalformedInput(f"utility kind {kind!r} / allocation {alloc_kind!r} needs a data file")

@@ -98,9 +98,11 @@ class UtilityOracle:
     below every score and clamps to 0 like any negative one.
 
     Subclasses implement _score for one composed set, or _score_many for a
-    batch of them when scoring several at once is cheaper; values() hands
-    all of a call's cache misses to one _score_many call. Each sets `pool`,
-    the entry ids it scores, in the order generated allocations draw from.
+    batch of them when scoring several at once is cheaper: one score per
+    set, in order. values() hands all of a call's cache misses to one
+    _score_many call and raises ValueError, memoising none of them, when
+    the scores are too few or too many. Each sets `pool`, the entry ids it
+    scores, in the order generated allocations draw from.
     """
 
     kind = "base"
@@ -147,7 +149,10 @@ class UtilityOracle:
         self.calls += len(out)
         if missing:
             self.evals += len(missing) if cache is not None else len(missing) + len(repeats)
-            for (ids, i), score in zip(missing.items(), self._score_many(list(missing))):
+            scores = list(self._score_many(list(missing)))
+            if len(scores) != len(missing):
+                raise ValueError(f"{self.kind} utility scored {len(missing)} sets with {len(scores)} scores")
+            for (ids, i), score in zip(missing.items(), scores):
                 score = float(score)
                 if math.isnan(score) or score == math.inf:
                     raise NonFiniteScore(f"{self.kind} utility scored {len(ids)} entries as {score}")
@@ -427,13 +432,12 @@ def _diff_table(train: np.ndarray, test: np.ndarray) -> np.ndarray | None:
     """The (d, n_train, n_test) differences test[i, j] - train[k, j] at [j, k, i], or None.
 
     A stack's per-feature terms are gathered from it (see _scaled_sq_dist):
-    the same subtraction of the same two floats, so the same bits. None from
-    8 features, where the 3-D form takes every stack, above
-    _DIFF_TABLE_ELEMENTS floats, and when a difference raises a
+    the same subtraction of the same two floats, so the same bits. None
+    above _DIFF_TABLE_ELEMENTS floats and when a difference raises a
     floating-point error; then every stack subtracts its own terms.
     """
     (n_train, d), n_test = train.shape, len(test)
-    if d >= 8 or d * n_train * n_test > _DIFF_TABLE_ELEMENTS:
+    if d * n_train * n_test > _DIFF_TABLE_ELEMENTS:
         return None
     table = np.empty((d, n_train, n_test))
     try:
@@ -457,15 +461,16 @@ def _kde_log_density(
     the result is (sets, n_test). Per-dimension Scott bandwidths
     h_j = std_j * n^(-1/(d+4)), floored so that degenerate dimensions stay
     usable, and r_j = 1 / (h_j * sqrt(2)). Each (train k, test i) pair has
-    sq = sum_j ((test_ij - train_kj) * r_j)^2, half its squared scaled
-    distance, so its log kernel is -sq - sum_j log h_j - d/2 * log(2 pi),
-    with no division and no -1/2 pass on the block. The log density is
+    sq = sum_j ((test_ij - train_kj) * r_j)^2, added in feature order (see
+    _scaled_sq_dist), half its squared scaled distance, so its log kernel
+    is -sq - sum_j log h_j - d/2 * log(2 pi), with no division and no -1/2
+    pass on the block. The log density is
     log(sum_k exp(lo - sq)) - lo - c, with lo the smallest sq of the test
     point (its nearest train point, whose term is exp(0) = 1: a tie adds 1
     per tied point, and the sum is at least 1) and
     c = sum_j log h_j + (d/2 * log(2 pi) + log n), subtracted on the
     (sets, n_test) result. It differs from the log kernel through
-    scipy.special.logsumexp in the last bits only: at most 8.3e-16 relative
+    scipy.special.logsumexp in the last bits only: at most 1.3e-15 relative
     on the tests' cases, which hold it to 1e-12. lo is taken as at most the
     largest float, so a test point whose every sq is +inf sums
     exp(-inf) = 0 terms and gets -inf, and numpy warns of the log of zero.
@@ -522,36 +527,23 @@ def _scaled_sq_dist(
     """sum_j ((test_ij - train_kj) * r_j)^2 for every (train k, test i) pair of each set, into out.
 
     test is (sets or 1, n_test, d), train (sets, n_train, d), r (sets, d)
-    and out and z (sets, n_train, n_test). Each value has the bits of
-    `(w * w).sum(axis=2)` for the set's own (n_test, n_train, d) array w.
-    Below 8 features numpy adds the short last axis as one running sum in
-    every layout, so the sum is built one feature at a time, each term in z,
-    with no short-axis reduction; with diffs (see _kde_log_density) a term
-    starts as the table rows of the stack's ids, else as a subtraction.
-    From 8 features numpy sums pairwise with 8 accumulators, and the 3-D
-    form is used. The 3-D form also takes any input that raises a
-    floating-point error, so numpy reports each error once under the
-    caller's error state, not once per feature.
+    and out and z (sets, n_train, n_test). The sum is built one feature at
+    a time in index order, each term in z, for any d: with diffs (see
+    _kde_log_density) a term starts as the table rows of the stack's ids,
+    else as a subtraction, and is then scaled, squared and added. numpy
+    reports a floating-point error under the caller's error state, once per
+    feature operation that meets it.
     """
-    d = test.shape[2]
-    if d < 8:
-        try:
-            with np.errstate(all="raise"):
-                for j in range(d):
-                    term = out if j == 0 else z
-                    if diffs is None:
-                        np.subtract(test[:, None, :, j], train[:, :, None, j], out=term)
-                    else:  # the ids are checked, so "clip" clips nothing and writes straight to term
-                        np.take(diffs[0][j], diffs[1], axis=0, out=term, mode="clip")
-                    term *= r[:, None, None, j]
-                    term *= term
-                    if j:
-                        out += z
-                return
-        except FloatingPointError:
-            pass
-    w = (test[:, :, None, :] - train[:, None, :, :]) * r[:, None, None, :]
-    np.copyto(out, (w * w).sum(axis=3).transpose(0, 2, 1))
+    for j in range(test.shape[2]):
+        term = out if j == 0 else z
+        if diffs is None:
+            np.subtract(test[:, None, :, j], train[:, :, None, j], out=term)
+        else:  # the ids are checked, so "clip" clips nothing and writes straight to term
+            np.take(diffs[0][j], diffs[1], axis=0, out=term, mode="clip")
+        term *= r[:, None, None, j]
+        term *= term
+        if j:
+            out += z
 
 
 def _sum_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -571,10 +563,10 @@ class KdeUtility(_DataUtility):
     eta = n_test * error_cap keeps it non-negative by construction.
 
     A set's log density has the bits of the plain one-set form that
-    tests/oracles.py keeps as the reference: one (n_test, n_train, d) array
-    of differences times reciprocal bandwidths, squared and summed over
-    features, shifted by each test point's smallest sum and summed over
-    train points pairwise (see _kde_log_density). Its bits follow numpy
+    tests/oracles.py keeps as the reference: each feature's differences
+    times its reciprocal bandwidth, squared and added one feature at a time
+    in index order, shifted by each test point's smallest sum and summed
+    over train points pairwise (see _kde_log_density). Its bits follow numpy
     alone. It is within 1e-12 relative of the log kernel through
     scipy.special.logsumexp, which the tests check.
 
@@ -593,11 +585,11 @@ class KdeUtility(_DataUtility):
     returns, and an error on either thread raises from values() with no
     score of the call memoised. A set's score has the same bits on either
     thread. In pool mode the pool's density is built on the caller at the
-    first call, before the worker starts. On
-    the rows axis below 8 features the oracle also keeps, from its
-    construction, a table of every test - train difference (_diff_table,
-    d x n_train x n_test floats, at most _DIFF_TABLE_ELEMENTS), from which
-    each stack gathers its per-feature terms.
+    first call, before the worker starts. On the rows axis the oracle also
+    keeps, from its construction, a table of every test - train difference
+    (_diff_table, d x n_train x n_test floats, at most
+    _DIFF_TABLE_ELEMENTS), from which each stack gathers its per-feature
+    terms.
     """
 
     kind = "kde"

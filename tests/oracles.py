@@ -390,20 +390,27 @@ def first_flip_reference(
 
 
 def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
-    """Product-Gaussian KDE log density: one (n_test, n_train, d) array, shifted by each test point's nearest train point.
+    """Product-Gaussian KDE log density: the features summed one at a time, shifted by each test point's nearest train point.
 
     sq is half the squared scaled distance, built with the reciprocal
-    bandwidths r = 1 / (h * sqrt(2)); lo, its minimum over train points, is
-    taken as at most the largest float, so a point whose every sq is +inf
-    sums zeros and gets -inf. Each point's terms exp(lo - sq) are summed
-    pairwise over its contiguous row.
+    bandwidths r = 1 / (h * sqrt(2)): each feature's (n_test, n_train)
+    differences are scaled, squared and added in index order. lo, its
+    minimum over train points, is taken as at most the largest float, so a
+    point whose every sq is +inf sums zeros and gets -inf. Each point's
+    terms exp(lo - sq) are summed pairwise over its contiguous row.
     """
     n, d = train.shape
     std = train.std(axis=0)
     h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
     r = 1.0 / (h * math.sqrt(2.0))
-    z = (test[:, None, :] - train[None, :, :]) * r
-    sq = (z * z).sum(axis=2)
+
+    def term(j: int) -> np.ndarray:
+        z = (test[:, None, j] - train[None, :, j]) * r[j]
+        return z * z
+
+    sq = term(0)
+    for j in range(1, d):
+        sq += term(j)
     # Reduced as the rows of an (n_train, n_test) array, the layout of the
     # package's stack: numpy's min over a contiguous row may give a NaN
     # another sign bit.

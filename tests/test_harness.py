@@ -1333,6 +1333,29 @@ class TestRunErrors:
         with pytest.raises(MalformedInput, match="at least one row"):
             run_experiment(cfg)
 
+    def test_repeated_column_names_are_rejected(self, tmp_path):
+        # With both "a" columns loaded, a vertical allocation would name one
+        # of them and leave the other to no owner.
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,b,y\n" + "".join(f"{i},{i % 5},{i % 3},{i % 2}\n" for i in range(20)))
+        with pytest.raises(MalformedInput, match=re.escape(f"{path}: repeated column names ['a']")):
+            harness.load_csv(path, label="y")
+        cfg = ExperimentConfig.from_json(
+            base_config(utility={"kind": "linreg", "label": "y", "axis": "features"},
+                        allocation={"kind": "vertical", "groups": {"X": ["a"], "Y": ["b"]}}, data=str(path))
+        )
+        with pytest.raises(MalformedInput, match="repeated column names"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("key", ["data", "test_data"])
+    @pytest.mark.parametrize(
+        "utility", [{"kind": "additive", "weights": {"0": 1.0}}, {"kind": "set-cover", "universe": [1], "subsets": [[1]]}]
+    )
+    def test_a_data_path_the_run_never_reads_is_rejected(self, key, utility):
+        # A closed-form utility with a generated allocation loads no table.
+        with pytest.raises(MalformedInput, match=f"allocation reads no '{key}'"):
+            ExperimentConfig.from_json(base_config(utility=utility, **{key: "no_such_file.csv"}))
+
     BOOKING_GROUPS = {"kind": "vertical", "groups": {"A": ["lead_time", "rate"], "B": ["stay_nights", "guests"]}}
     AXIS_MISMATCHES = [
         ({"kind": "logistic-regression"}, BOOKING_GROUPS),

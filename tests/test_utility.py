@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -155,6 +156,17 @@ class TestBatchedValues:
             o.values([{0}, bad])
         assert o.value([np.int64(1)]) == 2.0
         assert o.value(range(2)) == o.value(frozenset({0, 1})) == 3.0
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_wrong_count_of_scores_raises_and_memoises_none(self, extra):
+        class OffByOne(UtilityOracle):
+            def _score_many(self, ids_list):
+                return [1.0] * (len(ids_list) + extra)
+
+        oracle = OffByOne()
+        with pytest.raises(ValueError, match=f"base utility scored 3 sets with {3 + extra} scores"):
+            oracle.values([{1}, {2}, {3}])
+        assert oracle._cache == {}
 
 
 class TestSetCover:
@@ -349,7 +361,7 @@ def kde_one(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
 
 
 class TestKdeKernelBits:
-    """_kde_log_density is the one-set 3-D array form of tests/oracles.py, bit for bit."""
+    """_kde_log_density is the one-set per-feature form of tests/oracles.py, bit for bit."""
 
     DIMS = [*range(1, 41), 127, 128, 129, 130, 200, 300]
 
@@ -442,8 +454,8 @@ def kde_tables(d: int, seed: int, axis: str) -> tuple[Dataset, Dataset]:
 
     On rows, column 0 is 1.5 on train rows 0-7, so a set inside those rows
     (or any single row) has a zero bandwidth there; on features, column 0 is
-    1.5 throughout, so every set holding it has. Such a set's 2-D kernel
-    raises a floating-point error and it takes the 3-D form.
+    1.5 throughout, so every set holding it has. Such a set's kernel
+    meets floating-point errors (an infinite reciprocal bandwidth, NaN terms).
     """
     rng = np.random.default_rng(seed)
     train = rng.normal(size=(40, d)) * rng.uniform(0.5, 5.0, size=d)
@@ -470,7 +482,7 @@ def bits(scores: list[float]) -> bytes:
 
 
 class TestKdeBatch:
-    # 9 features take the 3-D kernel, 3 the 2-D one.
+    # 3 and 9 features: below and above the 8 at which numpy's own feature sum turns pairwise.
     CASES = [(axis, d, ref) for axis in ("rows", "features") for d in (3, 9) for ref in ("pool", "nll")]
 
     @pytest.mark.parametrize("floor", [1e-3, 0.0])
@@ -489,7 +501,7 @@ class TestKdeBatch:
                 assert bits(bare._score_many(batch)) == bits([alone[s] for s in batch])
             assert bits(bare._score_many(sets)) == bits([alone[s] for s in sets])
         if floor == 0.0:
-            # The batches mixed sets whose 2-D kernel raises with sets whose does not.
+            # The batches mixed sets whose kernel raises with sets whose does not.
             raising = 0
             for s in sets:
                 with np.errstate(divide="raise", invalid="raise"):
@@ -565,7 +577,7 @@ class TestKdeWorkspace:
         rng = np.random.default_rng(91)
 
         def oracle():
-            # A zero floor: a set with a zero bandwidth takes the 3-D form.
+            # A zero floor: a set with a zero bandwidth meets floating-point errors.
             return KdeUtility(train, test, axis=axis, reference=reference, bandwidth_floor=0.0, eta=0.0)
 
         def draw(size, count, pool):
@@ -601,6 +613,29 @@ class TestKdeWorkspace:
         table = train.n_features * len(train) * len(test) if axis == "rows" else 0
         assert held.count(cap) == 4
         assert sum(held) == 4 * cap + table + (len(test) if reference == "pool" else 0)
+
+    @pytest.mark.parametrize("table", [True, False])
+    def test_full_16_feature_stack_peaks_under_1_mib(self, table, monkeypatch):
+        # 18 sets of 45 rows against 80 test points: 64,800 (test, train)
+        # pairs, a full stack. Each feature's term runs in the workspace, so
+        # the call's own arrays are the gathered rows and a few small ones,
+        # never a (sets, n_test, n, d) array (8.3 MiB here).
+        if not table:
+            monkeypatch.setattr(utility, "_DIFF_TABLE_ELEMENTS", 0)
+        rng = np.random.default_rng(95)
+        names = tuple(f"x{j}" for j in range(16))
+        train, test = (Dataset(features=rng.normal(size=(n, 16)), feature_names=names) for n in (200, 80))
+        o = KdeUtility(train, test, reference="nll")
+        assert (o._diffs is not None) == table
+        assert 18 * 45 * 80 <= utility._STACK_ELEMENTS < 19 * 45 * 80
+        sets = draw_sets(rng, 200, 45, 18)
+        tracemalloc.start()
+        try:
+            o._log_density(sets, o._works[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def thread_tables(axis: str, seed: int) -> tuple[Dataset, Dataset]:
@@ -884,7 +919,7 @@ def kde_rows_oracle(train: np.ndarray, test: np.ndarray, floor: float) -> KdeUti
 
 
 class TestKdeDiffTable:
-    """Rows below 8 features: the oracle gathers each term from its table of test - train differences."""
+    """Rows: the oracle gathers each term from its table of test - train differences, at any feature count."""
 
     @staticmethod
     def check(o: KdeUtility, train: np.ndarray, test: np.ndarray, ids, floor: float) -> np.ndarray:
@@ -895,7 +930,7 @@ class TestKdeDiffTable:
         assert got_warnings == want_warnings
         return want
 
-    @pytest.mark.parametrize("d", [1, 2, 5, 7])
+    @pytest.mark.parametrize("d", [1, 2, 5, 7, 9, 13])
     def test_tied_maxima(self, d):
         # Train rows 40 and 41 repeat rows 0 and 1, and so do the last two test
         # points: each has two nearest train points, whose log kernels tie at
@@ -907,12 +942,12 @@ class TestKdeDiffTable:
         for ids in (range(len(train)), [0, 1, 7, 20, 40, 41]):
             check_close_to_logsumexp(self.check(o, train, test, ids, 1e-3), train[sorted(ids)], test)
 
-    @pytest.mark.parametrize("d", [1, 2, 7])
+    @pytest.mark.parametrize("d", [1, 2, 7, 9, 13])
     def test_far_point_has_a_non_finite_maximum(self, d):
         # Every squared distance of test point 0 overflows to +inf, so its
         # shift is the largest float, each term exp(-inf) = 0, and its log
-        # density -inf: numpy warns of the overflow and of the log of zero,
-        # once each. Every other point keeps a finite density.
+        # density -inf: numpy warns of the overflow once per feature and of
+        # the log of zero once. Every other point keeps a finite density.
         train, test = kde_case(d, 300 + d)
         test[0] = 1e200
         o = kde_rows_oracle(train, test, 1e-3)
@@ -920,14 +955,15 @@ class TestKdeDiffTable:
         for ids in (range(5, 30), [3]):  # with one row, the one term of each point
             got, got_warnings = with_warnings(o._log_density, [frozenset(ids)], o._works[0])
             assert got[0, 0] == -math.inf and np.isfinite(got[0, 1:]).all()
-            assert got_warnings == [(RuntimeWarning, "overflow encountered in multiply"),
-                                    (RuntimeWarning, "divide by zero encountered in log")]
+            assert got_warnings == [(RuntimeWarning, "overflow encountered in multiply")] * d + [
+                (RuntimeWarning, "divide by zero encountered in log")]
             self.check(o, train, test, ids, 1e-3)
 
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_zero_bandwidth_stack_takes_the_3d_form(self, d):
+    @pytest.mark.parametrize("d", [1, 3, 9, 13])
+    def test_zero_bandwidth_stack_warns_like_the_reference(self, d):
         # A zero floor leaves the constant column a zero bandwidth, whose
-        # per-feature terms raise.
+        # terms meet floating-point errors in the same loop as every other
+        # feature's.
         train, test = kde_case(d, 400 + d)
         o = kde_rows_oracle(train, test, 0.0)
         assert o._diffs is not None
