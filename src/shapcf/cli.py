@@ -56,8 +56,10 @@ def _load_inputs(
 ) -> tuple[OwnerPartition, UtilityOracle]:
     """The partition and its utility's oracle; a data-backed utility's data is split on `seed`.
 
-    The utility file is read and checked before any other file. Every entry
-    of the partition must be one the oracle scores, in its pool.
+    The utility file is read and checked before any other file; a
+    closed-form utility given --data or --test-data, which it never reads,
+    is a usage error. Every entry of the partition must be one the oracle
+    scores, in its pool.
     """
     cfg = read_json(utility_path, "utility file")
     kind, utility = check_config(cfg)
@@ -66,6 +68,10 @@ def _load_inputs(
         if data is None:
             raise click.UsageError(f"utility kind {kind!r} needs --data")
         train, test = load_split(data, test_data, test_ratio, seed, label=utility.get("label"))
+    else:
+        for flag, path in (("--data", data), ("--test-data", test_data)):
+            if path is not None:
+                raise click.UsageError(f"utility kind {kind!r} reads no data file: drop {flag}")
     partition = load_partition(partition_path)
     oracle = make_oracle(cfg, train, test, cache=cache)
     stray = sorted(partition.universe().difference(oracle.pool))

@@ -85,7 +85,7 @@ _SHAPES: dict[str, Rule] = {
     "allocation": _OBJECT,
     "data": _PATH,
     "test_data": _PATH,
-    "test_ratio": ("a number", is_number),
+    "test_ratio": ("a number", lambda v: v is None or is_number(v)),
     "pair": _OBJECT,
     "sampling": _OBJECT,
 }
@@ -249,7 +249,7 @@ class ExperimentConfig:
     the run reads off the sampling and pair sections: the engines'
     explain_config, the pair_budget (check_budget unless set) and the
     pair_mode (designated for a zipfian allocation, else random, unless
-    set).
+    set); and the test_ratio, 0.2 unless set.
     """
 
     utility: dict
@@ -260,7 +260,7 @@ class ExperimentConfig:
     n_owners: int = 2
     data: str | None = None
     test_data: str | None = None
-    test_ratio: float = 0.2
+    test_ratio: float | None = None
     pair: dict = field(default_factory=dict)
     sampling: dict = field(default_factory=dict)
     explain_config: ExplainConfig = field(init=False)
@@ -292,9 +292,11 @@ class ExperimentConfig:
         if utility_kind in DATA_BACKED and axis != need:
             raise MalformedInput(f"a {kind!r} allocation needs a utility with axis {need!r}, got axis {axis!r}")
         if not _needs_data(utility_kind, kind):
-            for key in ("data", "test_data"):
+            for key in ("data", "test_data", "test_ratio"):
                 if getattr(self, key) is not None:
                     raise MalformedInput(f"a {utility_kind!r} utility with a {kind!r} allocation reads no {key!r}")
+        if self.test_ratio is not None and self.test_data is not None:
+            raise MalformedInput("'test_ratio' is not read beside 'test_data', which is held out whole")
         mode = pair.get("mode")
         if mode is None:
             mode = "designated" if kind == "zipfian" else "random"
@@ -317,14 +319,15 @@ class ExperimentConfig:
         if kind in _RANGES:
             params = {key: alloc[key] for key in _ALLOCATION_KEYS[kind] if key in alloc and key != "grid"}
             _RANGES[kind](**_GENERATORS[kind].__kwdefaults__ | params)
-        check_test_ratio(self.test_ratio)
+        test_ratio = 0.2 if self.test_ratio is None else self.test_ratio
+        check_test_ratio(test_ratio)
         names = {f.name for f in fields(ExplainConfig)}
         _only("sampling", sampling, {*names, "pair_budget"})
         ecfg = ExplainConfig(**{key: value for key, value in sampling.items() if key in names})
         budget = sampling.get("pair_budget", ecfg.check_budget)
         check_values("sampling values", [("pair_budget", budget, COUNT_RULE)])
         for key, value in (
-            ("engines", tuple(self.engines)), ("test_ratio", float(self.test_ratio)),
+            ("engines", tuple(self.engines)), ("test_ratio", float(test_ratio)),
             ("explain_config", ecfg), ("pair_budget", int(budget)), ("pair_mode", mode),
         ):
             object.__setattr__(self, key, value)

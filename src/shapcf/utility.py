@@ -359,7 +359,10 @@ def _restrict(dataset: Dataset, idx: np.ndarray, axis: str) -> np.ndarray:
 
     A (sets, rows, columns) array. The table is C-ordered (see Dataset), and
     every slice has the layout that indexing it with that set alone gives:
-    C order for a row subset, F order for a column subset.
+    C order for a row subset, F order for a column subset. The KDE
+    bandwidths (_train_std) sum each set's rows in numpy's order for that
+    layout, as the set's std alone does; every other sum of the KDE and
+    logistic oracles runs in an order they fix themselves.
     """
     if axis == "rows":
         return dataset.features[idx]
@@ -390,11 +393,12 @@ class _DataUtility(UtilityOracle):
 # median of 1.71, 1.49 and 1.56 s (10 alternating rounds, quartile spreads
 # 0.17-0.40 s, 2-core box), a spread too wide to rank them, at a peak RSS of
 # 40.2, 40.7 and 41.9 MiB; so the cap stays.
-# With the difference table and the min-shifted sum (see _kde_log_density), a
-# full stack against 80 test points (2 features) takes 0.34x, 0.55-0.56x,
-# 0.67-0.68x and 0.80-0.88x the time per set of scoring its sets one by one,
-# on sets of 20, 60, 120 and 200 train rows, and 0.36-0.37 ms for 12 sets of
-# 45 rows (best of 7 rounds, two draws of the sets).
+# With the difference table, the min-shifted sum and the sum over train
+# points in index order (see _kde_log_density), a full stack against 80 test
+# points (2 features, 320 train rows) takes 0.28-0.31x, 0.54-0.56x,
+# 0.69-0.75x and 0.79-0.88x the time per set of scoring its sets one by one,
+# on sets of 20, 60, 120 and 200 train rows, and 0.33-0.35 ms for 12 sets of
+# 45 rows (best of 7 rounds of 20 calls, two draws of the sets, two runs).
 # A KDE call starts a worker thread only for 2 or more stacks of at least
 # half this cap. Six kde-svexp experiments (seeds 1-2, experiments 0-2;
 # in-process, 15 interleaved rounds, 2-core box) ran in a median of 0.532 s
@@ -477,14 +481,15 @@ def _kde_log_density(
 
     Every reduction runs within one set, in the order it takes for that set
     alone, so a set's row has the same bits in any stack. The sq of the
-    whole stack is one (sets, n, n_test) block, test points innermost, in
-    work's first float array; its second holds each feature's term, then
-    the transposed copy the sum reads. A stack larger than work gets
-    one-off arrays. diffs is None or (table, idx): a _diff_table of the rows
-    train was gathered from and the (sets, n) ids it was gathered with. Each
-    test point's terms are summed over train points pairwise: the order
-    numpy takes for a set gathered from a C-ordered table (see _restrict),
-    on either axis.
+    whole stack is one C-ordered (sets, n, n_test) block, test points
+    innermost, in work's first float array; its second holds each
+    feature's term. A stack larger than work gets one-off arrays. diffs is
+    None or (table, idx): a _diff_table of the rows train was gathered from
+    and the (sets, n) ids it was gathered with. Each test point's terms are
+    summed over train points in index order, one train point's row of the
+    block at a time, whatever the layout of the tables. With one test point
+    numpy drops that axis and sums each set's n contiguous terms pairwise,
+    alone and stacked alike.
     """
     g, n, d = train.shape
     n_test = test.shape[1]
@@ -497,7 +502,7 @@ def _kde_log_density(
     lo = sq.min(axis=1, initial=sys.float_info.max)
     np.subtract(lo[:, None, :], sq, out=sq)
     np.exp(sq, out=sq)
-    s = _sum_train(sq, work[1])
+    s = sq.sum(axis=1)
     np.log(s, out=s)
     s -= lo
     s -= (np.log(h).sum(axis=1) + (0.5 * d * _LOG_2PI + math.log(n)))[:, None]
@@ -546,13 +551,6 @@ def _scaled_sq_dist(
             out += z
 
 
-def _sum_train(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """(sets, n_test) sums of a (sets, n, n_test) block over train points, pairwise over a transposed copy in spare."""
-    rows = spare[: a.size].reshape(len(a), a.shape[2], a.shape[1])
-    np.copyto(rows, a.transpose(0, 2, 1))
-    return rows.sum(axis=-1)
-
-
 class KdeUtility(_DataUtility):
     """Density-estimation usefulness of a composed set against held-out points.
 
@@ -566,9 +564,9 @@ class KdeUtility(_DataUtility):
     tests/oracles.py keeps as the reference: each feature's differences
     times its reciprocal bandwidth, squared and added one feature at a time
     in index order, shifted by each test point's smallest sum and summed
-    over train points pairwise (see _kde_log_density). Its bits follow numpy
-    alone. It is within 1e-12 relative of the log kernel through
-    scipy.special.logsumexp, which the tests check.
+    over train points in index order (see _kde_log_density). It is within
+    1e-12 relative of the log kernel through scipy.special.logsumexp, which
+    the tests check.
 
     The sets of one values() call are scored as stacks of equal-size sets,
     each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
@@ -698,26 +696,6 @@ def _padded_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> tuple[
     return idx, sizes
 
 
-def _row_sums(a: np.ndarray, n_rows: np.ndarray) -> np.ndarray:
-    """(sets, columns) sums over the rows of a (sets, rows, columns) stack, padded rows zero.
-
-    Each set's sums have the bits of the same sum over its own rows, laid
-    out alone as the stack lays them out. Over C-ordered rows of 2 or more
-    columns numpy adds a row at a time, and over F-ordered columns it sums
-    each column's unpadded rows pairwise, so the stack is summed whole: a
-    zero appended to a running sum changes no bit of it. A single C-ordered
-    column is summed pairwise too, in an order set by its row count, so
-    then the sets are summed in groups of one row count.
-    """
-    if a.shape[2] > 1 or n_rows.min() == a.shape[1]:
-        return a.sum(axis=1)
-    out = np.empty((len(a), 1))
-    for k in sorted(set(n_rows.tolist())):
-        of_k = n_rows == k
-        out[of_k] = a[of_k, :k].sum(axis=1)
-    return out
-
-
 def _standardize(
     x: np.ndarray, n_rows: np.ndarray, real: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -725,16 +703,21 @@ def _standardize(
 
     x is a (sets, rows, columns) stack with n_rows real rows per set and
     zeros after them, and real is the (sets, rows) mask of the real rows,
-    1.0 or 0.0. x is standardized in place and keeps those zeros. Every
-    value has the bits of x.mean(axis=0), x.std(axis=0) and (x - mu) / sd
-    on the set's own (rows, columns) array, an sd under 1e-12 taken as 1.
+    1.0 or 0.0. x is standardized in place and keeps those zeros. The mean
+    is the sum of a set's rows over n_rows, the std the root of the same
+    mean of the squared deviations, an sd under 1e-12 taken as 1, and x
+    becomes (x - mu) / sd. Both sums run over a rows-outermost copy in the
+    _tree_steps order, which the zero rows leave bitwise alone, so every
+    value has the same bits whatever the stack and the table's layout.
     """
     n = n_rows[:, None]
-    mu = _row_sums(x, n_rows) / n
+    by_row = x.transpose(1, 0, 2).copy()  # C-ordered, rows outermost
+    mu = _tree_sum(by_row) / n
     x -= mu[:, None, :]
     if n_rows.min() < x.shape[1]:
         x *= real[:, :, None]
-    sd = np.sqrt(_row_sums(x * x, n_rows) / n)
+    np.square(x.transpose(1, 0, 2), out=by_row)
+    sd = np.sqrt(_tree_sum(by_row) / n)
     sd = np.where(sd < 1e-12, 1.0, sd)
     x /= sd[:, None, :]
     return x, mu, sd
@@ -789,11 +772,13 @@ class LogRegUtility(_DataUtility):
 
     The sets of one values() call are scored in groups of at most
     _STACK_ELEMENTS fit values (see _fit), each group by whole-array steps
-    over a zero-padded stack of its sets, and a single set is a group of one,
-    so a set's score is the same bits alone or in any batch. As no BLAS is
-    used, the last bits differ from one BLAS fit per set, which
-    tests/oracles.py keeps as logreg_score_reference: the two agree to a
-    relative 1e-12.
+    over a zero-padded stack of its sets, and a single set is a group of one.
+    Every sum over a set's rows or features, in the standardization, the
+    fit and the prediction, runs in the _tree_steps order, which the padding leaves
+    bitwise alone, so a set's score is the same bits alone or in any batch,
+    from any table layout. As no BLAS is used, the last bits differ from one
+    BLAS fit per set, which tests/oracles.py keeps as
+    logreg_score_reference: the two agree to a relative 1e-12.
     """
 
     kind = "logistic-regression"

@@ -397,7 +397,9 @@ def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float)
     differences are scaled, squared and added in index order. lo, its
     minimum over train points, is taken as at most the largest float, so a
     point whose every sq is +inf sums zeros and gets -inf. Each point's
-    terms exp(lo - sq) are summed pairwise over its contiguous row.
+    terms exp(lo - sq) are summed over train points in index order, as the
+    columns of a C-ordered (n_train, n_test) array; with one test point
+    numpy sums that one contiguous column pairwise.
     """
     n, d = train.shape
     std = train.std(axis=0)
@@ -411,11 +413,12 @@ def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float)
     sq = term(0)
     for j in range(1, d):
         sq += term(j)
-    # Reduced as the rows of an (n_train, n_test) array, the layout of the
-    # package's stack: numpy's min over a contiguous row may give a NaN
-    # another sign bit.
-    lo = np.ascontiguousarray(sq.T).min(axis=0, initial=np.finfo(np.float64).max)
-    s = np.exp(lo[:, None] - sq).sum(axis=1)
+    # Both reductions run over the train axis of a C-ordered (n_train, n_test)
+    # array, the layout of the package's stack: numpy's min over a contiguous
+    # row may give a NaN another sign bit.
+    sq = np.ascontiguousarray(sq.T)
+    lo = sq.min(axis=0, initial=np.finfo(np.float64).max)
+    s = np.exp(lo - sq).sum(axis=0)
     return np.log(s) - lo - (np.log(h).sum() + (0.5 * d * math.log(2.0 * math.pi) + math.log(n)))
 
 

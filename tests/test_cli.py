@@ -139,6 +139,19 @@ class TestShapleyCommand:
         assert res.exit_code == 2
         assert "--data" in res.stderr
 
+    @pytest.mark.parametrize("command", [["shapley"], ["explain", "--engine", "bf", "--a", "A", "--b", "B"]])
+    @pytest.mark.parametrize("flags, named", [(["--data"], "--data"), (["--test-data"], "--test-data"),
+                                              (["--data", "--test-data"], "--data")])
+    def test_a_closed_form_utility_rejects_data_files(self, runner, additive_files, tmp_path, command, flags, named):
+        # An additive utility reads no table, so a data file beside it is a usage error, not ignored.
+        utility, partition = additive_files
+        data = write_csv(tmp_path / "tiny.csv", n_rows=6)
+        args = [arg for flag in flags for arg in (flag, data)]
+        res = runner.invoke(main, [*command, *args, "--partition", partition, "--utility", utility])
+        assert res.exit_code == 2
+        assert f"drop {named}" in res.stderr
+        assert not res.stdout
+
     def test_partition_rows_validated_against_data(self, runner, tmp_path):
         data = write_csv(tmp_path / "train.csv", n_rows=10, seed=1)
         test = write_csv(tmp_path / "test.csv", n_rows=4, seed=2)
@@ -172,11 +185,12 @@ class TestShapleyCommand:
         ],
     )
     def test_every_kind_checks_the_partition_against_its_pool(self, runner, tmp_path, utility, owners, stray):
-        data = write_csv(tmp_path / "train.csv", n_rows=10, seed=1)
+        # Only the data-backed kind is given a data file; the closed forms reject one.
+        data = ["--data", write_csv(tmp_path / "train.csv", n_rows=10, seed=1)] if utility["kind"] == "kde" else []
         utility = write_json(tmp_path / "utility.json", utility)
         partition = write_json(tmp_path / "partition.json", {"owners": owners})
         for command in (["shapley"], ["explain", "--engine", "bf", "--a", "A", "--b", "B"]):
-            res = runner.invoke(main, [*command, "--data", data, "--partition", partition, "--utility", utility])
+            res = runner.invoke(main, [*command, *data, "--partition", partition, "--utility", utility])
             assert res.exit_code == 1, res.output
             assert f"Error: partition entries {stray} are not among" in res.stderr
 

@@ -55,8 +55,8 @@ def test_importing_the_package_loads_no_numpy_random():
 
 
 # Every oracle kind, each scoring sets alone and in a batch (a single-feature
-# logistic table of unequal sets takes _row_sums' per-row-count branch), then
-# one exact-route request per engine on a 3-owner partition.
+# logistic table of unequal sets standardizes a zero-padded one-column stack),
+# then one exact-route request per engine on a 3-owner partition.
 ORACLES_AND_EXACT_ROUTES = """
 import numpy as np
 from shapcf import Dataset, OwnerPartition, explain, make_oracle, spawn_rng

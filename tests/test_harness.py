@@ -1356,6 +1356,20 @@ class TestRunErrors:
         with pytest.raises(MalformedInput, match=f"allocation reads no '{key}'"):
             ExperimentConfig.from_json(base_config(utility=utility, **{key: "no_such_file.csv"}))
 
+    def test_a_test_ratio_the_run_never_reads_is_rejected(self):
+        # No table is read beside a closed-form utility and a generated
+        # allocation, and a test_data file is held out whole, so a test_ratio
+        # set there would be ignored. Left out, it reads as 0.2.
+        with pytest.raises(MalformedInput, match="allocation reads no 'test_ratio'"):
+            ExperimentConfig.from_json(base_config(test_ratio=0.2))
+        kde = {"utility": {"kind": "kde", "label": "y"}, "data": "train.csv", "test_data": "test.csv"}
+        with pytest.raises(MalformedInput, match="'test_ratio' is not read beside 'test_data'"):
+            ExperimentConfig.from_json(base_config(**kde, test_ratio=0.25))
+        with pytest.raises(MalformedInput, match="'test_ratio' is not read beside 'test_data'"):
+            ExperimentConfig(**{**base_config(**kde, test_ratio=0.2), "engines": ("bf",)})
+        assert ExperimentConfig.from_json(base_config(**kde)).test_ratio == 0.2
+        assert ExperimentConfig.from_json(base_config(**kde | {"test_data": None}, test_ratio=0.25)).test_ratio == 0.25
+
     BOOKING_GROUPS = {"kind": "vertical", "groups": {"A": ["lead_time", "rate"], "B": ["stay_nights", "guests"]}}
     AXIS_MISMATCHES = [
         ({"kind": "logistic-regression"}, BOOKING_GROUPS),

@@ -482,7 +482,8 @@ def bits(scores: list[float]) -> bytes:
 
 
 class TestKdeBatch:
-    # 3 and 9 features: below and above the 8 at which numpy's own feature sum turns pairwise.
+    # 3 and 9 features: either side of 8, from which a pairwise sum of the
+    # features would differ from the kernel's one feature at a time.
     CASES = [(axis, d, ref) for axis in ("rows", "features") for d in (3, 9) for ref in ("pool", "nll")]
 
     @pytest.mark.parametrize("floor", [1e-3, 0.0])
@@ -551,7 +552,7 @@ class TestKdeBatch:
             train, test = rng.normal(size=(30, d)), rng.normal(size=(9, d))
             names = tuple(f"x{j}" for j in range(d))
             pool = len(train) if axis == "rows" else d
-            for size in sorted({1, 2, min(pool, 9), pool}):  # pairwise and running sums differ from 9 rows
+            for size in sorted({1, 2, min(pool, 9), pool}):  # pairwise and running sums differ from 9 terms
                 ids = sorted(rng.choice(pool, size=size, replace=False).tolist())
                 if axis == "rows":
                     want = kde_log_density_reference(train[ids], test, 1e-3)
@@ -563,6 +564,34 @@ class TestKdeBatch:
                         o = KdeUtility(*(Dataset(features=lay(x), feature_names=names) for lay, x in tables), axis=axis)
                         assert o.train.features.flags.c_contiguous and o.test.features.flags.c_contiguous
                         assert o._log_density([frozenset(ids)], o._works[0])[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 130])
+    @pytest.mark.parametrize("n_test", [1, 2])
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    def test_one_or_two_test_points_keep_every_bit(self, axis, n_test, n):
+        # Sets of n train points against 1 or 2 test points. With one, numpy
+        # drops the size-1 axis of the (sets, n, n_test) block and sums each
+        # set's n contiguous terms pairwise (in blocks of 8 and of 128); with
+        # two it adds one train point at a time. Either way a set's row is
+        # the same alone, stacked and in the reference.
+        rng = np.random.default_rng(600 + 10 * n + n_test)
+        d = 4
+        n_rows = 140 if axis == "rows" else n
+        train, test = rng.normal(size=(n_rows, d)), rng.normal(size=(n_test, d))
+        names = tuple(f"x{j}" for j in range(d))
+        o = KdeUtility(*(Dataset(features=x, feature_names=names) for x in (train, test)), axis=axis)
+        pool, size = (n_rows, n) if axis == "rows" else (d, 2)
+        sets = [frozenset(rng.choice(pool, size=size, replace=False).tolist()) for _ in range(5)]
+        stacked = o._log_density(sets, o._works[0])
+        assert stacked.shape == (5, n_test)
+        for ids, row in zip(sets, stacked):
+            ids = sorted(ids)
+            if axis == "rows":
+                want = kde_log_density_reference(train[ids], test, o.floor)
+            else:
+                want = kde_log_density_reference(train[:, ids], test[:, ids], o.floor)
+            alone = o._log_density([frozenset(ids)], o._works[0])[0]
+            assert alone.tobytes() == row.tobytes() == want.tobytes()
 
 
 class TestKdeWorkspace:
@@ -1048,8 +1077,8 @@ def logreg_sets(train: Dataset, axis: str, rng: np.random.Generator) -> list[fro
 
 
 class TestLogRegBatch:
-    # 9 features put the fit's width above 8, past numpy's short running sums.
-    # 1 feature on rows is the layout where numpy sums a set's column pairwise.
+    # 9 features put the fit's width above 8, from which a pairwise sum
+    # differs from a running one. 1 feature on rows stacks one column per set.
     CASES = [("rows", 1), ("rows", 2), ("rows", 4), ("rows", 9), ("features", 4), ("features", 9)]
 
     @pytest.mark.parametrize("axis, n_features", CASES)
@@ -1098,7 +1127,9 @@ class TestLogRegBatch:
     @pytest.mark.parametrize("size", [3, 30])
     def test_one_array_pass_per_fit_group(self, axis, size, monkeypatch):
         # Each step runs once for the whole group, whatever its size; the log-loss
-        # once for the fitted sets and once for the single-class ones.
+        # once for the fitted sets and once for the single-class ones, and
+        # _tree_sum for the mean and the std of the standardization and for
+        # the prediction's x v.
         train = make_blobs(40, n_features=9, seed=63, sep=1.0)
         test = make_blobs(30, n_features=9, seed=64, sep=1.0)
         sets = logreg_sets(train, axis, np.random.default_rng(65))[:size]
@@ -1117,8 +1148,8 @@ class TestLogRegBatch:
             count_calls(monkeypatch, owner, name, calls)
         assert bare._score_many(sets) == alone
         assert calls.pop("_log_loss") <= 2
-        once = ("_score_group", "_padded_ids", "_standardize", "_fit", "_predict", "_tree_sum")
-        assert calls == dict.fromkeys(once, 1)
+        once = ("_score_group", "_padded_ids", "_standardize", "_fit", "_predict")
+        assert calls == dict.fromkeys(once, 1) | {"_tree_sum": 3}
 
     @pytest.mark.parametrize("axis", ["rows", "features"])
     def test_large_test_sets_split_the_prediction_stack(self, axis, monkeypatch):
@@ -1131,7 +1162,8 @@ class TestLogRegBatch:
         stacks = []
 
         def spy(a):
-            stacks.append(a.shape)  # (features + bias, sets, test points)
+            if a.shape[2] == len(test):  # not the standardization's (rows, sets, features)
+                stacks.append(a.shape)  # (features + bias, sets, test points)
             return tree_sum(a)
 
         monkeypatch.setattr(utility, "_tree_sum", spy)
