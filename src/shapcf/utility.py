@@ -20,14 +20,11 @@ own arguments) run it; a constructor then checks what needs the data.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import operator
-import os
 import reprlib
 import sys
-import threading
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -37,7 +34,6 @@ from .core import MalformedInput, NonFiniteScore, Rule, entry_ids, is_integer, i
 from .datasets import Dataset
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_SQRT2 = math.sqrt(2.0)
 
 _FINITE: Rule = ("a finite number", lambda v: is_number(v) and math.isfinite(v))
 _FINITE_OR_NULL: Rule = ("a finite number or null", lambda v: v is None or _FINITE[1](v))
@@ -385,37 +381,19 @@ class _DataUtility(UtilityOracle):
 # values() call's sets are scored in stacks under it, and a larger set
 # alone. The logistic fit keeps three arrays of this size, 512 KB each, which
 # stay in cache: larger groups measured slower on sets of a thousand rows
-# and more. A KDE oracle makes a workspace of two arrays of this size, 1 MiB,
-# for each of the two threads that may score its stacks (see KdeUtility), and
-# runs every stack in its thread's workspace, so a stack touches no fresh
-# pages. With one workspace (and before the difference
-# table), caps of 2^15, 2^16 and 2^17 ran eight kde-svexp experiments in a
-# median of 1.71, 1.49 and 1.56 s (10 alternating rounds, quartile spreads
-# 0.17-0.40 s, 2-core box), a spread too wide to rank them, at a peak RSS of
-# 40.2, 40.7 and 41.9 MiB; so the cap stays.
-# With the difference table, the min-shifted sum and the sum over train
-# points in index order (see _kde_log_density), a full stack against 80 test
-# points (2 features, 320 train rows) takes 0.28-0.31x, 0.54-0.56x,
-# 0.69-0.75x and 0.79-0.88x the time per set of scoring its sets one by one,
-# on sets of 20, 60, 120 and 200 train rows, and 0.33-0.35 ms for 12 sets of
-# 45 rows (best of 7 rounds of 20 calls, two draws of the sets, two runs).
-# A KDE call starts a worker thread only for 2 or more stacks of at least
-# half this cap. Six kde-svexp experiments (seeds 1-2, experiments 0-2;
-# in-process, 15 interleaved rounds, 2-core box) ran in a median of 0.532 s
-# on one thread, and 0.480, 0.470, 0.484 and 0.512 s with a worker from
-# 2^13, 2^14, 2^15 and 40,000 elements; on seeds 11-13 and 21-23 the
-# thresholds from 2^14 to 40,000 were within each other's quartiles. With
-# the threads taking stacks from one queue, fresh-interpreter pairs against
-# a static split of the stacks read 0.95-1.00x its time from 2^15 elements
-# and 1.02x from any stack. Half the cap is as fast as 2^14 and starts
-# fewer threads. On the min-shifted kernel the worker still pays: kde-svexp
-# seeds 1 and 21 (10 alternating benchmark pairs each, 2-core box) read a
-# median run_s of 0.104 and 0.114 s with it against 0.108 and 0.119 s
-# without, outside the threaded runs' quartiles.
+# and more. A KDE oracle makes one workspace of two arrays of this size,
+# 1 MiB, and runs every stack in it, so a stack touches no fresh pages.
+# Before the difference table, caps of 2^15, 2^16 and 2^17 ran eight
+# kde-svexp experiments in a median of 1.71, 1.49 and 1.56 s (10 alternating
+# rounds, quartile spreads 0.17-0.40 s, 2-core box), a spread too wide to
+# rank them, at a peak RSS of 40.2, 40.7 and 41.9 MiB; so the cap stays.
+# With the squared-difference table and the plain sum over train points
+# (see _kde_log_density), a full stack against 80 test points (2 features,
+# 320 train rows) takes 0.25-0.26x, 0.48-0.49x, 0.64-0.65x and 0.78-0.80x
+# the time per set of scoring its sets one by one, on sets of 20, 60, 120
+# and 200 train rows, and 0.25 ms for 12 sets of 45 rows (best of 7 rounds
+# of 20 calls, two runs, 2-core box).
 _STACK_ELEMENTS = 1 << 16
-
-# CPUs this process may run on, read once at import.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _workspace() -> tuple[np.ndarray, np.ndarray]:
@@ -423,22 +401,33 @@ def _workspace() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(_STACK_ELEMENTS), np.empty(_STACK_ELEMENTS)
 
 
-# Most floats a KDE oracle's table of test - train differences may hold (see
-# _diff_table): 2 MiB, one core's L2 cache on the 2-core Xeon box where it was
-# measured. Against stacks of 15- and 45-row sets and 80 test points (2
-# features; best of 7 rounds of 20 random stacks, two draws), a stack took
-# 0.90-1.01x its time without the table at a 0.4 MiB table, 0.91-0.97x at
-# 2.0 MiB, 1.02-1.03x at 3.9 MiB and 1.02-1.10x at 7.3 and 24 MiB.
+# Most floats a KDE oracle's table of squared test - train differences may
+# hold (see _diff_table): 2 MiB, one core's L2 cache on the 2-core Xeon box
+# where it was measured. Against stacks of 15- and 45-row sets and 80 test
+# points (2 features; best of 7 rounds of 20 random stacks, two draws), a
+# stack took 0.90-1.01x its time without the table at a 0.4 MiB table,
+# 0.91-0.97x at 2.0 MiB, 1.02-1.03x at 3.9 MiB and 1.02-1.10x at 7.3 and
+# 24 MiB.
 _DIFF_TABLE_ELEMENTS = 1 << 18
+
+# A set whose sum of kernel terms falls below this at some test point is
+# summed again, shifted by each point's largest exponent (see
+# _kde_log_density). Above it the plain sum is as accurate: each term that
+# underflows to a subnormal or to zero loses at most about 2^-1074, so n
+# terms lose at most n * 2^-74 of a sum of at least 2^-1000, under 1e-12
+# relative for any n below 2^34.
+_SHIFT_BELOW = 2.0**-1000
 
 
 def _diff_table(train: np.ndarray, test: np.ndarray) -> np.ndarray | None:
-    """The (d, n_train, n_test) differences test[i, j] - train[k, j] at [j, k, i], or None.
+    """The (d, n_train, n_test) squares (test[i, j] - train[k, j])^2 at [j, k, i], or None.
 
-    A stack's per-feature terms are gathered from it (see _scaled_sq_dist):
-    the same subtraction of the same two floats, so the same bits. None
-    above _DIFF_TABLE_ELEMENTS floats and when a difference raises a
-    floating-point error; then every stack subtracts its own terms.
+    A stack's per-feature terms are gathered from it (see _kde_exponent):
+    the same subtraction and squaring of the same two floats, so the same
+    bits. None above _DIFF_TABLE_ELEMENTS floats and when the subtraction
+    or the squaring meets a floating-point error (a difference beyond about
+    1.3e154 squares past the largest float); then every stack subtracts and
+    squares its own terms, under its caller's error state.
     """
     (n_train, d), n_test = train.shape, len(test)
     if d * n_train * n_test > _DIFF_TABLE_ELEMENTS:
@@ -447,6 +436,7 @@ def _diff_table(train: np.ndarray, test: np.ndarray) -> np.ndarray | None:
     try:
         with np.errstate(all="raise"):
             np.subtract(test.T[:, None, :], train.T[:, :, None], out=table)
+            table *= table
     except FloatingPointError:
         return None
     return table
@@ -464,47 +454,58 @@ def _kde_log_density(
     train is a (sets, n, d) stack and test a (sets or 1, n_test, d) one;
     the result is (sets, n_test). Per-dimension Scott bandwidths
     h_j = std_j * n^(-1/(d+4)), floored so that degenerate dimensions stay
-    usable, and r_j = 1 / (h_j * sqrt(2)). Each (train k, test i) pair has
-    sq = sum_j ((test_ij - train_kj) * r_j)^2, added in feature order (see
-    _scaled_sq_dist), half its squared scaled distance, so its log kernel
-    is -sq - sum_j log h_j - d/2 * log(2 pi), with no division and no -1/2
-    pass on the block. The log density is
-    log(sum_k exp(lo - sq)) - lo - c, with lo the smallest sq of the test
-    point (its nearest train point, whose term is exp(0) = 1: a tie adds 1
-    per tied point, and the sum is at least 1) and
-    c = sum_j log h_j + (d/2 * log(2 pi) + log n), subtracted on the
-    (sets, n_test) result. It differs from the log kernel through
-    scipy.special.logsumexp in the last bits only: at most 1.3e-15 relative
-    on the tests' cases, which hold it to 1e-12. lo is taken as at most the
-    largest float, so a test point whose every sq is +inf sums
-    exp(-inf) = 0 terms and gets -inf, and numpy warns of the log of zero.
+    usable, and a_j = -0.5 / (h_j * h_j). Each (train k, test i) pair has
+    the exponent e = sum_j (test_ij - train_kj)^2 * a_j, added in feature
+    order (see _kde_exponent), so its log kernel is
+    e - sum_j log h_j - d/2 * log(2 pi). The log density is
+    log(sum_k exp(e)) - c, with c = sum_j log h_j + (d/2 * log(2 pi) + log n)
+    subtracted on the (sets, n_test) result.
+
+    A set whose sum is below _SHIFT_BELOW at some test point (a one-row set
+    at a floored bandwidth, whose exponents run near -1e6, say) is summed
+    again as log(sum_k exp(e - lo)) + lo - c, with lo each test point's
+    largest exponent (its nearest train point, whose term is exp(0) = 1)
+    taken as at least minus the largest float: a point whose every exponent
+    is -inf sums exp(-inf) = 0 terms and gets -inf, and numpy warns of the
+    log of zero. A set's own sums decide whether it is shifted. Either way
+    the density is within 1e-12 relative of the log kernel through
+    scipy.special.logsumexp, which the tests check. The difference is
+    squared before a_j scales it, so a difference beyond about 1.3e154
+    squares to +inf (an exponent of -inf, with numpy's overflow warning)
+    even where its scaled square would be finite.
 
     Every reduction runs within one set, in the order it takes for that set
-    alone, so a set's row has the same bits in any stack. The sq of the
-    whole stack is one C-ordered (sets, n, n_test) block, test points
+    alone, so a set's row has the same bits in any stack. The exponents of
+    the whole stack are one C-ordered (sets, n, n_test) block, test points
     innermost, in work's first float array; its second holds each
-    feature's term. A stack larger than work gets one-off arrays. diffs is
-    None or (table, idx): a _diff_table of the rows train was gathered from
-    and the (sets, n) ids it was gathered with. Each test point's terms are
-    summed over train points in index order, one train point's row of the
-    block at a time, whatever the layout of the tables. With one test point
-    numpy drops that axis and sums each set's n contiguous terms pairwise,
-    alone and stacked alike.
+    feature's term, then the kernel terms exp(e), then the shifted sets'
+    terms. A stack larger than work gets one-off arrays. diffs is None or
+    (table, idx): a _diff_table of the rows train was gathered from and the
+    (sets, n) ids it was gathered with. Each test point's terms are summed
+    over train points in index order, one train point's row of the block at
+    a time, whatever the layout of the tables. With one test point numpy
+    drops that axis and sums each set's n contiguous terms pairwise, alone
+    and stacked alike.
     """
     g, n, d = train.shape
     n_test = test.shape[1]
     size = g * n * n_test
     if len(work[0]) < size:
         work = (np.empty(size), np.empty(size))
-    sq = work[0][:size].reshape(g, n, n_test)
+    e, terms = (a[:size].reshape(g, n, n_test) for a in work)
     h = np.maximum(_train_std(train) * n ** (-1.0 / (d + 4)), floor)
-    _scaled_sq_dist(test, train, 1.0 / (h * _SQRT2), sq, work[1][:size].reshape(g, n, n_test), diffs)
-    lo = sq.min(axis=1, initial=sys.float_info.max)
-    np.subtract(lo[:, None, :], sq, out=sq)
-    np.exp(sq, out=sq)
-    s = sq.sum(axis=1)
+    _kde_exponent(test, train, -0.5 / (h * h), e, terms, diffs)
+    s = np.exp(e, out=terms).sum(axis=1)
+    under = s < _SHIFT_BELOW
+    shifted = np.flatnonzero(under.any(axis=1)) if under.any() else None
+    if shifted is not None:
+        z = np.take(e, shifted, axis=0, out=terms[: len(shifted)], mode="clip")
+        lo = z.max(axis=1, initial=-sys.float_info.max)
+        z -= lo[:, None, :]
+        s[shifted] = np.exp(z, out=z).sum(axis=1)
     np.log(s, out=s)
-    s -= lo
+    if shifted is not None:
+        s[shifted] += lo
     s -= (np.log(h).sum(axis=1) + (0.5 * d * _LOG_2PI + math.log(n)))[:, None]
     return s
 
@@ -521,21 +522,21 @@ def _train_std(x: np.ndarray) -> np.ndarray:
     return np.sqrt(var, out=var)
 
 
-def _scaled_sq_dist(
+def _kde_exponent(
     test: np.ndarray,
     train: np.ndarray,
-    r: np.ndarray,
+    a: np.ndarray,
     out: np.ndarray,
     z: np.ndarray,
     diffs: tuple[np.ndarray, np.ndarray] | None,
 ) -> None:
-    """sum_j ((test_ij - train_kj) * r_j)^2 for every (train k, test i) pair of each set, into out.
+    """sum_j (test_ij - train_kj)^2 * a_j for every (train k, test i) pair of each set, into out.
 
-    test is (sets or 1, n_test, d), train (sets, n_train, d), r (sets, d)
+    test is (sets or 1, n_test, d), train (sets, n_train, d), a (sets, d)
     and out and z (sets, n_train, n_test). The sum is built one feature at
     a time in index order, each term in z, for any d: with diffs (see
     _kde_log_density) a term starts as the table rows of the stack's ids,
-    else as a subtraction, and is then scaled, squared and added. numpy
+    else as a subtraction squared, and is then scaled and added. numpy
     reports a floating-point error under the caller's error state, once per
     feature operation that meets it.
     """
@@ -543,10 +544,10 @@ def _scaled_sq_dist(
         term = out if j == 0 else z
         if diffs is None:
             np.subtract(test[:, None, :, j], train[:, :, None, j], out=term)
+            term *= term
         else:  # the ids are checked, so "clip" clips nothing and writes straight to term
             np.take(diffs[0][j], diffs[1], axis=0, out=term, mode="clip")
-        term *= r[:, None, None, j]
-        term *= term
+        term *= a[:, None, None, j]
         if j:
             out += z
 
@@ -561,30 +562,24 @@ class KdeUtility(_DataUtility):
     eta = n_test * error_cap keeps it non-negative by construction.
 
     A set's log density has the bits of the plain one-set form that
-    tests/oracles.py keeps as the reference: each feature's differences
-    times its reciprocal bandwidth, squared and added one feature at a time
-    in index order, shifted by each test point's smallest sum and summed
-    over train points in index order (see _kde_log_density). It is within
-    1e-12 relative of the log kernel through scipy.special.logsumexp, which
-    the tests check.
+    tests/oracles.py keeps as the reference: each feature's squared
+    differences times -1 / (2 h_j^2), added one feature at a time in index
+    order, exponentiated and summed over train points in index order, and
+    shifted by each test point's largest exponent only for a set whose sum
+    underflows (see _kde_log_density). It is within 1e-12 relative of the
+    log kernel through scipy.special.logsumexp, which the tests check.
 
-    The sets of one values() call are scored as stacks of equal-size sets,
-    each stack of at most _STACK_ELEMENTS (test x train) pairs, and a larger
-    set alone; a set's score is the same bits alone, in any batch and from
-    any layout of the caller's arrays, which a Dataset holds C-ordered.
-    The oracle makes, with itself, one workspace for the calling thread and
-    one for a worker, each two _STACK_ELEMENTS float arrays (1 MiB) left
-    untouched until a stack runs in it; a larger set gets one-off arrays.
-    A call's stacks wait in one queue, largest first. When the process may
-    run on 2 or more CPUs and a call holds 2 or more stacks of at least half
-    _STACK_ELEMENTS, the call starts a worker thread, and the caller and the
-    worker each take the next stack, in their own workspace, until the queue
-    is empty or either has failed. The call joins the worker before it
-    returns, and an error on either thread raises from values() with no
-    score of the call memoised. A set's score has the same bits on either
-    thread. In pool mode the pool's density is built on the caller at the
-    first call, before the worker starts. On the rows axis the oracle also
-    keeps, from its construction, a table of every test - train difference
+    The sets of one values() call are scored in order on the calling
+    thread, as stacks of equal-size sets, each stack of at most
+    _STACK_ELEMENTS (test x train) pairs, and a larger set alone; a set's
+    score is the same bits alone, in any batch and from any layout of the
+    caller's arrays, which a Dataset holds C-ordered. The oracle makes,
+    with itself, one workspace of two _STACK_ELEMENTS float arrays (1 MiB),
+    left untouched until a stack runs in it; a larger set gets one-off
+    arrays. An error in any stack raises from values() with no score of
+    the call memoised. In pool mode the pool's density is built at the
+    first call. On the rows axis the oracle also keeps, from its
+    construction, a table of every squared test - train difference
     (_diff_table, d x n_train x n_test floats, at most
     _DIFF_TABLE_ELEMENTS), from which each stack gathers its per-feature
     terms.
@@ -612,73 +607,37 @@ class KdeUtility(_DataUtility):
         self.reference = reference
         self.eta = float(eta) if eta is not None else len(test) * self.error_cap
         self._pool_logp: np.ndarray | None = None
-        self._works = (_workspace(), _workspace())  # the caller's and the worker's
+        self._work = _workspace()
         self._diffs = _diff_table(train.features, test.features) if self.axis == "rows" else None
 
-    def _log_density(self, ids_list: list[frozenset[int]], work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The (sets, n_test) log densities of equal-size sets, run in work."""
+    def _log_density(self, ids_list: list[frozenset[int]]) -> np.ndarray:
+        """The (sets, n_test) log densities of equal-size sets, run in the oracle's workspace."""
         idx = _stack_ids(ids_list, len(self.pool), self.axis)
         x = _restrict(self.train, idx, self.axis)
         t = self.test.features[None] if self.axis == "rows" else _restrict(self.test, idx, self.axis)
         diffs = None if self._diffs is None else (self._diffs, idx)
-        return _kde_log_density(x, t, self.floor, work, diffs)
+        return _kde_log_density(x, t, self.floor, self._work, diffs)
 
     def _score_many(self, ids_list: list[frozenset[int]]) -> list[float]:
+        if self.reference == "pool" and self._pool_logp is None:
+            self._pool_logp = self._log_density([frozenset(self.pool)])[0]
         by_size: dict[int, list[int]] = {}
         for i, ids in enumerate(ids_list):
             by_size.setdefault(len(ids), []).append(i)
-        stacks: list[tuple[int, list[int]]] = []  # (elements, positions in ids_list)
+        scores = [0.0] * len(ids_list)
         for size, members in by_size.items():
             per_set = len(self.test) * (size if self.axis == "rows" else len(self.train))
             step = max(1, _STACK_ELEMENTS // per_set)
-            groups = (members[at : at + step] for at in range(0, len(members), step))
-            stacks += [(per_set * len(group), group) for group in groups]
-        if self.reference == "pool" and self._pool_logp is None:  # before the worker: both threads read it
-            self._pool_logp = self._log_density([frozenset(self.pool)], self._works[0])[0]
-        stacks.sort(key=lambda s: -s[0])
-        # A worker for 2 or more stacks of at least half the cap (see _STACK_ELEMENTS).
-        threaded = _CPUS > 1 and len(stacks) > 1 and stacks[1][0] >= _STACK_ELEMENTS // 2
-        queue, lock = iter([members for _, members in stacks]), threading.Lock()
-        scores = [0.0] * len(ids_list)
-        failed: list[BaseException] = []
-
-        def take() -> list[int] | None:
-            """The next stack, largest first; None once the queue is empty or either thread has failed."""
-            with lock:
-                return None if failed else next(queue, None)
-
-        if threaded:
-            # A copy of this context carries the caller's np.errstate to the worker.
-            args = (self._score_stacks, take, ids_list, self._works[1], scores, failed)
-            worker = threading.Thread(target=contextvars.copy_context().run, args=args)
-            worker.start()
-        self._score_stacks(take, ids_list, self._works[0], scores, failed)
-        if threaded:
-            worker.join()
-        if failed:
-            raise failed[0]
-        return scores
-
-    def _score_stacks(
-        self,
-        take: Callable[[], list[int] | None],
-        ids_list: list[frozenset[int]],
-        work: tuple[np.ndarray, np.ndarray],
-        scores: list[float],
-        failed: list[BaseException],
-    ) -> None:
-        """Score the stacks take gives, ids_list positions each, into scores, in work; an error goes to failed."""
-        try:
-            while (group := take()) is not None:
-                logp = self._log_density([ids_list[i] for i in group], work)
+            for at in range(0, len(members), step):
+                group = members[at : at + step]
+                logp = self._log_density([ids_list[i] for i in group])
                 if self.reference == "nll":
                     err = np.clip(-logp, -self.error_cap, self.error_cap)
                 else:
                     err = np.minimum(np.abs(logp - self._pool_logp), self.error_cap)
                 for i, total in zip(group, err.sum(axis=1).tolist()):
                     scores[i] = self.eta - total
-        except BaseException as exc:
-            failed.append(exc)
+        return scores
 
 
 def _padded_ids(ids_list: list[frozenset[int]], limit: int, axis: str) -> tuple[np.ndarray, np.ndarray]:

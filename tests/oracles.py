@@ -390,36 +390,40 @@ def first_flip_reference(
 
 
 def kde_log_density_reference(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:
-    """Product-Gaussian KDE log density: the features summed one at a time, shifted by each test point's nearest train point.
+    """Product-Gaussian KDE log density: the features' exponents added one at a time, shifted only where the sum underflows.
 
-    sq is half the squared scaled distance, built with the reciprocal
-    bandwidths r = 1 / (h * sqrt(2)): each feature's (n_test, n_train)
-    differences are scaled, squared and added in index order. lo, its
-    minimum over train points, is taken as at most the largest float, so a
-    point whose every sq is +inf sums zeros and gets -inf. Each point's
-    terms exp(lo - sq) are summed over train points in index order, as the
-    columns of a C-ordered (n_train, n_test) array; with one test point
-    numpy sums that one contiguous column pairwise.
+    Each feature's (n_test, n_train) differences are squared, multiplied
+    by a = -0.5 / (h * h) and added in index order: the exponent e of each
+    pair. The kernel terms exp(e) are summed over train points in index
+    order, as the columns of a C-ordered (n_train, n_test) array; with one
+    test point numpy sums that one contiguous column pairwise. Where that
+    sum falls below 2^-1000 at some test point, every point's terms are
+    summed again as exp(e - lo), lo its largest exponent taken as at least
+    minus the largest float, so a point whose every e is -inf sums zeros
+    and gets -inf; lo is added back after the log.
     """
     n, d = train.shape
     std = train.std(axis=0)
     h = np.maximum(std * n ** (-1.0 / (d + 4)), floor)
-    r = 1.0 / (h * math.sqrt(2.0))
+    a = -0.5 / (h * h)
 
     def term(j: int) -> np.ndarray:
-        z = (test[:, None, j] - train[None, :, j]) * r[j]
-        return z * z
+        z = test[:, None, j] - train[None, :, j]
+        return (z * z) * a[j]
 
-    sq = term(0)
+    e = term(0)
     for j in range(1, d):
-        sq += term(j)
-    # Both reductions run over the train axis of a C-ordered (n_train, n_test)
-    # array, the layout of the package's stack: numpy's min over a contiguous
-    # row may give a NaN another sign bit.
-    sq = np.ascontiguousarray(sq.T)
-    lo = sq.min(axis=0, initial=np.finfo(np.float64).max)
-    s = np.exp(lo - sq).sum(axis=0)
-    return np.log(s) - lo - (np.log(h).sum() + (0.5 * d * math.log(2.0 * math.pi) + math.log(n)))
+        e += term(j)
+    # Every reduction runs over the train axis of a C-ordered (n_train,
+    # n_test) array, the layout of the package's stack: numpy's max over a
+    # contiguous row may give a NaN another sign bit.
+    e = np.ascontiguousarray(e.T)
+    c = np.log(h).sum() + (0.5 * d * math.log(2.0 * math.pi) + math.log(n))
+    s = np.exp(e).sum(axis=0)
+    if not (s < 2.0**-1000).any():
+        return np.log(s) - c
+    lo = e.max(axis=0, initial=-np.finfo(np.float64).max)
+    return np.log(np.exp(e - lo).sum(axis=0)) + lo - c
 
 
 def kde_log_density_logsumexp(train: np.ndarray, test: np.ndarray, floor: float) -> np.ndarray:

@@ -89,16 +89,14 @@ def test_oracles_and_exact_routes_import_nothing_after_the_package():
     assert new_modules("import shapcf, numpy.random", ORACLES_AND_EXACT_ROUTES) == []
 
 
-# A KDE oracle and one call's sets in two stacks of at least half
-# _STACK_ELEMENTS (16 sets of 50 rows and 13 of 60 against 80 test
-# points), with the worker forced on whatever the CPU count.
+# A KDE oracle and one call's sets in two nearly full stacks (16 sets of 50
+# rows and 13 of 60 against 80 test points).
 THREADED_KDE_CALL = """
 import threading
 
 import numpy as np
-from shapcf import Dataset, make_oracle, utility
+from shapcf import Dataset, make_oracle
 
-utility._CPUS = 2
 rng = np.random.default_rng(0)
 train = Dataset(features=rng.normal(size=(300, 2)), feature_names=("x", "y"))
 test = Dataset(features=rng.normal(size=(80, 2)), feature_names=("x", "y"))
@@ -108,9 +106,9 @@ sets = [frozenset(rng.choice(300, size=size, replace=False).tolist()) for size i
 
 
 def test_a_threaded_kde_call_imports_nothing_after_the_package():
-    # threading and contextvars load with the package; no pool module may load with the call.
+    # The call scores both stacks on the caller: it starts no thread and loads no module.
     call = "started = []\nstart = threading.Thread.start\nthreading.Thread.start = lambda t: started.append(t) or start(t)\n"
-    added = new_modules(THREADED_KDE_CALL, call + "oracle.values(sets)\nassert started")
+    added = new_modules(THREADED_KDE_CALL, call + "oracle.values(sets)\nassert not started")
     assert added == []
 
 

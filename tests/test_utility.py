@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
 import re
-import sys
 import threading
 import tracemalloc
 import warnings
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -378,9 +375,9 @@ class TestKdeKernelBits:
 
     @pytest.mark.parametrize("d", DIMS)
     def test_matches_scipy_logsumexp(self, d):
-        # The min shift and the reciprocal bandwidths change only the last
-        # bits of the textbook form: the log kernel through scipy's logsumexp.
-        # A zero floor gives no finite score to compare.
+        # The plain or shifted sum of exp(e), e scaled by -1 / (2 h^2), changes
+        # only the last bits of the textbook form: the log kernel through
+        # scipy's logsumexp. A zero floor gives no finite score to compare.
         for order in ("C", "F"):
             train, test = kde_case(d, d, order)
             check_close_to_logsumexp(kde_one(train, test, 1e-3), train, test)
@@ -425,14 +422,50 @@ class TestKdeKernelBits:
         assert got.tobytes() == want.tobytes()
         assert want_warnings and got_warnings == want_warnings
 
+    @pytest.mark.parametrize("axis", ["rows", "features"])
+    def test_an_underflowing_sum_is_shifted_and_keeps_its_bits(self, axis, monkeypatch):
+        # Test point 0 is finite, but for some sets each of its exponents is
+        # below -10,000, so its plain sum is 0 and those sets are summed
+        # shifted. Rows: train row 0 lies by test point 0, so a set holding
+        # it is not shifted. Features: test point 0 is far in column 0 only,
+        # so a set without that column is not shifted.
+        rng = np.random.default_rng(700)
+        d, size = 4, 10 if axis == "rows" else 2
+        train, test = rng.normal(size=(40, d)), rng.normal(size=(12, d))
+        if axis == "rows":
+            test[0], train[0] = 60.0, 60.5
+        else:
+            test[0, 0] = 60.0
+        names = tuple(f"x{j}" for j in range(d))
+        o = KdeUtility(*(Dataset(features=x, feature_names=names) for x in (train, test)), axis=axis)
+        sets = draw_sets(rng, len(train) if axis == "rows" else d, size, 12)
+        shifted = [(0 in s) == (axis == "features") for s in sets]
+        assert any(shifted) and not all(shifted)
+        stacked, stacked_warnings = with_warnings(o._log_density, sets)
+        assert stacked_warnings == []
+        with monkeypatch.context() as m:
+            m.setattr(utility, "_SHIFT_BELOW", 0.0)
+            plain, _ = with_warnings(o._log_density, sets)
+        for ids, row, plain_row, takes_it in zip(sets, stacked, plain, shifted):
+            # Unshifted, a set that takes the branch loses point 0 to a log of
+            # zero; a set that does not keeps its bits.
+            assert (plain_row[0] == -math.inf) == takes_it
+            assert takes_it or plain_row.tobytes() == row.tobytes()
+            x, t = (train[sorted(ids)], test) if axis == "rows" else (train[:, sorted(ids)], test[:, sorted(ids)])
+            alone, alone_warnings = with_warnings(o._log_density, [ids])
+            want, want_warnings = with_warnings(kde_log_density_reference, x, t, o.floor)
+            assert alone[0].tobytes() == row.tobytes() == want.tobytes()
+            assert alone_warnings == want_warnings == []
+            check_close_to_logsumexp(row, x, t)
+
     def test_feature_axis_computes_pool_density_once(self, housing_dataset, monkeypatch):
         o = KdeUtility(housing_dataset, housing_dataset, axis="features")
         seen = []
         real = KdeUtility._log_density
 
-        def spy(self, ids_list, work):
+        def spy(self, ids_list):
             seen.extend(ids_list)
-            return real(self, ids_list, work)
+            return real(self, ids_list)
 
         monkeypatch.setattr(KdeUtility, "_log_density", spy)
         feats = housing_dataset.features
@@ -455,7 +488,7 @@ def kde_tables(d: int, seed: int, axis: str) -> tuple[Dataset, Dataset]:
     On rows, column 0 is 1.5 on train rows 0-7, so a set inside those rows
     (or any single row) has a zero bandwidth there; on features, column 0 is
     1.5 throughout, so every set holding it has. Such a set's kernel
-    meets floating-point errors (an infinite reciprocal bandwidth, NaN terms).
+    meets floating-point errors (a division by zero in -0.5 / h^2, NaN terms).
     """
     rng = np.random.default_rng(seed)
     train = rng.normal(size=(40, d)) * rng.uniform(0.5, 5.0, size=d)
@@ -563,7 +596,7 @@ class TestKdeBatch:
                         tables = ((lay_train, train), (lay_test, test))
                         o = KdeUtility(*(Dataset(features=lay(x), feature_names=names) for lay, x in tables), axis=axis)
                         assert o.train.features.flags.c_contiguous and o.test.features.flags.c_contiguous
-                        assert o._log_density([frozenset(ids)], o._works[0])[0].tobytes() == want.tobytes()
+                        assert o._log_density([frozenset(ids)])[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 130])
     @pytest.mark.parametrize("n_test", [1, 2])
@@ -582,7 +615,7 @@ class TestKdeBatch:
         o = KdeUtility(*(Dataset(features=x, feature_names=names) for x in (train, test)), axis=axis)
         pool, size = (n_rows, n) if axis == "rows" else (d, 2)
         sets = [frozenset(rng.choice(pool, size=size, replace=False).tolist()) for _ in range(5)]
-        stacked = o._log_density(sets, o._works[0])
+        stacked = o._log_density(sets)
         assert stacked.shape == (5, n_test)
         for ids, row in zip(sets, stacked):
             ids = sorted(ids)
@@ -590,7 +623,7 @@ class TestKdeBatch:
                 want = kde_log_density_reference(train[ids], test, o.floor)
             else:
                 want = kde_log_density_reference(train[:, ids], test[:, ids], o.floor)
-            alone = o._log_density([frozenset(ids)], o._works[0])[0]
+            alone = o._log_density([frozenset(ids)])[0]
             assert alone.tobytes() == row.tobytes() == want.tobytes()
 
 
@@ -636,12 +669,12 @@ class TestKdeWorkspace:
             return [v] if isinstance(v, np.ndarray) else []
 
         held = [a.size for v in vars(o).values() for a in arrays(v)]
-        # The two workspaces (the caller's and a worker's), on rows the table of
-        # d x n_train x n_test differences however it is held, and the pool's
-        # density (n_test floats) in pool mode.
+        # The workspace's two arrays, on rows the table of d x n_train x n_test
+        # squared differences however it is held, and the pool's density
+        # (n_test floats) in pool mode.
         table = train.n_features * len(train) * len(test) if axis == "rows" else 0
-        assert held.count(cap) == 4
-        assert sum(held) == 4 * cap + table + (len(test) if reference == "pool" else 0)
+        assert held.count(cap) == 2
+        assert sum(held) == 2 * cap + table + (len(test) if reference == "pool" else 0)
 
     @pytest.mark.parametrize("table", [True, False])
     def test_full_16_feature_stack_peaks_under_1_mib(self, table, monkeypatch):
@@ -660,21 +693,11 @@ class TestKdeWorkspace:
         sets = draw_sets(rng, 200, 45, 18)
         tracemalloc.start()
         try:
-            o._log_density(sets, o._works[0])
+            o._log_density(sets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-
-def thread_tables(axis: str, seed: int) -> tuple[Dataset, Dataset]:
-    """Rows: 300 train rows and 80 test points of 3 features. Features: 120 rows and 40 points of 7."""
-    rng = np.random.default_rng(seed)
-    n_train, n_test, d = (300, 80, 3) if axis == "rows" else (120, 40, 7)
-    names = tuple(f"x{j}" for j in range(d))
-    train = rng.normal(size=(n_train, d)) * rng.uniform(0.5, 3.0, size=d)
-    return (Dataset(features=train, feature_names=names),
-            Dataset(features=rng.normal(size=(n_test, d)) * 2.0, feature_names=names))
 
 
 def draw_sets(rng: np.random.Generator, pool, size: int, count: int) -> list[frozenset[int]]:
@@ -682,262 +705,69 @@ def draw_sets(rng: np.random.Generator, pool, size: int, count: int) -> list[fro
 
 
 class TestKdeThreads:
-    """A call with two or more stacks of at least half _STACK_ELEMENTS scores them from one queue on two threads."""
-
-    @staticmethod
-    def sets(axis: str, seed: int) -> list[frozenset[int]]:
-        """One call's sets: stacks of at least half _STACK_ELEMENTS (2^15 elements) beside small ones.
-
-        Rows, against 80 test points: 32 sets of 50 rows (two stacks of
-        64,000 elements), 13 of 60 rows (62,400) and 10 of 20 rows (16,000).
-        Features, against 120 train rows and 40 test points: the 21 pairs and
-        35 triples of 7 features (stacks of 62,400, 38,400, 62,400, 62,400
-        and 43,200 elements) and one set of 5 features (4,800).
-        """
-        rng = np.random.default_rng(seed)
-        if axis == "rows":
-            return draw_sets(rng, 300, 50, 32) + draw_sets(rng, 300, 60, 13) + draw_sets(rng, 300, 20, 10)
-        sets = [frozenset(c) for k in (2, 3) for c in itertools.combinations(range(7), k)]
-        return [sets[i] for i in rng.permutation(len(sets))] + [frozenset(range(5))]
-
-    @staticmethod
-    def record_threads(monkeypatch) -> list[tuple[int, frozenset[int]]]:
-        """(thread id, first set) of each _log_density call from now on, each run in its thread's workspace."""
-        seen, caller = [], threading.get_ident()
-        real = KdeUtility._log_density
-
-        def spy(self, ids_list, work):
-            assert work is self._works[threading.get_ident() != caller]
-            seen.append((threading.get_ident(), ids_list[0]))
-            return real(self, ids_list, work)
-
-        monkeypatch.setattr(KdeUtility, "_log_density", spy)
-        return seen
-
-    @staticmethod
-    def hold_first_stacks(monkeypatch) -> None:
-        """From now on, in a threaded call the caller holds the first stack and the worker the second before either goes on.
-
-        One barrier, met twice: the worker takes no stack until the caller
-        holds one, and the caller's first stack waits until the worker holds
-        one too. Calls while _CPUS is 1, and single sets (the pool's density,
-        value()), pass straight through.
-        """
-        caller, barrier, held = threading.get_ident(), threading.Barrier(2, timeout=60), set()
-        score_stacks, log_density = KdeUtility._score_stacks, KdeUtility._log_density
-
-        def take_second(self, *args):
-            if threading.get_ident() != caller:
-                barrier.wait()  # the caller holds the first stack
-                return score_stacks(self, *args)
-            try:
-                return score_stacks(self, *args)
-            finally:
-                held.clear()
-
-        def hold(self, ids_list, work):
-            ident = threading.get_ident()
-            if utility._CPUS > 1 and len(ids_list) > 1 and ident not in held:
-                held.add(ident)
-                if ident == caller:
-                    barrier.wait()  # the worker may take the second stack
-                barrier.wait()  # both threads hold a stack
-            return log_density(self, ids_list, work)
-
-        monkeypatch.setattr(KdeUtility, "_score_stacks", take_second)
-        monkeypatch.setattr(KdeUtility, "_log_density", hold)
-
-    @pytest.mark.parametrize("reference", ["pool", "nll"])
-    @pytest.mark.parametrize("axis", ["rows", "features"])
-    def test_a_threaded_call_keeps_every_bit(self, axis, reference, monkeypatch):
-        train, test = thread_tables(axis, 30)
-        sets = self.sets(axis, 31)
-        call = sets + sets[:3]  # repeats count as calls, not evals
-        self.hold_first_stacks(monkeypatch)
-        seen = self.record_threads(monkeypatch)
-        threads = threading.active_count()
-        runs = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(utility, "_CPUS", cpus)
-            o = KdeUtility(train, test, axis=axis, reference=reference)
-            seen.clear()
-            runs[cpus] = (o, o.values(call), {ident for ident, _ in seen})
-            assert threading.active_count() == threads
-        (serial, want, serial_ids), (threaded, got, threaded_ids) = runs[1], runs[2]
-        assert serial_ids == {threading.get_ident()}
-        assert len(threaded_ids) == 2 and threading.get_ident() in threaded_ids
-        assert bits(got) == bits(want)
-        assert (threaded.calls, threaded.evals) == (serial.calls, serial.evals) == (len(call), len(sets))
-        assert list(threaded._cache.items()) == list(serial._cache.items())
-        alone = KdeUtility(train, test, axis=axis, reference=reference)
-        assert bits(got) == bits([alone.value(s) for s in call])
-
-    def test_threaded_calls_at_a_one_microsecond_switch_interval(self, monkeypatch):
-        # A score lost between the threads, or a stack run in the other
-        # thread's workspace, would change the bits.
-        train, test = thread_tables("rows", 36)
-        sets = self.sets("rows", 37)
-        monkeypatch.setattr(utility, "_CPUS", 1)
-        want = bits(KdeUtility(train, test).values(sets))
-        monkeypatch.setattr(utility, "_CPUS", 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(8):
-                assert bits(KdeUtility(train, test).values(sets)) == want
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_a_fresh_oracle_computes_its_pool_density_once_before_the_worker(self, monkeypatch):
-        monkeypatch.setattr(utility, "_CPUS", 2)
-        train, test = thread_tables("rows", 32)
-        o = KdeUtility(train, test)
-        self.hold_first_stacks(monkeypatch)
-        seen = self.record_threads(monkeypatch)
-        o.values(self.sets("rows", 33))
-        pool = frozenset(range(len(train)))
-        assert [ids for _, ids in seen].count(pool) == 1
-        caller = threading.get_ident()
-        assert seen[0] == (caller, pool)
-        assert len({ident for ident, _ in seen}) == 2
+    """A KDE call scores its stacks in order on the calling thread and starts no other."""
 
     @staticmethod
     def two_stacks() -> tuple[Dataset, Dataset, list[frozenset[int]], list[frozenset[int]]]:
-        """Tables and one call's sets in two large stacks, (caller's, worker's).
+        """300 train rows and 80 test points of 3 features, and one call's sets in two full stacks.
 
-        Under hold_first_stacks the caller takes the larger stack, of 16 sets
-        of 50 rows (64,000 elements), and the worker the 13 sets of 60 rows
-        (62,400).
+        16 sets of 50 rows (64,000 elements) and 13 sets of 60 rows (62,400).
         """
-        train, test = thread_tables("rows", 34)
-        rng = np.random.default_rng(35)
+        rng = np.random.default_rng(34)
+        names = ("x0", "x1", "x2")
+        train = Dataset(features=rng.normal(size=(300, 3)) * rng.uniform(0.5, 3.0, size=3), feature_names=names)
+        test = Dataset(features=rng.normal(size=(80, 3)) * 2.0, feature_names=names)
         return train, test, draw_sets(rng, 300, 50, 16), draw_sets(rng, 300, 60, 13)
 
     @staticmethod
-    def check_failed_call(o: KdeUtility, sets: list[frozenset[int]], error: type[Exception], seen) -> None:
-        """values(sets) raises error from the worker's stack, leaves no thread and memoises nothing of it."""
+    def check_failed_call(o: KdeUtility, sets: list[frozenset[int]], error: type[Exception]) -> None:
+        """values(sets) raises error, starts no thread and memoises nothing of the call."""
         threads = threading.active_count()
         with pytest.raises(error):
             o.values(sets)
         assert threading.active_count() == threads
         assert not any(s in o._cache for s in sets)
-        assert seen and all(ident != threading.get_ident() for ident in seen)
 
     def test_an_error_in_the_workers_stack_raises_from_values(self, monkeypatch):
-        monkeypatch.setattr(utility, "_CPUS", 2)
-        self.hold_first_stacks(monkeypatch)
-        train, test, mine, theirs = self.two_stacks()
+        # The second stack fails after the first has scored: the call raises,
+        # and the first stack's scores are not memoised either.
+        train, test, first, second = self.two_stacks()
         kernel = utility._kde_log_density
-        failed = []
+        stacks = []
 
         def spy(x, t, floor, *rest):
+            stacks.append(x.shape[1])
             if x.shape[1] == 60:
-                failed.append(threading.get_ident())
                 raise RuntimeError("a failing stack")
             return kernel(x, t, floor, *rest)
 
         o = KdeUtility(train, test)
         monkeypatch.setattr(utility, "_kde_log_density", spy)
-        self.check_failed_call(o, mine + theirs, RuntimeError, failed)
-        # The oracle goes on: a later call without the failure is the serial call's.
+        self.check_failed_call(o, first + second, RuntimeError)
+        assert stacks == [300, 50, 60]  # the pool's density, then the stacks in order
+        # The oracle goes on: a later call without the failure is a fresh oracle's.
         monkeypatch.setattr(utility, "_kde_log_density", kernel)
-        threads = threading.active_count()
-        got = o.values(mine + theirs)
-        assert threading.active_count() == threads
-        monkeypatch.setattr(utility, "_CPUS", 1)
-        assert bits(got) == bits(KdeUtility(train, test).values(mine + theirs))
+        assert bits(o.values(first + second)) == bits(KdeUtility(train, test).values(first + second))
 
-    def test_the_callers_error_state_holds_on_the_worker(self, monkeypatch):
-        monkeypatch.setattr(utility, "_CPUS", 2)
-        self.hold_first_stacks(monkeypatch)
-        train, test, mine, theirs = self.two_stacks()
-        # A feature of 1e200 in one of the worker's sets: its squared deviation overflows.
-        big = next(iter(theirs[0] - frozenset().union(*mine)))
+    def test_the_callers_error_state_holds_on_the_worker(self):
+        train, test, first, second = self.two_stacks()
+        # A feature of 1e200 in one of the second stack's sets: its squared
+        # deviation and its squared differences overflow.
+        big = next(iter(second[0] - frozenset().union(*first)))
         features = train.features.copy()
         features[big, 0] = 1e200
         train = Dataset(features=features, feature_names=train.feature_names)
-        failed = []
-        real = KdeUtility._log_density
-
-        def spy(self, ids_list, work):
-            try:
-                return real(self, ids_list, work)
-            except FloatingPointError:
-                failed.append(threading.get_ident())
-                raise
-
-        monkeypatch.setattr(KdeUtility, "_log_density", spy)
         o = KdeUtility(train, test, reference="nll")
         with np.errstate(all="raise"):
-            self.check_failed_call(o, mine + theirs, FloatingPointError, failed)
-        # Under the default error state the worker warns instead, and the call scores.
+            self.check_failed_call(o, first + second, FloatingPointError)
+            assert len(KdeUtility(train, test, reference="nll").values(first)) == len(first)  # the first stack meets none
+        # Under the default error state numpy warns instead. The set's
+        # bandwidth is +inf, so its multiplier -0.5 / h^2 is -0, and the
+        # overflowed square times -0 is NaN: the call raises NonFiniteScore.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert len(o.values(mine + theirs)) == len(mine + theirs)
-
-    def test_a_free_thread_takes_the_next_stack(self, monkeypatch):
-        # The caller's first stack waits until the worker has scored two
-        # more; every set is then scored once, in one stack on one thread.
-        train, test = thread_tables("rows", 38)
-        sets = self.sets("rows", 39)
-        monkeypatch.setattr(utility, "_CPUS", 1)
-        want = KdeUtility(train, test, reference="nll").values(sets)
-        monkeypatch.setattr(utility, "_CPUS", 2)
-        caller, done, scored = threading.get_ident(), threading.Condition(), []
-        real = KdeUtility._log_density
-
-        def spy(self, ids_list, work):
-            ident = threading.get_ident()
-            if ident == caller and all(i != caller for i, _ in scored):
-                with done:
-                    assert done.wait_for(lambda: len(scored) >= 2, timeout=10), "the worker scored fewer than two stacks"
-            logp = real(self, ids_list, work)
-            with done:
-                scored.append((ident, tuple(ids_list)))
-                done.notify_all()
-            return logp
-
-        monkeypatch.setattr(KdeUtility, "_log_density", spy)
-        got = KdeUtility(train, test, reference="nll").values(sets)
-        assert bits(got) == bits(want)
-        threads = [ident for ident, _ in scored]
-        assert threads[0] == threads[1] != caller and caller in threads
-        assert len(scored) == 4  # stacks of 16, 16, 13 and 10 sets
-        assert Counter(s for _, stack in scored for s in stack) == Counter(sets)
-
-    @pytest.mark.parametrize("fails", ["caller", "worker"])
-    def test_no_thread_takes_a_stack_after_an_error(self, fails, monkeypatch):
-        monkeypatch.setattr(utility, "_CPUS", 2)
-        train, test = thread_tables("rows", 40)
-        rng = np.random.default_rng(41)
-        # Eight stacks: 12 sets each of 40 to 47 rows (38,400 to 45,120 elements).
-        sets = [s for size in range(40, 48) for s in draw_sets(rng, 300, size, 12)]
-        caller, barrier, lock = threading.get_ident(), threading.Barrier(2, timeout=60), threading.Lock()
-        calls, failed_at = [], []
-        kernel = utility._kde_log_density
-
-        def spy(*args):
-            ident = threading.get_ident()
-            with lock:
-                first = ident not in calls
-                calls.append(ident)
-            if first:
-                barrier.wait()  # each thread holds a stack
-                if (ident == caller) == (fails == "caller"):
-                    with lock:
-                        failed_at.append(len(calls))
-                    raise RuntimeError("a failing stack")
-            return kernel(*args)
-
-        o = KdeUtility(train, test, reference="nll")
-        monkeypatch.setattr(utility, "_kde_log_density", spy)
-        with pytest.raises(RuntimeError):
-            o.values(sets)
-        assert len(failed_at) == 1 and len(set(calls)) == 2
-        after = Counter(calls[failed_at[0] :])
-        assert all(n <= 1 for n in after.values())  # each thread at most one more kernel call
-        assert after[caller if fails == "caller" else next(i for i in calls if i != caller)] == 0
-        assert not any(s in o._cache for s in sets)
+            with pytest.raises(NonFiniteScore):
+                o.values(first + second)
 
 
 def kde_rows_oracle(train: np.ndarray, test: np.ndarray, floor: float) -> KdeUtility:
@@ -953,7 +783,7 @@ class TestKdeDiffTable:
     @staticmethod
     def check(o: KdeUtility, train: np.ndarray, test: np.ndarray, ids, floor: float) -> np.ndarray:
         """The oracle's log density of one row set has the reference's bits and warnings."""
-        got, got_warnings = with_warnings(o._log_density, [frozenset(ids)], o._works[0])
+        got, got_warnings = with_warnings(o._log_density, [frozenset(ids)])
         want, want_warnings = with_warnings(kde_log_density_reference, train[sorted(ids)], test, floor)
         assert got[0].tobytes() == want.tobytes()
         assert got_warnings == want_warnings
@@ -963,7 +793,7 @@ class TestKdeDiffTable:
     def test_tied_maxima(self, d):
         # Train rows 40 and 41 repeat rows 0 and 1, and so do the last two test
         # points: each has two nearest train points, whose log kernels tie at
-        # the maximum. Each tied point's term is exp(0) = 1 in the plain sum,
+        # the maximum. Each tied point's term enters the sum as any other,
         # with no tie count, and the density stays within 1e-12 of scipy's.
         train, test = kde_case(d, 200 + d)
         o = kde_rows_oracle(train, test, 1e-3)
@@ -973,19 +803,34 @@ class TestKdeDiffTable:
 
     @pytest.mark.parametrize("d", [1, 2, 7, 9, 13])
     def test_far_point_has_a_non_finite_maximum(self, d):
-        # Every squared distance of test point 0 overflows to +inf, so its
-        # shift is the largest float, each term exp(-inf) = 0, and its log
-        # density -inf: numpy warns of the overflow once per feature and of
-        # the log of zero once. Every other point keeps a finite density.
+        # Test point 0 lies 1e152 from every train point in the constant
+        # column (d // 2), whose bandwidth is the floor: the square, 1e304,
+        # fits in the table, but times -0.5 / 1e-6 it overflows to -inf. So
+        # every exponent of the point is -inf and its sum 0: the set is
+        # summed shifted, with minus the largest float as the point's
+        # shift, each term exp(-inf) = 0, and its log density -inf. numpy
+        # warns of the overflow once (that column's multiply) and of the
+        # log of zero once. Every other point keeps a finite density.
+        overflow = (RuntimeWarning, "overflow encountered in multiply")
+        log_of_zero = (RuntimeWarning, "divide by zero encountered in log")
         train, test = kde_case(d, 300 + d)
-        test[0] = 1e200
+        test[0, d // 2] = 1e152
         o = kde_rows_oracle(train, test, 1e-3)
         assert o._diffs is not None
         for ids in (range(5, 30), [3]):  # with one row, the one term of each point
-            got, got_warnings = with_warnings(o._log_density, [frozenset(ids)], o._works[0])
+            got, got_warnings = with_warnings(o._log_density, [frozenset(ids)])
             assert got[0, 0] == -math.inf and np.isfinite(got[0, 1:]).all()
-            assert got_warnings == [(RuntimeWarning, "overflow encountered in multiply")] * d + [
-                (RuntimeWarning, "divide by zero encountered in log")]
+            assert got_warnings == [overflow, log_of_zero]
+            self.check(o, train, test, ids, 1e-3)
+        # At 1e200 in every column each square overflows, so the oracle keeps
+        # no table, and a stack's own squares warn once per feature.
+        test[0] = 1e200
+        o = kde_rows_oracle(train, test, 1e-3)
+        assert o._diffs is None
+        for ids in (range(5, 30), [3]):
+            got, got_warnings = with_warnings(o._log_density, [frozenset(ids)])
+            assert got[0, 0] == -math.inf and np.isfinite(got[0, 1:]).all()
+            assert got_warnings == [overflow] * d + [log_of_zero]
             self.check(o, train, test, ids, 1e-3)
 
     @pytest.mark.parametrize("d", [1, 3, 9, 13])
@@ -1009,7 +854,7 @@ class TestKdeDiffTable:
         for ids in sets:
             self.check(o, train, test, ids, 1e-3)
         want = [kde_log_density_reference(train[sorted(s)], test, 1e-3) for s in sets]
-        assert o._log_density(sets, o._works[0]).tobytes() == np.array(want).tobytes()
+        assert o._log_density(sets).tobytes() == np.array(want).tobytes()
 
 
 class TestLogReg:
@@ -1456,9 +1301,9 @@ class TestFactoryAndCache:
         seen = []
         real = KdeUtility._log_density
 
-        def spy(self, ids_list, work):
+        def spy(self, ids_list):
             seen.extend(ids_list)
-            return real(self, ids_list, work)
+            return real(self, ids_list)
 
         monkeypatch.setattr(KdeUtility, "_log_density", spy)
         sets = [frozenset(range(5)), frozenset(range(3, 12))]
